@@ -9,8 +9,10 @@
 //! `run` persists a small workload (snapshots + change log) into `dir` and
 //! prints the [`outcome_digest`] of the finished run. `crash` does the
 //! same but *abandons* the shard after `<events>` events — no final
-//! snapshot, no clean log close, buffered frames dropped on the floor —
-//! simulating a process kill. `recover` rebuilds the run from the
+//! snapshot, no clean log close, buffered frames dropped on the floor, and
+//! the store's snapshot writer thread cut off wherever it was (a partly
+//! landed newest generation, a stray `.tmp`) — simulating a process
+//! kill. `recover` rebuilds the run from the
 //! directory alone and prints what it found; with `--expect` it exits
 //! nonzero unless the recovered digest matches, which is how CI pins that
 //! a recovered run is bit-identical to the uninterrupted one.

@@ -16,18 +16,20 @@
 //!   mark collection boundaries and snapshot generations. The reader
 //!   tolerates a torn tail: a truncated or corrupted final frame is
 //!   detected by length/checksum and dropped, never a crash.
-//! * [`snapshot`] — per-partition `snap-*.pgcs` files written at
+//! * [`snapshot`] — per-partition `snap-*.pgcs` files taken at
 //!   collection safepoints: versioned header, length-prefixed object
-//!   records (oid, size, weight, birth, pointer slots), CRC-32 footer,
-//!   written to a temp file and renamed into place.
+//!   records (oid, size, weight, birth, pointer slots), CRC-32 footer.
+//!   The owning thread serialises a generation in one pass; the store's
+//!   background thread writes each file to a temp name, fsyncs it and
+//!   renames it into place.
 //! * [`manifest`] — a checksummed key=value `MANIFEST.pgc` recording how
 //!   the run was configured, so recovery can rebuild the exact
 //!   configuration without out-of-band knowledge.
 //! * [`store`] — [`store::DurableStore`], the run-side handle: buffers
 //!   events into block-sized frames (write-ahead, before they are
-//!   applied), writes snapshots + safepoint frames at collection
-//!   boundaries, rotates and fsyncs segments, and reports
-//!   [`store::StorageStats`].
+//!   applied), takes snapshot generations and writes safepoint frames at
+//!   collection boundaries, rotates and fsyncs segments, surfaces the
+//!   background thread's errors, and reports [`store::StorageStats`].
 //! * [`observer`] — [`observer::LogObserver`], the barrier-bus bystander
 //!   that watches `CollectionCompleted` events and raises the shared
 //!   [`observer::SafepointSignal`] the owning shard polls to schedule

@@ -27,6 +27,7 @@
 
 use crate::codec::decode_compact;
 use crate::crc::{crc32, Crc32};
+use crate::snapshot::{Generation, SnapshotDir};
 use pgc_types::{PgcError, Result};
 use pgc_workload::Event;
 use std::fs::{self, File};
@@ -61,51 +62,152 @@ const WRITE_BUF_BYTES: usize = 512 << 10;
 /// staying off the hot path between kicks.
 const KICK_BYTES: u64 = 1 << 20;
 
-/// Background fsync helper. An `fsync` pays for every dirty page still
-/// unwritten, so if syncs only ever happen at the mandatory durability
-/// points (rotation, snapshot generations, shutdown) each one stalls the
-/// hot path for the full accumulated delta. The flusher drains that debt
-/// concurrently: at every safepoint the writer hands it a duplicated
-/// file handle and it fsyncs in the background while the run keeps
+/// Most snapshot generations the background thread holds at once: the one
+/// it is writing and one queued behind it.
+const MAX_IN_FLIGHT: usize = 2;
+
+/// Work for the store's one background thread.
+enum Job {
+    /// fsync a duplicated log-segment handle (best effort).
+    SyncLog(File),
+    /// Land a snapshot generation and report back.
+    Land(Generation),
+}
+
+/// The background thread's report on one generation; the buffer comes
+/// back with it for the next capture.
+struct Landed {
+    generation: Generation,
+    /// fsyncs issued, or what went wrong.
+    fsyncs: Result<u64>,
+}
+
+/// The store's background I/O thread. It does two jobs, in the order they
+/// were handed over.
+///
+/// *Log fsyncs.* An `fsync` pays for every dirty page still unwritten, so
+/// if syncs only ever happen at the mandatory durability points (rotation,
+/// snapshot generations, shutdown) each one stalls the hot path for the
+/// full accumulated delta. At every safepoint the log writer may hand over
+/// a duplicated file handle, which is fsynced here while the run keeps
 /// going, so the synchronous syncs only cover the small tail written
 /// since. Dropped kicks are fine — this is an optimization, not a
 /// guarantee; the synchronous syncs still establish durability.
-struct Flusher {
-    tx: Option<mpsc::SyncSender<File>>,
+///
+/// *Snapshot generations.* The run thread serialises a generation and
+/// hands it over ([`Flusher::land`]); the files are checksummed, written,
+/// fsynced and renamed here, then the oldest generation is pruned. The
+/// outcome of every generation comes back to the run thread, which must
+/// see it: [`Flusher::next_generation`] and [`Flusher::drain`] return the
+/// first error reported, and fail rather than wait if the thread is gone.
+pub(crate) struct Flusher {
+    jobs: Option<mpsc::SyncSender<Job>>,
+    landed: mpsc::Receiver<Landed>,
     handle: Option<thread::JoinHandle<()>>,
+    /// Generations handed over and not yet reported back.
+    in_flight: usize,
+    /// Buffers of landed generations, kept for reuse.
+    spare: Vec<Generation>,
+    /// Snapshot-file fsyncs reported back so far.
+    pub(crate) snapshot_fsyncs: u64,
 }
 
 impl Flusher {
-    fn spawn() -> Self {
-        let (tx, rx) = mpsc::sync_channel::<File>(2);
+    fn spawn(dir: &Path) -> Self {
+        let (jobs, rx) = mpsc::sync_channel::<Job>(2);
+        let (reports, landed) = mpsc::channel::<Landed>();
+        let mut snapshots = SnapshotDir::new(dir.to_path_buf());
         let handle = thread::Builder::new()
-            .name("pgc-log-flush".into())
+            .name("pgc-durable-io".into())
             .spawn(move || {
-                for file in rx {
-                    // Best-effort: a failed background sync is retried by
-                    // the next synchronous durability point.
-                    let _ = file.sync_data();
+                for job in rx {
+                    match job {
+                        // Best-effort: a failed background sync is retried
+                        // by the next synchronous durability point.
+                        Job::SyncLog(file) => {
+                            let _ = file.sync_data();
+                        }
+                        Job::Land(mut generation) => {
+                            let fsyncs = snapshots.land(&mut generation);
+                            // The store may already be gone (dropped after
+                            // an error): nobody is left to tell.
+                            let _ = reports.send(Landed { generation, fsyncs });
+                        }
+                    }
                 }
             })
             .ok();
         Self {
-            tx: Some(tx),
+            jobs: Some(jobs),
+            landed,
             handle,
+            in_flight: 0,
+            spare: Vec::with_capacity(MAX_IN_FLIGHT),
+            snapshot_fsyncs: 0,
         }
     }
 
     /// Asks for a background fsync of `file`; drops the request if the
-    /// flusher is still busy with earlier ones.
+    /// thread is still busy with earlier work.
     fn kick(&self, file: &File) {
-        if let (Some(tx), Ok(clone)) = (&self.tx, file.try_clone()) {
-            let _ = tx.try_send(clone);
+        if let (Some(jobs), Ok(clone)) = (&self.jobs, file.try_clone()) {
+            let _ = jobs.try_send(Job::SyncLog(clone));
         }
+    }
+
+    fn gone() -> PgcError {
+        PgcError::TraceIo("snapshot writer thread is gone".into())
+    }
+
+    /// Takes in every report that is ready, then waits until at most
+    /// `allow` generations are still with the thread.
+    fn settle(&mut self, allow: usize) -> Result<()> {
+        loop {
+            let report = if self.in_flight > allow {
+                self.landed.recv().map_err(|_| Self::gone())?
+            } else {
+                match self.landed.try_recv() {
+                    Ok(report) => report,
+                    Err(mpsc::TryRecvError::Empty) => return Ok(()),
+                    Err(mpsc::TryRecvError::Disconnected) => return Err(Self::gone()),
+                }
+            };
+            self.in_flight -= 1;
+            self.spare.push(report.generation);
+            self.snapshot_fsyncs += report.fsyncs?;
+        }
+    }
+
+    /// Surfaces any error reported since the last call, without waiting.
+    pub(crate) fn poll(&mut self) -> Result<()> {
+        self.settle(MAX_IN_FLIGHT)
+    }
+
+    /// A buffer to capture the next generation into. Blocks while a
+    /// generation is queued behind the one being written, so buffers
+    /// never pile up behind a slow disk.
+    pub(crate) fn next_generation(&mut self) -> Result<Generation> {
+        self.settle(MAX_IN_FLIGHT - 1)?;
+        Ok(self.spare.pop().unwrap_or_default())
+    }
+
+    /// Hands a captured generation over for landing.
+    pub(crate) fn land(&mut self, generation: Generation) -> Result<()> {
+        let jobs = self.jobs.as_ref().ok_or_else(Self::gone)?;
+        jobs.send(Job::Land(generation)).map_err(|_| Self::gone())?;
+        self.in_flight += 1;
+        Ok(())
+    }
+
+    /// Waits until every generation handed over has landed.
+    pub(crate) fn drain(&mut self) -> Result<()> {
+        self.settle(0)
     }
 }
 
 impl Drop for Flusher {
     fn drop(&mut self) {
-        self.tx = None; // close the channel so the thread exits
+        self.jobs = None; // close the channel so the thread exits
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -122,7 +224,7 @@ pub(crate) struct LogWriter {
     fsync_every: u64,
     frames_since_sync: u64,
     bytes_since_kick: u64,
-    flusher: Flusher,
+    pub(crate) flusher: Flusher,
     // Counters surfaced through StorageStats.
     pub(crate) bytes_written: u64,
     pub(crate) frames: u64,
@@ -141,7 +243,7 @@ impl LogWriter {
             fsync_every,
             frames_since_sync: 0,
             bytes_since_kick: 0,
-            flusher: Flusher::spawn(),
+            flusher: Flusher::spawn(dir),
             bytes_written: HEADER_BYTES,
             frames: 0,
             fsyncs: 0,

@@ -13,19 +13,30 @@
 //!
 //! Records are sorted by oid (canonical form — the in-memory member list
 //! is swap-ordered), and each carries its own length prefix so future
-//! versions can extend records without breaking old readers. A snapshot is
-//! written to a `.tmp` sibling, fsynced, then renamed into place: a torn
-//! snapshot write never shadows an older valid generation.
+//! versions can extend records without breaking old readers.
+//!
+//! A generation is produced in two halves. The run thread serialises every
+//! partition straight from the object table into one recycled buffer
+//! (`Generation::capture`); the store's background thread then fills in
+//! each checksum and lands the files (`SnapshotDir::land`): written to a
+//! `.tmp` sibling, fsynced, then renamed into place, so a torn snapshot
+//! write never shadows an older valid generation. [`PartitionSnapshot`] is
+//! the read side's (and the tests') owned form of the same bytes.
 
 use crate::crc::crc32;
 use pgc_odb::Database;
-use pgc_types::{PartitionId, PgcError, Result};
+use pgc_types::{Oid, PartitionId, PgcError, Result};
+use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 pub(crate) const MAGIC: &[u8; 4] = b"PGCS";
 pub(crate) const VERSION: u32 = 1;
+/// Fixed part of a record: its length prefix, oid, size, weight, birth and
+/// slot count.
+const RECORD_FIXED_BYTES: usize = 4 + 8 + 8 + 1 + 8 + 4;
+const FOOTER_BYTES: usize = 4;
 
 fn io_err(e: std::io::Error) -> PgcError {
     PgcError::TraceIo(e.to_string())
@@ -206,20 +217,6 @@ impl PartitionSnapshot {
         })
     }
 
-    /// Writes the snapshot into `dir` (temp file + fsync + rename).
-    /// Returns the file size in bytes.
-    pub fn write_to(&self, dir: &Path) -> Result<u64> {
-        let bytes = self.to_bytes();
-        let name = snapshot_name(self.generation, self.partition);
-        let tmp = dir.join(format!("{name}.tmp"));
-        let mut file = File::create(&tmp).map_err(io_err)?;
-        file.write_all(&bytes).map_err(io_err)?;
-        file.sync_data().map_err(io_err)?;
-        drop(file);
-        fs::rename(&tmp, dir.join(name)).map_err(io_err)?;
-        Ok(bytes.len() as u64)
-    }
-
     /// Compares the snapshot against `partition`'s live state in `db`.
     /// Returns a description of the first mismatch, if any.
     pub fn verify_against(&self, db: &Database) -> std::result::Result<(), String> {
@@ -307,13 +304,142 @@ pub fn scan_snapshots(dir: &Path) -> Result<Vec<SnapshotFile>> {
     Ok(found)
 }
 
-/// Deletes snapshot files older than `keep_from` generations (called after
-/// a new generation lands, so the directory holds a bounded number).
-pub(crate) fn prune_below(dir: &Path, keep_from: u64) -> Result<()> {
-    for file in scan_snapshots(dir)? {
-        if file.generation < keep_from {
-            fs::remove_file(&file.path).map_err(io_err)?;
+/// One snapshot generation on its way from the run thread to disk: every
+/// partition's file image, back to back in one buffer that is recycled
+/// between generations.
+#[derive(Debug, Default)]
+pub(crate) struct Generation {
+    generation: u64,
+    /// The file images, partition 0 first. Each ends in a zeroed footer
+    /// slot until [`SnapshotDir::land`] fills the checksum in.
+    bytes: Vec<u8>,
+    /// `ends[p]` is where partition `p`'s image ends in `bytes`.
+    ends: Vec<usize>,
+    /// Sort scratch for one partition's members.
+    oids: Vec<Oid>,
+}
+
+impl Generation {
+    /// Files in this generation (one per partition).
+    pub(crate) fn files(&self) -> u32 {
+        self.ends.len() as u32
+    }
+
+    /// Total size of the files.
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
+    /// Run-thread half: replaces the contents with every partition of `db`
+    /// as it stands, serialised in one pass over the object table.
+    pub(crate) fn capture(
+        &mut self,
+        db: &Database,
+        generation: u64,
+        events_applied: u64,
+        collections: u64,
+    ) -> Result<()> {
+        self.generation = generation;
+        self.bytes.clear();
+        self.ends.clear();
+        let objects = db.objects();
+        for partition in 0..db.partition_count() as u32 {
+            self.oids.clear();
+            self.oids.extend(objects.members(PartitionId(partition)));
+            self.oids.sort_unstable();
+            let buf = &mut self.bytes;
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&VERSION.to_le_bytes());
+            buf.extend_from_slice(&generation.to_le_bytes());
+            buf.extend_from_slice(&partition.to_le_bytes());
+            buf.extend_from_slice(&events_applied.to_le_bytes());
+            buf.extend_from_slice(&collections.to_le_bytes());
+            buf.extend_from_slice(&(self.oids.len() as u32).to_le_bytes());
+            let live_bytes_at = buf.len();
+            buf.extend_from_slice(&[0; 8]);
+            let mut live_bytes = 0u64;
+            for &oid in &self.oids {
+                let rec = objects.get(oid)?;
+                live_bytes += rec.size.get();
+                let record_len = RECORD_FIXED_BYTES + rec.slots.len() * 8;
+                let mut fixed = [0u8; RECORD_FIXED_BYTES];
+                fixed[..4].copy_from_slice(&((record_len - 4) as u32).to_le_bytes());
+                fixed[4..12].copy_from_slice(&oid.index().to_le_bytes());
+                fixed[12..20].copy_from_slice(&rec.size.get().to_le_bytes());
+                fixed[20] = rec.weight;
+                fixed[21..29].copy_from_slice(&rec.birth.to_le_bytes());
+                fixed[29..].copy_from_slice(&(rec.slots.len() as u32).to_le_bytes());
+                buf.reserve(record_len);
+                buf.extend_from_slice(&fixed);
+                for slot in &rec.slots {
+                    buf.extend_from_slice(&slot.map_or(0, |o| o.index() + 1).to_le_bytes());
+                }
+            }
+            buf[live_bytes_at..live_bytes_at + 8].copy_from_slice(&live_bytes.to_le_bytes());
+            buf.extend_from_slice(&[0; FOOTER_BYTES]);
+            self.ends.push(buf.len());
+        }
+        Ok(())
+    }
+
+    /// Fills in partition `partition`'s checksum footer and returns the
+    /// finished file image.
+    fn seal(&mut self, partition: usize) -> &[u8] {
+        let start = partition.checked_sub(1).map_or(0, |p| self.ends[p]);
+        let image = &mut self.bytes[start..self.ends[partition]];
+        let (body, footer) = image.split_at_mut(image.len() - FOOTER_BYTES);
+        footer.copy_from_slice(&crc32(body).to_le_bytes());
+        image
+    }
+}
+
+/// How many snapshot generations stay on disk (current + fallback).
+const KEEP_GENERATIONS: usize = 2;
+
+/// Writer half: the data directory as the snapshot writer sees it, with
+/// the generations it has landed there and not yet removed. The writer
+/// made those files, so it prunes them by name without reading the
+/// directory.
+#[derive(Debug)]
+pub(crate) struct SnapshotDir {
+    dir: PathBuf,
+    /// `(generation, files)` of each retained generation, oldest first.
+    retained: VecDeque<(u64, u32)>,
+}
+
+impl SnapshotDir {
+    pub(crate) fn new(dir: PathBuf) -> Self {
+        Self {
+            dir,
+            retained: VecDeque::with_capacity(KEEP_GENERATIONS + 1),
         }
     }
-    Ok(())
+
+    /// Lands every file of `generation`, partition 0 first, each sealed
+    /// and then written as temp file + fsync + rename; once all are in
+    /// place, removes the generations beyond [`KEEP_GENERATIONS`].
+    /// Returns the number of fsyncs issued.
+    pub(crate) fn land(&mut self, generation: &mut Generation) -> Result<u64> {
+        let files = generation.files();
+        for partition in 0..files {
+            let name = snapshot_name(generation.generation, partition);
+            let tmp = self.dir.join(format!("{name}.tmp"));
+            let mut file = File::create(&tmp).map_err(io_err)?;
+            file.write_all(generation.seal(partition as usize))
+                .map_err(io_err)?;
+            file.sync_data().map_err(io_err)?;
+            drop(file);
+            fs::rename(&tmp, self.dir.join(name)).map_err(io_err)?;
+        }
+        self.retained.push_back((generation.generation, files));
+        if self.retained.len() > KEEP_GENERATIONS {
+            if let Some((old, old_files)) = self.retained.pop_front() {
+                for partition in 0..old_files {
+                    fs::remove_file(self.dir.join(snapshot_name(old, partition)))
+                        .map_err(io_err)?;
+                }
+            }
+        }
+        Ok(u64::from(files))
+    }
 }

@@ -6,20 +6,18 @@
 //! [`DurableStore::safepoint`] when a collection has completed. Events are
 //! buffered and framed at [`pgc_workload::BLOCK_EVENTS`] granularity so
 //! frame overhead stays negligible; fsyncs are batched per
-//! [`crate::config::DurabilityConfig`].
+//! [`crate::config::DurabilityConfig`]. A snapshot generation costs the
+//! owning thread one serialising pass over the object table; the file
+//! writes and their fsyncs happen on the store's background thread.
 
 use crate::codec::encode_compact;
 use crate::config::{DurabilityConfig, DurabilityMode};
 use crate::log::LogWriter;
 use crate::manifest::{Manifest, MANIFEST_FILE};
-use crate::snapshot::{prune_below, PartitionSnapshot};
 use pgc_odb::Database;
-use pgc_types::{PartitionId, PgcError, Result};
-use pgc_workload::{Event, BLOCK_EVENTS};
+use pgc_types::{PgcError, Result};
+use pgc_workload::{Event, EventBlock, BLOCK_EVENTS};
 use std::fs;
-
-/// How many snapshot generations stay on disk (current + fallback).
-const KEEP_GENERATIONS: u64 = 2;
 
 /// Byte and operation counters for one store's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,12 +28,18 @@ pub struct StorageStats {
     pub log_frames: u64,
     /// Log segment files written.
     pub log_segments: u64,
-    /// `fsync` calls issued.
+    /// `fsync` calls issued on the change log (snapshot files are counted
+    /// in `snapshot_fsyncs`).
     pub fsyncs: u64,
-    /// Snapshot files written.
+    /// Snapshot files handed to the background writer (all of them on
+    /// disk once [`DurableStore::finish`] has returned).
     pub snapshots: u64,
-    /// Bytes written into snapshot files.
+    /// Bytes in those snapshot files.
     pub snapshot_bytes: u64,
+    /// `fsync` calls the background writer has reported for snapshot
+    /// files: one per file landed so far, so mid-run it trails
+    /// `snapshots` by the generations still in flight.
+    pub snapshot_fsyncs: u64,
     /// Safepoints driven (collection boundaries persisted).
     pub safepoints: u64,
 }
@@ -92,29 +96,34 @@ impl DurableStore {
     /// Buffers one input event, ahead of it being applied.
     #[inline]
     pub fn append_event(&mut self, event: &Event) -> Result<()> {
-        encode_compact(&mut self.scratch, event);
-        self.pending += 1;
-        if self.pending as usize >= BLOCK_EVENTS {
-            self.flush_pending()?;
-        }
-        Ok(())
+        self.append_run(1, |_| *event)
     }
 
-    /// Buffers a batch of input events: encodes whole block-sized runs
-    /// in one tight loop between flushes.
+    /// Buffers a batch of input events.
     pub fn append_events(&mut self, events: &[Event]) -> Result<()> {
-        let mut rest = events;
-        while !rest.is_empty() {
-            let room = BLOCK_EVENTS - self.pending as usize;
-            let (chunk, tail) = rest.split_at(rest.len().min(room));
-            for event in chunk {
-                encode_compact(&mut self.scratch, event);
+        self.append_run(events.len(), |i| events[i])
+    }
+
+    /// Buffers a decoded block of input events; the log bytes are those
+    /// of appending its events one by one.
+    pub fn append_block(&mut self, block: &EventBlock) -> Result<()> {
+        self.append_run(block.len(), |i| block.get(i))
+    }
+
+    /// Encodes events `0..len` in whole frame-sized runs, one tight loop
+    /// between flushes.
+    fn append_run(&mut self, len: usize, event_at: impl Fn(usize) -> Event) -> Result<()> {
+        let mut at = 0;
+        while at < len {
+            let end = len.min(at + BLOCK_EVENTS - self.pending as usize);
+            for i in at..end {
+                encode_compact(&mut self.scratch, &event_at(i));
             }
-            self.pending += chunk.len() as u32;
+            self.pending += (end - at) as u32;
             if self.pending as usize >= BLOCK_EVENTS {
                 self.flush_pending()?;
             }
-            rest = tail;
+            at = end;
         }
         Ok(())
     }
@@ -128,10 +137,17 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Drives one safepoint: flushes buffered events, writes a snapshot
+    /// Drives one safepoint: flushes buffered events, takes a snapshot
     /// generation when the cadence (or `force_snapshot`) says so, and
     /// appends the safepoint frame. The log is flushed to the OS at every
-    /// safepoint and fsynced when a snapshot generation was written.
+    /// safepoint and fsynced when a snapshot generation was taken.
+    ///
+    /// Taking a generation serialises every partition here and hands the
+    /// bytes to the background writer; the files land after this returns
+    /// (see [`DurableStore::finish`]). At most one generation waits behind
+    /// the one being written: a further one blocks here until the writer
+    /// has caught up. An error the writer met since the previous call is
+    /// returned from this one.
     pub fn safepoint(
         &mut self,
         db: &Database,
@@ -142,25 +158,17 @@ impl DurableStore {
         self.flush_pending()?;
         let mut generation = 0;
         if self.cfg.snapshots_enabled() {
+            self.writer.flusher.poll()?;
             self.since_snapshot += 1;
             if force_snapshot || self.since_snapshot >= self.cfg.snapshot_every {
                 generation = self.generation;
-                for partition in 0..db.partition_count() as u32 {
-                    let snap = PartitionSnapshot::capture(
-                        db,
-                        PartitionId(partition),
-                        generation,
-                        events_applied,
-                        collections,
-                    )?;
-                    self.snapshot_bytes += snap.write_to(&self.cfg.dir)?;
-                    self.snapshots += 1;
-                }
+                let mut files = self.writer.flusher.next_generation()?;
+                files.capture(db, generation, events_applied, collections)?;
+                self.snapshots += u64::from(files.files());
+                self.snapshot_bytes += files.total_bytes();
+                self.writer.flusher.land(files)?;
                 self.generation += 1;
                 self.since_snapshot = 0;
-                if generation > KEEP_GENERATIONS {
-                    prune_below(&self.cfg.dir, generation - KEEP_GENERATIONS + 1)?;
-                }
             }
         }
         self.writer
@@ -170,9 +178,11 @@ impl DurableStore {
     }
 
     /// Clean shutdown: final safepoint (with a final snapshot generation
-    /// when snapshots are enabled) and a last fsync.
+    /// when snapshots are enabled), then waits for every generation to
+    /// land, then a last fsync of the log.
     pub fn finish(&mut self, db: &Database, events_applied: u64, collections: u64) -> Result<()> {
         self.safepoint(db, events_applied, collections, true)?;
+        self.writer.flusher.drain()?;
         self.writer.finish()
     }
 
@@ -190,6 +200,7 @@ impl DurableStore {
             fsyncs: self.writer.fsyncs,
             snapshots: self.snapshots,
             snapshot_bytes: self.snapshot_bytes,
+            snapshot_fsyncs: self.writer.flusher.snapshot_fsyncs,
             safepoints: self.safepoints,
         }
     }
@@ -199,9 +210,13 @@ impl DurableStore {
 mod tests {
     use super::*;
     use crate::log::read_log;
+    use crate::snapshot::{scan_snapshots, snapshot_name, PartitionSnapshot};
     use crate::tempdir::ScratchDir;
-    use pgc_types::Bytes;
-    use pgc_workload::NodeId;
+    use pgc_sim::{RunConfig, Shard};
+    use pgc_types::{Bytes, PartitionId};
+    use pgc_workload::{NodeId, SyntheticWorkload};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn events(n: u64) -> Vec<Event> {
         (0..n)
@@ -299,5 +314,140 @@ mod tests {
         let log = read_log(dir.path()).unwrap();
         assert!(log.segments > 1, "expected rotation, got {}", log.segments);
         assert_eq!(log.events, evs);
+    }
+
+    /// A delete-heavy run stepped through a `Shard` (durability off: the
+    /// store under test is driven by hand), stopping `stops` times.
+    fn churn(stops: usize, mut at_stop: impl FnMut(usize, &Shard)) {
+        let cfg = RunConfig::small().with_seed(9).with_deletions_per_round(12);
+        let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
+            .unwrap()
+            .collect();
+        let mut shard = Shard::new(&cfg).unwrap();
+        for (stop, chunk) in events.chunks(events.len().div_ceil(stops)).enumerate() {
+            shard.step_batch(chunk).unwrap();
+            at_stop(stop, &shard);
+        }
+    }
+
+    #[test]
+    fn landed_files_equal_the_owned_form_byte_for_byte() {
+        let dir = ScratchDir::new("bytes");
+        let mut store = DurableStore::create(&DurabilityConfig::snapshot_and_log(dir.path()))
+            .expect("create store");
+        let mut generations = Vec::new();
+        churn(5, |stop, shard| {
+            let (db, applied) = (shard.db(), shard.events_applied());
+            let generation = stop as u64 + 1;
+            // The oracle: the reader's owned form, serialised the old way.
+            let expected: Vec<Vec<u8>> = (0..db.partition_count() as u32)
+                .map(|p| {
+                    PartitionSnapshot::capture(db, PartitionId(p), generation, applied, stop as u64)
+                        .unwrap()
+                        .to_bytes()
+                })
+                .collect();
+            assert!(expected.len() > 1, "the run must spread over partitions");
+            store.safepoint(db, applied, stop as u64, true).unwrap();
+            store.writer.flusher.drain().unwrap();
+            for (p, want) in expected.iter().enumerate() {
+                let got = fs::read(dir.join(snapshot_name(generation, p as u32))).unwrap();
+                assert_eq!(&got, want, "generation {generation} partition {p}");
+            }
+            let stats = store.stats();
+            assert_eq!(stats.snapshot_fsyncs, stats.snapshots, "one fsync per file");
+            generations.push((generation, expected.len() as u32));
+        });
+
+        // Pruning by remembered names leaves exactly the newest two
+        // generations, whole, and no temp files.
+        let left: Vec<(u64, u32)> = scan_snapshots(dir.path())
+            .unwrap()
+            .iter()
+            .map(|f| (f.generation, f.partition))
+            .collect();
+        let want: Vec<(u64, u32)> = generations[generations.len() - 2..]
+            .iter()
+            .flat_map(|&(generation, files)| (0..files).map(move |p| (generation, p)))
+            .collect();
+        assert_eq!(left, want);
+        let stray = fs::read_dir(dir.path())
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().ends_with(".tmp")
+            })
+            .count();
+        assert_eq!(stray, 0);
+    }
+
+    #[test]
+    fn append_block_writes_the_bytes_of_per_event_appends() {
+        let events: Vec<Event> = SyntheticWorkload::new(RunConfig::small().workload)
+            .unwrap()
+            .collect();
+        let db = Database::new(pgc_types::DbConfig::default()).unwrap();
+        let log_bytes = |by_block: bool| {
+            let dir = ScratchDir::new("block");
+            let mut store = DurableStore::create(&DurabilityConfig::log_only(dir.path())).unwrap();
+            // Ragged blocks, so frames straddle block boundaries.
+            for chunk in events.chunks(BLOCK_EVENTS - 7) {
+                if by_block {
+                    let mut block = EventBlock::new();
+                    chunk.iter().for_each(|e| block.push(e));
+                    store.append_block(&block).unwrap();
+                } else {
+                    chunk.iter().for_each(|e| store.append_event(e).unwrap());
+                }
+            }
+            store.finish(&db, events.len() as u64, 0).unwrap();
+            fs::read(dir.join(crate::log::segment_name(0))).unwrap()
+        };
+        assert!(events.len() > 2 * BLOCK_EVENTS);
+        assert_eq!(log_bytes(true), log_bytes(false));
+    }
+
+    #[test]
+    fn a_failing_background_write_surfaces_and_nothing_hangs() {
+        // The scenario runs on its own thread so that a hang fails the
+        // test instead of stalling the suite.
+        let (tell, told) = mpsc::channel();
+        let scenario = std::thread::spawn(move || {
+            let dir = ScratchDir::new("gone");
+            let mut store =
+                DurableStore::create(&DurabilityConfig::snapshot_and_log(dir.path())).unwrap();
+            let mut failed_at = None;
+            churn(4, |stop, shard| {
+                if failed_at.is_some() {
+                    return;
+                }
+                if stop == 1 {
+                    // The first generation has landed; now the disk "fails".
+                    store.writer.flusher.drain().unwrap();
+                    fs::remove_dir_all(dir.path()).unwrap();
+                }
+                let (db, applied) = (shard.db(), shard.events_applied());
+                let result = if stop < 3 {
+                    store.safepoint(db, applied, stop as u64, true)
+                } else {
+                    store.finish(db, applied, stop as u64)
+                };
+                match result {
+                    Ok(()) => assert!(stop < 3, "finish() cannot succeed"),
+                    Err(_) => failed_at = Some(stop),
+                }
+            });
+            // Dropping the store closes the channel and joins the writer.
+            drop(store);
+            tell.send(failed_at).unwrap();
+        });
+        let failed_at = told
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the store must fail, not hang");
+        scenario.join().unwrap();
+        // Generation 2 is handed over at stop 1 and cannot land. The next
+        // safepoint() returns its error if the writer has reported by
+        // then; finish() waits for the report, so it returns it if not.
+        assert!(matches!(failed_at, Some(2 | 3)), "failed at {failed_at:?}");
     }
 }

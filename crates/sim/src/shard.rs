@@ -146,7 +146,9 @@ impl Shard {
     /// fires, takes a time-series sample at each configured boundary, and
     /// drives a durability safepoint when a collection completed.
     pub fn step(&mut self, event: &Event) -> Result<()> {
-        self.log_event(event)?;
+        if let Some(store) = self.log_ahead()? {
+            store.append_event(event)?;
+        }
         self.replayer.apply(event)?;
         self.maybe_sample();
         self.maybe_safepoint()
@@ -167,10 +169,8 @@ impl Shard {
     /// block is logged ahead, then one safepoint check follows it) — the
     /// log stays a faithful write-ahead record either way.
     pub fn step_block(&mut self, block: &EventBlock) -> Result<()> {
-        if self.durable.is_some() {
-            for event in block.iter() {
-                self.log_event(&event)?;
-            }
+        if let Some(store) = self.log_ahead()? {
+            store.append_block(block)?;
         }
         if self.sample_every == u64::MAX {
             self.replayer.apply_block(block, 0, block.len())?;
@@ -189,20 +189,21 @@ impl Shard {
         self.maybe_safepoint()
     }
 
-    /// Write-ahead: the event reaches the change log before it is applied,
-    /// and the manifest reaches disk before the first event (written
+    /// Write-ahead: events reach the change log before they are applied,
+    /// and the manifest reaches disk before the first of them (written
     /// lazily so [`Shard::enable_telemetry`] can still run after
-    /// [`Shard::new`]).
-    fn log_event(&mut self, event: &Event) -> Result<()> {
+    /// [`Shard::new`]). Returns the store to log into, when durability is
+    /// on.
+    fn log_ahead(&mut self) -> Result<Option<&mut DurableStore>> {
         let Some(durable) = self.durable.as_mut() else {
-            return Ok(());
+            return Ok(None);
         };
         if !durable.manifest_written {
             let manifest = crate::durable::manifest_for(&self.cfg, self.telemetry_level);
             durable.store.write_manifest(&manifest)?;
             durable.manifest_written = true;
         }
-        durable.store.append_event(event)
+        Ok(Some(&mut durable.store))
     }
 
     /// Persists a safepoint when the bus signal says collections completed
@@ -298,6 +299,7 @@ impl Shard {
                 fsyncs: stats.fsyncs,
                 snapshots: stats.snapshots,
                 snapshot_bytes: stats.snapshot_bytes,
+                snapshot_fsyncs: stats.snapshot_fsyncs,
                 safepoints: stats.safepoints,
             });
         }

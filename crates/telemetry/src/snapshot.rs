@@ -112,12 +112,14 @@ pub struct StorageSummary {
     pub log_frames: u64,
     /// Log segment files written.
     pub log_segments: u64,
-    /// `fsync` calls issued.
+    /// `fsync` calls issued on the change log.
     pub fsyncs: u64,
     /// Snapshot files written.
     pub snapshots: u64,
     /// Bytes written into snapshot files.
     pub snapshot_bytes: u64,
+    /// `fsync` calls issued on snapshot files (by the background writer).
+    pub snapshot_fsyncs: u64,
     /// Collection safepoints persisted.
     pub safepoints: u64,
 }
@@ -131,6 +133,7 @@ impl StorageSummary {
         self.fsyncs += other.fsyncs;
         self.snapshots += other.snapshots;
         self.snapshot_bytes += other.snapshot_bytes;
+        self.snapshot_fsyncs += other.snapshot_fsyncs;
         self.safepoints += other.safepoints;
     }
 }

@@ -91,15 +91,24 @@ ingest:
     cargo run --release -p pgc-bench --bin perf_report
 
 # Crash-recovery smoke: a clean durable run recovered with a pinned
-# digest, then a mid-run kill (no final snapshot, buffered log tail
-# dropped) recovered from whatever reached disk. Exercises the same
-# tooling the CI smoke job runs; scratch dirs live under target/ and are
-# removed afterwards.
+# digest, then two mid-run kills (no final snapshot, buffered log tail
+# dropped, the snapshot writer thread cut off wherever it was) recovered
+# from whatever reached disk. Exercises the same tooling the CI smoke job
+# runs; scratch dirs live under target/ and are removed afterwards.
 recover:
     rm -rf target/recover-smoke
     cargo build --release -p pgc-bench --bin recover_tool
     d=$(./target/release/recover_tool run target/recover-smoke/clean updated-pointer 1 | awk '/^run:/ {print $NF}'); \
         ./target/release/recover_tool recover target/recover-smoke/clean --expect $d
-    ./target/release/recover_tool crash target/recover-smoke/killed 5000 most-garbage 2
-    ./target/release/recover_tool recover target/recover-smoke/killed
+    for n in 5000 9000; do \
+        ./target/release/recover_tool crash target/recover-smoke/killed-$n $n most-garbage 2 && \
+        ls target/recover-smoke/killed-$n && \
+        ./target/release/recover_tool recover target/recover-smoke/killed-$n || exit 1; \
+    done
     rm -rf target/recover-smoke
+
+# The benchmark package's own tests (it is a separate workspace, so
+# `cargo test` at the root does not run them): smoke-sized runs of both
+# workloads held against benchmark/golden, and the `compare` bounds.
+bench-selftest:
+    cargo test --manifest-path benchmark/Cargo.toml

@@ -10,7 +10,7 @@
 //! dropped, and recovery then matches a fresh run over the surviving
 //! event prefix. The same holds per stream for a persisted server fleet.
 
-use pgc::durable::{read_log, ScratchDir};
+use pgc::durable::{read_log, scan_snapshots, ScratchDir};
 use pgc::prelude::*;
 use pgc::workload::generator::GenStats;
 use pgc::workload::SyntheticWorkload;
@@ -176,6 +176,58 @@ fn corrupted_tail_frame_fails_its_checksum_and_is_dropped() {
     assert_eq!(
         outcome_digest(&recovered.outcome),
         outcome_digest(&baseline)
+    );
+}
+
+/// Snapshot generations land on a background thread, file by file, after
+/// `safepoint()` has returned. A kill in that window leaves the newest
+/// generation partly in place; the states are made by hand here.
+#[test]
+fn a_kill_during_landing_falls_back_to_the_older_generation() {
+    let dir = ScratchDir::new("landing");
+    let original = run_durable(PolicyKind::UpdatedPointer, 4, &dir);
+    let clean = recover(dir.path()).expect("recover the clean directory");
+
+    let files = scan_snapshots(dir.path()).expect("scan");
+    let newest = files.last().expect("snapshots were written").generation;
+    let path_of = |generation: u64, partition: u32| {
+        files
+            .iter()
+            .find(|f| f.generation == generation && f.partition == partition)
+            .map(|f| f.path.clone())
+    };
+    let tmp_of = |path: &std::path::Path| {
+        let mut name = path.file_name().expect("file name").to_os_string();
+        name.push(".tmp");
+        path.with_file_name(name)
+    };
+    let [not_started, not_renamed, half_written] = [0, 1, 2].map(|partition| {
+        assert!(
+            path_of(newest - 1, partition).is_some(),
+            "the older generation must cover partition {partition}"
+        );
+        path_of(newest, partition).expect("the newest generation covers it")
+    });
+    // Not yet started; written and fsynced but not renamed; torn mid-write.
+    fs::remove_file(&not_started).expect("remove");
+    fs::rename(&not_renamed, tmp_of(&not_renamed)).expect("rename back");
+    let bytes = fs::read(&half_written).expect("read");
+    fs::write(tmp_of(&half_written), &bytes[..bytes.len() / 2]).expect("write torn tmp");
+    fs::remove_file(&half_written).expect("remove");
+
+    let recovered = recover(dir.path()).expect("recover the damaged directory");
+    assert_eq!(
+        outcome_digest(&recovered.outcome),
+        outcome_digest(&original)
+    );
+    assert_eq!(recovered.torn_tail, None, "the log is whole");
+    assert_eq!(
+        recovered.snapshot_files_skipped, 0,
+        "a .tmp file is never read, so none can be found corrupt"
+    );
+    assert_eq!(
+        recovered.snapshots_verified, clean.snapshots_verified,
+        "the older generation stands in for the three missing partitions"
     );
 }
 
