@@ -85,9 +85,9 @@ use pgc_sim::{
     RunOutcome, Shard, Simulation, TelemetryLevel,
 };
 use pgc_telemetry::TelemetryObserver;
-use pgc_types::{Bytes, Parallelism, PartitionId};
+use pgc_types::{Parallelism, PartitionId};
 use pgc_workload::generator::GenStats;
-use pgc_workload::{EncodedTrace, Event, NodeId, SyntheticWorkload, TraceCache, TraceSegment};
+use pgc_workload::{EncodedTrace, Event, SyntheticWorkload, TraceCache, TraceSegment};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -152,32 +152,6 @@ const SERVER_STREAMS: usize = 8;
 /// Paired passes per shard count in the server sweep (best-of, with the
 /// visit order rotated across passes like the other paired gates).
 const SERVER_PASSES: usize = 2;
-
-/// Required speedup of the zero-copy segment ingest path
-/// (`submit_segment`: an `Arc` bump plus a byte range per batch) over the
-/// clone path (an owned `Vec<Event>` allocated and copied per batch — the
-/// pre-ring data plane's cost shape). Measured on an ingest-dominated
-/// workload (visit-heavy streams whose stepping is cheap, so moving bytes
-/// is the bill); binds at full scale and only when the machine has more
-/// cores than the ingest fleet has shards, so the producer genuinely
-/// overlaps the workers instead of time-slicing one CPU. Anywhere else
-/// the artifact records an explicit skipped status; leg bit-identity
-/// still binds everywhere.
-const INGEST_SPEEDUP_GATE: f64 = 1.3;
-
-/// Client streams in the ingest comparison.
-const INGEST_STREAMS: usize = 4;
-
-/// Shards the ingest fleet runs on (small on purpose: the gate is about
-/// the submit path, not fleet scaling).
-const INGEST_SHARDS: usize = 2;
-
-/// Paired passes per ingest leg (best-of, order alternated).
-const INGEST_PASSES: usize = 3;
-
-/// Visit events per ingest stream at full scale (scaled linearly by
-/// `--scale`).
-const INGEST_EVENTS_FULL: usize = 2_000_000;
 
 /// The pre-derive `UpdatedPointer`: the hand-rolled private scoreboard the
 /// derive layer replaced — a bare counter vector bumped on overwrites and
@@ -1250,128 +1224,6 @@ fn main() {
         eprintln!("REGRESSION: server scalability gate failed ({server_gate_status})");
     }
 
-    // --- Ingest path: clone vs zero-copy segment submission over an
-    // ingest-dominated workload. The streams are visit-heavy (a handful
-    // of roots, then pure visits), so stepping is cheap and the bill is
-    // moving events into the shards: the clone leg allocates and copies
-    // an owned `Vec<Event>` per batch (the pre-ring cost shape), the
-    // segment leg bumps a refcount on one shared encoded trace. Both legs
-    // must agree bit for bit; the speedup gate binds only where the
-    // producer has a core of its own. ---
-    let ingest_events_per_stream = (INGEST_EVENTS_FULL * args.scale_pct as usize / 100).max(10_000);
-    println!(
-        "ingest path: {INGEST_STREAMS} streams x {ingest_events_per_stream} visit-heavy events on {INGEST_SHARDS} shards..."
-    );
-    const INGEST_ROOTS: u64 = 64;
-    const INGEST_BATCH: usize = 4096;
-    let ingest_events: Vec<Event> = (0..INGEST_ROOTS)
-        .map(|i| Event::CreateRoot {
-            node: NodeId(i),
-            size: Bytes(128),
-            slots: 2,
-        })
-        .chain(
-            (0..ingest_events_per_stream as u64 - INGEST_ROOTS).map(|i| Event::Visit {
-                node: NodeId(i % INGEST_ROOTS),
-            }),
-        )
-        .collect();
-    let ingest_cfg = RunConfig::small();
-    let ingest_trace = Arc::new(EncodedTrace::from_events(
-        ingest_cfg.workload.clone(),
-        &ingest_events,
-    ));
-    let ingest_segments =
-        EncodedTrace::segments(&ingest_trace, INGEST_BATCH as u64).expect("segment tiling");
-    let ingest_streams: Vec<StreamId> = (0..INGEST_STREAMS as u64).map(StreamId).collect();
-    // One leg: feed every stream the same visit-heavy events round-robin
-    // through the chosen submit path, shut down, return time + outcomes.
-    let run_ingest = |zero_copy: bool| {
-        let t0 = Instant::now();
-        let mut server = Server::start(ServerConfig::new(INGEST_SHARDS));
-        for stream in &ingest_streams {
-            server
-                .open_stream(*stream, ingest_cfg.clone())
-                .expect("open stream");
-        }
-        for (at, segment) in ingest_segments.iter().enumerate() {
-            for stream in &ingest_streams {
-                if zero_copy {
-                    server
-                        .submit_segment(*stream, segment.clone())
-                        .expect("submit");
-                } else {
-                    let lo = at * INGEST_BATCH;
-                    let hi = (lo + INGEST_BATCH).min(ingest_events.len());
-                    server
-                        .submit_owned(*stream, ingest_events[lo..hi].to_vec())
-                        .expect("submit");
-                }
-            }
-        }
-        let fleet = server.shutdown().expect("fleet shutdown");
-        (t0.elapsed().as_secs_f64(), fleet.outcomes)
-    };
-    let total_ingest_events = (ingest_events.len() * INGEST_STREAMS) as u64;
-    let mut ingest_clone_secs = f64::INFINITY;
-    let mut ingest_segment_secs = f64::INFINITY;
-    let mut ingest_identical = true;
-    let mut ingest_baseline: Option<Vec<(StreamId, RunOutcome)>> = None;
-    for pass in 0..INGEST_PASSES {
-        // Alternate leg order across passes so neither leg always runs
-        // into a cold allocator or a warm cache.
-        for leg in 0..2 {
-            let zero_copy = (leg + pass) % 2 == 0;
-            let (secs, outcomes) = run_ingest(zero_copy);
-            if zero_copy {
-                ingest_segment_secs = ingest_segment_secs.min(secs);
-            } else {
-                ingest_clone_secs = ingest_clone_secs.min(secs);
-            }
-            match &ingest_baseline {
-                None => ingest_baseline = Some(outcomes),
-                Some(first) => {
-                    if first.iter().zip(&outcomes).any(|(a, b)| {
-                        a.1.totals != b.1.totals || a.1.collections != b.1.collections
-                    }) {
-                        ingest_identical = false;
-                        eprintln!("MISMATCH: ingest legs disagree on stream outcomes");
-                    }
-                }
-            }
-        }
-    }
-    let ingest_speedup = ingest_clone_secs / ingest_segment_secs.max(1e-9);
-    let ingest_gate_applies = args.scale_pct == 100 && cores > INGEST_SHARDS;
-    let ingest_gate_ok =
-        (!ingest_gate_applies || ingest_speedup >= INGEST_SPEEDUP_GATE) && ingest_identical;
-    let ingest_gate_status = if !ingest_identical {
-        "failed (leg outcome mismatch)"
-    } else if args.scale_pct != 100 {
-        "skipped (reduced scale)"
-    } else if cores <= INGEST_SHARDS {
-        "skipped (insufficient cores)"
-    } else if ingest_speedup >= INGEST_SPEEDUP_GATE {
-        "passed"
-    } else {
-        "failed"
-    };
-    println!(
-        "  clone path:   {ingest_clone_secs:>8.3}s  ({:.0} events/sec)",
-        total_ingest_events as f64 / ingest_clone_secs.max(1e-9)
-    );
-    println!(
-        "  segment path: {ingest_segment_secs:>8.3}s  ({:.0} events/sec)",
-        total_ingest_events as f64 / ingest_segment_secs.max(1e-9)
-    );
-    println!(
-        "  segment speedup: {ingest_speedup:.2}x vs clone (gate {INGEST_SPEEDUP_GATE:.1}x, status: {ingest_gate_status})"
-    );
-    println!("  legs bit-identical: {ingest_identical}");
-    if !ingest_gate_ok {
-        eprintln!("REGRESSION: ingest gate failed ({ingest_gate_status})");
-    }
-
     // --- Storage backend: the durable write path must stay off the hot
     // path. Three legs over the identical paper `MostGarbage` replay
     // through the shard pump: bare (durability off), the append-only
@@ -1767,30 +1619,7 @@ fn main() {
     let _ = writeln!(sjson, "  \"gate_applies\": {server_gate_applies},");
     let _ = writeln!(sjson, "  \"gate_status\": \"{server_gate_status}\",");
     let _ = writeln!(sjson, "  \"gate_ok\": {server_gate_ok},");
-    let _ = writeln!(sjson, "  \"bit_identical\": {server_identical},");
-    let _ = writeln!(sjson, "  \"ingest\": {{");
-    let _ = writeln!(sjson, "    \"streams\": {INGEST_STREAMS},");
-    let _ = writeln!(sjson, "    \"shards\": {INGEST_SHARDS},");
-    let _ = writeln!(sjson, "    \"events\": {total_ingest_events},");
-    let _ = writeln!(sjson, "    \"clone_secs\": {ingest_clone_secs:.4},");
-    let _ = writeln!(sjson, "    \"segment_secs\": {ingest_segment_secs:.4},");
-    let _ = writeln!(
-        sjson,
-        "    \"clone_events_per_sec\": {:.1},",
-        total_ingest_events as f64 / ingest_clone_secs.max(1e-9)
-    );
-    let _ = writeln!(
-        sjson,
-        "    \"segment_events_per_sec\": {:.1},",
-        total_ingest_events as f64 / ingest_segment_secs.max(1e-9)
-    );
-    let _ = writeln!(sjson, "    \"segment_speedup\": {ingest_speedup:.3},");
-    let _ = writeln!(sjson, "    \"gate_speedup\": {INGEST_SPEEDUP_GATE:.3},");
-    let _ = writeln!(sjson, "    \"gate_applies\": {ingest_gate_applies},");
-    let _ = writeln!(sjson, "    \"gate_status\": \"{ingest_gate_status}\",");
-    let _ = writeln!(sjson, "    \"gate_ok\": {ingest_gate_ok},");
-    let _ = writeln!(sjson, "    \"bit_identical\": {ingest_identical}");
-    let _ = writeln!(sjson, "  }}");
+    let _ = writeln!(sjson, "  \"bit_identical\": {server_identical}");
     sjson.push_str("}\n");
     std::fs::write("BENCH_server.json", &sjson).expect("write server report");
     println!("wrote BENCH_server.json");
@@ -1864,7 +1693,6 @@ fn main() {
         || !telemetry_identical
         || !parallel_gate_ok
         || !server_gate_ok
-        || !ingest_gate_ok
         || !storage_gate_ok
     {
         std::process::exit(1);

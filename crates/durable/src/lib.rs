@@ -10,10 +10,10 @@
 //!   plus fsync batching, snapshot cadence, and log-segment sizing knobs.
 //! * [`log`] — the append-only change log: segmented `log-*.pgcl` files of
 //!   CRC-framed records. Event frames carry the workload's input events in
-//!   a compact tagged encoding (`u32` ids with a wide fallback — the log
-//!   is write-amplification-sensitive, so it packs tighter than the PGCT
-//!   trace codec), making the log a replayable trace; safepoint frames
-//!   mark collection boundaries and snapshot generations. The reader
+//!   the one event byte form (`pgc_workload::codec`, the layout of trace
+//!   files and encoded traces too), so the log is a replayable trace and
+//!   is read back as one; safepoint frames mark collection boundaries and
+//!   snapshot generations. The reader
 //!   tolerates a torn tail: a truncated or corrupted final frame is
 //!   detected by length/checksum and dropped, never a crash.
 //! * [`snapshot`] — per-partition `snap-*.pgcs` files taken at
@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod codec;
 pub mod config;
 pub(crate) mod crc;
 pub mod log;

@@ -10,10 +10,10 @@
 //! The checksum covers `kind` and the payload. Two frame kinds exist:
 //!
 //! * **events** (`kind 1`): `count u32` followed by `count` workload
-//!   events in the compact log codec (`u32` ids with a wide fallback;
-//!   see `crate::codec`). Events are logged *ahead* of being applied, so
-//!   the concatenated event frames are a replayable prefix of the run's
-//!   input stream.
+//!   events in the one event byte form ([`pgc_workload::codec`]). Events
+//!   are logged *ahead* of being applied, so the concatenated event
+//!   frames are a replayable prefix of the run's input stream —
+//!   [`read_log`] hands them back as an [`EncodedTrace`].
 //! * **safepoint** (`kind 2`): `events_applied u64 | collections u64 |
 //!   generation u64` — a collection boundary; `generation` names the
 //!   snapshot generation written at this safepoint (0 = none).
@@ -25,11 +25,10 @@
 //! older segment is a hard [`PgcError::TraceFormat`] error — that is real
 //! corruption, not an interrupted write.
 
-use crate::codec::decode_compact;
 use crate::crc::{crc32, Crc32};
 use crate::snapshot::{Generation, SnapshotDir};
 use pgc_types::{PgcError, Result};
-use pgc_workload::Event;
+use pgc_workload::{EncodedTrace, WorkloadParams};
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -236,7 +235,7 @@ impl LogWriter {
     pub(crate) fn create(dir: &Path, fsync_every: u64, segment_limit: u64) -> Result<Self> {
         let mut writer = Self {
             dir: dir.to_path_buf(),
-            out: BufWriter::with_capacity(WRITE_BUF_BYTES, open_segment(dir, 0, 0)?),
+            out: BufWriter::with_capacity(WRITE_BUF_BYTES, open_segment(dir, 0)?),
             seq: 0,
             seg_bytes: HEADER_BYTES,
             segment_limit,
@@ -344,10 +343,7 @@ impl LogWriter {
         // opens, so only the newest segment can ever hold a torn tail.
         self.sync()?;
         self.seq += 1;
-        self.out = BufWriter::with_capacity(
-            WRITE_BUF_BYTES,
-            open_segment(&self.dir, self.seq, start_event)?,
-        );
+        self.out = BufWriter::with_capacity(WRITE_BUF_BYTES, open_segment(&self.dir, self.seq)?);
         self.seg_bytes = HEADER_BYTES;
         self.bytes_written += HEADER_BYTES;
         self.segments += 1;
@@ -369,7 +365,7 @@ impl LogWriter {
     }
 }
 
-fn open_segment(dir: &Path, seq: u64, _start_event: u64) -> Result<File> {
+fn open_segment(dir: &Path, seq: u64) -> Result<File> {
     File::create(dir.join(segment_name(seq))).map_err(io_err)
 }
 
@@ -397,10 +393,12 @@ pub struct TornTail {
 }
 
 /// Everything read back from a data directory's change log.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LogContents {
-    /// The replayable input events, in append order.
-    pub events: Vec<Event>,
+    /// The replayable input events, in append order: the surviving event
+    /// frames' payloads, checksummed, validated and concatenated — the
+    /// log as the trace it is.
+    pub trace: EncodedTrace,
     /// Safepoint markers, in append order.
     pub safepoints: Vec<SafepointNote>,
     /// The torn tail, when the newest segment ended mid-frame.
@@ -432,7 +430,7 @@ pub fn read_log(dir: &Path) -> Result<LogContents> {
         )));
     }
     let mut contents = LogContents {
-        events: Vec::new(),
+        trace: EncodedTrace::from_events(WorkloadParams::default(), &[]),
         safepoints: Vec::new(),
         torn: None,
         segments: seqs.len(),
@@ -482,10 +480,10 @@ fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Resu
         )));
     }
     let start_event = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if start_event != out.events.len() as u64 {
+    if start_event != out.trace.events() {
         return Err(PgcError::TraceFormat(format!(
             "log segment {seq}: starts at event {start_event}, but {} events precede it",
-            out.events.len()
+            out.trace.events()
         )));
     }
     let mut pos = HEADER_BYTES as usize;
@@ -521,7 +519,15 @@ fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Resu
         let payload = &kind_and_payload[1..];
         pos += 1 + len + 4;
         match kind {
-            FRAME_EVENTS => decode_events_frame(seq, payload, &mut out.events)?,
+            FRAME_EVENTS => {
+                let Some((count, body)) = payload.split_first_chunk::<4>() else {
+                    return Err(PgcError::TraceFormat(format!(
+                        "log segment {seq}: events frame too short"
+                    )));
+                };
+                out.trace
+                    .extend_from_encoded(u64::from(u32::from_le_bytes(*count)), body)?;
+            }
             FRAME_SAFEPOINT => {
                 if payload.len() != 24 {
                     return Err(PgcError::TraceFormat(format!(
@@ -541,33 +547,6 @@ fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Resu
                 )));
             }
         }
-    }
-    Ok(())
-}
-
-fn decode_events_frame(seq: u64, payload: &[u8], events: &mut Vec<Event>) -> Result<()> {
-    if payload.len() < 4 {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: events frame too short"
-        )));
-    }
-    let count = u32::from_le_bytes(payload[..4].try_into().unwrap());
-    let body = &payload[4..];
-    let mut pos = 0usize;
-    for _ in 0..count {
-        match decode_compact(body, &mut pos)? {
-            Some(event) => events.push(event),
-            None => {
-                return Err(PgcError::TraceFormat(format!(
-                    "log segment {seq}: events frame ended early"
-                )));
-            }
-        }
-    }
-    if pos != body.len() {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: events frame has trailing bytes"
-        )));
     }
     Ok(())
 }

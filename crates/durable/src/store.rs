@@ -10,13 +10,12 @@
 //! owning thread one serialising pass over the object table; the file
 //! writes and their fsyncs happen on the store's background thread.
 
-use crate::codec::encode_compact;
 use crate::config::{DurabilityConfig, DurabilityMode};
 use crate::log::LogWriter;
 use crate::manifest::{Manifest, MANIFEST_FILE};
 use pgc_odb::Database;
 use pgc_types::{PgcError, Result};
-use pgc_workload::{Event, EventBlock, BLOCK_EVENTS};
+use pgc_workload::{encode_event, Event, EventBlock, BLOCK_EVENTS};
 use std::fs;
 
 /// Byte and operation counters for one store's lifetime.
@@ -117,7 +116,7 @@ impl DurableStore {
         while at < len {
             let end = len.min(at + BLOCK_EVENTS - self.pending as usize);
             for i in at..end {
-                encode_compact(&mut self.scratch, &event_at(i));
+                encode_event(&mut self.scratch, &event_at(i));
             }
             self.pending += (end - at) as u32;
             if self.pending as usize >= BLOCK_EVENTS {
@@ -243,7 +242,7 @@ mod tests {
         store.finish(&db, 10_000, 2).unwrap();
 
         let log = read_log(dir.path()).unwrap();
-        assert_eq!(log.events, evs);
+        assert_eq!(log.trace.decode_all().unwrap(), evs);
         assert!(log.torn.is_none());
         assert_eq!(log.safepoints.len(), 2);
         assert_eq!(log.safepoints[0].events_applied, 6_000);
@@ -266,15 +265,15 @@ mod tests {
         let path = dir.join(crate::log::segment_name(0));
         let full = fs::read(&path).unwrap();
         let whole = read_log(dir.path()).unwrap();
-        assert_eq!(whole.events, evs);
+        assert_eq!(whole.trace.decode_all().unwrap(), evs);
 
         // Chop the file at a sweep of lengths: every prefix must parse to
         // a clean event prefix (or nothing), never crash or misdecode.
         for cut in (24..full.len()).step_by(97) {
             fs::write(&path, &full[..cut]).unwrap();
-            let log = read_log(dir.path()).unwrap();
-            assert!(log.events.len() <= evs.len());
-            assert_eq!(log.events[..], evs[..log.events.len()]);
+            let prefix = read_log(dir.path()).unwrap().trace.decode_all().unwrap();
+            assert!(prefix.len() <= evs.len());
+            assert_eq!(prefix[..], evs[..prefix.len()]);
         }
 
         // Corrupt (rather than truncate) the tail: checksum must catch it.
@@ -284,7 +283,7 @@ mod tests {
         fs::write(&path, &corrupt).unwrap();
         let log = read_log(dir.path()).unwrap();
         assert!(log.torn.is_some());
-        assert!(log.events.len() < evs.len());
+        assert!(log.trace.events() < evs.len() as u64);
     }
 
     #[test]
@@ -313,7 +312,7 @@ mod tests {
         store.finish(&db, 4_000, 9).unwrap();
         let log = read_log(dir.path()).unwrap();
         assert!(log.segments > 1, "expected rotation, got {}", log.segments);
-        assert_eq!(log.events, evs);
+        assert_eq!(log.trace.decode_all().unwrap(), evs);
     }
 
     /// A delete-heavy run stepped through a `Shard` (durability off: the

@@ -12,17 +12,16 @@
 //!   world.
 //! * [`session`] — the session layer: each shard worker owns a table of
 //!   sessions (one [`pgc_sim::Shard`] per stream), drains its ring in
-//!   arrival order, coalesces consecutive batches for a stream, and steps
-//!   them block-at-a-time through one reusable decode scratch.
+//!   arrival order, and steps each submitted segment block-at-a-time
+//!   through one reusable decode scratch.
 //! * [`remset`] — the [`remset::InterShardRemset`]: cross-shard references
 //!   as remset traffic over the existing barrier event bus, striped by
 //!   target stream so shards touching different tenants never contend,
 //!   and weak by design so they cannot perturb any session's collection
 //!   decisions.
-//! * [`server`] — [`server::Server`]: start, open streams, submit event
-//!   batches (zero-copy [`TraceSegment`]s, owned vectors, or borrowed
-//!   slices), link across streams, and fold the fleet into a
-//!   [`server::FleetOutcome`] at shutdown.
+//! * [`server`] — [`server::Server`]: start, open streams, submit events
+//!   as zero-copy [`TraceSegment`]s, link across streams, and fold the
+//!   fleet into a [`server::FleetOutcome`] at shutdown.
 //!
 //! # Determinism
 //!

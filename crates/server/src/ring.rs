@@ -10,11 +10,7 @@
 //!   a slow shard throttles its feeders instead of buffering the world;
 //! * an empty ring parks the worker until a message (or close) arrives;
 //! * messages pop in exactly arrival order — the FIFO contract the
-//!   session layer's determinism argument rests on;
-//! * [`RingInbox::pop_front_if`] lets the worker opportunistically take
-//!   the *next* message without blocking when it matches a predicate —
-//!   the hook batch coalescing is built on. It never reorders: only the
-//!   head of the queue is examined.
+//!   session layer's determinism argument rests on.
 //!
 //! Lifecycle is explicit because both ends share one `Arc`: the producer
 //! side closes through [`SenderGuard`] (dropping it wakes and drains the
@@ -100,20 +96,6 @@ impl<T> RingInbox<T> {
                 return None;
             }
             state = self.not_empty.wait(state).expect("ring lock");
-        }
-    }
-
-    /// Dequeues the head message only if `pred` accepts it; never blocks
-    /// and never looks past the head, so arrival order is preserved.
-    pub fn pop_front_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
-        let mut state = self.state.lock().expect("ring lock");
-        if state.queue.front().is_some_and(pred) {
-            let msg = state.queue.pop_front();
-            drop(state);
-            self.not_full.notify_one();
-            msg
-        } else {
-            None
         }
     }
 
@@ -246,16 +228,5 @@ mod tests {
             "a parked producer gets its message back when the worker dies"
         );
         assert_eq!(ring.push(2), Err(2), "later pushes fail fast");
-    }
-
-    #[test]
-    fn pop_front_if_takes_only_a_matching_head() {
-        let ring = RingInbox::with_capacity(4);
-        ring.push(1u32).unwrap();
-        ring.push(2).unwrap();
-        assert_eq!(ring.pop_front_if(|&m| m == 2), None, "head is 1, not 2");
-        assert_eq!(ring.pop_front_if(|&m| m == 1), Some(1));
-        assert_eq!(ring.pop_front_if(|&m| m == 2), Some(2));
-        assert_eq!(ring.pop_front_if(|_| true), None, "empty ring never blocks");
     }
 }

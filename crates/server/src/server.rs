@@ -3,12 +3,12 @@
 use crate::remset::{InterShardRemset, RemsetStats};
 use crate::ring::{RingInbox, SenderGuard, DEFAULT_INBOX_CAPACITY};
 use crate::router::{Router, StreamId};
-use crate::session::{DataPayload, ShardMsg, ShardReport, ShardWorker};
+use crate::session::{ShardMsg, ShardReport, ShardWorker};
 use pgc_durable::DurabilityMode;
 use pgc_sim::{RunConfig, RunOutcome};
 use pgc_telemetry::{FleetSnapshot, TelemetryLevel};
 use pgc_types::{PgcError, Result};
-use pgc_workload::{Event, NodeId, TraceSegment};
+use pgc_workload::{NodeId, TraceSegment};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,9 +89,9 @@ static SERVER_TAG: AtomicU64 = AtomicU64::new(1);
 /// A typed handle to an open stream: the id, the home shard the router
 /// pinned it to, and the issuing server. Returned by
 /// [`Server::open_stream`] and accepted anywhere a [`StreamId`] is —
-/// [`Server::submit_segment`], [`Server::submit_owned`], [`Server::link`]
-/// — with the extra guarantee that a handle from another server instance
-/// is rejected instead of silently addressing the wrong fleet.
+/// [`Server::submit_segment`], [`Server::link`] — with the extra guarantee
+/// that a handle from another server instance is rejected instead of
+/// silently addressing the wrong fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamHandle {
     id: StreamId,
@@ -197,22 +197,13 @@ impl FleetOutcome {
 /// so per-stream results do not depend on the shard count — only
 /// wall-clock time does.
 ///
-/// Three submit paths feed a stream, cheapest first:
-///
-/// * [`Server::submit_segment`] — the zero-copy data plane: ships a
-///   [`TraceSegment`] (an `Arc` bump plus a byte range of a shared
-///   encoded trace); nothing is allocated or copied per event.
-/// * [`Server::submit_owned`] — moves an owned `Vec<Event>` into the
-///   ring without cloning it.
-/// * [`Server::submit`] — the **deprecated** compatibility wrapper for
-///   borrowed slices: encodes the slice once (~12 bytes/event in flight
-///   instead of a cloned `Vec`) and ships the result as a segment. New
-///   code should encode once and use the segment path.
-///
-/// All three drain through the same block-stepped session path and are
-/// bit-identical per stream; a full ring blocks the submitting thread
-/// until the shard catches up (bounded memory, lossless). Each accepts a
-/// raw [`StreamId`] or the [`StreamHandle`] that [`Server::open_stream`]
+/// One submit path feeds a stream: [`Server::submit_segment`] ships a
+/// [`TraceSegment`] (an `Arc` bump plus a byte range of a shared encoded
+/// trace); nothing is allocated or copied per event. A caller holding
+/// decoded events encodes them once with [`TraceSegment::encode`] (~7.5
+/// bytes/event in flight). A full ring blocks the submitting thread until
+/// the shard catches up (bounded memory, lossless). It accepts a raw
+/// [`StreamId`] or the [`StreamHandle`] that [`Server::open_stream`]
 /// returned.
 ///
 /// ```
@@ -331,37 +322,12 @@ impl Server {
     /// shard's ring is full.
     pub fn submit_segment(&mut self, stream: impl StreamRef, segment: TraceSegment) -> Result<()> {
         let stream = stream.resolve(self.tag)?;
-        self.submit_payload(stream, DataPayload::Segment(segment))
-    }
-
-    /// Submits an owned batch of events, moving it into the ring — for
-    /// callers that already hold a `Vec<Event>` and would otherwise pay a
-    /// pointless clone.
-    pub fn submit_owned(&mut self, stream: impl StreamRef, events: Vec<Event>) -> Result<()> {
-        let stream = stream.resolve(self.tag)?;
-        self.submit_payload(stream, DataPayload::Owned(events))
-    }
-
-    /// Submits a borrowed batch of events — the compatibility wrapper:
-    /// encodes the slice once into a fresh single-segment trace (~12
-    /// bytes/event in flight, versus `size_of::<Event>()` for the deep
-    /// clone this path used to take) and ships it through
-    /// [`Server::submit_segment`].
-    #[deprecated(
-        note = "encode once and use `submit_segment`, or move the events via `submit_owned`"
-    )]
-    pub fn submit(&mut self, stream: impl StreamRef, events: &[Event]) -> Result<()> {
-        let stream = stream.resolve(self.tag)?;
-        self.submit_payload(stream, DataPayload::Segment(TraceSegment::encode(events)))
-    }
-
-    fn submit_payload(&mut self, stream: StreamId, payload: DataPayload) -> Result<()> {
         if !self.streams.contains(&stream) {
             return Err(PgcError::Session(format!("stream {stream} is not open")));
         }
         self.send(
             self.router.route(stream),
-            ShardMsg::Data { stream, payload },
+            ShardMsg::Data { stream, segment },
         )
     }
 
@@ -372,8 +338,8 @@ impl Server {
     ///
     /// The reference apply-point is the target session's state when the
     /// message drains — deterministic per stream because one server
-    /// handle feeds each ring in program order, and batch coalescing
-    /// never crosses a link message.
+    /// handle feeds each ring in program order and the worker drains it
+    /// in arrival order.
     pub fn link(
         &mut self,
         source: impl StreamRef,

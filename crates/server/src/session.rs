@@ -9,17 +9,14 @@
 //! the submission order — thousands of streams interleave freely on the
 //! wire while every individual stream replays deterministically.
 //!
-//! Data messages carry either a [`TraceSegment`] (a refcounted byte range
-//! of a shared encoded trace — the zero-copy path) or an owned
-//! `Vec<Event>` (moved, never cloned). The worker **coalesces** runs of
-//! consecutive queued data messages for the same stream — taken strictly
-//! from the head of the ring, so arrival order is untouched — and drives
-//! them through [`Shard::step_block`] with one reusable per-worker
-//! [`EventBlock`] scratch: segments decode block-at-a-time straight from
-//! the shared buffer, owned batches pack into the same scratch. Block
-//! boundaries are semantically invisible (`step_block` is bit-identical
-//! to per-event stepping), so coalescing can never change a result, only
-//! the number of dispatch round-trips.
+//! A data message carries a [`TraceSegment`] — a refcounted byte range of
+//! a shared encoded trace. The worker decodes it block-at-a-time straight
+//! from the shared buffer into one reusable per-worker [`EventBlock`]
+//! scratch and drives each block through [`Shard::step_block`]: the same
+//! `next_block → step_block` loop a dedicated run uses. Block boundaries
+//! are semantically invisible (`step_block` is bit-identical to per-event
+//! stepping), so how a client cuts its stream into segments can never
+//! change a result.
 //!
 //! At shutdown the worker finishes its sessions in ascending stream-id
 //! order and reports per-stream [`RunOutcome`]s, one merged telemetry
@@ -34,20 +31,10 @@ use pgc_sim::{RunConfig, RunOutcome, Shard};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot};
 use pgc_types::{PgcError, Result};
 use pgc_workload::generator::GenStats;
-use pgc_workload::{Event, EventBlock, NodeId, TraceSegment};
+use pgc_workload::{EventBlock, NodeId, TraceSegment};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// The event payload of one data message.
-pub(crate) enum DataPayload {
-    /// A refcounted byte range of a shared encoded trace: submitting one
-    /// costs an `Arc` bump, however many events it spans.
-    Segment(TraceSegment),
-    /// An owned, already-decoded batch (moved from the caller, not
-    /// cloned).
-    Owned(Vec<Event>),
-}
 
 /// One message on a shard ring.
 pub(crate) enum ShardMsg {
@@ -63,8 +50,9 @@ pub(crate) enum ShardMsg {
     Data {
         /// The addressed stream.
         stream: StreamId,
-        /// The events, in submission order.
-        payload: DataPayload,
+        /// The events: a refcounted byte range of a shared encoded trace,
+        /// so the message costs an `Arc` bump however many it spans.
+        segment: TraceSegment,
     },
     /// Register that `source`'s graph references `node` in `target`'s
     /// graph. Routed to the *target*'s home shard, which resolves the
@@ -133,9 +121,7 @@ impl ShardWorker {
         while let Some(msg) = inbox.pop() {
             match msg {
                 ShardMsg::Open { stream, cfg } => self.open(stream, &cfg)?,
-                ShardMsg::Data { stream, payload } => {
-                    self.step_run(stream, payload, &inbox)?;
-                }
+                ShardMsg::Data { stream, segment } => self.step_segment(stream, &segment)?,
                 ShardMsg::Link {
                     source,
                     target,
@@ -147,61 +133,15 @@ impl ShardWorker {
         self.finish(high_water)
     }
 
-    /// Steps one coalesced run: the popped payload plus every data
-    /// message for the same stream sitting consecutively at the head of
-    /// the ring. Only head messages are taken (`pop_front_if`), so the
-    /// ring's arrival order — and with it every link's apply-point — is
-    /// exactly what a message-at-a-time drain would see.
-    fn step_run(
-        &mut self,
-        stream: StreamId,
-        first: DataPayload,
-        inbox: &RingInbox<ShardMsg>,
-    ) -> Result<()> {
+    /// Steps `stream`'s session through one segment.
+    fn step_segment(&mut self, stream: StreamId, segment: &TraceSegment) -> Result<()> {
         let shard = self
             .sessions
             .get_mut(&stream)
             .ok_or_else(|| PgcError::Session(format!("stream {stream} is not open")))?;
-        let block = &mut self.scratch;
-        block.clear();
-        let mut next = Some(first);
-        while let Some(payload) = next {
-            match payload {
-                DataPayload::Owned(events) => {
-                    // Pack owned events into the scratch block, flushing
-                    // each time it fills — consecutive small batches merge
-                    // into full blocks.
-                    for event in &events {
-                        block.push(event);
-                        if block.is_full() {
-                            shard.step_block(block)?;
-                            block.clear();
-                        }
-                    }
-                }
-                DataPayload::Segment(segment) => {
-                    // Order: anything packed so far precedes the segment.
-                    if !block.is_empty() {
-                        shard.step_block(block)?;
-                        block.clear();
-                    }
-                    let mut cursor = segment.cursor();
-                    while cursor.next_block(block)? > 0 {
-                        shard.step_block(block)?;
-                    }
-                    block.clear();
-                }
-            }
-            next = inbox
-                .pop_front_if(|msg| matches!(msg, ShardMsg::Data { stream: s, .. } if *s == stream))
-                .map(|msg| match msg {
-                    ShardMsg::Data { payload, .. } => payload,
-                    _ => unreachable!("predicate admits only data messages"),
-                });
-        }
-        if !block.is_empty() {
-            shard.step_block(block)?;
-            block.clear();
+        let mut cursor = segment.cursor();
+        while cursor.next_block(&mut self.scratch)? > 0 {
+            shard.step_block(&self.scratch)?;
         }
         Ok(())
     }

@@ -9,13 +9,15 @@
 //!
 //! 1. read and checksum-verify the manifest, rebuild the exact
 //!    [`RunConfig`] (durability forced off — recovery does not re-persist);
-//! 2. read the change log, dropping a torn tail (a truncated or corrupted
-//!    final frame) at the checksum boundary;
-//! 3. replay the surviving events through the ordinary [`crate::Shard`]
-//!    pump — the same `Replayer` every run uses — pausing at each
-//!    safepoint to cross-check the **newest valid** snapshot of every
-//!    partition against the replayed database (corrupt snapshot files are
-//!    skipped in favor of an older valid generation);
+//! 2. read the change log back as the encoded trace it is, dropping a
+//!    torn tail (a truncated or corrupted final frame) at the checksum
+//!    boundary;
+//! 3. replay the surviving events through the loop every live run uses —
+//!    `TraceCursor::next_block` → [`crate::Shard::step_block`] — cutting a
+//!    block wherever a snapshot was taken to cross-check the **newest
+//!    valid** snapshot of every partition against the replayed database
+//!    (corrupt snapshot files are skipped in favor of an older valid
+//!    generation);
 //! 4. finish the shard into a [`RunOutcome`].
 //!
 //! Because the simulator is deterministic and the log records inputs
@@ -33,6 +35,7 @@ use pgc_durable::{read_log, read_snapshot, scan_snapshots, Manifest, TornTail};
 use pgc_telemetry::TelemetryLevel;
 use pgc_types::{fast_hash_u64, Bytes, Parallelism, PgcError, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
+use pgc_workload::{EventBlock, BLOCK_EVENTS};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -232,7 +235,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
     // dropping any from beyond a torn tail (their safepoint frame is gone).
     let mut checkpoints: BTreeMap<u64, Vec<pgc_durable::PartitionSnapshot>> = BTreeMap::new();
     for (_, snap) in newest {
-        if snap.events_applied <= log.events.len() as u64 {
+        if snap.events_applied <= log.trace.events() {
             checkpoints
                 .entry(snap.events_applied)
                 .or_default()
@@ -242,23 +245,34 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
 
     let mut shard = Shard::new(&cfg)?;
     shard.enable_telemetry(telemetry_level);
-    let mut at = 0usize;
+    let mut checkpoints = checkpoints.into_iter().peekable();
     let mut snapshots_verified = 0usize;
-    for (events_applied, snaps) in checkpoints {
-        let upto = events_applied as usize;
-        shard.step_batch(&log.events[at..upto])?;
-        at = upto;
-        for snap in snaps {
-            snap.verify_against(shard.db()).map_err(|mismatch| {
-                bad(format!(
-                    "recovery: snapshot generation {} diverges from replay: {mismatch}",
-                    snap.generation
-                ))
-            })?;
-            snapshots_verified += 1;
+    let mut cursor = log.trace.cursor();
+    let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
+    loop {
+        let at = shard.events_applied();
+        if let Some((_, snaps)) = checkpoints.next_if(|(taken_at, _)| *taken_at == at) {
+            for snap in snaps {
+                snap.verify_against(shard.db()).map_err(|mismatch| {
+                    bad(format!(
+                        "recovery: snapshot generation {} diverges from replay: {mismatch}",
+                        snap.generation
+                    ))
+                })?;
+                snapshots_verified += 1;
+            }
         }
+        // Never step past the next checkpoint: it is verified exactly
+        // where it was taken.
+        let room = checkpoints
+            .peek()
+            .map_or(u64::MAX, |(taken_at, _)| taken_at - at)
+            .min(BLOCK_EVENTS as u64);
+        if cursor.next_block_of(&mut block, room as usize)? == 0 {
+            break;
+        }
+        shard.step_block(&block)?;
     }
-    shard.step_batch(&log.events[at..])?;
     let events_replayed = shard.events_applied();
     let outcome = shard.finish(GenStats::default())?;
     Ok(RecoveredRun {

@@ -17,11 +17,11 @@
 //! owns its partitions, policy, scheduler, and telemetry, so sessions
 //! never share mutable state and per-stream results are bit-identical to
 //! a dedicated single-`Simulation` run at any shard count. Server workers
-//! lean on [`Shard::step_block`]'s invisibility guarantee: batches
-//! arriving over the ring inboxes are coalesced into full SoA blocks
-//! (decoded straight from shared encoded traces) without changing any
-//! result, because block boundaries — including sample boundaries split
-//! mid-block — replay exactly like per-event stepping.
+//! lean on [`Shard::step_block`]'s invisibility guarantee: segments
+//! arriving over the ring inboxes decode into SoA blocks wherever the
+//! client happened to cut them, without changing any result, because
+//! block boundaries — including sample boundaries split mid-block —
+//! replay exactly like per-event stepping.
 
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
 use crate::replay::Replayer;

@@ -13,24 +13,23 @@
 //! ring of them, for pipelined decode-ahead) performs **zero allocation
 //! after warmup**. Columns are lane-shared across event kinds — `a` holds
 //! the acting node for every kind, `b` the second node (parent or pointer
-//! target) where one exists — which keeps the block at ~17 bytes/event
+//! target) where one exists — which keeps the block at ~21 bytes/event
 //! regardless of the `Event` enum's in-memory size.
 
+use crate::codec;
 use crate::event::{Event, NodeId};
-use crate::trace;
 use pgc_types::Bytes;
 
 /// Default number of events decoded per [`crate::TraceCursor::next_block`]
 /// call: large enough to amortize loop overhead — and, in the pipelined
 /// decode-ahead path, to keep channel hand-offs rare — while a block
-/// (~70 KB) still fits in L2 beside the simulator's working set.
+/// (~86 KB) still fits in L2 beside the simulator's working set.
 pub const BLOCK_EVENTS: usize = 4096;
 
 /// A run of decoded events in struct-of-arrays layout.
 ///
 /// Every column has one entry per event; lanes that a kind does not use
-/// hold zero. `kind` stores the trace codec's tag byte, so a block is also
-/// a cheap histogram substrate for diagnostics.
+/// hold zero. `kind` stores the codec's narrow tag byte.
 ///
 /// ```
 /// use pgc_workload::{EncodedTrace, EventBlock, WorkloadParams};
@@ -50,16 +49,17 @@ pub const BLOCK_EVENTS: usize = 4096;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct EventBlock {
-    /// Trace tag byte per event (`1..=6`).
+    /// Codec tag byte per event (`1..=6`).
     kind: Vec<u8>,
     /// Acting node: the created node, pointer owner, or visited node.
     a: Vec<u64>,
     /// Second node where one exists: `CreateChild` parent, `WritePointer`
     /// target (presence in `size`). Zero otherwise.
     b: Vec<u64>,
-    /// Object size for creations; `WritePointer` reuses the lane as the
-    /// target-presence flag (0 = null store, 1 = `b` is the target).
-    size: Vec<u32>,
+    /// Object size for creations, as wide as the codec's wide form;
+    /// `WritePointer` reuses the lane as the target-presence flag (0 =
+    /// null store, 1 = `b` is the target).
+    size: Vec<u64>,
     /// Slot index for `CreateChild` (parent slot) and `WritePointer`.
     slot: Vec<u16>,
     /// Slot count for creations.
@@ -94,12 +94,6 @@ impl EventBlock {
         self.kind.is_empty()
     }
 
-    /// True once the block holds [`BLOCK_EVENTS`] events — the point a
-    /// packing loop flushes it and starts refilling.
-    pub fn is_full(&self) -> bool {
-        self.kind.len() >= BLOCK_EVENTS
-    }
-
     /// Smallest column capacity — the number of events the block can hold
     /// before any column reallocates.
     pub fn capacity(&self) -> usize {
@@ -126,14 +120,9 @@ impl EventBlock {
     #[inline]
     pub fn push(&mut self, event: &Event) {
         let (kind, a, b, size, slot, slots) = match *event {
-            Event::CreateRoot { node, size, slots } => (
-                trace::TAG_CREATE_ROOT,
-                node.0,
-                0,
-                size.get() as u32,
-                0,
-                slots,
-            ),
+            Event::CreateRoot { node, size, slots } => {
+                (codec::TAG_CREATE_ROOT, node.0, 0, size.get(), 0, slots)
+            }
             Event::CreateChild {
                 node,
                 parent,
@@ -141,24 +130,24 @@ impl EventBlock {
                 size,
                 slots,
             } => (
-                trace::TAG_CREATE_CHILD,
+                codec::TAG_CREATE_CHILD,
                 node.0,
                 parent.0,
-                size.get() as u32,
+                size.get(),
                 parent_slot,
                 slots,
             ),
             Event::WritePointer { owner, slot, new } => (
-                trace::TAG_WRITE_POINTER,
+                codec::TAG_WRITE_POINTER,
                 owner.0,
                 new.map_or(0, |t| t.0),
-                new.is_some() as u32,
+                new.is_some() as u64,
                 slot,
                 0,
             ),
-            Event::AddSlot { owner } => (trace::TAG_ADD_SLOT, owner.0, 0, 0, 0, 0),
-            Event::Visit { node } => (trace::TAG_VISIT, node.0, 0, 0, 0, 0),
-            Event::DataWrite { node } => (trace::TAG_DATA_WRITE, node.0, 0, 0, 0, 0),
+            Event::AddSlot { owner } => (codec::TAG_ADD_SLOT, owner.0, 0, 0, 0, 0),
+            Event::Visit { node } => (codec::TAG_VISIT, node.0, 0, 0, 0, 0),
+            Event::DataWrite { node } => (codec::TAG_DATA_WRITE, node.0, 0, 0, 0, 0),
         };
         self.kind.push(kind);
         self.a.push(a);
@@ -176,30 +165,30 @@ impl EventBlock {
     #[inline]
     pub fn get(&self, i: usize) -> Event {
         match self.kind[i] {
-            trace::TAG_CREATE_ROOT => Event::CreateRoot {
+            codec::TAG_CREATE_ROOT => Event::CreateRoot {
                 node: NodeId(self.a[i]),
-                size: Bytes(self.size[i] as u64),
+                size: Bytes(self.size[i]),
                 slots: self.slots[i],
             },
-            trace::TAG_CREATE_CHILD => Event::CreateChild {
+            codec::TAG_CREATE_CHILD => Event::CreateChild {
                 node: NodeId(self.a[i]),
                 parent: NodeId(self.b[i]),
                 parent_slot: self.slot[i],
-                size: Bytes(self.size[i] as u64),
+                size: Bytes(self.size[i]),
                 slots: self.slots[i],
             },
-            trace::TAG_WRITE_POINTER => Event::WritePointer {
+            codec::TAG_WRITE_POINTER => Event::WritePointer {
                 owner: NodeId(self.a[i]),
                 slot: self.slot[i],
                 new: (self.size[i] != 0).then(|| NodeId(self.b[i])),
             },
-            trace::TAG_ADD_SLOT => Event::AddSlot {
+            codec::TAG_ADD_SLOT => Event::AddSlot {
                 owner: NodeId(self.a[i]),
             },
-            trace::TAG_VISIT => Event::Visit {
+            codec::TAG_VISIT => Event::Visit {
                 node: NodeId(self.a[i]),
             },
-            trace::TAG_DATA_WRITE => Event::DataWrite {
+            codec::TAG_DATA_WRITE => Event::DataWrite {
                 node: NodeId(self.a[i]),
             },
             t => unreachable!("EventBlock holds only codec tags, found {t}"),
@@ -215,48 +204,9 @@ impl EventBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::random_events;
     use crate::encoded::EncodedTrace;
     use crate::params::WorkloadParams;
-    use pgc_types::SimRng;
-
-    /// Random events spanning the full encodable field ranges, including
-    /// `u64::MAX` node ids and null pointer stores.
-    fn random_events(seed: u64, n: usize) -> Vec<Event> {
-        let mut rng = SimRng::new(seed);
-        let id = |rng: &mut SimRng| {
-            if rng.chance(0.05) {
-                NodeId(u64::MAX)
-            } else {
-                NodeId(rng.next_u64())
-            }
-        };
-        (0..n)
-            .map(|_| match rng.below(6) {
-                0 => Event::CreateRoot {
-                    node: id(&mut rng),
-                    size: Bytes(rng.range_inclusive(0, u32::MAX as u64)),
-                    slots: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                },
-                1 => Event::CreateChild {
-                    node: id(&mut rng),
-                    parent: id(&mut rng),
-                    parent_slot: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                    size: Bytes(rng.range_inclusive(0, u32::MAX as u64)),
-                    slots: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                },
-                2 => Event::WritePointer {
-                    owner: id(&mut rng),
-                    slot: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                    new: rng.chance(0.5).then(|| id(&mut rng)),
-                },
-                3 => Event::AddSlot {
-                    owner: id(&mut rng),
-                },
-                4 => Event::Visit { node: id(&mut rng) },
-                _ => Event::DataWrite { node: id(&mut rng) },
-            })
-            .collect()
-    }
 
     #[test]
     fn push_get_round_trips_every_kind_and_extreme_value() {

@@ -8,8 +8,8 @@
 //! `pgc-sim`'s experiment scheduler:
 //!
 //! * [`EncodedTrace`] — one workload's whole event stream as a single
-//!   contiguous byte buffer in the PGCT body layout of [`crate::trace`]
-//!   (~12 bytes/event, a fraction of `size_of::<Event>()`), with a
+//!   contiguous byte buffer in the layout of [`crate::codec`]
+//!   (~7.5 bytes/event, a fraction of `size_of::<Event>()`), with a
 //!   [`TraceHeader`] carrying the seed, event count, and generator
 //!   counters. Recorded once per parameter set by [`EncodedTrace::record`].
 //! * [`TraceCursor`] — a zero-allocation iterator that decodes events on
@@ -30,6 +30,7 @@
 //! generator is a pure function of its parameters and the codec round-trips
 //! exactly (pinned by tests here and in `pgc-sim`).
 
+use crate::codec;
 use crate::event::Event;
 use crate::generator::{GenStats, SyntheticWorkload};
 use crate::params::WorkloadParams;
@@ -82,13 +83,13 @@ impl EncodedTrace {
     /// experiment pays per parameter set, however many policies replay it.
     pub fn record(params: WorkloadParams) -> Result<Self> {
         let mut generator = SyntheticWorkload::new(params.clone())?;
-        // The paper trace runs ~12.4 bytes/event and one event per ~21
-        // allocated bytes; seed the buffer near that to avoid regrowth.
+        // The paper trace runs ~7.5 bytes/event and one event per ~21
+        // allocated bytes; seed the buffer above that to avoid regrowth.
         let mut buf = Vec::with_capacity((params.target_allocated.get() / 2).min(1 << 28) as usize);
         let mut marks = Vec::new();
         let mut events = 0u64;
         for event in generator.by_ref() {
-            trace::encode_event(&mut buf, &event);
+            codec::encode_event(&mut buf, &event);
             events += 1;
             if events.is_multiple_of(MARK_EVERY) {
                 marks.push(buf.len());
@@ -118,7 +119,7 @@ impl EncodedTrace {
         let mut marks = Vec::new();
         let mut count = 0u64;
         for event in events {
-            trace::encode_event(&mut buf, event);
+            codec::encode_event(&mut buf, event);
             count += 1;
             if count.is_multiple_of(MARK_EVERY) {
                 marks.push(buf.len());
@@ -134,6 +135,38 @@ impl EncodedTrace {
             buf,
             marks,
         }
+    }
+
+    /// Appends `events` events that are already bytes in the layout of
+    /// [`crate::codec`] — the payload of a change-log frame read back from
+    /// disk. The bytes are not trusted: they are decoded once here and
+    /// must hold exactly `events` events, so every trace (and every cursor
+    /// over one) is valid by construction. On error the trace is unchanged.
+    pub fn extend_from_encoded(&mut self, events: u64, bytes: &[u8]) -> Result<()> {
+        let base = self.buf.len();
+        let mut pos = 0;
+        let mut marks = Vec::new();
+        for n in 1..=events {
+            if codec::decode_event(bytes, &mut pos)?.is_none() {
+                return Err(pgc_types::PgcError::TraceFormat(format!(
+                    "encoded run ended after {} of {events} events",
+                    n - 1
+                )));
+            }
+            if (self.header.events + n).is_multiple_of(MARK_EVERY) {
+                marks.push(base + pos);
+            }
+        }
+        if pos != bytes.len() {
+            return Err(pgc_types::PgcError::TraceFormat(format!(
+                "encoded run has {} bytes after its {events} events",
+                bytes.len() - pos
+            )));
+        }
+        self.marks.extend(marks);
+        self.buf.extend_from_slice(bytes);
+        self.header.events += events;
+        Ok(())
     }
 
     /// The trace metadata.
@@ -207,7 +240,7 @@ impl EncodedTrace {
             self.marks[whole_marks - 1]
         };
         for _ in 0..(event % MARK_EVERY) {
-            if trace::decode_event(&self.buf, &mut pos)?.is_none() {
+            if codec::decode_event(&self.buf, &mut pos)?.is_none() {
                 return Err(pgc_types::PgcError::TraceFormat(format!(
                     "encoded trace ended before event {event}"
                 )));
@@ -281,11 +314,12 @@ pub struct TraceCursor<'a> {
 
 impl TraceCursor<'_> {
     /// Decodes the next event, or `Ok(None)` at the end of the stream.
-    /// Errors only on a corrupt buffer (impossible for traces built by
-    /// [`EncodedTrace::record`], which owns its encoding end to end).
+    /// Errors only on a corrupt buffer, which no constructor produces:
+    /// a trace either encoded its own bytes or validated the ones it was
+    /// given ([`EncodedTrace::extend_from_encoded`]).
     #[inline]
     pub fn next_event(&mut self) -> Result<Option<Event>> {
-        let event = trace::decode_event(self.buf, &mut self.pos)?;
+        let event = codec::decode_event(self.buf, &mut self.pos)?;
         if event.is_some() {
             self.decoded += 1;
         } else if self.decoded != self.expected {
@@ -304,8 +338,20 @@ impl TraceCursor<'_> {
     /// flat columns, reusing one block for the whole trace.
     #[inline]
     pub fn next_block(&mut self, block: &mut crate::block::EventBlock) -> Result<usize> {
+        self.next_block_of(block, crate::block::BLOCK_EVENTS)
+    }
+
+    /// [`TraceCursor::next_block`] cut short at `max` events, for a replay
+    /// loop that must stop at an exact event position (recovery verifies
+    /// each snapshot where it was taken).
+    #[inline]
+    pub fn next_block_of(
+        &mut self,
+        block: &mut crate::block::EventBlock,
+        max: usize,
+    ) -> Result<usize> {
         block.clear();
-        while block.len() < crate::block::BLOCK_EVENTS {
+        while block.len() < max {
             match self.next_event()? {
                 Some(event) => block.push(&event),
                 None => break,
@@ -330,8 +376,8 @@ impl TraceCursor<'_> {
 impl Iterator for TraceCursor<'_> {
     type Item = Event;
 
-    /// Iterator view for trusted in-memory traces; panics on a corrupt
-    /// buffer (use [`TraceCursor::next_event`] to handle errors).
+    /// Iterator view; would panic on a corrupt buffer, which no
+    /// constructor produces (see [`TraceCursor::next_event`]).
     fn next(&mut self) -> Option<Event> {
         self.next_event().expect("corrupt encoded trace")
     }
@@ -378,7 +424,7 @@ impl TraceSegment {
 
     /// Encodes an event slice into a fresh single-segment trace — the
     /// compatibility bridge for callers still holding decoded events. Pays
-    /// one encode pass (~12 bytes/event retained, versus
+    /// one encode pass (~7.5 bytes/event retained, versus
     /// `size_of::<Event>()` for a cloned `Vec`); after that the segment
     /// ships and replays like any other.
     pub fn encode(events: &[Event]) -> Self {
@@ -661,6 +707,57 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn next_block_of_stops_at_the_asked_count() {
+        let trace = EncodedTrace::record(small(15)).unwrap();
+        let mut cursor = trace.cursor();
+        let mut block = crate::block::EventBlock::new();
+        let mut replayed = Vec::new();
+        for max in [1, 97, crate::block::BLOCK_EVENTS, 5].into_iter().cycle() {
+            let left = cursor.remaining_events() as usize;
+            let n = cursor.next_block_of(&mut block, max).unwrap();
+            assert_eq!(n, max.min(left));
+            if n == 0 {
+                break;
+            }
+            replayed.extend(block.iter());
+        }
+        assert_eq!(replayed, trace.decode_all().unwrap());
+    }
+
+    #[test]
+    fn extend_from_encoded_validates_and_matches_from_events() {
+        let events = synthetic_events(MARK_EVERY as usize + 500);
+        let whole = EncodedTrace::from_events(small(30), &events);
+        // Appended as two ragged runs, the trace is the one `from_events`
+        // builds: same bytes, same marks.
+        let mut grown = EncodedTrace::from_events(small(30), &[]);
+        let cut = MARK_EVERY as usize - 3;
+        for run in [&events[..cut], &events[cut..]] {
+            let bytes = EncodedTrace::from_events(small(30), run).buf;
+            grown.extend_from_encoded(run.len() as u64, &bytes).unwrap();
+        }
+        assert_eq!(grown.buf, whole.buf);
+        assert_eq!(grown.marks, whole.marks);
+        assert_eq!(grown.events(), whole.events());
+        // A count that overstates or understates the bytes, and a run cut
+        // mid-event, are errors that leave the trace as it was.
+        let n = events.len() as u64;
+        let bytes = &whole.buf[..];
+        for (count, bytes) in [
+            (n + 1, bytes),
+            (n - 1, bytes),
+            (n, &bytes[..bytes.len() - 1]),
+            (u64::MAX, bytes),
+        ] {
+            let err = grown.extend_from_encoded(count, bytes).unwrap_err();
+            assert!(matches!(err, pgc_types::PgcError::TraceFormat(_)));
+            assert_eq!(grown.buf, whole.buf);
+            assert_eq!(grown.marks, whole.marks);
+            assert_eq!(grown.events(), whole.events());
+        }
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! * [`generator`] — [`generator::SyntheticWorkload`], an
 //!   `Iterator<Item = Event>` producing the interleaved
 //!   build/traverse/mutate stream.
-//! * [`trace`] — a versioned binary trace codec (record to bytes/file,
+//! * [`codec`] — the one byte form of an event (narrow `u32` ids and
+//!   sizes, a wide-tag `u64` fallback), shared by everything below and by
+//!   the durable change log.
+//! * [`trace`] — the versioned PGCT trace file (record to bytes/file,
 //!   replay as an event iterator), dependency-free.
 //! * [`encoded`] — the generate-once / replay-many engine:
 //!   [`encoded::EncodedTrace`] (one workload's stream as a compact shared
@@ -41,6 +44,7 @@
 
 pub mod assembly;
 pub mod block;
+pub mod codec;
 pub mod encoded;
 pub mod event;
 pub mod generator;
@@ -50,8 +54,9 @@ pub mod trace;
 
 pub use assembly::{AssemblyParams, AssemblyWorkload};
 pub use block::{EventBlock, BLOCK_EVENTS};
+pub use codec::{decode_event, encode_event};
 pub use encoded::{EncodedTrace, TraceCache, TraceCursor, TraceHeader, TraceSegment, MARK_EVERY};
 pub use event::{Event, NodeId};
 pub use generator::SyntheticWorkload;
 pub use params::WorkloadParams;
-pub use trace::{decode_event, encode_event, read_trace, write_trace, TraceReader, TraceWriter};
+pub use trace::{read_trace, write_trace, TraceReader, TraceWriter};

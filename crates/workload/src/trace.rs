@@ -1,4 +1,4 @@
-//! Versioned binary trace codec.
+//! The PGCT trace file: a header, then events in the one byte form.
 //!
 //! A trace file is the serialized event stream of one workload: recording a
 //! generator's output and replaying the file drives every policy's
@@ -8,175 +8,24 @@
 //!
 //! ```text
 //! header:  magic "PGCT" | version u32 LE
-//! event*:  tag u8 | fields (little-endian, fixed width per tag)
+//! event*:  the layout of [`crate::codec`]
 //! ```
 //!
-//! The stream ends at EOF on a tag boundary; a partial event is a
-//! [`PgcError::TraceFormat`] error.
+//! The stream ends at EOF on an event boundary; a partial event is a
+//! [`PgcError::TraceFormat`] error. Version 1 files (fixed-width `u64` ids
+//! and `u32` sizes) are rejected by the version check — there is one
+//! reader.
 
-use crate::event::{Event, NodeId};
-use pgc_types::{Bytes, PgcError, Result};
+use crate::codec::{decode_event, encode_event};
+use crate::event::Event;
+use pgc_types::{PgcError, Result};
 use std::io::{self, Read, Write};
 
 pub(crate) const MAGIC: &[u8; 4] = b"PGCT";
-pub(crate) const VERSION: u32 = 1;
-
-pub(crate) const TAG_CREATE_ROOT: u8 = 1;
-pub(crate) const TAG_CREATE_CHILD: u8 = 2;
-pub(crate) const TAG_WRITE_POINTER: u8 = 3;
-pub(crate) const TAG_ADD_SLOT: u8 = 4;
-pub(crate) const TAG_VISIT: u8 = 5;
-pub(crate) const TAG_DATA_WRITE: u8 = 6;
+pub(crate) const VERSION: u32 = 2;
 
 fn io_err(e: io::Error) -> PgcError {
     PgcError::TraceIo(e.to_string())
-}
-
-/// Appends one event's tagged encoding to `buf` (the PGCT body layout,
-/// shared by the file codec, [`crate::encoded::EncodedTrace`], and the
-/// durable change log in `pgc-durable`). Each event is staged in a
-/// fixed stack buffer so the `Vec` pays one capacity check per event,
-/// not one per field.
-pub fn encode_event(buf: &mut Vec<u8>, event: &Event) {
-    let mut tmp = [0u8; 25];
-    let len = match *event {
-        Event::CreateRoot { node, size, slots } => {
-            tmp[0] = TAG_CREATE_ROOT;
-            tmp[1..9].copy_from_slice(&node.0.to_le_bytes());
-            tmp[9..13].copy_from_slice(&(size.get() as u32).to_le_bytes());
-            tmp[13..15].copy_from_slice(&slots.to_le_bytes());
-            15
-        }
-        Event::CreateChild {
-            node,
-            parent,
-            parent_slot,
-            size,
-            slots,
-        } => {
-            tmp[0] = TAG_CREATE_CHILD;
-            tmp[1..9].copy_from_slice(&node.0.to_le_bytes());
-            tmp[9..17].copy_from_slice(&parent.0.to_le_bytes());
-            tmp[17..19].copy_from_slice(&parent_slot.to_le_bytes());
-            tmp[19..23].copy_from_slice(&(size.get() as u32).to_le_bytes());
-            tmp[23..25].copy_from_slice(&slots.to_le_bytes());
-            25
-        }
-        Event::WritePointer { owner, slot, new } => {
-            tmp[0] = TAG_WRITE_POINTER;
-            tmp[1..9].copy_from_slice(&owner.0.to_le_bytes());
-            tmp[9..11].copy_from_slice(&slot.to_le_bytes());
-            match new {
-                Some(t) => {
-                    tmp[11] = 1;
-                    tmp[12..20].copy_from_slice(&t.0.to_le_bytes());
-                    20
-                }
-                None => {
-                    tmp[11] = 0;
-                    12
-                }
-            }
-        }
-        Event::AddSlot { owner } => {
-            tmp[0] = TAG_ADD_SLOT;
-            tmp[1..9].copy_from_slice(&owner.0.to_le_bytes());
-            9
-        }
-        Event::Visit { node } => {
-            tmp[0] = TAG_VISIT;
-            tmp[1..9].copy_from_slice(&node.0.to_le_bytes());
-            9
-        }
-        Event::DataWrite { node } => {
-            tmp[0] = TAG_DATA_WRITE;
-            tmp[1..9].copy_from_slice(&node.0.to_le_bytes());
-            9
-        }
-    };
-    buf.extend_from_slice(&tmp[..len]);
-}
-
-#[inline]
-fn truncated() -> PgcError {
-    PgcError::TraceFormat("truncated event".into())
-}
-
-#[inline]
-fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    let bytes = buf
-        .get(*pos..*pos + N)
-        .ok_or_else(truncated)?
-        .try_into()
-        .expect("slice has length N");
-    *pos += N;
-    Ok(bytes)
-}
-
-#[inline]
-fn take_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    Ok(u64::from_le_bytes(take::<8>(buf, pos)?))
-}
-
-#[inline]
-fn take_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    Ok(u32::from_le_bytes(take::<4>(buf, pos)?))
-}
-
-#[inline]
-fn take_u16(buf: &[u8], pos: &mut usize) -> Result<u16> {
-    Ok(u16::from_le_bytes(take::<2>(buf, pos)?))
-}
-
-/// Decodes the event starting at `pos` in a PGCT body slice, advancing
-/// `pos` past it. Returns `Ok(None)` at a clean end of the slice; a partial
-/// event or unknown tag is a [`PgcError::TraceFormat`] error. The inverse
-/// of [`encode_event`], shared by [`crate::encoded::TraceCursor`] and the
-/// durable change-log reader in `pgc-durable`.
-pub fn decode_event(buf: &[u8], pos: &mut usize) -> Result<Option<Event>> {
-    let Some(&tag) = buf.get(*pos) else {
-        return Ok(None);
-    };
-    *pos += 1;
-    let event = match tag {
-        TAG_CREATE_ROOT => Event::CreateRoot {
-            node: NodeId(take_u64(buf, pos)?),
-            size: Bytes(take_u32(buf, pos)? as u64),
-            slots: take_u16(buf, pos)?,
-        },
-        TAG_CREATE_CHILD => Event::CreateChild {
-            node: NodeId(take_u64(buf, pos)?),
-            parent: NodeId(take_u64(buf, pos)?),
-            parent_slot: take_u16(buf, pos)?,
-            size: Bytes(take_u32(buf, pos)? as u64),
-            slots: take_u16(buf, pos)?,
-        },
-        TAG_WRITE_POINTER => {
-            let owner = NodeId(take_u64(buf, pos)?);
-            let slot = take_u16(buf, pos)?;
-            let new = match take::<1>(buf, pos)?[0] {
-                0 => None,
-                1 => Some(NodeId(take_u64(buf, pos)?)),
-                b => {
-                    return Err(PgcError::TraceFormat(format!(
-                        "bad option byte {b} in WritePointer"
-                    )))
-                }
-            };
-            Event::WritePointer { owner, slot, new }
-        }
-        TAG_ADD_SLOT => Event::AddSlot {
-            owner: NodeId(take_u64(buf, pos)?),
-        },
-        TAG_VISIT => Event::Visit {
-            node: NodeId(take_u64(buf, pos)?),
-        },
-        TAG_DATA_WRITE => Event::DataWrite {
-            node: NodeId(take_u64(buf, pos)?),
-        },
-        t => return Err(PgcError::TraceFormat(format!("unknown tag {t}"))),
-    };
-    Ok(Some(event))
 }
 
 /// Streaming trace encoder.
@@ -220,15 +69,19 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Streaming trace decoder: an `Iterator<Item = Result<Event>>`.
-pub struct TraceReader<R: Read> {
-    source: R,
+/// Trace file decoder: an `Iterator<Item = Result<Event>>`. The header is
+/// checked and the body read into memory up front (its size is the file's
+/// own, not a length field's); events then decode one at a time through
+/// [`decode_event`].
+pub struct TraceReader {
+    body: Vec<u8>,
+    pos: usize,
     failed: bool,
 }
 
-impl<R: Read> TraceReader<R> {
+impl TraceReader {
     /// Validates the header and returns a ready reader.
-    pub fn new(mut source: R) -> Result<Self> {
+    pub fn new<R: Read>(mut source: R) -> Result<Self> {
         let mut magic = [0u8; 4];
         source.read_exact(&mut magic).map_err(io_err)?;
         if &magic != MAGIC {
@@ -242,100 +95,24 @@ impl<R: Read> TraceReader<R> {
                 "unsupported version {version} (expected {VERSION})"
             )));
         }
+        let mut body = Vec::new();
+        source.read_to_end(&mut body).map_err(io_err)?;
         Ok(Self {
-            source,
+            body,
+            pos: 0,
             failed: false,
         })
     }
-
-    fn read_u64(&mut self) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.source
-            .read_exact(&mut b)
-            .map_err(|e| PgcError::TraceFormat(format!("truncated event: {e}")))?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn read_u32(&mut self) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.source
-            .read_exact(&mut b)
-            .map_err(|e| PgcError::TraceFormat(format!("truncated event: {e}")))?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn read_u16(&mut self) -> Result<u16> {
-        let mut b = [0u8; 2];
-        self.source
-            .read_exact(&mut b)
-            .map_err(|e| PgcError::TraceFormat(format!("truncated event: {e}")))?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn read_u8(&mut self) -> Result<u8> {
-        let mut b = [0u8; 1];
-        self.source
-            .read_exact(&mut b)
-            .map_err(|e| PgcError::TraceFormat(format!("truncated event: {e}")))?;
-        Ok(b[0])
-    }
-
-    fn read_event(&mut self) -> Result<Option<Event>> {
-        // A clean EOF at a tag boundary ends the stream.
-        let mut tag = [0u8; 1];
-        if self.source.read(&mut tag).map_err(io_err)? == 0 {
-            return Ok(None);
-        }
-        let event = match tag[0] {
-            TAG_CREATE_ROOT => Event::CreateRoot {
-                node: NodeId(self.read_u64()?),
-                size: Bytes(self.read_u32()? as u64),
-                slots: self.read_u16()?,
-            },
-            TAG_CREATE_CHILD => Event::CreateChild {
-                node: NodeId(self.read_u64()?),
-                parent: NodeId(self.read_u64()?),
-                parent_slot: self.read_u16()?,
-                size: Bytes(self.read_u32()? as u64),
-                slots: self.read_u16()?,
-            },
-            TAG_WRITE_POINTER => {
-                let owner = NodeId(self.read_u64()?);
-                let slot = self.read_u16()?;
-                let new = match self.read_u8()? {
-                    0 => None,
-                    1 => Some(NodeId(self.read_u64()?)),
-                    b => {
-                        return Err(PgcError::TraceFormat(format!(
-                            "bad option byte {b} in WritePointer"
-                        )))
-                    }
-                };
-                Event::WritePointer { owner, slot, new }
-            }
-            TAG_ADD_SLOT => Event::AddSlot {
-                owner: NodeId(self.read_u64()?),
-            },
-            TAG_VISIT => Event::Visit {
-                node: NodeId(self.read_u64()?),
-            },
-            TAG_DATA_WRITE => Event::DataWrite {
-                node: NodeId(self.read_u64()?),
-            },
-            t => return Err(PgcError::TraceFormat(format!("unknown tag {t}"))),
-        };
-        Ok(Some(event))
-    }
 }
 
-impl<R: Read> Iterator for TraceReader<R> {
+impl Iterator for TraceReader {
     type Item = Result<Event>;
 
     fn next(&mut self) -> Option<Result<Event>> {
         if self.failed {
             return None;
         }
-        match self.read_event() {
+        match decode_event(&self.body, &mut self.pos) {
             Ok(Some(e)) => Some(Ok(e)),
             Ok(None) => None,
             Err(e) => {
@@ -381,8 +158,11 @@ pub fn read_trace<R: Read>(source: R) -> Result<Vec<Event>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::TAG_VISIT;
+    use crate::event::NodeId;
     use crate::generator::SyntheticWorkload;
     use crate::params::WorkloadParams;
+    use pgc_types::Bytes;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -447,12 +227,19 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"PGCT");
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, PgcError::TraceFormat(_)));
-        assert!(err.to_string().contains("99"));
+        // 1 is the retired fixed-width layout: an error, not a second reader.
+        for version in [1u32, 99] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(b"PGCT");
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&[5, 0, 0, 0, 0]);
+            let err = read_trace(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, PgcError::TraceFormat(_)));
+            assert!(
+                err.to_string().contains(&format!("version {version} ")),
+                "got {err}"
+            );
+        }
     }
 
     #[test]
@@ -494,121 +281,5 @@ mod tests {
         let mut buf = Vec::new();
         write_trace::<_>(&mut buf, std::iter::empty()).unwrap();
         assert!(read_trace(buf.as_slice()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn bad_option_byte_is_an_error() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(TAG_WRITE_POINTER);
-        buf.extend_from_slice(&7u64.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.push(9); // neither 0 nor 1
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("option byte"), "got {err}");
-    }
-
-    /// A stream of random events covering all six tags, with field values
-    /// spanning the full encodable ranges (sizes are stored as `u32`).
-    pub(super) fn random_events(seed: u64, n: usize) -> Vec<Event> {
-        let mut rng = pgc_types::SimRng::new(seed);
-        let id = |rng: &mut pgc_types::SimRng| NodeId(rng.next_u64());
-        (0..n)
-            .map(|_| match rng.below(6) {
-                0 => Event::CreateRoot {
-                    node: id(&mut rng),
-                    size: Bytes(rng.range_inclusive(0, u32::MAX as u64)),
-                    slots: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                },
-                1 => Event::CreateChild {
-                    node: id(&mut rng),
-                    parent: id(&mut rng),
-                    parent_slot: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                    size: Bytes(rng.range_inclusive(0, u32::MAX as u64)),
-                    slots: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                },
-                2 => Event::WritePointer {
-                    owner: id(&mut rng),
-                    slot: rng.range_inclusive(0, u16::MAX as u64) as u16,
-                    new: rng.chance(0.5).then(|| id(&mut rng)),
-                },
-                3 => Event::AddSlot {
-                    owner: id(&mut rng),
-                },
-                4 => Event::Visit { node: id(&mut rng) },
-                _ => Event::DataWrite { node: id(&mut rng) },
-            })
-            .collect()
-    }
-
-    #[test]
-    fn randomized_streams_round_trip() {
-        for seed in 0..20u64 {
-            let events = random_events(seed, 400);
-            let mut buf = Vec::new();
-            let n = write_trace(&mut buf, &events).unwrap();
-            assert_eq!(n, events.len() as u64);
-            assert_eq!(read_trace(buf.as_slice()).unwrap(), events, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn slice_decoder_agrees_with_stream_decoder() {
-        // The in-memory decoder (`decode_event`, used by the encoded-trace
-        // cursor) and the io::Read decoder must be the same codec.
-        for seed in 0..10u64 {
-            let events = random_events(seed, 300);
-            let mut buf = Vec::new();
-            write_trace(&mut buf, &events).unwrap();
-            let body = &buf[8..]; // skip magic + version
-            let mut pos = 0;
-            let mut decoded = Vec::new();
-            while let Some(e) = decode_event(body, &mut pos).unwrap() {
-                decoded.push(e);
-            }
-            assert_eq!(pos, body.len());
-            assert_eq!(decoded, events, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn every_truncation_point_yields_a_clean_prefix_or_an_error() {
-        // Cutting the byte stream anywhere must never fabricate or reorder
-        // events: the decoder either fails (mid-header, mid-event) or
-        // returns an exact prefix of the original stream (event boundary).
-        let events = random_events(42, 60);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &events).unwrap();
-        let mut boundary_cuts = 0;
-        for cut in 0..buf.len() {
-            match read_trace(&buf[..cut]) {
-                Ok(prefix) => {
-                    boundary_cuts += 1;
-                    assert!(prefix.len() <= events.len());
-                    assert_eq!(prefix[..], events[..prefix.len()], "cut {cut}");
-                }
-                Err(PgcError::TraceIo(_) | PgcError::TraceFormat(_)) => {}
-                Err(other) => panic!("unexpected error at cut {cut}: {other}"),
-            }
-        }
-        // Exactly one clean cut per event boundary (the 8-byte header).
-        assert_eq!(boundary_cuts, events.len(), "one Ok per boundary");
-        // The same property holds for the slice decoder over the body.
-        let body = &buf[8..];
-        for cut in 0..body.len() {
-            let mut pos = 0;
-            let mut decoded = Vec::new();
-            let result = loop {
-                match decode_event(&body[..cut], &mut pos) {
-                    Ok(Some(e)) => decoded.push(e),
-                    Ok(None) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            if result.is_ok() {
-                assert_eq!(decoded[..], events[..decoded.len()], "cut {cut}");
-            }
-        }
     }
 }

@@ -6,7 +6,7 @@ default:
 # Tier-1 verification: the build-and-test gate every change must pass.
 verify:
     cargo build --release
-    cargo test -q
+    cargo test --workspace -q
 
 # Lint gate: clippy across every target, warnings are errors.
 clippy:
@@ -22,16 +22,11 @@ fmt:
 # All gates in one go.
 check: fmt-check clippy verify
 
-# Regenerate BENCH_hotpath.json and BENCH_experiment.json (perf-regression
-# numbers, including the shared-trace sweep gate). Embeds the recorded
-# pre-change baseline when BENCH_baseline.json is present.
+# Regenerate every BENCH_*.json (hot path, shared-trace sweep, policy
+# engine, telemetry, parallel, server scalability, storage backend) and
+# exit nonzero if a gate regresses. Embeds the recorded pre-change
+# baseline when BENCH_baseline.json is present.
 bench-report:
-    cargo run --release -p pgc-bench --bin perf_report
-
-# Measure the shared-trace experiment engine: the full 11-policy
-# paper-config sweep, engine vs per-job generation, written to
-# BENCH_experiment.json (exits nonzero if the speedup gate regresses).
-sweep:
     cargo run --release -p pgc-bench --bin perf_report
 
 # Record the pre-change baseline (BENCH_baseline.json): build the shared
@@ -65,7 +60,7 @@ bench:
 # Serial == Deterministic(n) bit-identity check) plus the mode-invariance
 # test suite. `threads` sets --intra-threads.
 parallel threads="4":
-    cargo test -q -p pgc-sim --test parallel_equivalence
+    cargo test -q --test parallel_equivalence
     cargo run --release -p pgc-bench --bin perf_report -- --intra-threads {{threads}}
 
 # The sharded multi-tenant server: run the client_server driver on a
@@ -78,17 +73,10 @@ serve shards="4" streams="8" scale="25":
     cargo run --release -p pgc-bench --bin client_server -- \
         --shards {{shards}} --streams {{streams}} --scale {{scale}}
 
-# Shard-count invariance: the 1/2/4-shard equivalence suite plus the
-# server_scalability section of the perf report (BENCH_server.json).
+# Shard-count invariance: the 1/2/4-shard equivalence suite (the
+# server_scalability numbers come from `just bench-report`).
 shards:
     cargo test -q --test shard_equivalence
-    cargo run --release -p pgc-bench --bin perf_report
-
-# Zero-copy ingest: the submit-path equivalence suite plus the ingest
-# section of the perf report (clone vs segment legs, BENCH_server.json).
-ingest:
-    cargo test -q --test shard_equivalence
-    cargo run --release -p pgc-bench --bin perf_report
 
 # Crash-recovery smoke: a clean durable run recovered with a pinned
 # digest, then two mid-run kills (no final snapshot, buffered log tail

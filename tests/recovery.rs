@@ -13,7 +13,7 @@
 use pgc::durable::{read_log, scan_snapshots, ScratchDir};
 use pgc::prelude::*;
 use pgc::workload::generator::GenStats;
-use pgc::workload::SyntheticWorkload;
+use pgc::workload::{Event, SyntheticWorkload};
 use std::fs;
 
 /// Policies covering the paper's winner, the oracle, and the baseline —
@@ -120,7 +120,8 @@ fn replay_prefix_baseline(dir: &ScratchDir, recovered: &RecoveredRun) -> RunOutc
     let log = read_log(dir.path()).expect("read log");
     let mut shard = Shard::new(&recovered.cfg).expect("shard");
     shard.enable_telemetry(recovered.telemetry_level);
-    shard.step_batch(&log.events).expect("replay prefix");
+    let events: Vec<Event> = log.trace.decode_all().expect("decode the log");
+    shard.step_batch(&events).expect("replay prefix");
     shard.finish(GenStats::default()).expect("finish")
 }
 
@@ -256,7 +257,9 @@ fn server_streams_persist_and_recover_independently() {
         let events: Vec<_> = SyntheticWorkload::new(cfg.workload.clone())
             .expect("workload")
             .collect();
-        server.submit_owned(handle, events).expect("submit");
+        server
+            .submit_segment(handle, TraceSegment::encode(&events))
+            .expect("submit");
     }
     let fleet = server.shutdown().expect("shutdown");
 
