@@ -103,10 +103,29 @@ impl DurableStore {
         self.append_run(events.len(), |i| events[i])
     }
 
-    /// Buffers a decoded block of input events; the log bytes are those
-    /// of appending its events one by one.
+    /// Buffers a decoded block of input events, cutting frames exactly
+    /// where appending its events one by one would.
+    ///
+    /// A block that still holds the bytes it was decoded from
+    /// ([`EventBlock::encoded`]) and fits in the frame being filled is
+    /// logged as those bytes; any other block — one built from pushes, or
+    /// one that straddles a frame boundary, whose cut falls at a byte
+    /// offset only a decode can find — is re-encoded. Either way the frame
+    /// decodes to the block's events, and for bytes our encoder wrote the
+    /// two are the same bytes.
     pub fn append_block(&mut self, block: &EventBlock) -> Result<()> {
-        self.append_run(block.len(), |i| block.get(i))
+        let room = BLOCK_EVENTS - self.pending as usize;
+        match block.encoded() {
+            Some(bytes) if block.len() <= room => {
+                self.scratch.extend_from_slice(bytes);
+                self.pending += block.len() as u32;
+                if self.pending as usize == BLOCK_EVENTS {
+                    self.flush_pending()?;
+                }
+                Ok(())
+            }
+            _ => self.append_run(block.len(), |i| block.get(i)),
+        }
     }
 
     /// Encodes events `0..len` in whole frame-sized runs, one tight loop
@@ -213,7 +232,7 @@ mod tests {
     use crate::tempdir::ScratchDir;
     use pgc_sim::{RunConfig, Shard};
     use pgc_types::{Bytes, PartitionId};
-    use pgc_workload::{NodeId, SyntheticWorkload};
+    use pgc_workload::{EncodedTrace, NodeId, SyntheticWorkload};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -380,30 +399,99 @@ mod tests {
         assert_eq!(stray, 0);
     }
 
+    /// How a test feeds one run of events to the store.
+    #[derive(Debug, Clone, Copy)]
+    enum Feed {
+        /// `append_event`, one at a time: the reference bytes.
+        PerEvent,
+        /// A block built from pushes, which holds no bytes to reuse.
+        Pushed,
+        /// A block decoded by `next_block_of` at this cut, which does.
+        Decoded(usize),
+    }
+
     #[test]
     fn append_block_writes_the_bytes_of_per_event_appends() {
         let events: Vec<Event> = SyntheticWorkload::new(RunConfig::small().workload)
             .unwrap()
             .collect();
+        let trace = EncodedTrace::from_events(RunConfig::small().workload, &events);
         let db = Database::new(pgc_types::DbConfig::default()).unwrap();
-        let log_bytes = |by_block: bool| {
+        let log_bytes = |feed: Feed| {
             let dir = ScratchDir::new("block");
             let mut store = DurableStore::create(&DurabilityConfig::log_only(dir.path())).unwrap();
-            // Ragged blocks, so frames straddle block boundaries.
-            for chunk in events.chunks(BLOCK_EVENTS - 7) {
-                if by_block {
-                    let mut block = EventBlock::new();
-                    chunk.iter().for_each(|e| block.push(e));
-                    store.append_block(&block).unwrap();
-                } else {
-                    chunk.iter().for_each(|e| store.append_event(e).unwrap());
+            let mut block = EventBlock::new();
+            match feed {
+                Feed::PerEvent => events.iter().for_each(|e| store.append_event(e).unwrap()),
+                // Ragged blocks, so frames straddle block boundaries.
+                Feed::Pushed => {
+                    for chunk in events.chunks(BLOCK_EVENTS - 7) {
+                        block.clear();
+                        chunk.iter().for_each(|e| block.push(e));
+                        assert!(block.encoded().is_none());
+                        store.append_block(&block).unwrap();
+                    }
+                }
+                Feed::Decoded(cut) => {
+                    let mut cursor = trace.cursor();
+                    while cursor.next_block_of(&mut block, cut).unwrap() > 0 {
+                        assert!(block.encoded().is_some());
+                        store.append_block(&block).unwrap();
+                    }
                 }
             }
             store.finish(&db, events.len() as u64, 0).unwrap();
+            let stats = store.stats();
+            let expect_frames = events.len().div_ceil(BLOCK_EVENTS) as u64 + 1;
+            assert_eq!(stats.log_frames, expect_frames, "{feed:?}: frame cuts");
             fs::read(dir.join(crate::log::segment_name(0))).unwrap()
         };
         assert!(events.len() > 2 * BLOCK_EVENTS);
-        assert_eq!(log_bytes(true), log_bytes(false));
+        let reference = log_bytes(Feed::PerEvent);
+        // One event at a time (bytes copied into a frame being filled), a
+        // cut that drifts against the frame size (copied when the block
+        // fits, re-encoded when it straddles a frame boundary), and whole
+        // frames.
+        for feed in [
+            Feed::Pushed,
+            Feed::Decoded(1),
+            Feed::Decoded(BLOCK_EVENTS - 7),
+            Feed::Decoded(BLOCK_EVENTS),
+        ] {
+            assert!(log_bytes(feed) == reference, "{feed:?}: log bytes differ");
+        }
+    }
+
+    #[test]
+    fn a_refilled_block_never_logs_the_bytes_of_its_last_decode() {
+        let db = Database::new(pgc_types::DbConfig::default()).unwrap();
+        let first = events(100);
+        let second: Vec<Event> = (0..100).map(|i| Event::Visit { node: NodeId(i) }).collect();
+        let dir = ScratchDir::new("stale");
+        let mut store = DurableStore::create(&DurabilityConfig::log_only(dir.path())).unwrap();
+        let mut block = EventBlock::new();
+        let trace = EncodedTrace::from_events(RunConfig::small().workload, &first);
+        trace.cursor().next_block(&mut block).unwrap();
+        store.append_block(&block).unwrap();
+        // Cleared and refilled by hand: the bytes of `first` are gone.
+        block.clear();
+        second.iter().for_each(|e| block.push(e));
+        assert!(block.encoded().is_none());
+        store.append_block(&block).unwrap();
+        // Decoded again, then grown by one push: the decoded bytes no
+        // longer cover the block, so they must not be used either.
+        trace.cursor().next_block(&mut block).unwrap();
+        block.push(&second[0]);
+        assert!(block.encoded().is_none());
+        store.append_block(&block).unwrap();
+        store.finish(&db, 301, 0).unwrap();
+
+        let mut want = first.clone();
+        want.extend(&second);
+        want.extend(&first);
+        want.push(second[0]);
+        let log = read_log(dir.path()).unwrap();
+        assert_eq!(log.trace.decode_all().unwrap(), want);
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! * [`router`] — [`router::StreamId`] and the stateless [`router::Router`]
 //!   hashing streams onto shards.
 //! * [`ring`] — the [`ring::RingInbox`]: fixed-capacity shard inboxes with
-//!   park/unpark backpressure, FIFO drain, and an occupancy high-water
-//!   mark; a slow shard throttles its producers instead of buffering the
-//!   world.
+//!   park/unpark backpressure, a FIFO drain that takes everything queued
+//!   under one lock, and an occupancy high-water mark; a slow shard
+//!   throttles its producers instead of buffering the world.
 //! * [`session`] — the session layer: each shard worker owns a table of
-//!   sessions (one [`pgc_sim::Shard`] per stream), drains its ring in
-//!   arrival order, and steps each submitted segment block-at-a-time
-//!   through one reusable decode scratch.
+//!   sessions (one [`pgc_sim::Shard`] per stream), serves each drained
+//!   batch stream by stream (every stream's messages in arrival order),
+//!   and steps each submitted segment block-at-a-time through one
+//!   reusable decode scratch.
 //! * [`remset`] — the [`remset::InterShardRemset`]: cross-shard references
 //!   as remset traffic over the existing barrier event bus, striped by
 //!   target stream so shards touching different tenants never contend,
@@ -28,8 +29,9 @@
 //! Per-stream results are **bit-identical at any shard count** and to a
 //! dedicated single-`Simulation` run: a session is a self-contained
 //! [`pgc_sim::Shard`] (the same unit `Simulation` drives), one server
-//! handle feeds each stream its events in submission order, and nothing a
-//! session observes depends on placement. The router only decides *where*
+//! handle feeds each stream its events in submission order and the worker
+//! never reorders within a stream, and nothing a session observes depends
+//! on placement. The router only decides *where*
 //! a session executes; cross-shard links are weak accounting entries that
 //! never feed back into collection. `tests/shard_equivalence.rs` at the
 //! workspace root pins all of this.

@@ -25,7 +25,7 @@
 //! single-database run, which is the property the whole runtime is built
 //! around (the paper's policies are only comparable under deterministic
 //! replay).
-
+//!
 //! The table is **striped**: entries spread over
 //! [`REMSET_STRIPES`] independently locked shards of the map, selected by
 //! [`pgc_types::fast_hash_u64`] of the *target* stream. Every operation a
@@ -36,11 +36,18 @@
 //! [`InterShardRemset::stats`] folds them in ascending stripe order;
 //! every field is a sum, so the fold is deterministic for a given set of
 //! link calls and event streams at any shard count and any interleaving.
+//!
+//! Nearly every event a bridge forwards concerns an object nobody linked
+//! to, and most stripes never hold a record at all. Each stripe therefore
+//! carries a flag, set by the first registration into it, and a bridge
+//! whose stripe's flag is still clear drops the event without taking the
+//! lock.
 
 use crate::router::StreamId;
 use pgc_odb::{BarrierEvent, BarrierObserver};
 use pgc_types::{fast_hash_u64, Oid, PartitionId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Lock stripes the table spreads over (a power of two so stripe selection
@@ -81,6 +88,26 @@ struct RemsetInner {
     stats: RemsetStats,
 }
 
+/// One independently locked share of the table.
+#[derive(Debug, Default)]
+struct Stripe {
+    /// Set, and never cleared, by the first [`InterShardRemset::register`]
+    /// into this stripe: while it reads `false` the map is empty and
+    /// [`InterShardRemset::clean`] / [`InterShardRemset::relocate`] have
+    /// nothing to find.
+    ///
+    /// `register` stores it (`Release`) while holding `inner`'s lock; the
+    /// bridge paths load it (`Acquire`). A `true` read is followed by
+    /// taking the lock, which is what orders the map's contents. A `false`
+    /// read is exact for the calling bridge's own stream: a target's
+    /// records are inserted only by its home worker — the thread the
+    /// bridge runs on — so none of its own registrations can be missed.
+    /// Another target on the same stripe registering concurrently can only
+    /// flip the flag early, which costs a lock and a miss, as before.
+    ever_linked: AtomicBool,
+    inner: Mutex<RemsetInner>,
+}
+
 /// The shared cross-shard reference table, striped by target stream.
 ///
 /// One instance per server. Every operation is keyed by a target stream,
@@ -90,7 +117,7 @@ struct RemsetInner {
 /// single entry update.
 #[derive(Debug)]
 pub struct InterShardRemset {
-    stripes: Vec<Mutex<RemsetInner>>,
+    stripes: Vec<Stripe>,
 }
 
 impl Default for InterShardRemset {
@@ -103,14 +130,12 @@ impl InterShardRemset {
     /// An empty table.
     pub fn new() -> Self {
         Self {
-            stripes: (0..REMSET_STRIPES)
-                .map(|_| Mutex::new(RemsetInner::default()))
-                .collect(),
+            stripes: (0..REMSET_STRIPES).map(|_| Stripe::default()).collect(),
         }
     }
 
     /// The stripe holding every entry for `target`'s graph.
-    fn stripe(&self, target: StreamId) -> &Mutex<RemsetInner> {
+    fn stripe(&self, target: StreamId) -> &Stripe {
         &self.stripes[fast_hash_u64(target.0) as usize & (REMSET_STRIPES - 1)]
     }
 
@@ -124,7 +149,9 @@ impl InterShardRemset {
         oid: Oid,
         partition: PartitionId,
     ) -> bool {
-        let mut inner = self.stripe(target).lock().expect("remset lock");
+        let stripe = self.stripe(target);
+        let mut inner = stripe.inner.lock().expect("remset lock");
+        stripe.ever_linked.store(true, Ordering::Release);
         let entry = inner
             .links
             .entry((target, oid))
@@ -142,17 +169,18 @@ impl InterShardRemset {
     /// Counts a link attempt into `target`'s graph whose target object
     /// could not be resolved.
     pub fn note_dangling(&self, target: StreamId) {
-        self.stripe(target)
-            .lock()
-            .expect("remset lock")
-            .stats
-            .dangling += 1;
+        let mut inner = self.stripe(target).inner.lock().expect("remset lock");
+        inner.stats.dangling += 1;
     }
 
     /// Removes every link into `(target, oid)` — the object was
     /// reclaimed. Each removed source counts toward `cleaned`.
     fn clean(&self, target: StreamId, oid: Oid) {
-        let mut inner = self.stripe(target).lock().expect("remset lock");
+        let stripe = self.stripe(target);
+        if !stripe.ever_linked.load(Ordering::Acquire) {
+            return;
+        }
+        let mut inner = stripe.inner.lock().expect("remset lock");
         if let Some(record) = inner.links.remove(&(target, oid)) {
             inner.stats.cleaned += record.sources.len() as u64;
         }
@@ -161,7 +189,11 @@ impl InterShardRemset {
     /// Re-points every link into `(target, oid)` at the partition the
     /// object was evacuated to.
     fn relocate(&self, target: StreamId, oid: Oid, to: PartitionId) {
-        let mut inner = self.stripe(target).lock().expect("remset lock");
+        let stripe = self.stripe(target);
+        if !stripe.ever_linked.load(Ordering::Acquire) {
+            return;
+        }
+        let mut inner = stripe.inner.lock().expect("remset lock");
         if let Some(record) = inner.links.get_mut(&(target, oid)) {
             record.partition = to;
             inner.stats.relocated += 1;
@@ -174,7 +206,7 @@ impl InterShardRemset {
     pub fn stats(&self) -> RemsetStats {
         let mut out = RemsetStats::default();
         for stripe in &self.stripes {
-            let inner = stripe.lock().expect("remset lock");
+            let inner = stripe.inner.lock().expect("remset lock");
             out.registered += inner.stats.registered;
             out.cleaned += inner.stats.cleaned;
             out.relocated += inner.stats.relocated;
@@ -186,7 +218,7 @@ impl InterShardRemset {
     /// Live links into `target`'s graph, in ascending oid order (all of a
     /// target's entries live on one stripe).
     pub fn links_into(&self, target: StreamId) -> Vec<(Oid, LinkRecord)> {
-        let inner = self.stripe(target).lock().expect("remset lock");
+        let inner = self.stripe(target).inner.lock().expect("remset lock");
         inner
             .links
             .range((target, Oid(0))..=(target, Oid(u64::MAX)))
@@ -199,7 +231,7 @@ impl InterShardRemset {
         self.stripes
             .iter()
             .map(|stripe| {
-                let inner = stripe.lock().expect("remset lock");
+                let inner = stripe.inner.lock().expect("remset lock");
                 inner
                     .links
                     .values()
@@ -356,5 +388,15 @@ mod tests {
             size: pgc_types::Bytes(8),
         });
         assert_eq!(remset.stats(), RemsetStats::default());
+        // The stripe held nothing so far; the first registration into it
+        // must be seen by the same bridge's very next event.
+        remset.register(StreamId(1), StreamId(2), Oid(9), P0);
+        bridge.on_event(&BarrierEvent::ObjectReclaimed {
+            oid: Oid(9),
+            partition: P0,
+            size: pgc_types::Bytes(8),
+        });
+        assert_eq!(remset.stats().cleaned, 1);
+        assert!(remset.links_into(StreamId(2)).is_empty());
     }
 }

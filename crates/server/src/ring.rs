@@ -1,16 +1,15 @@
 //! Bounded ring inboxes: fixed-capacity shard queues with backpressure.
 //!
-//! PR 8 shipped shard inboxes on `std::sync::mpsc` — unbounded, one heap
-//! node per message, no backpressure. A slow shard silently ballooned
-//! memory while fast producers sprinted ahead. The [`RingInbox`] replaces
-//! that with a fixed-capacity ring (a `VecDeque` that never grows past its
-//! capacity) guarded by a mutex and two condvars:
+//! A [`RingInbox`] is a fixed-capacity ring (a `VecDeque` that never grows
+//! past its capacity) guarded by a mutex and two condvars:
 //!
-//! * a full ring **parks the producer** until the worker drains a slot, so
+//! * a full ring **parks the producer** until the worker frees slots, so
 //!   a slow shard throttles its feeders instead of buffering the world;
 //! * an empty ring parks the worker until a message (or close) arrives;
-//! * messages pop in exactly arrival order — the FIFO contract the
-//!   session layer's determinism argument rests on.
+//! * the worker takes **everything queued under one lock**
+//!   ([`RingInbox::drain`]), in exactly arrival order — the FIFO contract
+//!   the session layer's determinism argument rests on — and wakes every
+//!   parked producer once per drain, not once per message.
 //!
 //! Lifecycle is explicit because both ends share one `Arc`: the producer
 //! side closes through [`SenderGuard`] (dropping it wakes and drains the
@@ -28,11 +27,13 @@ pub const DEFAULT_INBOX_CAPACITY: usize = 256;
 struct RingState<T> {
     queue: VecDeque<T>,
     high_water: usize,
+    /// Producers blocked in [`RingInbox::push`] right now.
+    parked: usize,
     tx_closed: bool,
     rx_closed: bool,
 }
 
-/// A fixed-capacity FIFO between one producer handle and one shard worker.
+/// A fixed-capacity FIFO between its producers and one shard worker.
 pub struct RingInbox<T> {
     capacity: usize,
     state: Mutex<RingState<T>>,
@@ -51,6 +52,7 @@ impl<T> RingInbox<T> {
             state: Mutex::new(RingState {
                 queue: VecDeque::with_capacity(capacity),
                 high_water: 0,
+                parked: 0,
                 tx_closed: false,
                 rx_closed: false,
             }),
@@ -69,7 +71,9 @@ impl<T> RingInbox<T> {
     pub fn push(&self, msg: T) -> Result<(), T> {
         let mut state = self.state.lock().expect("ring lock");
         while state.queue.len() == self.capacity && !state.rx_closed {
+            state.parked += 1;
             state = self.not_full.wait(state).expect("ring lock");
+            state.parked -= 1;
         }
         if state.rx_closed {
             return Err(msg);
@@ -99,6 +103,26 @@ impl<T> RingInbox<T> {
         }
     }
 
+    /// Moves every queued message onto the back of `into`, in arrival
+    /// order, blocking while the ring is empty. Returns `false` once the
+    /// sender has closed and nothing was left to move.
+    ///
+    /// A drain frees up to a ring-full of slots at once and any number of
+    /// producers may be parked on them, so it wakes them all.
+    pub fn drain(&self, into: &mut Vec<T>) -> bool {
+        let mut state = self.state.lock().expect("ring lock");
+        while state.queue.is_empty() {
+            if state.tx_closed {
+                return false;
+            }
+            state = self.not_empty.wait(state).expect("ring lock");
+        }
+        into.extend(state.queue.drain(..));
+        drop(state);
+        self.not_full.notify_all();
+        true
+    }
+
     /// Messages currently queued.
     pub fn len(&self) -> usize {
         self.state.lock().expect("ring lock").queue.len()
@@ -112,6 +136,11 @@ impl<T> RingInbox<T> {
     /// Peak queue occupancy over the ring's life (in messages).
     pub fn high_water(&self) -> usize {
         self.state.lock().expect("ring lock").high_water
+    }
+
+    /// Producers parked in [`RingInbox::push`] on a full ring right now.
+    pub fn parked_producers(&self) -> usize {
+        self.state.lock().expect("ring lock").parked
     }
 
     fn close_tx(&self) {
@@ -163,7 +192,15 @@ impl<T> Drop for ReceiverGuard<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    /// Spins until `n` producers are parked on `ring`. The count is kept
+    /// under the ring's lock, so once it reads `n` those producers are
+    /// inside `push`'s wait — no sleep, no guessing.
+    fn await_parked<T>(ring: &RingInbox<T>, n: usize) {
+        while ring.parked_producers() < n {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn fifo_order_and_capacity_clamp() {
@@ -175,9 +212,14 @@ mod tests {
         }
         assert_eq!(ring.len(), 8);
         assert_eq!(ring.high_water(), 8);
-        for i in 0..8 {
+        for i in 0..3 {
             assert_eq!(ring.pop(), Some(i));
         }
+        // A drain appends what is left, in arrival order, and empties the
+        // ring in one go.
+        let mut batch = vec![99];
+        assert!(ring.drain(&mut batch));
+        assert_eq!(batch, [99, 3, 4, 5, 6, 7]);
         assert!(ring.is_empty());
     }
 
@@ -192,14 +234,44 @@ mod tests {
         };
         // The producer must park: the ring stays at capacity and the third
         // message is not enqueued while both slots are taken.
-        std::thread::sleep(Duration::from_millis(50));
+        await_parked(&ring, 1);
         assert_eq!(ring.len(), 2, "push must block on a full ring");
-        assert!(!producer.is_finished(), "producer must be parked");
         assert_eq!(ring.pop(), Some(0));
         assert!(producer.join().unwrap(), "freed slot completes the push");
         assert_eq!(ring.pop(), Some(1));
         assert_eq!(ring.pop(), Some(2));
         assert_eq!(ring.high_water(), 2, "capacity bounds the high water");
+    }
+
+    /// One drain frees every slot, so every producer parked on the ring
+    /// must be woken by it: with a single wake-up two of these three
+    /// would sleep forever beside an empty ring.
+    #[test]
+    fn one_drain_releases_every_parked_producer() {
+        const PRODUCERS: u32 = 3;
+        let ring = RingInbox::with_capacity(PRODUCERS as usize);
+        for i in 0..PRODUCERS {
+            ring.push(i).unwrap();
+        }
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|i| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || ring.push(100 + i).is_ok())
+            })
+            .collect();
+        await_parked(&ring, PRODUCERS as usize);
+        let mut batch = Vec::new();
+        assert!(ring.drain(&mut batch));
+        assert_eq!(batch, [0, 1, 2], "the drain takes the queued messages");
+        for producer in producers {
+            assert!(producer.join().unwrap(), "every parked push completes");
+        }
+        assert_eq!(ring.parked_producers(), 0);
+        batch.clear();
+        assert!(ring.drain(&mut batch));
+        batch.sort_unstable();
+        assert_eq!(batch, [100, 101, 102]);
+        assert_eq!(ring.high_water(), PRODUCERS as usize);
     }
 
     #[test]
@@ -208,8 +280,12 @@ mod tests {
         let tx = SenderGuard(Arc::clone(&ring));
         ring.push(7u8).unwrap();
         drop(tx);
-        assert_eq!(ring.pop(), Some(7), "queued messages survive the close");
-        assert_eq!(ring.pop(), None, "then the stream ends");
+        let mut batch = Vec::new();
+        assert!(ring.drain(&mut batch), "queued messages survive the close");
+        assert_eq!(batch, [7]);
+        assert!(!ring.drain(&mut batch), "then the stream ends");
+        assert_eq!(ring.pop(), None);
+        assert_eq!(batch, [7], "a finished drain moves nothing");
     }
 
     #[test]
@@ -220,7 +296,7 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || ring.push(1))
         };
-        std::thread::sleep(Duration::from_millis(20));
+        await_parked(&ring, 1);
         drop(ReceiverGuard(Arc::clone(&ring)));
         assert_eq!(
             producer.join().unwrap(),

@@ -1,13 +1,13 @@
 //! The N-shard runtime: router + workers + fleet-wide shutdown fold.
 
-use crate::remset::{InterShardRemset, RemsetStats};
+use crate::remset::{InterShardRemset, LinkRecord, RemsetStats};
 use crate::ring::{RingInbox, SenderGuard, DEFAULT_INBOX_CAPACITY};
 use crate::router::{Router, StreamId};
 use crate::session::{ShardMsg, ShardReport, ShardWorker};
 use pgc_durable::DurabilityMode;
 use pgc_sim::{RunConfig, RunOutcome};
 use pgc_telemetry::{FleetSnapshot, TelemetryLevel};
-use pgc_types::{PgcError, Result};
+use pgc_types::{Oid, PgcError, Result};
 use pgc_workload::{NodeId, TraceSegment};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -166,6 +166,8 @@ pub struct FleetOutcome {
     total_events: u64,
     /// Collections across every stream, folded once at shutdown.
     total_collections: u64,
+    /// The inter-shard remset as the workers left it.
+    links: Arc<InterShardRemset>,
 }
 
 impl FleetOutcome {
@@ -185,6 +187,12 @@ impl FleetOutcome {
     /// Collections performed across every stream (cached at shutdown).
     pub fn total_collections(&self) -> u64 {
         self.total_collections
+    }
+
+    /// The cross-shard links into `stream`'s graph still live at shutdown,
+    /// in ascending oid order.
+    pub fn links_into(&self, stream: StreamId) -> Vec<(Oid, LinkRecord)> {
+        self.links.links_into(stream)
     }
 }
 
@@ -332,14 +340,16 @@ impl Server {
     }
 
     /// Registers a cross-shard reference: `source`'s graph references
-    /// `node` in `target`'s graph. Routed to the target's home shard,
-    /// which resolves the node and records the link in the shared
-    /// inter-shard remset (unresolvable targets count as dangling).
+    /// `node` in `target`'s graph. Both streams must be open. Routed to
+    /// the target's home shard, which resolves the node and records the
+    /// link in the shared inter-shard remset (unresolvable targets count
+    /// as dangling).
     ///
-    /// The reference apply-point is the target session's state when the
-    /// message drains — deterministic per stream because one server
-    /// handle feeds each ring in program order and the worker drains it
-    /// in arrival order.
+    /// The reference apply-point is the target session's state after
+    /// every segment submitted to `target` before this call and none
+    /// submitted after — deterministic because one server handle feeds
+    /// each ring in program order and the worker keeps every stream's
+    /// messages in arrival order.
     pub fn link(
         &mut self,
         source: impl StreamRef,
@@ -348,8 +358,10 @@ impl Server {
     ) -> Result<()> {
         let source = source.resolve(self.tag)?;
         let target = target.resolve(self.tag)?;
-        if !self.streams.contains(&target) {
-            return Err(PgcError::Session(format!("stream {target} is not open")));
+        for stream in [source, target] {
+            if !self.streams.contains(&stream) {
+                return Err(PgcError::Session(format!("stream {stream} is not open")));
+            }
         }
         self.send(
             self.router.route(target),
@@ -423,6 +435,7 @@ impl Server {
             ring_high_water,
             total_events,
             total_collections,
+            links: self.remset,
         })
     }
 }
@@ -436,5 +449,32 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn link_rejects_a_stream_that_was_never_opened_on_either_side() {
+        let mut server = Server::start(ServerConfig::new(2));
+        let open = server
+            .open_stream(StreamId(0), RunConfig::small())
+            .expect("open");
+        let never = StreamId(7);
+        for (source, target) in [(never, open.id()), (open.id(), never)] {
+            let err = server.link(source, target, NodeId(0)).unwrap_err();
+            assert!(
+                matches!(&err, PgcError::Session(msg) if msg.contains("stream s7 is not open")),
+                "got {err}"
+            );
+        }
+        server.link(open, open, NodeId(0)).expect("both open");
+        // Only the accepted link reached a worker: it dangles (nothing was
+        // ever submitted), the rejected ones left no trace.
+        let fleet = server.shutdown().expect("shutdown");
+        assert_eq!(fleet.remset.dangling, 1);
+        assert_eq!(fleet.remset.registered, 0);
     }
 }

@@ -3,20 +3,44 @@
 //! Each shard is one OS thread owning a table of sessions — a session is
 //! one client stream bound to its own [`Shard`] (database + policy +
 //! scheduler + barrier bus + telemetry). The server routes every message
-//! for a stream to its home shard's bounded ring inbox; the worker drains
-//! the ring in arrival order and steps the addressed session. Because one
-//! server handle feeds the rings, each session sees its events in exactly
-//! the submission order — thousands of streams interleave freely on the
-//! wire while every individual stream replays deterministically.
+//! for a stream to its home shard's bounded ring inbox. The worker's path
+//! per message is `drain → group → decode → log bytes → apply`:
 //!
-//! A data message carries a [`TraceSegment`] — a refcounted byte range of
-//! a shared encoded trace. The worker decodes it block-at-a-time straight
-//! from the shared buffer into one reusable per-worker [`EventBlock`]
-//! scratch and drives each block through [`Shard::step_block`]: the same
-//! `next_block → step_block` loop a dedicated run uses. Block boundaries
-//! are semantically invisible (`step_block` is bit-identical to per-event
-//! stepping), so how a client cuts its stream into segments can never
-//! change a result.
+//! * **drain** — it takes everything queued under one lock
+//!   ([`RingInbox::drain`]): up to a ring-full, in arrival order.
+//! * **group** — it serves that batch stream by stream (a stable sort on
+//!   the stream whose session a message touches), so a stream applies up
+//!   to a ring-full of its segments back to back while its heap is still
+//!   in cache, instead of being evicted by every other tenant's turn
+//!   between two of its own.
+//! * **decode** — a data message carries a [`TraceSegment`], a refcounted
+//!   byte range of a shared encoded trace, decoded block-at-a-time into
+//!   one reusable per-worker [`EventBlock`] scratch that remembers the
+//!   bytes it came from.
+//! * **log bytes, apply** — each block goes through [`Shard::step_block`],
+//!   the same `next_block → step_block` loop a dedicated run uses: those
+//!   bytes are framed into the stream's change log as they arrived, then
+//!   the block is applied.
+//!
+//! # What order is kept, and why the rest was never observable
+//!
+//! Within a stream nothing moves: one server handle feeds the ring in
+//! program order, the drain keeps arrival order, and the grouping is
+//! stable, so every session sees its `Open`, its segments and the `Link`s
+//! that resolve against it exactly as submitted. *Across* streams the
+//! batch is reordered, and nothing can tell: sessions share no mutable
+//! state, a `Link` reads only its target's session, and the one shared
+//! structure — the inter-shard remset — keeps per-target records and
+//! counters that are sums. Cross-stream order was already arbitrary
+//! between shards; it is now equally so within one. Block and segment
+//! boundaries are semantically invisible too (`step_block` is
+//! bit-identical to per-event stepping), so neither how a client cuts its
+//! stream nor how the worker batches it can change a result.
+//!
+//! The price is latency, and it is bounded: a message waits for at most
+//! the batch drained ahead of it, and a batch is at most `inbox_capacity`
+//! messages — the setting that already bounded how far a client runs
+//! ahead of its shard.
 //!
 //! At shutdown the worker finishes its sessions in ascending stream-id
 //! order and reports per-stream [`RunOutcome`]s, one merged telemetry
@@ -68,6 +92,17 @@ pub(crate) enum ShardMsg {
     },
 }
 
+impl ShardMsg {
+    /// The stream whose session the message touches — what a drained
+    /// batch is grouped by.
+    fn session(&self) -> StreamId {
+        match *self {
+            ShardMsg::Open { stream, .. } | ShardMsg::Data { stream, .. } => stream,
+            ShardMsg::Link { target, .. } => target,
+        }
+    }
+}
+
 /// What one shard worker hands back at shutdown.
 pub struct ShardReport {
     /// The shard's index.
@@ -112,13 +147,25 @@ impl ShardWorker {
         }
     }
 
-    /// Drains the ring until the sender closes, then finishes all
-    /// sessions into the shard's report. The receiver guard marks the
-    /// ring dead on any exit — return or panic — so parked producers fail
-    /// fast instead of deadlocking.
+    /// Serves the ring a drained batch at a time until the sender closes,
+    /// then finishes all sessions into the shard's report. The receiver
+    /// guard marks the ring dead on any exit — return or panic — so parked
+    /// producers fail fast instead of deadlocking.
     pub(crate) fn run(mut self, inbox: Arc<RingInbox<ShardMsg>>) -> Result<ShardReport> {
         let guard = ReceiverGuard(Arc::clone(&inbox));
-        while let Some(msg) = inbox.pop() {
+        let mut batch = Vec::with_capacity(inbox.capacity());
+        while inbox.drain(&mut batch) {
+            self.serve(&mut batch)?;
+        }
+        let high_water = guard.ring().high_water() as u64;
+        self.finish(high_water)
+    }
+
+    /// Serves one drained batch, emptying it: stream by stream, each
+    /// stream's messages in arrival order (the sort is stable).
+    fn serve(&mut self, batch: &mut Vec<ShardMsg>) -> Result<()> {
+        batch.sort_by_key(ShardMsg::session);
+        for msg in batch.drain(..) {
             match msg {
                 ShardMsg::Open { stream, cfg } => self.open(stream, &cfg)?,
                 ShardMsg::Data { stream, segment } => self.step_segment(stream, &segment)?,
@@ -129,8 +176,7 @@ impl ShardWorker {
                 } => self.link(source, target, node),
             }
         }
-        let high_water = guard.ring().high_water() as u64;
-        self.finish(high_water)
+        Ok(())
     }
 
     /// Steps `stream`'s session through one segment.
@@ -216,5 +262,104 @@ impl ShardWorker {
             telemetry,
             ring_high_water,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pgc_workload::{Event, SyntheticWorkload};
+
+    /// The nodes `events` creates, in creation order.
+    fn created(events: &[Event]) -> Vec<NodeId> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::CreateRoot { node, .. } | Event::CreateChild { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A `Link` queued between two `Data` segments of its target resolves
+    /// against the target exactly as the first segment left it, whatever
+    /// else shares the batch: a node the second segment creates dangles, a
+    /// node the first one created registers, and the same dangling node
+    /// registers once the link follows the second segment.
+    #[test]
+    fn a_link_resolves_between_the_segments_it_was_queued_between() {
+        let cfg = |seed| RunConfig::small().with_seed(seed);
+        let events = |seed| -> Vec<Event> {
+            SyntheticWorkload::new(cfg(seed).workload)
+                .unwrap()
+                .take(4_000)
+                .collect()
+        };
+        let (target, other, third) = (StreamId(1), StreamId(0), StreamId(2));
+        let of_target = events(1);
+        let (first, second) = of_target.split_at(of_target.len() / 2);
+        let early = created(first)[0];
+        let late = *created(second).last().unwrap();
+        assert!(!created(first).contains(&late));
+
+        let open = |stream: StreamId| ShardMsg::Open {
+            stream,
+            cfg: Box::new(cfg(stream.0)),
+        };
+        let data = |stream, events: &[Event]| ShardMsg::Data {
+            stream,
+            segment: TraceSegment::encode(events),
+        };
+        let link = |node| ShardMsg::Link {
+            source: other,
+            target,
+            node,
+        };
+        // Streams 0 and 2 sort to either side of the target, so the
+        // grouping has to pull the target's messages out from between
+        // theirs without reordering them.
+        let noise = events(0);
+        let mut batch = vec![
+            open(third),
+            open(target),
+            open(other),
+            data(target, first),
+            data(other, &noise[..1_000]),
+            link(late),
+            data(third, &events(2)),
+            link(early),
+            data(other, &noise[1_000..]),
+            data(target, second),
+            link(late),
+        ];
+
+        let remset = Arc::new(InterShardRemset::new());
+        let mut worker = ShardWorker::new(0, TelemetryLevel::Off, Arc::clone(&remset), None);
+        worker.serve(&mut batch).unwrap();
+        assert!(batch.is_empty(), "serving empties the batch");
+
+        let stats = remset.stats();
+        assert_eq!(
+            stats.dangling, 1,
+            "the node of the second segment: {stats:?}"
+        );
+        assert_eq!(stats.registered, 2, "{stats:?}");
+        let session = &worker.sessions[&target];
+        assert_eq!(session.events_applied(), of_target.len() as u64);
+        let mut want = vec![
+            session.oid_of(early).unwrap(),
+            session.oid_of(late).unwrap(),
+        ];
+        want.sort();
+        let got: Vec<_> = remset
+            .links_into(target)
+            .into_iter()
+            .map(|(oid, _)| oid)
+            .collect();
+        assert_eq!(got, want);
+        for stream in [other, third] {
+            assert_eq!(worker.sessions[&stream].events_applied(), 4_000);
+            assert!(remset.links_into(stream).is_empty());
+        }
     }
 }

@@ -15,6 +15,12 @@
 //! the acting node for every kind, `b` the second node (parent or pointer
 //! target) where one exists — which keeps the block at ~21 bytes/event
 //! regardless of the `Event` enum's in-memory size.
+//!
+//! A block filled by a cursor also keeps the encoded bytes it was decoded
+//! from ([`EventBlock::encoded`], ~7.5 bytes/event more), so a consumer
+//! that needs the events as bytes again — the change log, which is written
+//! ahead of every apply — copies them instead of gathering each event back
+//! out of the columns and re-encoding it.
 
 use crate::codec;
 use crate::event::{Event, NodeId};
@@ -64,6 +70,10 @@ pub struct EventBlock {
     slot: Vec<u16>,
     /// Slot count for creations.
     slots: Vec<u16>,
+    /// The bytes the columns were decoded from, in the layout of
+    /// [`crate::codec`]: exactly the held events, or empty when the block
+    /// was not filled by a cursor (see [`EventBlock::encoded`]).
+    encoded: Vec<u8>,
 }
 
 impl EventBlock {
@@ -81,6 +91,7 @@ impl EventBlock {
             size: Vec::with_capacity(events),
             slot: Vec::with_capacity(events),
             slots: Vec::with_capacity(events),
+            encoded: Vec::new(),
         }
     }
 
@@ -114,11 +125,34 @@ impl EventBlock {
         self.size.clear();
         self.slot.clear();
         self.slots.clear();
+        self.encoded.clear();
     }
 
-    /// Appends one event, scattering its fields across the columns.
+    /// The encoded bytes the block's events were decoded from, when it was
+    /// filled by [`crate::TraceCursor::next_block_of`] and not touched
+    /// since: they decode to exactly [`EventBlock::iter`]. `None` once
+    /// [`EventBlock::push`] has changed the columns, or for a block built
+    /// from pushes alone.
+    ///
+    /// The bytes are what the cursor read, which is byte-equal to
+    /// re-encoding the events for everything [`crate::codec::encode_event`]
+    /// wrote (it always picks the narrow form when it fits; a foreign
+    /// encoder that did not would still decode to the same events).
+    pub fn encoded(&self) -> Option<&[u8]> {
+        (!self.encoded.is_empty()).then_some(&self.encoded)
+    }
+
+    /// Records `bytes` as what the columns were just decoded from.
+    pub(crate) fn set_encoded(&mut self, bytes: &[u8]) {
+        self.encoded.extend_from_slice(bytes);
+    }
+
+    /// Appends one event, scattering its fields across the columns. The
+    /// block no longer matches any bytes it was decoded from, so it
+    /// forgets them.
     #[inline]
     pub fn push(&mut self, event: &Event) {
+        self.encoded.clear();
         let (kind, a, b, size, slot, slots) = match *event {
             Event::CreateRoot { node, size, slots } => {
                 (codec::TAG_CREATE_ROOT, node.0, 0, size.get(), 0, slots)
@@ -262,6 +296,41 @@ mod tests {
         assert_eq!(batched, per_event);
         assert_eq!(cursor.decoded(), trace.events());
         assert_eq!(cursor.remaining_events(), 0);
+    }
+
+    #[test]
+    fn a_decoded_block_keeps_its_bytes_until_it_is_touched() {
+        let events = random_events(6, 300);
+        let trace = EncodedTrace::from_events(WorkloadParams::small(), &events);
+        let mut whole = Vec::new();
+        trace.write_to(&mut whole).unwrap();
+        let body = &whole[whole.len() - trace.byte_len()..];
+        // Ragged cuts: each block's bytes are its own slice of the stream,
+        // and the slices tile it.
+        let mut cursor = trace.cursor();
+        let mut block = EventBlock::new();
+        let mut seen = Vec::new();
+        for max in [1, 97, 5, 1000] {
+            cursor.next_block_of(&mut block, max).unwrap();
+            let bytes = block.encoded().expect("decoded blocks keep their bytes");
+            let mut redone = Vec::new();
+            block
+                .iter()
+                .for_each(|e| codec::encode_event(&mut redone, &e));
+            assert_eq!(bytes, redone);
+            seen.extend_from_slice(bytes);
+        }
+        assert_eq!(seen, body);
+        assert_eq!(cursor.next_block(&mut block).unwrap(), 0);
+        assert!(block.encoded().is_none(), "an empty block has no bytes");
+
+        trace.cursor().next_block(&mut block).unwrap();
+        assert_eq!(block.clone().encoded(), block.encoded());
+        block.push(&events[0]);
+        assert!(block.encoded().is_none(), "push forgets the bytes");
+        trace.cursor().next_block(&mut block).unwrap();
+        block.clear();
+        assert!(block.encoded().is_none(), "clear forgets the bytes");
     }
 
     #[test]

@@ -343,7 +343,8 @@ impl TraceCursor<'_> {
 
     /// [`TraceCursor::next_block`] cut short at `max` events, for a replay
     /// loop that must stop at an exact event position (recovery verifies
-    /// each snapshot where it was taken).
+    /// each snapshot where it was taken). The block keeps the bytes it was
+    /// decoded from ([`crate::block::EventBlock::encoded`]).
     #[inline]
     pub fn next_block_of(
         &mut self,
@@ -351,12 +352,16 @@ impl TraceCursor<'_> {
         max: usize,
     ) -> Result<usize> {
         block.clear();
+        let start = self.pos;
         while block.len() < max {
             match self.next_event()? {
                 Some(event) => block.push(&event),
                 None => break,
             }
         }
+        // Only after every event decoded cleanly: the block's bytes are
+        // validated bytes, never a prefix that ended in an error.
+        block.set_encoded(&self.buf[start..self.pos]);
         Ok(block.len())
     }
 

@@ -73,10 +73,13 @@ serve shards="4" streams="8" scale="25":
     cargo run --release -p pgc-bench --bin client_server -- \
         --shards {{shards}} --streams {{streams}} --scale {{scale}}
 
-# Shard-count invariance: the 1/2/4-shard equivalence suite (the
-# server_scalability numbers come from `just bench-report`).
+# The server's own tests (ring inbox, remset, worker batching) and the
+# 1/2/4-shard and drain-batching equivalence suite (the
+# server_scalability numbers come from `just bench-report`). The same two
+# commands run under ThreadSanitizer in CI's advisory job.
 shards:
-    cargo test -q --test shard_equivalence
+    cargo test -q -p pgc-server --lib
+    cargo test -q -p pgc --test shard_equivalence
 
 # Crash-recovery smoke: a clean durable run recovered with a pinned
 # digest, then two mid-run kills (no final snapshot, buffered log tail

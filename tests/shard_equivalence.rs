@@ -11,8 +11,11 @@
 //! reclaimed, and report identical counters at every shard count.
 
 use pgc::core::PolicyKind;
-use pgc::prelude::{RunConfig, RunOutcome, Server, ServerConfig, Simulation, StreamId};
+use pgc::prelude::{
+    outcome_digest, RunConfig, RunOutcome, Server, ServerConfig, Simulation, StreamId,
+};
 use pgc::telemetry::TelemetryLevel;
+use pgc::types::SimRng;
 use pgc::workload::{EncodedTrace, Event, NodeId, SyntheticWorkload, TraceSegment};
 use std::sync::Arc;
 
@@ -65,6 +68,22 @@ fn link_nodes(events: &[Event]) -> Vec<NodeId> {
         .collect()
 }
 
+/// One shared encoded trace per stream, tiled into `BATCH`-event segments:
+/// every batch submitted is a refcounted byte range of it.
+fn stream_segments(
+    configs: &[(StreamId, RunConfig)],
+    events: &[Vec<Event>],
+) -> Vec<Vec<TraceSegment>> {
+    configs
+        .iter()
+        .zip(events)
+        .map(|((_, cfg), events)| {
+            let trace = Arc::new(EncodedTrace::from_events(cfg.workload.clone(), events));
+            EncodedTrace::segments(&trace, BATCH as u64).expect("segments")
+        })
+        .collect()
+}
+
 /// Runs every stream on a fleet of `shards` shards, interleaving segments
 /// round-robin and registering a ring of cross-stream links midway.
 fn run_fleet(
@@ -76,18 +95,9 @@ fn run_fleet(
     for (stream, cfg) in configs {
         server.open_stream(*stream, cfg.clone()).expect("open");
     }
-    // One shared encoded trace per stream: every batch submitted is a
-    // refcounted byte range of it, tiled up front.
-    let mut segments: Vec<Vec<TraceSegment>> = configs
-        .iter()
-        .zip(events)
-        .map(|((_, cfg), events)| {
-            let trace = Arc::new(EncodedTrace::from_events(cfg.workload.clone(), events));
-            let mut segs = EncodedTrace::segments(&trace, BATCH as u64).expect("segments");
-            segs.reverse(); // pop() from the back yields submission order
-            segs
-        })
-        .collect();
+    let mut segments = stream_segments(configs, events);
+    // pop() from the back yields submission order
+    segments.iter_mut().for_each(|segs| segs.reverse());
     let mut cursors = vec![0usize; configs.len()];
     let mut linked = false;
     loop {
@@ -238,6 +248,90 @@ fn cross_shard_links_register_once_and_clean_on_reclaim() {
         "no linked target was reclaimed — the workload never exercised \
          the clean path: {stats:?}"
     );
+}
+
+/// How a worker batches its ring must be invisible too. A one-slot ring
+/// hands the worker one message at a time, so nothing can be regrouped and
+/// the fleet is served in exactly submission order; a 256-slot ring lets
+/// it pull a stream's segments — and the links that resolve against that
+/// stream — out from between every other stream's. With links seeded all
+/// through the run (some resolve, some dangle, some are cleaned or
+/// relocated later), every stream's digest, the remset counters, and the
+/// links left into every stream must be the same in both, at every shard
+/// count.
+#[test]
+fn drain_batching_is_invisible_in_results_and_links() {
+    let configs = stream_configs();
+    let events = stream_events(&configs);
+    let segments = stream_segments(&configs, &events);
+
+    let run = |shards: usize, inbox_capacity: usize| {
+        let mut server =
+            Server::start(ServerConfig::new(shards).with_inbox_capacity(inbox_capacity));
+        for (stream, cfg) in &configs {
+            server.open_stream(*stream, cfg.clone()).expect("open");
+        }
+        // Round-robin over the streams, a seeded link before every third
+        // submit, naming a node its target may or may not have been sent
+        // yet.
+        let mut rng = SimRng::new(0xD2A1);
+        let mut sent = [0u64; STREAMS];
+        let mut submits = 0;
+        for round in 0.. {
+            let mut any = false;
+            for (i, (stream, _)) in configs.iter().enumerate() {
+                let Some(segment) = segments[i].get(round) else {
+                    continue;
+                };
+                any = true;
+                if submits % 3 == 0 {
+                    let target = rng.pick_index(STREAMS);
+                    let source = (target + 1 + rng.pick_index(STREAMS - 1)) % STREAMS;
+                    let node = NodeId(rng.below((sent[target] / 4).max(1)));
+                    server
+                        .link(configs[source].0, configs[target].0, node)
+                        .expect("link");
+                }
+                server
+                    .submit_segment(*stream, segment.clone())
+                    .expect("submit_segment");
+                sent[i] += segment.events();
+                submits += 1;
+            }
+            if !any {
+                break;
+            }
+        }
+        let fleet = server.shutdown().expect("shutdown");
+        assert!(fleet
+            .ring_high_water
+            .iter()
+            .all(|&h| h <= inbox_capacity as u64));
+        let digests: Vec<u64> = fleet
+            .outcomes
+            .iter()
+            .map(|(_, o)| outcome_digest(o))
+            .collect();
+        let links: Vec<_> = configs.iter().map(|(s, _)| fleet.links_into(*s)).collect();
+        (digests, fleet.remset, links)
+    };
+
+    let reference = run(1, 1);
+    let (_, stats, links) = &reference;
+    assert!(stats.registered > 0 && stats.dangling > 0, "{stats:?}");
+    assert!(stats.cleaned > 0 && stats.relocated > 0, "{stats:?}");
+    assert!(
+        links.iter().any(|l| !l.is_empty()),
+        "some link must survive"
+    );
+    for shards in SHARD_COUNTS {
+        for inbox_capacity in [1, 256] {
+            assert!(
+                run(shards, inbox_capacity) == reference,
+                "{shards} shard(s), {inbox_capacity}-slot rings"
+            );
+        }
+    }
 }
 
 /// How a client cuts its stream must be semantically invisible: a stream
