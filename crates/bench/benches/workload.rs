@@ -60,7 +60,7 @@ fn main() {
         black_box(n)
     });
     // Batched decode: same stream, but decoded a block at a time into one
-    // reused struct-of-arrays buffer (the intra-run parallel replay path).
+    // reused struct-of-arrays buffer (the encoded replay path).
     r.bench_batched(
         "encoded/decode_block",
         || pgc_workload::EventBlock::with_capacity(pgc_workload::BLOCK_EVENTS),

@@ -38,7 +38,6 @@ fn base(args: &CommonArgs, policy: PolicyKind, seed: u64) -> RunConfig {
     let cfg = RunConfig::paper(policy, seed);
     let target = args.scale_bytes(cfg.workload.target_allocated);
     cfg.with_heap_growth(target)
-        .with_parallelism(args.parallelism())
 }
 
 fn main() {

@@ -35,7 +35,6 @@ fn main() {
                 let cfg = paper::headline(policy, seed);
                 let target = args.scale_bytes(cfg.workload.target_allocated);
                 cfg.with_heap_growth(target)
-                    .with_parallelism(args.parallelism())
             },
         )
         .expect("headline experiment runs");
@@ -57,7 +56,6 @@ fn main() {
                     let cfg = paper::connectivity(policy, seed, dense);
                     let target = args.scale_bytes(cfg.workload.target_allocated);
                     cfg.with_heap_growth(target)
-                        .with_parallelism(args.parallelism())
                 },
             )
             .expect("connectivity experiment runs");
@@ -73,7 +71,7 @@ fn main() {
         .map(|policy| {
             let mut cfg = paper::time_series(policy, 1);
             cfg.workload.target_allocated = args.scale_bytes(cfg.workload.target_allocated);
-            (policy, cfg.with_parallelism(args.parallelism()))
+            (policy, cfg)
         })
         .collect();
     let series = experiment.run_jobs(jobs).expect("time series runs");
@@ -111,7 +109,6 @@ fn main() {
                     let cfg = paper::scaled(policy, seed, mib);
                     let target = args.scale_bytes(cfg.workload.target_allocated);
                     cfg.with_heap_growth(target)
-                        .with_parallelism(args.parallelism())
                 },
             )
             .expect("scalability experiment runs");

@@ -23,7 +23,7 @@ fn main() {
         .map(|policy| {
             let mut cfg = paper::time_series(policy, seed);
             cfg.workload.target_allocated = args.scale_bytes(cfg.workload.target_allocated);
-            (policy, cfg.with_parallelism(args.parallelism()))
+            (policy, cfg)
         })
         .collect();
     let results = Experiment::new().run_jobs(jobs).expect("runs complete");

@@ -52,7 +52,6 @@ fn main() {
         let cfg = paper::headline(policy, seed);
         let target = args.scale_bytes(cfg.workload.target_allocated);
         cfg.with_heap_growth(target)
-            .with_parallelism(args.parallelism())
     };
 
     // Fixed policies ride the shared-trace engine (one recording per

@@ -14,15 +14,20 @@
 //! * a **bit-identical check**: for seeds 0–9 on the small configuration,
 //!   the dense-oracle `MostGarbage` run and the reference-oracle run must
 //!   produce equal `RunTotals` — the dense structures change no simulated
-//!   outcome, only wall-clock time.
+//!   outcome, only wall-clock time;
+//! * the **block-decode** leg: one encoded paper trace replayed through
+//!   the pre-dense execution model (per-event decode, hash-set oracle) and
+//!   through the batched block loop (`drive_encoded`). Both legs must pick
+//!   identical victims at any scale, and at full scale the block loop must
+//!   beat the pre-dense leg by 1.5x.
 //!
 //! It also measures the **shared-trace experiment engine** and writes
 //! `BENCH_experiment.json`: the full 11-policy paper-config sweep, timed
 //! once on the pre-change per-job scheduler (every job regenerates its
 //! workload inline) and once on the engine (record each seed's trace once,
 //! replay everywhere). The two sweeps must agree on every job's totals and
-//! victim sequence, and — at full scale — the speedup must stay above 90%
-//! of the recorded value, or the process exits nonzero.
+//! victim sequence, and — at full scale — the speedup must stay above
+//! 1.35x, or the process exits nonzero.
 //!
 //! It also gates the **derive-layer policy engine** and writes
 //! `BENCH_policy.json`: the `UpdatedPointer` paper replay (the paper's
@@ -39,17 +44,6 @@
 //! telemetry off, and at full telemetry. The off path must stay within 2%
 //! of the bare loop and the full path within 10% (gates binding at full
 //! scale), and neither level may change totals or the victim sequence.
-//!
-//! Finally it gates the **intra-run parallel hot path** and writes
-//! `BENCH_parallel.json`: one encoded paper trace replayed three ways —
-//! the pre-dense execution model (per-event decode, hash-set oracle), the
-//! batched serial block loop, and the full parallel pipeline (decode-ahead
-//! thread, work-stealing parallel oracle) at `--intra-threads` workers.
-//! All three legs must pick identical victims (the `Deterministic(n)`
-//! contract). At full scale the serial block loop must beat the pre-dense
-//! leg by 1.5x on any machine, and — on machines with at least
-//! `--intra-threads` cores — the parallel leg must beat it by 2.5x, all
-//! measured in the same process.
 //!
 //! Finally it gates the **sharded server runtime** and writes
 //! `BENCH_server.json`: the same set of client streams run on 1, 2, and 4
@@ -75,7 +69,7 @@
 
 use pgc_bench::CommonArgs;
 use pgc_core::policy::{fallback_victim, PolicyKind, SelectionPolicy};
-use pgc_core::{build_policy, build_policy_with, Collector};
+use pgc_core::{build_policy, Collector};
 use pgc_durable::{DurabilityConfig, ScratchDir};
 use pgc_odb::oracle::{self, OracleScratch};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
@@ -85,7 +79,7 @@ use pgc_sim::{
     RunOutcome, Shard, Simulation, TelemetryLevel,
 };
 use pgc_telemetry::TelemetryObserver;
-use pgc_types::{Parallelism, PartitionId};
+use pgc_types::PartitionId;
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EncodedTrace, Event, SyntheticWorkload, TraceCache, TraceSegment};
 use std::fmt::Write as _;
@@ -93,44 +87,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Paper-config `MostGarbage` events/sec recorded before the barrier event
-/// bus landed (the dense-ID PR's `BENCH_hotpath.json`). The bus adds an
-/// enum-dispatch hop to every mutation, so this is the yardstick the
-/// `bus_overhead` section measures against: staying within 10% means the
-/// typed event stream is effectively free on the hot path.
-const PRE_BUS_PAPER_MOSTGARBAGE_EPS: f64 = 4_990_198.0;
+/// Required speedup of the shared-trace sweep (record each seed once,
+/// replay everywhere) over the per-job scheduler (every job regenerates
+/// its workload), both timed in this process. The generator is the only
+/// work the engine removes; full-scale paired passes measure 1.5–1.8x.
+const SWEEP_SPEEDUP_GATE: f64 = 1.35;
 
-/// Shared-trace sweep speedup recorded when the engine landed: the full
-/// 11-policy × 3-seed paper-config sweep on the engine (record each seed
-/// once, replay everywhere) versus the pre-change per-job scheduler (every
-/// job regenerates its workload). The generator is the only work the engine
-/// removes, so the ratio is a machine-portable property of the sweep —
-/// full-scale paired passes measured 1.5–1.8x; this records the
-/// conservative end, and the gate fails when a full-scale run measures
-/// less than 90% of it.
-const RECORDED_SWEEP_SPEEDUP: f64 = 1.5;
-
-/// Paper-config `UpdatedPointer` events/sec recorded immediately before the
-/// derive layer landed, when the policy still hand-maintained its private
-/// overwrite scoreboard (best-of-3, this harness's replay loop). The
-/// `policy_engine` gate holds the revision-stamped derived-state port to
-/// ≥ 95% of this: memoized selection must not tax the barrier hot path.
-const PRE_DERIVE_PAPER_UPDATEDPOINTER_EPS: f64 = 11_391_478.4;
-
-/// Required single-run speedup of the intra-run parallel pipeline
-/// (decode-ahead thread + work-stealing parallel oracle) over the
-/// pre-dense execution model (per-event decode, hash-set oracle) on the
-/// paper `MostGarbage` replay. Both legs are measured in the same process
-/// over the same encoded trace. Binds at full scale, and only on machines
-/// with at least `--intra-threads` available cores — on fewer cores the
-/// worker threads time-slice one CPU and wall-clock parallel speedup is
-/// physically unmeasurable (bit-identity still binds everywhere).
-const PARALLEL_SPEEDUP_GATE: f64 = 2.5;
-
-/// Required speedup of the *serial* batched block loop (SoA decode, dense
-/// oracle, no threads) over the same pre-dense leg. Unlike the parallel
-/// gate this involves no concurrency, so it binds at full scale on any
-/// machine, including single-core CI runners.
+/// Required speedup of the batched block loop (SoA decode into a reused
+/// `EventBlock`, dense oracle) over the pre-dense execution model
+/// (per-event decode, hash-set oracle) on the paper `MostGarbage` replay.
+/// Both legs run in this process over the same encoded trace; the gate
+/// binds at full scale.
 const BATCHED_SPEEDUP_GATE: f64 = 1.5;
 
 /// Required aggregate-throughput speedup of the sharded server runtime at
@@ -271,31 +238,13 @@ fn replayer_for(cfg: &RunConfig, policy: Box<dyn SelectionPolicy>) -> Replayer {
     Replayer::new(db, collector)
 }
 
-/// Like [`replayer_for`], but builds the collector — and the policy, when
-/// it owns parallelism-aware kernels — in the given intra-run execution
-/// mode.
-fn mode_replayer(cfg: &RunConfig, parallelism: Parallelism) -> Replayer {
-    let db = Database::new(cfg.db.clone()).expect("db config");
-    let policy = build_policy_with(
-        cfg.policy,
-        cfg.policy_seed(),
-        cfg.db.max_weight,
-        parallelism,
-    );
-    let collector = Collector::with_trigger(policy, cfg.effective_trigger())
-        .with_batch(cfg.collect_batch)
-        .with_parallelism(parallelism);
-    Replayer::new(db, collector)
-}
-
 /// Replays `events` under `policy`, returning the timed row and totals
 /// (events applied + collections, used for cross-checking runs).
 ///
 /// Best-of-3: each pass rebuilds the replayer from scratch and the fastest
 /// wall time wins — the max-throughput estimator sheds scheduler noise that
-/// a single ~100 ms sample cannot (and that would flap the `bus_overhead`
-/// within-10% gate). Repeats double as a determinism check: every pass must
-/// apply the same events and perform the same collections.
+/// a single ~100 ms sample cannot. Repeats double as a determinism check:
+/// every pass must apply the same events and perform the same collections.
 fn timed_replay(
     config: &'static str,
     cfg: &RunConfig,
@@ -432,29 +381,6 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// The pre-change baseline recorded by `perf_baseline` (see the
-/// `bench-baseline` recipe in the justfile), if one has been captured.
-struct RecordedBaseline {
-    raw: String,
-    paper_mostgarbage_eps: f64,
-}
-
-fn read_recorded_baseline() -> Option<RecordedBaseline> {
-    let raw = std::fs::read_to_string("BENCH_baseline.json").ok()?;
-    let key = "\"paper_mostgarbage_events_per_sec\":";
-    let rest = &raw[raw.find(key)? + key.len()..];
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    let paper_mostgarbage_eps = num.parse().ok()?;
-    Some(RecordedBaseline {
-        raw: raw.trim_end().to_string(),
-        paper_mostgarbage_eps,
-    })
-}
-
 fn main() {
     let args = CommonArgs::parse();
     let mut rows: Vec<ReplayRow> = Vec::new();
@@ -543,31 +469,8 @@ fn main() {
         .map(|(_, v)| *v)
         .unwrap_or(f64::INFINITY);
 
-    // The speedup headline compares against the recorded pre-change run
-    // (old object table AND old oracle) when one exists; the in-process
-    // reference-oracle replay otherwise (which understates the win — it
-    // still enjoys the slab object table on every event).
-    let recorded = read_recorded_baseline();
-    let (baseline_kind, baseline_paper_eps) = match &recorded {
-        Some(b) => ("pre-change run (perf_baseline)", b.paper_mostgarbage_eps),
-        None => ("reference-oracle replay", reference_paper_eps),
-    };
-    let replay_speedup = dense_paper_eps / baseline_paper_eps.max(1e-9);
-    println!("  MostGarbage paper speedup: {replay_speedup:.2}x vs {baseline_kind}");
-
-    // --- Event-bus overhead vs the recorded pre-bus run. Only meaningful
-    // at full scale: a shrunk workload replays a different event mix. ---
-    let bus_ratio = dense_paper_eps / PRE_BUS_PAPER_MOSTGARBAGE_EPS;
-    let bus_within_10pct = bus_ratio >= 0.90;
-    println!(
-        "  event-bus overhead: {:.1}% of pre-bus throughput ({})",
-        bus_ratio * 100.0,
-        if bus_within_10pct {
-            "within 10%"
-        } else {
-            "REGRESSION beyond 10%"
-        }
-    );
+    let replay_speedup = dense_paper_eps / reference_paper_eps.max(1e-9);
+    println!("  MostGarbage paper speedup: {replay_speedup:.2}x vs reference-oracle replay");
 
     // --- Policy engine: derived-state selection vs the hand-rolled
     // scoreboard it replaced. `UpdatedPointer` on the paper config is the
@@ -575,9 +478,8 @@ fn main() {
     // barrier-counter state). Paired best-of-N passes — each pass times
     // the derive-backed policy and the reproduced pre-derive scoreboard
     // back-to-back, order alternating — and the best within-pass ratio is
-    // gated at ≥ 95%, binding at full scale. The recorded pre-derive
-    // constant rides along in the JSON for cross-run context. Both legs
-    // must pick identical victims at any scale. ---
+    // gated at ≥ 95%, binding at full scale. Both legs must pick
+    // identical victims at any scale. ---
     println!("measuring the derive-layer policy engine (UpdatedPointer paper replay)...");
     const POLICY_PASSES: usize = 5;
     let mut derive_secs = f64::INFINITY;
@@ -693,10 +595,10 @@ fn main() {
     );
     let sweep_seeds: Vec<u64> = (1..=args.seeds.min(3)).collect();
     let threads = experiment::default_threads();
-    // The recorded speedup constant was calibrated on the 11-policy slate
-    // that existed when the engine landed; the two derive-native extensions
-    // (whose replay cost the `policy_engine` section gates separately) are
-    // excluded so the ratio stays comparable across runs.
+    // The gate was set on the 11-policy slate that existed when the engine
+    // landed; the two derive-native extensions (whose replay cost the
+    // `policy_engine` section gates separately) are excluded so the
+    // generator/replay balance it judges stays the same.
     let sweep_policies: Vec<PolicyKind> = PolicyKind::ALL
         .into_iter()
         .filter(|k| !matches!(k, PolicyKind::Composite | PolicyKind::AdaptiveMeta))
@@ -783,11 +685,10 @@ fn main() {
     // (the engine pays one per seed), over the per-job wall clock.
     let generator_share =
         (record_secs / sweep_seeds.len() as f64) * sweep_jobs.len() as f64 / per_job_secs.max(1e-9);
-    // Workload size changes the generator/replay balance, so the recorded
-    // ratio only binds at full scale.
-    let sweep_gate = 0.9 * RECORDED_SWEEP_SPEEDUP;
+    // Workload size changes the generator/replay balance, so the gate only
+    // binds at full scale.
     let sweep_gate_applies = args.scale_pct == 100;
-    let sweep_gate_ok = !sweep_gate_applies || sweep_speedup >= sweep_gate;
+    let sweep_gate_ok = !sweep_gate_applies || sweep_speedup >= SWEEP_SPEEDUP_GATE;
     println!(
         "  per-job generation: {per_job_secs:>8.2}s  ({:.0} events/sec)",
         sweep_events as f64 / per_job_secs.max(1e-9)
@@ -797,7 +698,7 @@ fn main() {
         sweep_events as f64 / engine_secs.max(1e-9)
     );
     println!(
-        "  sweep speedup: {sweep_speedup:.2}x (recorded {RECORDED_SWEEP_SPEEDUP:.2}x, gate {sweep_gate:.2}x{}); generator share {:.0}%",
+        "  sweep speedup: {sweep_speedup:.2}x (gate {SWEEP_SPEEDUP_GATE:.2}x{}); generator share {:.0}%",
         if sweep_gate_applies {
             ""
         } else {
@@ -808,7 +709,7 @@ fn main() {
     println!("  sweep bit-identical: {sweep_identical}");
     if !sweep_gate_ok {
         eprintln!(
-            "REGRESSION: sweep speedup {sweep_speedup:.2}x fell below the {sweep_gate:.2}x gate"
+            "REGRESSION: sweep speedup {sweep_speedup:.2}x fell below the {SWEEP_SPEEDUP_GATE:.2}x gate"
         );
     }
 
@@ -947,40 +848,27 @@ fn main() {
         eprintln!("MISMATCH: telemetry level changed simulated outcomes");
     }
 
-    // --- Intra-run parallel hot path: one encoded paper trace replayed
-    // three ways. Leg 0 is the pre-dense execution model — decode one
-    // event at a time, apply it, answer every trigger with the hash-set
-    // reference oracle. Leg 1 is the batched serial block loop (SoA decode
-    // into a reused `EventBlock`, dense oracle). Leg 2 is the full
-    // pipeline: a decode-ahead thread keeps blocks in flight while the
-    // applier drains them, and every trigger runs the work-stealing
-    // parallel oracle at `--intra-threads` workers. Paired best-of-N
-    // passes, order rotating; the within-pass ratios cancel background
-    // load and the best ratio per gate wins. Victim sequences must match
-    // across legs and passes at any scale (the `Deterministic(n)`
-    // bit-identity contract); the speedup gate binds at full scale. ---
-    let intra = args.parallelism();
-    println!(
-        "measuring the intra-run parallel hot path ({} workers)...",
-        intra.worker_count()
-    );
+    // --- Block decode: one encoded paper trace replayed two ways. Leg 0
+    // is the pre-dense execution model — decode one event at a time, apply
+    // it, answer every trigger with the hash-set reference oracle. Leg 1
+    // is the batched block loop (SoA decode into a reused `EventBlock`,
+    // dense oracle). Paired best-of-N passes, order alternating. Victim
+    // sequences must match across legs and passes at any scale; the
+    // speedup gate binds at full scale. ---
+    println!("measuring block decode (per-event pre-dense vs batched block loop)...");
     let paper_trace = EncodedTrace::record(paper.workload.clone()).expect("record paper trace");
-    const PARALLEL_PASSES: usize = 3;
-    let mut prepar_secs = f64::INFINITY;
-    let mut serial_block_secs = f64::INFINITY;
-    let mut parallel_secs = f64::INFINITY;
-    let mut best_parallel_speedup = 0.0f64;
-    let mut best_vs_serial_block = 0.0f64;
-    let mut leg_victims: [Option<Vec<PartitionId>>; 3] = [None, None, None];
-    for pass in 0..PARALLEL_PASSES {
-        let (mut r, mut s, mut p) = (0.0f64, 0.0f64, 0.0f64);
-        let order = [[0usize, 1, 2], [1, 2, 0], [2, 0, 1]][pass % 3];
-        for leg in order {
-            let mut replayer = match leg {
-                0 => replayer_for(&paper, Box::new(ReferenceMostGarbage)),
-                1 => mode_replayer(&paper, Parallelism::Serial),
-                _ => mode_replayer(&paper, intra),
+    const BLOCK_PASSES: usize = 3;
+    let mut pre_dense_secs = f64::INFINITY;
+    let mut block_secs = f64::INFINITY;
+    let mut leg_victims: [Option<Vec<PartitionId>>; 2] = [None, None];
+    for pass in 0..BLOCK_PASSES {
+        for leg in [pass % 2, (pass + 1) % 2] {
+            let policy: Box<dyn SelectionPolicy> = if leg == 0 {
+                Box::new(ReferenceMostGarbage)
+            } else {
+                dense_policy(&paper)
             };
+            let mut replayer = replayer_for(&paper, policy);
             let t0 = Instant::now();
             if leg == 0 {
                 let mut cursor = paper_trace.cursor();
@@ -988,8 +876,7 @@ fn main() {
                     replayer.apply(&event).expect("pre-dense replay");
                 }
             } else {
-                let mode = if leg == 1 { Parallelism::Serial } else { intra };
-                drive_encoded(&mut replayer, &paper_trace, mode).expect("block replay");
+                drive_encoded(&mut replayer, &paper_trace).expect("block replay");
             }
             let secs = t0.elapsed().as_secs_f64();
             assert_eq!(
@@ -1000,102 +887,44 @@ fn main() {
             let victims: Vec<PartitionId> =
                 replayer.collections().iter().map(|c| c.victim).collect();
             match &leg_victims[leg] {
-                Some(v) => assert_eq!(*v, victims, "parallel-leg replay determinism"),
+                Some(v) => assert_eq!(*v, victims, "block-decode replay determinism"),
                 None => leg_victims[leg] = Some(victims),
             }
-            match leg {
-                0 => r = secs,
-                1 => s = secs,
-                _ => p = secs,
+            if leg == 0 {
+                pre_dense_secs = pre_dense_secs.min(secs);
+            } else {
+                block_secs = block_secs.min(secs);
             }
         }
-        best_parallel_speedup = best_parallel_speedup.max(r / p.max(1e-9));
-        best_vs_serial_block = best_vs_serial_block.max(s / p.max(1e-9));
-        prepar_secs = prepar_secs.min(r);
-        serial_block_secs = serial_block_secs.min(s);
-        parallel_secs = parallel_secs.min(p);
     }
-    // Same two noise-shedding estimators as the other paired gates.
-    best_parallel_speedup = best_parallel_speedup.max(prepar_secs / parallel_secs.max(1e-9));
-    best_vs_serial_block = best_vs_serial_block.max(serial_block_secs / parallel_secs.max(1e-9));
-    let best_batched_speedup = prepar_secs / serial_block_secs.max(1e-9);
-    let parallel_identical = leg_victims[0].is_some()
-        && leg_victims[0] == leg_victims[1]
-        && leg_victims[1] == leg_victims[2];
+    let batched_speedup = pre_dense_secs / block_secs.max(1e-9);
+    let block_identical = leg_victims[0].is_some() && leg_victims[0] == leg_victims[1];
     let trace_events = paper_trace.events() as f64;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let batched_gate_applies = args.scale_pct == 100;
-    // Wall-clock parallel speedup needs real cores to run the workers on;
-    // on a machine with fewer cores than workers the threads time-slice
-    // one CPU and only the (always-binding) bit-identity is meaningful.
-    let parallel_gate_applies = batched_gate_applies && cores >= intra.worker_count();
-    let batched_gate_ok = !batched_gate_applies || best_batched_speedup >= BATCHED_SPEEDUP_GATE;
-    let parallel_gate_ok = (!parallel_gate_applies
-        || best_parallel_speedup >= PARALLEL_SPEEDUP_GATE)
-        && batched_gate_ok
-        && parallel_identical;
-    // A wall-clock gate that cannot bind records *why* in the artifact —
-    // a skipped gate must be distinguishable from a passed one.
-    let parallel_gate_status = if !parallel_identical {
-        "failed (victim mismatch)"
-    } else if !batched_gate_ok {
-        "failed (batched leg below gate)"
-    } else if !batched_gate_applies {
-        "skipped (reduced scale)"
-    } else if cores < intra.worker_count() {
-        "skipped (insufficient cores)"
-    } else if best_parallel_speedup >= PARALLEL_SPEEDUP_GATE {
-        "passed"
-    } else {
-        "failed"
-    };
+    let batched_gate_ok =
+        (!batched_gate_applies || batched_speedup >= BATCHED_SPEEDUP_GATE) && block_identical;
     println!(
-        "  pre-dense (per-event):   {prepar_secs:>8.3}s  ({:.0} events/sec)",
-        trace_events / prepar_secs.max(1e-9)
+        "  pre-dense (per-event):   {pre_dense_secs:>8.3}s  ({:.0} events/sec)",
+        trace_events / pre_dense_secs.max(1e-9)
     );
     println!(
-        "  serial block loop:       {serial_block_secs:>8.3}s  ({:.0} events/sec)",
-        trace_events / serial_block_secs.max(1e-9)
+        "  block loop:              {block_secs:>8.3}s  ({:.0} events/sec)",
+        trace_events / block_secs.max(1e-9)
     );
     println!(
-        "  parallel pipeline:       {parallel_secs:>8.3}s  ({:.0} events/sec)",
-        trace_events / parallel_secs.max(1e-9)
-    );
-    println!(
-        "  batched speedup:  {best_batched_speedup:.2}x vs pre-dense (gate {BATCHED_SPEEDUP_GATE:.1}x{})",
+        "  batched speedup:  {batched_speedup:.2}x vs pre-dense (gate {BATCHED_SPEEDUP_GATE:.1}x{})",
         if batched_gate_applies {
             ""
         } else {
             ", not binding at this --scale"
         }
     );
-    println!(
-        "  parallel speedup: {best_parallel_speedup:.2}x vs pre-dense (gate {PARALLEL_SPEEDUP_GATE:.1}x{}), {best_vs_serial_block:.2}x vs serial blocks",
-        if parallel_gate_applies {
-            ""
-        } else if !batched_gate_applies {
-            ", not binding at this --scale"
-        } else {
-            ", not binding: too few cores"
-        }
-    );
-    println!(
-        "  available cores: {cores} (workers: {})",
-        intra.worker_count()
-    );
-    println!("  parallel gate status: {parallel_gate_status}");
-    println!("  victims bit-identical across legs: {parallel_identical}");
-    if !parallel_identical {
-        eprintln!("MISMATCH: parallel execution changed the victim sequence");
+    println!("  victims bit-identical across legs: {block_identical}");
+    if !block_identical {
+        eprintln!("MISMATCH: block decode changed the victim sequence");
     } else if !batched_gate_ok {
         eprintln!(
-            "REGRESSION: batched speedup {best_batched_speedup:.2}x fell below the {BATCHED_SPEEDUP_GATE:.1}x gate"
-        );
-    } else if !parallel_gate_ok {
-        eprintln!(
-            "REGRESSION: parallel speedup {best_parallel_speedup:.2}x fell below the {PARALLEL_SPEEDUP_GATE:.1}x gate"
+            "REGRESSION: batched speedup {batched_speedup:.2}x fell below the {BATCHED_SPEEDUP_GATE:.1}x gate"
         );
     }
 
@@ -1195,6 +1024,9 @@ fn main() {
         .map(|s| total_server_events as f64 / s.max(1e-9))
         .collect();
     let max_shards = *SERVER_SHARD_COUNTS.last().expect("non-empty sweep");
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let server_speedup = server_secs[0] / server_secs[SERVER_SHARD_COUNTS.len() - 1].max(1e-9);
     let server_gate_applies = args.scale_pct == 100 && cores >= max_shards;
     let server_gate_ok =
@@ -1351,27 +1183,28 @@ fn main() {
     let _ = writeln!(json, "  \"bit_identical_seeds_0_9\": {identical},");
     let _ = writeln!(
         json,
-        "  \"baseline_kind\": \"{}\",",
-        json_escape(baseline_kind)
+        "  \"mostgarbage_paper_speedup_vs_reference_oracle\": {replay_speedup:.3},"
+    );
+    let _ = writeln!(json, "  \"block_decode\": {{");
+    let _ = writeln!(json, "    \"events\": {},", paper_trace.events());
+    let _ = writeln!(json, "    \"trace_bytes\": {},", paper_trace.byte_len());
+    let _ = writeln!(json, "    \"pre_dense_secs\": {pre_dense_secs:.4},");
+    let _ = writeln!(json, "    \"block_loop_secs\": {block_secs:.4},");
+    let _ = writeln!(
+        json,
+        "    \"pre_dense_events_per_sec\": {:.1},",
+        trace_events / pre_dense_secs.max(1e-9)
     );
     let _ = writeln!(
         json,
-        "  \"mostgarbage_paper_speedup_vs_baseline\": {replay_speedup:.3},"
+        "    \"block_loop_events_per_sec\": {:.1},",
+        trace_events / block_secs.max(1e-9)
     );
-    if let Some(b) = &recorded {
-        let _ = writeln!(json, "  \"pre_change_baseline\": {},", b.raw);
-    }
-    let _ = writeln!(json, "  \"bus_overhead\": {{");
-    let _ = writeln!(
-        json,
-        "    \"pre_bus_paper_mostgarbage_events_per_sec\": {PRE_BUS_PAPER_MOSTGARBAGE_EPS:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"paper_mostgarbage_events_per_sec\": {dense_paper_eps:.1},"
-    );
-    let _ = writeln!(json, "    \"ratio\": {bus_ratio:.3},");
-    let _ = writeln!(json, "    \"within_10pct\": {bus_within_10pct}");
+    let _ = writeln!(json, "    \"speedup\": {batched_speedup:.3},");
+    let _ = writeln!(json, "    \"gate_speedup\": {BATCHED_SPEEDUP_GATE:.3},");
+    let _ = writeln!(json, "    \"gate_applies\": {batched_gate_applies},");
+    let _ = writeln!(json, "    \"gate_ok\": {batched_gate_ok},");
+    let _ = writeln!(json, "    \"bit_identical\": {block_identical}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"oracle\": {{");
     let _ = writeln!(json, "    \"dense_passes_per_sec\": {dense_pps:.1},");
@@ -1430,11 +1263,7 @@ fn main() {
         sweep_events as f64 / engine_secs.max(1e-9)
     );
     let _ = writeln!(ejson, "  \"sweep_speedup\": {sweep_speedup:.3},");
-    let _ = writeln!(
-        ejson,
-        "  \"recorded_sweep_speedup\": {RECORDED_SWEEP_SPEEDUP:.3},"
-    );
-    let _ = writeln!(ejson, "  \"gate_speedup\": {sweep_gate:.3},");
+    let _ = writeln!(ejson, "  \"gate_speedup\": {SWEEP_SPEEDUP_GATE:.3},");
     let _ = writeln!(ejson, "  \"gate_applies\": {sweep_gate_applies},");
     let _ = writeln!(ejson, "  \"gate_ok\": {sweep_gate_ok},");
     let _ = writeln!(
@@ -1453,10 +1282,6 @@ fn main() {
     let _ = writeln!(pjson, "  \"config\": \"paper\",");
     let _ = writeln!(pjson, "  \"policy\": \"UpdatedPointer\",");
     let _ = writeln!(pjson, "  \"events\": {},", paper_events.len());
-    let _ = writeln!(
-        pjson,
-        "  \"recorded_pre_derive_events_per_sec\": {PRE_DERIVE_PAPER_UPDATEDPOINTER_EPS:.1},"
-    );
     let _ = writeln!(
         pjson,
         "  \"hand_rolled_events_per_sec\": {hand_rolled_eps:.1},"
@@ -1522,64 +1347,6 @@ fn main() {
     tjson.push_str("}\n");
     std::fs::write("BENCH_telemetry.json", &tjson).expect("write telemetry report");
     println!("wrote BENCH_telemetry.json");
-
-    // --- BENCH_parallel.json: the intra-run parallel hot-path gate. ---
-    let mut pljson = String::from("{\n");
-    let _ = writeln!(pljson, "  \"harness\": \"perf_report/parallel_hotpath\",");
-    let _ = writeln!(pljson, "  \"scale_pct\": {},", args.scale_pct);
-    let _ = writeln!(pljson, "  \"config\": \"paper\",");
-    let _ = writeln!(pljson, "  \"policy\": \"MostGarbage\",");
-    let _ = writeln!(pljson, "  \"intra_threads\": {},", intra.worker_count());
-    let _ = writeln!(pljson, "  \"available_cores\": {cores},");
-    let _ = writeln!(pljson, "  \"events\": {},", paper_trace.events());
-    let _ = writeln!(pljson, "  \"trace_bytes\": {},", paper_trace.byte_len());
-    let _ = writeln!(pljson, "  \"pre_dense_secs\": {prepar_secs:.4},");
-    let _ = writeln!(pljson, "  \"serial_block_secs\": {serial_block_secs:.4},");
-    let _ = writeln!(pljson, "  \"parallel_secs\": {parallel_secs:.4},");
-    let _ = writeln!(
-        pljson,
-        "  \"pre_dense_events_per_sec\": {:.1},",
-        trace_events / prepar_secs.max(1e-9)
-    );
-    let _ = writeln!(
-        pljson,
-        "  \"serial_block_events_per_sec\": {:.1},",
-        trace_events / serial_block_secs.max(1e-9)
-    );
-    let _ = writeln!(
-        pljson,
-        "  \"parallel_events_per_sec\": {:.1},",
-        trace_events / parallel_secs.max(1e-9)
-    );
-    let _ = writeln!(
-        pljson,
-        "  \"batched_speedup_vs_pre_dense\": {best_batched_speedup:.3},"
-    );
-    let _ = writeln!(
-        pljson,
-        "  \"speedup_vs_pre_dense\": {best_parallel_speedup:.3},"
-    );
-    let _ = writeln!(
-        pljson,
-        "  \"speedup_vs_serial_block\": {best_vs_serial_block:.3},"
-    );
-    let _ = writeln!(
-        pljson,
-        "  \"batched_gate_speedup\": {BATCHED_SPEEDUP_GATE:.3},"
-    );
-    let _ = writeln!(
-        pljson,
-        "  \"batched_gate_applies\": {batched_gate_applies},"
-    );
-    let _ = writeln!(pljson, "  \"batched_gate_ok\": {batched_gate_ok},");
-    let _ = writeln!(pljson, "  \"gate_speedup\": {PARALLEL_SPEEDUP_GATE:.3},");
-    let _ = writeln!(pljson, "  \"gate_applies\": {parallel_gate_applies},");
-    let _ = writeln!(pljson, "  \"gate_status\": \"{parallel_gate_status}\",");
-    let _ = writeln!(pljson, "  \"gate_ok\": {parallel_gate_ok},");
-    let _ = writeln!(pljson, "  \"bit_identical\": {parallel_identical}");
-    pljson.push_str("}\n");
-    std::fs::write("BENCH_parallel.json", &pljson).expect("write parallel report");
-    println!("wrote BENCH_parallel.json");
 
     // --- BENCH_server.json: the sharded-runtime scalability gate. ---
     let join = |vals: &[String]| vals.join(", ");
@@ -1691,7 +1458,7 @@ fn main() {
         || !policy_gate_ok
         || !telemetry_gate_ok
         || !telemetry_identical
-        || !parallel_gate_ok
+        || !batched_gate_ok
         || !server_gate_ok
         || !storage_gate_ok
     {

@@ -20,7 +20,6 @@ fn main() {
                 let cfg = paper::headline(policy, seed);
                 let target = args.scale_bytes(cfg.workload.target_allocated);
                 cfg.with_heap_growth(target)
-                    .with_parallelism(args.parallelism())
             },
         )
         .expect("experiment runs");

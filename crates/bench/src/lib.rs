@@ -64,9 +64,7 @@ pub fn labelled_series(
 /// `--seeds N` (number of seeds, default 10), `--scale PCT` (shrink the
 /// allocation target to PCT% of the paper's, for quick runs), `--out PATH`
 /// (also write the report/CSV to a file), `--telemetry-out PATH` (tap every
-/// run at full telemetry and write one JSONL line per collector activation),
-/// `--intra-threads N` (intra-run worker threads; 1 = serial reference
-/// execution, default 4 — any N is bit-identical to serial).
+/// run at full telemetry and write one JSONL line per collector activation).
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Number of seeds to aggregate over (paper: 10).
@@ -81,11 +79,6 @@ pub struct CommonArgs {
     /// Optional policy-list override (`--policies SPEC`); `None` keeps the
     /// binary's default slate.
     pub policies: Option<Vec<PolicyKind>>,
-    /// Intra-run worker threads (`--intra-threads N`). `1` runs every
-    /// simulation in the serial reference mode; anything larger enables the
-    /// deterministic parallel kernels, which are pinned bit-identical to
-    /// serial.
-    pub intra_threads: u32,
 }
 
 impl Default for CommonArgs {
@@ -96,7 +89,6 @@ impl Default for CommonArgs {
             out: None,
             telemetry_out: None,
             policies: None,
-            intra_threads: 4,
         }
     }
 }
@@ -139,17 +131,11 @@ impl CommonArgs {
                     out.policies =
                         Some(parse_policies(&spec).unwrap_or_else(|e| panic!("--policies: {e}")));
                 }
-                "--intra-threads" => {
-                    out.intra_threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--intra-threads needs a positive integer");
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --seeds N (default 10) --scale PCT (default 100) --out PATH \
                          --telemetry-out PATH --policies SPEC (paper|all|implementable|comma \
-                         list of names) --intra-threads N (default 4; 1 = serial)"
+                         list of names)"
                     );
                     std::process::exit(0);
                 }
@@ -158,19 +144,7 @@ impl CommonArgs {
         }
         assert!(out.seeds >= 1, "--seeds must be at least 1");
         assert!(out.scale_pct >= 1, "--scale must be at least 1");
-        assert!(out.intra_threads >= 1, "--intra-threads must be at least 1");
         out
-    }
-
-    /// The intra-run execution mode implied by `--intra-threads`:
-    /// [`pgc_types::Parallelism::Serial`] for 1, the deterministic
-    /// parallel mode (bit-identical to serial) otherwise.
-    pub fn parallelism(&self) -> pgc_types::Parallelism {
-        if self.intra_threads <= 1 {
-            pgc_types::Parallelism::Serial
-        } else {
-            pgc_types::Parallelism::deterministic(self.intra_threads)
-        }
     }
 
     /// Applies the scale factor to an allocation target.
@@ -325,23 +299,6 @@ mod tests {
             .policy_list(&PolicyKind::PAPER)
             .iter()
             .all(|k| k.is_implementable()));
-    }
-
-    #[test]
-    fn intra_threads_flag_selects_the_execution_mode() {
-        let a = parse(&[]);
-        assert_eq!(a.intra_threads, 4);
-        assert_eq!(a.parallelism(), pgc_types::Parallelism::deterministic(4));
-        let a = parse(&["--intra-threads", "1"]);
-        assert_eq!(a.parallelism(), pgc_types::Parallelism::Serial);
-        let a = parse(&["--intra-threads", "8"]);
-        assert_eq!(a.parallelism(), pgc_types::Parallelism::deterministic(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "--intra-threads")]
-    fn zero_intra_threads_panics() {
-        parse(&["--intra-threads", "0"]);
     }
 
     #[test]

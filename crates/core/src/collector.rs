@@ -11,10 +11,8 @@
 use crate::policies::build_policy;
 use crate::policy::{PolicyKind, SelectionPolicy};
 use crate::scheduler::{GcScheduler, Trigger};
-use pgc_odb::{
-    BarrierEvent, BarrierObserver, CollectionOutcome, CollectionPlan, Database, ObserverRegistry,
-};
-use pgc_types::{Parallelism, PartitionId, Result};
+use pgc_odb::{BarrierEvent, BarrierObserver, CollectionOutcome, Database, ObserverRegistry};
+use pgc_types::{PartitionId, Result};
 
 /// A complete partitioned garbage collector: selection policy + trigger.
 ///
@@ -46,11 +44,6 @@ pub struct Collector {
     /// collected at a time, if doing so was determined to be of
     /// importance") — values above 1 exist for that ablation.
     batch: u32,
-    /// How much intra-run parallelism collection may use. Affects only
-    /// *how* work is computed (zone plans fan out across threads), never
-    /// *what* is computed: `Deterministic(n)` is bit-identical to
-    /// `Serial`.
-    parallelism: Parallelism,
     /// Reused drain buffer so the per-operation pump allocates nothing in
     /// steady state.
     scratch: Vec<BarrierEvent>,
@@ -65,7 +58,6 @@ impl Collector {
             scheduler: GcScheduler::new(overwrite_threshold),
             observers: ObserverRegistry::new(),
             batch: 1,
-            parallelism: Parallelism::Serial,
             scratch: Vec::new(),
         }
     }
@@ -77,7 +69,6 @@ impl Collector {
             scheduler: GcScheduler::with_trigger(trigger),
             observers: ObserverRegistry::new(),
             batch: 1,
-            parallelism: Parallelism::Serial,
             scratch: Vec::new(),
         }
     }
@@ -87,23 +78,6 @@ impl Collector {
     pub fn with_batch(mut self, batch: u32) -> Self {
         self.batch = batch.max(1);
         self
-    }
-
-    /// Sets how much intra-run parallelism collection work may use.
-    ///
-    /// Under [`Parallelism::Deterministic`], batched activations compute
-    /// their zone plans on worker threads; results are bit-identical to
-    /// [`Parallelism::Serial`] because plans are read-only and are applied
-    /// on the coordinating thread in canonical partition-id order.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The collector's parallelism mode.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Convenience constructor from a [`PolicyKind`]; `seed` feeds the
@@ -199,16 +173,25 @@ impl Collector {
         self.force_collect(db)
     }
 
-    /// Selects a victim and collects it immediately (resets the trigger
-    /// window whether or not the policy declined, so `NoCollection` pays no
-    /// compounding bookkeeping). With a batch size above 1, selection and
-    /// collection repeat up to `batch` times per activation.
+    /// Runs one activation immediately (resets the trigger window whether
+    /// or not the policy declined, so `NoCollection` pays no compounding
+    /// bookkeeping): condemn up to `batch` victims, then collect each in
+    /// turn. Returns the last collection's outcome.
     ///
     /// Activation order on the bus: any pending events are drained first;
     /// then a [`BarrierEvent::TriggerTick`] marks the activation; then
     /// every observer's `on_trigger` sees the *pre-collection* database —
     /// this is where shadow scoreboards record the victim they would have
     /// picked — and only then does the driving policy select and collect.
+    ///
+    /// Every pick is made against the pre-collection database, excluding
+    /// the partitions already condemned, and condemnation stops at the
+    /// first pick that shares a remembered pointer (in either direction)
+    /// with an earlier one — so an activation may collect fewer than
+    /// `batch` partitions. The condemned partitions are collected in
+    /// ascending partition-id order; remset-disjointness is why collecting
+    /// them in turn equals collecting each against the pre-collection view
+    /// (`DESIGN.md` §3.4).
     pub fn force_collect(&mut self, db: &mut Database) -> Result<Option<CollectionOutcome>> {
         self.sync(db);
         self.scheduler.collection_done();
@@ -218,62 +201,7 @@ impl Collector {
         self.policy.on_event(&tick);
         self.observers.broadcast(&tick);
         self.observers.notify_trigger(db);
-        if self.batch > 1 {
-            return self.zone_collect(db);
-        }
-        let mut last = None;
-        for _ in 0..self.batch {
-            let Some(victim) = self.policy.select(db) else {
-                break;
-            };
-            // Announce the pick (with the policy's score for it) before
-            // collecting, so bus taps can attribute the collection that
-            // follows. Selection is already made; observers cannot
-            // influence it.
-            let selected = BarrierEvent::VictimSelected {
-                victim,
-                score_bits: self.policy.victim_score(victim).map(f64::to_bits),
-            };
-            self.policy.on_event(&selected);
-            self.observers.broadcast(&selected);
-            let outcome = db.collect_partition(victim)?;
-            // Pump the collection's own events (copies, reclaims, the
-            // completion record) so scoreboards reset before the next
-            // batched selection.
-            self.sync(db);
-            // A meta-policy decides switches while digesting the
-            // collection outcome; announce them on the bus immediately so
-            // taps attribute each switch to the activation that caused it
-            // (the new policy drives from the next activation on).
-            self.broadcast_switches();
-            last = Some(outcome);
-        }
-        Ok(last)
-    }
 
-    /// The batched ("zone") activation protocol: condemn up to `batch`
-    /// remset-disjoint victims against the *pre-collection* database, plan
-    /// each one's collection read-only (on worker threads under
-    /// [`Parallelism::Deterministic`]), then apply the plans on this
-    /// thread in canonical partition-id order — the safepoint between the
-    /// planning fan-out and the apply sequence is the `thread::scope`
-    /// join.
-    ///
-    /// Remset-disjointness (no remembered pointer between any two
-    /// condemned partitions, in either direction) is what keeps every plan
-    /// valid while earlier plans are applied: applying zone A only
-    /// relocates A residents, re-keys remembered entries pointing into A,
-    /// and removes edges from A's dead objects — none of which can touch
-    /// zone B's roots, members, or remembered targets when no A↔B edges
-    /// exist. Condemnation stops early at the first non-disjoint pick, so
-    /// an activation may collect fewer than `batch` partitions.
-    ///
-    /// Bit-identity across parallelism modes holds by construction: the
-    /// condemned set, the plans (pure functions of the shared
-    /// pre-collection state), and the apply order are the same whether
-    /// plans were computed serially or concurrently.
-    fn zone_collect(&mut self, db: &mut Database) -> Result<Option<CollectionOutcome>> {
-        // --- Condemn: every selection sees the pre-collection database. ---
         let mut victims: Vec<PartitionId> = Vec::new();
         let mut condemned: Vec<(PartitionId, Option<u64>)> = Vec::new();
         while condemned.len() < self.batch as usize {
@@ -290,46 +218,26 @@ impl Collector {
             victims.push(victim);
             condemned.push((victim, score_bits));
         }
-        if condemned.is_empty() {
-            return Ok(None);
-        }
-        // --- Canonical order: ascending partition id, for the whole
-        // activation (plans, applies, and every bus event). ---
         condemned.sort_unstable_by_key(|&(p, _)| p);
 
-        // --- Plan: read-only over `&Database`, fanned out when allowed. ---
-        let plans: Vec<CollectionPlan> = if self.parallelism.is_parallel() && condemned.len() > 1 {
-            let db_view: &Database = db;
-            let mut slots: Vec<Option<Result<CollectionPlan>>> =
-                condemned.iter().map(|_| None).collect();
-            std::thread::scope(|s| {
-                for (slot, &(victim, _)) in slots.iter_mut().zip(&condemned) {
-                    s.spawn(move || *slot = Some(db_view.plan_collection(victim)));
-                }
-            });
-            // The scope join above is the safepoint: all planning ends
-            // before any state mutation begins.
-            slots
-                .into_iter()
-                .map(|s| s.expect("planner thread completed"))
-                .collect::<Result<_>>()?
-        } else {
-            condemned
-                .iter()
-                .map(|&(victim, _)| db.plan_collection(victim))
-                .collect::<Result<_>>()?
-        };
-
-        // --- Apply: serially, in canonical order, pumping each
-        // collection's events before the next so listeners observe the
-        // same stream in every parallelism mode. ---
         let mut last = None;
-        for (&(victim, score_bits), plan) in condemned.iter().zip(&plans) {
+        for (victim, score_bits) in condemned {
+            // Announce the pick (with the policy's score for it) before
+            // collecting, so bus taps can attribute the collection that
+            // follows. Selection is already made; observers cannot
+            // influence it.
             let selected = BarrierEvent::VictimSelected { victim, score_bits };
             self.policy.on_event(&selected);
             self.observers.broadcast(&selected);
-            let outcome = db.apply_plan(plan)?;
+            let outcome = db.collect_partition(victim)?;
+            // Pump the collection's own events (copies, reclaims, the
+            // completion record) so scoreboards reset before the next
+            // collection.
             self.sync(db);
+            // A meta-policy decides switches while digesting the
+            // collection outcome; announce them on the bus immediately so
+            // taps attribute each switch to the activation that caused it
+            // (the new policy drives from the next activation on).
             self.broadcast_switches();
             last = Some(outcome);
         }
@@ -350,7 +258,7 @@ impl Collector {
 }
 
 /// True when a remembered inter-partition pointer connects `a` and `b` in
-/// either direction — the zone-collection conflict test.
+/// either direction — the batched-condemnation conflict test.
 fn zones_overlap(db: &Database, a: PartitionId, b: PartitionId) -> bool {
     points_into(db, a, b) || points_into(db, b, a)
 }
@@ -456,38 +364,65 @@ mod tests {
         assert!(!d.objects().contains(b));
     }
 
-    /// Garbage spread over several mutually unconnected partitions.
+    /// Garbage spread over several mutually unconnected partitions, most
+    /// of it in the highest-numbered one (so the oracle's picks descend).
     fn db_with_disjoint_garbage() -> Database {
         let mut d = db();
         let r = d.create_root(Bytes(100), 3).unwrap();
         for slot in 0..3u16 {
             // Each spill lands in its own partition and immediately dies;
             // no pointers run between the spill partitions.
-            d.create_object(Bytes(6000), 2, r, SlotId(slot)).unwrap();
+            let size = Bytes(5000 + 1000 * slot as u64);
+            d.create_object(size, 2, r, SlotId(slot)).unwrap();
             d.write_slot(r, SlotId(slot), None).unwrap();
         }
         d
     }
 
     #[test]
-    fn zone_batch_is_parallelism_invariant() {
-        // The same batched activation under Serial and Deterministic(4)
-        // must produce identical victims, outcomes, and end states.
-        let run = |par: Parallelism| {
-            let mut d = db_with_disjoint_garbage();
-            let mut c = Collector::with_kind(PolicyKind::MostGarbage, 1, 0, 16)
-                .with_batch(3)
-                .with_parallelism(par);
-            c.sync(&mut d);
-            let last = c.force_collect(&mut d).unwrap();
-            d.check_invariants();
-            (last, d.stats(), pgc_odb::oracle::analyze(&d))
-        };
-        let serial = run(Parallelism::Serial);
-        assert_eq!(serial, run(Parallelism::deterministic(1)));
-        assert_eq!(serial, run(Parallelism::deterministic(4)));
-        let (_, stats, _) = &serial;
-        assert_eq!(stats.collections, 3, "all three zones condemned");
+    fn disjoint_zones_are_all_collected_in_ascending_partition_order() {
+        /// Records the partition of every pick and completion on the bus.
+        #[derive(Default)]
+        struct Order(Rc<RefCell<Vec<(&'static str, PartitionId)>>>);
+        impl BarrierObserver for Order {
+            fn on_event(&mut self, event: &BarrierEvent) {
+                match event {
+                    BarrierEvent::VictimSelected { victim, .. } => {
+                        self.0.borrow_mut().push(("selected", *victim))
+                    }
+                    BarrierEvent::CollectionCompleted(out) => {
+                        self.0.borrow_mut().push(("completed", out.victim))
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        let mut d = db_with_disjoint_garbage();
+        let tap = Order::default();
+        let seen = Rc::clone(&tap.0);
+        let mut c = Collector::with_kind(PolicyKind::MostGarbage, 1, 0, 16).with_batch(3);
+        c.add_observer(Box::new(tap));
+        c.sync(&mut d);
+        c.force_collect(&mut d).unwrap();
+        d.check_invariants();
+        assert_eq!(d.stats().collections, 3, "all three zones condemned");
+
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 6, "one pick and one completion per zone");
+        for pair in seen.chunks(2) {
+            assert_eq!(pair[0].0, "selected");
+            assert_eq!(
+                pair[1],
+                ("completed", pair[0].1),
+                "pick then its completion"
+            );
+        }
+        let victims: Vec<PartitionId> = seen.iter().step_by(2).map(|&(_, p)| p).collect();
+        assert!(
+            victims.windows(2).all(|w| w[0] < w[1]),
+            "ascending partition ids: {victims:?}"
+        );
     }
 
     #[test]
@@ -507,9 +442,7 @@ mod tests {
         d.write_slot(r, SlotId(0), None).unwrap();
         d.write_slot(r, SlotId(1), None).unwrap();
         assert!(points_into(&d, foreign, home));
-        let mut c = Collector::with_kind(PolicyKind::MostGarbage, 1, 0, 16)
-            .with_batch(2)
-            .with_parallelism(Parallelism::deterministic(4));
+        let mut c = Collector::with_kind(PolicyKind::MostGarbage, 1, 0, 16).with_batch(2);
         c.sync(&mut d);
         c.force_collect(&mut d).unwrap();
         assert_eq!(

@@ -41,6 +41,6 @@ pub mod scheduler;
 
 pub use collector::Collector;
 pub use derive::DeriveStats;
-pub use policies::{build_policy, build_policy_with};
+pub use policies::build_policy;
 pub use policy::{PolicyKind, PolicySwitch, SelectionPolicy};
 pub use scheduler::{GcScheduler, Trigger};

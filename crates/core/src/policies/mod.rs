@@ -67,25 +67,6 @@ pub fn build_policy(kind: PolicyKind, seed: u64, max_weight: u8) -> Box<dyn Sele
     }
 }
 
-/// Like [`build_policy`], additionally configuring intra-run parallelism
-/// for policies with parallel kernels.
-///
-/// Today only the oracle-backed `MostGarbage` has one (its reachability
-/// pass); every other policy is scoreboard-driven with no hot kernel, so
-/// the knob is ignored — which is also why `Deterministic(n)` is trivially
-/// bit-identical to `Serial` for them.
-pub fn build_policy_with(
-    kind: PolicyKind,
-    seed: u64,
-    max_weight: u8,
-    parallelism: pgc_types::Parallelism,
-) -> Box<dyn SelectionPolicy> {
-    match kind {
-        PolicyKind::MostGarbage => Box::new(MostGarbage::new().with_parallelism(parallelism)),
-        _ => build_policy(kind, seed, max_weight),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,62 +9,25 @@
 //! The oracle traversal costs no simulated I/O.
 
 use crate::policy::{fallback_victim, PolicyKind, SelectionPolicy};
-use pgc_odb::oracle::parallel::ParallelScratch;
-use pgc_odb::oracle::{OracleReport, OracleScratch};
+use pgc_odb::oracle::OracleScratch;
 use pgc_odb::{oracle, BarrierEvent, BarrierObserver, Database};
-use pgc_types::{Parallelism, PartitionId};
+use pgc_types::PartitionId;
 
 /// The oracle-backed near-optimal policy.
 ///
 /// Owns its [`OracleScratch`] so that the per-trigger reachability pass —
 /// the simulator's hottest loop under this policy — reuses the same working
 /// memory for the entire run instead of allocating three hash sets each
-/// time. Under [`Parallelism::Deterministic`] with two or more workers the
-/// pass runs through the work-stealing parallel oracle instead, producing
-/// a bit-identical report.
-#[derive(Debug, Default)]
+/// time.
+#[derive(Debug, Clone, Default)]
 pub struct MostGarbage {
     scratch: OracleScratch,
-    par_scratch: ParallelScratch,
-    parallelism: Parallelism,
-}
-
-impl Clone for MostGarbage {
-    fn clone(&self) -> Self {
-        // Scratch memory is contentless between passes; a clone starts
-        // with fresh scratch and the same parallelism mode.
-        Self {
-            scratch: OracleScratch::new(),
-            par_scratch: ParallelScratch::new(),
-            parallelism: self.parallelism,
-        }
-    }
 }
 
 impl MostGarbage {
-    /// Creates the policy (serial oracle passes).
+    /// Creates the policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets how many threads oracle passes may fan out over.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// One oracle pass through whichever engine the mode selects.
-    fn analyze(&mut self, db: &Database) -> OracleReport {
-        if self.parallelism.is_parallel() {
-            oracle::parallel::analyze_parallel(
-                db,
-                &mut self.par_scratch,
-                self.parallelism.worker_count(),
-            )
-        } else {
-            oracle::analyze_with(db, &mut self.scratch)
-        }
     }
 }
 
@@ -80,7 +43,7 @@ impl SelectionPolicy for MostGarbage {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        let report = self.analyze(db);
+        let report = oracle::analyze_with(db, &mut self.scratch);
         report
             .most_garbage_partition(db.empty_partition())
             // With zero garbage anywhere, still collect something so every
@@ -90,7 +53,7 @@ impl SelectionPolicy for MostGarbage {
     }
 
     fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        let report = self.analyze(db);
+        let report = oracle::analyze_with(db, &mut self.scratch);
         report
             .most_garbage_partition_excluding(db.empty_partition(), exclude)
             .or_else(|| crate::policy::fallback_victim_excluding(db, exclude))

@@ -180,7 +180,7 @@ pub trait SelectionPolicy: BarrierObserver {
     /// Chooses a victim as [`SelectionPolicy::select`] would, but never
     /// one of the partitions in `exclude`.
     ///
-    /// Zone-parallel batches condemn several victims against one
+    /// Batched activations condemn several victims against one
     /// pre-collection database view, so follow-up picks must exclude the
     /// partitions already condemned this activation. The default simply
     /// filters [`SelectionPolicy::select`]'s answer — correct for every

@@ -29,7 +29,7 @@ use crate::db::Database;
 use crate::events::BarrierEvent;
 use pgc_buffer::{Access, IoContext};
 use pgc_storage::ObjAddr;
-use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId, PgcError, Result, SlotId};
+use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId};
 use std::collections::VecDeque;
 
 /// What one partition collection accomplished.
@@ -55,238 +55,7 @@ pub struct CollectionOutcome {
     pub gc_writes: u64,
 }
 
-/// A precomputed single-partition collection: the exact evacuation order
-/// and death list [`Database::collect_partition`] would produce, derived
-/// without mutating anything.
-///
-/// Plans exist for zone-parallel collection: because they are computed
-/// through `&Database`, several worker threads can plan disjoint victims
-/// concurrently (`std::thread::scope`), after which the coordinating
-/// thread replays each plan with [`Database::apply_plan`] in canonical
-/// partition-id order. A plan deliberately stores **no addresses** — only
-/// oids — so applying an earlier plan (which relocates objects and re-keys
-/// remembered sets) cannot invalidate a later one, provided the victims'
-/// remembered sets are disjoint (see `DESIGN.md` §12).
-#[derive(Debug, Clone)]
-pub struct CollectionPlan {
-    victim: PartitionId,
-    /// Survivors, in the exact breadth-first copy order of
-    /// [`Database::collect_partition`] (deduplicated).
-    evac: Vec<Oid>,
-    /// Dead victim residents, ascending.
-    dead: Vec<Oid>,
-}
-
-impl CollectionPlan {
-    /// The partition this plan condemns.
-    pub fn victim(&self) -> PartitionId {
-        self.victim
-    }
-
-    /// How many objects the plan will copy out.
-    pub fn survivor_count(&self) -> usize {
-        self.evac.len()
-    }
-
-    /// How many objects the plan will reclaim.
-    pub fn dead_count(&self) -> usize {
-        self.dead.len()
-    }
-}
-
 impl Database {
-    /// Computes the collection plan for `victim` without touching the
-    /// database: the breadth-first evacuation order and the sorted death
-    /// list, exactly as [`Database::collect_partition`] would discover
-    /// them. Performs no simulated I/O (planning reads simulator state the
-    /// way the oracle does; the copies are charged at apply time).
-    pub fn plan_collection(&self, victim: PartitionId) -> Result<CollectionPlan> {
-        let target = self.partitions.empty_partition();
-        if victim == target {
-            return Err(PgcError::CollectEmptyPartition(victim));
-        }
-        let _ = self.partitions.partition(victim)?;
-
-        // Roots, in collect_partition's order: database roots resident in
-        // the victim (BTreeSet order), then sorted remembered targets.
-        let mut partition_roots: Vec<Oid> = Vec::new();
-        for oid in self.roots.iter().copied() {
-            if self.objects.get(oid)?.addr.partition == victim {
-                partition_roots.push(oid);
-            }
-        }
-        let mut remembered: Vec<Oid> = self.remsets.remembered_targets(victim).collect();
-        remembered.sort_unstable();
-        partition_roots.extend(remembered);
-
-        // The same BFS as collect_partition, with "already planned"
-        // standing in for "already evacuated" — the two predicates flip in
-        // the same order, so the queue contents (and thus the evacuation
-        // order) are identical.
-        let mut planned = DenseBitSet::with_capacity(self.objects.oid_bound() as usize);
-        let mut evac: Vec<Oid> = Vec::new();
-        let mut queue: VecDeque<Oid> = VecDeque::new();
-        for root in partition_roots {
-            queue.push_back(root);
-            while let Some(oid) = queue.pop_front() {
-                if planned.contains(oid.index()) {
-                    continue;
-                }
-                planned.insert(oid.index());
-                evac.push(oid);
-                let rec = self.objects.get(oid)?;
-                for child in rec.slots.iter().flatten() {
-                    if !planned.contains(child.index())
-                        && self.objects.get(*child)?.addr.partition == victim
-                    {
-                        queue.push_back(*child);
-                    }
-                }
-            }
-        }
-
-        let mut dead: Vec<Oid> = self
-            .objects
-            .members(victim)
-            .filter(|o| !planned.contains(o.index()))
-            .collect();
-        dead.sort_unstable();
-
-        Ok(CollectionPlan { victim, evac, dead })
-    }
-
-    /// Executes a plan produced by [`Database::plan_collection`],
-    /// producing exactly the state, I/O charges, and barrier events of
-    /// [`Database::collect_partition`] on the plan's victim.
-    ///
-    /// The plan must still describe the database — nothing may have
-    /// mutated the victim (or relocated its objects) since planning.
-    /// Collections of *remset-disjoint* partitions keep each other's plans
-    /// valid; that is the zone-collection safety condition.
-    pub fn apply_plan(&mut self, plan: &CollectionPlan) -> Result<CollectionOutcome> {
-        let victim = plan.victim;
-        let target = self.partitions.empty_partition();
-        if victim == target {
-            return Err(PgcError::CollectEmptyPartition(victim));
-        }
-        let _ = self.partitions.partition(victim)?;
-
-        let io_before = self.buffer.stats();
-        self.buffer.set_context(IoContext::Collector);
-
-        let mut live_objects = 0u64;
-        let mut live_bytes = Bytes::ZERO;
-        let mut forwarded_pointers = 0u64;
-        for &oid in &plan.evac {
-            let rec = self.objects.get(oid)?;
-            debug_assert_eq!(rec.addr.partition, victim, "stale collection plan");
-            let size = rec.size;
-            let old_addr = rec.addr;
-
-            let old_span = self.span_of(old_addr, size);
-            self.buffer.access_span(old_span, Access::Read);
-
-            let offset = self
-                .partitions
-                .allocate_in(target, size)?
-                .expect("survivors of one partition always fit the empty partition");
-            let new_addr = ObjAddr::new(target, offset);
-            self.charge_copy_write(new_addr, size);
-
-            self.partitions.partition_mut(victim)?.note_departure(size);
-            self.objects.relocate(oid, new_addr)?;
-
-            let forwarded = self.remsets.relocate_object(oid, victim, target);
-            for loc in &forwarded {
-                let src = self.objects.get(loc.owner)?;
-                let span = self.span_of(src.addr, src.size);
-                self.buffer.access_span(span, Access::Write);
-            }
-            forwarded_pointers += forwarded.len() as u64;
-
-            live_objects += 1;
-            live_bytes += size;
-            self.events.push(BarrierEvent::ObjectCopied {
-                oid,
-                from: victim,
-                to: target,
-                size,
-            });
-        }
-
-        debug_assert_eq!(
-            self.remsets.remembered_target_count(victim),
-            0,
-            "all remembered targets must have been evacuated"
-        );
-
-        let mut garbage_objects = 0u64;
-        let mut garbage_bytes = Bytes::ZERO;
-        for &oid in &plan.dead {
-            if self.remsets.in_out_set(victim, oid) {
-                let slots: Vec<(SlotId, Oid)> = {
-                    let rec = self.objects.get(oid)?;
-                    rec.slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.map(|t| (SlotId(i as u16), t)))
-                        .collect()
-                };
-                for (slot, t) in slots {
-                    let Ok(target_rec) = self.objects.get(t) else {
-                        continue;
-                    };
-                    let tp = target_rec.addr.partition;
-                    if tp != victim {
-                        self.remsets.remove_edge(
-                            pgc_types::PointerLoc::new(oid, slot),
-                            victim,
-                            t,
-                            tp,
-                        );
-                    }
-                }
-                self.remsets.purge_source(victim, oid);
-            }
-            let rec = self.objects.remove(oid)?;
-            self.partitions
-                .partition_mut(victim)?
-                .note_departure(rec.size);
-            garbage_objects += 1;
-            garbage_bytes += rec.size;
-            self.events.push(BarrierEvent::ObjectReclaimed {
-                oid,
-                partition: victim,
-                size: rec.size,
-            });
-        }
-
-        let victim_pages: Vec<_> = self.partitions.partition_pages_span(victim).collect();
-        self.buffer.invalidate(victim_pages);
-        self.partitions.rotate_empty(victim)?;
-
-        self.buffer.set_context(IoContext::Application);
-
-        self.stats.collections += 1;
-        self.stats.reclaimed_bytes += garbage_bytes;
-        self.stats.reclaimed_objects += garbage_objects;
-
-        let io_after = self.buffer.stats();
-        let outcome = CollectionOutcome {
-            victim,
-            target,
-            live_objects,
-            live_bytes,
-            garbage_objects,
-            garbage_bytes,
-            forwarded_pointers,
-            gc_reads: io_after.disk.gc_disk_reads - io_before.disk.gc_disk_reads,
-            gc_writes: io_after.disk.gc_disk_writes - io_before.disk.gc_disk_writes,
-        };
-        self.events.push(BarrierEvent::CollectionCompleted(outcome));
-        Ok(outcome)
-    }
-
     /// Collects `victim`, copying its live objects into the designated
     /// empty partition. See the module docs for the full algorithm.
     pub fn collect_partition(&mut self, victim: PartitionId) -> Result<CollectionOutcome> {
@@ -723,133 +492,6 @@ mod tests {
             Some(&BarrierEvent::CollectionCompleted(out)),
             "completion event is logged last"
         );
-    }
-
-    /// Deterministically builds a randomized database (allocations,
-    /// rewires, cuts) so two builds from one seed are identical.
-    fn random_db(seed: u64) -> Database {
-        use pgc_types::SimRng;
-        let mut rng = SimRng::new(seed);
-        let mut d = db();
-        let mut oids = Vec::new();
-        for _ in 0..rng.range_inclusive(1, 4) {
-            oids.push(
-                d.create_root(Bytes(rng.range_inclusive(40, 300)), 3)
-                    .unwrap(),
-            );
-        }
-        for _ in 0..rng.range_inclusive(30, 150) {
-            let parent = *rng.pick(&oids);
-            let slot = SlotId(rng.below(3) as u16);
-            match rng.below(10) {
-                0..=6 => {
-                    if let Ok((o, _)) =
-                        d.create_object(Bytes(rng.range_inclusive(40, 2000)), 3, parent, slot)
-                    {
-                        oids.push(o);
-                    }
-                }
-                7..=8 => {
-                    let target = *rng.pick(&oids);
-                    let _ = d.write_slot(parent, slot, Some(target));
-                }
-                _ => {
-                    let _ = d.write_slot(parent, slot, None);
-                }
-            }
-        }
-        d
-    }
-
-    #[test]
-    fn plan_apply_is_bit_identical_to_collect_partition() {
-        // Two databases built from the same seed; one collects directly,
-        // the other through plan + apply. Outcomes, barrier events, stats,
-        // I/O counters, and the post-state oracle report must all match.
-        for seed in 0..15u64 {
-            let mut direct = random_db(seed);
-            let mut planned = random_db(seed);
-            for round in 0..3 {
-                let Some(victim) = direct.collectable_partitions().into_iter().find(|&p| {
-                    direct.partitions().partition(p).unwrap().used_bytes() > Bytes::ZERO
-                }) else {
-                    break;
-                };
-                let plan = planned.plan_collection(victim).unwrap();
-                let out_direct = direct.collect_partition(victim).unwrap();
-                assert_eq!(
-                    plan.survivor_count() as u64,
-                    out_direct.live_objects,
-                    "seed {seed} round {round}: planned survivors"
-                );
-                assert_eq!(
-                    plan.dead_count() as u64,
-                    out_direct.garbage_objects,
-                    "seed {seed} round {round}: planned deaths"
-                );
-                let out_planned = planned.apply_plan(&plan).unwrap();
-                assert_eq!(
-                    out_direct, out_planned,
-                    "seed {seed} round {round}: outcome diverged"
-                );
-                assert_eq!(
-                    direct.events().events(),
-                    planned.events().events(),
-                    "seed {seed} round {round}: event stream diverged"
-                );
-                direct.check_invariants();
-                planned.check_invariants();
-            }
-            assert_eq!(
-                oracle::analyze(&direct),
-                oracle::analyze(&planned),
-                "seed {seed}: post-state diverged"
-            );
-            assert_eq!(direct.stats(), planned.stats(), "seed {seed}: stats");
-        }
-    }
-
-    #[test]
-    fn stale_plan_is_rejected_by_empty_partition_check() {
-        let mut d = db();
-        let (root, _) = chain(&mut d, 3);
-        let victim = d.objects().get(root).unwrap().addr.partition;
-        let plan = d.plan_collection(victim).unwrap();
-        // Applying once is fine; the victim then becomes the designated
-        // empty partition, so replaying the same plan must be refused.
-        d.apply_plan(&plan).unwrap();
-        assert!(matches!(
-            d.apply_plan(&plan),
-            Err(PgcError::CollectEmptyPartition(_))
-        ));
-    }
-
-    #[test]
-    fn planning_the_empty_partition_is_an_error() {
-        let d = db();
-        let empty = d.empty_partition();
-        assert!(matches!(
-            d.plan_collection(empty),
-            Err(PgcError::CollectEmptyPartition(_))
-        ));
-    }
-
-    #[test]
-    fn plan_is_read_only() {
-        let mut d = db();
-        let (root, _) = chain(&mut d, 5);
-        d.write_slot(root, SlotId(0), None).unwrap();
-        let victim = d.objects().get(root).unwrap().addr.partition;
-        let stats_before = d.stats();
-        let io_before = d.io_stats();
-        d.clear_events();
-        let plan = d.plan_collection(victim).unwrap();
-        assert!(plan.survivor_count() >= 1);
-        assert!(plan.dead_count() >= 1);
-        assert_eq!(plan.victim(), victim);
-        assert_eq!(d.stats(), stats_before, "planning mutated stats");
-        assert_eq!(d.io_stats(), io_before, "planning performed I/O");
-        assert!(d.events().is_empty(), "planning emitted events");
     }
 
     #[test]

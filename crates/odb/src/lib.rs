@@ -48,7 +48,7 @@ pub mod remset;
 pub mod stats;
 pub mod weights;
 
-pub use collect::{CollectionOutcome, CollectionPlan};
+pub use collect::CollectionOutcome;
 pub use db::{Database, PartitionProfile};
 pub use events::{BarrierEvent, BarrierObserver, EventLog, ObserverRegistry};
 pub use global::FullCollectionOutcome;

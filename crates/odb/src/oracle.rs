@@ -28,9 +28,6 @@ use crate::db::Database;
 use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId};
 use std::collections::HashSet;
 
-#[path = "oracle_par.rs"]
-pub mod parallel;
-
 /// The oracle's view of the database at one instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleReport {
@@ -82,7 +79,7 @@ impl OracleReport {
     }
 
     /// Like [`OracleReport::most_garbage_partition`], additionally
-    /// skipping every partition in `exclude` — used by zone-parallel
+    /// skipping every partition in `exclude` — used by batched
     /// condemnation, where one oracle pass picks several disjoint victims
     /// in descending garbage order.
     pub fn most_garbage_partition_excluding(

@@ -457,6 +457,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_panicked_worker_surfaces_as_a_session_error_at_shutdown() {
+        // No input reaches a panic in a worker any more (hostile events
+        // come back as errors), so the panic is planted: a thread in the
+        // worker list that dies the way a worker with a bug would.
+        for planted in [
+            std::thread::spawn(|| -> Result<ShardReport> { panic!("a literal payload") }),
+            std::thread::spawn(|| -> Result<ShardReport> { panic!("a {} payload", "formatted") }),
+        ] {
+            let mut server = Server::start(ServerConfig::new(1));
+            server.workers.push(planted);
+            let err = server.shutdown().expect_err("a worker panicked");
+            assert!(
+                matches!(&err, PgcError::Session(msg)
+                    if msg.contains("shard worker panicked") && msg.contains(" payload")),
+                "got {err}"
+            );
+        }
+    }
+
+    #[test]
     fn link_rejects_a_stream_that_was_never_opened_on_either_side() {
         let mut server = Server::start(ServerConfig::new(2));
         let open = server

@@ -33,7 +33,7 @@ use crate::shard::Shard;
 use pgc_core::{PolicyKind, Trigger};
 use pgc_durable::{read_log, read_snapshot, scan_snapshots, Manifest, TornTail};
 use pgc_telemetry::TelemetryLevel;
-use pgc_types::{fast_hash_u64, Bytes, Parallelism, PgcError, PlacementPolicy, Result};
+use pgc_types::{fast_hash_u64, Bytes, PgcError, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EventBlock, BLOCK_EVENTS};
 use std::collections::BTreeMap;
@@ -91,13 +91,6 @@ pub fn manifest_for(cfg: &RunConfig, telemetry: TelemetryLevel) -> Manifest {
         Some(Trigger::PartitionGrowth) => m.set("trigger", "partition-growth"),
     }
     m.set("collect_batch", cfg.collect_batch);
-    m.set(
-        "parallelism",
-        match cfg.parallelism {
-            Parallelism::Serial => 1,
-            Parallelism::Deterministic(n) => n.max(1) as usize,
-        },
-    );
     m.set(
         "telemetry",
         match telemetry {
@@ -173,10 +166,6 @@ pub fn config_from_manifest(m: &Manifest) -> Result<(RunConfig, TelemetryLevel)>
         }
     };
     cfg.collect_batch = m.require_u64("collect_batch")? as u32;
-    cfg.parallelism = match m.require_u64("parallelism")? {
-        0 | 1 => Parallelism::Serial,
-        n => Parallelism::deterministic(n as u32),
-    };
     let telemetry = match m.require("telemetry")? {
         "off" => TelemetryLevel::Off,
         "metrics" => TelemetryLevel::Metrics,

@@ -65,7 +65,6 @@ pub fn scaled(policy: PolicyKind, seed: u64, alloc_mib: u64) -> RunConfig {
         sample_every: None,
         trigger: None,
         collect_batch: 1,
-        parallelism: pgc_types::Parallelism::Serial,
         durability: pgc_durable::DurabilityConfig::off(),
     }
 }

@@ -15,7 +15,7 @@
 
 use pgc_core::Collector;
 use pgc_odb::{CollectionOutcome, Database};
-use pgc_types::{Oid, Result, SlotId};
+use pgc_types::{Oid, PgcError, Result, SlotId};
 use pgc_workload::{Event, NodeId};
 
 /// Drives one database + collector pair from an event stream.
@@ -71,8 +71,21 @@ impl Replayer {
     }
 
     fn oid(&self, node: NodeId) -> Result<Oid> {
-        self.oid_of(node)
-            .ok_or(pgc_types::PgcError::UnknownNode(node.index()))
+        self.oid_of(node).ok_or(PgcError::UnknownNode(node.index()))
+    }
+
+    /// A create event must name the next dense id. A checksum-valid trace
+    /// or change log with a frame spliced in twice repeats ids; accepting
+    /// one would map every later node onto the wrong object.
+    fn expect_next_node(&self, node: NodeId) -> Result<()> {
+        let expected = self.node_map.len();
+        if node.as_usize() == expected {
+            return Ok(());
+        }
+        Err(PgcError::TraceFormat(format!(
+            "create event names node {}, expected the next dense id {expected}",
+            node.index()
+        )))
     }
 
     /// Applies one event (charging I/O, pumping the barrier bus, collecting
@@ -87,7 +100,7 @@ impl Replayer {
     pub fn apply(&mut self, event: &Event) -> Result<()> {
         match *event {
             Event::CreateRoot { node, size, slots } => {
-                debug_assert_eq!(node.as_usize(), self.node_map.len(), "ids must be dense");
+                self.expect_next_node(node)?;
                 let oid = self.db.create_root(size, slots as usize)?;
                 self.node_map.push(oid);
             }
@@ -98,7 +111,7 @@ impl Replayer {
                 size,
                 slots,
             } => {
-                debug_assert_eq!(node.as_usize(), self.node_map.len(), "ids must be dense");
+                self.expect_next_node(node)?;
                 let parent_oid = self.oid(parent)?;
                 let (oid, _info) =
                     self.db

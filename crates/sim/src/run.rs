@@ -18,11 +18,11 @@
 use crate::metrics::{RunTotals, TimeSeries};
 use crate::replay::Replayer;
 use crate::shard::Shard;
-use pgc_core::{build_policy_with, Collector, DeriveStats, PolicyKind, Trigger};
+use pgc_core::{build_policy, Collector, DeriveStats, PolicyKind, Trigger};
 use pgc_durable::{DurabilityConfig, StorageStats};
 use pgc_odb::{BarrierObserver, CollectionOutcome, Database, DbStats};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
-use pgc_types::{Bytes, DbConfig, Parallelism, PlacementPolicy, Result};
+use pgc_types::{Bytes, DbConfig, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{
     EncodedTrace, Event, EventBlock, SyntheticWorkload, WorkloadParams, BLOCK_EVENTS,
@@ -45,11 +45,6 @@ pub struct RunConfig {
     pub trigger: Option<Trigger>,
     /// Partitions collected per activation (the paper uses 1).
     pub collect_batch: u32,
-    /// Intra-run execution mode: `Serial` (default) or `Deterministic(n)`,
-    /// which fans the oracle's reachability pass, collection planning, and
-    /// trace decode over `n` threads while staying bit-identical to
-    /// `Serial` — same victims, same totals, same telemetry.
-    pub parallelism: Parallelism,
     /// Durable storage backend: `Off` (default, the historical in-memory
     /// behavior), `LogOnly`, or `SnapshotAndLog` with a data directory.
     /// Persistence is a pure bystander — it never changes any result.
@@ -68,7 +63,6 @@ impl RunConfig {
             sample_every: None,
             trigger: None,
             collect_batch: 1,
-            parallelism: Parallelism::Serial,
             durability: DurabilityConfig::off(),
         }
     }
@@ -87,7 +81,6 @@ impl RunConfig {
             sample_every: None,
             trigger: None,
             collect_batch: 1,
-            parallelism: Parallelism::Serial,
             durability: DurabilityConfig::off(),
         }
     }
@@ -124,13 +117,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_collect_batch(mut self, batch: u32) -> Self {
         self.collect_batch = batch.max(1);
-        self
-    }
-
-    /// Sets the intra-run execution mode.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -267,16 +253,10 @@ impl RunConfig {
     pub(crate) fn build_replayer(&self) -> Result<Replayer> {
         let db = Database::new(self.db.clone())?;
         let collector = Collector::with_trigger(
-            build_policy_with(
-                self.policy,
-                self.policy_seed(),
-                self.db.max_weight,
-                self.parallelism,
-            ),
+            build_policy(self.policy, self.policy_seed(), self.db.max_weight),
             self.effective_trigger(),
         )
-        .with_batch(self.collect_batch)
-        .with_parallelism(self.parallelism);
+        .with_batch(self.collect_batch);
         Ok(Replayer::new(db, collector))
     }
 }
@@ -332,7 +312,6 @@ impl Simulation {
             source: Source::Synthetic,
             observers: Vec::new(),
             telemetry: TelemetryLevel::Off,
-            parallelism: None,
             durability: None,
         }
     }
@@ -351,7 +330,6 @@ pub struct SimulationBuilder<'a> {
     source: Source<'a>,
     observers: Vec<Box<dyn BarrierObserver>>,
     telemetry: TelemetryLevel,
-    parallelism: Option<Parallelism>,
     durability: Option<DurabilityConfig>,
 }
 
@@ -398,15 +376,6 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Overrides the configuration's intra-run execution mode for this run.
-    /// `Deterministic(n)` is pinned bit-identical to `Serial`: the same
-    /// victims, totals, and telemetry, computed on `n` threads.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
-        self
-    }
-
     /// Overrides the configuration's durable storage backend for this run
     /// (mode + data directory). Persistence is a bystander: the outcome is
     /// bit-identical to an in-memory run, and recoverable from the data
@@ -421,18 +390,12 @@ impl<'a> SimulationBuilder<'a> {
     /// the configured source into it, and finishes it.
     pub fn run(self) -> Result<RunOutcome> {
         let cfg_override;
-        let cfg = if self.parallelism.is_some() || self.durability.is_some() {
-            let mut cfg = self.cfg.clone();
-            if let Some(p) = self.parallelism {
-                cfg = cfg.with_parallelism(p);
+        let cfg = match self.durability {
+            Some(d) => {
+                cfg_override = self.cfg.clone().with_durability(d);
+                &cfg_override
             }
-            if let Some(d) = self.durability {
-                cfg = cfg.with_durability(d);
-            }
-            cfg_override = cfg;
-            &cfg_override
-        } else {
-            self.cfg
+            None => self.cfg,
         };
         let mut shard = Shard::new(cfg)?;
         // User observers register before the telemetry tap, so the bus
@@ -451,7 +414,7 @@ impl<'a> SimulationBuilder<'a> {
                 generator.stats()
             }
             Source::Encoded(trace) => {
-                pipeline_blocks(trace, cfg.parallelism, |block| shard.step_block(block))?;
+                for_each_block(trace, |block| shard.step_block(block))?;
                 trace.stats()
             }
             Source::Events(events) => {
@@ -464,86 +427,26 @@ impl<'a> SimulationBuilder<'a> {
 }
 
 /// Streams an encoded trace's decoded blocks into `apply`, in stream
-/// order, with batched block decode.
-///
-/// Under [`Parallelism::Serial`] (or one worker) decode and apply
-/// alternate on the calling thread; under [`Parallelism::Deterministic`] a
-/// scoped decode-ahead thread fills a small ring of recycled
-/// [`EventBlock`]s while the calling thread applies them, hiding decode
-/// latency behind apply work. Blocks arrive in stream order either way and
-/// `apply` always runs on the calling thread — the two modes are
-/// bit-identical.
-///
-/// The synthetic source is *not* pipelined: the generator mutates its
-/// mirror as it emits, so its event stream cannot be produced ahead of the
-/// apply loop without recording it first (which is exactly what
-/// [`EncodedTrace::record`] is for).
-fn pipeline_blocks(
+/// order, with batched block decode into one reused [`EventBlock`].
+fn for_each_block(
     trace: &EncodedTrace,
-    parallelism: Parallelism,
     mut apply: impl FnMut(&EventBlock) -> Result<()>,
 ) -> Result<()> {
-    if !parallelism.is_parallel() {
-        let mut cursor = trace.cursor();
-        let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
-        while cursor.next_block(&mut block)? > 0 {
-            apply(&block)?;
-        }
-        return Ok(());
+    let mut cursor = trace.cursor();
+    let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
+    while cursor.next_block(&mut block)? > 0 {
+        apply(&block)?;
     }
-    // Decode-ahead pipeline: `ring` blocks in flight plus one in each hand.
-    const PIPELINE_DEPTH: usize = 4;
-    use std::sync::mpsc;
-    std::thread::scope(|scope| -> Result<()> {
-        let (full_tx, full_rx) = mpsc::sync_channel::<EventBlock>(PIPELINE_DEPTH);
-        let (free_tx, free_rx) = mpsc::channel::<EventBlock>();
-        for _ in 0..PIPELINE_DEPTH + 2 {
-            free_tx
-                .send(EventBlock::with_capacity(BLOCK_EVENTS))
-                .expect("receiver alive");
-        }
-        let decoder = scope.spawn(move || -> Result<()> {
-            let mut cursor = trace.cursor();
-            // Both exits on channel closure mean the applier bailed (on an
-            // apply error); just stop — the applier owns the error.
-            while let Ok(mut block) = free_rx.recv() {
-                if cursor.next_block(&mut block)? == 0 {
-                    break;
-                }
-                if full_tx.send(block).is_err() {
-                    break;
-                }
-            }
-            Ok(())
-        });
-        let mut applied = Ok(());
-        for block in full_rx.iter() {
-            if let Err(e) = apply(&block) {
-                applied = Err(e);
-                break;
-            }
-            let _ = free_tx.send(block);
-        }
-        drop(free_tx);
-        let decoded = decoder.join().expect("decode thread panicked");
-        applied.and(decoded)
-    })
+    Ok(())
 }
 
 /// Drives `replayer` through `trace` using the batched struct-of-arrays
-/// decode path — pipelined on a decode-ahead thread when `parallelism` is
-/// [`Parallelism::Deterministic`] with two or more workers.
+/// decode path.
 ///
 /// This is the hot-path entry the perf harness times; [`Simulation`] runs
 /// the same loop internally for encoded sources, plus sampling.
-pub fn drive_encoded(
-    replayer: &mut Replayer,
-    trace: &EncodedTrace,
-    parallelism: Parallelism,
-) -> Result<()> {
-    pipeline_blocks(trace, parallelism, |block| {
-        replayer.apply_block(block, 0, block.len())
-    })
+pub fn drive_encoded(replayer: &mut Replayer, trace: &EncodedTrace) -> Result<()> {
+    for_each_block(trace, |block| replayer.apply_block(block, 0, block.len()))
 }
 
 #[cfg(test)]

@@ -19,7 +19,6 @@ pub mod config;
 pub mod error;
 pub mod fast_hash;
 pub mod ids;
-pub mod parallel;
 pub mod rng;
 pub mod units;
 
@@ -28,6 +27,5 @@ pub use config::{DbConfig, PlacementPolicy};
 pub use error::{PgcError, Result};
 pub use fast_hash::{fast_hash_u64, FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use ids::{Oid, PageId, PartitionId, PointerLoc, SlotId};
-pub use parallel::{AtomicBitSet, Parallelism};
 pub use rng::SimRng;
 pub use units::{Bytes, PageCount, DEFAULT_PAGE_SIZE};

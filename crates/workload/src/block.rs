@@ -9,12 +9,11 @@
 //! applies the run from those arrays without touching the byte stream.
 //!
 //! The block is plain reusable scratch: [`EventBlock::clear`] keeps every
-//! column's capacity, so a replay loop that recycles one block (or a small
-//! ring of them, for pipelined decode-ahead) performs **zero allocation
-//! after warmup**. Columns are lane-shared across event kinds — `a` holds
-//! the acting node for every kind, `b` the second node (parent or pointer
-//! target) where one exists — which keeps the block at ~21 bytes/event
-//! regardless of the `Event` enum's in-memory size.
+//! column's capacity, so a replay loop that recycles one block performs
+//! **zero allocation after warmup**. Columns are lane-shared across event
+//! kinds — `a` holds the acting node for every kind, `b` the second node
+//! (parent or pointer target) where one exists — which keeps the block at
+//! ~21 bytes/event regardless of the `Event` enum's in-memory size.
 //!
 //! A block filled by a cursor also keeps the encoded bytes it was decoded
 //! from ([`EventBlock::encoded`], ~7.5 bytes/event more), so a consumer
@@ -27,9 +26,8 @@ use crate::event::{Event, NodeId};
 use pgc_types::Bytes;
 
 /// Default number of events decoded per [`crate::TraceCursor::next_block`]
-/// call: large enough to amortize loop overhead — and, in the pipelined
-/// decode-ahead path, to keep channel hand-offs rare — while a block
-/// (~86 KB) still fits in L2 beside the simulator's working set.
+/// call: large enough to amortize loop overhead while a block (~86 KB)
+/// still fits in L2 beside the simulator's working set.
 pub const BLOCK_EVENTS: usize = 4096;
 
 /// A run of decoded events in struct-of-arrays layout.

@@ -23,25 +23,10 @@ fmt:
 check: fmt-check clippy verify
 
 # Regenerate every BENCH_*.json (hot path, shared-trace sweep, policy
-# engine, telemetry, parallel, server scalability, storage backend) and
-# exit nonzero if a gate regresses. Embeds the recorded pre-change
-# baseline when BENCH_baseline.json is present.
+# engine, telemetry, server scalability, storage backend) and exit
+# nonzero if a gate regresses.
 bench-report:
     cargo run --release -p pgc-bench --bin perf_report
-
-# Record the pre-change baseline (BENCH_baseline.json): build the shared
-# measurement binary against the last pre-dense-structures commit in a
-# scratch worktree, with only the offline-RNG change patched in so both
-# trees replay identical event streams.
-bench-baseline ref="5e4c50c":
-    git worktree add --force target/seed-baseline {{ref}}
-    cp Cargo.lock Cargo.toml target/seed-baseline/
-    for c in bench buffer core odb sim storage types workload; do cp crates/$c/Cargo.toml target/seed-baseline/crates/$c/Cargo.toml; done
-    cp crates/types/src/rng.rs target/seed-baseline/crates/types/src/rng.rs
-    cp crates/bench/src/bin/perf_baseline.rs target/seed-baseline/crates/bench/src/bin/perf_baseline.rs
-    cd target/seed-baseline && cargo build --release --offline -p pgc-bench --bin perf_baseline
-    ./target/seed-baseline/target/release/perf_baseline
-    git worktree remove --force target/seed-baseline
 
 # Tap the headline comparison for telemetry: writes one JSONL line per
 # collector activation (schema pgc-telemetry/v1) to telemetry.jsonl and
@@ -54,14 +39,6 @@ telemetry out="telemetry.jsonl" scale="25" seeds="3":
 # Dependency-free micro-benchmarks (PGC_BENCH_QUICK=1 for a fast pass).
 bench:
     cargo bench -p pgc-bench
-
-# Intra-run parallelism: the parallel_hotpath section of the perf report
-# (BENCH_parallel.json — batched decode + parallel-marking speedups and the
-# Serial == Deterministic(n) bit-identity check) plus the mode-invariance
-# test suite. `threads` sets --intra-threads.
-parallel threads="4":
-    cargo test -q --test parallel_equivalence
-    cargo run --release -p pgc-bench --bin perf_report -- --intra-threads {{threads}}
 
 # The sharded multi-tenant server: run the client_server driver on a
 # fleet of `shards` shard worker threads hosting `streams` client

@@ -14,7 +14,7 @@
 
 use pgc::core::PolicyKind;
 use pgc::sim::shadow::run_race;
-use pgc::sim::{RunConfig, RunTotals, Simulation};
+use pgc::sim::{outcome_digest, RunConfig, RunTotals, Simulation};
 use pgc::types::Bytes;
 
 fn fnv1a64(victims: &[u32]) -> u64 {
@@ -144,5 +144,73 @@ fn shadow_scoreboards_do_not_perturb_the_driver() {
             plain.totals.collections,
             "seed {seed}: one race record per collection"
         );
+    }
+}
+
+/// Folds the `outcome_digest`s of one configuration's runs into one value.
+fn fold_digests(digests: impl Iterator<Item = u64>) -> u64 {
+    digests.fold(0xcbf2_9ce4_8422_2325, |h, d| {
+        (h.rotate_left(17) ^ d).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const SMALL_BATCHES: [u32; 3] = [2, 3, 5];
+const PAPER_BATCHES: [u32; 2] = [2, 3];
+
+/// `(policy, digest per SMALL_BATCHES entry)`: `RunConfig::small`, each
+/// digest folded over seeds 0-3. Captured at the last commit where a
+/// batched activation first planned every condemned partition's collection
+/// read-only against the pre-collection database and then applied the
+/// plans in ascending partition order.
+#[rustfmt::skip]
+const GOLDEN_BATCHED_SMALL: &[(PolicyKind, [u64; 3])] = &[
+    (PolicyKind::NoCollection, [0xa67f488d4333cab8, 0xa67f488d4333cab8, 0xa67f488d4333cab8]),
+    (PolicyKind::MutatedPartition, [0xeea0d08a8ec162f5, 0x8f6c3c7295493db6, 0xa95708c99ddd9061]),
+    (PolicyKind::Random, [0xc830418510f567a0, 0x019e04571f55272b, 0x6df489bf7a7cb93c]),
+    (PolicyKind::WeightedPointer, [0x0c5c8a02099c6a4f, 0x9af7eb6834023b74, 0x8fdd08b1312304e6]),
+    (PolicyKind::UpdatedPointer, [0x32525cfb3235c117, 0x00f8dd5fca8edbf1, 0xe0ac74545d80e4b7]),
+    (PolicyKind::MostGarbage, [0x45bbd4c82a37b04f, 0xba31f5038a566348, 0xd0512cd13dc8d2fd]),
+    (PolicyKind::RoundRobin, [0x242d69cb54594810, 0x2196d6c141aa6baa, 0x2196d6c141aa6baa]),
+    (PolicyKind::Occupancy, [0x6bc16248308ff3cf, 0xcda21f7550714758, 0xd5d52765f755c510]),
+    (PolicyKind::YnyMutated, [0xe76b435f02c0baee, 0x0c6ece10d684b997, 0x199a4957b30e41e9]),
+    (PolicyKind::Generational, [0x0beb69aabf1d5b0f, 0x0beb69aabf1d5b0f, 0x0beb69aabf1d5b0f]),
+    (PolicyKind::UpdatedDecay, [0x6174737f68ef6a5e, 0x2cf0237d7c2b8e4f, 0x072bbd544575634f]),
+    (PolicyKind::Composite, [0xab17d44754874ba9, 0x6ef428fd54267e77, 0x334e566398f7ca76]),
+    (PolicyKind::AdaptiveMeta, [0x32525cfb3235c117, 0x00f8dd5fca8edbf1, 0xe0ac74545d80e4b7]),
+];
+
+/// `(policy, digest per PAPER_BATCHES entry)`: the paper geometry at an
+/// 8 MiB allocation target, seed 0. Same provenance as above.
+#[rustfmt::skip]
+const GOLDEN_BATCHED_PAPER_8MIB: &[(PolicyKind, [u64; 2])] = &[
+    (PolicyKind::UpdatedPointer, [0x55d458fc2eb5e8b1, 0x91fde6298c27ee7f]),
+    (PolicyKind::MostGarbage, [0x379f8b10da81d000, 0x379f8b10da81d000]),
+    (PolicyKind::AdaptiveMeta, [0x55d458fc2eb5e8b1, 0x91fde6298c27ee7f]),
+];
+
+#[test]
+fn batched_activations_match_the_plan_and_apply_collector() {
+    let digest = |cfg: &RunConfig| outcome_digest(&Simulation::builder(cfg).run().expect("run"));
+    assert_eq!(GOLDEN_BATCHED_SMALL.len(), PolicyKind::ALL.len());
+    for (policy, golden) in GOLDEN_BATCHED_SMALL {
+        for (&batch, want) in SMALL_BATCHES.iter().zip(golden) {
+            let got = fold_digests((0..4u64).map(|seed| {
+                digest(
+                    &RunConfig::small()
+                        .with_policy(*policy)
+                        .with_seed(seed)
+                        .with_collect_batch(batch),
+                )
+            }));
+            assert_eq!(got, *want, "{policy:?} small, batch {batch}");
+        }
+    }
+    for (policy, golden) in GOLDEN_BATCHED_PAPER_8MIB {
+        for (&batch, want) in PAPER_BATCHES.iter().zip(golden) {
+            let cfg = RunConfig::paper(*policy, 0)
+                .with_heap_growth(Bytes::from_mib(8))
+                .with_collect_batch(batch);
+            assert_eq!(digest(&cfg), *want, "{policy:?} paper 8 MiB, batch {batch}");
+        }
     }
 }

@@ -82,20 +82,14 @@ fn sampling_series_is_also_identical() {
 fn scheduler_is_thread_count_and_cache_invariant() {
     // The same job grid through the shared-trace scheduler on 1, 2, and 8
     // worker threads, with fresh and shared caches, must produce identical
-    // outcomes in identical label order — and the outcomes must not change
-    // when every job additionally runs in an intra-run parallel mode
-    // (inter-job threads and intra-run workers compose without touching
-    // any simulated result).
-    let jobs = |intra: pgc_types::Parallelism| -> Vec<(u64, RunConfig)> {
+    // outcomes in identical label order.
+    let jobs = || -> Vec<(u64, RunConfig)> {
         let mut v = Vec::new();
         for seed in [3u64, 4] {
             for &policy in &[PolicyKind::UpdatedPointer, PolicyKind::Random] {
                 v.push((
                     seed * 100,
-                    RunConfig::small()
-                        .with_policy(policy)
-                        .with_seed(seed)
-                        .with_parallelism(intra),
+                    RunConfig::small().with_policy(policy).with_seed(seed),
                 ));
             }
         }
@@ -103,29 +97,20 @@ fn scheduler_is_thread_count_and_cache_invariant() {
     };
     let base = Experiment::new()
         .with_threads(1)
-        .run_jobs(jobs(pgc_types::Parallelism::Serial))
+        .run_jobs(jobs())
         .expect("sequential");
     let shared = TraceCache::new();
     for threads in [2usize, 8] {
-        for intra in [
-            pgc_types::Parallelism::Serial,
-            pgc_types::Parallelism::Deterministic(1),
-            pgc_types::Parallelism::Deterministic(4),
-        ] {
-            let got = Experiment::new()
-                .with_threads(threads)
-                .with_cache(&shared)
-                .run_jobs(jobs(intra))
-                .expect("parallel");
-            assert_eq!(got.len(), base.len());
-            for ((la, a), (lb, b)) in base.iter().zip(&got) {
-                assert_eq!(la, lb, "label order must be preserved");
-                assert_eq!(a.totals, b.totals, "threads={threads} intra={intra}");
-                assert_eq!(
-                    a.collections, b.collections,
-                    "threads={threads} intra={intra}"
-                );
-            }
+        let got = Experiment::new()
+            .with_threads(threads)
+            .with_cache(&shared)
+            .run_jobs(jobs())
+            .expect("parallel");
+        assert_eq!(got.len(), base.len());
+        for ((la, a), (lb, b)) in base.iter().zip(&got) {
+            assert_eq!(la, lb, "label order must be preserved");
+            assert_eq!(a.totals, b.totals, "threads={threads}");
+            assert_eq!(a.collections, b.collections, "threads={threads}");
         }
     }
     // The shared cache holds exactly one trace per distinct seed.

@@ -11,6 +11,7 @@
 use pgc::durable::{read_log, DurableStore, ScratchDir};
 use pgc::odb::Database;
 use pgc::prelude::*;
+use pgc::sim::durable::manifest_for;
 use pgc::types::{PgcError, SimRng};
 use pgc::workload::{read_trace, write_trace, Event, EventBlock, NodeId, SyntheticWorkload};
 use std::fs;
@@ -99,6 +100,41 @@ fn hostile_trace_files_are_errors_or_clean_prefixes() {
             assert!(decoded.len() * 5 <= bytes.len());
         }
     }
+}
+
+#[test]
+fn a_duplicated_first_block_is_an_error_not_a_remapping() {
+    // A run of events spliced in twice keeps every checksum a trace file
+    // or a log frame would carry, and each event in it decodes. Its create
+    // events repeat node ids, though, and a replayer that accepted them
+    // would bind every later node id to the wrong object.
+    let cfg = RunConfig::small().with_seed(4);
+    let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
+        .unwrap()
+        .collect();
+    let doubled = [&events[..64], &events[..]].concat();
+
+    let trace = EncodedTrace::from_events(cfg.workload.clone(), &doubled);
+    let err = Simulation::builder(&cfg)
+        .trace(&trace)
+        .run()
+        .expect_err("a repeated create id");
+    assert!(matches!(err, PgcError::TraceFormat(_)), "{err}");
+
+    let dir = ScratchDir::new("doubled");
+    let mut store = DurableStore::create(&DurabilityConfig::log_only(dir.path())).unwrap();
+    store
+        .write_manifest(&manifest_for(&cfg, TelemetryLevel::Off))
+        .unwrap();
+    store.append_events(&doubled).unwrap();
+    let db = Database::new(cfg.db.clone()).unwrap();
+    store.finish(&db, doubled.len() as u64, 0).unwrap();
+    assert_eq!(
+        read_log(dir.path()).unwrap().trace.events(),
+        doubled.len() as u64
+    );
+    let err = recover(dir.path()).expect_err("a log holding those bytes");
+    assert!(matches!(err, PgcError::TraceFormat(_)), "{err}");
 }
 
 /// CRC-32 (IEEE), bit by bit: forges valid checksums for hostile frames.

@@ -12,6 +12,7 @@
 
 use pgc::durable::{read_log, scan_snapshots, ScratchDir};
 use pgc::prelude::*;
+use pgc::sim::durable::manifest_for;
 use pgc::workload::generator::GenStats;
 use pgc::workload::{Event, SyntheticWorkload};
 use std::fs;
@@ -97,6 +98,28 @@ fn recovery_is_bit_identical_across_policies_and_seeds() {
             assert_eq!(rec_tel.records.len(), orig_tel.records.len());
         }
     }
+}
+
+#[test]
+fn a_manifest_with_the_retired_parallelism_key_still_recovers() {
+    // Data directories written before intra-run parallelism was removed
+    // carry a `parallelism` key; a `Deterministic(4)` run wrote 4. The
+    // reader ignores keys it does not ask for.
+    let dir = ScratchDir::new("old-manifest");
+    let original = run_durable(PolicyKind::MostGarbage, 2, &dir);
+    let cfg = RunConfig::small()
+        .with_policy(PolicyKind::MostGarbage)
+        .with_seed(2);
+    let mut old = manifest_for(&cfg, TelemetryLevel::Full);
+    assert_eq!(old.get("parallelism"), None, "no longer written");
+    old.set("parallelism", 4);
+    old.write_to(dir.path()).expect("rewrite the manifest");
+
+    let recovered = recover(dir.path()).expect("recover under the old manifest");
+    assert_eq!(
+        outcome_digest(&recovered.outcome),
+        outcome_digest(&original)
+    );
 }
 
 /// The newest log segment in `dir`, by sequence number.

@@ -412,20 +412,17 @@ fn one_slot_inbox_backpressures_without_losing_events() {
     assert_eq!(fleet.ring_high_water, vec![1], "one slot bounds occupancy");
 }
 
-/// A worker that panics mid-run must surface as a session error at
-/// shutdown — carrying the panic message — instead of aborting the whole
-/// process or deadlocking parked producers. (The dense-id debug assertion
-/// in the replayer only fires in debug builds.)
+/// A create event that does not name the next dense id — a spliced or
+/// forged segment — is refused by the replayer, in every build. The
+/// worker hands the error back and it surfaces at shutdown; nothing
+/// panics and no later id is bound to the wrong object.
 #[test]
-#[cfg(debug_assertions)]
-fn worker_panic_surfaces_as_session_error_at_shutdown() {
-    use pgc::types::Bytes;
+fn a_non_dense_create_id_surfaces_as_an_error_at_shutdown() {
+    use pgc::types::{Bytes, PgcError};
 
     let (stream, cfg) = stream_configs()[0].clone();
     let mut server = Server::start(ServerConfig::new(1));
     server.open_stream(stream, cfg).expect("open");
-    // A wildly non-dense node id trips the replayer's dense-id invariant
-    // on the worker thread.
     let poison = Event::CreateRoot {
         node: NodeId(1_000_000),
         size: Bytes(64),
@@ -434,11 +431,9 @@ fn worker_panic_surfaces_as_session_error_at_shutdown() {
     server
         .submit_segment(stream, TraceSegment::encode(&[poison]))
         .expect("enqueue");
-    let err = server.shutdown().expect_err("worker panicked");
-    let msg = err.to_string();
+    let err = server.shutdown().expect_err("the poisoned stream");
     assert!(
-        msg.contains("shard worker panicked"),
-        "panic not surfaced: {msg}"
+        matches!(&err, PgcError::TraceFormat(msg) if msg.contains("1000000")),
+        "got {err}"
     );
-    assert!(msg.contains("dense"), "panic payload lost: {msg}");
 }
