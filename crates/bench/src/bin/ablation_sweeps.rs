@@ -41,11 +41,9 @@ fn base(args: &CommonArgs, policy: PolicyKind, seed: u64) -> RunConfig {
 }
 
 fn main() {
-    let mut args = CommonArgs::parse();
-    if args.seeds == 10 {
-        args.seeds = 5; // sweeps multiply runs; 5 seeds keeps this quick
-    }
-    let seeds = args.seed_list();
+    let args = CommonArgs::parse();
+    // Sweeps multiply runs; 5 seeds by default keeps this quick.
+    let seeds = args.seed_list(5);
     let mut out = String::new();
     // Every sweep below varies database-side knobs (trigger, partition
     // size, buffer, batch, placement) over the same workload parameters, so

@@ -58,7 +58,7 @@ fn main() {
             other => rest.push(other.to_string()),
         }
     }
-    let args = CommonArgs::parse_from(rest);
+    let args = CommonArgs::flags_only(rest);
     assert!(shards >= 1, "--shards must be at least 1");
     assert!(streams >= 1, "--streams must be at least 1");
     const CLIENT_PAGES: u64 = 16;

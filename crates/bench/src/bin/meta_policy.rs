@@ -46,7 +46,7 @@ fn main() {
         .into_iter()
         .filter(|k| *k != PolicyKind::AdaptiveMeta)
         .collect();
-    let seeds = args.seed_list();
+    let seeds = args.seed_list(10);
 
     let scaled = |policy: PolicyKind, seed: u64| {
         let cfg = paper::headline(policy, seed);

@@ -21,8 +21,7 @@
 //! passes: after the first pass on a given database size, an oracle pass
 //! performs no heap allocation. The original hash-set implementation is
 //! retained verbatim in [`mod@reference`] as the correctness baseline for
-//! equivalence tests and for the perf-regression harness
-//! (`perf_report`).
+//! the equivalence tests.
 
 use crate::db::Database;
 use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId};
@@ -248,14 +247,13 @@ pub fn reachable_set(db: &Database) -> HashSet<Oid> {
     live.iter().map(Oid).collect()
 }
 
-/// The original hash-set oracle, kept as a correctness and performance
-/// baseline.
+/// The original hash-set oracle, kept as a correctness baseline.
 ///
 /// This is the pre-dense implementation, byte for byte: three `HashSet`s
 /// allocated per pass. The equivalence test below and the seeded-loop
 /// property test in `tests/` hold [`analyze`] to producing
-/// identical [`OracleReport`]s, and `perf_report` measures the speedup
-/// against it.
+/// identical [`OracleReport`]s — and, over whole runs, identical victim
+/// sequences.
 pub mod reference {
     use super::{Database, OracleReport};
     use pgc_types::{Bytes, Oid, PartitionId};

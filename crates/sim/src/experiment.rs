@@ -34,11 +34,6 @@
 //! [`TelemetrySnapshot`] back on the [`Comparison`] (per-run in
 //! [`Comparison::telemetry`], merged per policy on
 //! [`PolicyRow::telemetry`]) without perturbing any simulation result.
-//!
-//! The pre-builder free functions (`compare_policies`, `run_jobs`, and
-//! their variants) are gone as of the durability PR: [`Experiment`] is
-//! the one multi-run entry point; only [`default_threads`] remains
-//! free-standing.
 
 use crate::run::{RunConfig, RunOutcome, Simulation};
 use crate::summary::Summary;
@@ -341,7 +336,7 @@ impl<'c> Experiment<'c> {
 }
 
 /// The default worker-thread count: one per available core.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

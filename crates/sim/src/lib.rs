@@ -60,10 +60,10 @@ pub mod summary;
 
 pub use chart::{render_chart, ChartMetric};
 pub use durable::{outcome_digest, recover, RecoveredRun};
-pub use experiment::{default_threads, Comparison, Experiment, PolicyRow, RunTelemetry};
+pub use experiment::{Comparison, Experiment, PolicyRow, RunTelemetry};
 pub use metrics::{RunTotals, SamplePoint, TimeSeries};
 pub use replay::Replayer;
-pub use run::{drive_encoded, RunConfig, RunOutcome, Simulation, SimulationBuilder};
+pub use run::{RunConfig, RunOutcome, Simulation, SimulationBuilder};
 pub use shadow::{
     agreement_table, regret_table, run_race, run_race_with_telemetry, RaceOutcome, RaceRecord,
     ShadowPick,

@@ -414,7 +414,12 @@ impl<'a> SimulationBuilder<'a> {
                 generator.stats()
             }
             Source::Encoded(trace) => {
-                for_each_block(trace, |block| shard.step_block(block))?;
+                // Batched decode into one reused block, in stream order.
+                let mut cursor = trace.cursor();
+                let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
+                while cursor.next_block(&mut block)? > 0 {
+                    shard.step_block(&block)?;
+                }
                 trace.stats()
             }
             Source::Events(events) => {
@@ -424,29 +429,6 @@ impl<'a> SimulationBuilder<'a> {
         };
         shard.finish(gen_stats)
     }
-}
-
-/// Streams an encoded trace's decoded blocks into `apply`, in stream
-/// order, with batched block decode into one reused [`EventBlock`].
-fn for_each_block(
-    trace: &EncodedTrace,
-    mut apply: impl FnMut(&EventBlock) -> Result<()>,
-) -> Result<()> {
-    let mut cursor = trace.cursor();
-    let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
-    while cursor.next_block(&mut block)? > 0 {
-        apply(&block)?;
-    }
-    Ok(())
-}
-
-/// Drives `replayer` through `trace` using the batched struct-of-arrays
-/// decode path.
-///
-/// This is the hot-path entry the perf harness times; [`Simulation`] runs
-/// the same loop internally for encoded sources, plus sampling.
-pub fn drive_encoded(replayer: &mut Replayer, trace: &EncodedTrace) -> Result<()> {
-    for_each_block(trace, |block| replayer.apply_block(block, 0, block.len()))
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use pgc_odb::BarrierObserver;
 use pgc_telemetry::{
     DeriveSummary, StorageSummary, TelemetryHandle, TelemetryLevel, TelemetryObserver,
 };
-use pgc_types::{Oid, Result};
+use pgc_types::{Oid, PgcError, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{Event, EventBlock, NodeId};
 use std::sync::Arc;
@@ -69,6 +69,11 @@ impl Shard {
     /// observers with [`Shard::add_observer`] and a telemetry tap with
     /// [`Shard::enable_telemetry`] *before* stepping the first event.
     pub fn new(cfg: &RunConfig) -> Result<Self> {
+        if cfg.sample_every == Some(0) {
+            return Err(PgcError::InvalidConfig(
+                "sample_every must be at least 1 event",
+            ));
+        }
         let mut replayer = cfg.build_replayer()?;
         let sample_every = cfg.sample_every.unwrap_or(u64::MAX);
         let durable = if cfg.durability.is_enabled() {
@@ -354,6 +359,23 @@ mod tests {
         assert_eq!(via_sim.gen_stats, via_shard.gen_stats);
         assert_eq!(via_sim.series.points(), via_shard.series.points());
         assert_eq!(via_sim.derive, via_shard.derive);
+    }
+
+    #[test]
+    fn a_zero_sampling_interval_is_rejected_not_spun_on() {
+        // `with_sampling` clamps to 1; the public field does not. A zero
+        // interval would leave `next_sample` at 0 forever: `step` would
+        // sample at every event and `step_block` never advance past it.
+        let mut cfg = RunConfig::small();
+        cfg.sample_every = Some(0);
+        let trace = pgc_workload::EncodedTrace::record(cfg.workload.clone()).unwrap();
+        for builder in [
+            Simulation::builder(&cfg),
+            Simulation::builder(&cfg).trace(&trace),
+        ] {
+            let err = builder.run().unwrap_err();
+            assert!(matches!(err, PgcError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! The recorder is a pure bystander on the bus built in PR 3: it reads
 //! the same stream every selection policy sees and touches nothing else,
 //! so totals and victim sequences are bit-identical with telemetry off or
-//! on — the simulator's test suite pins this, and `perf_report` gates the
-//! disabled path at <2% overhead.
+//! on — the simulator's test suite pins this, and the benchmark's
+//! `telemetry.full_over_off` is what the enabled path costs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

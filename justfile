@@ -22,23 +22,13 @@ fmt:
 # All gates in one go.
 check: fmt-check clippy verify
 
-# Regenerate every BENCH_*.json (hot path, shared-trace sweep, policy
-# engine, telemetry, server scalability, storage backend) and exit
-# nonzero if a gate regresses.
-bench-report:
-    cargo run --release -p pgc-bench --bin perf_report
-
 # Tap the headline comparison for telemetry: writes one JSONL line per
 # collector activation (schema pgc-telemetry/v1) to telemetry.jsonl and
 # prints the per-policy telemetry summary table. Scaled down by default;
 # pass scale=100 for the full paper workload.
 telemetry out="telemetry.jsonl" scale="25" seeds="3":
-    cargo run --release -p pgc-bench --bin table2_throughput -- \
-        --seeds {{seeds}} --scale {{scale}} --telemetry-out {{out}}
-
-# Dependency-free micro-benchmarks (PGC_BENCH_QUICK=1 for a fast pass).
-bench:
-    cargo bench -p pgc-bench
+    cargo run --release -p pgc-bench --bin all_experiments -- \
+        table2 --seeds {{seeds}} --scale {{scale}} --telemetry-out {{out}}
 
 # The sharded multi-tenant server: run the client_server driver on a
 # fleet of `shards` shard worker threads hosting `streams` client
@@ -51,9 +41,9 @@ serve shards="4" streams="8" scale="25":
         --shards {{shards}} --streams {{streams}} --scale {{scale}}
 
 # The server's own tests (ring inbox, remset, worker batching) and the
-# 1/2/4-shard and drain-batching equivalence suite (the
-# server_scalability numbers come from `just bench-report`). The same two
-# commands run under ThreadSanitizer in CI's advisory job.
+# 1/2/4-shard and drain-batching equivalence suite (throughput is the
+# benchmark's business: `fleet_roundtrip` in benchmark/README.md). The
+# same two commands run under ThreadSanitizer in CI's advisory job.
 shards:
     cargo test -q -p pgc-server --lib
     cargo test -q -p pgc --test shard_equivalence

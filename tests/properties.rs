@@ -635,4 +635,66 @@ fn dense_oracle_matches_reference_after_real_workloads() {
             "seed {seed}, final state"
         );
     }
+
+    // The same equivalence where it decides something: a whole run whose
+    // every victim the dense oracle picks (`MostGarbage`) against one
+    // whose every victim the reference picks. One miscounted partition
+    // changes a victim, and everything downstream of it.
+    for seed in 0..10u64 {
+        let cfg = pgc::sim::RunConfig::small()
+            .with_policy(PolicyKind::MostGarbage)
+            .with_seed(seed);
+        let replay = |policy: Box<dyn SelectionPolicy>| {
+            let db = Database::new(cfg.db.clone()).expect("db");
+            let collector = Collector::with_trigger(policy, cfg.effective_trigger())
+                .with_batch(cfg.collect_batch);
+            let mut replayer = pgc::sim::Replayer::new(db, collector);
+            let workload = pgc::workload::SyntheticWorkload::new(cfg.workload.clone());
+            for event in workload.expect("params") {
+                replayer.apply(&event).expect("apply");
+            }
+            replayer
+        };
+        let dense = replay(build_policy(
+            cfg.policy,
+            cfg.policy_seed(),
+            cfg.db.max_weight,
+        ));
+        let reference = replay(Box::new(ReferenceMostGarbage));
+        let victims = |r: &pgc::sim::Replayer| -> Vec<_> {
+            r.collections().iter().map(|c| c.victim).collect()
+        };
+        assert!(!victims(&dense).is_empty(), "seed {seed}: nothing selected");
+        assert_eq!(victims(&dense), victims(&reference), "seed {seed}");
+        assert_eq!(dense.db().stats(), reference.db().stats(), "seed {seed}");
+        assert_eq!(
+            dense.db().io_stats(),
+            reference.db().io_stats(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            oracle::analyze(dense.db()),
+            oracle::reference::analyze(reference.db()),
+            "seed {seed}, final report"
+        );
+    }
+}
+
+/// `MostGarbage`'s selection rule over the hash-set reference oracle.
+struct ReferenceMostGarbage;
+
+impl pgc::odb::BarrierObserver for ReferenceMostGarbage {
+    fn on_event(&mut self, _event: &BarrierEvent) {}
+}
+
+impl SelectionPolicy for ReferenceMostGarbage {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::MostGarbage
+    }
+
+    fn select(&mut self, db: &Database) -> Option<pgc::types::PartitionId> {
+        oracle::reference::analyze(db)
+            .most_garbage_partition(db.empty_partition())
+            .or_else(|| pgc::core::policy::fallback_victim(db))
+    }
 }

@@ -101,6 +101,35 @@ fn recovery_is_bit_identical_across_policies_and_seeds() {
 }
 
 #[test]
+fn persisting_a_run_does_not_change_it() {
+    // The store rides the bus as a bystander and reads the database only
+    // at safepoints: bare, log-only and snapshot + log runs of one config
+    // must be one run — and each persisted one must recover to it.
+    for policy in POLICIES {
+        let cfg = RunConfig::small().with_policy(policy).with_seed(3);
+        let run = |durability: Option<DurabilityConfig>| {
+            let mut builder = Simulation::builder(&cfg).telemetry(TelemetryLevel::Full);
+            if let Some(d) = durability {
+                builder = builder.durability(d);
+            }
+            outcome_digest(&builder.run().expect("run"))
+        };
+        let bare = run(None);
+        let (log_dir, snap_dir) = (ScratchDir::new("log-only"), ScratchDir::new("snap"));
+        let logged = run(Some(
+            DurabilityConfig::log_only(log_dir.path()).with_segment_bytes(64 << 10),
+        ));
+        let snapshotted = run(Some(durable_cfg(&snap_dir)));
+        assert_eq!(logged, bare, "{policy}: log-only perturbs the run");
+        assert_eq!(snapshotted, bare, "{policy}: snapshots perturb the run");
+        for dir in [&log_dir, &snap_dir] {
+            let recovered = recover(dir.path()).expect("recover");
+            assert_eq!(outcome_digest(&recovered.outcome), bare, "{policy}");
+        }
+    }
+}
+
+#[test]
 fn a_manifest_with_the_retired_parallelism_key_still_recovers() {
     // Data directories written before intra-run parallelism was removed
     // carry a `parallelism` key; a `Deterministic(4)` run wrote 4. The
