@@ -110,12 +110,6 @@ impl Collector {
         self.policy.kind()
     }
 
-    /// The driving policy itself (for diagnostics such as
-    /// [`SelectionPolicy::derive_stats`]).
-    pub fn policy(&self) -> &dyn SelectionPolicy {
-        self.policy.as_ref()
-    }
-
     /// The trigger state.
     pub fn scheduler(&self) -> &GcScheduler {
         &self.scheduler

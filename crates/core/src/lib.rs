@@ -13,11 +13,10 @@
 //!   (`NoCollection`, `Random`, `MutatedPartition`, `UpdatedPointer`,
 //!   `WeightedPointer`, `MostGarbage`), extensions used for ablations
 //!   (`RoundRobin`, `Occupancy`, `YnyMutated`, `Generational`,
-//!   `UpdatedDecay`), and two built on the derive layer (`Composite`,
-//!   `AdaptiveMeta`).
-//! * [`mod@derive`] — the incremental-computation runtime behind the counter
-//!   policies: revision-stamped per-partition inputs fed by bus events and
-//!   memoized ranking queries recomputed only when a tracked input moved.
+//!   `UpdatedDecay`, `Composite`), and the `AdaptiveMeta` meta-policy
+//!   that races them. The six counter policies share one representation:
+//!   a per-partition score table bumped from bus events and ranked by one
+//!   pass when the trigger fires.
 //! * [`scheduler`] — the paper's trigger: collect after a fixed number of
 //!   pointer overwrites, independent of the selection policy so that every
 //!   policy performs the same number of collections.
@@ -34,13 +33,11 @@
 #![warn(missing_docs)]
 
 pub mod collector;
-pub mod derive;
 pub mod policies;
 pub mod policy;
 pub mod scheduler;
 
 pub use collector::Collector;
-pub use derive::DeriveStats;
 pub use policies::build_policy;
 pub use policy::{PolicyKind, PolicySwitch, SelectionPolicy};
 pub use scheduler::{GcScheduler, Trigger};

@@ -26,7 +26,6 @@
 //! [`PolicySwitch`] is recorded for the collector to broadcast as
 //! [`pgc_odb::BarrierEvent::PolicySwitched`].
 
-use crate::derive::DeriveStats;
 use crate::policies::build_policy;
 use crate::policy::{PolicyKind, PolicySwitch, SelectionPolicy};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
@@ -253,16 +252,6 @@ impl SelectionPolicy for AdaptiveMeta {
     fn take_switches(&mut self) -> Vec<PolicySwitch> {
         std::mem::take(&mut self.switches)
     }
-
-    fn derive_stats(&self) -> Option<DeriveStats> {
-        let mut out: Option<DeriveStats> = None;
-        for c in &self.candidates {
-            if let Some(s) = c.derive_stats() {
-                out.get_or_insert_with(DeriveStats::default).absorb(&s);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -463,18 +452,5 @@ mod tests {
             "window not reached"
         );
         assert!(p.take_switches().is_empty());
-    }
-
-    #[test]
-    fn aggregates_candidate_derive_stats() {
-        let d = db();
-        let mut p = AdaptiveMeta::new(16);
-        p.on_event(&overwrite(1));
-        p.on_event(&tick(1));
-        let _ = p.select(&d);
-        let s = p.derive_stats().unwrap();
-        // Four of the five default candidates are engine-backed.
-        assert_eq!(s.queries, 4);
-        assert_eq!(s.selections(), 4);
     }
 }

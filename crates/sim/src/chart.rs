@@ -16,8 +16,6 @@ pub enum ChartMetric {
     GarbageKb,
     /// Database size: live + unreclaimed garbage (Figure 5).
     ResidentKb,
-    /// Storage footprint.
-    FootprintKb,
 }
 
 impl ChartMetric {
@@ -25,7 +23,6 @@ impl ChartMetric {
         match self {
             ChartMetric::GarbageKb => p.garbage_bytes.as_kib_f64(),
             ChartMetric::ResidentKb => p.resident_bytes.as_kib_f64(),
-            ChartMetric::FootprintKb => p.footprint.as_kib_f64(),
         }
     }
 
@@ -34,7 +31,6 @@ impl ChartMetric {
         match self {
             ChartMetric::GarbageKb => "unreclaimed garbage (KB)",
             ChartMetric::ResidentKb => "database size (KB)",
-            ChartMetric::FootprintKb => "storage footprint (KB)",
         }
     }
 }
@@ -220,11 +216,7 @@ mod tests {
 
     #[test]
     fn all_metrics_have_labels() {
-        for m in [
-            ChartMetric::GarbageKb,
-            ChartMetric::ResidentKb,
-            ChartMetric::FootprintKb,
-        ] {
+        for m in [ChartMetric::GarbageKb, ChartMetric::ResidentKb] {
             assert!(!m.label().is_empty());
         }
     }

@@ -305,37 +305,6 @@ pub fn format_telemetry(cmp: &Comparison) -> String {
     out
 }
 
-/// Serializes a [`Comparison`] as CSV (one row per policy, one column per
-/// aggregated metric mean/sd) — the machine-readable counterpart of the
-/// formatted tables.
-pub fn comparison_to_csv(cmp: &Comparison) -> String {
-    let mut out = String::from(
-        "policy,app_ios,app_ios_sd,gc_ios,gc_ios_sd,total_ios,max_storage_kb,partitions,         reclaimed_kb,actual_garbage_kb,fraction_pct,efficiency_kb_per_io,nepotism_kb,collections
-",
-    );
-    for r in &cmp.rows {
-        let _ = writeln!(
-            out,
-            "{},{:.1},{:.1},{:.1},{:.1},{:.1},{:.1},{:.2},{:.1},{:.1},{:.2},{:.3},{:.1},{:.1}",
-            r.policy.name(),
-            r.app_ios.mean,
-            r.app_ios.std_dev,
-            r.gc_ios.mean,
-            r.gc_ios.std_dev,
-            r.total_ios.mean,
-            r.max_storage_kb.mean,
-            r.partitions.mean,
-            r.reclaimed_kb.mean,
-            r.actual_garbage_kb.mean,
-            r.fraction_pct.mean,
-            r.efficiency_kb_per_io.mean,
-            r.nepotism_kb.mean,
-            r.collections.mean,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,19 +361,6 @@ mod tests {
         assert!(t.contains("C = 1.167"));
         assert!(t.contains("C = 1.005"));
         assert!(t.contains("UpdatedPointer"));
-    }
-
-    #[test]
-    fn comparison_csv_is_well_formed() {
-        let cmp = tiny_comparison();
-        let csv = comparison_to_csv(&cmp);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + cmp.rows.len());
-        let cols = lines[0].split(',').count();
-        for line in &lines[1..] {
-            assert_eq!(line.split(',').count(), cols, "{line}");
-        }
-        assert!(lines[1].starts_with("NoCollection,"));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use fleet::{FleetSnapshot, ShardTelemetry};
 pub use jsonl::{parse_line, record_line, write_snapshot, ParsedLine, SCHEMA};
 pub use observer::{TelemetryHandle, TelemetryObserver};
 pub use record::{ActivationRecord, PolicySwitchNote, ShadowPickNote, TriggerReason};
-pub use snapshot::{CounterSnapshot, DeriveSummary, StorageSummary, TelemetrySnapshot};
+pub use snapshot::{CounterSnapshot, StorageSummary, TelemetrySnapshot};
 
 /// How much the telemetry layer records.
 ///

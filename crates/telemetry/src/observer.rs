@@ -103,7 +103,6 @@ impl TelemetryState {
             activation_gap_events: self.gap_hist.snapshot(),
             records: self.records,
             switches: self.switches,
-            derive: None,
             storage: None,
         }
     }
@@ -263,7 +262,6 @@ impl TelemetryHandle {
                     activation_gap_events: s.gap_hist.snapshot(),
                     records: s.records.clone(),
                     switches: s.switches.clone(),
-                    derive: None,
                     storage: None,
                 }
             }

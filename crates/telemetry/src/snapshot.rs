@@ -63,43 +63,6 @@ impl CounterSnapshot {
     }
 }
 
-/// Aggregated recompute counters from the driving policy's derived-state
-/// engine (`pgc-core`'s derive layer), mirrored here as plain integers so
-/// telemetry stays dependency-free. Attached by the simulator after a run;
-/// absent when the driving policy keeps no derived state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeriveSummary {
-    /// Registered base inputs.
-    pub inputs: u64,
-    /// Registered derived queries.
-    pub queries: u64,
-    /// Final input revision (events that changed at least one input).
-    pub revision: u64,
-    /// Selections answered from an unchanged memo.
-    pub hits: u64,
-    /// Selections answered by rescanning only dirty partitions.
-    pub partial: u64,
-    /// Selections that rescanned every partition.
-    pub full: u64,
-}
-
-impl DeriveSummary {
-    /// Adds another run's recompute counters into this one.
-    pub fn merge(&mut self, other: &DeriveSummary) {
-        self.inputs += other.inputs;
-        self.queries += other.queries;
-        self.revision += other.revision;
-        self.hits += other.hits;
-        self.partial += other.partial;
-        self.full += other.full;
-    }
-
-    /// Total selections answered (memo hits + partial + full rescans).
-    pub fn selections(&self) -> u64 {
-        self.hits + self.partial + self.full
-    }
-}
-
 /// Durable-storage counters mirrored from the run's `DurableStore` as
 /// plain integers so telemetry stays dependency-free. Attached by the
 /// simulator after a run; absent when the run did not persist (including
@@ -164,9 +127,6 @@ pub struct TelemetrySnapshot {
     /// Every driving-policy switch observed, in order (recorded at all
     /// levels; dropped on merge like `records`).
     pub switches: Vec<PolicySwitchNote>,
-    /// Recompute counters from the driving policy's derive engine, when it
-    /// has one (attached by the simulator; summed on merge).
-    pub derive: Option<DeriveSummary>,
     /// Durable-storage counters, when the run persisted (attached by the
     /// simulator; summed on merge).
     pub storage: Option<StorageSummary>,
@@ -185,7 +145,6 @@ impl TelemetrySnapshot {
             activation_gap_events: HistogramSnapshot::default(),
             records: Vec::new(),
             switches: Vec::new(),
-            derive: None,
             storage: None,
         }
     }
@@ -204,11 +163,6 @@ impl TelemetrySnapshot {
             .merge(&other.activation_gap_events);
         self.records.clear();
         self.switches.clear();
-        if let Some(theirs) = &other.derive {
-            self.derive
-                .get_or_insert_with(DeriveSummary::default)
-                .merge(theirs);
-        }
         if let Some(theirs) = &other.storage {
             self.storage
                 .get_or_insert_with(StorageSummary::default)
@@ -265,26 +219,5 @@ mod tests {
         assert!(a.records.is_empty(), "records drop on merge");
         assert!(a.switches.is_empty(), "switch traces drop on merge");
         assert!((a.activations_per_run() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums_derive_summaries() {
-        let mut a = sample(1);
-        let mut b = sample(1);
-        b.derive = Some(DeriveSummary {
-            inputs: 1,
-            queries: 1,
-            revision: 100,
-            hits: 2,
-            partial: 3,
-            full: 5,
-        });
-        a.merge(&b);
-        let d = a.derive.expect("derive summary adopted from other");
-        assert_eq!(d.selections(), 10);
-        a.merge(&b);
-        let d = a.derive.unwrap();
-        assert_eq!(d.revision, 200);
-        assert_eq!(d.selections(), 20);
     }
 }

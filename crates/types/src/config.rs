@@ -56,7 +56,8 @@ pub struct DbConfig {
     /// (stores that replace a previously non-null pointer). Paper: 150–300.
     pub gc_overwrite_threshold: u64,
     /// Maximum object weight for the `WeightedPointer` policy. The paper
-    /// stores weights in 4 bits, so the maximum (and default) is 16.
+    /// stores weights in 4 bits, so the maximum (and default) is 16;
+    /// 1..=32 is accepted.
     pub max_weight: u8,
     /// Object placement among partitions (paper: near the parent).
     pub placement: PlacementPolicy,
@@ -167,6 +168,11 @@ impl DbConfig {
         if self.max_weight == 0 {
             return Err(PgcError::InvalidConfig("max_weight must be positive"));
         }
+        // `WeightedPointer` sums `2^(max_weight - w)` per overwrite into a
+        // `u64` per partition: 32 leaves 2^32 overwrites of headroom.
+        if self.max_weight > 32 {
+            return Err(PgcError::InvalidConfig("max_weight must be at most 32"));
+        }
         if self.client_cache_pages == Some(0) {
             return Err(PgcError::InvalidConfig(
                 "client_cache_pages must be positive when set",
@@ -221,5 +227,7 @@ mod tests {
             .validate()
             .is_err());
         assert!(DbConfig::default().with_max_weight(0).validate().is_err());
+        assert!(DbConfig::default().with_max_weight(32).validate().is_ok());
+        assert!(DbConfig::default().with_max_weight(33).validate().is_err());
     }
 }

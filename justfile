@@ -65,6 +65,15 @@ recover:
     done
     rm -rf target/recover-smoke
 
+# Regenerate the two committed experiment reports (full scale ≈ 27 s,
+# ablations ≈ 4 s on 2 cores). Everything is deterministic in seeds, so
+# `git diff` afterwards must be empty unless the change meant to move a
+# number; CI runs exactly this and fails on a diff.
+reports:
+    cargo run --release -p pgc-bench --bin all_experiments -- --out full_report.txt
+    cargo run --release -p pgc-bench --bin ablation_sweeps -- \
+        --seeds 3 --scale 50 --out ablation_report.txt
+
 # The benchmark package's own tests (it is a separate workspace, so
 # `cargo test` at the root does not run them): smoke-sized runs of both
 # workloads held against benchmark/golden, and the `compare` bounds.
