@@ -14,12 +14,10 @@
 //!    the distributed garbage left behind.
 //! 6. **Trigger kind** — the paper's overwrite trigger vs allocation-paced
 //!    and space-pressure triggers (when to perform collection).
-//! 7. **Partitions per activation** — the paper collects one; Sec. 3.1
-//!    floats collecting several.
-//! 8. **Related-work baselines** — the unenhanced Yong/Naughton/Yu policy
+//! 7. **Related-work baselines** — the unenhanced Yong/Naughton/Yu policy
 //!    (data writes count) and the generational transplant, against the
 //!    paper's policies.
-//! 9. **Object placement** — the paper's near-parent clustering vs
+//! 8. **Object placement** — the paper's near-parent clustering vs
 //!    first-fit and deliberate spreading, testing the premise that
 //!    clustering concentrates subtree garbage.
 //!
@@ -46,7 +44,7 @@ fn main() {
     let seeds = args.seed_list(5);
     let mut out = String::new();
     // Every sweep below varies database-side knobs (trigger, partition
-    // size, buffer, batch, placement) over the same workload parameters, so
+    // size, buffer, placement) over the same workload parameters, so
     // one shared trace cache records each seed's trace once and every sweep
     // point replays it.
     let cache = TraceCache::new();
@@ -205,33 +203,9 @@ fn main() {
         );
     }
 
-    // --- 7. Partitions per collection (Sec. 3.1 "more than one"). ---
-    // An activation condemns *up to* `batch` partitions (it stops at the
-    // first remset overlap), so collections are reported as measured.
-    let _ = writeln!(
-        out,
-        "\n== Ablation 7: partitions per activation (UpdatedPointer) =="
-    );
-    let _ = writeln!(
-        out,
-        "{:>6} {:>12} {:>12} {:>12} {:>10}",
-        "batch", "total I/Os", "collections", "max stor KB", "frac %"
-    );
-    for batch in [1u32, 2, 4] {
-        let cmp = run(&[PolicyKind::UpdatedPointer], &|p, s| {
-            base(&args, p, s).with_collect_batch(batch)
-        });
-        let r = &cmp.rows[0];
-        let _ = writeln!(
-            out,
-            "{:>6} {:>12.0} {:>12.1} {:>12.0} {:>10.1}",
-            batch, r.total_ios.mean, r.collections.mean, r.max_storage_kb.mean, r.fraction_pct.mean
-        );
-    }
-
-    // --- 8. The paper's enhancement: MutatedPartition vs original YNY,
+    // --- 7. The paper's enhancement: MutatedPartition vs original YNY,
     //        plus the generational transplant. ---
-    let _ = writeln!(out, "\n== Ablation 8: related-work baselines ==");
+    let _ = writeln!(out, "\n== Ablation 7: related-work baselines ==");
     let cmp = run(
         &[
             PolicyKind::YnyMutated,
@@ -245,8 +219,8 @@ fn main() {
     );
     out.push_str(&report::format_table4(&cmp));
 
-    // --- 9. Placement policy (clustering premise). ---
-    let _ = writeln!(out, "\n== Ablation 9: object placement (UpdatedPointer) ==");
+    // --- 8. Placement policy (clustering premise). ---
+    let _ = writeln!(out, "\n== Ablation 8: object placement (UpdatedPointer) ==");
     let _ = writeln!(
         out,
         "{:<12} {:>12} {:>12} {:>10} {:>12}",

@@ -1,13 +1,10 @@
 //! Multi-tenant client/server run on the sharded runtime.
 //!
-//! The paper evaluates one client against a local disk and notes its
-//! simulator could "model network costs for a distributed or
-//! client/server database". Earlier revisions of this binary priced a
-//! single run under a page-server cost model; this one runs the *server*:
-//! many client streams, each a tenant with its own partitioned database,
-//! selection policy, and client cache, multiplexed onto a fixed fleet of
-//! shard worker threads behind the deterministic router, with a few
-//! cross-tenant references flowing through the inter-shard remset.
+//! The paper evaluates one client against a local disk. This binary runs
+//! the *server*: many client streams, each a tenant with its own
+//! partitioned database and selection policy, multiplexed onto a fixed
+//! fleet of shard worker threads behind the deterministic router, with a
+//! few cross-tenant references flowing through the inter-shard remset.
 //!
 //! The question it answers: **does multi-tenancy cost anything in
 //! fidelity?** It does not — the binary spot-checks that a stream's
@@ -61,18 +58,15 @@ fn main() {
     let args = CommonArgs::flags_only(rest);
     assert!(shards >= 1, "--shards must be at least 1");
     assert!(streams >= 1, "--streams must be at least 1");
-    const CLIENT_PAGES: u64 = 16;
 
     // One tenant per stream: the paper's policy slate round-robined over
-    // the streams, each on its own seed, each with a client cache in
-    // front of the server buffer (the page-server cost model).
+    // the streams, each on its own seed.
     println!("generating {streams} tenant workloads...");
     let configs: Vec<(StreamId, RunConfig)> = (0..streams as u64)
         .map(|i| {
             let policy = PolicyKind::PAPER[i as usize % PolicyKind::PAPER.len()];
             let mut cfg = paper::headline(policy, i + 1);
             cfg.workload.target_allocated = args.scale_bytes(cfg.workload.target_allocated);
-            cfg.db = cfg.db.with_client_cache_pages(CLIENT_PAGES);
             (StreamId(i), cfg)
         })
         .collect();
@@ -133,10 +127,7 @@ fn main() {
         fleet0.totals == dedicated.totals && fleet0.collections == dedicated.collections;
 
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{streams} streams on {shards} shards; client cache {CLIENT_PAGES} pages per tenant"
-    );
+    let _ = writeln!(out, "{streams} streams on {shards} shards");
     let _ = writeln!(
         out,
         "\n{:<7} {:>8} {:>14} {:>13} {:>14} {:>9}",

@@ -267,8 +267,7 @@ fn weak_incumbent_run(
     margin_pct: u64,
 ) -> TelemetrySnapshot {
     let policy = AdaptiveMeta::with_config(slate, window, margin_pct, cfg.db.max_weight);
-    let collector = Collector::with_trigger(Box::new(policy), cfg.effective_trigger())
-        .with_batch(cfg.collect_batch);
+    let collector = Collector::with_trigger(Box::new(policy), cfg.effective_trigger());
     let db = Database::new(cfg.db.clone()).expect("database");
     let mut replayer = Replayer::new(db, collector);
     let (obs, handle) = TelemetryObserver::new(TelemetryLevel::Full, cfg.trigger_reason());

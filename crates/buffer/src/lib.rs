@@ -22,11 +22,7 @@ pub mod cost;
 pub mod lru;
 pub mod pool;
 pub mod stats;
-pub mod store;
-pub mod tiered;
 
 pub use cost::DiskModel;
 pub use pool::{Access, BufferPool};
 pub use stats::{IoContext, IoStats};
-pub use store::{NetStats, PageStore, StoreStats};
-pub use tiered::{NetworkModel, TieredPool, TieredStats};

@@ -157,18 +157,6 @@ impl LruCache {
         Some(dirty)
     }
 
-    /// Clears `page`'s dirty bit (after an explicit write-back). Returns
-    /// `true` if the page was resident.
-    pub fn clean(&mut self, page: PageId) -> bool {
-        match self.map.get(&page) {
-            Some(&idx) => {
-                self.frames[idx].dirty = false;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Iterates over resident pages from most- to least-recently-used,
     /// yielding `(page, dirty)`.
     pub fn iter_mru(&self) -> impl Iterator<Item = (PageId, bool)> + '_ {
@@ -176,13 +164,6 @@ impl LruCache {
             cache: self,
             cursor: self.head,
         }
-    }
-
-    /// All resident dirty pages, in MRU order.
-    pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.iter_mru()
-            .filter_map(|(p, d)| d.then_some(p))
-            .collect()
     }
 
     fn move_to_front(&mut self, idx: usize) {
@@ -341,32 +322,6 @@ mod tests {
         assert_eq!(c.insert(PageId(3), false), Inserted::NoEviction);
         assert_eq!(pages(&c), vec![3, 2]);
         c.check_invariants();
-    }
-
-    #[test]
-    fn clean_clears_dirty() {
-        let mut c = LruCache::new(2);
-        c.insert(PageId(1), true);
-        assert!(c.clean(PageId(1)));
-        assert!(!c.clean(PageId(99)));
-        assert!(c.dirty_pages().is_empty());
-        c.insert(PageId(2), false);
-        assert_eq!(
-            c.insert(PageId(3), false),
-            Inserted::Evicted {
-                page: PageId(1),
-                dirty: false
-            }
-        );
-    }
-
-    #[test]
-    fn dirty_pages_in_mru_order() {
-        let mut c = LruCache::new(4);
-        c.insert(PageId(1), true);
-        c.insert(PageId(2), false);
-        c.insert(PageId(3), true);
-        assert_eq!(c.dirty_pages(), vec![PageId(3), PageId(1)]);
     }
 
     #[test]

@@ -81,15 +81,6 @@ impl BufferPool {
         self.context = ctx;
     }
 
-    /// Runs `f` with the context temporarily switched to `ctx`.
-    pub fn with_context<R>(&mut self, ctx: IoContext, f: impl FnOnce(&mut Self) -> R) -> R {
-        let saved = self.context;
-        self.context = ctx;
-        let out = f(self);
-        self.context = saved;
-        out
-    }
-
     /// Performs one page access, charging any disk traffic it implies.
     pub fn access(&mut self, page: PageId, kind: Access) {
         let dirty = !matches!(kind, Access::Read);
@@ -122,19 +113,6 @@ impl BufferPool {
         for p in pages {
             self.cache.remove(p);
         }
-    }
-
-    /// Writes back every dirty page (one disk write each, charged to the
-    /// current context) and cleans it. Returns the number of pages written.
-    /// The paper's runs never flush mid-simulation; this exists for
-    /// completeness and shutdown.
-    pub fn flush_all(&mut self) -> u64 {
-        let dirty = self.cache.dirty_pages();
-        for &p in &dirty {
-            self.stats.count_disk_write(self.context);
-            self.cache.clean(p);
-        }
-        dirty.len() as u64
     }
 
     /// True if `page` is currently buffered.
@@ -234,17 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn with_context_restores() {
-        let mut pool = BufferPool::new(2);
-        pool.with_context(IoContext::Collector, |p| {
-            p.access(PageId(1), Access::Read);
-        });
-        assert_eq!(pool.context(), IoContext::Application);
-        assert_eq!(pool.stats().gc_disk_reads, 1);
-        assert_eq!(pool.stats().app_disk_reads, 0);
-    }
-
-    #[test]
     fn invalidate_avoids_write_back() {
         let mut pool = BufferPool::new(2);
         pool.access(PageId(1), Access::Write);
@@ -255,19 +222,6 @@ mod tests {
         pool.access(PageId(3), Access::Read);
         pool.access(PageId(4), Access::Read);
         assert_eq!(pool.stats().app_disk_writes, 0);
-    }
-
-    #[test]
-    fn flush_all_writes_each_dirty_page_once() {
-        let mut pool = BufferPool::new(4);
-        pool.access(PageId(1), Access::Write);
-        pool.access(PageId(2), Access::WriteNew);
-        pool.access(PageId(3), Access::Read);
-        assert_eq!(pool.flush_all(), 2);
-        assert_eq!(pool.stats().app_disk_writes, 2);
-        // Second flush is a no-op: pages were cleaned.
-        assert_eq!(pool.flush_all(), 0);
-        assert_eq!(pool.stats().app_disk_writes, 2);
     }
 
     #[test]

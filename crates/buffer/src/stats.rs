@@ -34,7 +34,7 @@ impl fmt::Display for IoContext {
 pub struct IoStats {
     /// Disk page reads performed while the application was running.
     pub app_disk_reads: u64,
-    /// Disk page writes (evictions of dirty pages, flushes) charged to the
+    /// Disk page writes (evictions of dirty pages) charged to the
     /// application.
     pub app_disk_writes: u64,
     /// Disk page reads performed by the collector.

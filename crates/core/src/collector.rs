@@ -12,7 +12,7 @@ use crate::policies::build_policy;
 use crate::policy::{PolicyKind, SelectionPolicy};
 use crate::scheduler::{GcScheduler, Trigger};
 use pgc_odb::{BarrierEvent, BarrierObserver, CollectionOutcome, Database, ObserverRegistry};
-use pgc_types::{PartitionId, Result};
+use pgc_types::Result;
 
 /// A complete partitioned garbage collector: selection policy + trigger.
 ///
@@ -39,11 +39,6 @@ pub struct Collector {
     /// Bystanders on the bus: shadow scoreboards, tracers, metrics taps.
     /// They see the same stream as the policy but never pick the victim.
     observers: ObserverRegistry,
-    /// Partitions collected per activation. The paper collects exactly one
-    /// ("a full implementation might allow more than one partition to be
-    /// collected at a time, if doing so was determined to be of
-    /// importance") — values above 1 exist for that ablation.
-    batch: u32,
     /// Reused drain buffer so the per-operation pump allocates nothing in
     /// steady state.
     scratch: Vec<BarrierEvent>,
@@ -57,7 +52,6 @@ impl Collector {
             policy,
             scheduler: GcScheduler::new(overwrite_threshold),
             observers: ObserverRegistry::new(),
-            batch: 1,
             scratch: Vec::new(),
         }
     }
@@ -68,16 +62,8 @@ impl Collector {
             policy,
             scheduler: GcScheduler::with_trigger(trigger),
             observers: ObserverRegistry::new(),
-            batch: 1,
             scratch: Vec::new(),
         }
-    }
-
-    /// Sets how many partitions each activation collects (min 1).
-    #[must_use]
-    pub fn with_batch(mut self, batch: u32) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 
     /// Convenience constructor from a [`PolicyKind`]; `seed` feeds the
@@ -169,23 +155,14 @@ impl Collector {
 
     /// Runs one activation immediately (resets the trigger window whether
     /// or not the policy declined, so `NoCollection` pays no compounding
-    /// bookkeeping): condemn up to `batch` victims, then collect each in
-    /// turn. Returns the last collection's outcome.
+    /// bookkeeping): select one victim and collect it — "each collector
+    /// activation copies the live objects of exactly one partition".
     ///
     /// Activation order on the bus: any pending events are drained first;
     /// then a [`BarrierEvent::TriggerTick`] marks the activation; then
     /// every observer's `on_trigger` sees the *pre-collection* database —
     /// this is where shadow scoreboards record the victim they would have
     /// picked — and only then does the driving policy select and collect.
-    ///
-    /// Every pick is made against the pre-collection database, excluding
-    /// the partitions already condemned, and condemnation stops at the
-    /// first pick that shares a remembered pointer (in either direction)
-    /// with an earlier one — so an activation may collect fewer than
-    /// `batch` partitions. The condemned partitions are collected in
-    /// ascending partition-id order; remset-disjointness is why collecting
-    /// them in turn equals collecting each against the pre-collection view
-    /// (`DESIGN.md` §3.4).
     pub fn force_collect(&mut self, db: &mut Database) -> Result<Option<CollectionOutcome>> {
         self.sync(db);
         self.scheduler.collection_done();
@@ -196,46 +173,30 @@ impl Collector {
         self.observers.broadcast(&tick);
         self.observers.notify_trigger(db);
 
-        let mut victims: Vec<PartitionId> = Vec::new();
-        let mut condemned: Vec<(PartitionId, Option<u64>)> = Vec::new();
-        while condemned.len() < self.batch as usize {
-            let pick = if victims.is_empty() {
-                self.policy.select(db)
-            } else {
-                self.policy.select_excluding(db, &victims)
-            };
-            let Some(victim) = pick else { break };
-            if victims.iter().any(|&v| zones_overlap(db, victim, v)) {
-                break;
-            }
-            let score_bits = self.policy.victim_score(victim).map(f64::to_bits);
-            victims.push(victim);
-            condemned.push((victim, score_bits));
-        }
-        condemned.sort_unstable_by_key(|&(p, _)| p);
-
-        let mut last = None;
-        for (victim, score_bits) in condemned {
-            // Announce the pick (with the policy's score for it) before
-            // collecting, so bus taps can attribute the collection that
-            // follows. Selection is already made; observers cannot
-            // influence it.
-            let selected = BarrierEvent::VictimSelected { victim, score_bits };
-            self.policy.on_event(&selected);
-            self.observers.broadcast(&selected);
-            let outcome = db.collect_partition(victim)?;
-            // Pump the collection's own events (copies, reclaims, the
-            // completion record) so scoreboards reset before the next
-            // collection.
-            self.sync(db);
-            // A meta-policy decides switches while digesting the
-            // collection outcome; announce them on the bus immediately so
-            // taps attribute each switch to the activation that caused it
-            // (the new policy drives from the next activation on).
-            self.broadcast_switches();
-            last = Some(outcome);
-        }
-        Ok(last)
+        let Some(victim) = self.policy.select(db) else {
+            return Ok(None);
+        };
+        // Announce the pick (with the policy's score for it) before
+        // collecting, so bus taps can attribute the collection that
+        // follows. Selection is already made; observers cannot influence
+        // it.
+        let selected = BarrierEvent::VictimSelected {
+            victim,
+            score_bits: self.policy.victim_score(victim).map(f64::to_bits),
+        };
+        self.policy.on_event(&selected);
+        self.observers.broadcast(&selected);
+        let outcome = db.collect_partition(victim)?;
+        // Pump the collection's own events (copies, reclaims, the
+        // completion record) so scoreboards reset before the next
+        // activation.
+        self.sync(db);
+        // A meta-policy decides switches while digesting the collection
+        // outcome; announce them on the bus immediately so taps attribute
+        // each switch to the activation that caused it (the new policy
+        // drives from the next activation on).
+        self.broadcast_switches();
+        Ok(Some(outcome))
     }
 
     fn broadcast_switches(&mut self) {
@@ -249,25 +210,6 @@ impl Collector {
             self.observers.broadcast(&event);
         }
     }
-}
-
-/// True when a remembered inter-partition pointer connects `a` and `b` in
-/// either direction — the batched-condemnation conflict test.
-fn zones_overlap(db: &Database, a: PartitionId, b: PartitionId) -> bool {
-    points_into(db, a, b) || points_into(db, b, a)
-}
-
-/// True when some object resident in `src` holds a remembered pointer to
-/// an object in `dst`.
-fn points_into(db: &Database, src: PartitionId, dst: PartitionId) -> bool {
-    db.remsets().remembered_targets(dst).any(|target| {
-        db.remsets().locations_of(dst, target).any(|loc| {
-            db.objects()
-                .get(loc.owner)
-                .map(|rec| rec.addr.partition == src)
-                .unwrap_or(false)
-        })
-    })
 }
 
 impl std::fmt::Debug for Collector {
@@ -339,130 +281,6 @@ mod tests {
         let out = c.maybe_collect(&mut d).unwrap().unwrap();
         assert_eq!(out.garbage_objects, 2, "a and b reclaimed");
         assert!(d.objects().contains(r));
-    }
-
-    #[test]
-    fn batch_collects_multiple_partitions() {
-        let mut d = db();
-        let r = d.create_root(Bytes(100), 2).unwrap();
-        // Fill several partitions with garbage-to-be.
-        let (a, _) = d.create_object(Bytes(8100), 2, r, SlotId(0)).unwrap();
-        d.write_slot(r, SlotId(0), None).unwrap();
-        let (b, _) = d.create_object(Bytes(8100), 2, r, SlotId(1)).unwrap();
-        d.write_slot(r, SlotId(1), None).unwrap();
-        let mut c = Collector::with_kind(PolicyKind::MostGarbage, 1, 0, 16).with_batch(2);
-        c.sync(&mut d);
-        c.maybe_collect(&mut d).unwrap();
-        assert_eq!(d.stats().collections, 2, "batch of two");
-        assert!(!d.objects().contains(a));
-        assert!(!d.objects().contains(b));
-    }
-
-    /// Garbage spread over several mutually unconnected partitions, most
-    /// of it in the highest-numbered one (so the oracle's picks descend).
-    fn db_with_disjoint_garbage() -> Database {
-        let mut d = db();
-        let r = d.create_root(Bytes(100), 3).unwrap();
-        for slot in 0..3u16 {
-            // Each spill lands in its own partition and immediately dies;
-            // no pointers run between the spill partitions.
-            let size = Bytes(5000 + 1000 * slot as u64);
-            d.create_object(size, 2, r, SlotId(slot)).unwrap();
-            d.write_slot(r, SlotId(slot), None).unwrap();
-        }
-        d
-    }
-
-    #[test]
-    fn disjoint_zones_are_all_collected_in_ascending_partition_order() {
-        /// Records the partition of every pick and completion on the bus.
-        #[derive(Default)]
-        struct Order(Rc<RefCell<Vec<(&'static str, PartitionId)>>>);
-        impl BarrierObserver for Order {
-            fn on_event(&mut self, event: &BarrierEvent) {
-                match event {
-                    BarrierEvent::VictimSelected { victim, .. } => {
-                        self.0.borrow_mut().push(("selected", *victim))
-                    }
-                    BarrierEvent::CollectionCompleted(out) => {
-                        self.0.borrow_mut().push(("completed", out.victim))
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let mut d = db_with_disjoint_garbage();
-        let tap = Order::default();
-        let seen = Rc::clone(&tap.0);
-        let mut c = Collector::with_kind(PolicyKind::MostGarbage, 1, 0, 16).with_batch(3);
-        c.add_observer(Box::new(tap));
-        c.sync(&mut d);
-        c.force_collect(&mut d).unwrap();
-        d.check_invariants();
-        assert_eq!(d.stats().collections, 3, "all three zones condemned");
-
-        let seen = seen.borrow();
-        assert_eq!(seen.len(), 6, "one pick and one completion per zone");
-        for pair in seen.chunks(2) {
-            assert_eq!(pair[0].0, "selected");
-            assert_eq!(
-                pair[1],
-                ("completed", pair[0].1),
-                "pick then its completion"
-            );
-        }
-        let victims: Vec<PartitionId> = seen.iter().step_by(2).map(|&(_, p)| p).collect();
-        assert!(
-            victims.windows(2).all(|w| w[0] < w[1]),
-            "ascending partition ids: {victims:?}"
-        );
-    }
-
-    #[test]
-    fn zone_condemnation_stops_at_remset_overlap() {
-        // Two garbage-bearing partitions connected by a remembered
-        // pointer are not disjoint: a batch of 2 must collect only one.
-        let mut d = db();
-        let r = d.create_root(Bytes(100), 3).unwrap();
-        let (spill, _) = d.create_object(Bytes(8100), 2, r, SlotId(0)).unwrap();
-        let (small, _) = d.create_object(Bytes(100), 2, r, SlotId(1)).unwrap();
-        let home = d.objects().get(small).unwrap().addr.partition;
-        let foreign = d.objects().get(spill).unwrap().addr.partition;
-        assert_ne!(home, foreign);
-        // Cross-partition pointer foreign -> home, then kill both subtrees
-        // so each partition holds garbage.
-        d.write_slot(spill, SlotId(0), Some(small)).unwrap();
-        d.write_slot(r, SlotId(0), None).unwrap();
-        d.write_slot(r, SlotId(1), None).unwrap();
-        assert!(points_into(&d, foreign, home));
-        let mut c = Collector::with_kind(PolicyKind::MostGarbage, 1, 0, 16).with_batch(2);
-        c.sync(&mut d);
-        c.force_collect(&mut d).unwrap();
-        assert_eq!(
-            d.stats().collections,
-            1,
-            "overlapping zone must not be condemned in the same activation"
-        );
-        d.check_invariants();
-    }
-
-    #[test]
-    fn zone_overlap_test_sees_both_directions() {
-        let mut d = db();
-        let r = d.create_root(Bytes(100), 3).unwrap();
-        let (spill, _) = d.create_object(Bytes(8100), 2, r, SlotId(0)).unwrap();
-        let (small, _) = d.create_object(Bytes(100), 2, r, SlotId(1)).unwrap();
-        let home = d.objects().get(small).unwrap().addr.partition;
-        let foreign = d.objects().get(spill).unwrap().addr.partition;
-        d.write_slot(spill, SlotId(0), Some(small)).unwrap();
-        // Drop the root's own pointer into `foreign` so the only
-        // cross-partition edge left is spill -> small.
-        d.write_slot(r, SlotId(0), None).unwrap();
-        assert!(zones_overlap(&d, home, foreign));
-        assert!(zones_overlap(&d, foreign, home), "symmetric");
-        assert!(points_into(&d, foreign, home));
-        assert!(!points_into(&d, home, foreign));
     }
 
     #[test]

@@ -238,13 +238,6 @@ impl SelectionPolicy for AdaptiveMeta {
         chosen
     }
 
-    fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        // Follow-up picks inside a zone batch: only the incumbent re-ranks.
-        // Nominations happen once per activation, in `select` — letting
-        // every candidate nominate again here would double-credit them.
-        self.candidates[self.incumbent].select_excluding(db, exclude)
-    }
-
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         self.candidates[self.incumbent].victim_score(partition)
     }

@@ -41,16 +41,9 @@ impl SelectionPolicy for Generational {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.select_excluding(db, &[])
-    }
-
-    fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
         let objects = db.objects();
         let mut best: Option<(PartitionId, f64)> = None;
         for id in db.collectable_partitions() {
-            if exclude.contains(&id) {
-                continue;
-            }
             let mut count = 0u64;
             let mut sum = 0u128;
             for oid in objects.members(id) {
@@ -70,7 +63,7 @@ impl SelectionPolicy for Generational {
             }
         }
         best.map(|(p, _)| p)
-            .or_else(|| crate::policy::fallback_victim_excluding(db, exclude))
+            .or_else(|| crate::policy::fallback_victim(db))
     }
 }
 

@@ -51,13 +51,6 @@ impl SelectionPolicy for MostGarbage {
             // fairness condition).
             .or_else(|| fallback_victim(db))
     }
-
-    fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        let report = oracle::analyze_with(db, &mut self.scratch);
-        report
-            .most_garbage_partition_excluding(db.empty_partition(), exclude)
-            .or_else(|| crate::policy::fallback_victim_excluding(db, exclude))
-    }
 }
 
 #[cfg(test)]

@@ -35,10 +35,6 @@ impl SelectionPolicy for Occupancy {
         // fallback_victim is exactly "most used bytes, ties low".
         crate::policy::fallback_victim(db)
     }
-
-    fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        crate::policy::fallback_victim_excluding(db, exclude)
-    }
 }
 
 #[cfg(test)]

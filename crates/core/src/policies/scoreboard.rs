@@ -12,10 +12,9 @@
 //!
 //! Ranking rule, for every kind: partitions scoring zero are skipped, ties
 //! break toward the lowest partition id, and a board with no positive
-//! score falls back to [`fallback_victim_excluding`] (the fullest
-//! partition).
+//! score falls back to [`fallback_victim`] (the fullest partition).
 
-use crate::policy::{fallback_victim_excluding, PolicyKind, SelectionPolicy};
+use crate::policy::{fallback_victim, PolicyKind, SelectionPolicy};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::PartitionId;
 
@@ -248,15 +247,8 @@ impl SelectionPolicy for Scoreboard {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.select_excluding(db, &[])
-    }
-
-    fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
         let mut best: Option<(PartitionId, u128)> = None;
         for p in db.collectable_partitions() {
-            if exclude.contains(&p) {
-                continue;
-            }
             let s = self.score(p);
             if s == 0 {
                 continue;
@@ -266,8 +258,7 @@ impl SelectionPolicy for Scoreboard {
                 _ => best = Some((p, s)),
             }
         }
-        best.map(|(p, _)| p)
-            .or_else(|| fallback_victim_excluding(db, exclude))
+        best.map(|(p, _)| p).or_else(|| fallback_victim(db))
     }
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
@@ -654,25 +645,6 @@ mod tests {
         for kind in SINGLE_SIGNAL.into_iter().chain([PolicyKind::Composite]) {
             let mut p = policy(kind);
             assert_eq!(p.select(&d), Some(PartitionId(2)), "{kind}");
-            assert_eq!(
-                p.select_excluding(&d, &[PartitionId(2)]),
-                Some(PartitionId(1)),
-                "{kind}: the fallback honours the exclusion"
-            );
         }
-    }
-
-    #[test]
-    fn excluded_partitions_are_passed_over() {
-        let d = db();
-        let mut p = policy(PolicyKind::UpdatedPointer);
-        p.on_event(&overwrite(1));
-        p.on_event(&overwrite(2));
-        p.on_event(&overwrite(2));
-        assert_eq!(
-            p.select_excluding(&d, &[PartitionId(2)]),
-            Some(PartitionId(1))
-        );
-        assert_eq!(p.select(&d), Some(PartitionId(2)), "select is unaffected");
     }
 }

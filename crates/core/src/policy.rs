@@ -176,20 +176,6 @@ pub trait SelectionPolicy: BarrierObserver {
     /// database may). Must never return the designated empty partition.
     fn select(&mut self, db: &Database) -> Option<PartitionId>;
 
-    /// Chooses a victim as [`SelectionPolicy::select`] would, but never
-    /// one of the partitions in `exclude`.
-    ///
-    /// Batched activations condemn several victims against one
-    /// pre-collection database view, so follow-up picks must exclude the
-    /// partitions already condemned this activation. The default simply
-    /// filters [`SelectionPolicy::select`]'s answer — correct for every
-    /// policy, at the cost of ending condemnation early when the policy's
-    /// first choice is already condemned. Policies that can rank cheaply
-    /// (the oracle) override it to return their best *eligible* pick.
-    fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        self.select(db).filter(|p| !exclude.contains(p))
-    }
-
     /// The policy's current numeric score for `partition`, if it keeps
     /// one. Scoreboard policies report their counter; policies with no
     /// per-partition score (`Random`, the oracle, `NoCollection`) report
@@ -232,17 +218,8 @@ pub struct PolicySwitch {
 /// bytes, ties toward the lowest id, `None` if every collectable partition
 /// is fresh.
 pub fn fallback_victim(db: &Database) -> Option<PartitionId> {
-    fallback_victim_excluding(db, &[])
-}
-
-/// [`fallback_victim`] restricted to partitions not in `exclude` (zone
-/// batches pass the partitions already condemned this activation).
-pub fn fallback_victim_excluding(db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
     let mut best: Option<(PartitionId, u64)> = None;
     for id in db.collectable_partitions() {
-        if exclude.contains(&id) {
-            continue;
-        }
         let used = db
             .partitions()
             .partition(id)

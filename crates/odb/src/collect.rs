@@ -110,7 +110,7 @@ impl Database {
                     .allocate_in(target, size)?
                     .expect("survivors of one partition always fit the empty partition");
                 let new_addr = ObjAddr::new(target, offset);
-                self.charge_copy_write(new_addr, size);
+                self.charge_new_extent(new_addr, size);
 
                 self.partitions.partition_mut(victim)?.note_departure(size);
                 self.objects.relocate(oid, new_addr)?;
@@ -223,28 +223,11 @@ impl Database {
             garbage_objects,
             garbage_bytes,
             forwarded_pointers,
-            gc_reads: io_after.disk.gc_disk_reads - io_before.disk.gc_disk_reads,
-            gc_writes: io_after.disk.gc_disk_writes - io_before.disk.gc_disk_writes,
+            gc_reads: io_after.gc_disk_reads - io_before.gc_disk_reads,
+            gc_writes: io_after.gc_disk_writes - io_before.gc_disk_writes,
         };
         self.events.push(BarrierEvent::CollectionCompleted(outcome));
         Ok(outcome)
-    }
-
-    /// Charges collector writes for copying an object to `addr`: the first
-    /// page is a plain write when the copy lands mid-page, pages beginning
-    /// inside the extent are brand new.
-    fn charge_copy_write(&mut self, addr: ObjAddr, size: Bytes) {
-        let mut first = !addr.offset.is_multiple_of(self.cfg.page_size as u64);
-        let span = self.span_of(addr, size);
-        for page in span {
-            let kind = if first {
-                Access::Write
-            } else {
-                Access::WriteNew
-            };
-            self.buffer.access(page, kind);
-            first = false;
-        }
     }
 }
 

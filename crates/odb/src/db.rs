@@ -22,7 +22,7 @@
 use crate::events::{BarrierEvent, EventLog};
 use crate::remset::RemsetTable;
 use crate::stats::DbStats;
-use pgc_buffer::{IoStats, NetStats, PageStore};
+use pgc_buffer::{BufferPool, IoStats};
 use pgc_storage::{page_span, ObjAddr, ObjectTable, PageSpan, PartitionSet};
 use pgc_types::{Bytes, DbConfig, Oid, PartitionId, Result, SlotId};
 use std::collections::BTreeSet;
@@ -78,7 +78,7 @@ pub struct Database {
     pub(crate) cfg: DbConfig,
     pub(crate) partitions: PartitionSet,
     pub(crate) objects: ObjectTable,
-    pub(crate) buffer: PageStore,
+    pub(crate) buffer: BufferPool,
     pub(crate) remsets: RemsetTable,
     pub(crate) roots: BTreeSet<Oid>,
     pub(crate) stats: DbStats,
@@ -93,10 +93,7 @@ impl Database {
             partitions: PartitionSet::new(cfg.page_size, cfg.partition_pages)
                 .with_placement(cfg.placement),
             objects: ObjectTable::new(),
-            buffer: match cfg.client_cache_pages {
-                Some(client) => PageStore::tiered(client as usize, cfg.buffer_pages as usize),
-                None => PageStore::single(cfg.buffer_pages as usize),
-            },
+            buffer: BufferPool::new(cfg.buffer_pages as usize),
             remsets: RemsetTable::new(),
             roots: BTreeSet::new(),
             stats: DbStats::default(),
@@ -146,18 +143,10 @@ impl Database {
         self.stats
     }
 
-    /// Physical disk I/O counters from the page store.
+    /// Physical disk I/O counters from the page buffer.
     #[inline]
     pub fn io_stats(&self) -> IoStats {
-        self.buffer.stats().disk
-    }
-
-    /// Network message counters (all zero unless the database was
-    /// configured with a client cache; see
-    /// [`pgc_types::DbConfig::with_client_cache_pages`]).
-    #[inline]
-    pub fn net_stats(&self) -> NetStats {
-        self.buffer.stats().net
+        self.buffer.stats()
     }
 
     /// The root set.

@@ -107,11 +107,12 @@ impl Database {
         Ok(oid)
     }
 
-    /// Charges buffer traffic for materializing a freshly allocated extent:
-    /// the first page is a plain write when the extent begins mid-page
-    /// (other objects already live there), and every page that *begins*
-    /// inside the extent is brand new.
-    fn charge_new_extent(&mut self, addr: ObjAddr, size: Bytes) {
+    /// Charges buffer traffic for materializing a freshly allocated extent
+    /// (a new object, or a collector's copy target): the first page is a
+    /// plain write when the extent begins mid-page (other objects already
+    /// live there), and every page that *begins* inside the extent is
+    /// brand new.
+    pub(crate) fn charge_new_extent(&mut self, addr: ObjAddr, size: Bytes) {
         let mut first = !addr.offset.is_multiple_of(self.cfg.page_size as u64);
         let span = self.span_of(addr, size);
         for page in span {

@@ -106,7 +106,7 @@ impl Database {
                     .allocate_in(target, size)?
                     .expect("survivors fit the empty partition");
                 let new_addr = ObjAddr::new(target, offset);
-                self.charge_full_copy(new_addr, size);
+                self.charge_new_extent(new_addr, size);
                 self.partitions.partition_mut(victim)?.note_departure(size);
                 self.objects.relocate(oid, new_addr)?;
                 // Forward remembered pointers (sources may be marked or
@@ -184,22 +184,9 @@ impl Database {
             live_bytes,
             garbage_objects,
             garbage_bytes,
-            gc_reads: io_after.disk.gc_disk_reads - io_before.disk.gc_disk_reads,
-            gc_writes: io_after.disk.gc_disk_writes - io_before.disk.gc_disk_writes,
+            gc_reads: io_after.gc_disk_reads - io_before.gc_disk_reads,
+            gc_writes: io_after.gc_disk_writes - io_before.gc_disk_writes,
         })
-    }
-
-    fn charge_full_copy(&mut self, addr: ObjAddr, size: Bytes) {
-        let mut first = !addr.offset.is_multiple_of(self.cfg.page_size as u64);
-        for page in self.span_of(addr, size) {
-            let kind = if first {
-                Access::Write
-            } else {
-                Access::WriteNew
-            };
-            self.buffer.access(page, kind);
-            first = false;
-        }
     }
 }
 

@@ -76,29 +76,6 @@ impl OracleReport {
         }
         best.map(|(p, _)| p)
     }
-
-    /// Like [`OracleReport::most_garbage_partition`], additionally
-    /// skipping every partition in `exclude` — used by batched
-    /// condemnation, where one oracle pass picks several disjoint victims
-    /// in descending garbage order.
-    pub fn most_garbage_partition_excluding(
-        &self,
-        empty: PartitionId,
-        exclude: &[PartitionId],
-    ) -> Option<PartitionId> {
-        let mut best: Option<(PartitionId, Bytes)> = None;
-        for (idx, &bytes) in self.garbage_bytes_by_partition.iter().enumerate() {
-            let p = PartitionId(idx as u32);
-            if p == empty || bytes.is_zero() || exclude.contains(&p) {
-                continue;
-            }
-            match best {
-                Some((_, b)) if b >= bytes => {}
-                _ => best = Some((p, bytes)),
-            }
-        }
-        best.map(|(p, _)| p)
-    }
 }
 
 /// Reusable working memory for oracle passes.

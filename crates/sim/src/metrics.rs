@@ -37,11 +37,6 @@ pub struct RunTotals {
     pub final_nepotism_bytes: Bytes,
     /// Application events applied.
     pub events: u64,
-    /// Network page messages attributed to the application (zero unless
-    /// the client/server cost model is enabled).
-    pub app_net_ops: u64,
-    /// Network page messages attributed to the collector.
-    pub gc_net_ops: u64,
 }
 
 impl RunTotals {
@@ -50,12 +45,6 @@ impl RunTotals {
     #[inline]
     pub fn total_ios(&self) -> u64 {
         self.app_ios + self.gc_ios
-    }
-
-    /// Total network page messages (client/server model only).
-    #[inline]
-    pub fn total_net_ops(&self) -> u64 {
-        self.app_net_ops + self.gc_net_ops
     }
 
     /// Total garbage ever generated: reclaimed plus still unreclaimed at
@@ -169,8 +158,6 @@ mod tests {
             final_garbage_bytes: Bytes::from_kib(100),
             final_nepotism_bytes: Bytes::from_kib(10),
             events: 10_000,
-            app_net_ops: 0,
-            gc_net_ops: 0,
         }
     }
 

@@ -64,7 +64,6 @@ pub fn scaled(policy: PolicyKind, seed: u64, alloc_mib: u64) -> RunConfig {
             .with_target_allocated(Bytes::from_mib(alloc_mib)),
         sample_every: None,
         trigger: None,
-        collect_batch: 1,
         durability: pgc_durable::DurabilityConfig::off(),
     }
 }

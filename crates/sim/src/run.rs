@@ -43,8 +43,6 @@ pub struct RunConfig {
     /// Override the GC trigger (`None` = the paper's overwrite-count
     /// trigger at `db.gc_overwrite_threshold`).
     pub trigger: Option<Trigger>,
-    /// Partitions collected per activation (the paper uses 1).
-    pub collect_batch: u32,
     /// Durable storage backend: `Off` (default, the historical in-memory
     /// behavior), `LogOnly`, or `SnapshotAndLog` with a data directory.
     /// Persistence is a pure bystander — it never changes any result.
@@ -62,7 +60,6 @@ impl RunConfig {
             workload: WorkloadParams::default().with_seed(seed),
             sample_every: None,
             trigger: None,
-            collect_batch: 1,
             durability: DurabilityConfig::off(),
         }
     }
@@ -80,7 +77,6 @@ impl RunConfig {
             workload: WorkloadParams::small(),
             sample_every: None,
             trigger: None,
-            collect_batch: 1,
             durability: DurabilityConfig::off(),
         }
     }
@@ -113,33 +109,12 @@ impl RunConfig {
         self
     }
 
-    /// Sets the partitions collected per activation.
-    #[must_use]
-    pub fn with_collect_batch(mut self, batch: u32) -> Self {
-        self.collect_batch = batch.max(1);
-        self
-    }
-
     /// Sets the durable storage backend (mode + data directory). The
     /// persisted run recovers bit-identically via
     /// [`crate::durable::recover`].
     #[must_use]
     pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
         self.durability = durability;
-        self
-    }
-
-    /// Replaces the whole database configuration.
-    #[must_use]
-    pub fn with_db(mut self, db: DbConfig) -> Self {
-        self.db = db;
-        self
-    }
-
-    /// Replaces the whole workload parameter set (the seed lives there).
-    #[must_use]
-    pub fn with_workload(mut self, workload: WorkloadParams) -> Self {
-        self.workload = workload;
         self
     }
 
@@ -185,13 +160,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.db = self.db.with_placement(placement);
-        self
-    }
-
-    /// Sets the client cache size in pages.
-    #[must_use]
-    pub fn with_client_cache_pages(mut self, pages: u64) -> Self {
-        self.db = self.db.with_client_cache_pages(pages);
         self
     }
 
@@ -255,8 +223,7 @@ impl RunConfig {
         let collector = Collector::with_trigger(
             build_policy(self.policy, self.policy_seed(), self.db.max_weight),
             self.effective_trigger(),
-        )
-        .with_batch(self.collect_batch);
+        );
         Ok(Replayer::new(db, collector))
     }
 }
@@ -598,7 +565,6 @@ mod tests {
             .with_gc_overwrite_threshold(75)
             .with_max_weight(8)
             .with_placement(PlacementPolicy::Spread)
-            .with_client_cache_pages(4)
             .with_heap_growth(Bytes::from_kib(256))
             .with_dense_edge_fraction(0.01)
             .with_deletions_per_round(3)
@@ -609,7 +575,6 @@ mod tests {
         assert_eq!(cfg.db.gc_overwrite_threshold, 75);
         assert_eq!(cfg.db.max_weight, 8);
         assert_eq!(cfg.db.placement, PlacementPolicy::Spread);
-        assert_eq!(cfg.db.client_cache_pages, Some(4));
         assert_eq!(cfg.workload.target_allocated, Bytes::from_kib(256));
         assert_eq!(cfg.workload.dense_edge_fraction, 0.01);
         assert_eq!(cfg.workload.deletions_per_round, 3);
@@ -627,15 +592,6 @@ mod trigger_tests {
 
     fn run(cfg: &RunConfig) -> RunOutcome {
         Simulation::builder(cfg).run().unwrap()
-    }
-
-    #[test]
-    fn batch_collection_reduces_activations_not_work() {
-        let single = run(&RunConfig::small().with_seed(21));
-        let batched = run(&RunConfig::small().with_seed(21).with_collect_batch(3));
-        // Same trigger points, three collections per activation.
-        assert!(batched.totals.collections > single.totals.collections);
-        assert!(batched.totals.reclaimed_bytes >= single.totals.reclaimed_bytes);
     }
 
     #[test]

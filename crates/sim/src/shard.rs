@@ -274,8 +274,6 @@ impl Shard {
             final_garbage_bytes: final_report.garbage_bytes,
             final_nepotism_bytes: final_report.nepotism_bytes,
             events,
-            app_net_ops: db.net_stats().app_reads + db.net_stats().app_writebacks,
-            gc_net_ops: db.net_stats().gc_reads + db.net_stats().gc_writebacks,
         };
         let (_db, collector, collections) = self.replayer.into_parts();
         // The telemetry observer closes its in-flight activation record

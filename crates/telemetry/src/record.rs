@@ -98,10 +98,10 @@ pub struct ActivationRecord {
     /// The driver's numeric score for that victim, if the policy exposes
     /// one (scoreboard policies do; `Random` and the oracle do not).
     pub victim_score: Option<f64>,
-    /// Partition collections performed this activation (the batch size,
-    /// usually 1).
+    /// Partition collections performed this activation (1, or 0 when the
+    /// policy declined).
     pub collections: u32,
-    /// Live objects copied out of the victims (summed over the batch).
+    /// Live objects copied out of the victim.
     pub live_objects: u64,
     /// Bytes copied.
     pub live_bytes: Bytes,

@@ -61,11 +61,6 @@ pub struct DbConfig {
     pub max_weight: u8,
     /// Object placement among partitions (paper: near the parent).
     pub placement: PlacementPolicy,
-    /// When set, run under the client/server cost model: a client cache of
-    /// this many page frames sits in front of the `buffer_pages`-frame
-    /// server buffer, and client misses cost network messages. `None`
-    /// (the paper's setup) uses the single buffer.
-    pub client_cache_pages: Option<u64>,
 }
 
 impl Default for DbConfig {
@@ -77,7 +72,6 @@ impl Default for DbConfig {
             gc_overwrite_threshold: 250,
             max_weight: 16,
             placement: PlacementPolicy::NearParent,
-            client_cache_pages: None,
         }
     }
 }
@@ -128,14 +122,6 @@ impl DbConfig {
         self
     }
 
-    /// Enables the client/server cost model with a client cache of
-    /// `pages` frames (the server buffer keeps `buffer_pages` frames).
-    #[must_use]
-    pub fn with_client_cache_pages(mut self, pages: u64) -> Self {
-        self.client_cache_pages = Some(pages);
-        self
-    }
-
     /// Capacity of one partition in bytes.
     #[inline]
     pub fn partition_bytes(&self) -> Bytes {
@@ -172,11 +158,6 @@ impl DbConfig {
         // `u64` per partition: 32 leaves 2^32 overwrites of headroom.
         if self.max_weight > 32 {
             return Err(PgcError::InvalidConfig("max_weight must be at most 32"));
-        }
-        if self.client_cache_pages == Some(0) {
-            return Err(PgcError::InvalidConfig(
-                "client_cache_pages must be positive when set",
-            ));
         }
         Ok(())
     }

@@ -22,6 +22,11 @@ fmt:
 # All gates in one go.
 check: fmt-check clippy verify
 
+# Lines of product source: `crates/*/src` outside `crates/bench` — the
+# figure ROADMAP tracks against the round's -15% aim.
+loc:
+    @find crates -path crates/bench -prune -o -path '*/src/*' -name '*.rs' -print | xargs cat | wc -l
+
 # Tap the headline comparison for telemetry: writes one JSONL line per
 # collector activation (schema pgc-telemetry/v1) to telemetry.jsonl and
 # prints the per-policy telemetry summary table. Scaled down by default;

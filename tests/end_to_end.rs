@@ -144,48 +144,3 @@ fn extension_policies_behave_reasonably() {
         assert!(out.totals.reclaimed_bytes > Bytes::ZERO, "{name}");
     }
 }
-
-#[test]
-fn client_server_mode_reports_network_traffic() {
-    // Single-tier (the paper's model): zero network messages.
-    let single = run(PolicyKind::UpdatedPointer, 12);
-    assert_eq!(single.totals.total_net_ops(), 0);
-
-    // Client/server: a small client cache in front of the same buffer.
-    let mut cfg = RunConfig::small()
-        .with_policy(PolicyKind::UpdatedPointer)
-        .with_seed(12);
-    cfg.db = cfg.db.with_client_cache_pages(4);
-    let tiered = Simulation::builder(&cfg).run().expect("run");
-    assert!(
-        tiered.totals.total_net_ops() > 0,
-        "client misses cost messages"
-    );
-    // The server buffer shields the disk: tiered disk I/O never exceeds
-    // what the client requested over the network.
-    assert!(tiered.totals.total_ios() <= tiered.totals.total_net_ops());
-    // Semantics (collections, reclamation) are cost-model independent.
-    assert_eq!(tiered.totals.collections, single.totals.collections);
-    assert_eq!(tiered.totals.reclaimed_bytes, single.totals.reclaimed_bytes);
-}
-
-#[test]
-fn bigger_client_cache_means_fewer_network_messages() {
-    let run_with_cache = |pages: u64| {
-        let mut cfg = RunConfig::small()
-            .with_policy(PolicyKind::UpdatedPointer)
-            .with_seed(13);
-        cfg.db = cfg.db.with_client_cache_pages(pages);
-        Simulation::builder(&cfg)
-            .run()
-            .expect("run")
-            .totals
-            .total_net_ops()
-    };
-    let small_cache = run_with_cache(2);
-    let big_cache = run_with_cache(12);
-    assert!(
-        big_cache < small_cache,
-        "12-page cache ({big_cache}) should beat 2-page cache ({small_cache})"
-    );
-}

@@ -540,39 +540,6 @@ fn partition_set_matches_reference_accounting() {
 }
 
 // ---------------------------------------------------------------------
-// Client/server pool: conservation properties
-// ---------------------------------------------------------------------
-
-#[test]
-fn tiered_pool_disk_traffic_never_exceeds_network_traffic() {
-    use pgc::buffer::TieredPool;
-    for seed in 0..40u64 {
-        let mut rng = SimRng::new(seed);
-        let client = rng.range_inclusive(1, 5) as usize;
-        let server = rng.range_inclusive(1, 9) as usize;
-        let mut pool = TieredPool::new(client, server);
-        for _ in 0..rng.range_inclusive(1, 300) {
-            let page = rng.below(30);
-            let kind = access_kind(&mut rng);
-            pool.access(PageId(page), kind);
-            pool.check_invariants();
-        }
-        let s = pool.stats();
-        // Every disk read was triggered by a network fetch that missed the
-        // server buffer; every disk write by a dirty page that first
-        // travelled client -> server.
-        assert!(
-            s.disk_reads_app + s.disk_reads_gc <= s.net_reads_app + s.net_reads_gc,
-            "seed {seed}"
-        );
-        assert!(
-            s.disk_writes_app + s.disk_writes_gc <= s.net_writebacks_app + s.net_writebacks_gc,
-            "seed {seed}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
 // Summary statistics vs a naive implementation
 // ---------------------------------------------------------------------
 
@@ -646,8 +613,7 @@ fn dense_oracle_matches_reference_after_real_workloads() {
             .with_seed(seed);
         let replay = |policy: Box<dyn SelectionPolicy>| {
             let db = Database::new(cfg.db.clone()).expect("db");
-            let collector = Collector::with_trigger(policy, cfg.effective_trigger())
-                .with_batch(cfg.collect_batch);
+            let collector = Collector::with_trigger(policy, cfg.effective_trigger());
             let mut replayer = pgc::sim::Replayer::new(db, collector);
             let workload = pgc::workload::SyntheticWorkload::new(cfg.workload.clone());
             for event in workload.expect("params") {

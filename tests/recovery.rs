@@ -151,6 +151,46 @@ fn a_manifest_with_the_retired_parallelism_key_still_recovers() {
     );
 }
 
+#[test]
+fn retired_model_keys_recover_at_their_kept_value_and_are_refused_otherwise() {
+    // Data directories written while the client/server page model and
+    // batched activations existed carry `db.client_cache_pages` and
+    // `collect_batch`. `none` / `1` named the model this build still has;
+    // anything else produced I/O counts or a victim sequence no replay
+    // here can reproduce, so it is an error and not a different digest.
+    let dir = ScratchDir::new("retired-keys");
+    let original = run_durable(PolicyKind::UpdatedPointer, 3, &dir);
+    let cfg = RunConfig::small()
+        .with_policy(PolicyKind::UpdatedPointer)
+        .with_seed(3);
+    let current = manifest_for(&cfg, TelemetryLevel::Full);
+    for key in ["db.client_cache_pages", "collect_batch"] {
+        assert_eq!(current.get(key), None, "{key} is no longer written");
+    }
+
+    let mut old = current.clone();
+    old.set("db.client_cache_pages", "none");
+    old.set("collect_batch", 1);
+    old.write_to(dir.path()).expect("rewrite the manifest");
+    let recovered = recover(dir.path()).expect("recover under the old manifest");
+    assert_eq!(
+        outcome_digest(&recovered.outcome),
+        outcome_digest(&original)
+    );
+
+    for (key, value) in [("db.client_cache_pages", "16"), ("collect_batch", "2")] {
+        let mut gone = current.clone();
+        gone.set(key, value);
+        gone.write_to(dir.path()).expect("rewrite the manifest");
+        let err = recover(dir.path()).expect_err("a model this build no longer has");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(key) && msg.contains(value),
+            "the error names the key and its value: {msg}"
+        );
+    }
+}
+
 /// The newest log segment in `dir`, by sequence number.
 fn newest_log_segment(dir: &ScratchDir) -> std::path::PathBuf {
     let mut segments: Vec<_> = fs::read_dir(dir.path())
