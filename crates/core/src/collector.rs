@@ -86,11 +86,6 @@ impl Collector {
         self.observers.register(observer);
     }
 
-    /// Number of registered bystander observers.
-    pub fn observer_count(&self) -> usize {
-        self.observers.len()
-    }
-
     /// Which policy this collector runs.
     pub fn policy_kind(&self) -> PolicyKind {
         self.policy.kind()
@@ -387,7 +382,6 @@ mod tests {
         let state = Rc::clone(&tap.state);
         let mut c = Collector::with_kind(PolicyKind::UpdatedPointer, 1, 0, 16);
         c.add_observer(Box::new(tap));
-        assert_eq!(c.observer_count(), 1);
 
         let r = d.create_root(Bytes(100), 2).unwrap();
         d.create_object(Bytes(100), 2, r, SlotId(0)).unwrap();

@@ -1,4 +1,5 @@
-//! Durability knobs: what to persist, where, and how eagerly to sync.
+//! Durability knobs: what to persist, where, and how often to snapshot
+//! and rotate.
 
 use std::path::{Path, PathBuf};
 
@@ -25,12 +26,6 @@ pub struct DurabilityConfig {
     /// The data directory (created on first use; must not already hold a
     /// manifest from a previous run).
     pub dir: PathBuf,
-    /// Fsync the log after this many event frames (`0` — the batched
-    /// default — syncs only at snapshot generations, segment rotation,
-    /// and shutdown; every safepoint still *flushes* to the OS, which is
-    /// enough to survive a process kill — fsync buys power-loss
-    /// durability).
-    pub fsync_every: u64,
     /// Write a snapshot generation every this many collection safepoints
     /// (`SnapshotAndLog` only; a final generation is always written at
     /// clean shutdown).
@@ -52,7 +47,6 @@ impl DurabilityConfig {
         Self {
             mode: DurabilityMode::Off,
             dir: PathBuf::new(),
-            fsync_every: 0,
             snapshot_every: 16,
             segment_bytes: 4 << 20,
         }
@@ -74,14 +68,6 @@ impl DurabilityConfig {
             dir: dir.into(),
             ..Self::off()
         }
-    }
-
-    /// Sets the fsync batching interval (frames; `0` = snapshot
-    /// generations, rotation, and shutdown only).
-    #[must_use]
-    pub fn with_fsync_every(mut self, frames: u64) -> Self {
-        self.fsync_every = frames;
-        self
     }
 
     /// Sets the snapshot cadence in collection safepoints (clamped ≥ 1).

@@ -7,7 +7,7 @@
 //!
 //! * [`config`] — [`config::DurabilityConfig`] /
 //!   [`config::DurabilityMode`]: `Off` / `LogOnly` / `SnapshotAndLog`,
-//!   plus fsync batching, snapshot cadence, and log-segment sizing knobs.
+//!   plus snapshot cadence and log-segment sizing knobs.
 //! * [`log`] — the append-only change log: segmented `log-*.pgcl` files of
 //!   CRC-framed records. Event frames carry the workload's input events in
 //!   the one event byte form (`pgc_workload::codec`, the layout of trace
@@ -30,10 +30,6 @@
 //!   applied), takes snapshot generations and writes safepoint frames at
 //!   collection boundaries, rotates and fsyncs segments, surfaces the
 //!   background thread's errors, and reports [`store::StorageStats`].
-//! * [`observer`] — [`observer::LogObserver`], the barrier-bus bystander
-//!   that watches `CollectionCompleted` events and raises the shared
-//!   [`observer::SafepointSignal`] the owning shard polls to schedule
-//!   safepoints (and to meter on-disk churn per collection).
 //! * [`tempdir`] — [`tempdir::ScratchDir`], a self-cleaning temp
 //!   directory for tests and benches (no external tempfile dependency).
 //!
@@ -47,7 +43,6 @@ pub mod config;
 pub(crate) mod crc;
 pub mod log;
 pub mod manifest;
-pub mod observer;
 pub mod snapshot;
 pub mod store;
 pub mod tempdir;
@@ -55,7 +50,6 @@ pub mod tempdir;
 pub use config::{DurabilityConfig, DurabilityMode};
 pub use log::{read_log, LogContents, SafepointNote, TornTail};
 pub use manifest::Manifest;
-pub use observer::{LogObserver, SafepointSignal};
 pub use snapshot::{read_snapshot, scan_snapshots, PartitionSnapshot, SnapshotRecord};
 pub use store::{DurableStore, StorageStats};
 pub use tempdir::ScratchDir;

@@ -220,8 +220,6 @@ pub(crate) struct LogWriter {
     seq: u64,
     seg_bytes: u64,
     segment_limit: u64,
-    fsync_every: u64,
-    frames_since_sync: u64,
     bytes_since_kick: u64,
     pub(crate) flusher: Flusher,
     // Counters surfaced through StorageStats.
@@ -232,15 +230,13 @@ pub(crate) struct LogWriter {
 }
 
 impl LogWriter {
-    pub(crate) fn create(dir: &Path, fsync_every: u64, segment_limit: u64) -> Result<Self> {
+    pub(crate) fn create(dir: &Path, segment_limit: u64) -> Result<Self> {
         let mut writer = Self {
             dir: dir.to_path_buf(),
             out: BufWriter::with_capacity(WRITE_BUF_BYTES, open_segment(dir, 0)?),
             seq: 0,
             seg_bytes: HEADER_BYTES,
             segment_limit,
-            fsync_every,
-            frames_since_sync: 0,
             bytes_since_kick: 0,
             flusher: Flusher::spawn(dir),
             bytes_written: HEADER_BYTES,
@@ -286,10 +282,6 @@ impl LogWriter {
         self.bytes_written += frame_bytes;
         self.bytes_since_kick += frame_bytes;
         self.frames += 1;
-        self.frames_since_sync += 1;
-        if self.fsync_every > 0 && self.frames_since_sync >= self.fsync_every {
-            self.sync()?;
-        }
         Ok(())
     }
 
@@ -307,11 +299,10 @@ impl LogWriter {
     /// drain to disk while the run continues. The
     /// synchronous `fsync` (power-loss durability) is reserved for
     /// safepoints that carry a snapshot generation, segment rotation,
-    /// and shutdown; `fsync_every` tightens that from the frame side.
-    /// Per-collection synchronous fsyncs would dominate the whole write
-    /// path (milliseconds each against a microsecond-scale
-    /// inter-collection interval) for a guarantee the torn-tail recovery
-    /// does not need.
+    /// and shutdown. Per-collection synchronous fsyncs would dominate
+    /// the whole write path (milliseconds each against a
+    /// microsecond-scale inter-collection interval) for a guarantee the
+    /// torn-tail recovery does not need.
     pub(crate) fn safepoint(
         &mut self,
         events_applied: u64,
@@ -354,7 +345,6 @@ impl LogWriter {
         self.out.flush().map_err(io_err)?;
         self.out.get_ref().sync_data().map_err(io_err)?;
         self.fsyncs += 1;
-        self.frames_since_sync = 0;
         self.bytes_since_kick = 0;
         Ok(())
     }

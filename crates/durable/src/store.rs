@@ -1,12 +1,13 @@
 //! [`DurableStore`]: the run-side persistence handle.
 //!
 //! One store per shard (one data directory per stream). The owning shard
-//! feeds it every input event *before* applying it (write-ahead), polls
-//! the [`crate::observer::SafepointSignal`] after each step, and drives
-//! [`DurableStore::safepoint`] when a collection has completed. Events are
-//! buffered and framed at [`pgc_workload::BLOCK_EVENTS`] granularity so
-//! frame overhead stays negligible; fsyncs are batched per
-//! [`crate::config::DurabilityConfig`]. A snapshot generation costs the
+//! feeds it every input event *before* applying it (write-ahead), compares
+//! the database's collection count with the last safepointed one after
+//! each step, and drives [`DurableStore::safepoint`] when a collection has
+//! completed. Events are buffered and framed at
+//! [`pgc_workload::BLOCK_EVENTS`] granularity so frame overhead stays
+//! negligible; the log fsyncs at snapshot generations, segment rotation
+//! and shutdown only. A snapshot generation costs the
 //! owning thread one serialising pass over the object table; the file
 //! writes and their fsyncs happen on the store's background thread.
 
@@ -72,7 +73,7 @@ impl DurableStore {
                 cfg.dir.display()
             )));
         }
-        let writer = LogWriter::create(&cfg.dir, cfg.fsync_every, cfg.segment_bytes)?;
+        let writer = LogWriter::create(&cfg.dir, cfg.segment_bytes)?;
         Ok(Self {
             cfg: cfg.clone(),
             writer,

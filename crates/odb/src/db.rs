@@ -166,12 +166,6 @@ impl Database {
         &self.objects
     }
 
-    /// True while `oid` is resident (registered and not yet reclaimed).
-    #[inline]
-    pub fn contains_object(&self, oid: Oid) -> bool {
-        self.objects.contains(oid)
-    }
-
     /// The partition currently holding `oid` (`None` once reclaimed).
     /// Tracks relocations: after a collection copies the object, this is
     /// the copy target, not the collected victim. External bookkeeping —

@@ -283,21 +283,6 @@ impl Server {
         self.telemetry
     }
 
-    /// Streams currently open.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// The home shard the router pins `stream` to.
-    pub fn home_shard(&self, stream: StreamId) -> usize {
-        self.router.route(stream)
-    }
-
-    /// Current inter-shard remset counters.
-    pub fn remset_stats(&self) -> RemsetStats {
-        self.remset.stats()
-    }
-
     /// Opens a session for `stream` under `cfg` on its home shard and
     /// returns its typed [`StreamHandle`] (stream id + pinned home shard),
     /// which the submit and link paths accept in place of a raw id.

@@ -257,8 +257,7 @@ pub struct RunOutcome {
     /// only in a PR of its own. That PR drops the metric; this stub goes
     /// with it (ROADMAP item 1(a)).
     pub derive: Option<DeriveStats>,
-    /// Durable-storage counters (`None` unless the run persisted). Also
-    /// mirrored onto [`TelemetrySnapshot::storage`] when telemetry is on.
+    /// Durable-storage counters (`None` unless the run persisted).
     pub storage: Option<StorageStats>,
 }
 

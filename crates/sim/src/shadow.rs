@@ -41,13 +41,13 @@ pub struct ShadowPick {
 pub struct RaceRecord {
     /// Activation number (1-based, the scheduler's trigger count).
     pub activation: u64,
-    /// The partition the driver actually collected first at this
-    /// activation (`None` = the driver declined, e.g. `NoCollection`).
+    /// The partition the driver actually collected at this activation
+    /// (`None` = the driver declined, e.g. `NoCollection`).
     pub driver_victim: Option<PartitionId>,
-    /// Every collection the driver performed this activation (victim and
-    /// garbage bytes reclaimed), batch extras included — the realized
-    /// outcomes that regret accounting scores picks against.
-    pub driver_collections: Vec<(PartitionId, Bytes)>,
+    /// Garbage bytes that collection reclaimed (zero when the driver
+    /// declined) — the realized outcome that regret accounting scores
+    /// picks against.
+    pub driver_reclaimed: Bytes,
     /// Each shadow's counterfactual pick, in registration order.
     pub picks: Vec<ShadowPick>,
 }
@@ -57,11 +57,6 @@ impl RaceRecord {
     pub fn pick_for(&self, policy: PolicyKind) -> Option<&ShadowPick> {
         self.picks.iter().find(|p| p.policy == policy)
     }
-}
-
-#[derive(Debug, Default)]
-struct RaceLog {
-    records: Vec<RaceRecord>,
 }
 
 /// A shadow scoreboard: one honest policy observing the driver's stream.
@@ -74,11 +69,8 @@ struct RaceLog {
 /// the database and never influences the driver.
 struct ShadowObserver {
     policy: Box<dyn SelectionPolicy>,
-    log: Rc<RefCell<RaceLog>>,
-    /// True for the first-registered shadow only: every observer sees
-    /// every event, so exactly one of them logs the shared per-record
-    /// collection outcomes.
-    lead: bool,
+    /// One record per activation, shared by every shadow of the race.
+    log: Rc<RefCell<Vec<RaceRecord>>>,
 }
 
 impl BarrierObserver for ShadowObserver {
@@ -89,26 +81,21 @@ impl BarrierObserver for ShadowObserver {
             // The first shadow to see the tick opens the record; the
             // rest find it already open.
             BarrierEvent::TriggerTick { activation }
-                if log.records.last().map(|r| r.activation) != Some(activation) =>
+                if log.last().map(|r| r.activation) != Some(activation) =>
             {
-                log.records.push(RaceRecord {
+                log.push(RaceRecord {
                     activation,
                     driver_victim: None,
-                    driver_collections: Vec::new(),
+                    driver_reclaimed: Bytes::ZERO,
                     picks: Vec::new(),
                 });
             }
+            // An activation completes at most one collection, and every
+            // shadow sees it: they all write the same two values.
             BarrierEvent::CollectionCompleted(outcome) => {
-                // The first completion after the tick is the driver's pick
-                // (later ones in the same activation are batch extras).
-                if let Some(rec) = log.records.last_mut() {
-                    if rec.driver_victim.is_none() {
-                        rec.driver_victim = Some(outcome.victim);
-                    }
-                    if self.lead {
-                        rec.driver_collections
-                            .push((outcome.victim, outcome.garbage_bytes));
-                    }
+                if let Some(rec) = log.last_mut() {
+                    rec.driver_victim = Some(outcome.victim);
+                    rec.driver_reclaimed = outcome.garbage_bytes;
                 }
             }
             _ => {}
@@ -118,7 +105,7 @@ impl BarrierObserver for ShadowObserver {
     fn on_trigger(&mut self, db: &Database) {
         let victim = self.policy.select(db);
         let mut log = self.log.borrow_mut();
-        if let Some(rec) = log.records.last_mut() {
+        if let Some(rec) = log.last_mut() {
             if rec.pick_for(self.policy.kind()).is_none() {
                 rec.picks.push(ShadowPick {
                     policy: self.policy.kind(),
@@ -187,16 +174,12 @@ impl RaceOutcome {
         })
     }
 
-    /// Garbage bytes the driver actually reclaimed over the run (batch
-    /// extras included). Every collection realizes one of the driver's own
-    /// picks, so this is the driver's cumulative credit under the same
-    /// credit-once rule [`RaceOutcome::shadow_credit`] applies to shadows.
+    /// Garbage bytes the driver actually reclaimed over the run. Every
+    /// collection realizes one of the driver's own picks, so this is the
+    /// driver's cumulative credit under the same credit-once rule
+    /// [`RaceOutcome::shadow_credit`] applies to shadows.
     pub fn driver_credit(&self) -> u64 {
-        self.records
-            .iter()
-            .flat_map(|r| &r.driver_collections)
-            .map(|&(_, bytes)| bytes.get())
-            .sum()
+        self.records.iter().map(|r| r.driver_reclaimed.get()).sum()
     }
 
     /// Cumulative credit a shadow's would-be picks earned against the
@@ -216,9 +199,9 @@ impl RaceOutcome {
             if let Some(victim) = rec.pick_for(shadow).and_then(|p| p.victim) {
                 pending.push(victim);
             }
-            for &(partition, bytes) in &rec.driver_collections {
+            if let Some(partition) = rec.driver_victim {
                 if pending.contains(&partition) {
-                    credit += bytes.get();
+                    credit += rec.driver_reclaimed.get();
                     pending.retain(|&p| p != partition);
                 }
             }
@@ -310,21 +293,20 @@ pub fn run_race_with_telemetry(
     shadows: &[PolicyKind],
     level: TelemetryLevel,
 ) -> Result<RaceOutcome> {
-    let log = Rc::new(RefCell::new(RaceLog::default()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let mut builder = Simulation::builder(cfg).telemetry(level);
-    for (i, &kind) in shadows.iter().enumerate() {
+    for &kind in shadows {
         builder = builder.observer(Box::new(ShadowObserver {
             policy: build_policy(kind, cfg.policy_seed(), cfg.db.max_weight),
             log: Rc::clone(&log),
-            lead: i == 0,
         }));
     }
     let mut outcome = builder.run()?;
     // The run consumed the replayer (and with it the collector + shadow
     // observers), so the log has exactly one strong reference left.
     let records = Rc::try_unwrap(log)
-        .map(|cell| cell.into_inner().records)
-        .unwrap_or_else(|rc| rc.borrow().records.clone());
+        .map(RefCell::into_inner)
+        .unwrap_or_else(|rc| rc.borrow().clone());
     if let Some(snap) = outcome.telemetry.as_mut() {
         for rec in &mut snap.records {
             let Some(race_rec) = records.iter().find(|r| r.activation == rec.activation) else {
@@ -438,9 +420,9 @@ mod tests {
 
     #[test]
     fn self_shadow_has_zero_regret() {
-        // With a batch of 1 every collection realizes the driver's pick,
-        // and a deterministic policy shadowing itself picks the same
-        // victims — so its credit equals the driver's exactly.
+        // Every collection realizes the driver's pick, and a deterministic
+        // policy shadowing itself picks the same victims — so its credit
+        // equals the driver's exactly.
         let cfg = RunConfig::small()
             .with_policy(PolicyKind::UpdatedPointer)
             .with_seed(18);
@@ -460,12 +442,8 @@ mod tests {
         assert_eq!(
             race.driver_credit(),
             race.outcome.totals.reclaimed_bytes.get(),
-            "lead shadow logs every collection exactly once"
+            "five shadows writing each record still count it once"
         );
-        for rec in &race.records {
-            assert_eq!(rec.driver_collections.len(), 1, "batch of 1");
-            assert_eq!(rec.driver_collections[0].0, rec.driver_victim.unwrap());
-        }
     }
 
     #[test]

@@ -26,23 +26,21 @@
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
 use crate::replay::Replayer;
 use crate::run::{RunConfig, RunOutcome};
-use pgc_durable::{DurableStore, LogObserver, SafepointSignal};
+use pgc_durable::DurableStore;
 use pgc_odb::oracle::{self, OracleScratch};
 use pgc_odb::BarrierObserver;
-use pgc_telemetry::{StorageSummary, TelemetryHandle, TelemetryLevel, TelemetryObserver};
+use pgc_telemetry::{TelemetryHandle, TelemetryLevel, TelemetryObserver};
 use pgc_types::{Oid, PgcError, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{Event, EventBlock, NodeId};
-use std::sync::Arc;
 
 /// The persistence half of a shard: the write side of a data directory
-/// plus the bus signal that tells the shard when a collection completed
-/// (the store itself stays off the bus — it needs `&Database` and file
-/// handles, which bystander observers must not hold).
+/// plus how far its safepoint frames have got (the store stays off the
+/// bus — it needs `&Database` and file handles, which bystander observers
+/// must not hold — so the shard compares counts after each step instead).
 struct DurableState {
     store: DurableStore,
-    signal: Arc<SafepointSignal>,
-    /// Collections already covered by a safepoint frame.
+    /// `db.stats().collections` as of the last safepoint frame.
     safepointed: u64,
     manifest_written: bool,
 }
@@ -72,15 +70,11 @@ impl Shard {
                 "sample_every must be at least 1 event",
             ));
         }
-        let mut replayer = cfg.build_replayer()?;
+        let replayer = cfg.build_replayer()?;
         let sample_every = cfg.sample_every.unwrap_or(u64::MAX);
         let durable = if cfg.durability.is_enabled() {
-            let store = DurableStore::create(&cfg.durability)?;
-            let (observer, signal) = LogObserver::new();
-            replayer.collector_mut().add_observer(Box::new(observer));
             Some(DurableState {
-                store,
-                signal,
+                store: DurableStore::create(&cfg.durability)?,
                 safepointed: 0,
                 manifest_written: false,
             })
@@ -209,13 +203,12 @@ impl Shard {
         Ok(Some(&mut durable.store))
     }
 
-    /// Persists a safepoint when the bus signal says collections completed
-    /// since the last one.
+    /// Persists a safepoint when collections completed since the last one.
     fn maybe_safepoint(&mut self) -> Result<()> {
         let Some(durable) = self.durable.as_mut() else {
             return Ok(());
         };
-        let completed = durable.signal.collections();
+        let completed = self.replayer.db().stats().collections;
         if completed > durable.safepointed {
             durable.store.safepoint(
                 self.replayer.db(),
@@ -238,10 +231,9 @@ impl Shard {
     /// Condenses the shard into a [`RunOutcome`]: one final time-series
     /// sample (when sampling is on), a last oracle pass for the
     /// live/garbage split, the aggregate totals, the collection log, and
-    /// the telemetry snapshot with the storage counters mirrored onto it.
-    /// When durability is on, the store is closed first — a forced final
-    /// snapshot generation, the closing safepoint frame, and a last fsync
-    /// — which is the only way this can fail.
+    /// the telemetry snapshot. When durability is on, the store is closed
+    /// first — a forced final snapshot generation, the closing safepoint
+    /// frame, and a last fsync — which is the only way this can fail.
     ///
     /// `gen_stats` labels the outcome with the workload generator's
     /// counters (zeroed for replays of unlabelled event slices).
@@ -252,10 +244,8 @@ impl Shard {
         let events = self.replayer.events_applied();
         let mut storage = None;
         if let Some(durable) = self.durable.as_mut() {
-            let collections = durable.signal.collections();
-            durable
-                .store
-                .finish(self.replayer.db(), events, collections)?;
+            let db = self.replayer.db();
+            durable.store.finish(db, events, db.stats().collections)?;
             storage = Some(durable.store.stats());
         }
         let db = self.replayer.db();
@@ -279,19 +269,7 @@ impl Shard {
         // The telemetry observer closes its in-flight activation record
         // when the collector drops it; finish the handle only after.
         drop(collector);
-        let mut telemetry = self.telemetry.map(TelemetryHandle::finish);
-        if let (Some(snap), Some(stats)) = (telemetry.as_mut(), storage) {
-            snap.storage = Some(StorageSummary {
-                log_bytes: stats.log_bytes,
-                log_frames: stats.log_frames,
-                log_segments: stats.log_segments,
-                fsyncs: stats.fsyncs,
-                snapshots: stats.snapshots,
-                snapshot_bytes: stats.snapshot_bytes,
-                snapshot_fsyncs: stats.snapshot_fsyncs,
-                safepoints: stats.safepoints,
-            });
-        }
+        let telemetry = self.telemetry.map(TelemetryHandle::finish);
         Ok(RunOutcome {
             policy: self.cfg.policy,
             seed: self.cfg.workload.seed,

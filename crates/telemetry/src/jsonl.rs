@@ -1,10 +1,10 @@
 //! The JSONL sink: one schema-versioned line per activation record.
 //!
-//! The workspace carries no serde, so both directions are hand-rolled
-//! against the fixed, flat schema below. Every line is self-describing —
-//! schema tag, run identity (policy + seed), and trigger configuration
-//! ride on each record — so files from different runs can be concatenated
-//! and still parsed line by line.
+//! The workspace carries no serde, so the writer is hand-rolled against
+//! the fixed, flat schema below; nothing in the tree reads a file back.
+//! Every line is self-describing — schema tag, run identity (policy +
+//! seed), and trigger configuration ride on each record — so files from
+//! different runs can be concatenated and still consumed line by line.
 //!
 //! Schema `pgc-telemetry/v1`, keys in fixed order:
 //!
@@ -20,30 +20,17 @@
 //! ```
 //!
 //! `victim`, `victim_score`, and `victim_score_bits` are `null` when
-//! absent. `victim_score` is human-readable only; the round-trippable
-//! value is `victim_score_bits` (`f64::to_bits`), so parsing is exact.
+//! absent. `victim_score` is human-readable only (and `null` for a
+//! non-finite score); `victim_score_bits` (`f64::to_bits`) is the exact
+//! value.
 
-use crate::record::{ActivationRecord, PolicySwitchNote, ShadowPickNote, TriggerReason};
+use crate::record::{ActivationRecord, TriggerReason};
 use crate::snapshot::TelemetrySnapshot;
-use pgc_types::{Bytes, PartitionId};
 use std::fmt::Write as _;
 use std::io;
 
-/// The schema tag written on (and required of) every line.
+/// The schema tag written on every line.
 pub const SCHEMA: &str = "pgc-telemetry/v1";
-
-/// One parsed JSONL line: run identity plus the record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedLine {
-    /// Display name of the policy that drove the run.
-    pub policy: String,
-    /// Workload seed of the run.
-    pub seed: u64,
-    /// The run's trigger configuration.
-    pub trigger: TriggerReason,
-    /// The activation record itself.
-    pub record: ActivationRecord,
-}
 
 fn push_opt_u64(out: &mut String, key: &str, v: Option<u64>) {
     match v {
@@ -153,146 +140,17 @@ pub fn write_snapshot<W: io::Write>(
     Ok(())
 }
 
-fn scalar<'a>(body: &'a str, key: &str) -> Result<&'a str, String> {
-    let tag = format!("\"{key}\":");
-    let start = body
-        .find(&tag)
-        .ok_or_else(|| format!("missing key '{key}'"))?
-        + tag.len();
-    let rest = &body[start..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated value for '{key}'"))?;
-    Ok(&rest[..end])
-}
-
-fn scalar_u64(body: &str, key: &str) -> Result<u64, String> {
-    let raw = scalar(body, key)?;
-    raw.parse()
-        .map_err(|e| format!("bad integer for '{key}' ({raw}): {e}"))
-}
-
-fn scalar_opt_u64(body: &str, key: &str) -> Result<Option<u64>, String> {
-    let raw = scalar(body, key)?;
-    if raw == "null" {
-        return Ok(None);
-    }
-    raw.parse()
-        .map(Some)
-        .map_err(|e| format!("bad integer for '{key}' ({raw}): {e}"))
-}
-
-fn scalar_str(body: &str, key: &str) -> Result<String, String> {
-    let raw = scalar(body, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("expected string for '{key}', got {raw}"))
-}
-
-fn parse_switches(body: &str) -> Result<Vec<PolicySwitchNote>, String> {
-    let tag = "\"policy_switches\":[";
-    // Lenient: lines written before the key existed parse as no switches.
-    let Some(start) = body.find(tag).map(|i| i + tag.len()) else {
-        return Ok(Vec::new());
-    };
-    let rest = &body[start..];
-    let end = rest.find(']').ok_or("unterminated policy_switches array")?;
-    let inner = &rest[..end];
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    inner
-        .split("},{")
-        .map(|entry| {
-            let entry = entry.trim_start_matches('{').trim_end_matches('}');
-            // Re-wrap so the scalar helpers see terminated values.
-            let entry = format!("{entry}}}");
-            Ok(PolicySwitchNote {
-                activation: scalar_u64(&entry, "activation")?,
-                from: scalar_str(&entry, "from")?,
-                to: scalar_str(&entry, "to")?,
-            })
-        })
-        .collect()
-}
-
-fn parse_picks(body: &str) -> Result<Vec<ShadowPickNote>, String> {
-    let tag = "\"shadow_picks\":[";
-    let start = body.find(tag).ok_or("missing key 'shadow_picks'")? + tag.len();
-    let rest = &body[start..];
-    let end = rest.find(']').ok_or("unterminated shadow_picks array")?;
-    let inner = &rest[..end];
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    inner
-        .split("},{")
-        .map(|entry| {
-            let entry = entry.trim_start_matches('{').trim_end_matches('}');
-            // Re-wrap so the scalar helpers see terminated values.
-            let entry = format!("{entry}}}");
-            Ok(ShadowPickNote {
-                policy: scalar_str(&entry, "policy")?,
-                victim: scalar_opt_u64(&entry, "victim")?.map(|v| PartitionId(v as u32)),
-            })
-        })
-        .collect()
-}
-
-/// Parses one line written by [`record_line`]. Rejects lines with a
-/// missing or unexpected schema tag.
-pub fn parse_line(line: &str) -> Result<ParsedLine, String> {
-    let schema = scalar_str(line, "schema")?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "unsupported schema '{schema}' (expected '{SCHEMA}')"
-        ));
-    }
-    // Scalar keys all precede the two trailing arrays (fixed key order), so
-    // restricting scalar searches to that prefix keeps the arrays' own
-    // "policy"/"victim"/"activation" keys out of scope.
-    let head_end = [
-        line.find("\"policy_switches\""),
-        line.find("\"shadow_picks\""),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-    .unwrap_or(line.len());
-    let head = &line[..head_end];
-    let record = ActivationRecord {
-        activation: scalar_u64(head, "activation")?,
-        event_clock: scalar_u64(head, "clock")?,
-        gap_events: scalar_u64(head, "gap")?,
-        victim: scalar_opt_u64(head, "victim")?.map(|v| PartitionId(v as u32)),
-        victim_score: scalar_opt_u64(head, "victim_score_bits")?.map(f64::from_bits),
-        collections: scalar_u64(head, "collections")? as u32,
-        live_objects: scalar_u64(head, "live_objects")?,
-        live_bytes: Bytes(scalar_u64(head, "live_bytes")?),
-        garbage_objects: scalar_u64(head, "garbage_objects")?,
-        garbage_bytes: Bytes(scalar_u64(head, "garbage_bytes")?),
-        forwarded_pointers: scalar_u64(head, "forwarded_pointers")?,
-        gc_reads: scalar_u64(head, "gc_reads")?,
-        gc_writes: scalar_u64(head, "gc_writes")?,
-        app_ios_before: scalar_u64(head, "app_ios_before")?,
-        app_ios_delta: scalar_u64(head, "app_ios_delta")?,
-        policy_switches: parse_switches(line)?,
-        shadow_picks: parse_picks(line)?,
-    };
-    Ok(ParsedLine {
-        policy: scalar_str(head, "policy")?,
-        seed: scalar_u64(head, "seed")?,
-        trigger: TriggerReason::parse_token(&scalar_str(head, "trigger")?)?,
-        record,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{PolicySwitchNote, ShadowPickNote};
+    use pgc_types::{Bytes, PartitionId};
 
-    fn sample_record() -> ActivationRecord {
+    /// The writer's pin: every key in schema order, a distinct value under
+    /// each (so two swapped fields cannot cancel), one switch, two picks
+    /// with one of them declined.
+    #[test]
+    fn a_full_record_renders_the_golden_line() {
         let mut rec = ActivationRecord::open(7, 12_345, 900);
         rec.victim = Some(PartitionId(4));
         rec.victim_score = Some(12.5);
@@ -302,87 +160,65 @@ mod tests {
         rec.garbage_objects = 5;
         rec.garbage_bytes = Bytes(512);
         rec.forwarded_pointers = 2;
-        rec.gc_reads = 3;
-        rec.gc_writes = 4;
+        rec.gc_reads = 6;
+        rec.gc_writes = 8;
         rec.app_ios_before = 100;
         rec.app_ios_delta = 42;
         rec.policy_switches = vec![PolicySwitchNote {
-            activation: 7,
+            activation: 11,
             from: "UpdatedPointer".to_string(),
             to: "Occupancy".to_string(),
         }];
         rec.shadow_picks = vec![
             ShadowPickNote {
                 policy: "Random".to_string(),
-                victim: Some(PartitionId(2)),
+                victim: Some(PartitionId(13)),
             },
             ShadowPickNote {
                 policy: "MostGarbage".to_string(),
                 victim: None,
             },
         ];
-        rec
-    }
-
-    #[test]
-    fn line_round_trips_exactly() {
-        let rec = sample_record();
-        let line = record_line(
-            "UpdatedPointer",
-            3,
-            TriggerReason::OverwriteCount(200),
-            &rec,
+        assert_eq!(
+            record_line("AdaptiveMeta", 3, TriggerReason::OverwriteCount(200), &rec),
+            "{\"schema\":\"pgc-telemetry/v1\",\"policy\":\"AdaptiveMeta\",\"seed\":3,\
+             \"trigger\":\"overwrites:200\",\"activation\":7,\"clock\":12345,\"gap\":900,\
+             \"victim\":4,\"victim_score\":12.5,\"victim_score_bits\":4623226492472524800,\
+             \"collections\":1,\"live_objects\":10,\"live_bytes\":1000,\
+             \"garbage_objects\":5,\"garbage_bytes\":512,\"forwarded_pointers\":2,\
+             \"gc_reads\":6,\"gc_writes\":8,\"app_ios_before\":100,\"app_ios_delta\":42,\
+             \"policy_switches\":[{\"activation\":11,\"from\":\"UpdatedPointer\",\
+             \"to\":\"Occupancy\"}],\
+             \"shadow_picks\":[{\"policy\":\"Random\",\"victim\":13},\
+             {\"policy\":\"MostGarbage\",\"victim\":null}]}"
         );
-        let parsed = parse_line(&line).unwrap();
-        assert_eq!(parsed.policy, "UpdatedPointer");
-        assert_eq!(parsed.seed, 3);
-        assert_eq!(parsed.trigger, TriggerReason::OverwriteCount(200));
-        assert_eq!(parsed.record, rec);
     }
 
     #[test]
-    fn null_victim_and_empty_picks_round_trip() {
-        let rec = ActivationRecord::open(1, 10, 10);
-        let line = record_line("NoCollection", 1, TriggerReason::PartitionGrowth, &rec);
-        assert!(line.contains("\"victim\":null"));
-        assert!(line.contains("\"policy_switches\":[]"));
-        assert!(line.contains("\"shadow_picks\":[]"));
-        let parsed = parse_line(&line).unwrap();
-        assert_eq!(parsed.record, rec);
-    }
-
-    #[test]
-    fn lines_without_policy_switches_still_parse() {
-        // Files written before the key existed must keep parsing (as
-        // no switches).
-        let rec = sample_record();
-        let line = record_line("X", 1, TriggerReason::External, &rec).replace(
-            "\"policy_switches\":[{\"activation\":7,\"from\":\"UpdatedPointer\",\
-             \"to\":\"Occupancy\"}],",
-            "",
-        );
-        assert!(!line.contains("policy_switches"));
-        let parsed = parse_line(&line).unwrap();
-        assert!(parsed.record.policy_switches.is_empty());
-        assert_eq!(parsed.record.shadow_picks, rec.shadow_picks);
-        assert_eq!(parsed.record.activation, rec.activation);
-    }
-
-    #[test]
-    fn wrong_schema_is_rejected() {
-        let rec = ActivationRecord::open(1, 10, 10);
-        let line = record_line("X", 1, TriggerReason::External, &rec)
-            .replace("pgc-telemetry/v1", "pgc-telemetry/v0");
-        assert!(parse_line(&line).is_err());
-        assert!(parse_line("{}").is_err());
-    }
-
-    #[test]
-    fn nan_scores_round_trip_through_bits() {
+    fn absent_values_render_as_null_and_empty_arrays() {
         let mut rec = ActivationRecord::open(1, 10, 10);
+        let declined = record_line("NoCollection", 1, TriggerReason::PartitionGrowth, &rec);
+        assert_eq!(
+            declined,
+            "{\"schema\":\"pgc-telemetry/v1\",\"policy\":\"NoCollection\",\"seed\":1,\
+             \"trigger\":\"partition-growth\",\"activation\":1,\"clock\":10,\"gap\":10,\
+             \"victim\":null,\"victim_score\":null,\"victim_score_bits\":null,\
+             \"collections\":0,\"live_objects\":0,\"live_bytes\":0,\
+             \"garbage_objects\":0,\"garbage_bytes\":0,\"forwarded_pointers\":0,\
+             \"gc_reads\":0,\"gc_writes\":0,\"app_ios_before\":0,\"app_ios_delta\":0,\
+             \"policy_switches\":[],\"shadow_picks\":[]}"
+        );
+        // A non-finite score has no JSON number: the readable field goes
+        // null, the bits keep the value.
         rec.victim_score = Some(f64::NAN);
-        let line = record_line("X", 1, TriggerReason::External, &rec);
-        let parsed = parse_line(&line).unwrap();
-        assert!(parsed.record.victim_score.unwrap().is_nan());
+        let nan = record_line("NoCollection", 1, TriggerReason::PartitionGrowth, &rec);
+        let bits = format!(
+            "\"victim_score\":null,\"victim_score_bits\":{},",
+            f64::NAN.to_bits()
+        );
+        assert_eq!(
+            nan,
+            declined.replace("\"victim_score\":null,\"victim_score_bits\":null,", &bits)
+        );
     }
 }

@@ -5,19 +5,20 @@
 //! partition was picked, what it reclaimed, what it cost in page I/O)
 //! without perturbing the run.
 //!
-//! * [`cells`] — lock-free [`cells::Counter`] / [`cells::Gauge`] cells and
-//!   a fixed-bucket log2 [`cells::Histogram`]; no dependencies, no unsafe.
+//! * [`histogram`] — [`histogram::Histogram`]: a plain fixed-bucket log2
+//!   histogram, the one metric type with structure (counters are `u64`
+//!   fields of the snapshot).
 //! * [`record`] — [`record::ActivationRecord`]: one structured record per
 //!   collector activation, plus the trigger-reason vocabulary.
 //! * [`observer`] — [`observer::TelemetryObserver`]: the
-//!   [`pgc_odb::BarrierObserver`] bystander that does the recording, and
-//!   the [`observer::TelemetryHandle`] that survives the run to extract
-//!   the snapshot.
+//!   [`pgc_odb::BarrierObserver`] bystander that records straight into
+//!   the snapshot it will hand back, and the [`observer::TelemetryHandle`]
+//!   that survives the run to extract it.
 //! * [`snapshot`] — [`snapshot::TelemetrySnapshot`]: the in-memory sink
 //!   (counters, run-level histograms, records), mergeable across seeds.
 //! * [`fleet`] — [`fleet::FleetSnapshot`]: per-shard snapshots from a
 //!   sharded runtime plus the deterministic fleet-wide merge.
-//! * [`jsonl`] — the schema-versioned JSONL sink and its parser.
+//! * [`jsonl`] — the schema-versioned JSONL writer.
 //!
 //! The recorder is a pure bystander on the bus built in PR 3: it reads
 //! the same stream every selection policy sees and touches nothing else,
@@ -28,19 +29,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cells;
 pub mod fleet;
+pub mod histogram;
 pub mod jsonl;
 pub mod observer;
 pub mod record;
 pub mod snapshot;
 
-pub use cells::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use fleet::{FleetSnapshot, ShardTelemetry};
-pub use jsonl::{parse_line, record_line, write_snapshot, ParsedLine, SCHEMA};
+pub use histogram::Histogram;
+pub use jsonl::{record_line, write_snapshot, SCHEMA};
 pub use observer::{TelemetryHandle, TelemetryObserver};
 pub use record::{ActivationRecord, PolicySwitchNote, ShadowPickNote, TriggerReason};
-pub use snapshot::{CounterSnapshot, StorageSummary, TelemetrySnapshot};
+pub use snapshot::{CounterSnapshot, TelemetrySnapshot};
 
 /// How much the telemetry layer records.
 ///

@@ -10,70 +10,21 @@
 //! simulator's test suite pins totals and victim sequences bit-identical
 //! with telemetry off and on).
 
-use crate::cells::{Counter, Gauge, Histogram};
 use crate::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
-use crate::snapshot::{CounterSnapshot, TelemetrySnapshot};
+use crate::snapshot::TelemetrySnapshot;
 use crate::TelemetryLevel;
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-#[derive(Default)]
-struct BusCounters {
-    events: Counter,
-    pointer_writes: Counter,
-    overwrites: Counter,
-    data_writes: Counter,
-    allocations: Counter,
-    allocated_bytes: Counter,
-    partition_growths: Counter,
-    objects_copied: Counter,
-    copied_bytes: Counter,
-    objects_reclaimed: Counter,
-    reclaimed_bytes: Counter,
-    collections: Counter,
-    activations: Counter,
-    policy_switches: Counter,
-    max_partitions: Gauge,
-}
-
-impl BusCounters {
-    fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            events: self.events.get(),
-            pointer_writes: self.pointer_writes.get(),
-            overwrites: self.overwrites.get(),
-            data_writes: self.data_writes.get(),
-            allocations: self.allocations.get(),
-            allocated_bytes: self.allocated_bytes.get(),
-            partition_growths: self.partition_growths.get(),
-            objects_copied: self.objects_copied.get(),
-            copied_bytes: self.copied_bytes.get(),
-            objects_reclaimed: self.objects_reclaimed.get(),
-            reclaimed_bytes: self.reclaimed_bytes.get(),
-            collections: self.collections.get(),
-            activations: self.activations.get(),
-            policy_switches: self.policy_switches.get(),
-            max_partitions: self.max_partitions.get(),
-        }
-    }
-}
-
 struct TelemetryState {
-    level: TelemetryLevel,
-    trigger: TriggerReason,
-    counters: BusCounters,
-    reclaimed_hist: Histogram,
-    gc_io_hist: Histogram,
-    gap_hist: Histogram,
-    records: Vec<ActivationRecord>,
-    /// Whole-run policy-switch trace (recorded at every level).
-    switches: Vec<PolicySwitchNote>,
+    /// What [`TelemetryHandle::finish`] hands back, filled in place as
+    /// the run goes. `counters.events` doubles as the deterministic
+    /// logical clock: bus events observed so far.
+    snapshot: TelemetrySnapshot,
     /// The record being built for the current activation (opened at
     /// `TriggerTick`, closed at the next tick or at end of run).
     open: Option<ActivationRecord>,
-    /// Deterministic logical clock: bus events observed so far.
-    clock: u64,
     last_tick_clock: u64,
     last_app_ios: u64,
 }
@@ -83,27 +34,13 @@ impl TelemetryState {
         let Some(rec) = self.open.take() else {
             return;
         };
-        self.reclaimed_hist.record(rec.garbage_bytes.get());
-        self.gc_io_hist.record(rec.gc_ios());
-        self.gap_hist.record(rec.gap_events);
-        if self.level == TelemetryLevel::Full {
-            self.records.push(rec);
-        }
-    }
-
-    fn into_snapshot(mut self) -> TelemetrySnapshot {
-        self.close_open();
-        TelemetrySnapshot {
-            level: self.level,
-            trigger: self.trigger,
-            runs: 1,
-            counters: self.counters.snapshot(),
-            reclaimed_per_activation: self.reclaimed_hist.snapshot(),
-            gc_io_per_activation: self.gc_io_hist.snapshot(),
-            activation_gap_events: self.gap_hist.snapshot(),
-            records: self.records,
-            switches: self.switches,
-            storage: None,
+        let snap = &mut self.snapshot;
+        snap.reclaimed_per_activation
+            .record(rec.garbage_bytes.get());
+        snap.gc_io_per_activation.record(rec.gc_ios());
+        snap.activation_gap_events.record(rec.gap_events);
+        if snap.level == TelemetryLevel::Full {
+            snap.records.push(rec);
         }
     }
 }
@@ -124,17 +61,11 @@ impl TelemetryObserver {
     /// collector's bus; call [`TelemetryHandle::finish`] when the run
     /// ends.
     pub fn new(level: TelemetryLevel, trigger: TriggerReason) -> (Self, TelemetryHandle) {
+        let mut snapshot = TelemetrySnapshot::empty(level, trigger);
+        snapshot.runs = 1;
         let state = Rc::new(RefCell::new(TelemetryState {
-            level,
-            trigger,
-            counters: BusCounters::default(),
-            reclaimed_hist: Histogram::new(),
-            gc_io_hist: Histogram::new(),
-            gap_hist: Histogram::new(),
-            records: Vec::new(),
-            switches: Vec::new(),
+            snapshot,
             open: None,
-            clock: 0,
             last_tick_clock: 0,
             last_app_ios: 0,
         }));
@@ -149,45 +80,41 @@ impl TelemetryObserver {
 
 impl BarrierObserver for TelemetryObserver {
     fn on_event(&mut self, event: &BarrierEvent) {
-        let mut s = self.state.borrow_mut();
-        s.clock += 1;
-        s.counters.events.inc();
+        let s = &mut *self.state.borrow_mut();
+        let c = &mut s.snapshot.counters;
+        c.events += 1;
         match *event {
             BarrierEvent::PointerWrite(info) => {
-                s.counters.pointer_writes.inc();
+                c.pointer_writes += 1;
                 if info.is_overwrite() {
-                    s.counters.overwrites.inc();
+                    c.overwrites += 1;
                 }
             }
-            BarrierEvent::DataWrite { .. } => s.counters.data_writes.inc(),
+            BarrierEvent::DataWrite { .. } => c.data_writes += 1,
             BarrierEvent::Allocation { size, .. } => {
-                s.counters.allocations.inc();
-                s.counters.allocated_bytes.add(size.get());
+                c.allocations += 1;
+                c.allocated_bytes += size.get();
             }
             BarrierEvent::PartitionGrowth { partitions } => {
-                s.counters.partition_growths.inc();
-                s.counters.max_partitions.record_max(partitions as u64);
+                c.partition_growths += 1;
+                c.max_partitions = c.max_partitions.max(partitions as u64);
             }
             BarrierEvent::ObjectCopied { size, .. } => {
-                s.counters.objects_copied.inc();
-                s.counters.copied_bytes.add(size.get());
+                c.objects_copied += 1;
+                c.copied_bytes += size.get();
             }
             BarrierEvent::ObjectReclaimed { size, .. } => {
-                s.counters.objects_reclaimed.inc();
-                s.counters.reclaimed_bytes.add(size.get());
+                c.objects_reclaimed += 1;
+                c.reclaimed_bytes += size.get();
             }
             BarrierEvent::VictimSelected { victim, score_bits } => {
                 if let Some(open) = s.open.as_mut() {
-                    // First selection of the activation is the driver's
-                    // headline pick; batch extras only add to the totals.
-                    if open.victim.is_none() {
-                        open.victim = Some(victim);
-                        open.victim_score = score_bits.map(f64::from_bits);
-                    }
+                    open.victim = Some(victim);
+                    open.victim_score = score_bits.map(f64::from_bits);
                 }
             }
             BarrierEvent::CollectionCompleted(outcome) => {
-                s.counters.collections.inc();
+                c.collections += 1;
                 if let Some(open) = s.open.as_mut() {
                     open.collections += 1;
                     open.live_objects += outcome.live_objects;
@@ -200,11 +127,14 @@ impl BarrierObserver for TelemetryObserver {
                 }
             }
             BarrierEvent::TriggerTick { activation } => {
+                c.activations += 1;
+                let clock = c.events;
                 s.close_open();
-                s.counters.activations.inc();
-                let gap = s.clock - s.last_tick_clock;
-                let clock = s.clock;
-                s.open = Some(ActivationRecord::open(activation, clock, gap));
+                s.open = Some(ActivationRecord::open(
+                    activation,
+                    clock,
+                    clock - s.last_tick_clock,
+                ));
                 s.last_tick_clock = clock;
             }
             BarrierEvent::PolicySwitched {
@@ -212,7 +142,7 @@ impl BarrierObserver for TelemetryObserver {
                 from,
                 to,
             } => {
-                s.counters.policy_switches.inc();
+                c.policy_switches += 1;
                 let note = PolicySwitchNote {
                     activation,
                     from: from.to_string(),
@@ -221,19 +151,18 @@ impl BarrierObserver for TelemetryObserver {
                 if let Some(open) = s.open.as_mut() {
                     open.policy_switches.push(note.clone());
                 }
-                s.switches.push(note);
+                s.snapshot.switches.push(note);
             }
         }
     }
 
     fn on_trigger(&mut self, db: &Database) {
-        let mut s = self.state.borrow_mut();
+        let s = &mut *self.state.borrow_mut();
         let app = db.io_stats().app_ios();
         let delta = app - s.last_app_ios;
         s.last_app_ios = app;
-        s.counters
-            .max_partitions
-            .record_max(db.partition_count() as u64);
+        let c = &mut s.snapshot.counters;
+        c.max_partitions = c.max_partitions.max(db.partition_count() as u64);
         if let Some(open) = s.open.as_mut() {
             open.app_ios_before = app;
             open.app_ios_delta = delta;
@@ -249,22 +178,12 @@ impl TelemetryHandle {
     /// activation still open and excluded.
     pub fn finish(self) -> TelemetrySnapshot {
         match Rc::try_unwrap(self.state) {
-            Ok(cell) => cell.into_inner().into_snapshot(),
-            Err(rc) => {
-                let s = rc.borrow();
-                TelemetrySnapshot {
-                    level: s.level,
-                    trigger: s.trigger,
-                    runs: 1,
-                    counters: s.counters.snapshot(),
-                    reclaimed_per_activation: s.reclaimed_hist.snapshot(),
-                    gc_io_per_activation: s.gc_io_hist.snapshot(),
-                    activation_gap_events: s.gap_hist.snapshot(),
-                    records: s.records.clone(),
-                    switches: s.switches.clone(),
-                    storage: None,
-                }
+            Ok(cell) => {
+                let mut state = cell.into_inner();
+                state.close_open();
+                state.snapshot
             }
+            Err(rc) => rc.borrow().snapshot.clone(),
         }
     }
 }
@@ -369,29 +288,5 @@ mod tests {
         assert_eq!(snap.switches[0].to, "Occupancy");
         assert_eq!(snap.records[0].policy_switches.len(), 1);
         assert!(snap.records[1].policy_switches.is_empty());
-    }
-
-    #[test]
-    fn batch_collections_accumulate_into_one_record() {
-        let (mut obs, handle) =
-            TelemetryObserver::new(TelemetryLevel::Full, TriggerReason::OverwriteCount(1));
-        obs.on_event(&tick(1));
-        obs.on_event(&BarrierEvent::VictimSelected {
-            victim: PartitionId(3),
-            score_bits: None,
-        });
-        obs.on_event(&completed(100));
-        obs.on_event(&BarrierEvent::VictimSelected {
-            victim: PartitionId(4),
-            score_bits: None,
-        });
-        obs.on_event(&completed(200));
-        drop(obs);
-        let snap = handle.finish();
-        assert_eq!(snap.records.len(), 1);
-        let rec = &snap.records[0];
-        assert_eq!(rec.collections, 2);
-        assert_eq!(rec.victim, Some(PartitionId(3)), "first pick wins");
-        assert_eq!(rec.garbage_bytes, Bytes(300));
     }
 }

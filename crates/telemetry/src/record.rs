@@ -17,40 +17,16 @@ pub enum TriggerReason {
     AllocationBytes(u64),
     /// Collection whenever the partition set grows.
     PartitionGrowth,
-    /// Collections forced by an embedder outside any scheduler.
-    External,
 }
 
 impl TriggerReason {
     /// Compact token used in the JSONL schema (`overwrites:200`,
-    /// `alloc-bytes:393216`, `partition-growth`, `external`).
+    /// `alloc-bytes:393216`, `partition-growth`).
     pub fn token(&self) -> String {
         match self {
             TriggerReason::OverwriteCount(n) => format!("overwrites:{n}"),
             TriggerReason::AllocationBytes(n) => format!("alloc-bytes:{n}"),
             TriggerReason::PartitionGrowth => "partition-growth".to_string(),
-            TriggerReason::External => "external".to_string(),
-        }
-    }
-
-    /// Parses a [`TriggerReason::token`] back.
-    pub fn parse_token(s: &str) -> Result<Self, String> {
-        if let Some(n) = s.strip_prefix("overwrites:") {
-            return n
-                .parse()
-                .map(TriggerReason::OverwriteCount)
-                .map_err(|e| format!("bad overwrite count '{n}': {e}"));
-        }
-        if let Some(n) = s.strip_prefix("alloc-bytes:") {
-            return n
-                .parse()
-                .map(TriggerReason::AllocationBytes)
-                .map_err(|e| format!("bad allocation byte count '{n}': {e}"));
-        }
-        match s {
-            "partition-growth" => Ok(TriggerReason::PartitionGrowth),
-            "external" => Ok(TriggerReason::External),
-            other => Err(format!("unknown trigger token '{other}'")),
         }
     }
 }
@@ -92,7 +68,7 @@ pub struct ActivationRecord {
     /// Bus events since the previous activation's tick (inter-collection
     /// gap; for the first activation, since the start of the run).
     pub gap_events: u64,
-    /// The partition the driving policy selected first (`None` = it
+    /// The partition the driving policy selected (`None` = it
     /// declined, e.g. `NoCollection`).
     pub victim: Option<PartitionId>,
     /// The driver's numeric score for that victim, if the policy exposes
@@ -164,17 +140,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trigger_tokens_round_trip() {
-        for reason in [
-            TriggerReason::OverwriteCount(200),
-            TriggerReason::AllocationBytes(393_216),
-            TriggerReason::PartitionGrowth,
-            TriggerReason::External,
-        ] {
-            assert_eq!(TriggerReason::parse_token(&reason.token()), Ok(reason));
-        }
-        assert!(TriggerReason::parse_token("bogus").is_err());
-        assert!(TriggerReason::parse_token("overwrites:x").is_err());
+    fn trigger_tokens_are_the_schema_vocabulary() {
+        assert_eq!(TriggerReason::OverwriteCount(200).token(), "overwrites:200");
+        assert_eq!(
+            TriggerReason::AllocationBytes(393_216).token(),
+            "alloc-bytes:393216"
+        );
+        assert_eq!(TriggerReason::PartitionGrowth.token(), "partition-growth");
     }
 
     #[test]

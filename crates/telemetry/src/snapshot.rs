@@ -2,7 +2,7 @@
 //! condensed to plain data that can ride on a `RunOutcome`, merge across
 //! seeds, or serialize to JSONL.
 
-use crate::cells::HistogramSnapshot;
+use crate::histogram::Histogram;
 use crate::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
 use crate::TelemetryLevel;
 
@@ -63,44 +63,6 @@ impl CounterSnapshot {
     }
 }
 
-/// Durable-storage counters mirrored from the run's `DurableStore` as
-/// plain integers so telemetry stays dependency-free. Attached by the
-/// simulator after a run; absent when the run did not persist (including
-/// recovery replays, which run with durability off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StorageSummary {
-    /// Bytes appended to the change log.
-    pub log_bytes: u64,
-    /// Frames appended to the change log.
-    pub log_frames: u64,
-    /// Log segment files written.
-    pub log_segments: u64,
-    /// `fsync` calls issued on the change log.
-    pub fsyncs: u64,
-    /// Snapshot files written.
-    pub snapshots: u64,
-    /// Bytes written into snapshot files.
-    pub snapshot_bytes: u64,
-    /// `fsync` calls issued on snapshot files (by the background writer).
-    pub snapshot_fsyncs: u64,
-    /// Collection safepoints persisted.
-    pub safepoints: u64,
-}
-
-impl StorageSummary {
-    /// Adds another run's storage counters into this one.
-    pub fn merge(&mut self, other: &StorageSummary) {
-        self.log_bytes += other.log_bytes;
-        self.log_frames += other.log_frames;
-        self.log_segments += other.log_segments;
-        self.fsyncs += other.fsyncs;
-        self.snapshots += other.snapshots;
-        self.snapshot_bytes += other.snapshot_bytes;
-        self.snapshot_fsyncs += other.snapshot_fsyncs;
-        self.safepoints += other.safepoints;
-    }
-}
-
 /// Everything telemetry captured for one run (or, after [`merge`], for a
 /// set of same-configuration runs).
 ///
@@ -116,20 +78,17 @@ pub struct TelemetrySnapshot {
     /// Whole-run bus-event counters.
     pub counters: CounterSnapshot,
     /// Bytes reclaimed per activation.
-    pub reclaimed_per_activation: HistogramSnapshot,
+    pub reclaimed_per_activation: Histogram,
     /// Collector page I/O per activation.
-    pub gc_io_per_activation: HistogramSnapshot,
+    pub gc_io_per_activation: Histogram,
     /// Bus events between consecutive activations.
-    pub activation_gap_events: HistogramSnapshot,
+    pub activation_gap_events: Histogram,
     /// One record per activation, in order ([`TelemetryLevel::Full`] only;
     /// empty at `Metrics` level and after a merge).
     pub records: Vec<ActivationRecord>,
     /// Every driving-policy switch observed, in order (recorded at all
     /// levels; dropped on merge like `records`).
     pub switches: Vec<PolicySwitchNote>,
-    /// Durable-storage counters, when the run persisted (attached by the
-    /// simulator; summed on merge).
-    pub storage: Option<StorageSummary>,
 }
 
 impl TelemetrySnapshot {
@@ -140,12 +99,11 @@ impl TelemetrySnapshot {
             trigger,
             runs: 0,
             counters: CounterSnapshot::default(),
-            reclaimed_per_activation: HistogramSnapshot::default(),
-            gc_io_per_activation: HistogramSnapshot::default(),
-            activation_gap_events: HistogramSnapshot::default(),
+            reclaimed_per_activation: Histogram::default(),
+            gc_io_per_activation: Histogram::default(),
+            activation_gap_events: Histogram::default(),
             records: Vec::new(),
             switches: Vec::new(),
-            storage: None,
         }
     }
 
@@ -163,11 +121,6 @@ impl TelemetrySnapshot {
             .merge(&other.activation_gap_events);
         self.records.clear();
         self.switches.clear();
-        if let Some(theirs) = &other.storage {
-            self.storage
-                .get_or_insert_with(StorageSummary::default)
-                .merge(theirs);
-        }
     }
 
     /// Mean activations per merged run.
@@ -191,11 +144,7 @@ mod tests {
         s.counters.activations = activations;
         s.counters.events = 100 * activations;
         for i in 0..activations {
-            s.reclaimed_per_activation.merge(&{
-                let h = crate::cells::Histogram::new();
-                h.record(1024 * (i + 1));
-                h.snapshot()
-            });
+            s.reclaimed_per_activation.record(1024 * (i + 1));
         }
         s
     }

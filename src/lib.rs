@@ -26,8 +26,8 @@
 //! * [`workload`] — the synthetic augmented-binary-tree application model
 //!   and a versioned binary trace codec for record/replay.
 //! * [`telemetry`] — sampling-gated observability riding the barrier event
-//!   bus: lock-free counters and histograms, per-activation records, and a
-//!   JSONL export — provably non-perturbing.
+//!   bus: counters and histograms, per-activation records, and a JSONL
+//!   export — provably non-perturbing.
 //! * [`sim`] — the trace-driven simulator, metrics, multi-seed experiment
 //!   runner, and the experiment definitions that regenerate every table and
 //!   figure in the paper.

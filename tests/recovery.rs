@@ -14,7 +14,7 @@ use pgc::durable::{read_log, scan_snapshots, ScratchDir};
 use pgc::prelude::*;
 use pgc::sim::durable::manifest_for;
 use pgc::workload::generator::GenStats;
-use pgc::workload::{Event, SyntheticWorkload};
+use pgc::workload::{EncodedTrace, Event, SyntheticWorkload};
 use std::fs;
 
 /// Policies covering the paper's winner, the oracle, and the baseline —
@@ -102,8 +102,8 @@ fn recovery_is_bit_identical_across_policies_and_seeds() {
 
 #[test]
 fn persisting_a_run_does_not_change_it() {
-    // The store rides the bus as a bystander and reads the database only
-    // at safepoints: bare, log-only and snapshot + log runs of one config
+    // The store stays off the bus and reads the database only at
+    // safepoints: bare, log-only and snapshot + log runs of one config
     // must be one run — and each persisted one must recover to it.
     for policy in POLICIES {
         let cfg = RunConfig::small().with_policy(policy).with_seed(3);
@@ -127,6 +127,67 @@ fn persisting_a_run_does_not_change_it() {
             assert_eq!(outcome_digest(&recovered.outcome), bare, "{policy}");
         }
     }
+}
+
+#[test]
+fn a_safepoint_follows_every_step_that_completed_a_collection() {
+    // Nothing but `Shard` decides when a safepoint frame is written: after
+    // each step (one event, or one block) during which a collection
+    // completed, plus the closing frame at shutdown.
+    let cfg = RunConfig::small()
+        .with_policy(PolicyKind::UpdatedPointer)
+        .with_seed(6);
+    let run = |trace: Option<&EncodedTrace>| {
+        let dir = ScratchDir::new("schedule");
+        let mut builder = Simulation::builder(&cfg).durability(durable_cfg(&dir));
+        if let Some(trace) = trace {
+            builder = builder.trace(trace);
+        }
+        let totals = builder.run().expect("durable run").totals;
+        (totals, read_log(dir.path()).expect("read log").safepoints)
+    };
+
+    // Fed per event: one frame per collection, in order.
+    let (totals, per_event) = run(None);
+    let n = totals.collections;
+    assert!(n > 1, "need several collections to see a schedule");
+    assert_eq!(
+        per_event.len() as u64,
+        n + 1,
+        "one per collection + closing"
+    );
+    for (i, frame) in per_event.iter().enumerate() {
+        assert_eq!(frame.collections, (i as u64 + 1).min(n), "frame {i}");
+    }
+    assert!(per_event
+        .windows(2)
+        .all(|w| w[0].events_applied <= w[1].events_applied));
+    assert_eq!(per_event[n as usize].events_applied, totals.events);
+
+    // Fed as blocks: a frame may cover several collections, and each one
+    // says how many had completed by its event count in the run above.
+    let trace = EncodedTrace::record(cfg.workload.clone()).expect("record");
+    let (block_totals, per_block) = run(Some(&trace));
+    assert_eq!(block_totals, totals);
+    assert!(
+        per_block.len() < per_event.len(),
+        "blocks batch collections"
+    );
+    assert!(per_block
+        .windows(2)
+        .all(|w| w[0].collections <= w[1].collections));
+    for frame in &per_block {
+        let completed_by = per_event[..n as usize]
+            .iter()
+            .filter(|f| f.events_applied <= frame.events_applied)
+            .count() as u64;
+        assert_eq!(frame.collections, completed_by, "{frame:?}");
+    }
+    let closing = per_block.last().expect("closing frame");
+    assert_eq!(
+        (closing.collections, closing.events_applied),
+        (n, totals.events)
+    );
 }
 
 #[test]
