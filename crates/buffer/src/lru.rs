@@ -1,20 +1,25 @@
 //! A fixed-capacity O(1) LRU page table.
 //!
 //! Implemented as a slab of frames threaded onto an intrusive doubly-linked
-//! recency list (head = most recently used) plus a `HashMap` from
-//! [`PageId`] to frame index. All operations — lookup, touch, insert with
-//! eviction, and removal — are O(1).
+//! recency list (head = most recently used) plus a dense page → frame
+//! table. Page ids are dense by construction (partition × partition pages,
+//! plus the page), so the table is a `Vec<u32>` indexed by
+//! [`PageId::index`] holding `frame + 1` (0 = not resident), grown on
+//! demand to the highest page touched: a page touch, the operation under
+//! every simulated event, is one indexed load with no hashing. Nothing is
+//! allocated up front, and `DbConfig::validate` bounds `buffer_pages` and
+//! `partition_pages` so `frame + 1` fits the `u32` and the table stays a
+//! few bytes per page of address space. All operations are O(1).
 //!
 //! This module knows nothing about disks or I/O accounting; it is the pure
 //! replacement-policy data structure that [`crate::pool::BufferPool`] builds
 //! on.
 
 use pgc_types::PageId;
-use std::collections::HashMap;
 
 const NIL: usize = usize::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     page: PageId,
     dirty: bool,
@@ -41,7 +46,10 @@ pub enum Inserted {
 #[derive(Debug, Clone)]
 pub struct LruCache {
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    /// `table[page.index()]` = frame index + 1, or 0 when the page is not
+    /// resident (including every page past the table's end).
+    table: Vec<u32>,
+    len: usize,
     head: usize,
     tail: usize,
     free: Vec<usize>,
@@ -50,12 +58,17 @@ pub struct LruCache {
 
 impl LruCache {
     /// Creates a cache with room for `capacity` pages. `capacity` must be
-    /// positive.
+    /// positive and leave `frame + 1` representable in the `u32` table.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
+        assert!(
+            capacity < u32::MAX as usize,
+            "LRU capacity must fit the u32 page table"
+        );
         Self {
-            frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity * 2),
+            frames: Vec::new(),
+            table: Vec::new(),
+            len: 0,
             head: NIL,
             tail: NIL,
             free: Vec::new(),
@@ -66,13 +79,13 @@ impl LruCache {
     /// Number of resident pages.
     #[inline]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// True when no pages are resident.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// The configured frame count.
@@ -84,13 +97,22 @@ impl LruCache {
     /// True if `page` is resident.
     #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.frame_of(page).is_some()
+    }
+
+    /// The frame holding `page`, if it is resident.
+    #[inline]
+    fn frame_of(&self, page: PageId) -> Option<usize> {
+        match self.table.get(page.index() as usize) {
+            Some(&entry) if entry != 0 => Some(entry as usize - 1),
+            _ => None,
+        }
     }
 
     /// If `page` is resident, marks it most-recently-used, ORs in `dirty`,
     /// and returns `true`; otherwise returns `false`.
     pub fn touch(&mut self, page: PageId, dirty: bool) -> bool {
-        let Some(&idx) = self.map.get(&page) else {
+        let Some(idx) = self.frame_of(page) else {
             return false;
         };
         self.frames[idx].dirty |= dirty;
@@ -106,51 +128,47 @@ impl LruCache {
     /// Panics (debug builds) if `page` is already resident — callers must
     /// `touch` first.
     pub fn insert(&mut self, page: PageId, dirty: bool) -> Inserted {
-        debug_assert!(
-            !self.map.contains_key(&page),
-            "insert of resident page {page}"
-        );
-        let evicted = if self.map.len() == self.capacity {
+        debug_assert!(!self.contains(page), "insert of resident page {page}");
+        let evicted = if self.len == self.capacity {
             let victim_idx = self.tail;
-            let victim = self.frames[victim_idx].page;
-            let was_dirty = self.frames[victim_idx].dirty;
+            let Frame { page, dirty, .. } = self.frames[victim_idx];
             self.unlink(victim_idx);
-            self.map.remove(&victim);
+            self.table[page.index() as usize] = 0;
+            self.len -= 1;
             self.free.push(victim_idx);
-            Some((victim, was_dirty))
+            Inserted::Evicted { page, dirty }
         } else {
-            None
+            Inserted::NoEviction
         };
 
+        let frame = Frame {
+            page,
+            dirty,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = if let Some(free_idx) = self.free.pop() {
-            self.frames[free_idx] = Frame {
-                page,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            };
+            self.frames[free_idx] = frame;
             free_idx
         } else {
-            self.frames.push(Frame {
-                page,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            });
+            self.frames.push(frame);
             self.frames.len() - 1
         };
-        self.map.insert(page, idx);
-        self.link_front(idx);
-
-        match evicted {
-            Some((page, dirty)) => Inserted::Evicted { page, dirty },
-            None => Inserted::NoEviction,
+        let at = page.index() as usize;
+        if self.table.len() <= at {
+            self.table.resize(at + 1, 0);
         }
+        self.table[at] = idx as u32 + 1;
+        self.len += 1;
+        self.link_front(idx);
+        evicted
     }
 
     /// Removes `page` if resident, returning its dirty bit.
     pub fn remove(&mut self, page: PageId) -> Option<bool> {
-        let idx = self.map.remove(&page)?;
+        let idx = self.frame_of(page)?;
+        self.table[page.index() as usize] = 0;
+        self.len -= 1;
         let dirty = self.frames[idx].dirty;
         self.unlink(idx);
         self.free.push(idx);
@@ -202,8 +220,8 @@ impl LruCache {
         self.frames[idx].next = NIL;
     }
 
-    /// Debug invariant check: list and map agree, list is well-formed.
-    /// Used by property tests.
+    /// Debug invariant check: list and page table agree, list is
+    /// well-formed. Used by property tests.
     pub fn check_invariants(&self) {
         let mut seen = 0usize;
         let mut cursor = self.head;
@@ -212,19 +230,21 @@ impl LruCache {
             let f = &self.frames[cursor];
             assert_eq!(f.prev, prev, "prev link broken at {}", f.page);
             assert_eq!(
-                self.map.get(&f.page),
-                Some(&cursor),
-                "map does not point at frame for {}",
+                self.frame_of(f.page),
+                Some(cursor),
+                "table does not point at frame for {}",
                 f.page
             );
             prev = cursor;
             cursor = f.next;
             seen += 1;
-            assert!(seen <= self.map.len(), "cycle in recency list");
+            assert!(seen <= self.len, "cycle in recency list");
         }
-        assert_eq!(seen, self.map.len(), "list length != map length");
+        assert_eq!(seen, self.len, "list length != resident count");
+        let mapped = self.table.iter().filter(|&&entry| entry != 0).count();
+        assert_eq!(mapped, self.len, "table has stale or missing entries");
         assert_eq!(self.tail, prev, "tail does not match last node");
-        assert!(self.map.len() <= self.capacity, "over capacity");
+        assert!(self.len <= self.capacity, "over capacity");
     }
 }
 

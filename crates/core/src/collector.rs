@@ -39,9 +39,6 @@ pub struct Collector {
     /// Bystanders on the bus: shadow scoreboards, tracers, metrics taps.
     /// They see the same stream as the policy but never pick the victim.
     observers: ObserverRegistry,
-    /// Reused drain buffer so the per-operation pump allocates nothing in
-    /// steady state.
-    scratch: Vec<BarrierEvent>,
 }
 
 impl Collector {
@@ -52,7 +49,6 @@ impl Collector {
             policy,
             scheduler: GcScheduler::new(overwrite_threshold),
             observers: ObserverRegistry::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -62,7 +58,6 @@ impl Collector {
             policy,
             scheduler: GcScheduler::with_trigger(trigger),
             observers: ObserverRegistry::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -125,15 +120,11 @@ impl Collector {
         if db.events().is_empty() {
             return self.scheduler.is_due();
         }
-        self.scratch.clear();
-        db.drain_events_into(&mut self.scratch);
-        // Events are `Copy`; an index loop lets `observe_event` borrow
-        // `self` mutably without juggling the scratch buffer's ownership.
-        for i in 0..self.scratch.len() {
-            let event = self.scratch[i];
-            self.observe_event(&event);
-        }
-        self.scratch.clear();
+        // Listeners read each event where the database logged it: nothing
+        // is copied on the way, and the pump owns no buffer.
+        db.drain_events(|event| {
+            self.observe_event(event);
+        });
         self.scheduler.is_due()
     }
 

@@ -101,7 +101,11 @@ impl PartitionSnapshot {
                 size: rec.size.get(),
                 weight: rec.weight,
                 birth: rec.birth,
-                slots: rec.slots.iter().map(|s| s.map(|o| o.index())).collect(),
+                slots: rec
+                    .slots
+                    .iter()
+                    .map(|s| s.get().map(|o| o.index()))
+                    .collect(),
             });
         }
         Ok(Self {
@@ -246,7 +250,7 @@ impl PartitionSnapshot {
                     .slots
                     .iter()
                     .zip(&rec.slots)
-                    .all(|(a, b)| a.map(|o| o.index()) == *b);
+                    .all(|(a, b)| a.get().map(|o| o.index()) == *b);
             if live.size.get() != rec.size
                 || live.weight != rec.weight
                 || live.birth != rec.birth
@@ -371,8 +375,8 @@ impl Generation {
                 fixed[29..].copy_from_slice(&(rec.slots.len() as u32).to_le_bytes());
                 buf.reserve(record_len);
                 buf.extend_from_slice(&fixed);
-                for slot in &rec.slots {
-                    buf.extend_from_slice(&slot.map_or(0, |o| o.index() + 1).to_le_bytes());
+                for slot in rec.slots.iter() {
+                    buf.extend_from_slice(&slot.get().map_or(0, |o| o.index() + 1).to_le_bytes());
                 }
             }
             buf[live_bytes_at..live_bytes_at + 8].copy_from_slice(&live_bytes.to_le_bytes());

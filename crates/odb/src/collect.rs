@@ -29,7 +29,7 @@ use crate::db::Database;
 use crate::events::BarrierEvent;
 use pgc_buffer::{Access, IoContext};
 use pgc_storage::ObjAddr;
-use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId};
+use pgc_types::{Bytes, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId};
 use std::collections::VecDeque;
 
 /// What one partition collection accomplished.
@@ -69,25 +69,32 @@ impl Database {
         let io_before = self.buffer.stats();
         self.buffer.set_context(IoContext::Collector);
 
+        // Handed back at the end: nothing is allocated per object.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let CollectScratch {
+            queue,
+            oids,
+            forwarded,
+        } = &mut scratch;
+
         // --- 1. Gather the victim's roots, deterministically ordered. ---
         // Database roots first (BTreeSet iteration is sorted), then
         // remembered targets (sorted explicitly: the remset is hash-based).
-        let mut partition_roots: Vec<Oid> = Vec::new();
+        oids.clear();
         for oid in self.roots.iter().copied() {
             if self.objects.get(oid)?.addr.partition == victim {
-                partition_roots.push(oid);
+                oids.push(oid);
             }
         }
-        let mut remembered: Vec<Oid> = self.remsets.remembered_targets(victim).collect();
-        remembered.sort_unstable();
-        partition_roots.extend(remembered);
+        let first_remembered = oids.len();
+        oids.extend(self.remsets.remembered_targets(victim));
+        oids[first_remembered..].sort_unstable();
 
         // --- 2. Breadth-first evacuation, one root at a time. ---
         let mut live_objects = 0u64;
         let mut live_bytes = Bytes::ZERO;
         let mut forwarded_pointers = 0u64;
-        let mut queue: VecDeque<Oid> = VecDeque::new();
-        for root in partition_roots {
+        for &root in oids.iter() {
             queue.push_back(root);
             while let Some(oid) = queue.pop_front() {
                 let rec = self.objects.get(oid)?;
@@ -97,11 +104,9 @@ impl Database {
                     continue;
                 }
                 let size = rec.size;
-                let old_addr = rec.addr;
-                let children: Vec<Oid> = rec.slots.iter().flatten().copied().collect();
 
                 // Read the object from the victim...
-                let old_span = self.span_of(old_addr, size);
+                let old_span = self.span_of(rec.addr, size);
                 self.buffer.access_span(old_span, Access::Read);
 
                 // ...copy it into the target...
@@ -116,8 +121,9 @@ impl Database {
                 self.objects.relocate(oid, new_addr)?;
 
                 // ...and forward every remembered pointer at it.
-                let forwarded = self.remsets.relocate_object(oid, victim, target);
-                for loc in &forwarded {
+                forwarded.clear();
+                self.remsets.relocate_object(oid, victim, target, forwarded);
+                for loc in forwarded.iter() {
                     // The source object's page holds the pointer; updating
                     // it is a read-modify-write of that page.
                     let src = self.objects.get(loc.owner)?;
@@ -135,7 +141,7 @@ impl Database {
                     size,
                 });
 
-                for child in children {
+                for child in self.objects.get(oid)?.slots.targets() {
                     if self.objects.get(child)?.addr.partition == victim {
                         queue.push_back(child);
                     }
@@ -150,47 +156,39 @@ impl Database {
         );
 
         // --- 3. Reclaim the stragglers: everything left is garbage. ---
-        let mut dead: Vec<Oid> = self.objects.members(victim).collect();
-        dead.sort_unstable();
+        oids.clear();
+        oids.extend(self.objects.members(victim));
+        oids.sort_unstable();
         let mut garbage_objects = 0u64;
         let mut garbage_bytes = Bytes::ZERO;
-        for oid in dead {
+        for &oid in oids.iter() {
             // Out-of-partition set cleanup: drop this dead object's
             // pointers from the remembered sets they point into. The
             // auxiliary structures live in primary memory, so this costs no
             // page I/O (Sec. 4.1 keeps them "explicitly in auxiliary data
-            // structures").
-            if self.remsets.in_out_set(victim, oid) {
-                let slots: Vec<(SlotId, Oid)> = {
-                    let rec = self.objects.get(oid)?;
-                    rec.slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.map(|t| (SlotId(i as u16), t)))
-                        .collect()
-                };
-                for (slot, t) in slots {
+            // structures"). The slots are read off the removed record.
+            let in_out_set = self.remsets.in_out_set(victim, oid);
+            let rec = self.objects.remove(oid)?;
+            if in_out_set {
+                for (i, slot) in rec.slots.iter().enumerate() {
                     // A dangling target here can only be a fellow victim
-                    // resident reclaimed earlier in this sweep: cross-
-                    // partition targets of any recorded pointer are
-                    // remset-protected (they get evacuated, never dropped),
-                    // so only intra-partition edges can dangle.
+                    // resident reclaimed earlier in this sweep (or `oid`
+                    // itself): cross-partition targets of any recorded
+                    // pointer are remset-protected (they get evacuated,
+                    // never dropped), so only intra-partition edges can
+                    // dangle.
+                    let Some(t) = slot.get() else { continue };
                     let Ok(target_rec) = self.objects.get(t) else {
                         continue;
                     };
                     let tp = target_rec.addr.partition;
                     if tp != victim {
-                        self.remsets.remove_edge(
-                            pgc_types::PointerLoc::new(oid, slot),
-                            victim,
-                            t,
-                            tp,
-                        );
+                        let loc = PointerLoc::new(oid, SlotId(i as u16));
+                        self.remsets.remove_edge(loc, victim, t, tp);
                     }
                 }
                 self.remsets.purge_source(victim, oid);
             }
-            let rec = self.objects.remove(oid)?;
             self.partitions
                 .partition_mut(victim)?
                 .note_departure(rec.size);
@@ -202,10 +200,11 @@ impl Database {
                 size: rec.size,
             });
         }
+        self.scratch = scratch;
 
         // --- 4. Retire the victim: its pages hold only dead data. ---
-        let victim_pages: Vec<_> = self.partitions.partition_pages_span(victim).collect();
-        self.buffer.invalidate(victim_pages);
+        self.buffer
+            .invalidate(self.partitions.partition_pages_span(victim));
         self.partitions.rotate_empty(victim)?;
 
         self.buffer.set_context(IoContext::Application);
@@ -229,6 +228,17 @@ impl Database {
         self.events.push(BarrierEvent::CollectionCompleted(outcome));
         Ok(outcome)
     }
+}
+
+/// Buffers [`Database::collect_partition`] reuses across activations.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CollectScratch {
+    /// The breadth-first frontier.
+    queue: VecDeque<Oid>,
+    /// The victim's roots, then its dead residents.
+    oids: Vec<Oid>,
+    /// Remembered locations forwarded to the object just moved.
+    forwarded: Vec<PointerLoc>,
 }
 
 #[cfg(test)]

@@ -16,9 +16,10 @@
 //!
 //! Events accumulate in the internal log until a pump (the `pgc_core`
 //! collector wrapper or the `pgc_sim` replayer) drains them with
-//! [`Database::drain_events_into`]; standalone users can inspect them via
+//! [`Database::drain_events`]; standalone users can inspect them via
 //! [`Database::events`] or discard them with [`Database::clear_events`].
 
+use crate::collect::CollectScratch;
 use crate::events::{BarrierEvent, EventLog};
 use crate::remset::RemsetTable;
 use crate::stats::DbStats;
@@ -83,6 +84,7 @@ pub struct Database {
     pub(crate) roots: BTreeSet<Oid>,
     pub(crate) stats: DbStats,
     pub(crate) events: EventLog,
+    pub(crate) scratch: CollectScratch,
 }
 
 impl Database {
@@ -98,6 +100,7 @@ impl Database {
             roots: BTreeSet::new(),
             stats: DbStats::default(),
             events: EventLog::new(),
+            scratch: CollectScratch::default(),
             cfg,
         })
     }
@@ -112,12 +115,12 @@ impl Database {
         &self.events
     }
 
-    /// Moves all buffered barrier events to the end of `sink`, leaving the
-    /// log empty. The pump calls this after every operation and broadcasts
-    /// the drained events to its observer registry.
+    /// Hands every buffered barrier event to `deliver`, oldest first, and
+    /// leaves the log empty. The pump calls this after every operation and
+    /// broadcasts each event to its observer registry.
     #[inline]
-    pub fn drain_events_into(&mut self, sink: &mut Vec<BarrierEvent>) {
-        self.events.drain_into(sink);
+    pub fn drain_events(&mut self, deliver: impl FnMut(&BarrierEvent)) {
+        self.events.drain(deliver);
     }
 
     /// Discards all buffered barrier events (for standalone users that do
@@ -258,14 +261,14 @@ impl Database {
         let mut expected = 0usize;
         for (oid, rec) in self.objects.iter() {
             for (i, slot) in rec.slots.iter().enumerate() {
-                if let Some(target) = slot {
-                    let trec = self.objects.get(*target).expect("dangling pointer");
+                if let Some(target) = slot.get() {
+                    let trec = self.objects.get(target).expect("dangling pointer");
                     if trec.addr.partition != rec.addr.partition {
                         expected += 1;
                         let loc = pgc_types::PointerLoc::new(oid, SlotId(i as u16));
                         assert!(
                             self.remsets
-                                .locations_of(trec.addr.partition, *target)
+                                .locations_of(trec.addr.partition, target)
                                 .any(|l| l == loc),
                             "missing remset entry for {loc}"
                         );
@@ -313,7 +316,7 @@ mod tests {
         let mut d = db();
         let r = d.create_root(Bytes(100), 2).unwrap();
         let (c, info) = d.create_object(Bytes(100), 2, r, SlotId(0)).unwrap();
-        assert_eq!(d.objects().get(r).unwrap().slots[0], Some(c));
+        assert_eq!(d.objects().get(r).unwrap().slots[0].get(), Some(c));
         assert_eq!(d.objects().get(c).unwrap().weight, 2);
         assert!(info.during_creation);
         assert!(!info.is_overwrite());
@@ -344,7 +347,7 @@ mod tests {
         assert_eq!(info.old.unwrap().oid, a);
         assert_eq!(info.new, None);
         assert_eq!(d.stats().pointer_overwrites, 1);
-        assert_eq!(d.objects().get(r).unwrap().slots[0], None);
+        assert_eq!(d.objects().get(r).unwrap().slots[0].get(), None);
         d.check_invariants();
     }
 

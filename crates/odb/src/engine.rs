@@ -32,7 +32,7 @@ use crate::events::BarrierEvent;
 use crate::stats::{PointerTarget, PointerWriteInfo};
 use crate::weights;
 use pgc_buffer::Access;
-use pgc_storage::{ObjAddr, ObjectRecord};
+use pgc_storage::{ObjAddr, ObjectRecord, Slot, Slots};
 use pgc_types::{Bytes, Oid, PartitionId, Result, SlotId};
 
 impl Database {
@@ -86,7 +86,7 @@ impl Database {
             ObjectRecord {
                 addr,
                 size,
-                slots: vec![None; slot_count],
+                slots: Slots::nulls(slot_count),
                 weight,
                 birth: 0, // stamped by the table's allocation clock
             },
@@ -196,7 +196,7 @@ impl Database {
             }
         }
 
-        self.objects.get_mut(owner)?.slots[slot.as_usize()] = new;
+        self.objects.get_mut(owner)?.slots[slot.as_usize()] = new.into();
 
         if let Some(t) = new_target {
             weights::note_edge(&mut self.objects, owner, t.oid, self.cfg.max_weight)?;
@@ -230,7 +230,7 @@ impl Database {
         };
         let span = self.span_of(addr, size);
         self.buffer.access_span(span, Access::Write);
-        self.objects.get_mut(owner)?.slots.push(None);
+        self.objects.get_mut(owner)?.slots.push(Slot::NULL);
         Ok(SlotId(n as u16))
     }
 
@@ -330,7 +330,7 @@ mod tests {
         let (_, info) = d.create_object(Bytes(100), 2, r, SlotId(0)).unwrap();
         let overwrite = d.write_slot(r, SlotId(0), None).unwrap();
         let mut sink = Vec::new();
-        d.drain_events_into(&mut sink);
+        d.drain_events(|event| sink.push(*event));
         assert!(d.events().is_empty());
         let writes: Vec<_> = sink
             .iter()

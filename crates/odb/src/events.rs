@@ -197,7 +197,7 @@ impl fmt::Debug for ObserverRegistry {
 /// The database's internal event buffer.
 ///
 /// The mutation engine and collector push into it; a pump periodically
-/// drains it via [`Database::drain_events_into`]. Standalone `Database`
+/// drains it via [`Database::drain_events`]. Standalone `Database`
 /// users that never drain can ignore or [`EventLog::clear`] it — events
 /// are plain `Copy` values with no side effects of their own.
 #[derive(Debug, Clone, Default)]
@@ -234,12 +234,15 @@ impl EventLog {
         &self.events
     }
 
-    /// Moves all buffered events to the end of `sink`, leaving the log
-    /// empty (capacity retained). Appending to a caller-owned vector lets
-    /// the pump reuse one scratch buffer across the whole run.
+    /// Hands every buffered event to `deliver`, oldest first, and leaves
+    /// the log empty (capacity kept): listeners read the events where they
+    /// were logged, so the pump needs no buffer of its own.
     #[inline]
-    pub fn drain_into(&mut self, sink: &mut Vec<BarrierEvent>) {
-        sink.append(&mut self.events);
+    pub fn drain(&mut self, mut deliver: impl FnMut(&BarrierEvent)) {
+        for event in &self.events {
+            deliver(event);
+        }
+        self.events.clear();
     }
 
     /// Discards all buffered events.
@@ -305,7 +308,7 @@ mod tests {
         log.push(BarrierEvent::TriggerTick { activation: 7 });
         assert_eq!(log.len(), 2);
         let mut sink = Vec::new();
-        log.drain_into(&mut sink);
+        log.drain(|event| sink.push(*event));
         assert!(log.is_empty());
         assert_eq!(
             sink,

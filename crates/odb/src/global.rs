@@ -64,7 +64,7 @@ impl Database {
             }
             let rec = self.objects.get(oid)?;
             let span = self.span_of(rec.addr, rec.size);
-            let children: Vec<Oid> = rec.slots.iter().flatten().copied().collect();
+            let children: Vec<Oid> = rec.slots.targets().collect();
             self.buffer.access_span(span, Access::Read);
             stack.extend(children);
         }
@@ -112,7 +112,9 @@ impl Database {
                 // Forward remembered pointers (sources may be marked or
                 // not; unmarked sources die this same pass, so their
                 // entries are dropped rather than forwarded).
-                let forwarded = self.remsets.relocate_object(oid, victim, target);
+                let mut forwarded = Vec::new();
+                self.remsets
+                    .relocate_object(oid, victim, target, &mut forwarded);
                 for loc in &forwarded {
                     if !marked.contains(loc.owner.index()) {
                         continue;
@@ -137,7 +139,7 @@ impl Database {
                     rec.slots
                         .iter()
                         .enumerate()
-                        .filter_map(|(i, s)| s.map(|t| (SlotId(i as u16), t)))
+                        .filter_map(|(i, s)| s.get().map(|t| (SlotId(i as u16), t)))
                         .collect()
                 };
                 for (slot, t) in slots {

@@ -136,9 +136,7 @@ pub fn analyze_with(db: &Database, scratch: &mut OracleScratch) -> OracleReport 
         let rec = objects
             .get(oid)
             .expect("reachable object missing from table");
-        for t in rec.slots.iter().flatten() {
-            scratch.stack.push(*t);
-        }
+        scratch.stack.extend(rec.slots.targets());
     }
 
     // Phase 2: everything resident but unmarked is garbage; attribute it.
@@ -185,9 +183,7 @@ pub fn analyze_with(db: &Database, scratch: &mut OracleScratch) -> OracleReport 
             continue;
         }
         nepotism_bytes += rec.size;
-        for t in rec.slots.iter().flatten() {
-            scratch.stack.push(*t);
-        }
+        scratch.stack.extend(rec.slots.targets());
     }
 
     OracleReport {
@@ -217,9 +213,7 @@ pub fn reachable_set(db: &Database) -> HashSet<Oid> {
         let rec = objects
             .get(oid)
             .expect("reachable object missing from table");
-        for t in rec.slots.iter().flatten() {
-            stack.push(*t);
-        }
+        stack.extend(rec.slots.targets());
     }
     live.iter().map(Oid).collect()
 }
@@ -283,9 +277,7 @@ pub mod reference {
                 continue;
             }
             nepotism_bytes += rec.size;
-            for t in rec.slots.iter().flatten() {
-                stack.push(*t);
-            }
+            stack.extend(rec.slots.targets());
         }
 
         OracleReport {
@@ -311,9 +303,7 @@ pub mod reference {
             let rec = objects
                 .get(oid)
                 .expect("reachable object missing from table");
-            for t in rec.slots.iter().flatten() {
-                stack.push(*t);
-            }
+            stack.extend(rec.slots.targets());
         }
         live
     }

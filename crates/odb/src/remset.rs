@@ -150,18 +150,18 @@ impl RemsetTable {
     /// partition `from` to partition `to`:
     ///
     /// * entries in `into[from]` targeting `oid` move to `into[to]`
-    ///   (returning the affected source locations so the collector can
-    ///   charge pointer-forwarding I/O);
+    ///   (appending the affected source locations to `forwarded` so the
+    ///   collector can charge pointer-forwarding I/O);
     /// * `oid`'s out-count moves from `out[from]` to `out[to]`.
     pub fn relocate_object(
         &mut self,
         oid: Oid,
         from: PartitionId,
         to: PartitionId,
-    ) -> Vec<PointerLoc> {
+        forwarded: &mut Vec<PointerLoc>,
+    ) {
         self.ensure(from);
         self.ensure(to);
-        let mut forwarded = Vec::new();
         if let Some(locs) = self.into[from.as_usize()].remove(&oid) {
             forwarded.extend(locs.iter().copied());
             self.into[to.as_usize()].insert(oid, locs);
@@ -169,7 +169,6 @@ impl RemsetTable {
         if let Some(count) = self.out[from.as_usize()].remove(&oid) {
             self.out[to.as_usize()].insert(oid, count);
         }
-        forwarded
     }
 
     /// Forgets everything recorded about dead object `oid` as a *target* in
@@ -275,7 +274,8 @@ mod tests {
         r.add_edge(loc(1, 0), P0, Oid(10), P1);
         r.add_edge(loc(2, 0), P0, Oid(10), P1);
         r.add_edge(loc(10, 0), P1, Oid(30), P2);
-        let forwarded = r.relocate_object(Oid(10), P1, P2);
+        let mut forwarded = Vec::new();
+        r.relocate_object(Oid(10), P1, P2, &mut forwarded);
         assert_eq!(forwarded.len(), 2);
         assert_eq!(r.remembered_target_count(P1), 0);
         assert_eq!(r.remembered_pointer_count(P2), 3); // 2 moved + Oid(30)'s
@@ -287,7 +287,9 @@ mod tests {
     #[test]
     fn relocate_object_with_no_entries_is_a_noop() {
         let mut r = RemsetTable::new();
-        assert!(r.relocate_object(Oid(5), P0, P1).is_empty());
+        let mut forwarded = Vec::new();
+        r.relocate_object(Oid(5), P0, P1, &mut forwarded);
+        assert!(forwarded.is_empty());
         r.check_invariants();
     }
 

@@ -50,12 +50,12 @@ pub fn note_edge(table: &mut ObjectTable, from: Oid, to: Oid, max_weight: u8) ->
     let mut queue: VecDeque<Oid> = VecDeque::new();
     queue.push_back(to);
     while let Some(o) = queue.pop_front() {
-        let (w, slots) = {
-            let rec = table.get(o)?;
-            (rec.weight, rec.slots.clone())
-        };
-        let cand = child_weight(w, max_weight);
-        for target in slots.into_iter().flatten() {
+        let cand = child_weight(table.get(o)?.weight, max_weight);
+        // By index: the loop body mutates other records of the table.
+        let mut next = 0;
+        while let Some(slot) = table.get(o)?.slots.get(next).copied() {
+            next += 1;
+            let Some(target) = slot.get() else { continue };
             // Targets can have died between enqueue and visit only if the
             // caller mutates the table mid-propagation, which it does not;
             // still, skip unknown targets defensively.
@@ -75,7 +75,7 @@ pub fn note_edge(table: &mut ObjectTable, from: Oid, to: Oid, max_weight: u8) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgc_storage::{ObjAddr, ObjectRecord};
+    use pgc_storage::{ObjAddr, ObjectRecord, Slots};
     use pgc_types::{Bytes, PartitionId};
 
     const MAX: u8 = 16;
@@ -91,7 +91,7 @@ mod tests {
                 ObjectRecord {
                     addr: ObjAddr::new(PartitionId(0), i * 100),
                     size: Bytes(100),
-                    slots: vec![None; 3],
+                    slots: Slots::nulls(3),
                     weight: w,
                     birth: 0,
                 },
@@ -102,7 +102,7 @@ mod tests {
     }
 
     fn link(t: &mut ObjectTable, from: Oid, slot: usize, to: Oid) {
-        t.get_mut(from).unwrap().slots[slot] = Some(to);
+        t.get_mut(from).unwrap().slots[slot] = Some(to).into();
     }
 
     #[test]

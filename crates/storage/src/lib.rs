@@ -18,6 +18,7 @@
 //! * [`object_table`] — the mapping from stable [`pgc_types::Oid`]s to
 //!   [`object_table::ObjectRecord`]s (location, size, pointer slots, weight)
 //!   plus dense per-partition membership sets.
+//! * [`slots`] — an object's pointer slots, stored inside its record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,8 +27,10 @@ pub mod addr;
 pub mod object_table;
 pub mod partition;
 pub mod partition_set;
+pub mod slots;
 
 pub use addr::{page_span, ObjAddr, PageSpan};
 pub use object_table::{ObjectRecord, ObjectTable};
 pub use partition::Partition;
 pub use partition_set::PartitionSet;
+pub use slots::{Slot, Slots};

@@ -12,13 +12,14 @@
 //! `Oid`s are allocated sequentially and never reused, so the table is a
 //! **slab**: a `Vec<Option<ObjectRecord>>` indexed by `Oid::index()`. Every
 //! lookup on the simulator's hottest paths (oracle traversal, write
-//! barrier, collection) is one bounds check and one indexed load instead of
-//! a SipHash probe. Reclaimed slots stay `None` forever; for the workloads
-//! the simulator runs (bounded live set, ~2x total allocation over peak
-//! live) the slab's tail of tombstones costs a few bytes per dead object,
-//! which is far cheaper than hashing every access. Iteration is in
-//! ascending oid order — deterministic across processes and threads, which
-//! the old `HashMap` never guaranteed.
+//! barrier, collection) is one bounds check and one indexed load, with no
+//! hashing. A record is 64 bytes with its pointer slots inside it
+//! ([`crate::slots::Slots`]: creating or reclaiming one of the tree's
+//! two-slot objects never calls the allocator). Reclaimed entries stay
+//! `None` forever; for the workloads the simulator runs (bounded live set,
+//! ~2x total allocation over peak live) the slab's tail of 64-byte
+//! tombstones is far cheaper than hashing every access. Iteration is in
+//! ascending oid order — deterministic across processes and threads.
 //!
 //! Partition membership is a `Vec<Oid>` per partition with a parallel
 //! position slab for O(1) swap-removal. Membership order is a deterministic
@@ -26,18 +27,19 @@
 //! (the collector's garbage sweep) sort, exactly as they did before.
 
 use crate::addr::ObjAddr;
+use crate::slots::Slots;
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId};
 
 /// Everything the database knows about one object.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ObjectRecord {
     /// Current physical location.
     pub addr: ObjAddr,
     /// Object size in bytes (fixed at creation).
     pub size: Bytes,
     /// Pointer slots. Tree children occupy the first slots; dense edges
-    /// appended by the workload extend the vector.
-    pub slots: Vec<Option<Oid>>,
+    /// appended by the workload extend the run.
+    pub slots: Slots,
     /// Root-distance weight for the `WeightedPointer` policy (1 = root,
     /// capped at the configured maximum, 16 in the paper).
     pub weight: u8,
@@ -52,7 +54,7 @@ impl ObjectRecord {
     pub fn slot(&self, oid: Oid, slot: SlotId) -> Result<Option<Oid>> {
         self.slots
             .get(slot.as_usize())
-            .copied()
+            .map(|s| s.get())
             .ok_or(PgcError::SlotOutOfRange {
                 oid,
                 slot: slot.0,
@@ -288,7 +290,7 @@ mod tests {
         ObjectRecord {
             addr: ObjAddr::new(PartitionId(partition), offset),
             size: Bytes(size),
-            slots: vec![None; nslots],
+            slots: Slots::nulls(nslots),
             weight: 1,
             birth: 0,
         }

@@ -159,6 +159,16 @@ impl DbConfig {
         if self.max_weight > 32 {
             return Err(PgcError::InvalidConfig("max_weight must be at most 32"));
         }
+        // The buffer's page -> frame table is one `u32` (frame index + 1)
+        // per page of address space, partitions x `partition_pages`: 2^31
+        // frames keep the `+ 1` representable, and 2^20 pages (an 8 GiB
+        // partition at 8 KB pages; the paper uses 24-100) keep the table at
+        // 4 MiB per partition and every page index far inside a `u64`.
+        if self.buffer_pages > 1 << 31 || self.partition_pages > 1 << 20 {
+            return Err(PgcError::InvalidConfig(
+                "buffer_pages must be at most 2^31 and partition_pages at most 2^20",
+            ));
+        }
         Ok(())
     }
 }
@@ -210,5 +220,9 @@ mod tests {
         assert!(DbConfig::default().with_max_weight(0).validate().is_err());
         assert!(DbConfig::default().with_max_weight(32).validate().is_ok());
         assert!(DbConfig::default().with_max_weight(33).validate().is_err());
+        let cfg = DbConfig::default().with_buffer_pages((1 << 31) + 1);
+        assert!(cfg.validate().is_err());
+        let cfg = DbConfig::default().with_partition_pages((1 << 20) + 1);
+        assert!(cfg.with_buffer_pages(48).validate().is_err());
     }
 }

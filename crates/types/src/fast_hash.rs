@@ -1,13 +1,14 @@
 //! A fast, non-cryptographic hasher for the maps that must stay sparse.
 //!
-//! The simulator's hot maps keyed by dense ids are slabs or bit sets (see
-//! [`crate::bitset`]), but the remembered sets are genuinely sparse — most
-//! objects are never the target of a cross-partition pointer — so they stay
-//! hash maps. The standard library's default SipHash-1-3 is keyed and
-//! DoS-resistant, which simulation state does not need; this FxHash-style
-//! multiply-rotate hasher (the scheme rustc itself uses for its interner
-//! maps) is several times faster on `u64`-shaped keys and, being unkeyed,
-//! makes map iteration order stable across processes and threads.
+//! Everything keyed by a dense id is a slab, a table or a bit set (the
+//! object table, the buffer's page table, [`crate::bitset`]); the
+//! remembered sets are genuinely sparse — most objects are never the target
+//! of a cross-partition pointer — so they stay hash maps. The standard
+//! library's default SipHash-1-3 is keyed and DoS-resistant, which
+//! simulation state does not need; this FxHash-style multiply-rotate hasher
+//! (the scheme rustc itself uses for its interner maps) is several times
+//! faster on `u64`-shaped keys and, being unkeyed, makes map iteration
+//! order stable across processes and threads.
 //!
 //! No external dependency: the whole hasher is a dozen lines.
 

@@ -84,3 +84,13 @@ reports:
 # workloads held against benchmark/golden, and the `compare` bounds.
 bench-selftest:
     cargo test --manifest-path benchmark/Cargo.toml
+
+# Alternating parent/change pairs of the repository benchmark, the measurement
+# every performance claim rests on: builds `benchmark/` at `parent` (a
+# `git archive` copy under target/pairs/) and in the working tree, runs `n`
+# alternating pairs of BENCHMARK.json's run length on `workload`
+# (`churn_durable` or `fleet_roundtrip`), and prints per end-to-end metric the
+# two medians, the parent's inter-quartile distance and wins/n. Ten 55 s
+# pairs take ~19 minutes.
+pairs parent workload n="10":
+    ./scripts/pairs.sh {{parent}} {{workload}} {{n}}

@@ -44,6 +44,10 @@ impl NaiveLru {
         }
         self.entries.insert(0, (page, dirty));
     }
+
+    fn invalidate(&mut self, page: u64) {
+        self.entries.retain(|&(p, _)| p != page);
+    }
 }
 
 fn access_kind(rng: &mut SimRng) -> Access {
@@ -64,21 +68,124 @@ fn lru_matches_reference_model() {
             capacity,
             ..NaiveLru::default()
         };
-        for _ in 0..rng.range_inclusive(1, 400) {
-            let page = rng.below(24);
-            let kind = access_kind(&mut rng);
-            pool.access(PageId(page), kind);
-            model.access(page, kind);
-            pool.check_invariants();
+        // Odd seeds scatter 24 pages over ids up to 2^20 — the page table
+        // grows in jumps and most of it stays zero — and drop pages the
+        // way a collected partition's are, so entries are cleared by
+        // `invalidate` as well as by eviction.
+        let sparse = seed % 2 == 1;
+        let ids: Vec<u64> = (0..24)
+            .map(|i| if sparse { rng.below(1 << 20) } else { i })
+            .collect();
+        for step in 0..rng.range_inclusive(1, 400) {
+            let page = ids[rng.below(24) as usize];
+            if sparse && rng.chance(0.2) {
+                pool.invalidate([PageId(page)]);
+                model.invalidate(page);
+            } else {
+                let kind = access_kind(&mut rng);
+                pool.access(PageId(page), kind);
+                model.access(page, kind);
+            }
+            // The check scans the whole table: every step on the dense
+            // runs, every 16th on the 2^20-entry ones.
+            if !sparse || step % 16 == 0 {
+                pool.check_invariants();
+            }
         }
+        pool.check_invariants();
         let stats = pool.stats();
         assert_eq!(stats.app_disk_reads, model.disk_reads, "seed {seed}");
         assert_eq!(stats.app_disk_writes, model.disk_writes, "seed {seed}");
         assert_eq!(pool.resident_pages(), model.entries.len(), "seed {seed}");
-        for (page, _) in &model.entries {
-            assert!(pool.is_resident(PageId(*page)), "seed {seed}");
+        for page in &ids {
+            let modelled = model.entries.iter().any(|(p, _)| p == page);
+            assert_eq!(pool.is_resident(PageId(*page)), modelled, "seed {seed}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Pointer slots held in the record
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_record_is_no_larger_than_the_vec_based_one() {
+    // 64 bytes with the `Option` niche: the tombstoned slab must not grow.
+    assert!(std::mem::size_of::<Option<pgc::storage::ObjectRecord>>() <= 64);
+    assert_eq!(std::mem::size_of::<pgc::storage::Slot>(), 8);
+}
+
+#[test]
+fn an_object_grown_past_its_inline_slots_survives_collection_and_snapshot() {
+    use pgc::durable::{read_snapshot, scan_snapshots, DurableStore, ScratchDir};
+    use pgc::prelude::DurabilityConfig;
+
+    let cfg = DbConfig::default()
+        .with_page_size(1024)
+        .with_partition_pages(16);
+    let mut db = Database::new(cfg).expect("db");
+    let root = db.create_root(Bytes(100), 2).expect("root");
+    let (wide, _) = db
+        .create_object(Bytes(100), 2, root, SlotId(0))
+        .expect("wide");
+    // Two inline slots, then 38 more through `add_slot`: the spill happens
+    // at the third, and the buffer regrows several times on the way to 40.
+    // Every slot gets a child; every third child is then cut loose again.
+    let mut kept = Vec::new();
+    for i in 0..40u16 {
+        let slot = if i < 2 {
+            SlotId(i)
+        } else {
+            db.add_slot(wide).expect("add_slot")
+        };
+        assert_eq!(slot, SlotId(i));
+        let (child, _) = db.create_object(Bytes(60), 2, wide, slot).expect("child");
+        if i % 3 == 0 {
+            db.write_slot(wide, slot, None).expect("cut");
+            kept.push(None);
+        } else {
+            kept.push(Some(child));
+        }
+    }
+    let slots_of = |db: &Database| -> Vec<Option<Oid>> {
+        let rec = db.objects().get(wide).expect("wide is live");
+        rec.slots.iter().map(|s| s.get()).collect()
+    };
+    assert_eq!(slots_of(&db), kept);
+    db.check_invariants();
+
+    let mut collections = 0;
+    for victim in db.collectable_partitions() {
+        if db.objects().member_count(victim) > 0 {
+            db.collect_partition(victim).expect("collect");
+            collections += 1;
+            db.check_invariants();
+        }
+    }
+    assert_eq!(slots_of(&db), kept, "slots survive the copy");
+    assert_eq!(db.stats().reclaimed_objects, 14, "the cut children died");
+
+    // `DurableStore::finish` serialises through `Generation::capture`; the
+    // landed files must read back as exactly this database.
+    let dir = ScratchDir::new("wide-object");
+    let mut store =
+        DurableStore::create(&DurabilityConfig::snapshot_and_log(dir.path())).expect("store");
+    store.finish(&db, 0, collections).expect("finish");
+    let files = scan_snapshots(dir.path()).expect("scan");
+    assert_eq!(files.len(), db.partition_count());
+    let mut widest = 0;
+    for file in files {
+        let snap = read_snapshot(&file.path).expect("read");
+        snap.verify_against(&db).expect("snapshot matches");
+        widest = widest.max(
+            snap.records
+                .iter()
+                .map(|r| r.slots.len())
+                .max()
+                .unwrap_or(0),
+        );
+    }
+    assert_eq!(widest, 40);
 }
 
 // ---------------------------------------------------------------------
@@ -292,14 +399,10 @@ fn collector_never_reclaims_reachable_objects() {
 // Scoreboard policies: select() is the argmax of victim_score()
 // ---------------------------------------------------------------------
 
-/// Drain the database's pending barrier events into `buf` and replay them
-/// onto the policy, mirroring what `Collector::sync` does on the bus.
-fn pump(db: &mut Database, policy: &mut dyn SelectionPolicy, buf: &mut Vec<BarrierEvent>) {
-    db.drain_events_into(buf);
-    for event in buf.iter() {
-        policy.on_event(event);
-    }
-    buf.clear();
+/// Replays the database's pending barrier events onto the policy,
+/// mirroring what `Collector::sync` does on the bus.
+fn pump(db: &mut Database, policy: &mut dyn SelectionPolicy) {
+    db.drain_events(|event| policy.on_event(event));
 }
 
 /// Every scoreboard policy exposes its per-partition `victim_score`, and
@@ -335,7 +438,6 @@ fn scoreboard_selections_maximize_victim_score() {
             .with_gc_overwrite_threshold(10);
         let mut db = Database::new(cfg).expect("db");
         let mut objects: Vec<Oid> = Vec::new();
-        let mut buf: Vec<BarrierEvent> = Vec::new();
         let mut activation = 0u64;
 
         for op in ops {
@@ -390,7 +492,7 @@ fn scoreboard_selections_maximize_victim_score() {
                     // Mirror one Collector activation: pump pending events,
                     // tick, select, check the ranking, collect, pump the
                     // collection's own events.
-                    pump(&mut db, policy.as_mut(), &mut buf);
+                    pump(&mut db, policy.as_mut());
                     activation += 1;
                     policy.on_event(&BarrierEvent::TriggerTick { activation });
                     let Some(victim) = policy.select(&db) else {
@@ -419,7 +521,7 @@ fn scoreboard_selections_maximize_victim_score() {
                         score_bits: Some(sv.to_bits()),
                     });
                     db.collect_partition(victim).expect("collect");
-                    pump(&mut db, policy.as_mut(), &mut buf);
+                    pump(&mut db, policy.as_mut());
                     for s in policy.take_switches() {
                         policy.on_event(&BarrierEvent::PolicySwitched {
                             activation: s.activation,

@@ -252,6 +252,29 @@ fn retired_model_keys_recover_at_their_kept_value_and_are_refused_otherwise() {
     }
 }
 
+#[test]
+fn a_manifest_with_hostile_geometry_is_refused_not_allocated() {
+    // A MANIFEST is bytes from outside: a frame count or partition width
+    // nothing could back must come back as an error, never as a capacity
+    // overflow or a failed terabyte allocation inside `Database::new`.
+    let dir = ScratchDir::new("hostile-geometry");
+    run_durable(PolicyKind::UpdatedPointer, 1, &dir);
+    let cfg = RunConfig::small().with_seed(1);
+    let current = manifest_for(&cfg, TelemetryLevel::Full);
+    for (key, value) in [
+        ("db.buffer_pages", u64::MAX),
+        ("db.buffer_pages", 1 << 40),
+        ("db.partition_pages", 1 << 40),
+    ] {
+        assert!(current.get(key).is_some(), "{key} is a manifest key");
+        let mut hostile = current.clone();
+        hostile.set(key, value);
+        hostile.write_to(dir.path()).expect("rewrite the manifest");
+        let err = recover(dir.path()).expect_err("geometry out of bounds");
+        assert!(err.to_string().contains(&key[3..]), "{key}: {err}");
+    }
+}
+
 /// The newest log segment in `dir`, by sequence number.
 fn newest_log_segment(dir: &ScratchDir) -> std::path::PathBuf {
     let mut segments: Vec<_> = fs::read_dir(dir.path())
