@@ -81,11 +81,6 @@ impl Collector {
         self.observers.register(observer);
     }
 
-    /// Which policy this collector runs.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
-
     /// The trigger state.
     pub fn scheduler(&self) -> &GcScheduler {
         &self.scheduler
@@ -326,12 +321,8 @@ mod tests {
             yny.observe_event(&dw);
             enhanced.observe_event(&dw);
         }
-        // Force a selection: YNY has a score for P1, enhanced does not
-        // (falls back to fullest). Both should pick P1 here since it is
-        // also the only used partition — so check the scores via policy
-        // kind instead.
-        assert_eq!(yny.policy_kind(), PolicyKind::YnyMutated);
-        assert_eq!(enhanced.policy_kind(), PolicyKind::MutatedPartition);
+        // YNY has a score for P1, enhanced does not (it falls back to the
+        // fullest); P1 is also the only used partition, so both pick it.
         assert!(yny.force_collect(&mut d).unwrap().is_some());
     }
 

@@ -12,7 +12,7 @@
 //! few bytes per page of address space. All operations are O(1).
 //!
 //! This module knows nothing about disks or I/O accounting; it is the pure
-//! replacement-policy data structure that [`crate::pool::BufferPool`] builds
+//! replacement-policy data structure that [`super::pool::BufferPool`] builds
 //! on.
 
 use pgc_types::PageId;
@@ -59,7 +59,7 @@ pub struct LruCache {
 impl LruCache {
     /// Creates a cache with room for `capacity` pages. `capacity` must be
     /// positive and leave `frame + 1` representable in the `u32` table.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         assert!(
             capacity < u32::MAX as usize,
@@ -77,31 +77,16 @@ impl LruCache {
     }
 
     /// Number of resident pages.
-    #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True when no pages are resident.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The configured frame count.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// True if `page` is resident.
-    #[inline]
-    pub fn contains(&self, page: PageId) -> bool {
+    pub(crate) fn contains(&self, page: PageId) -> bool {
         self.frame_of(page).is_some()
     }
 
     /// The frame holding `page`, if it is resident.
-    #[inline]
     fn frame_of(&self, page: PageId) -> Option<usize> {
         match self.table.get(page.index() as usize) {
             Some(&entry) if entry != 0 => Some(entry as usize - 1),
@@ -111,7 +96,7 @@ impl LruCache {
 
     /// If `page` is resident, marks it most-recently-used, ORs in `dirty`,
     /// and returns `true`; otherwise returns `false`.
-    pub fn touch(&mut self, page: PageId, dirty: bool) -> bool {
+    pub(crate) fn touch(&mut self, page: PageId, dirty: bool) -> bool {
         let Some(idx) = self.frame_of(page) else {
             return false;
         };
@@ -127,7 +112,7 @@ impl LruCache {
     ///
     /// Panics (debug builds) if `page` is already resident — callers must
     /// `touch` first.
-    pub fn insert(&mut self, page: PageId, dirty: bool) -> Inserted {
+    pub(crate) fn insert(&mut self, page: PageId, dirty: bool) -> Inserted {
         debug_assert!(!self.contains(page), "insert of resident page {page}");
         let evicted = if self.len == self.capacity {
             let victim_idx = self.tail;
@@ -165,7 +150,7 @@ impl LruCache {
     }
 
     /// Removes `page` if resident, returning its dirty bit.
-    pub fn remove(&mut self, page: PageId) -> Option<bool> {
+    pub(crate) fn remove(&mut self, page: PageId) -> Option<bool> {
         let idx = self.frame_of(page)?;
         self.table[page.index() as usize] = 0;
         self.len -= 1;
@@ -176,8 +161,9 @@ impl LruCache {
     }
 
     /// Iterates over resident pages from most- to least-recently-used,
-    /// yielding `(page, dirty)`.
-    pub fn iter_mru(&self) -> impl Iterator<Item = (PageId, bool)> + '_ {
+    /// yielding `(page, dirty)`: how the unit tests read the recency order.
+    #[cfg(test)]
+    pub(crate) fn iter_mru(&self) -> impl Iterator<Item = (PageId, bool)> + '_ {
         MruIter {
             cache: self,
             cursor: self.head,
@@ -222,7 +208,7 @@ impl LruCache {
 
     /// Debug invariant check: list and page table agree, list is
     /// well-formed. Used by property tests.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let mut seen = 0usize;
         let mut cursor = self.head;
         let mut prev = NIL;
@@ -248,11 +234,13 @@ impl LruCache {
     }
 }
 
+#[cfg(test)]
 struct MruIter<'a> {
     cache: &'a LruCache,
     cursor: usize,
 }
 
+#[cfg(test)]
 impl Iterator for MruIter<'_> {
     type Item = (PageId, bool);
     fn next(&mut self) -> Option<Self::Item> {

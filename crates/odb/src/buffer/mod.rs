@@ -1,5 +1,3 @@
-//! # pgc-buffer
-//!
 //! The paper's I/O cost model (Sec. 4.2): *"we simulate a database I/O
 //! buffer of a particular size, using an LRU policy for page replacement and
 //! a write-back scheme for updating pages"*, and the performance metric is
@@ -15,14 +13,9 @@
 //! bytes. That is sufficient because the paper's metric is the count of disk
 //! operations, not their contents.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+mod lru;
+mod pool;
+mod stats;
 
-pub mod cost;
-pub mod lru;
-pub mod pool;
-pub mod stats;
-
-pub use cost::DiskModel;
 pub use pool::{Access, BufferPool};
 pub use stats::{IoContext, IoStats};

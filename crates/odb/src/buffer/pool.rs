@@ -17,8 +17,8 @@
 //!
 //! All disk operations are charged to the currently active [`IoContext`].
 
-use crate::lru::{Inserted, LruCache};
-use crate::stats::{IoContext, IoStats};
+use super::lru::{Inserted, LruCache};
+use super::stats::{IoContext, IoStats};
 use pgc_types::PageId;
 
 /// The kind of page access being performed.
@@ -37,7 +37,7 @@ pub enum Access {
 /// An LRU write-back page buffer with context-attributed disk accounting.
 ///
 /// ```
-/// use pgc_buffer::{Access, BufferPool, IoContext};
+/// use pgc_odb::buffer::{Access, BufferPool, IoContext};
 /// use pgc_types::PageId;
 ///
 /// let mut pool = BufferPool::new(2);
@@ -69,14 +69,7 @@ impl BufferPool {
         }
     }
 
-    /// The currently active accounting context.
-    #[inline]
-    pub fn context(&self) -> IoContext {
-        self.context
-    }
-
     /// Switches the accounting context (application vs collector).
-    #[inline]
     pub fn set_context(&mut self, ctx: IoContext) {
         self.context = ctx;
     }
@@ -100,7 +93,7 @@ impl BufferPool {
 
     /// Accesses every page in `pages` (an object's page span) with the same
     /// access kind.
-    pub fn access_span(&mut self, pages: impl IntoIterator<Item = PageId>, kind: Access) {
+    pub(crate) fn access_span(&mut self, pages: impl IntoIterator<Item = PageId>, kind: Access) {
         for p in pages {
             self.access(p, kind);
         }
@@ -116,25 +109,16 @@ impl BufferPool {
     }
 
     /// True if `page` is currently buffered.
-    #[inline]
     pub fn is_resident(&self, page: PageId) -> bool {
         self.cache.contains(page)
     }
 
     /// Number of resident pages.
-    #[inline]
     pub fn resident_pages(&self) -> usize {
         self.cache.len()
     }
 
-    /// Frame capacity of the pool.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
     /// Snapshot of the cumulative statistics.
-    #[inline]
     pub fn stats(&self) -> IoStats {
         self.stats
     }

@@ -49,30 +49,18 @@ pub struct IoStats {
 
 impl IoStats {
     /// Total disk operations attributed to the application.
-    #[inline]
     pub fn app_ios(&self) -> u64 {
         self.app_disk_reads + self.app_disk_writes
     }
 
     /// Total disk operations attributed to the collector.
-    #[inline]
     pub fn gc_ios(&self) -> u64 {
         self.gc_disk_reads + self.gc_disk_writes
     }
 
     /// Grand total of disk operations (the paper's "Total I/Os").
-    #[inline]
-    pub fn total_ios(&self) -> u64 {
+    pub(crate) fn total_ios(&self) -> u64 {
         self.app_ios() + self.gc_ios()
-    }
-
-    /// Total disk operations for one context.
-    #[inline]
-    pub fn ios(&self, ctx: IoContext) -> u64 {
-        match ctx {
-            IoContext::Application => self.app_ios(),
-            IoContext::Collector => self.gc_ios(),
-        }
     }
 
     /// Buffer hit rate in `[0, 1]`; `None` before any access.
@@ -82,7 +70,6 @@ impl IoStats {
     }
 
     /// Records one disk read in the given context.
-    #[inline]
     pub(crate) fn count_disk_read(&mut self, ctx: IoContext) {
         match ctx {
             IoContext::Application => self.app_disk_reads += 1,
@@ -91,7 +78,6 @@ impl IoStats {
     }
 
     /// Records one disk write in the given context.
-    #[inline]
     pub(crate) fn count_disk_write(&mut self, ctx: IoContext) {
         match ctx {
             IoContext::Application => self.app_disk_writes += 1,
@@ -151,8 +137,6 @@ mod tests {
         assert_eq!(s.app_ios(), 3);
         assert_eq!(s.gc_ios(), 3);
         assert_eq!(s.total_ios(), 6);
-        assert_eq!(s.ios(IoContext::Application), 3);
-        assert_eq!(s.ios(IoContext::Collector), 3);
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!
 //! All page traffic in here is charged to [`IoContext::Collector`].
 
+use crate::buffer::{Access, IoContext};
 use crate::db::Database;
 use crate::events::BarrierEvent;
-use pgc_buffer::{Access, IoContext};
-use pgc_storage::ObjAddr;
+use crate::storage::ObjAddr;
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId};
 use std::collections::VecDeque;
 

@@ -19,12 +19,12 @@
 //! [`Database::drain_events`]; standalone users can inspect them via
 //! [`Database::events`] or discard them with [`Database::clear_events`].
 
+use crate::buffer::{BufferPool, IoStats};
 use crate::collect::CollectScratch;
 use crate::events::{BarrierEvent, EventLog};
 use crate::remset::RemsetTable;
 use crate::stats::DbStats;
-use pgc_buffer::{BufferPool, IoStats};
-use pgc_storage::{page_span, ObjAddr, ObjectTable, PageSpan, PartitionSet};
+use crate::storage::{page_span, ObjAddr, ObjectTable, PageSpan, PartitionSet};
 use pgc_types::{Bytes, DbConfig, Oid, PartitionId, Result, SlotId};
 use std::collections::BTreeSet;
 
@@ -157,12 +157,6 @@ impl Database {
         self.roots.iter().copied()
     }
 
-    /// True if `oid` is a database root.
-    #[inline]
-    pub fn is_root(&self, oid: Oid) -> bool {
-        self.roots.contains(&oid)
-    }
-
     /// Shared view of the object table.
     #[inline]
     pub fn objects(&self) -> &ObjectTable {
@@ -245,12 +239,6 @@ impl Database {
         page_span(addr, size, self.cfg.page_size, self.cfg.partition_pages)
     }
 
-    /// Page span of a registered object.
-    pub fn object_pages(&self, oid: Oid) -> Result<PageSpan> {
-        let rec = self.objects.get(oid)?;
-        Ok(self.span_of(rec.addr, rec.size))
-    }
-
     /// Debug invariant check across all subsystems (object table,
     /// remembered sets, buffer). Used by tests; O(database size).
     pub fn check_invariants(&self) {
@@ -302,7 +290,7 @@ mod tests {
     fn create_root_registers_and_charges_io() {
         let mut d = db();
         let r = d.create_root(Bytes(100), 2).unwrap();
-        assert!(d.is_root(r));
+        assert!(d.roots().eq([r]));
         assert_eq!(d.stats().objects_created, 1);
         assert_eq!(d.stats().bytes_allocated, Bytes(100));
         // The first object materializes a fresh page: no disk read.
@@ -451,7 +439,6 @@ mod tests {
         assert!(d.visit(Oid(99)).is_err());
         assert!(d.write_slot(Oid(99), SlotId(0), None).is_err());
         assert!(d.data_write(Oid(99)).is_err());
-        assert!(d.object_pages(Oid(99)).is_err());
     }
 
     #[test]
@@ -495,7 +482,7 @@ mod profile_tests {
         assert_eq!(empty_rows.len(), 1);
         assert_eq!(empty_rows[0].objects, 0);
         let total_objects: u64 = profile.iter().map(|p| p.objects).sum();
-        assert_eq!(total_objects, d.objects().len() as u64);
+        assert_eq!(total_objects, d.objects().iter().count() as u64);
         let total_resident: u64 = profile.iter().map(|p| p.resident.get()).sum();
         assert_eq!(total_resident, d.resident_bytes().get());
         // The root's partition has an out-of-partition pointer (to spill)

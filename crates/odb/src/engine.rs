@@ -27,13 +27,13 @@
 //!   page granularity; only [`Database::data_write`] emits an event
 //!   ([`crate::events::BarrierEvent::DataWrite`]).
 
+use crate::buffer::Access;
 use crate::db::Database;
 use crate::events::BarrierEvent;
 use crate::stats::{PointerTarget, PointerWriteInfo};
+use crate::storage::{ObjAddr, ObjectRecord, Slot, Slots};
 use crate::weights;
-use pgc_buffer::Access;
-use pgc_storage::{ObjAddr, ObjectRecord, Slot, Slots};
-use pgc_types::{Bytes, Oid, PartitionId, Result, SlotId};
+use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId};
 
 impl Database {
     // ---------------------------------------------------------------
@@ -228,10 +228,19 @@ impl Database {
             let rec = self.objects.get(owner)?;
             (rec.addr, rec.size, rec.slots.len())
         };
+        // A `SlotId` is 16 bits: a 65,537th slot would be handed an id
+        // that already names another slot of the same object.
+        let Ok(id) = u16::try_from(n) else {
+            return Err(PgcError::SlotOutOfRange {
+                oid: owner,
+                slot: u16::MAX,
+                len: n,
+            });
+        };
         let span = self.span_of(addr, size);
         self.buffer.access_span(span, Access::Write);
         self.objects.get_mut(owner)?.slots.push(Slot::NULL);
-        Ok(SlotId(n as u16))
+        Ok(SlotId(id))
     }
 
     // ---------------------------------------------------------------
@@ -275,7 +284,7 @@ impl Database {
 mod tests {
     use crate::db::Database;
     use crate::events::BarrierEvent;
-    use pgc_types::{Bytes, DbConfig, SlotId};
+    use pgc_types::{Bytes, DbConfig, PgcError, SlotId};
 
     fn db() -> Database {
         Database::new(
@@ -321,6 +330,24 @@ mod tests {
             e,
             BarrierEvent::PartitionGrowth { partitions } if *partitions == d.partition_count()
         )));
+    }
+
+    #[test]
+    fn add_slot_stops_where_slot_ids_end() {
+        let mut d = db();
+        let r = d.create_root(Bytes(100), 2).unwrap();
+        for expected in 2..=u16::MAX {
+            assert_eq!(d.add_slot(r).unwrap(), SlotId(expected));
+        }
+        // 65,536 slots, ids 0..=65,535: one more would answer to `SlotId(0)`.
+        let io = d.io_stats();
+        assert!(matches!(
+            d.add_slot(r),
+            Err(PgcError::SlotOutOfRange { len: 65_536, .. })
+        ));
+        assert_eq!(d.io_stats(), io, "a refused slot charges no page write");
+        assert_eq!(d.objects().get(r).unwrap().slots.len(), 65_536);
+        d.check_invariants();
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! sourced at globally-dead objects are ignored rather than treated as
 //! roots. All traffic is charged to the collector context.
 
+use crate::buffer::{Access, IoContext};
 use crate::db::Database;
-use pgc_buffer::{Access, IoContext};
-use pgc_storage::ObjAddr;
+use crate::storage::ObjAddr;
 use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId, Result, SlotId};
 use std::collections::VecDeque;
 

@@ -1,9 +1,14 @@
 //! # pgc-odb
 //!
-//! The simulated object database the paper's collectors run against. It
-//! combines the physical model from `pgc-storage` with the I/O cost model
-//! from `pgc-buffer` and adds the semantic machinery of Sec. 4.1:
+//! The simulated object database the paper's collectors run against: one
+//! crate, as the paper's simulator is one program in which partitions, the
+//! object table and the I/O buffer are parts of one database (Sec. 4.1-4.2).
 //!
+//! * [`storage`] — the physical model: pages, contiguous partitions, bump
+//!   allocation with near-parent placement, and the object table.
+//! * [`buffer`] — the I/O cost model: the LRU write-back page buffer every
+//!   object access is charged through, counting application and collector
+//!   disk operations apart.
 //! * [`db`] — the [`Database`] facade: state ownership, read-only views,
 //!   and access to the barrier event log.
 //! * [`engine`] — the mutation engine behind the facade: object creation
@@ -38,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod buffer;
 pub mod collect;
 pub mod db;
 pub mod engine;
@@ -46,6 +52,7 @@ pub mod global;
 pub mod oracle;
 pub mod remset;
 pub mod stats;
+pub mod storage;
 pub mod weights;
 
 pub use collect::CollectionOutcome;

@@ -75,15 +75,6 @@ pub struct DbStats {
     pub reclaimed_objects: u64,
 }
 
-impl DbStats {
-    /// Edge read/write ratio so far (reads per pointer write); `None` until
-    /// at least one pointer write happened. The paper's workloads sit
-    /// around 15–20.
-    pub fn read_write_ratio(&self) -> Option<f64> {
-        (self.pointer_writes > 0).then(|| self.reads as f64 / self.pointer_writes as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,14 +99,5 @@ mod tests {
             ..base
         };
         assert!(over.is_overwrite());
-    }
-
-    #[test]
-    fn read_write_ratio() {
-        let mut s = DbStats::default();
-        assert!(s.read_write_ratio().is_none());
-        s.reads = 30;
-        s.pointer_writes = 2;
-        assert!((s.read_write_ratio().unwrap() - 15.0).abs() < 1e-12);
     }
 }

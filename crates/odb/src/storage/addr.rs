@@ -21,7 +21,6 @@ pub struct ObjAddr {
 
 impl ObjAddr {
     /// Convenience constructor.
-    #[inline]
     pub const fn new(partition: PartitionId, offset: u64) -> Self {
         Self { partition, offset }
     }
@@ -44,15 +43,8 @@ pub struct PageSpan {
 
 impl PageSpan {
     /// Number of pages in the span.
-    #[inline]
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.end - self.next
-    }
-
-    /// True for a zero-page span (only possible for zero-sized extents).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.next == self.end
     }
 }
 
@@ -158,7 +150,6 @@ mod tests {
             DEFAULT_PAGE_SIZE,
             PP,
         );
-        assert!(s.is_empty());
         assert_eq!(s.count(), 0);
     }
 

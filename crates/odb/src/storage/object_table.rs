@@ -14,7 +14,7 @@
 //! lookup on the simulator's hottest paths (oracle traversal, write
 //! barrier, collection) is one bounds check and one indexed load, with no
 //! hashing. A record is 64 bytes with its pointer slots inside it
-//! ([`crate::slots::Slots`]: creating or reclaiming one of the tree's
+//! ([`super::slots::Slots`]: creating or reclaiming one of the tree's
 //! two-slot objects never calls the allocator). Reclaimed entries stay
 //! `None` forever; for the workloads the simulator runs (bounded live set,
 //! ~2x total allocation over peak live) the slab's tail of 64-byte
@@ -26,8 +26,8 @@
 //! function of the operation history; callers that need a canonical order
 //! (the collector's garbage sweep) sort, exactly as they did before.
 
-use crate::addr::ObjAddr;
-use crate::slots::Slots;
+use super::addr::ObjAddr;
+use super::slots::Slots;
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId};
 
 /// Everything the database knows about one object.
@@ -51,7 +51,7 @@ pub struct ObjectRecord {
 
 impl ObjectRecord {
     /// Reads slot `slot`, failing if the index is out of range.
-    pub fn slot(&self, oid: Oid, slot: SlotId) -> Result<Option<Oid>> {
+    pub(crate) fn slot(&self, oid: Oid, slot: SlotId) -> Result<Option<Oid>> {
         self.slots
             .get(slot.as_usize())
             .map(|s| s.get())
@@ -83,49 +83,28 @@ pub struct ObjectTable {
 
 impl ObjectTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Number of live (registered) objects.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no objects are registered.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Total bytes of all registered objects.
-    #[inline]
-    pub fn total_bytes(&self) -> Bytes {
+    pub(crate) fn total_bytes(&self) -> Bytes {
         self.total_bytes
     }
 
     /// One past the highest oid ever reserved — the exclusive upper bound
     /// of valid `Oid::index()` values, i.e. the capacity a dense per-object
     /// structure (bit set, scratch slab) must cover.
-    #[inline]
-    pub fn oid_bound(&self) -> u64 {
+    pub(crate) fn oid_bound(&self) -> u64 {
         self.next_oid
     }
 
     /// Reserves and returns the next object id without registering a record
     /// (the database allocates storage first, then registers).
-    pub fn reserve_oid(&mut self) -> Oid {
+    pub(crate) fn reserve_oid(&mut self) -> Oid {
         let oid = Oid(self.next_oid);
         self.next_oid += 1;
         oid
-    }
-
-    /// The current value of the allocation clock (ticks once per
-    /// registered object; relocation does not tick it).
-    #[inline]
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Registers a record under `oid` (previously handed out by
@@ -135,7 +114,7 @@ impl ObjectTable {
     /// # Panics
     ///
     /// Debug-asserts that `oid` is not already registered.
-    pub fn register(&mut self, oid: Oid, mut record: ObjectRecord) {
+    pub(crate) fn register(&mut self, oid: Oid, mut record: ObjectRecord) {
         let idx = oid.index() as usize;
         if self.records.len() <= idx {
             self.records.resize_with(idx + 1, || None);
@@ -155,7 +134,6 @@ impl ObjectTable {
 
     /// Looks up an object, failing with [`PgcError::UnknownObject`] if it
     /// does not exist (any more).
-    #[inline]
     pub fn get(&self, oid: Oid) -> Result<&ObjectRecord> {
         self.records
             .get(oid.index() as usize)
@@ -164,8 +142,7 @@ impl ObjectTable {
     }
 
     /// Mutable lookup.
-    #[inline]
-    pub fn get_mut(&mut self, oid: Oid) -> Result<&mut ObjectRecord> {
+    pub(crate) fn get_mut(&mut self, oid: Oid) -> Result<&mut ObjectRecord> {
         self.records
             .get_mut(oid.index() as usize)
             .and_then(Option::as_mut)
@@ -173,7 +150,6 @@ impl ObjectTable {
     }
 
     /// True if `oid` is currently registered.
-    #[inline]
     pub fn contains(&self, oid: Oid) -> bool {
         self.records
             .get(oid.index() as usize)
@@ -181,7 +157,7 @@ impl ObjectTable {
     }
 
     /// Removes an object (it has been reclaimed), returning its record.
-    pub fn remove(&mut self, oid: Oid) -> Result<ObjectRecord> {
+    pub(crate) fn remove(&mut self, oid: Oid) -> Result<ObjectRecord> {
         let idx = oid.index() as usize;
         let record = self
             .records
@@ -196,7 +172,7 @@ impl ObjectTable {
 
     /// Moves an object to a new physical address (collector evacuation),
     /// updating partition membership.
-    pub fn relocate(&mut self, oid: Oid, new_addr: ObjAddr) -> Result<()> {
+    pub(crate) fn relocate(&mut self, oid: Oid, new_addr: ObjAddr) -> Result<()> {
         let old_partition = self.get(oid)?.addr.partition;
         if old_partition != new_addr.partition {
             self.ensure_partition(new_addr.partition);
@@ -225,7 +201,7 @@ impl ObjectTable {
     }
 
     /// Iterates over every `(oid, record)` pair in ascending oid order.
-    pub fn iter(&self) -> impl Iterator<Item = (Oid, &ObjectRecord)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Oid, &ObjectRecord)> {
         self.records
             .iter()
             .enumerate()
@@ -252,7 +228,7 @@ impl ObjectTable {
     }
 
     /// Debug invariant check: membership lists partition the record slab.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let mut seen = 0usize;
         for (idx, list) in self.members.iter().enumerate() {
             for (pos, &oid) in list.iter().enumerate() {
@@ -307,7 +283,7 @@ mod tests {
         assert!(!t.contains(b));
         assert_eq!(t.get(a).unwrap().size, Bytes(100));
         assert!(matches!(t.get(b), Err(PgcError::UnknownObject(_))));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.live, 1);
         assert_eq!(t.total_bytes(), Bytes(100));
         assert_eq!(t.oid_bound(), 2);
         t.check_invariants();

@@ -29,7 +29,7 @@ pub struct Partition {
 
 impl Partition {
     /// Creates an empty partition of the given byte capacity.
-    pub fn new(id: PartitionId, capacity: Bytes) -> Self {
+    pub(crate) fn new(id: PartitionId, capacity: Bytes) -> Self {
         Self {
             id,
             capacity,
@@ -40,50 +40,38 @@ impl Partition {
     }
 
     /// This partition's id.
-    #[inline]
-    pub fn id(&self) -> PartitionId {
+    pub(crate) fn id(&self) -> PartitionId {
         self.id
     }
 
     /// Total byte capacity.
-    #[inline]
-    pub fn capacity(&self) -> Bytes {
+    pub(crate) fn capacity(&self) -> Bytes {
         self.capacity
     }
 
     /// Bytes still available to the bump allocator.
-    #[inline]
-    pub fn free_bytes(&self) -> Bytes {
+    pub(crate) fn free_bytes(&self) -> Bytes {
         Bytes(self.capacity.get() - self.cursor)
     }
 
     /// Bytes handed out so far (live + dead + fragmentation).
-    #[inline]
     pub fn used_bytes(&self) -> Bytes {
         Bytes(self.cursor)
     }
 
     /// Bytes belonging to resident (not yet reclaimed) objects.
-    #[inline]
-    pub fn resident_bytes(&self) -> Bytes {
+    pub(crate) fn resident_bytes(&self) -> Bytes {
         self.resident_bytes
     }
 
-    /// Number of resident objects.
-    #[inline]
-    pub fn resident_objects(&self) -> u64 {
-        self.resident_objects
-    }
-
     /// True if nothing has ever been allocated since the last reset.
-    #[inline]
     pub fn is_fresh(&self) -> bool {
         self.cursor == 0
     }
 
     /// Attempts to bump-allocate `size` bytes; returns the offset of the new
     /// extent, or `None` if the partition lacks contiguous space.
-    pub fn try_alloc(&mut self, size: Bytes) -> Option<u64> {
+    pub(crate) fn try_alloc(&mut self, size: Bytes) -> Option<u64> {
         if size.get() > self.free_bytes().get() {
             return None;
         }
@@ -97,7 +85,7 @@ impl Partition {
     /// Records that a resident object of `size` bytes left the partition
     /// (reclaimed as garbage or evacuated by the collector). The space is
     /// *not* returned to the allocator.
-    pub fn note_departure(&mut self, size: Bytes) {
+    pub(crate) fn note_departure(&mut self, size: Bytes) {
         debug_assert!(self.resident_objects > 0, "departure from empty partition");
         self.resident_bytes -= size;
         self.resident_objects -= 1;
@@ -105,7 +93,7 @@ impl Partition {
 
     /// Resets the partition to completely empty (after the collector has
     /// evacuated its live objects).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.cursor = 0;
         self.resident_bytes = Bytes::ZERO;
         self.resident_objects = 0;
@@ -145,7 +133,7 @@ mod tests {
         p.try_alloc(Bytes(60)).unwrap();
         p.note_departure(Bytes(60));
         assert_eq!(p.resident_bytes(), Bytes::ZERO);
-        assert_eq!(p.resident_objects(), 0);
+        assert_eq!(p.resident_objects, 0);
         // The hole is not reusable: only 40 bytes remain allocatable.
         assert_eq!(p.free_bytes(), Bytes(40));
         assert_eq!(p.try_alloc(Bytes(41)), None);
@@ -159,7 +147,7 @@ mod tests {
         p.reset();
         assert!(p.is_fresh());
         assert_eq!(p.free_bytes(), Bytes(100));
-        assert_eq!(p.resident_objects(), 0);
+        assert_eq!(p.resident_objects, 0);
         assert_eq!(p.try_alloc(Bytes(100)), Some(0));
     }
 
@@ -169,7 +157,7 @@ mod tests {
         p.try_alloc(Bytes(100)).unwrap();
         p.try_alloc(Bytes(200)).unwrap();
         assert_eq!(p.resident_bytes(), Bytes(300));
-        assert_eq!(p.resident_objects(), 2);
+        assert_eq!(p.resident_objects, 2);
         assert_eq!(p.used_bytes(), Bytes(300));
         p.note_departure(Bytes(100));
         assert_eq!(p.resident_bytes(), Bytes(200));

@@ -15,7 +15,7 @@
 //!    the application allocator never touches it, and after a collection the
 //!    evacuated partition becomes the new empty one.
 
-use crate::partition::Partition;
+use super::partition::Partition;
 use pgc_types::{Bytes, PageId, PartitionId, PgcError, PlacementPolicy, Result};
 
 /// Outcome of an allocation: where the extent landed and whether satisfying
@@ -36,7 +36,6 @@ pub struct PartitionSet {
     partitions: Vec<Partition>,
     empty: PartitionId,
     partition_capacity: Bytes,
-    page_size: usize,
     partition_pages: u64,
     placement: PlacementPolicy,
     /// Rotation cursor for [`PlacementPolicy::Spread`].
@@ -56,7 +55,6 @@ impl PartitionSet {
             partitions,
             empty: PartitionId(0),
             partition_capacity: capacity,
-            page_size,
             partition_pages,
             placement: PlacementPolicy::NearParent,
             spread_cursor: 0,
@@ -65,45 +63,24 @@ impl PartitionSet {
 
     /// Sets the placement policy (default: the paper's near-parent).
     #[must_use]
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
+    pub(crate) fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
         self
     }
 
     /// Number of partitions that exist (including the empty one).
-    #[inline]
-    pub fn partition_count(&self) -> usize {
+    pub(crate) fn partition_count(&self) -> usize {
         self.partitions.len()
-    }
-
-    /// Capacity of each partition in bytes.
-    #[inline]
-    pub fn partition_capacity(&self) -> Bytes {
-        self.partition_capacity
-    }
-
-    /// Pages per partition.
-    #[inline]
-    pub fn partition_pages(&self) -> u64 {
-        self.partition_pages
-    }
-
-    /// Page size in bytes.
-    #[inline]
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Total storage footprint: every existing partition at full width
     /// (this is the paper's "storage required" — fragmentation and garbage
     /// included, because partitions are units of disk allocation).
-    #[inline]
     pub fn total_footprint(&self) -> Bytes {
         Bytes(self.partition_capacity.get() * self.partitions.len() as u64)
     }
 
     /// The current designated empty partition.
-    #[inline]
     pub fn empty_partition(&self) -> PartitionId {
         self.empty
     }
@@ -116,20 +93,20 @@ impl PartitionSet {
     }
 
     /// Mutable view of a partition.
-    pub fn partition_mut(&mut self, id: PartitionId) -> Result<&mut Partition> {
+    pub(crate) fn partition_mut(&mut self, id: PartitionId) -> Result<&mut Partition> {
         self.partitions
             .get_mut(id.as_usize())
             .ok_or(PgcError::UnknownPartition(id))
     }
 
     /// Iterates over all partitions.
-    pub fn iter(&self) -> impl Iterator<Item = &Partition> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Partition> {
         self.partitions.iter()
     }
 
     /// Ids of all partitions that the application may allocate into or the
     /// collector may collect (everything except the designated empty one).
-    pub fn collectable_ids(&self) -> impl Iterator<Item = PartitionId> + '_ {
+    pub(crate) fn collectable_ids(&self) -> impl Iterator<Item = PartitionId> + '_ {
         let empty = self.empty;
         self.partitions
             .iter()
@@ -207,12 +184,12 @@ impl PartitionSet {
     /// empty-partition exclusion. Used by the copying collector to fill the
     /// designated empty partition. Returns `None` when the partition is out
     /// of contiguous space.
-    pub fn allocate_in(&mut self, id: PartitionId, size: Bytes) -> Result<Option<u64>> {
+    pub(crate) fn allocate_in(&mut self, id: PartitionId, size: Bytes) -> Result<Option<u64>> {
         Ok(self.partition_mut(id)?.try_alloc(size))
     }
 
     /// Adds a brand-new partition and returns its id.
-    pub fn grow(&mut self) -> PartitionId {
+    pub(crate) fn grow(&mut self) -> PartitionId {
         let id = PartitionId(self.partitions.len() as u32);
         self.partitions
             .push(Partition::new(id, self.partition_capacity));
@@ -225,7 +202,7 @@ impl PartitionSet {
     /// pool.
     ///
     /// Returns an error if `collected` *is* the designated empty partition.
-    pub fn rotate_empty(&mut self, collected: PartitionId) -> Result<()> {
+    pub(crate) fn rotate_empty(&mut self, collected: PartitionId) -> Result<()> {
         if collected == self.empty {
             return Err(PgcError::CollectEmptyPartition(collected));
         }
@@ -236,18 +213,9 @@ impl PartitionSet {
 
     /// The global pages spanned by one whole partition (used to invalidate
     /// buffered pages of a collected partition).
-    pub fn partition_pages_span(&self, id: PartitionId) -> impl Iterator<Item = PageId> {
+    pub(crate) fn partition_pages_span(&self, id: PartitionId) -> impl Iterator<Item = PageId> {
         let base = id.index() as u64 * self.partition_pages;
         (base..base + self.partition_pages).map(PageId)
-    }
-
-    /// Sum of free (allocatable) bytes outside the empty partition.
-    pub fn allocatable_free_bytes(&self) -> Bytes {
-        self.partitions
-            .iter()
-            .filter(|p| p.id() != self.empty)
-            .map(|p| p.free_bytes())
-            .sum()
     }
 }
 
@@ -359,14 +327,6 @@ mod tests {
             .map(|p| p.index())
             .collect();
         assert_eq!(pages, vec![4, 5]);
-    }
-
-    #[test]
-    fn allocatable_free_bytes_excludes_empty() {
-        let mut s = set();
-        assert_eq!(s.allocatable_free_bytes(), Bytes(2048));
-        s.allocate(Bytes(1000), None).unwrap();
-        assert_eq!(s.allocatable_free_bytes(), Bytes(1048));
     }
 
     #[test]

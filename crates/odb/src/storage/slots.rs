@@ -21,14 +21,12 @@ impl Slot {
     pub const NULL: Slot = Slot(u64::MAX);
 
     /// The slot's value.
-    #[inline]
     pub fn get(self) -> Option<Oid> {
         (self.0 != u64::MAX).then_some(Oid(self.0))
     }
 }
 
 impl From<Option<Oid>> for Slot {
-    #[inline]
     fn from(value: Option<Oid>) -> Self {
         value.map_or(Slot::NULL, |oid| Slot(oid.index()))
     }
@@ -50,7 +48,7 @@ enum Repr {
 
 impl Slots {
     /// `count` null slots.
-    pub fn nulls(count: usize) -> Self {
+    pub(crate) fn nulls(count: usize) -> Self {
         Slots(if count <= INLINE_SLOTS {
             Repr::Inline {
                 len: count as u8,
@@ -65,7 +63,7 @@ impl Slots {
     }
 
     /// Appends one slot.
-    pub fn push(&mut self, slot: Slot) {
+    pub(crate) fn push(&mut self, slot: Slot) {
         let len = self.len();
         match &mut self.0 {
             Repr::Inline { len: n, slots } if len < INLINE_SLOTS => {
@@ -89,8 +87,7 @@ impl Slots {
     }
 
     /// The non-null targets, in slot order.
-    #[inline]
-    pub fn targets(&self) -> impl Iterator<Item = Oid> + '_ {
+    pub(crate) fn targets(&self) -> impl Iterator<Item = Oid> + '_ {
         self.iter().filter_map(|slot| slot.get())
     }
 }
@@ -98,7 +95,6 @@ impl Slots {
 impl Deref for Slots {
     type Target = [Slot];
 
-    #[inline]
     fn deref(&self) -> &[Slot] {
         match &self.0 {
             Repr::Inline { len, slots } => &slots[..usize::from(*len)],
@@ -108,7 +104,6 @@ impl Deref for Slots {
 }
 
 impl DerefMut for Slots {
-    #[inline]
     fn deref_mut(&mut self) -> &mut [Slot] {
         match &mut self.0 {
             Repr::Inline { len, slots } => &mut slots[..usize::from(*len)],

@@ -12,7 +12,7 @@
 //! monotone approximation — exactly the property the paper's cost argument
 //! relies on (bounded propagation, 4 bits of state).
 
-use pgc_storage::ObjectTable;
+use crate::storage::ObjectTable;
 use pgc_types::{Oid, Result};
 use std::collections::VecDeque;
 
@@ -75,7 +75,7 @@ pub fn note_edge(table: &mut ObjectTable, from: Oid, to: Oid, max_weight: u8) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgc_storage::{ObjAddr, ObjectRecord, Slots};
+    use crate::storage::{ObjAddr, ObjectRecord, Slots};
     use pgc_types::{Bytes, PartitionId};
 
     const MAX: u8 = 16;

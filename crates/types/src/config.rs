@@ -128,12 +128,6 @@ impl DbConfig {
         PageCount(self.partition_pages).bytes(self.page_size)
     }
 
-    /// Capacity of the page buffer in bytes.
-    #[inline]
-    pub fn buffer_bytes(&self) -> Bytes {
-        PageCount(self.buffer_pages).bytes(self.page_size)
-    }
-
     /// Checks internal consistency; returns a descriptive error for the
     /// first violated constraint.
     pub fn validate(&self) -> Result<()> {
@@ -169,6 +163,13 @@ impl DbConfig {
                 "buffer_pages must be at most 2^31 and partition_pages at most 2^20",
             ));
         }
+        // A partition is `partition_pages x page_size` bytes, multiplied
+        // unchecked: 2^30 (1 GiB pages; the paper's are 8 KB) keeps the
+        // product at most 2^50, and the footprint of 2^14 partitions that
+        // wide inside a `u64`.
+        if self.page_size > 1 << 30 {
+            return Err(PgcError::InvalidConfig("page_size must be at most 2^30"));
+        }
         Ok(())
     }
 }
@@ -202,7 +203,6 @@ mod tests {
     fn derived_capacities() {
         let cfg = DbConfig::default().with_partition_pages(24);
         assert_eq!(cfg.partition_bytes(), Bytes::from_kib(24 * 8));
-        assert_eq!(cfg.buffer_bytes(), Bytes::from_kib(24 * 8));
     }
 
     #[test]
@@ -224,5 +224,13 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = DbConfig::default().with_partition_pages((1 << 20) + 1);
         assert!(cfg.with_buffer_pages(48).validate().is_err());
+        assert!(DbConfig::default()
+            .with_page_size(1 << 30)
+            .validate()
+            .is_ok());
+        assert!(DbConfig::default()
+            .with_page_size(1 << 61)
+            .validate()
+            .is_err());
     }
 }

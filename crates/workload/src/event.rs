@@ -98,16 +98,6 @@ impl Event {
     pub fn is_creation(&self) -> bool {
         matches!(self, Event::CreateRoot { .. } | Event::CreateChild { .. })
     }
-
-    /// True for pointer-store events (creation links excluded).
-    pub fn is_pointer_write(&self) -> bool {
-        matches!(self, Event::WritePointer { .. })
-    }
-
-    /// True for read events.
-    pub fn is_read(&self) -> bool {
-        matches!(self, Event::Visit { .. })
-    }
 }
 
 #[cfg(test)]
@@ -131,14 +121,6 @@ mod tests {
             slots: 2
         }
         .is_creation());
-        assert!(Event::WritePointer {
-            owner: n,
-            slot: 0,
-            new: None
-        }
-        .is_pointer_write());
-        assert!(Event::Visit { node: n }.is_read());
-        assert!(!Event::DataWrite { node: n }.is_read());
         assert!(!Event::AddSlot { owner: n }.is_creation());
     }
 

@@ -69,11 +69,6 @@ impl Mirror {
         Self::default()
     }
 
-    /// Number of nodes ever created.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of trees.
     pub fn tree_count(&self) -> usize {
         self.roots.len()
@@ -171,15 +166,6 @@ impl Mirror {
             }
         }
     }
-
-    /// Count of attached members of tree `t` (O(members) — used by tests
-    /// and diagnostics, not the hot path).
-    pub fn attached_count(&self, t: u32) -> usize {
-        self.tree_members[t as usize]
-            .iter()
-            .filter(|&&n| self.is_attached(n))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +180,7 @@ mod tests {
         let b = m.add_child(r, 1, true);
         let c = m.add_child(a, 0, false);
         assert_eq!((r, a, b, c), (NodeId(0), NodeId(1), NodeId(2), NodeId(3)));
-        assert_eq!(m.node_count(), 4);
+        assert_eq!(m.nodes.len(), 4);
         assert_eq!(m.tree_count(), 1);
         assert_eq!(m.root_of(0), r);
         assert_eq!(m.members_of(0), &[r, a, b, c]);
@@ -226,7 +212,6 @@ mod tests {
         assert!(m.is_attached(r));
         assert!(!m.is_attached(a));
         assert!(!m.is_attached(b));
-        assert_eq!(m.attached_count(0), 1);
     }
 
     #[test]

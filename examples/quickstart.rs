@@ -42,14 +42,4 @@ fn main() {
         t.partitions,
         t.final_live_bytes.as_kib_f64()
     );
-
-    // Price the I/O in time, on the paper's hardware and on a modern disk.
-    let page = cfg.db.page_size;
-    let old = pgc::buffer::DiskModel::circa_1993(page);
-    let new = pgc::buffer::DiskModel::modern_hdd(page);
-    println!(
-        "estimated I/O time : {:.1} s on a 1993 disk, {:.1} s on a modern HDD",
-        old.seconds_for(t.total_ios()),
-        new.seconds_for(t.total_ios())
-    );
 }

@@ -19,8 +19,12 @@ fmt-check:
 fmt:
     cargo fmt --all
 
+# Manifest gate: every `pgc-x` a package depends on is named in its sources.
+unused-deps:
+    ./scripts/unused-deps.sh
+
 # All gates in one go.
-check: fmt-check clippy verify
+check: fmt-check unused-deps clippy verify
 
 # Lines of product source: `crates/*/src` outside `crates/bench` — the
 # figure ROADMAP tracks against the round's -15% aim.

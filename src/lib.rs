@@ -10,15 +10,14 @@
 //! ## What's inside
 //!
 //! * [`types`] — identifiers, units, configuration, seeded RNG.
-//! * [`buffer`] — an LRU write-back page buffer that accounts page I/O,
-//!   split between application-attributed and collector-attributed
-//!   operations (the paper's cost model).
-//! * [`storage`] — the physical model: 8 KB pages grouped into contiguous
-//!   partitions, bump allocation with near-parent placement, and the object
-//!   table mapping stable [`types::Oid`]s to physical locations.
 //! * [`odb`] — the simulated object database: object graph, root set, write
 //!   barrier, remembered sets and out-of-partition sets, object weights, and
-//!   a full-reachability oracle.
+//!   a full-reachability oracle. Two of its modules keep their own paths
+//!   here: [`storage`], the physical model (8 KB pages grouped into
+//!   contiguous partitions, bump allocation with near-parent placement, the
+//!   object table mapping stable [`types::Oid`]s to physical locations), and
+//!   [`buffer`], the LRU write-back page buffer that accounts page I/O split
+//!   between application and collector (the paper's cost model).
 //! * [`core`] — the paper's contribution: the [`core::SelectionPolicy`]
 //!   trait, the six policies of the paper (plus extensions), the
 //!   breadth-first copying partition collector, and the overwrite-count GC
@@ -73,13 +72,12 @@
 
 #![forbid(unsafe_code)]
 
-pub use pgc_buffer as buffer;
 pub use pgc_core as core;
 pub use pgc_durable as durable;
 pub use pgc_odb as odb;
+pub use pgc_odb::{buffer, storage};
 pub use pgc_server as server;
 pub use pgc_sim as sim;
-pub use pgc_storage as storage;
 pub use pgc_telemetry as telemetry;
 pub use pgc_types as types;
 pub use pgc_workload as workload;

@@ -137,6 +137,38 @@ fn a_duplicated_first_block_is_an_error_not_a_remapping() {
     assert!(matches!(err, PgcError::TraceFormat(_)), "{err}");
 }
 
+#[test]
+fn an_add_slot_past_the_last_slot_id_is_an_error_not_a_wrapped_id() {
+    // 65,535 five-byte `AddSlot` events on one two-slot object all decode
+    // and any checksum over them holds; the last asks for a 65,537th slot,
+    // and a 16-bit `SlotId` for it would name slot 0 again.
+    let mut events = vec![Event::CreateRoot {
+        node: NodeId(0),
+        size: Bytes(100),
+        slots: 2,
+    }];
+    events.resize(65_536, Event::AddSlot { owner: NodeId(0) });
+    let trace = EncodedTrace::from_events(WorkloadParams::default(), &events);
+    let events = trace.decode_all().unwrap();
+    let (last, before) = events.split_last().unwrap();
+
+    let cfg = DbConfig::default();
+    let collector = pgc::core::Collector::with_kind(
+        PolicyKind::UpdatedPointer,
+        cfg.gc_overwrite_threshold,
+        1,
+        cfg.max_weight,
+    );
+    let mut replayer = pgc::sim::Replayer::new(Database::new(cfg).unwrap(), collector);
+    replayer.apply_all(before).expect("65,536 slots have ids");
+    replayer.db().check_invariants();
+    let err = replayer.apply(last).expect_err("no id is left");
+    assert!(
+        matches!(err, PgcError::SlotOutOfRange { len: 65_536, .. }),
+        "{err}"
+    );
+}
+
 /// CRC-32 (IEEE), bit by bit: forges valid checksums for hostile frames.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;

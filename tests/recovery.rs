@@ -265,6 +265,8 @@ fn a_manifest_with_hostile_geometry_is_refused_not_allocated() {
         ("db.buffer_pages", u64::MAX),
         ("db.buffer_pages", 1 << 40),
         ("db.partition_pages", 1 << 40),
+        ("db.page_size", 1 << 61),
+        ("db.page_size", u64::MAX),
     ] {
         assert!(current.get(key).is_some(), "{key} is a manifest key");
         let mut hostile = current.clone();
