@@ -10,8 +10,8 @@
 //! prints the [`outcome_digest`] of the finished run. `crash` does the
 //! same but *abandons* the shard after `<events>` events — no final
 //! snapshot, no clean log close, buffered frames dropped on the floor, and
-//! the store's snapshot writer thread cut off wherever it was (a partly
-//! landed newest generation, a stray `.tmp`) — simulating a process
+//! the store's snapshot writer thread cut off wherever it was (the newest
+//! generation not landed, a stray `.tmp`) — simulating a process
 //! kill. `recover` rebuilds the run from the
 //! directory alone and prints what it found; with `--expect` it exits
 //! nonzero unless the recovered digest matches, which is how CI pins that
@@ -128,7 +128,7 @@ fn do_recover(args: &[String]) -> Result<(), String> {
     };
     let rec = recover(dir.as_ref()).map_err(|e| e.to_string())?;
     println!(
-        "recovered: {} events, {} safepoints, {} snapshots verified ({} skipped), torn tail: {}",
+        "recovered: {} events, {} safepoints, {} images verified ({} skipped), torn tail: {}",
         rec.events_replayed,
         rec.safepoints,
         rec.snapshots_verified,

@@ -16,11 +16,12 @@
 //!   snapshot generations. The reader
 //!   tolerates a torn tail: a truncated or corrupted final frame is
 //!   detected by length/checksum and dropped, never a crash.
-//! * [`snapshot`] — per-partition `snap-*.pgcs` files taken at
-//!   collection safepoints: versioned header, length-prefixed object
-//!   records (oid, size, weight, birth, pointer slots), CRC-32 footer.
-//!   The owning thread serialises a generation in one pass; the store's
-//!   background thread writes each file to a temp name, fsyncs it and
+//! * [`snapshot`] — one `snap-*.pgcs` file per generation taken at a
+//!   collection safepoint, holding every partition's image back to back:
+//!   versioned header, length-prefixed object records (oid, size, weight,
+//!   birth, pointer slots), CRC-32 footer per image. The owning thread
+//!   serialises a generation in one pass; the store's background thread
+//!   fsyncs the log, writes the file to a temp name, fsyncs it and
 //!   renames it into place.
 //! * [`manifest`] — a checksummed key=value `MANIFEST.pgc` recording how
 //!   the run was configured, so recovery can rebuild the exact
@@ -28,8 +29,9 @@
 //! * [`store`] — [`store::DurableStore`], the run-side handle: buffers
 //!   events into block-sized frames (write-ahead, before they are
 //!   applied), takes snapshot generations and writes safepoint frames at
-//!   collection boundaries, rotates and fsyncs segments, surfaces the
-//!   background thread's errors, and reports [`store::StorageStats`].
+//!   collection boundaries, rotates segments (the only fsync it waits for
+//!   before shutdown), surfaces the background thread's errors, and
+//!   reports [`store::StorageStats`].
 //! * [`tempdir`] — [`tempdir::ScratchDir`], a self-cleaning temp
 //!   directory for tests and benches (no external tempfile dependency).
 //!

@@ -63,42 +63,50 @@ const KICK_BYTES: u64 = 1 << 20;
 
 /// Most snapshot generations the background thread holds at once: the one
 /// it is writing and one queued behind it.
-const MAX_IN_FLIGHT: usize = 2;
+pub(crate) const MAX_IN_FLIGHT: usize = 2;
 
 /// Work for the store's one background thread.
 enum Job {
     /// fsync a duplicated log-segment handle (best effort).
     SyncLog(File),
-    /// Land a snapshot generation and report back.
-    Land(Generation),
+    /// fsync the log segment that holds a generation's safepoint frame,
+    /// then land the generation, and report back.
+    Land { log: File, generation: Generation },
 }
 
 /// The background thread's report on one generation; the buffer comes
 /// back with it for the next capture.
 struct Landed {
     generation: Generation,
-    /// fsyncs issued, or what went wrong.
-    fsyncs: Result<u64>,
+    /// `Ok` once both fsyncs — the log's, then the file's — were issued
+    /// and the file is in place; otherwise what went wrong.
+    outcome: Result<()>,
 }
 
 /// The store's background I/O thread. It does two jobs, in the order they
 /// were handed over.
 ///
-/// *Log fsyncs.* An `fsync` pays for every dirty page still unwritten, so
-/// if syncs only ever happen at the mandatory durability points (rotation,
-/// snapshot generations, shutdown) each one stalls the hot path for the
-/// full accumulated delta. At every safepoint the log writer may hand over
-/// a duplicated file handle, which is fsynced here while the run keeps
-/// going, so the synchronous syncs only cover the small tail written
-/// since. Dropped kicks are fine — this is an optimization, not a
-/// guarantee; the synchronous syncs still establish durability.
+/// *Log fsyncs between generations.* An `fsync` pays for every dirty page
+/// still unwritten, so the log writer may hand over a duplicated file
+/// handle at any safepoint, which is fsynced here while the run keeps
+/// going. Dropped kicks are fine — this is an optimization, not a
+/// guarantee: a safepoint that carries no generation promises "flushed to
+/// the OS" and no more.
 ///
-/// *Snapshot generations.* The run thread serialises a generation and
-/// hands it over ([`Flusher::land`]); the files are checksummed, written,
-/// fsynced and renamed here, then the oldest generation is pruned. The
+/// *Snapshot generations.* The run thread serialises a generation, appends
+/// and flushes its safepoint frame, and hands both over
+/// ([`Flusher::land`]): a duplicated handle of the segment that holds the
+/// frame, and the generation. Here the log is fsynced first, then the
+/// file is checksummed, written, fsynced and renamed, then the oldest
+/// generation is pruned — two fsyncs and three directory operations per
+/// generation, none of them on the run thread. The ordering contract:
+/// **a generation file in place implies the log up to its safepoint frame
+/// is on disk; `finish` returns only after both.** Recovery leans on
+/// exactly that (it drops any snapshot taken beyond the log it read). The
 /// outcome of every generation comes back to the run thread, which must
 /// see it: [`Flusher::next_generation`] and [`Flusher::drain`] return the
-/// first error reported, and fail rather than wait if the thread is gone.
+/// first error reported — a failed log fsync like a failed landing — and
+/// fail rather than wait if the thread is gone.
 pub(crate) struct Flusher {
     jobs: Option<mpsc::SyncSender<Job>>,
     landed: mpsc::Receiver<Landed>,
@@ -107,8 +115,9 @@ pub(crate) struct Flusher {
     in_flight: usize,
     /// Buffers of landed generations, kept for reuse.
     spare: Vec<Generation>,
-    /// Snapshot-file fsyncs reported back so far.
-    pub(crate) snapshot_fsyncs: u64,
+    /// Generations reported landed so far: each stands for one log fsync
+    /// and one snapshot-file fsync issued on the thread.
+    pub(crate) generations_landed: u64,
 }
 
 impl Flusher {
@@ -126,11 +135,20 @@ impl Flusher {
                         Job::SyncLog(file) => {
                             let _ = file.sync_data();
                         }
-                        Job::Land(mut generation) => {
-                            let fsyncs = snapshots.land(&mut generation);
+                        Job::Land {
+                            log,
+                            mut generation,
+                        } => {
+                            let outcome = log
+                                .sync_data()
+                                .map_err(io_err)
+                                .and_then(|()| snapshots.land(&mut generation));
                             // The store may already be gone (dropped after
                             // an error): nobody is left to tell.
-                            let _ = reports.send(Landed { generation, fsyncs });
+                            let _ = reports.send(Landed {
+                                generation,
+                                outcome,
+                            });
                         }
                     }
                 }
@@ -142,7 +160,7 @@ impl Flusher {
             handle,
             in_flight: 0,
             spare: Vec::with_capacity(MAX_IN_FLIGHT),
-            snapshot_fsyncs: 0,
+            generations_landed: 0,
         }
     }
 
@@ -173,7 +191,8 @@ impl Flusher {
             };
             self.in_flight -= 1;
             self.spare.push(report.generation);
-            self.snapshot_fsyncs += report.fsyncs?;
+            report.outcome?;
+            self.generations_landed += 1;
         }
     }
 
@@ -190,10 +209,12 @@ impl Flusher {
         Ok(self.spare.pop().unwrap_or_default())
     }
 
-    /// Hands a captured generation over for landing.
-    pub(crate) fn land(&mut self, generation: Generation) -> Result<()> {
+    /// Hands a captured generation over for landing, behind an fsync of
+    /// `log`.
+    fn land(&mut self, log: File, generation: Generation) -> Result<()> {
         let jobs = self.jobs.as_ref().ok_or_else(Self::gone)?;
-        jobs.send(Job::Land(generation)).map_err(|_| Self::gone())?;
+        jobs.send(Job::Land { log, generation })
+            .map_err(|_| Self::gone())?;
         self.in_flight += 1;
         Ok(())
     }
@@ -290,38 +311,42 @@ impl LogWriter {
         self.write_frame(FRAME_EVENTS, &[&count.to_le_bytes(), body])
     }
 
-    /// Appends a safepoint frame and rotates the segment if it outgrew
-    /// the configured limit.
+    /// Appends a safepoint frame — carrying `generation`'s number when a
+    /// snapshot generation was captured at this safepoint — and rotates
+    /// the segment if it outgrew the configured limit.
     ///
     /// Every safepoint *flushes* to the OS — buffered frames survive a
-    /// process kill from here on — and, once [`KICK_BYTES`] of frames
-    /// have accumulated, kicks the background [`Flusher`] so dirty pages
-    /// drain to disk while the run continues. The
-    /// synchronous `fsync` (power-loss durability) is reserved for
-    /// safepoints that carry a snapshot generation, segment rotation,
-    /// and shutdown. Per-collection synchronous fsyncs would dominate
-    /// the whole write path (milliseconds each against a
-    /// microsecond-scale inter-collection interval) for a guarantee the
-    /// torn-tail recovery does not need.
+    /// process kill from here on — and never waits for the disk. A
+    /// generation goes to the background [`Flusher`] together with a
+    /// handle of the segment its frame was just written to (duplicated
+    /// before any rotation below), which fsyncs that segment and then lands
+    /// the file; otherwise, once [`KICK_BYTES`] of frames have accumulated,
+    /// the flusher is kicked so dirty pages drain to disk while the run
+    /// continues. The synchronous `fsync` is reserved for segment rotation
+    /// and shutdown. Per-collection synchronous fsyncs would dominate the
+    /// whole write path (milliseconds each against a microsecond-scale
+    /// inter-collection interval) for a guarantee the torn-tail recovery
+    /// does not need.
     pub(crate) fn safepoint(
         &mut self,
         events_applied: u64,
         collections: u64,
-        generation: u64,
+        generation: Option<Generation>,
     ) -> Result<()> {
+        let number = generation.as_ref().map_or(0, Generation::number);
         let mut payload = [0u8; 24];
         payload[..8].copy_from_slice(&events_applied.to_le_bytes());
         payload[8..16].copy_from_slice(&collections.to_le_bytes());
-        payload[16..].copy_from_slice(&generation.to_le_bytes());
+        payload[16..].copy_from_slice(&number.to_le_bytes());
         self.write_frame(FRAME_SAFEPOINT, &[&payload])?;
-        if generation > 0 {
-            self.sync()?;
-        } else {
-            self.out.flush().map_err(io_err)?;
-            if self.bytes_since_kick >= KICK_BYTES {
-                self.flusher.kick(self.out.get_ref());
-                self.bytes_since_kick = 0;
-            }
+        self.out.flush().map_err(io_err)?;
+        if let Some(generation) = generation {
+            let log = self.out.get_ref().try_clone().map_err(io_err)?;
+            self.flusher.land(log, generation)?;
+            self.bytes_since_kick = 0;
+        } else if self.bytes_since_kick >= KICK_BYTES {
+            self.flusher.kick(self.out.get_ref());
+            self.bytes_since_kick = 0;
         }
         if self.seg_bytes >= self.segment_limit {
             self.rotate(events_applied)?;

@@ -6,10 +6,11 @@
 //! each step, and drives [`DurableStore::safepoint`] when a collection has
 //! completed. Events are buffered and framed at
 //! [`pgc_workload::BLOCK_EVENTS`] granularity so frame overhead stays
-//! negligible; the log fsyncs at snapshot generations, segment rotation
-//! and shutdown only. A snapshot generation costs the
-//! owning thread one serialising pass over the object table; the file
-//! writes and their fsyncs happen on the store's background thread.
+//! negligible. The owning thread waits for the disk at segment rotation
+//! and shutdown only: a snapshot generation costs it one serialising pass
+//! over the object table, and the generation's two fsyncs — the log up to
+//! its safepoint frame, then the one file it lands as — happen on the
+//! store's background thread, in that order.
 
 use crate::config::{DurabilityConfig, DurabilityMode};
 use crate::log::LogWriter;
@@ -29,16 +30,18 @@ pub struct StorageStats {
     /// Log segment files written.
     pub log_segments: u64,
     /// `fsync` calls issued on the change log (snapshot files are counted
-    /// in `snapshot_fsyncs`).
+    /// in `snapshot_fsyncs`): the synchronous ones at rotation and
+    /// shutdown, plus one per generation the background writer has
+    /// reported landed — so mid-run it trails by the generations still in
+    /// flight.
     pub fsyncs: u64,
-    /// Snapshot files handed to the background writer (all of them on
+    /// Partition images handed to the background writer (all of them on
     /// disk once [`DurableStore::finish`] has returned).
     pub snapshots: u64,
-    /// Bytes in those snapshot files.
+    /// Bytes in those images, which is the bytes in the generation files.
     pub snapshot_bytes: u64,
-    /// `fsync` calls the background writer has reported for snapshot
-    /// files: one per file landed so far, so mid-run it trails
-    /// `snapshots` by the generations still in flight.
+    /// `fsync` calls the background writer has reported for generation
+    /// files: one per generation landed so far.
     pub snapshot_fsyncs: u64,
     /// Safepoints driven (collection boundaries persisted).
     pub safepoints: u64,
@@ -159,14 +162,14 @@ impl DurableStore {
     /// Drives one safepoint: flushes buffered events, takes a snapshot
     /// generation when the cadence (or `force_snapshot`) says so, and
     /// appends the safepoint frame. The log is flushed to the OS at every
-    /// safepoint and fsynced when a snapshot generation was taken.
+    /// safepoint; none waits for the disk.
     ///
     /// Taking a generation serialises every partition here and hands the
-    /// bytes to the background writer; the files land after this returns
-    /// (see [`DurableStore::finish`]). At most one generation waits behind
-    /// the one being written: a further one blocks here until the writer
-    /// has caught up. An error the writer met since the previous call is
-    /// returned from this one.
+    /// bytes to the background writer, which fsyncs the log and then lands
+    /// the file after this returns (see [`DurableStore::finish`]). At most
+    /// one generation waits behind the one being written: a further one
+    /// blocks here until the writer has caught up. An error the writer met
+    /// since the previous call is returned from this one.
     pub fn safepoint(
         &mut self,
         db: &Database,
@@ -175,17 +178,16 @@ impl DurableStore {
         force_snapshot: bool,
     ) -> Result<()> {
         self.flush_pending()?;
-        let mut generation = 0;
+        let mut generation = None;
         if self.cfg.snapshots_enabled() {
             self.writer.flusher.poll()?;
             self.since_snapshot += 1;
             if force_snapshot || self.since_snapshot >= self.cfg.snapshot_every {
-                generation = self.generation;
-                let mut files = self.writer.flusher.next_generation()?;
-                files.capture(db, generation, events_applied, collections)?;
-                self.snapshots += u64::from(files.files());
-                self.snapshot_bytes += files.total_bytes();
-                self.writer.flusher.land(files)?;
+                let mut file = self.writer.flusher.next_generation()?;
+                file.capture(db, self.generation, events_applied, collections)?;
+                self.snapshots += u64::from(file.images());
+                self.snapshot_bytes += file.total_bytes();
+                generation = Some(file);
                 self.generation += 1;
                 self.since_snapshot = 0;
             }
@@ -198,7 +200,7 @@ impl DurableStore {
 
     /// Clean shutdown: final safepoint (with a final snapshot generation
     /// when snapshots are enabled), then waits for every generation to
-    /// land, then a last fsync of the log.
+    /// land behind its log fsync, then a last fsync of the log.
     pub fn finish(&mut self, db: &Database, events_applied: u64, collections: u64) -> Result<()> {
         self.safepoint(db, events_applied, collections, true)?;
         self.writer.flusher.drain()?;
@@ -216,23 +218,24 @@ impl DurableStore {
             log_bytes: self.writer.bytes_written,
             log_frames: self.writer.frames,
             log_segments: self.writer.segments,
-            fsyncs: self.writer.fsyncs,
+            fsyncs: self.writer.fsyncs + self.writer.flusher.generations_landed,
             snapshots: self.snapshots,
             snapshot_bytes: self.snapshot_bytes,
-            snapshot_fsyncs: self.writer.flusher.snapshot_fsyncs,
+            snapshot_fsyncs: self.writer.flusher.generations_landed,
             safepoints: self.safepoints,
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::log::read_log;
-    use crate::snapshot::{scan_snapshots, snapshot_name, PartitionSnapshot};
+    use crate::log::{read_log, MAX_IN_FLIGHT};
+    use crate::snapshot::{snapshot_name, PartitionSnapshot};
     use crate::tempdir::ScratchDir;
-    use pgc_sim::{RunConfig, Shard};
+    use pgc_sim::{RunConfig, RunOutcome, Shard};
     use pgc_types::{Bytes, PartitionId};
+    use pgc_workload::generator::GenStats;
     use pgc_workload::{EncodedTrace, NodeId, SyntheticWorkload};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -335,6 +338,53 @@ mod tests {
         assert_eq!(log.trace.decode_all().unwrap(), evs);
     }
 
+    #[test]
+    fn generation_safepoints_that_rotate_keep_every_fsync_and_every_frame() {
+        // Every safepoint carries a generation and overflows the 4 KiB
+        // segment. The handle handed over is duplicated before the
+        // rotation, so it is the segment the frame went to (which rotation
+        // then seals with its own synchronous sync), not the fresh one
+        // behind it; what can be heard of that is every count and where
+        // each frame sits.
+        let dir = ScratchDir::new("rotate-gen");
+        let cfg = DurabilityConfig::snapshot_and_log(dir.path()).with_segment_bytes(4 << 10);
+        let mut store = DurableStore::create(&cfg).unwrap();
+        let db = Database::new(pgc_types::DbConfig::default()).unwrap();
+        let evs = events(4_000);
+        for (i, chunk) in evs.chunks(500).enumerate() {
+            store.append_events(chunk).unwrap();
+            let done = i as u64 + 1;
+            store.safepoint(&db, 500 * done, done, true).unwrap();
+            assert_eq!(store.stats().log_segments, done + 1, "rotated at {done}");
+        }
+        store.finish(&db, 4_000, 9).unwrap();
+        let stats = store.stats();
+        assert_eq!(stats.snapshot_fsyncs, 9, "eight mid-run generations + 1");
+        assert_eq!(
+            stats.fsyncs,
+            8 + 9 + 1,
+            "one per rotation, one per generation, one at shutdown"
+        );
+        let log = read_log(dir.path()).unwrap();
+        assert_eq!(log.segments, 9);
+        assert_eq!(log.trace.decode_all().unwrap(), evs);
+        let generations: Vec<u64> = log.safepoints.iter().map(|s| s.generation).collect();
+        assert_eq!(generations, (1..=9).collect::<Vec<u64>>());
+        // Each mid-run frame is the last thing in its segment: the next
+        // segment starts at the event count the frame recorded, which
+        // `read_log` has checked segment by segment.
+        for (seq, frame) in log.safepoints[..8].iter().enumerate() {
+            let segment = fs::read(dir.join(crate::log::segment_name(seq as u64))).unwrap();
+            let tail = &segment[segment.len() - 4 - 24..segment.len() - 4];
+            assert_eq!(
+                tail[..8],
+                frame.events_applied.to_le_bytes(),
+                "segment {seq}"
+            );
+            assert_eq!(tail[16..], frame.generation.to_le_bytes(), "segment {seq}");
+        }
+    }
+
     /// A delete-heavy run stepped through a `Shard` (durability off: the
     /// store under test is driven by hand), stopping `stops` times.
     fn churn(stops: usize, mut at_stop: impl FnMut(usize, &Shard)) {
@@ -349,55 +399,120 @@ mod tests {
         }
     }
 
+    /// Persists `cfg`'s run through `store` with the cadence `Shard` uses
+    /// — the events of each of `stops` steps logged ahead of it, a
+    /// safepoint after each step that completed a collection, `finish`
+    /// after the last — stopping after each. (`pgc-sim` links the non-test
+    /// build of this crate, so its `Shard` cannot own this build's store.)
+    pub(crate) fn persist(
+        cfg: &RunConfig,
+        store: &mut DurableStore,
+        stops: usize,
+        mut at_stop: impl FnMut(usize, &DurableStore),
+    ) -> RunOutcome {
+        let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
+            .unwrap()
+            .collect();
+        let mut shard = Shard::new(cfg).unwrap();
+        let mut safepointed = 0;
+        for (stop, chunk) in events.chunks(events.len().div_ceil(stops)).enumerate() {
+            store.append_events(chunk).unwrap();
+            shard.step_batch(chunk).unwrap();
+            let (db, applied) = (shard.db(), shard.events_applied());
+            let collections = db.stats().collections;
+            if stop + 1 == stops {
+                store.finish(db, applied, collections).unwrap();
+            } else if collections > safepointed {
+                store.safepoint(db, applied, collections, false).unwrap();
+                safepointed = collections;
+            }
+            at_stop(stop, store);
+        }
+        shard.finish(GenStats::default()).unwrap()
+    }
+
+    #[test]
+    fn the_fsync_that_left_the_run_thread_is_still_issued_counted_and_heard() {
+        // Stepped by blocks, a generation every second safepoint.
+        let dir = ScratchDir::new("fsyncs");
+        let cfg = DurabilityConfig::snapshot_and_log(dir.path())
+            .with_snapshot_every(2)
+            .with_segment_bytes(64 << 10);
+        let mut store = DurableStore::create(&cfg).unwrap();
+        let run = RunConfig::small().with_seed(9).with_deletions_per_round(12);
+        persist(&run, &mut store, 40, |stop, store| {
+            // What a store that fsynced the log inside `safepoint` would
+            // have counted by now: the synchronous ones plus one per
+            // generation taken.
+            let taken = store.generation - 1;
+            let stats = store.stats();
+            let behind = store.writer.fsyncs + taken - stats.fsyncs;
+            assert!(
+                behind <= MAX_IN_FLIGHT as u64,
+                "stop {stop}: {behind} behind"
+            );
+            assert_eq!(
+                taken - stats.snapshot_fsyncs,
+                behind,
+                "one report, two fsyncs"
+            );
+        });
+        let stats = store.stats();
+        assert!(stats.log_segments > 1, "the run must rotate");
+        assert_eq!(stats.snapshot_fsyncs, store.generation - 1, "all landed");
+        // What the store that fsynced the log inside `safepoint` reported
+        // for this run: 7 generations + 1 rotation + shutdown, 113 images.
+        assert_eq!(
+            (stats.fsyncs, stats.snapshot_fsyncs, stats.snapshots),
+            (9, 7, 113)
+        );
+    }
+
     #[test]
     fn landed_files_equal_the_owned_form_byte_for_byte() {
         let dir = ScratchDir::new("bytes");
         let mut store = DurableStore::create(&DurabilityConfig::snapshot_and_log(dir.path()))
             .expect("create store");
-        let mut generations = Vec::new();
+        let mut written = 0;
         churn(5, |stop, shard| {
             let (db, applied) = (shard.db(), shard.events_applied());
             let generation = stop as u64 + 1;
-            // The oracle: the reader's owned form, serialised the old way.
-            let expected: Vec<Vec<u8>> = (0..db.partition_count() as u32)
-                .map(|p| {
+            // The oracle: the reader's owned form of every partition,
+            // serialised the old way, one after the other.
+            let partitions = db.partition_count() as u32;
+            assert!(partitions > 1, "the run must spread over partitions");
+            let expected: Vec<u8> = (0..partitions)
+                .flat_map(|p| {
                     PartitionSnapshot::capture(db, PartitionId(p), generation, applied, stop as u64)
                         .unwrap()
                         .to_bytes()
                 })
                 .collect();
-            assert!(expected.len() > 1, "the run must spread over partitions");
             store.safepoint(db, applied, stop as u64, true).unwrap();
             store.writer.flusher.drain().unwrap();
-            for (p, want) in expected.iter().enumerate() {
-                let got = fs::read(dir.join(snapshot_name(generation, p as u32))).unwrap();
-                assert_eq!(&got, want, "generation {generation} partition {p}");
-            }
+            let got = fs::read(dir.join(snapshot_name(generation))).unwrap();
+            assert!(got == expected, "generation {generation}");
             let stats = store.stats();
-            assert_eq!(stats.snapshot_fsyncs, stats.snapshots, "one fsync per file");
-            generations.push((generation, expected.len() as u32));
+            assert_eq!(
+                stats.snapshot_fsyncs, generation,
+                "one fsync per generation"
+            );
+            written += expected.len() as u64;
+            assert_eq!(
+                stats.snapshot_bytes, written,
+                "nothing added between images"
+            );
         });
 
         // Pruning by remembered names leaves exactly the newest two
-        // generations, whole, and no temp files.
-        let left: Vec<(u64, u32)> = scan_snapshots(dir.path())
+        // generations and no temp file: nothing else beside the log.
+        let mut left: Vec<String> = fs::read_dir(dir.path())
             .unwrap()
-            .iter()
-            .map(|f| (f.generation, f.partition))
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| !name.starts_with("log-"))
             .collect();
-        let want: Vec<(u64, u32)> = generations[generations.len() - 2..]
-            .iter()
-            .flat_map(|&(generation, files)| (0..files).map(move |p| (generation, p)))
-            .collect();
-        assert_eq!(left, want);
-        let stray = fs::read_dir(dir.path())
-            .unwrap()
-            .filter(|e| {
-                let name = e.as_ref().unwrap().file_name();
-                name.to_string_lossy().ends_with(".tmp")
-            })
-            .count();
-        assert_eq!(stray, 0);
+        left.sort();
+        assert_eq!(left, [snapshot_name(4), snapshot_name(5)]);
     }
 
     /// How a test feeds one run of events to the store.

@@ -3,9 +3,9 @@
 //! A durable run's data directory is self-describing: `MANIFEST.pgc`
 //! records the full [`RunConfig`] (floats by bit pattern) plus the
 //! telemetry level, the `log-*.pgcl` segments hold every input event
-//! write-ahead, and `snap-*.pgcs` files hold per-partition state at
-//! collection safepoints. [`recover`] rebuilds the run from the directory
-//! alone:
+//! write-ahead, and each `snap-*.pgcs` file holds one generation of
+//! per-partition images taken at a collection safepoint. [`recover`]
+//! rebuilds the run from the directory alone:
 //!
 //! 1. read and checksum-verify the manifest, rebuild the exact
 //!    [`RunConfig`] (durability forced off — recovery does not re-persist);
@@ -15,9 +15,9 @@
 //! 3. replay the surviving events through the loop every live run uses —
 //!    `TraceCursor::next_block` → [`crate::Shard::step_block`] — cutting a
 //!    block wherever a snapshot was taken to cross-check the **newest
-//!    valid** snapshot of every partition against the replayed database
-//!    (corrupt snapshot files are skipped in favor of an older valid
-//!    generation);
+//!    valid** image of every partition against the replayed database
+//!    (a corrupt image is skipped in favor of the older generation's, for
+//!    that partition only);
 //! 4. finish the shard into a [`RunOutcome`].
 //!
 //! Because the simulator is deterministic and the log records inputs
@@ -197,10 +197,11 @@ pub struct RecoveredRun {
     pub torn_tail: Option<TornTail>,
     /// Safepoint markers found in the log.
     pub safepoints: usize,
-    /// Partition snapshots verified against the replayed state.
+    /// Partition images verified against the replayed state.
     pub snapshots_verified: usize,
-    /// Snapshot files skipped as corrupt (an older valid generation, when
-    /// present, stood in).
+    /// Partition images skipped as corrupt, a generation file that could
+    /// not be read or walked to its end counting once (the older
+    /// generation's image, when present, stood in).
     pub snapshot_files_skipped: usize,
 }
 
@@ -213,16 +214,18 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
     let (cfg, telemetry_level) = config_from_manifest(&manifest)?;
     let log = read_log(dir)?;
 
-    // Newest valid snapshot per partition: scan ascending by generation,
-    // keep the last file that parses + checksums cleanly.
+    // Newest valid image per partition: scan ascending by generation,
+    // keep the last image that parses + checksums cleanly.
     let mut newest: BTreeMap<u32, pgc_durable::PartitionSnapshot> = BTreeMap::new();
     let mut snapshot_files_skipped = 0usize;
     for file in scan_snapshots(dir)? {
-        match read_snapshot(&file.path) {
-            Ok(snap) => {
-                newest.insert(file.partition, snap);
+        for image in read_snapshot(&file.path) {
+            match image {
+                Ok(snap) => {
+                    newest.insert(snap.partition, snap);
+                }
+                Err(_) => snapshot_files_skipped += 1,
             }
-            Err(_) => snapshot_files_skipped += 1,
         }
     }
     // Group into checkpoints by the event position they were taken at,

@@ -58,15 +58,18 @@ shards:
     cargo test -q -p pgc --test shard_equivalence
 
 # Crash-recovery smoke: a clean durable run recovered with a pinned
-# digest, then two mid-run kills (no final snapshot, buffered log tail
-# dropped, the snapshot writer thread cut off wherever it was) recovered
-# from whatever reached disk. Exercises the same tooling the CI smoke job
+# digest and its directory counted (two generation files at most, no .tmp,
+# no per-partition file name), then two mid-run kills (no final snapshot,
+# buffered log tail dropped, the snapshot writer thread cut off wherever it
+# was) recovered from whatever reached disk. Exercises the same tooling the CI smoke job
 # runs; scratch dirs live under target/ and are removed afterwards.
 recover:
     rm -rf target/recover-smoke
     cargo build --release -p pgc-bench --bin recover_tool
     d=$(./target/release/recover_tool run target/recover-smoke/clean updated-pointer 1 | awk '/^run:/ {print $NF}'); \
         ./target/release/recover_tool recover target/recover-smoke/clean --expect $d
+    if ls target/recover-smoke/clean | grep -E '\.tmp$|^snap-.*-p.*\.pgcs$'; then exit 1; fi
+    [ "$(ls target/recover-smoke/clean | grep -c '^snap-.*\.pgcs$')" -le 2 ]
     for n in 5000 9000; do \
         ./target/release/recover_tool crash target/recover-smoke/killed-$n $n most-garbage 2 && \
         ls target/recover-smoke/killed-$n && \

@@ -10,6 +10,13 @@
 # medians, the parent's inter-quartile distance and how many pairs the
 # change won: the rule for claiming a gain is at least nine wins in ten and
 # a median difference larger than that distance.
+#
+# The archive copy is for the build only: both binaries run from the working
+# tree. `peak_rss_mib` and `recover_events_per_s` follow the directory a run
+# starts in by a few percent (identical binaries, different cwd), so two
+# sides in two trees compare directories. A gain claim may not touch
+# `benchmark/`, so the `benchmark/golden` the binaries read is the same file
+# set on both sides anyway.
 set -euo pipefail
 
 parent_ref=${1:?usage: pairs.sh <parent-ref> <workload> [n=10]}
@@ -32,13 +39,12 @@ for side in parent change; do
     : >"$work/$side.jsonl"
 done
 
-# The binary reads ./benchmark/golden and writes ./benchmark/out, so each
-# side runs from its own tree. Its last stdout line is the JSON result.
+# The binary reads ./benchmark/golden and writes ./benchmark/out under the
+# working tree's root (the cwd since the `cd` above). Its last stdout line is
+# the JSON result.
 run() {
-    local src=$root
-    [ "$1" = parent ] && src=$work/parent
-    (cd "$src" && "$work/bench-$1" --workload "$workload" --seed 1 \
-        --seconds "$seconds" --trace 0 | tail -n 1) >>"$work/$1.jsonl"
+    "$work/bench-$1" --workload "$workload" --seed 1 \
+        --seconds "$seconds" --trace 0 | tail -n 1 >>"$work/$1.jsonl"
 }
 for ((pair = 1; pair <= n; pair++)); do
     if ((pair % 2)); then order="parent change"; else order="change parent"; fi

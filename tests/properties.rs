@@ -166,16 +166,18 @@ fn an_object_grown_past_its_inline_slots_survives_collection_and_snapshot() {
     assert_eq!(db.stats().reclaimed_objects, 14, "the cut children died");
 
     // `DurableStore::finish` serialises through `Generation::capture`; the
-    // landed files must read back as exactly this database.
+    // landed file must read back as exactly this database.
     let dir = ScratchDir::new("wide-object");
     let mut store =
         DurableStore::create(&DurabilityConfig::snapshot_and_log(dir.path())).expect("store");
     store.finish(&db, 0, collections).expect("finish");
     let files = scan_snapshots(dir.path()).expect("scan");
-    assert_eq!(files.len(), db.partition_count());
+    assert_eq!(files.len(), 1, "one generation, one file");
+    let images = read_snapshot(&files[0].path);
+    assert_eq!(images.len(), db.partition_count());
     let mut widest = 0;
-    for file in files {
-        let snap = read_snapshot(&file.path).expect("read");
+    for image in images {
+        let snap = image.expect("read");
         snap.verify_against(&db).expect("snapshot matches");
         widest = widest.max(
             snap.records

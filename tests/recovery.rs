@@ -10,7 +10,7 @@
 //! dropped, and recovery then matches a fresh run over the surviving
 //! event prefix. The same holds per stream for a persisted server fleet.
 
-use pgc::durable::{read_log, scan_snapshots, ScratchDir};
+use pgc::durable::{read_log, read_snapshot, scan_snapshots, PartitionSnapshot, ScratchDir};
 use pgc::prelude::*;
 use pgc::sim::durable::manifest_for;
 use pgc::workload::generator::GenStats;
@@ -358,56 +358,130 @@ fn corrupted_tail_frame_fails_its_checksum_and_is_dropped() {
     );
 }
 
-/// Snapshot generations land on a background thread, file by file, after
-/// `safepoint()` has returned. A kill in that window leaves the newest
-/// generation partly in place; the states are made by hand here.
+/// A generation lands on a background thread after `safepoint()` has
+/// returned: one `.tmp` written, fsynced, renamed. A kill in that window
+/// leaves one of three states behind; each is made by hand here, in the
+/// reverse of the order a landing passes through them.
 #[test]
 fn a_kill_during_landing_falls_back_to_the_older_generation() {
     let dir = ScratchDir::new("landing");
-    let original = run_durable(PolicyKind::UpdatedPointer, 4, &dir);
+    // A seed whose heap stopped growing before the last two generations:
+    // the older one has an image for every partition of the newest.
+    let original = run_durable(PolicyKind::UpdatedPointer, 3, &dir);
     let clean = recover(dir.path()).expect("recover the clean directory");
 
     let files = scan_snapshots(dir.path()).expect("scan");
-    let newest = files.last().expect("snapshots were written").generation;
-    let path_of = |generation: u64, partition: u32| {
-        files
-            .iter()
-            .find(|f| f.generation == generation && f.partition == partition)
-            .map(|f| f.path.clone())
+    let [older, newest] = &files[..] else {
+        panic!("two generations are kept, found {files:?}");
     };
-    let tmp_of = |path: &std::path::Path| {
-        let mut name = path.file_name().expect("file name").to_os_string();
+    assert_eq!(
+        read_snapshot(&older.path).len(),
+        clean.snapshots_verified,
+        "the older generation must cover every partition"
+    );
+    let tmp = {
+        let mut name = newest.path.file_name().expect("file name").to_os_string();
         name.push(".tmp");
-        path.with_file_name(name)
+        newest.path.with_file_name(name)
     };
-    let [not_started, not_renamed, half_written] = [0, 1, 2].map(|partition| {
-        assert!(
-            path_of(newest - 1, partition).is_some(),
-            "the older generation must cover partition {partition}"
+    let bytes = fs::read(&newest.path).expect("read");
+    let falls_back = |state: &str| {
+        let recovered = recover(dir.path()).expect("recover the damaged directory");
+        assert_eq!(
+            outcome_digest(&recovered.outcome),
+            outcome_digest(&original),
+            "{state}"
         );
-        path_of(newest, partition).expect("the newest generation covers it")
-    });
-    // Not yet started; written and fsynced but not renamed; torn mid-write.
-    fs::remove_file(&not_started).expect("remove");
-    fs::rename(&not_renamed, tmp_of(&not_renamed)).expect("rename back");
-    let bytes = fs::read(&half_written).expect("read");
-    fs::write(tmp_of(&half_written), &bytes[..bytes.len() / 2]).expect("write torn tmp");
-    fs::remove_file(&half_written).expect("remove");
+        assert_eq!(recovered.torn_tail, None, "{state}: the log is whole");
+        assert_eq!(
+            recovered.snapshot_files_skipped, 0,
+            "{state}: a .tmp file is never read, so nothing can be found corrupt"
+        );
+        assert_eq!(
+            recovered.snapshots_verified, clean.snapshots_verified,
+            "{state}: the older generation stands in for every partition"
+        );
+    };
+    fs::rename(&newest.path, &tmp).expect("rename back");
+    falls_back("written and fsynced, not renamed");
+    fs::write(&tmp, &bytes[..bytes.len() / 2]).expect("tear");
+    falls_back("torn mid-write");
+    fs::remove_file(&tmp).expect("remove");
+    falls_back("not started");
+}
+
+/// What one file per partition gave for free and one file per generation
+/// must still give: damage inside one image costs that partition only.
+#[test]
+fn a_damaged_image_falls_back_for_its_partition_only() {
+    let dir = ScratchDir::new("one-image");
+    let original = run_durable(PolicyKind::UpdatedPointer, 3, &dir);
+    let clean = recover(dir.path()).expect("recover the clean directory");
+
+    let newest = scan_snapshots(dir.path())
+        .expect("scan")
+        .pop()
+        .expect("one");
+    let images: Vec<PartitionSnapshot> = read_snapshot(&newest.path)
+        .into_iter()
+        .map(|image| image.expect("a landed image reads"))
+        .collect();
+    assert_eq!(images.len(), clean.snapshots_verified);
+    let middle = images.len() / 2;
+    assert!(middle > 0 && middle + 1 < images.len());
+    // Flip a byte of the middle image's first oid: no length is touched, so
+    // the reader still finds where the image ends.
+    let start: usize = images[..middle].iter().map(|i| i.to_bytes().len()).sum();
+    let mut bytes = fs::read(&newest.path).expect("read");
+    assert_eq!(bytes[start..start + 4], *b"PGCS");
+    bytes[start + 48 + 4] ^= 0x01;
+    fs::write(&newest.path, &bytes).expect("write the damaged file");
+
+    let reread = read_snapshot(&newest.path);
+    assert_eq!(reread.len(), images.len(), "every image is still found");
+    for (i, (image, landed)) in reread.iter().zip(&images).enumerate() {
+        match image {
+            Ok(image) => assert_eq!(image, landed, "image {i}"),
+            Err(_) => assert_eq!(i, middle, "only the damaged image fails"),
+        }
+    }
+    assert!(reread[middle].is_err());
 
     let recovered = recover(dir.path()).expect("recover the damaged directory");
     assert_eq!(
         outcome_digest(&recovered.outcome),
         outcome_digest(&original)
     );
-    assert_eq!(recovered.torn_tail, None, "the log is whole");
-    assert_eq!(
-        recovered.snapshot_files_skipped, 0,
-        "a .tmp file is never read, so none can be found corrupt"
-    );
+    assert_eq!(recovered.snapshot_files_skipped, 1, "exactly one image");
     assert_eq!(
         recovered.snapshots_verified, clean.snapshots_verified,
-        "the older generation stands in for the three missing partitions"
+        "the older generation stands in for the damaged partition"
     );
+}
+
+/// Builds before the one-file layout wrote `snap-G-pN.pgcs`, one image
+/// each. There is no second reader: such a directory recovers by replay.
+#[test]
+fn a_directory_in_the_per_partition_layout_recovers_by_replay_alone() {
+    let dir = ScratchDir::new("old-layout");
+    let original = run_durable(PolicyKind::MostGarbage, 1, &dir);
+    for file in scan_snapshots(dir.path()).expect("scan") {
+        for image in read_snapshot(&file.path) {
+            let image = image.expect("a landed image reads");
+            let name = format!("snap-{:08}-p{:06}.pgcs", image.generation, image.partition);
+            fs::write(dir.join(name), image.to_bytes()).expect("split");
+        }
+        fs::remove_file(&file.path).expect("remove the generation file");
+    }
+    assert_eq!(scan_snapshots(dir.path()).expect("scan"), []);
+
+    let recovered = recover(dir.path()).expect("recover the old directory");
+    assert_eq!(
+        outcome_digest(&recovered.outcome),
+        outcome_digest(&original)
+    );
+    assert_eq!(recovered.snapshots_verified, 0);
+    assert_eq!(recovered.snapshot_files_skipped, 0);
 }
 
 #[test]
