@@ -3,7 +3,7 @@
 //! ```text
 //! recover_tool run <dir> [policy] [seed]            # full durable run, prints digest
 //! recover_tool crash <dir> <events> [policy] [seed] # persist, abandon mid-run
-//! recover_tool recover <dir> [--expect DIGEST]      # replay; nonzero on mismatch
+//! recover_tool recover <dir> [--verify] [--expect DIGEST]
 //! ```
 //!
 //! `run` persists a small workload (snapshots + change log) into `dir` and
@@ -13,20 +13,27 @@
 //! the store's snapshot writer thread cut off wherever it was (the newest
 //! generation not landed, a stray `.tmp`) — simulating a process
 //! kill. `recover` rebuilds the run from the
-//! directory alone and prints what it found; with `--expect` it exits
-//! nonzero unless the recovered digest matches, which is how CI pins that
-//! a recovered run is bit-identical to the uninterrupted one.
+//! directory alone and prints what recovery did: the generation it restored
+//! (and that generation's event), the tail it replayed, and where the wall
+//! time went (reading the log, loading the generation, replaying the tail,
+//! finishing). `--verify` also replays the whole log from event 0,
+//! cross-checking every snapshot image, and fails unless both reach the same
+//! digest; `--expect` exits nonzero unless the recovered digest matches,
+//! which is how CI pins that a recovered run is bit-identical to the
+//! uninterrupted one.
 
 use pgc_core::PolicyKind;
 use pgc_durable::DurabilityConfig;
-use pgc_sim::{outcome_digest, recover, RunConfig, RunOutcome, Shard, Simulation};
+use pgc_sim::durable::restore;
+use pgc_sim::{outcome_digest, verify, RunConfig, RunOutcome, Shard, Simulation};
 use pgc_telemetry::TelemetryLevel;
 use pgc_workload::SyntheticWorkload;
 use std::process::exit;
+use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  recover_tool run <dir> [policy] [seed]\n  recover_tool crash <dir> <events> [policy] [seed]\n  recover_tool recover <dir> [--expect DIGEST]"
+        "usage:\n  recover_tool run <dir> [policy] [seed]\n  recover_tool crash <dir> <events> [policy] [seed]\n  recover_tool recover <dir> [--verify] [--expect DIGEST]"
     );
     exit(2);
 }
@@ -116,19 +123,56 @@ fn crash(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
 fn do_recover(args: &[String]) -> Result<(), String> {
     let Some(dir) = args.first() else { usage() };
-    let expect = match &args[1..] {
-        [] => None,
-        [flag, digest] if flag == "--expect" => Some(
-            u64::from_str_radix(digest.trim_start_matches("0x"), 16)
-                .map_err(|_| "DIGEST must be hex")?,
-        ),
-        _ => usage(),
-    };
-    let rec = recover(dir.as_ref()).map_err(|e| e.to_string())?;
+    let (mut also_verify, mut expect) = (false, None);
+    let mut flags = args[1..].iter();
+    while let Some(flag) = flags.next() {
+        match (flag.as_str(), flags.as_slice().first()) {
+            ("--verify", _) => also_verify = true,
+            ("--expect", Some(digest)) => {
+                expect = Some(
+                    u64::from_str_radix(digest.trim_start_matches("0x"), 16)
+                        .map_err(|_| "DIGEST must be hex")?,
+                );
+                flags.next();
+            }
+            _ => usage(),
+        }
+    }
+    let err = |e: pgc_types::PgcError| e.to_string();
+    // `recover`, one step at a time so each can be timed.
+    let restoring = Instant::now();
+    let (mut shard, tail) = restore(dir.as_ref()).map_err(err)?;
+    let restored = restoring.elapsed();
+    let (at, log_wall) = (shard.events_applied(), tail.log_wall);
+    let replaying = Instant::now();
+    tail.replay(&mut shard).map_err(err)?;
+    let replayed = replaying.elapsed();
+    for (generation, why) in &tail.passed_over {
+        println!("passed over: generation {generation}: {why}");
+    }
+    let finishing = Instant::now();
+    let rec = tail.finish(shard).map_err(err)?;
+    let finished = finishing.elapsed();
     println!(
-        "recovered: {} events, {} safepoints, {} images verified ({} skipped), torn tail: {}",
+        "restored: {} at event {at}, {} tail events replayed; wall ms: log {:.1}, image {:.1}, tail {:.1}, finish {:.1}",
+        match rec.restored_from {
+            Some(generation) => format!("generation {generation}"),
+            None => "fresh start".to_string(),
+        },
+        rec.tail_events,
+        ms(log_wall),
+        ms(restored.saturating_sub(log_wall)),
+        ms(replayed),
+        ms(finished),
+    );
+    println!(
+        "recovered: {} events, {} safepoints read, {} images restored ({} generations skipped), torn tail: {}",
         rec.events_replayed,
         rec.safepoints,
         rec.snapshots_verified,
@@ -139,6 +183,14 @@ fn do_recover(args: &[String]) -> Result<(), String> {
         }
     );
     print_digest("recover", &rec.outcome);
+    if also_verify {
+        let checked = verify(dir.as_ref()).map_err(err)?;
+        println!(
+            "verified: {} events replayed from 0, {} images cross-checked ({} skipped)",
+            checked.events_replayed, checked.snapshots_verified, checked.snapshot_files_skipped
+        );
+        print_digest("verify", &checked.outcome);
+    }
     if let Some(want) = expect {
         let got = outcome_digest(&rec.outcome);
         if got != want {

@@ -5,12 +5,12 @@
 //! `recover_tool crash` persists a run and exits mid-way without closing
 //! anything, cutting the store's I/O thread off wherever it was. Whatever
 //! generation files that leaves in place, none may describe a state the
-//! log read back from the same directory does not reach — recovery verifies
-//! an image at its `events_applied`, and could not verify one from beyond
-//! the log.
+//! log read back from the same directory does not reach — recovery restores
+//! a generation only where the log holds its safepoint frame, and the
+//! newest one in place must always qualify.
 
 use pgc_durable::{read_log, read_snapshot, scan_snapshots, ScratchDir};
-use pgc_sim::recover;
+use pgc_sim::{recover, verify};
 use std::process::Command;
 
 #[test]
@@ -46,6 +46,9 @@ fn no_generation_file_outruns_the_log_at_any_kill_point() {
         let recovered = recover(&data).expect("recover");
         assert_eq!(recovered.events_replayed, logged);
         assert_eq!(recovered.snapshot_files_skipped, 0);
+        // Restored from the newest generation in place, or replayed from
+        // event 0: one digest.
+        verify(&data).expect("verify agrees");
     }
     assert!(images_checked > 0, "no kill left a generation in place");
 }

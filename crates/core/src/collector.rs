@@ -12,7 +12,7 @@ use crate::policies::build_policy;
 use crate::policy::{PolicyKind, SelectionPolicy};
 use crate::scheduler::{GcScheduler, Trigger};
 use pgc_odb::{BarrierEvent, BarrierObserver, CollectionOutcome, Database, ObserverRegistry};
-use pgc_types::Result;
+use pgc_types::{Result, Words};
 
 /// A complete partitioned garbage collector: selection policy + trigger.
 ///
@@ -84,6 +84,20 @@ impl Collector {
     /// The trigger state.
     pub fn scheduler(&self) -> &GcScheduler {
         &self.scheduler
+    }
+
+    /// Appends the driving policy's state, then the trigger's counters,
+    /// for a snapshot's run image. Bystanders save their own.
+    pub fn save(&self, out: &mut Vec<u64>) {
+        self.policy.save(out);
+        self.scheduler.save(out);
+    }
+
+    /// Resumes what [`Collector::save`] wrote, on a collector built for
+    /// the same configuration.
+    pub fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+        self.policy.load(words)?;
+        self.scheduler.load(words)
     }
 
     /// Delivers one event to the policy, the observers, and the trigger.

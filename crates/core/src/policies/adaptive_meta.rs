@@ -29,7 +29,7 @@
 use crate::policies::build_policy;
 use crate::policy::{PolicyKind, PolicySwitch, SelectionPolicy};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
-use pgc_types::PartitionId;
+use pgc_types::{PartitionId, PgcError, Result, Words};
 use std::fmt;
 
 /// Default candidate slate: the paper's implementable counter policies
@@ -152,11 +152,12 @@ impl AdaptiveMeta {
                 .min();
             self.pending[i].retain(|&(p, a)| p != victim && a >= horizon);
             if let Some(a) = first_pick {
-                self.credit[i] += if Some(a) == earliest {
+                // Saturating: a loaded credit is whatever a file said.
+                self.credit[i] = self.credit[i].saturating_add(if Some(a) == earliest {
                     garbage
                 } else {
                     garbage / 2
-                };
+                });
             }
         }
         self.maybe_switch();
@@ -173,7 +174,8 @@ impl AdaptiveMeta {
         if best == self.incumbent || self.credit[best] == 0 {
             return;
         }
-        if self.credit[best] * 100 < self.credit[self.incumbent] * self.margin_pct {
+        let credit = |i: usize| u128::from(self.credit[i]);
+        if credit(best) * 100 < credit(self.incumbent) * u128::from(self.margin_pct) {
             return;
         }
         self.switches.push(PolicySwitch {
@@ -244,6 +246,49 @@ impl SelectionPolicy for AdaptiveMeta {
 
     fn take_switches(&mut self) -> Vec<PolicySwitch> {
         std::mem::take(&mut self.switches)
+    }
+
+    /// The incumbent, the activation clock and last switch, every
+    /// candidate's credit and outstanding picks, then every candidate's own
+    /// state. The slate, window and margin are configuration.
+    fn save(&self, out: &mut Vec<u64>) {
+        debug_assert!(self.switches.is_empty(), "saved with a switch pending");
+        out.extend([self.incumbent as u64, self.activation, self.last_switch_at]);
+        out.extend(&self.credit);
+        for picks in &self.pending {
+            out.push(picks.len() as u64);
+            for &(p, a) in picks {
+                out.extend([u64::from(p.index()), a]);
+            }
+        }
+        for c in &self.candidates {
+            c.save(out);
+        }
+    }
+
+    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+        let incumbent = words.word()?;
+        if incumbent >= self.candidates.len() as u64 {
+            return Err(PgcError::TraceFormat(format!(
+                "run image: incumbent {incumbent} of a {}-policy slate",
+                self.candidates.len()
+            )));
+        }
+        self.incumbent = incumbent as usize;
+        self.activation = words.word()?;
+        self.last_switch_at = words.word()?;
+        self.credit = words.take(self.candidates.len())?.to_vec();
+        for picks in &mut self.pending {
+            let n = words.count()?;
+            *picks = Vec::with_capacity(n);
+            for _ in 0..n {
+                picks.push((PartitionId(words.word_u32()?), words.word()?));
+            }
+        }
+        for c in &mut self.candidates {
+            c.load(words)?;
+        }
+        Ok(())
     }
 }
 
@@ -423,6 +468,64 @@ mod tests {
         assert!(!switches.is_empty());
         assert_eq!(switches[0].from, PolicyKind::Occupancy);
         assert_eq!(switches[0].to, PolicyKind::UpdatedPointer);
+    }
+
+    #[test]
+    fn a_loaded_slate_resumes_and_a_stray_incumbent_is_refused() {
+        let d = db();
+        let mut live = AdaptiveMeta::with_config(
+            &[PolicyKind::Occupancy, PolicyKind::UpdatedPointer],
+            2,
+            150,
+            16,
+        );
+        let mut saved = Vec::new();
+        for a in 1..=6u64 {
+            live.on_event(&overwrite(1));
+            live.on_event(&tick(a));
+            let _ = live.select(&d);
+            live.on_event(&collected(2, 500));
+            live.on_event(&collected(1, 4000));
+            let _ = live.take_switches();
+            if a == 2 {
+                live.save(&mut saved);
+            }
+        }
+        let mut resumed = AdaptiveMeta::with_config(
+            &[PolicyKind::Occupancy, PolicyKind::UpdatedPointer],
+            2,
+            150,
+            16,
+        );
+        let mut words = Words::new(&saved);
+        resumed.load(&mut words).unwrap();
+        words.finish().unwrap();
+        for a in 3..=6u64 {
+            resumed.on_event(&overwrite(1));
+            resumed.on_event(&tick(a));
+            let _ = resumed.select(&d);
+            resumed.on_event(&collected(2, 500));
+            resumed.on_event(&collected(1, 4000));
+            let _ = resumed.take_switches();
+        }
+        assert_eq!(format!("{resumed:?}"), format!("{live:?}"));
+
+        let mut stray = saved.clone();
+        stray[0] = 2;
+        let err = resumed.load(&mut Words::new(&stray)).unwrap_err();
+        assert!(err.to_string().contains("incumbent 2"), "{err}");
+
+        // Credits a file says are near the top of `u64` neither overflow
+        // the switch test nor the next credit.
+        let mut rich = saved.clone();
+        rich[3..5].copy_from_slice(&[u64::MAX - 1, u64::MAX / 3]);
+        resumed.load(&mut Words::new(&rich)).unwrap();
+        for a in 3..=6u64 {
+            resumed.on_event(&tick(a));
+            let _ = resumed.select(&d);
+            resumed.on_event(&collected(1, 4000));
+            resumed.on_event(&collected(2, 4000));
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! Implementability note: a real system would keep a per-partition running
 //! sum of allocation stamps (two counters per partition, maintained at
 //! allocation and collection time). The simulation computes the mean from
-//! the object table, which is equivalent in outcome.
+//! the object table, which is equivalent in outcome; oids are handed out in
+//! allocation order, so an object's oid is its allocation stamp.
 
 use crate::policy::{PolicyKind, SelectionPolicy};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
@@ -47,10 +48,8 @@ impl SelectionPolicy for Generational {
             let mut count = 0u64;
             let mut sum = 0u128;
             for oid in objects.members(id) {
-                if let Ok(rec) = objects.get(oid) {
-                    sum += rec.birth as u128;
-                    count += 1;
-                }
+                sum += oid.index() as u128;
+                count += 1;
             }
             if count == 0 {
                 continue;

@@ -7,7 +7,7 @@
 
 use crate::policy::{PolicyKind, SelectionPolicy};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
-use pgc_types::{PartitionId, SimRng};
+use pgc_types::{PartitionId, Result, SimRng, Words};
 
 /// The random-selection baseline.
 #[derive(Debug, Clone)]
@@ -49,6 +49,14 @@ impl SelectionPolicy for Random {
             return None;
         }
         Some(*self.rng.pick(&candidates))
+    }
+
+    fn save(&self, out: &mut Vec<u64>) {
+        self.rng.save(out);
+    }
+
+    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+        self.rng.load(words)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::policy::{PolicyKind, SelectionPolicy};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
-use pgc_types::PartitionId;
+use pgc_types::{PartitionId, Result, Words};
 
 /// The cyclic-order policy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,6 +55,15 @@ impl SelectionPolicy for RoundRobin {
             }
         }
         None
+    }
+
+    fn save(&self, out: &mut Vec<u64>) {
+        out.push(u64::from(self.next));
+    }
+
+    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+        self.next = words.word_u32()?;
+        Ok(())
     }
 }
 

@@ -16,7 +16,7 @@
 
 use crate::policy::{fallback_victim, PolicyKind, SelectionPolicy};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
-use pgc_types::PartitionId;
+use pgc_types::{PartitionId, Result, Words};
 
 /// `Composite`'s blend: `4096·overwrites + 16·resident KiB + 1·recency`.
 /// On the paper's workload scale that makes the signals hierarchical —
@@ -121,7 +121,9 @@ impl Table {
     }
 
     fn add(&mut self, p: PartitionId, amount: u64) {
-        *self.entry(p) += amount;
+        // Saturating, as `sub` is: a loaded score is whatever a file said.
+        let v = self.entry(p);
+        *v = v.saturating_add(amount);
     }
 
     fn sub(&mut self, p: PartitionId, amount: u64) {
@@ -263,6 +265,24 @@ impl SelectionPolicy for Scoreboard {
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         Some(self.score(partition) as f64)
+    }
+
+    /// The allocation clock, then each table's scores behind their count.
+    fn save(&self, out: &mut Vec<u64>) {
+        out.push(self.alloc_clock);
+        for table in &self.tables {
+            out.push(table.scores.len() as u64);
+            out.extend(&table.scores);
+        }
+    }
+
+    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+        self.alloc_clock = words.word()?;
+        for table in &mut self.tables {
+            let len = words.count()?;
+            table.scores = words.take(len)?.to_vec();
+        }
+        Ok(())
     }
 }
 

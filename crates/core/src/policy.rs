@@ -11,7 +11,7 @@
 //! use its cheap structural accessors.
 
 use pgc_odb::{BarrierObserver, Database};
-use pgc_types::PartitionId;
+use pgc_types::{PartitionId, Words};
 use std::fmt;
 use std::str::FromStr;
 
@@ -197,6 +197,22 @@ pub trait SelectionPolicy: BarrierObserver {
     /// broadcasts each as [`pgc_odb::BarrierEvent::PolicySwitched`].
     fn take_switches(&mut self) -> Vec<PolicySwitch> {
         Vec::new()
+    }
+
+    /// Appends whatever the policy has learned from the run so far (score
+    /// tables, a generator's position) for a snapshot's run image. Policies
+    /// that read everything off the database at `select` save nothing.
+    /// Called between activations, when no switch is pending.
+    fn save(&self, out: &mut Vec<u64>) {
+        let _ = out;
+    }
+
+    /// Resumes from what [`SelectionPolicy::save`] wrote, on a policy built
+    /// for the same configuration. Anything a policy of this configuration
+    /// could not have saved is an `Err`.
+    fn load(&mut self, words: &mut Words<'_>) -> pgc_types::Result<()> {
+        let _ = words;
+        Ok(())
     }
 }
 

@@ -10,7 +10,7 @@
 //! performs the same number of collections. The other variants exist for
 //! the ablation studies.
 
-use pgc_types::Bytes;
+use pgc_types::{Bytes, Result, Words};
 
 /// What causes a collection to become due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +113,28 @@ impl GcScheduler {
     #[inline]
     pub fn triggers(&self) -> u64 {
         self.triggers
+    }
+
+    /// Appends the window and lifetime counters (the trigger itself is
+    /// configuration).
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        out.extend([
+            self.overwrites_since,
+            self.bytes_since.get(),
+            u64::from(self.grew_since),
+            self.total_overwrites,
+            self.triggers,
+        ]);
+    }
+
+    /// Resumes the counters [`GcScheduler::save`] wrote.
+    pub(crate) fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+        self.overwrites_since = words.word()?;
+        self.bytes_since = Bytes(words.word()?);
+        self.grew_since = words.flag()?;
+        self.total_overwrites = words.word()?;
+        self.triggers = words.word()?;
+        Ok(())
     }
 
     /// The overwrite threshold, when that is the trigger.

@@ -15,14 +15,16 @@
 //!   is read back as one; safepoint frames mark collection boundaries and
 //!   snapshot generations. The reader
 //!   tolerates a torn tail: a truncated or corrupted final frame is
-//!   detected by length/checksum and dropped, never a crash.
+//!   detected by length/checksum and dropped, never a crash — and reads
+//!   from a restore point on ([`log::read_log_from`]) when that is all
+//!   recovery replays.
 //! * [`snapshot`] — one `snap-*.pgcs` file per generation taken at a
-//!   collection safepoint, holding every partition's image back to back:
-//!   versioned header, length-prefixed object records (oid, size, weight,
-//!   birth, pointer slots), CRC-32 footer per image. The owning thread
-//!   serialises a generation in one pass; the store's background thread
-//!   fsyncs the log, writes the file to a temp name, fsyncs it and
-//!   renames it into place.
+//!   collection safepoint: every partition's image back to back (versioned
+//!   header, object records in member-list order: oid, offset, size,
+//!   weight, pointer slots; CRC-32 footer per image), then a run image of
+//!   the owner's state words. The owning thread serialises a generation in
+//!   one pass; the store's background thread fsyncs the log, writes the
+//!   file to a temp name, fsyncs it and renames it into place.
 //! * [`manifest`] — a checksummed key=value `MANIFEST.pgc` recording how
 //!   the run was configured, so recovery can rebuild the exact
 //!   configuration without out-of-band knowledge.
@@ -35,8 +37,9 @@
 //! * [`tempdir`] — [`tempdir::ScratchDir`], a self-cleaning temp
 //!   directory for tests and benches (no external tempfile dependency).
 //!
-//! Recovery itself lives in `pgc-sim` (it needs `RunConfig` and the
-//! `Replayer` pump); this crate supplies the file formats and readers.
+//! Recovery itself lives in `pgc-sim` (it needs `RunConfig`, the run
+//! image's words and the `Replayer` pump); this crate supplies the file
+//! formats and readers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,8 +53,11 @@ pub mod store;
 pub mod tempdir;
 
 pub use config::{DurabilityConfig, DurabilityMode};
-pub use log::{read_log, LogContents, SafepointNote, TornTail};
+pub use log::{read_log, read_log_from, LogContents, SafepointNote, TornTail};
 pub use manifest::Manifest;
-pub use snapshot::{read_snapshot, scan_snapshots, PartitionSnapshot, SnapshotRecord};
+pub use snapshot::{
+    read_generation, read_snapshot, scan_snapshots, GenerationImage, PartitionSnapshot,
+    SnapshotRecord,
+};
 pub use store::{DurableStore, StorageStats};
 pub use tempdir::ScratchDir;

@@ -16,21 +16,26 @@
 //!   [`read_log`] hands them back as an [`EncodedTrace`].
 //! * **safepoint** (`kind 2`): `events_applied u64 | collections u64 |
 //!   generation u64` — a collection boundary; `generation` names the
-//!   snapshot generation written at this safepoint (0 = none).
+//!   snapshot generation written at this safepoint (0 = none), and
+//!   `events_applied` is the number of events framed before it (a frame
+//!   that says otherwise is an error).
 //!
 //! The reader is torn-tail tolerant: a truncated or checksum-corrupt
 //! frame at the end of the **newest** segment is reported as a
 //! [`TornTail`] and dropped (frames end on event boundaries, so the
 //! surviving prefix is always cleanly replayable). The same damage in an
 //! older segment is a hard [`PgcError::TraceFormat`] error — that is real
-//! corruption, not an interrupted write.
+//! corruption, not an interrupted write. Recovery reads the log from a
+//! generation's restore point on ([`read_log_from`]): segments wholly
+//! before it are checked by header only, so damage inside them is not
+//! seen — nothing there is replayed.
 
 use crate::crc::{crc32, Crc32};
 use crate::snapshot::{Generation, SnapshotDir};
 use pgc_types::{PgcError, Result};
 use pgc_workload::{EncodedTrace, WorkloadParams};
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::thread;
@@ -269,6 +274,9 @@ impl LogWriter {
         Ok(writer)
     }
 
+    /// Writes a fresh segment's header and flushes it to the OS, so a
+    /// segment file is never left behind empty by a kill before its first
+    /// safepoint.
     fn write_header(&mut self, start_event: u64) -> Result<()> {
         self.out.write_all(MAGIC).map_err(io_err)?;
         self.out.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
@@ -278,7 +286,7 @@ impl LogWriter {
         self.out
             .write_all(&start_event.to_le_bytes())
             .map_err(io_err)?;
-        Ok(())
+        self.out.flush().map_err(io_err)
     }
 
     /// Writes one frame whose payload is the concatenation of `parts`,
@@ -410,21 +418,48 @@ pub struct TornTail {
 /// Everything read back from a data directory's change log.
 #[derive(Debug, Clone)]
 pub struct LogContents {
-    /// The replayable input events, in append order: the surviving event
-    /// frames' payloads, checksummed, validated and concatenated — the
-    /// log as the trace it is.
+    /// Number of the log's event that is the trace's first: 0 for the
+    /// whole log, the restore point for [`read_log_from`].
+    pub start_event: u64,
+    /// The replayable input events from `start_event` on, in append
+    /// order: the surviving event frames' payloads, checksummed, validated
+    /// and concatenated — the log as the trace it is.
     pub trace: EncodedTrace,
-    /// Safepoint markers, in append order.
+    /// Safepoint markers in the segments read, in append order.
     pub safepoints: Vec<SafepointNote>,
     /// The torn tail, when the newest segment ended mid-frame.
     pub torn: Option<TornTail>,
-    /// Number of segment files read.
+    /// Number of segment files in the log.
     pub segments: usize,
+}
+
+impl LogContents {
+    /// One past the log's last surviving event.
+    pub fn end_event(&self) -> u64 {
+        self.start_event + self.trace.events()
+    }
 }
 
 /// Reads the whole change log under `dir`, tolerating a torn tail in the
 /// newest segment.
 pub fn read_log(dir: &Path) -> Result<LogContents> {
+    read_log_from(dir, 0)
+}
+
+/// Reads the change log under `dir` from event `from` on — a snapshot
+/// generation's restore point — tolerating a torn tail in the newest
+/// segment.
+///
+/// Every segment's header is checked: contiguous sequence numbers, and
+/// start events that never go back and never advance further than the
+/// bytes before them could hold (an event is at least a byte). Only the
+/// segments from the last one that starts before `from` on are read and
+/// checksummed, and in those an events frame that ends at or before
+/// `from` is counted, not decoded. A generation's safepoint frame follows
+/// the last event it covers, so when `from` is one, the trace starts
+/// exactly there ([`LogContents::start_event`]` == from`) and that frame
+/// is among [`LogContents::safepoints`].
+pub fn read_log_from(dir: &Path, from: u64) -> Result<LogContents> {
     let mut seqs: Vec<u64> = Vec::new();
     for entry in fs::read_dir(dir).map_err(io_err)? {
         let name = entry.map_err(io_err)?.file_name();
@@ -444,39 +479,74 @@ pub fn read_log(dir: &Path) -> Result<LogContents> {
             dir.display()
         )));
     }
-    let mut contents = LogContents {
-        trace: EncodedTrace::from_events(WorkloadParams::default(), &[]),
-        safepoints: Vec::new(),
-        torn: None,
-        segments: seqs.len(),
-    };
+    let mut starts = Vec::with_capacity(seqs.len());
+    let mut reach = 0u64;
+    let mut torn_header = None;
     for (i, &seq) in seqs.iter().enumerate() {
         if seq != i as u64 {
             return Err(PgcError::TraceFormat(format!(
                 "log segments not contiguous: expected seq {i}, found {seq}"
             )));
         }
-        let last = i + 1 == seqs.len();
-        read_segment(dir, seq, last, &mut contents)?;
+        let Some((start, len)) = read_header(dir, seq)? else {
+            // The newest segment's header is its first write: shorter than
+            // a header, the write was interrupted and the log ends before.
+            if i + 1 == seqs.len() {
+                torn_header = Some(TornTail {
+                    segment: seq,
+                    offset: 0,
+                    reason: "truncated segment header".to_string(),
+                });
+                break;
+            }
+            return Err(PgcError::TraceFormat(format!(
+                "log segment {seq}: bad or missing header"
+            )));
+        };
+        let floor = starts.last().copied().unwrap_or(0);
+        if start < floor || start > reach {
+            return Err(PgcError::TraceFormat(format!(
+                "log segment {seq}: starts at event {start}, outside {floor}..={reach}"
+            )));
+        }
+        starts.push(start);
+        reach = start.saturating_add(len);
+    }
+    let first = starts.iter().rposition(|&s| s < from).unwrap_or(0);
+    let mut contents = LogContents {
+        start_event: starts.get(first).copied().unwrap_or(0),
+        trace: EncodedTrace::from_events(WorkloadParams::default(), &[]),
+        safepoints: Vec::new(),
+        torn: None,
+        segments: seqs.len(),
+    };
+    for seq in first as u64..starts.len() as u64 {
+        let last = seq + 1 == seqs.len() as u64;
+        read_segment(dir, seq, last, from, &mut contents)?;
         if contents.torn.is_some() {
-            break;
+            return Ok(contents);
         }
     }
+    contents.torn = torn_header;
     Ok(contents)
 }
 
-fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Result<()> {
-    let bytes = fs::read(dir.join(segment_name(seq))).map_err(io_err)?;
-    let torn = |offset: usize, reason: &str| TornTail {
-        segment: seq,
-        offset: offset as u64,
-        reason: reason.to_string(),
-    };
-    let hard = |reason: &str| {
-        PgcError::TraceFormat(format!(
-            "log segment {seq}: {reason} (not in newest segment)"
-        ))
-    };
+/// Checks segment `seq`'s header; returns its start event and file length,
+/// or `None` for a file shorter than a header.
+fn read_header(dir: &Path, seq: u64) -> Result<Option<(u64, u64)>> {
+    let mut file = File::open(dir.join(segment_name(seq))).map_err(io_err)?;
+    let len = file.metadata().map_err(io_err)?.len();
+    if len < HEADER_BYTES {
+        return Ok(None);
+    }
+    let mut header = [0u8; HEADER_BYTES as usize];
+    file.read_exact(&mut header).map_err(io_err)?;
+    check_header(&header, seq).map(|start| Some((start, len)))
+}
+
+/// Checks a segment header's magic, version and sequence number; returns
+/// the start event it states.
+fn check_header(bytes: &[u8], seq: u64) -> Result<u64> {
     if bytes.len() < HEADER_BYTES as usize || &bytes[..4] != MAGIC {
         return Err(PgcError::TraceFormat(format!(
             "log segment {seq}: bad or missing header"
@@ -494,11 +564,26 @@ fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Resu
             "log segment {seq}: header says seq {stated_seq}"
         )));
     }
-    let start_event = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if start_event != out.trace.events() {
+    Ok(u64::from_le_bytes(bytes[16..24].try_into().unwrap()))
+}
+
+fn read_segment(dir: &Path, seq: u64, last: bool, from: u64, out: &mut LogContents) -> Result<()> {
+    let bytes = fs::read(dir.join(segment_name(seq))).map_err(io_err)?;
+    let torn = |offset: usize, reason: &str| TornTail {
+        segment: seq,
+        offset: offset as u64,
+        reason: reason.to_string(),
+    };
+    let hard = |reason: &str| {
+        PgcError::TraceFormat(format!(
+            "log segment {seq}: {reason} (not in newest segment)"
+        ))
+    };
+    let start_event = check_header(&bytes, seq)?;
+    if start_event != out.end_event() {
         return Err(PgcError::TraceFormat(format!(
             "log segment {seq}: starts at event {start_event}, but {} events precede it",
-            out.trace.events()
+            out.end_event()
         )));
     }
     let mut pos = HEADER_BYTES as usize;
@@ -540,8 +625,19 @@ fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Resu
                         "log segment {seq}: events frame too short"
                     )));
                 };
-                out.trace
-                    .extend_from_encoded(u64::from(u32::from_le_bytes(*count)), body)?;
+                let count = u64::from(u32::from_le_bytes(*count));
+                if out.trace.events() == 0 && out.start_event + count <= from {
+                    // Wholly before the restore point: counted, not decoded.
+                    if count > body.len() as u64 {
+                        return Err(PgcError::TraceFormat(format!(
+                            "log segment {seq}: {count} events in {} bytes",
+                            body.len()
+                        )));
+                    }
+                    out.start_event += count;
+                } else {
+                    out.trace.extend_from_encoded(count, body)?;
+                }
             }
             FRAME_SAFEPOINT => {
                 if payload.len() != 24 {
@@ -550,11 +646,21 @@ fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Resu
                         payload.len()
                     )));
                 }
-                out.safepoints.push(SafepointNote {
+                let note = SafepointNote {
                     events_applied: u64::from_le_bytes(payload[..8].try_into().unwrap()),
                     collections: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
                     generation: u64::from_le_bytes(payload[16..].try_into().unwrap()),
-                });
+                };
+                // Every event is logged before it is applied and flushed
+                // into a frame before the safepoint that follows it.
+                if note.events_applied != out.end_event() {
+                    return Err(PgcError::TraceFormat(format!(
+                        "log segment {seq}: a safepoint at event {} says {}",
+                        out.end_event(),
+                        note.events_applied
+                    )));
+                }
+                out.safepoints.push(note);
             }
             other => {
                 return Err(PgcError::TraceFormat(format!(

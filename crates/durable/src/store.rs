@@ -8,9 +8,12 @@
 //! [`pgc_workload::BLOCK_EVENTS`] granularity so frame overhead stays
 //! negligible. The owning thread waits for the disk at segment rotation
 //! and shutdown only: a snapshot generation costs it one serialising pass
-//! over the object table, and the generation's two fsyncs — the log up to
-//! its safepoint frame, then the one file it lands as — happen on the
-//! store's background thread, in that order.
+//! over the object table plus the owner's run-image words, and the
+//! generation's two fsyncs — the log up to its safepoint frame, then the
+//! one file it lands as — happen on the store's background thread, in that
+//! order. That order is what makes a landed generation a restore point:
+//! recovery loads the newest one whose safepoint frame the log holds and
+//! replays only the events after it.
 
 use crate::config::{DurabilityConfig, DurabilityMode};
 use crate::log::LogWriter;
@@ -36,9 +39,10 @@ pub struct StorageStats {
     /// flight.
     pub fsyncs: u64,
     /// Partition images handed to the background writer (all of them on
-    /// disk once [`DurableStore::finish`] has returned).
+    /// disk once [`DurableStore::finish`] has returned); a generation's
+    /// run image is not counted.
     pub snapshots: u64,
-    /// Bytes in those images, which is the bytes in the generation files.
+    /// Bytes in the generation files: those images and the run images.
     pub snapshot_bytes: u64,
     /// `fsync` calls the background writer has reported for generation
     /// files: one per generation landed so far.
@@ -164,18 +168,21 @@ impl DurableStore {
     /// appends the safepoint frame. The log is flushed to the OS at every
     /// safepoint; none waits for the disk.
     ///
-    /// Taking a generation serialises every partition here and hands the
-    /// bytes to the background writer, which fsyncs the log and then lands
-    /// the file after this returns (see [`DurableStore::finish`]). At most
-    /// one generation waits behind the one being written: a further one
-    /// blocks here until the writer has caught up. An error the writer met
-    /// since the previous call is returned from this one.
+    /// Taking a generation serialises every partition here, then `run`
+    /// appends the owner's state for the run image (it is called only
+    /// then), and hands the bytes to the background writer, which fsyncs
+    /// the log and then lands the file after this returns (see
+    /// [`DurableStore::finish_with`]). At most one generation waits behind
+    /// the one being written: a further one blocks here until the writer
+    /// has caught up. An error the writer met since the previous call is
+    /// returned from this one.
     pub fn safepoint(
         &mut self,
         db: &Database,
         events_applied: u64,
         collections: u64,
         force_snapshot: bool,
+        run: impl FnOnce(&mut Vec<u64>),
     ) -> Result<()> {
         self.flush_pending()?;
         let mut generation = None;
@@ -184,7 +191,7 @@ impl DurableStore {
             self.since_snapshot += 1;
             if force_snapshot || self.since_snapshot >= self.cfg.snapshot_every {
                 let mut file = self.writer.flusher.next_generation()?;
-                file.capture(db, self.generation, events_applied, collections)?;
+                file.capture(db, [self.generation, events_applied, collections], run)?;
                 self.snapshots += u64::from(file.images());
                 self.snapshot_bytes += file.total_bytes();
                 generation = Some(file);
@@ -199,12 +206,26 @@ impl DurableStore {
     }
 
     /// Clean shutdown: final safepoint (with a final snapshot generation
-    /// when snapshots are enabled), then waits for every generation to
-    /// land behind its log fsync, then a last fsync of the log.
-    pub fn finish(&mut self, db: &Database, events_applied: u64, collections: u64) -> Result<()> {
-        self.safepoint(db, events_applied, collections, true)?;
+    /// when snapshots are enabled, whose run image `run` writes), then
+    /// waits for every generation to land behind its log fsync, then a last
+    /// fsync of the log.
+    pub fn finish_with(
+        &mut self,
+        db: &Database,
+        events_applied: u64,
+        collections: u64,
+        run: impl FnOnce(&mut Vec<u64>),
+    ) -> Result<()> {
+        self.safepoint(db, events_applied, collections, true, run)?;
         self.writer.flusher.drain()?;
         self.writer.finish()
+    }
+
+    /// [`DurableStore::finish_with`] for an owner that keeps no run state:
+    /// a closing generation's run image is empty, which no restore
+    /// accepts, so only a log-only store should close this way.
+    pub fn finish(&mut self, db: &Database, events_applied: u64, collections: u64) -> Result<()> {
+        self.finish_with(db, events_applied, collections, |_| {})
     }
 
     /// The mode this store runs in.
@@ -230,8 +251,8 @@ impl DurableStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::log::{read_log, MAX_IN_FLIGHT};
-    use crate::snapshot::{snapshot_name, PartitionSnapshot};
+    use crate::log::{read_log, read_log_from, MAX_IN_FLIGHT};
+    use crate::snapshot::{parse_generation, snapshot_name, GenerationImage, PartitionSnapshot};
     use crate::tempdir::ScratchDir;
     use pgc_sim::{RunConfig, RunOutcome, Shard};
     use pgc_types::{Bytes, PartitionId};
@@ -260,7 +281,7 @@ pub(crate) mod tests {
         // A mid-run safepoint needs a database; LogOnly never touches it,
         // so a minimal one suffices.
         let db = Database::new(pgc_types::DbConfig::default()).unwrap();
-        store.safepoint(&db, 6_000, 1, false).unwrap();
+        store.safepoint(&db, 6_000, 1, false, |_| {}).unwrap();
         store.append_events(&evs[6_000..]).unwrap();
         store.finish(&db, 10_000, 2).unwrap();
 
@@ -329,7 +350,7 @@ pub(crate) mod tests {
             store.append_events(chunk).unwrap();
             let applied = store.stats().safepoints;
             store
-                .safepoint(&db, 500 * (applied + 1), applied + 1, false)
+                .safepoint(&db, 500 * (applied + 1), applied + 1, false, |_| {})
                 .unwrap();
         }
         store.finish(&db, 4_000, 9).unwrap();
@@ -354,7 +375,9 @@ pub(crate) mod tests {
         for (i, chunk) in evs.chunks(500).enumerate() {
             store.append_events(chunk).unwrap();
             let done = i as u64 + 1;
-            store.safepoint(&db, 500 * done, done, true).unwrap();
+            store
+                .safepoint(&db, 500 * done, done, true, |_| {})
+                .unwrap();
             assert_eq!(store.stats().log_segments, done + 1, "rotated at {done}");
         }
         store.finish(&db, 4_000, 9).unwrap();
@@ -383,6 +406,59 @@ pub(crate) mod tests {
             );
             assert_eq!(tail[16..], frame.generation.to_le_bytes(), "segment {seq}");
         }
+    }
+
+    #[test]
+    fn a_log_read_from_a_restore_point_checks_only_headers_before_it() {
+        // A safepoint after every 500 events, each overflowing the 4 KiB
+        // segment: segment k starts at event 500 k, and the frame of the
+        // safepoint at 500 k closes segment k - 1.
+        let dir = ScratchDir::new("from");
+        let cfg = DurabilityConfig::log_only(dir.path()).with_segment_bytes(4 << 10);
+        let mut store = DurableStore::create(&cfg).unwrap();
+        let db = Database::new(pgc_types::DbConfig::default()).unwrap();
+        let evs = events(4_000);
+        for (i, chunk) in evs.chunks(500).enumerate() {
+            store.append_events(chunk).unwrap();
+            let done = i as u64 + 1;
+            store
+                .safepoint(&db, 500 * done, done, false, |_| {})
+                .unwrap();
+        }
+        store.finish(&db, 4_000, 9).unwrap();
+        let segment = |seq: u64| dir.join(crate::log::segment_name(seq));
+        let from = read_log_from(dir.path(), 2_500).unwrap();
+        assert_eq!(from.start_event, 2_500);
+        assert_eq!(from.trace.decode_all().unwrap(), evs[2_500..]);
+        let first = from.safepoints[0];
+        assert_eq!((first.events_applied, first.collections), (2_500, 5));
+        assert_eq!(from.segments, 9);
+
+        // A damaged frame in segment 0 fails the whole read, not the read
+        // from event 2,500 on.
+        let clean = fs::read(segment(0)).unwrap();
+        let mut damaged = clean.clone();
+        damaged[40] ^= 0xFF;
+        fs::write(segment(0), &damaged).unwrap();
+        assert!(read_log(dir.path()).is_err());
+        let past = read_log_from(dir.path(), 2_500).unwrap();
+        assert_eq!(past.trace.decode_all().unwrap(), evs[2_500..]);
+        // A header that lies is caught wherever it is.
+        let mut lying = clean.clone();
+        lying[16] = 7;
+        fs::write(segment(0), &lying).unwrap();
+        assert!(read_log_from(dir.path(), 2_500).is_err());
+        fs::write(segment(0), &clean).unwrap();
+
+        // The newest segment cut inside its header is a torn tail, and the
+        // log ends where the one before it does.
+        let newest = segment(8);
+        let bytes = fs::read(&newest).unwrap();
+        fs::write(&newest, &bytes[..10]).unwrap();
+        let log = read_log(dir.path()).unwrap();
+        assert_eq!(log.trace.decode_all().unwrap(), evs);
+        let torn = log.torn.expect("a torn header");
+        assert_eq!((torn.segment, torn.offset), (8, 0));
     }
 
     /// A delete-heavy run stepped through a `Shard` (durability off: the
@@ -421,9 +497,13 @@ pub(crate) mod tests {
             let (db, applied) = (shard.db(), shard.events_applied());
             let collections = db.stats().collections;
             if stop + 1 == stops {
-                store.finish(db, applied, collections).unwrap();
+                store
+                    .finish_with(db, applied, collections, |out| shard.save_state(out))
+                    .unwrap();
             } else if collections > safepointed {
-                store.safepoint(db, applied, collections, false).unwrap();
+                store
+                    .safepoint(db, applied, collections, false, |out| shard.save_state(out))
+                    .unwrap();
                 safepointed = collections;
             }
             at_stop(stop, store);
@@ -477,20 +557,36 @@ pub(crate) mod tests {
         churn(5, |stop, shard| {
             let (db, applied) = (shard.db(), shard.events_applied());
             let generation = stop as u64 + 1;
-            // The oracle: the reader's owned form of every partition,
-            // serialised the old way, one after the other.
+            // The oracle: the reader's owned form of every partition and
+            // of the run image, serialised one after the other.
             let partitions = db.partition_count() as u32;
             assert!(partitions > 1, "the run must spread over partitions");
-            let expected: Vec<u8> = (0..partitions)
-                .flat_map(|p| {
-                    PartitionSnapshot::capture(db, PartitionId(p), generation, applied, stop as u64)
+            let run = vec![generation, u64::MAX, 0];
+            let expected = GenerationImage {
+                generation,
+                events_applied: applied,
+                collections: stop as u64,
+                partitions: (0..partitions)
+                    .map(|p| {
+                        PartitionSnapshot::capture(
+                            db,
+                            PartitionId(p),
+                            generation,
+                            applied,
+                            stop as u64,
+                        )
                         .unwrap()
-                        .to_bytes()
-                })
-                .collect();
-            store.safepoint(db, applied, stop as u64, true).unwrap();
+                    })
+                    .collect(),
+                run: run.clone(),
+            };
+            store
+                .safepoint(db, applied, stop as u64, true, |out| out.extend(&run))
+                .unwrap();
             store.writer.flusher.drain().unwrap();
             let got = fs::read(dir.join(snapshot_name(generation))).unwrap();
+            assert_eq!(parse_generation(&got).unwrap(), expected);
+            let expected = expected.to_bytes();
             assert!(got == expected, "generation {generation}");
             let stats = store.stats();
             assert_eq!(
@@ -631,7 +727,7 @@ pub(crate) mod tests {
                 }
                 let (db, applied) = (shard.db(), shard.events_applied());
                 let result = if stop < 3 {
-                    store.safepoint(db, applied, stop as u64, true)
+                    store.safepoint(db, applied, stop as u64, true, |_| {})
                 } else {
                     store.finish(db, applied, stop as u64)
                 };

@@ -15,7 +15,7 @@
 //! replacement-policy data structure that [`super::pool::BufferPool`] builds
 //! on.
 
-use pgc_types::PageId;
+use pgc_types::{PageId, PgcError, Result, Words};
 
 const NIL: usize = usize::MAX;
 
@@ -158,6 +158,41 @@ impl LruCache {
         self.unlink(idx);
         self.free.push(idx);
         Some(dirty)
+    }
+
+    /// Appends the resident pages, least recently used first, each as
+    /// `page << 1 | dirty`, behind their count.
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        out.push(self.len as u64);
+        let mut cursor = self.tail;
+        while cursor != NIL {
+            let f = &self.frames[cursor];
+            out.push(f.page.index() << 1 | u64::from(f.dirty));
+            cursor = f.prev;
+        }
+    }
+
+    /// Refills an empty cache with what `save` wrote, in the same recency
+    /// order. Every page must lie below `page_bound`, none
+    /// twice, and no more of them than the cache holds.
+    pub(crate) fn load(&mut self, words: &mut Words<'_>, page_bound: u64) -> Result<()> {
+        debug_assert_eq!(self.len, 0, "load into a used cache");
+        let bad = |what: &str| PgcError::TraceFormat(format!("run image: buffer {what}"));
+        let count = words.count()?;
+        if count > self.capacity {
+            return Err(bad("holds more pages than it has frames"));
+        }
+        for &word in words.take(count)? {
+            let page = PageId(word >> 1);
+            if page.index() >= page_bound {
+                return Err(bad("page out of range"));
+            }
+            if self.contains(page) {
+                return Err(bad("page listed twice"));
+            }
+            self.insert(page, word & 1 == 1);
+        }
+        Ok(())
     }
 
     /// Iterates over resident pages from most- to least-recently-used,
@@ -330,6 +365,36 @@ mod tests {
         assert_eq!(c.insert(PageId(3), false), Inserted::NoEviction);
         assert_eq!(pages(&c), vec![3, 2]);
         c.check_invariants();
+    }
+
+    #[test]
+    fn a_loaded_cache_has_the_saved_recency_and_dirt() {
+        let mut c = LruCache::new(4);
+        for (page, dirty) in [(5, true), (2, false), (9, false), (7, true)] {
+            c.insert(PageId(page), dirty);
+        }
+        c.touch(PageId(5), false);
+        c.remove(PageId(9));
+        let mut saved = Vec::new();
+        c.save(&mut saved);
+        let mut loaded = LruCache::new(4);
+        loaded
+            .load(&mut Words::new(&saved), 16)
+            .expect("a saved cache loads");
+        assert_eq!(
+            loaded.iter_mru().collect::<Vec<_>>(),
+            c.iter_mru().collect::<Vec<_>>()
+        );
+        loaded.check_invariants();
+
+        let refused =
+            |words: &[u64], bound: u64| LruCache::new(4).load(&mut Words::new(words), bound);
+        assert!(refused(&saved, 7).is_err(), "page 7 is out of range");
+        assert!(refused(&[2, 4, 4], 16).is_err(), "a page twice");
+        assert!(
+            refused(&[5, 0, 2, 4, 6, 8], 16).is_err(),
+            "more pages than frames"
+        );
     }
 
     #[test]

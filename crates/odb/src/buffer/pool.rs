@@ -19,7 +19,7 @@
 
 use super::lru::{Inserted, LruCache};
 use super::stats::{IoContext, IoStats};
-use pgc_types::PageId;
+use pgc_types::{PageId, Result, Words};
 
 /// The kind of page access being performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +121,37 @@ impl BufferPool {
     /// Snapshot of the cumulative statistics.
     pub fn stats(&self) -> IoStats {
         self.stats
+    }
+
+    /// Appends the counters and the resident frames, least recently used
+    /// first. Between operations the context is always the application's,
+    /// so it is not saved.
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        debug_assert_eq!(self.context, IoContext::Application);
+        let s = &self.stats;
+        out.extend([
+            s.app_disk_reads,
+            s.app_disk_writes,
+            s.gc_disk_reads,
+            s.gc_disk_writes,
+            s.hits,
+            s.misses,
+        ]);
+        self.cache.save(out);
+    }
+
+    /// Refills a fresh pool with what `save` wrote; every page must lie
+    /// below `page_bound`.
+    pub(crate) fn load(&mut self, words: &mut Words<'_>, page_bound: u64) -> Result<()> {
+        self.stats = IoStats {
+            app_disk_reads: words.word()?,
+            app_disk_writes: words.word()?,
+            gc_disk_reads: words.word()?,
+            gc_disk_writes: words.word()?,
+            hits: words.word()?,
+            misses: words.word()?,
+        };
+        self.cache.load(words, page_bound)
     }
 
     /// Debug invariant check (delegates to the LRU structure).

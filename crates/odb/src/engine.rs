@@ -88,7 +88,6 @@ impl Database {
                 size,
                 slots: Slots::nulls(slot_count),
                 weight,
-                birth: 0, // stamped by the table's allocation clock
             },
         );
         self.stats.objects_created += 1;

@@ -39,6 +39,9 @@
 //!   omniscience, not an implementable system.
 //! * [`stats`] — database counters and the [`PointerWriteInfo`] record the
 //!   write barrier emits for the selection policies to observe.
+//! * [`restore`] — what a snapshot generation needs beyond the object
+//!   records ([`Database::save_state`]), and the database rebuilt from
+//!   both ([`Database::restore`]), remembered sets derived from the slots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +54,7 @@ pub mod events;
 pub mod global;
 pub mod oracle;
 pub mod remset;
+pub mod restore;
 pub mod stats;
 pub mod storage;
 pub mod weights;

@@ -150,8 +150,9 @@ impl RemsetTable {
     /// partition `from` to partition `to`:
     ///
     /// * entries in `into[from]` targeting `oid` move to `into[to]`
-    ///   (appending the affected source locations to `forwarded` so the
-    ///   collector can charge pointer-forwarding I/O);
+    ///   (appending the affected source locations to `forwarded`, sorted
+    ///   by owner and slot, so the collector can charge pointer-forwarding
+    ///   I/O in an order that does not depend on the hash set's history);
     /// * `oid`'s out-count moves from `out[from]` to `out[to]`.
     pub fn relocate_object(
         &mut self,
@@ -163,7 +164,9 @@ impl RemsetTable {
         self.ensure(from);
         self.ensure(to);
         if let Some(locs) = self.into[from.as_usize()].remove(&oid) {
+            let start = forwarded.len();
             forwarded.extend(locs.iter().copied());
+            forwarded[start..].sort_unstable();
             self.into[to.as_usize()].insert(oid, locs);
         }
         if let Some(count) = self.out[from.as_usize()].remove(&oid) {
@@ -282,6 +285,43 @@ mod tests {
         assert!(r.in_out_set(P2, Oid(10)), "out-count moved with the object");
         assert!(!r.in_out_set(P1, Oid(10)));
         r.check_invariants();
+    }
+
+    #[test]
+    fn forwarding_order_does_not_depend_on_the_sets_history() {
+        // The same eight locations of one target, inserted in opposite
+        // orders; the second set also grew to 200 entries and shrank back,
+        // so its buckets are laid out for a table ten times the size.
+        let locs: Vec<PointerLoc> = (0..8).map(|i| loc(100 - 7 * i, (i % 3) as u16)).collect();
+        let forwarded = |r: &mut RemsetTable| {
+            let mut out = vec![loc(1, 1)]; // what an earlier object forwarded
+            r.relocate_object(Oid(10), P1, P2, &mut out);
+            out
+        };
+        let mut straight = RemsetTable::new();
+        for &l in &locs {
+            straight.add_edge(l, P0, Oid(10), P1);
+        }
+        let mut churned = RemsetTable::new();
+        for i in 0..200 {
+            churned.add_edge(loc(1_000 + i, 0), P0, Oid(10), P1);
+        }
+        for &l in locs.iter().rev() {
+            churned.add_edge(l, P0, Oid(10), P1);
+        }
+        for i in 0..200 {
+            churned.remove_edge(loc(1_000 + i, 0), P0, Oid(10), P1);
+        }
+        let expected: Vec<PointerLoc> = std::iter::once(loc(1, 1))
+            .chain({
+                let mut sorted = locs.clone();
+                sorted.sort();
+                sorted
+            })
+            .collect();
+        assert_eq!(forwarded(&mut straight), expected);
+        assert_eq!(forwarded(&mut churned), expected);
+        churned.check_invariants();
     }
 
     #[test]

@@ -10,19 +10,26 @@
 //! # Dense-id representation
 //!
 //! `Oid`s are allocated sequentially and never reused, so the table is a
-//! **slab**: a `Vec<Option<ObjectRecord>>` indexed by `Oid::index()`. Every
+//! **slab** of entries indexed by `Oid::index()`. Every
 //! lookup on the simulator's hottest paths (oracle traversal, write
 //! barrier, collection) is one bounds check and one indexed load, with no
-//! hashing. A record is 64 bytes with its pointer slots inside it
+//! hashing. A record is 56 bytes with its pointer slots inside it
 //! ([`super::slots::Slots`]: creating or reclaiming one of the tree's
-//! two-slot objects never calls the allocator). Reclaimed entries stay
-//! `None` forever; for the workloads the simulator runs (bounded live set,
-//! ~2x total allocation over peak live) the slab's tail of 64-byte
-//! tombstones is far cheaper than hashing every access. Iteration is in
+//! two-slot objects never calls the allocator), and its slab entry adds
+//! the object's position in its partition's member list: 64 bytes, one
+//! cache line for everything a collection touches per object. (The width
+//! also keeps the slab's growth stages at power-of-two byte sizes, which
+//! glibc maps and returns whole; with 56-byte entries the slab's last
+//! stage on `churn_durable` fell just under glibc's 32 MiB line, and once
+//! freed pulled every later run's slab onto the untrimmed heap: 10 MiB of
+//! peak RSS.) Reclaimed
+//! entries stay `None` forever; for the workloads the simulator runs
+//! (bounded live set, ~2x total allocation over peak live) the slab's tail
+//! of tombstones is far cheaper than hashing every access. Iteration is in
 //! ascending oid order — deterministic across processes and threads.
 //!
-//! Partition membership is a `Vec<Oid>` per partition with a parallel
-//! position slab for O(1) swap-removal. Membership order is a deterministic
+//! Partition membership is a `Vec<Oid>` per partition, each entry knowing
+//! its own position for O(1) swap-removal. Membership order is a deterministic
 //! function of the operation history; callers that need a canonical order
 //! (the collector's garbage sweep) sort, exactly as they did before.
 
@@ -43,10 +50,6 @@ pub struct ObjectRecord {
     /// Root-distance weight for the `WeightedPointer` policy (1 = root,
     /// capped at the configured maximum, 16 in the paper).
     pub weight: u8,
-    /// Logical creation time: the value of the table's allocation clock
-    /// when the object was registered (0-based, one tick per object).
-    /// Backs age-based (generational) selection policies.
-    pub birth: u64,
 }
 
 impl ObjectRecord {
@@ -63,28 +66,46 @@ impl ObjectRecord {
     }
 }
 
+/// A slab entry: a registered object's record, and where the object sits
+/// in its partition's member list.
+#[derive(Debug, Clone)]
+struct Entry {
+    record: ObjectRecord,
+    member_pos: u32,
+}
+
 /// The Oid → record slab plus per-partition membership.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectTable {
-    /// Slab of records, indexed by `Oid::index()`. `None` = reserved but
+    /// Slab of entries, indexed by `Oid::index()`. `None` = reserved but
     /// unregistered, or reclaimed.
-    records: Vec<Option<ObjectRecord>>,
+    slab: Vec<Option<Entry>>,
     /// Per-partition resident lists.
     members: Vec<Vec<Oid>>,
-    /// `member_pos[oid]` = index of `oid` within its partition's member
-    /// list (meaningful only while the oid is registered).
-    member_pos: Vec<u32>,
     /// Count of registered (live) objects.
     live: usize,
+    /// Oids are handed out in creation order, so an oid is also the
+    /// object's logical birth time.
     next_oid: u64,
     total_bytes: Bytes,
-    clock: u64,
 }
 
 impl ObjectTable {
     /// Creates an empty table.
     pub(crate) fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty table that hands out `next_oid` next: what a restore
+    /// registers a snapshot's survivors into, in no particular oid order.
+    /// The slab gets the capacity the live table's doubling reached, not
+    /// whatever the order of those survivors would grow it to.
+    pub(crate) fn with_oid_bound(next_oid: u64) -> Self {
+        Self {
+            slab: Vec::with_capacity((next_oid as usize).next_power_of_two()),
+            next_oid,
+            ..Self::default()
+        }
     }
 
     /// Total bytes of all registered objects.
@@ -94,8 +115,9 @@ impl ObjectTable {
 
     /// One past the highest oid ever reserved — the exclusive upper bound
     /// of valid `Oid::index()` values, i.e. the capacity a dense per-object
-    /// structure (bit set, scratch slab) must cover.
-    pub(crate) fn oid_bound(&self) -> u64 {
+    /// structure (bit set, scratch slab) must cover. Every create event
+    /// reserves the next one, so workload node `n` is `Oid(n)` below it.
+    pub fn oid_bound(&self) -> u64 {
         self.next_oid
     }
 
@@ -108,63 +130,65 @@ impl ObjectTable {
     }
 
     /// Registers a record under `oid` (previously handed out by
-    /// [`ObjectTable::reserve_oid`]), stamping its `birth` with the
-    /// current allocation clock.
+    /// [`ObjectTable::reserve_oid`]), at the end of its partition's member
+    /// list.
     ///
     /// # Panics
     ///
     /// Debug-asserts that `oid` is not already registered.
-    pub(crate) fn register(&mut self, oid: Oid, mut record: ObjectRecord) {
+    pub(crate) fn register(&mut self, oid: Oid, record: ObjectRecord) {
         let idx = oid.index() as usize;
-        if self.records.len() <= idx {
-            self.records.resize_with(idx + 1, || None);
-            self.member_pos.resize(idx + 1, 0);
+        if self.slab.len() <= idx {
+            self.slab.resize_with(idx + 1, || None);
         }
-        debug_assert!(self.records[idx].is_none(), "duplicate oid {oid}");
-        record.birth = self.clock;
-        self.clock += 1;
+        debug_assert!(self.slab[idx].is_none(), "duplicate oid {oid}");
         self.ensure_partition(record.addr.partition);
         let list = &mut self.members[record.addr.partition.as_usize()];
-        self.member_pos[idx] = list.len() as u32;
+        let member_pos = list.len() as u32;
         list.push(oid);
         self.total_bytes += record.size;
         self.live += 1;
-        self.records[idx] = Some(record);
+        self.slab[idx] = Some(Entry { record, member_pos });
     }
 
-    /// Looks up an object, failing with [`PgcError::UnknownObject`] if it
-    /// does not exist (any more).
-    pub fn get(&self, oid: Oid) -> Result<&ObjectRecord> {
-        self.records
+    fn entry(&self, oid: Oid) -> Result<&Entry> {
+        self.slab
             .get(oid.index() as usize)
             .and_then(Option::as_ref)
             .ok_or(PgcError::UnknownObject(oid))
     }
 
-    /// Mutable lookup.
-    pub(crate) fn get_mut(&mut self, oid: Oid) -> Result<&mut ObjectRecord> {
-        self.records
+    fn entry_mut(&mut self, oid: Oid) -> Result<&mut Entry> {
+        self.slab
             .get_mut(oid.index() as usize)
             .and_then(Option::as_mut)
             .ok_or(PgcError::UnknownObject(oid))
     }
 
+    /// Looks up an object, failing with [`PgcError::UnknownObject`] if it
+    /// does not exist (any more).
+    pub fn get(&self, oid: Oid) -> Result<&ObjectRecord> {
+        self.entry(oid).map(|e| &e.record)
+    }
+
+    /// Mutable lookup.
+    pub(crate) fn get_mut(&mut self, oid: Oid) -> Result<&mut ObjectRecord> {
+        self.entry_mut(oid).map(|e| &mut e.record)
+    }
+
     /// True if `oid` is currently registered.
     pub fn contains(&self, oid: Oid) -> bool {
-        self.records
-            .get(oid.index() as usize)
-            .is_some_and(Option::is_some)
+        self.entry(oid).is_ok()
     }
 
     /// Removes an object (it has been reclaimed), returning its record.
     pub(crate) fn remove(&mut self, oid: Oid) -> Result<ObjectRecord> {
-        let idx = oid.index() as usize;
-        let record = self
-            .records
-            .get_mut(idx)
+        let Entry { record, member_pos } = self
+            .slab
+            .get_mut(oid.index() as usize)
             .and_then(Option::take)
             .ok_or(PgcError::UnknownObject(oid))?;
-        self.unlink_member(oid, record.addr.partition);
+        self.unlink_member(oid, record.addr.partition, member_pos);
         self.total_bytes -= record.size;
         self.live -= 1;
         Ok(record)
@@ -173,15 +197,19 @@ impl ObjectTable {
     /// Moves an object to a new physical address (collector evacuation),
     /// updating partition membership.
     pub(crate) fn relocate(&mut self, oid: Oid, new_addr: ObjAddr) -> Result<()> {
-        let old_partition = self.get(oid)?.addr.partition;
+        let entry = self.entry(oid)?;
+        let (old_partition, pos) = (entry.record.addr.partition, entry.member_pos);
+        let mut member_pos = pos;
         if old_partition != new_addr.partition {
             self.ensure_partition(new_addr.partition);
-            self.unlink_member(oid, old_partition);
+            self.unlink_member(oid, old_partition, pos);
             let list = &mut self.members[new_addr.partition.as_usize()];
-            self.member_pos[oid.index() as usize] = list.len() as u32;
+            member_pos = list.len() as u32;
             list.push(oid);
         }
-        self.get_mut(oid)?.addr = new_addr;
+        let entry = self.entry_mut(oid)?;
+        entry.record.addr = new_addr;
+        entry.member_pos = member_pos;
         Ok(())
     }
 
@@ -202,21 +230,23 @@ impl ObjectTable {
 
     /// Iterates over every `(oid, record)` pair in ascending oid order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Oid, &ObjectRecord)> {
-        self.records
+        self.slab
             .iter()
             .enumerate()
-            .filter_map(|(i, rec)| rec.as_ref().map(|r| (Oid(i as u64), r)))
+            .filter_map(|(i, e)| e.as_ref().map(|e| (Oid(i as u64), &e.record)))
     }
 
-    /// Swap-removes `oid` from `partition`'s member list, fixing up the
-    /// displaced element's recorded position.
-    fn unlink_member(&mut self, oid: Oid, partition: PartitionId) {
-        let pos = self.member_pos[oid.index() as usize] as usize;
+    /// Swap-removes `oid`, at `pos`, from `partition`'s member list, fixing
+    /// up the displaced element's recorded position.
+    fn unlink_member(&mut self, oid: Oid, partition: PartitionId, pos: u32) {
+        let pos = pos as usize;
         let list = &mut self.members[partition.as_usize()];
-        debug_assert_eq!(list[pos], oid, "member position slab out of sync");
+        debug_assert_eq!(list[pos], oid, "member position out of sync");
         list.swap_remove(pos);
         if let Some(&moved) = list.get(pos) {
-            self.member_pos[moved.index() as usize] = pos as u32;
+            if let Some(entry) = self.slab[moved.index() as usize].as_mut() {
+                entry.member_pos = pos as u32;
+            }
         }
     }
 
@@ -232,28 +262,22 @@ impl ObjectTable {
         let mut seen = 0usize;
         for (idx, list) in self.members.iter().enumerate() {
             for (pos, &oid) in list.iter().enumerate() {
-                let rec = self
-                    .records
-                    .get(oid.index() as usize)
-                    .and_then(Option::as_ref)
-                    .expect("member without record");
+                let entry = self.entry(oid).expect("member without record");
                 assert_eq!(
-                    rec.addr.partition.as_usize(),
+                    entry.record.addr.partition.as_usize(),
                     idx,
                     "object {oid} in wrong member list"
                 );
                 assert_eq!(
-                    self.member_pos[oid.index() as usize] as usize,
-                    pos,
+                    entry.member_pos as usize, pos,
                     "object {oid} has stale member position"
                 );
                 seen += 1;
             }
         }
         assert_eq!(seen, self.live, "membership does not cover table");
-        let registered = self.records.iter().filter(|r| r.is_some()).count();
-        assert_eq!(registered, self.live, "live count drifted");
-        let bytes: Bytes = self.records.iter().flatten().map(|r| r.size).sum();
+        assert_eq!(self.iter().count(), self.live, "live count drifted");
+        let bytes: Bytes = self.iter().map(|(_, r)| r.size).sum();
         assert_eq!(bytes, self.total_bytes, "byte accounting drifted");
     }
 }
@@ -268,7 +292,6 @@ mod tests {
             size: Bytes(size),
             slots: Slots::nulls(nslots),
             weight: 1,
-            birth: 0,
         }
     }
 

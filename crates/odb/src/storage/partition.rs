@@ -39,6 +39,24 @@ impl Partition {
         }
     }
 
+    /// A partition as a snapshot left it: bump cursor at `cursor`, holding
+    /// residents of `resident_bytes` in all, `resident_objects` of them.
+    pub(crate) fn restored(
+        id: PartitionId,
+        capacity: Bytes,
+        cursor: u64,
+        resident_bytes: Bytes,
+        resident_objects: u64,
+    ) -> Self {
+        Self {
+            id,
+            capacity,
+            cursor,
+            resident_bytes,
+            resident_objects,
+        }
+    }
+
     /// This partition's id.
     pub(crate) fn id(&self) -> PartitionId {
         self.id

@@ -68,6 +68,31 @@ impl PartitionSet {
         self
     }
 
+    /// Appends what the object records do not say about the partitions:
+    /// how many there are, the empty one, the spread cursor, and every bump
+    /// cursor.
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        out.extend([
+            self.partitions.len() as u64,
+            u64::from(self.empty.index()),
+            u64::from(self.spread_cursor),
+        ]);
+        out.extend(self.partitions.iter().map(|p| p.used_bytes().get()));
+    }
+
+    /// Becomes the set a snapshot described: `partitions` (ids `0..`), with
+    /// `empty` designated and the spread cursor at `spread_cursor`.
+    pub(crate) fn restore(
+        &mut self,
+        partitions: Vec<Partition>,
+        empty: PartitionId,
+        spread_cursor: u32,
+    ) {
+        self.partitions = partitions;
+        self.empty = empty;
+        self.spread_cursor = spread_cursor;
+    }
+
     /// Number of partitions that exist (including the empty one).
     pub(crate) fn partition_count(&self) -> usize {
         self.partitions.len()

@@ -92,6 +92,17 @@ impl Slots {
     }
 }
 
+/// How a restored record gets its slots back.
+impl FromIterator<Slot> for Slots {
+    fn from_iter<I: IntoIterator<Item = Slot>>(iter: I) -> Self {
+        let mut slots = Slots::nulls(0);
+        for slot in iter {
+            slots.push(slot);
+        }
+        slots
+    }
+}
+
 impl Deref for Slots {
     type Target = [Slot];
 

@@ -93,7 +93,6 @@ mod tests {
                     size: Bytes(100),
                     slots: Slots::nulls(3),
                     weight: w,
-                    birth: 0,
                 },
             );
             oids.push(oid);

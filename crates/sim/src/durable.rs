@@ -1,43 +1,60 @@
-//! Recovery-by-replay and the run-manifest codec.
+//! Recovery from a data directory, and the run-manifest codec.
 //!
 //! A durable run's data directory is self-describing: `MANIFEST.pgc`
 //! records the full [`RunConfig`] (floats by bit pattern) plus the
 //! telemetry level, the `log-*.pgcl` segments hold every input event
-//! write-ahead, and each `snap-*.pgcs` file holds one generation of
-//! per-partition images taken at a collection safepoint. [`recover`]
-//! rebuilds the run from the directory alone:
+//! write-ahead, and each `snap-*.pgcs` file is one **generation**: the
+//! whole run at a collection safepoint — every partition's object records
+//! plus a run image of everything else the run had learned (the database's
+//! bookkeeping and buffer, the policy's tables, the trigger, telemetry,
+//! sampling). [`recover`] rebuilds the run from the directory alone:
 //!
 //! 1. read and checksum-verify the manifest, rebuild the exact
 //!    [`RunConfig`] (durability forced off — recovery does not re-persist);
-//! 2. read the change log back as the encoded trace it is, dropping a
-//!    torn tail (a truncated or corrupted final frame) at the checksum
-//!    boundary;
-//! 3. replay the surviving events through the loop every live run uses —
-//!    `TraceCursor::next_block` → [`crate::Shard::step_block`] — cutting a
-//!    block wherever a snapshot was taken to cross-check the **newest
-//!    valid** image of every partition against the replayed database
-//!    (a corrupt image is skipped in favor of the older generation's, for
-//!    that partition only);
+//! 2. [`restore`]: load the newest **usable** generation into a [`Shard`]
+//!    — every image checksums and agrees, the log holds the generation's
+//!    safepoint frame at its event (read only from that point on,
+//!    [`pgc_durable::read_log_from`], and checked before anything is
+//!    restored: only the log bounds what the header claims), and the
+//!    restored state passes validation ([`Shard::restore`]). A generation
+//!    that fails any of that is passed over whole for the older one, and
+//!    with none left the shard starts fresh and the log is read from event
+//!    0 (a log-only directory, one written by an older build, or one whose
+//!    generations are all damaged);
+//! 3. replay the log's tail — the events after the restore point, a torn
+//!    final frame dropped at the checksum boundary — through the loop
+//!    every live run uses, `TraceCursor::next_block` →
+//!    [`Shard::step_block`];
 //! 4. finish the shard into a [`RunOutcome`].
 //!
-//! Because the simulator is deterministic and the log records inputs
-//! ahead of application, the recovered outcome is *bit-identical* to an
-//! uninterrupted run over the same event prefix: totals, victim sequence,
-//! and telemetry (`tests/recovery.rs` pins this across policies and
-//! seeds). Snapshots are not merely trusted — they are verified against
-//! the replayed state, so a diverging snapshot file is detected rather
-//! than silently believed.
+//! Because the simulator is deterministic, the log records inputs ahead of
+//! application and a generation carries every bit of state the run goes on
+//! from, the recovered outcome is *bit-identical* to an uninterrupted run
+//! over the same event prefix: totals, victim sequence, series and
+//! telemetry (`tests/recovery.rs` pins this across policies and seeds and
+//! from every generation a run lands). A clean shutdown's newest generation
+//! sits at the last event, so its recovery replays nothing.
+//!
+//! [`verify`] is the reference the restore path is held to: it replays the
+//! whole log from event 0, cross-checks the newest valid image of every
+//! partition against the replayed database where the image was taken, and
+//! requires its digest to equal [`recover`]'s.
 
 use crate::run::{RunConfig, RunOutcome};
 use crate::shard::Shard;
 use pgc_core::{PolicyKind, Trigger};
-use pgc_durable::{read_log, read_snapshot, scan_snapshots, Manifest, TornTail};
+use pgc_durable::snapshot::SnapshotFile;
+use pgc_durable::{
+    read_generation, read_log, read_log_from, read_snapshot, scan_snapshots, LogContents, Manifest,
+    PartitionSnapshot, SafepointNote, TornTail,
+};
 use pgc_telemetry::TelemetryLevel;
 use pgc_types::{fast_hash_u64, Bytes, PgcError, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
-use pgc_workload::{EventBlock, BLOCK_EVENTS};
+use pgc_workload::{EncodedTrace, EventBlock, BLOCK_EVENTS};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Builds the manifest describing `cfg` + `telemetry` (everything
 /// [`recover`] needs to rebuild the run).
@@ -180,43 +197,188 @@ pub fn config_from_manifest(m: &Manifest) -> Result<(RunConfig, TelemetryLevel)>
     Ok((cfg, telemetry))
 }
 
-/// What [`recover`] brings back from a data directory.
+/// What [`recover`] (or [`verify`]) brings back from a data directory.
 #[derive(Debug)]
 pub struct RecoveredRun {
-    /// The replayed run, bit-identical to an uninterrupted run over the
+    /// The recovered run, bit-identical to an uninterrupted run over the
     /// log's surviving event prefix.
     pub outcome: RunOutcome,
     /// The configuration rebuilt from the manifest.
     pub cfg: RunConfig,
-    /// The telemetry level the original run recorded at (and the replay
+    /// The telemetry level the original run recorded at (and the recovery
     /// re-recorded at).
     pub telemetry_level: TelemetryLevel,
-    /// Events replayed from the log.
+    /// Events the recovered run has applied, restored plus replayed: the
+    /// log's surviving prefix, `outcome.totals.events`.
     pub events_replayed: u64,
+    /// Events replayed from the log after the restore point (all of them
+    /// for a fresh start and for [`verify`]).
+    pub tail_events: u64,
+    /// The generation the run was restored from; `None` when it started
+    /// fresh (and always for [`verify`]).
+    pub restored_from: Option<u64>,
     /// The torn tail that was detected and dropped, if any.
     pub torn_tail: Option<TornTail>,
-    /// Safepoint markers found in the log.
+    /// Safepoint markers found in the log segments read.
     pub safepoints: usize,
-    /// Partition images verified against the replayed state.
+    /// [`recover`]: partition images in the restored generation. [`verify`]:
+    /// partition images cross-checked against the replayed state.
     pub snapshots_verified: usize,
-    /// Partition images skipped as corrupt, a generation file that could
-    /// not be read or walked to its end counting once (the older
-    /// generation's image, when present, stood in).
+    /// [`recover`]: generation files passed over as unusable. [`verify`]:
+    /// partition images skipped as corrupt, a file that could not be read
+    /// or walked to its end counting once (the older generation's image,
+    /// when present, stood in).
     pub snapshot_files_skipped: usize,
 }
 
-/// Recovers a durable run from its data directory: manifest → config,
-/// newest valid snapshot per partition → verification checkpoints, change
-/// log → replay through the ordinary shard pump. See the module docs for
-/// the full protocol.
+/// What [`restore`] hands back beside the shard: the log from the restore
+/// point on, and how that point was found.
+#[derive(Debug)]
+pub struct Tail {
+    /// The change log from the restore point on: its trace's first event
+    /// is the restored shard's next.
+    pub log: LogContents,
+    /// The generation the shard was restored from; `None` for a fresh
+    /// start.
+    pub restored_from: Option<u64>,
+    /// Partition images in that generation.
+    pub images: usize,
+    /// Generation files passed over as unusable, newest first, each with
+    /// why.
+    pub passed_over: Vec<(u64, PgcError)>,
+    /// Wall time spent reading the log; the rest of [`restore`] is reading
+    /// and loading generations.
+    pub log_wall: Duration,
+}
+
+impl Tail {
+    /// Steps `shard` through every event of the tail.
+    pub fn replay(&self, shard: &mut Shard) -> Result<()> {
+        replay(shard, &self.log.trace, BTreeMap::new()).map(drop)
+    }
+
+    /// Finishes the replayed `shard` into the recovered run.
+    pub fn finish(self, shard: Shard) -> Result<RecoveredRun> {
+        let cfg = shard.config().clone();
+        let telemetry_level = shard.telemetry_level();
+        let events_replayed = shard.events_applied();
+        let outcome = shard.finish(GenStats::default())?;
+        Ok(RecoveredRun {
+            outcome,
+            cfg,
+            telemetry_level,
+            events_replayed,
+            tail_events: self.log.trace.events(),
+            restored_from: self.restored_from,
+            torn_tail: self.log.torn,
+            safepoints: self.log.safepoints.len(),
+            snapshots_verified: self.images,
+            snapshot_files_skipped: self.passed_over.len(),
+        })
+    }
+}
+
+/// Recovers a durable run from its data directory: [`restore`], replay the
+/// tail, finish. See the module docs for the protocol.
 pub fn recover(dir: &Path) -> Result<RecoveredRun> {
-    let manifest = Manifest::read_from(dir)?;
-    let (cfg, telemetry_level) = config_from_manifest(&manifest)?;
+    let (mut shard, tail) = restore(dir)?;
+    tail.replay(&mut shard)?;
+    tail.finish(shard)
+}
+
+/// Loads the newest usable generation under `dir` into a shard, or a
+/// fresh shard when there is none, and reads the log from that point on.
+/// A log that cannot be read is an `Err`; an unusable generation is not —
+/// it is passed over (see the module docs).
+pub fn restore(dir: &Path) -> Result<(Shard, Tail)> {
+    let (cfg, level) = config_from_manifest(&Manifest::read_from(dir)?)?;
+    let mut log_wall = Duration::ZERO;
+    let mut passed_over = Vec::new();
+    for file in scan_snapshots(dir)?.iter().rev() {
+        match attempt(dir, &cfg, level, file, &mut log_wall)? {
+            Ok((shard, log, images)) => {
+                let tail = Tail {
+                    log,
+                    restored_from: Some(file.generation),
+                    images,
+                    passed_over,
+                    log_wall,
+                };
+                return Ok((shard, tail));
+            }
+            Err(why) => passed_over.push((file.generation, why)),
+        }
+    }
+    let reading = Instant::now();
+    let log = read_log(dir)?;
+    log_wall += reading.elapsed();
+    let mut shard = Shard::new(&cfg)?;
+    shard.enable_telemetry(level);
+    let tail = Tail {
+        log,
+        restored_from: None,
+        images: 0,
+        passed_over,
+        log_wall,
+    };
+    Ok((shard, tail))
+}
+
+/// What one generation restores: the shard, the log from its restore point
+/// on and its partition image count — or why the generation is unusable.
+type Attempt = Result<(Shard, LogContents, usize)>;
+
+/// Tries to restore from `file`. The outer `Err` is a log that cannot be
+/// read, which no other generation would get past either.
+///
+/// The log is read, and the generation's safepoint frame found in it,
+/// before anything is restored: a header's `events_applied` is only
+/// checksum-valid, and it bounds every oid the restore sizes the object
+/// table by. The log holds that many events only if a run applied them.
+fn attempt(
+    dir: &Path,
+    cfg: &RunConfig,
+    level: TelemetryLevel,
+    file: &SnapshotFile,
+    log_wall: &mut Duration,
+) -> Result<Attempt> {
+    let image = match read_generation(&file.path) {
+        Ok(image) if image.generation == file.generation => image,
+        Ok(_) => return Ok(Err(bad("generation file holds another generation".into()))),
+        Err(e) => return Ok(Err(e)),
+    };
+    let reading = Instant::now();
+    let log = read_log_from(dir, image.events_applied)?;
+    *log_wall += reading.elapsed();
+    let frame = SafepointNote {
+        events_applied: image.events_applied,
+        collections: image.collections,
+        generation: image.generation,
+    };
+    if log.start_event != image.events_applied || !log.safepoints.contains(&frame) {
+        return Ok(Err(bad(format!(
+            "the log does not reach generation {}'s safepoint at event {}",
+            image.generation, image.events_applied
+        ))));
+    }
+    Ok(Shard::restore(cfg, level, &image).map(|shard| (shard, log, image.partitions.len())))
+}
+
+/// Recovery the long way, kept as the reference [`recover`] is held to:
+/// replays the whole log from event 0 through a fresh shard, cutting a
+/// block wherever a snapshot was taken to cross-check the **newest valid**
+/// image of every partition against the replayed database (a corrupt
+/// image is skipped in favour of the older generation's, for that
+/// partition only), then requires the outcome's digest to equal
+/// [`recover`]'s.
+pub fn verify(dir: &Path) -> Result<RecoveredRun> {
+    let restored = recover(dir)?;
+    let (cfg, telemetry_level) = config_from_manifest(&Manifest::read_from(dir)?)?;
     let log = read_log(dir)?;
 
     // Newest valid image per partition: scan ascending by generation,
     // keep the last image that parses + checksums cleanly.
-    let mut newest: BTreeMap<u32, pgc_durable::PartitionSnapshot> = BTreeMap::new();
+    let mut newest: BTreeMap<u32, PartitionSnapshot> = BTreeMap::new();
     let mut snapshot_files_skipped = 0usize;
     for file in scan_snapshots(dir)? {
         for image in read_snapshot(&file.path) {
@@ -230,9 +392,9 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
     }
     // Group into checkpoints by the event position they were taken at,
     // dropping any from beyond a torn tail (their safepoint frame is gone).
-    let mut checkpoints: BTreeMap<u64, Vec<pgc_durable::PartitionSnapshot>> = BTreeMap::new();
+    let mut checkpoints: BTreeMap<u64, Vec<PartitionSnapshot>> = BTreeMap::new();
     for (_, snap) in newest {
-        if snap.events_applied <= log.trace.events() {
+        if snap.events_applied <= log.end_event() {
             checkpoints
                 .entry(snap.events_applied)
                 .or_default()
@@ -242,9 +404,41 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
 
     let mut shard = Shard::new(&cfg)?;
     shard.enable_telemetry(telemetry_level);
+    let snapshots_verified = replay(&mut shard, &log.trace, checkpoints)?;
+    let events_replayed = shard.events_applied();
+    let outcome = shard.finish(GenStats::default())?;
+    let (replayed, recovered) = (outcome_digest(&outcome), outcome_digest(&restored.outcome));
+    if replayed != recovered {
+        return Err(bad(format!(
+            "verify: replay from event 0 reaches digest {replayed:016x}, recovery {recovered:016x}"
+        )));
+    }
+    Ok(RecoveredRun {
+        outcome,
+        cfg,
+        telemetry_level,
+        events_replayed,
+        tail_events: events_replayed,
+        restored_from: None,
+        torn_tail: log.torn,
+        safepoints: log.safepoints.len(),
+        snapshots_verified,
+        snapshot_files_skipped,
+    })
+}
+
+/// The one recovery loop: steps `shard` through every event of `trace`
+/// (which starts at the shard's next event), stopping at each checkpoint
+/// to cross-check its images against the database there. Returns the
+/// images checked.
+fn replay(
+    shard: &mut Shard,
+    trace: &EncodedTrace,
+    checkpoints: BTreeMap<u64, Vec<PartitionSnapshot>>,
+) -> Result<usize> {
     let mut checkpoints = checkpoints.into_iter().peekable();
-    let mut snapshots_verified = 0usize;
-    let mut cursor = log.trace.cursor();
+    let mut verified = 0usize;
+    let mut cursor = trace.cursor();
     let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
     loop {
         let at = shard.events_applied();
@@ -256,7 +450,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
                         snap.generation
                     ))
                 })?;
-                snapshots_verified += 1;
+                verified += 1;
             }
         }
         // Never step past the next checkpoint: it is verified exactly
@@ -270,18 +464,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
         }
         shard.step_block(&block)?;
     }
-    let events_replayed = shard.events_applied();
-    let outcome = shard.finish(GenStats::default())?;
-    Ok(RecoveredRun {
-        outcome,
-        cfg,
-        telemetry_level,
-        events_replayed,
-        torn_tail: log.torn,
-        safepoints: log.safepoints.len(),
-        snapshots_verified,
-        snapshot_files_skipped,
-    })
+    Ok(verified)
 }
 
 /// A stable digest of a run's observable results — totals, victim

@@ -17,10 +17,11 @@
 //!   one database + policy + scheduler + barrier bus + telemetry handle,
 //!   stepped by event batches. `Simulation` is its 1-shard special case;
 //!   the multi-tenant `pgc-server` runtime hosts one per client stream.
-//! * [`durable`] — recovery-by-replay over a `pgc-durable` data
-//!   directory: [`durable::recover`] rebuilds the exact run from the
-//!   manifest, change log, and checksummed snapshots, bit-identical to an
-//!   uninterrupted run over the surviving event prefix.
+//! * [`durable`] — recovery over a `pgc-durable` data directory:
+//!   [`durable::recover`] loads the newest usable snapshot generation and
+//!   replays only the change log after it, bit-identical to an
+//!   uninterrupted run over the surviving event prefix;
+//!   [`durable::verify`] replays from event 0 and holds it to that.
 //! * [`shadow`] — shadow-scoreboard policy races: one driver policy makes
 //!   the collection decisions while every other honest policy's scoreboard
 //!   rides the same barrier event bus and records the victim it *would*
@@ -59,7 +60,7 @@ pub mod shard;
 pub mod summary;
 
 pub use chart::{render_chart, ChartMetric};
-pub use durable::{outcome_digest, recover, RecoveredRun};
+pub use durable::{outcome_digest, recover, verify, RecoveredRun};
 pub use experiment::{Comparison, Experiment, PolicyRow, RunTelemetry};
 pub use metrics::{RunTotals, SamplePoint, TimeSeries};
 pub use replay::Replayer;

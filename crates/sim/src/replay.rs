@@ -9,20 +9,22 @@
 //! paper's setup, in which collector invocation is "independent of the
 //! partition choice" so every policy sees the same trigger points.
 //!
-//! Workload events name objects by dense [`NodeId`]s; the replayer owns the
-//! `NodeId → Oid` map, so the same trace (recorded or generated) can drive
-//! any number of databases and policies.
+//! Workload events name objects by dense [`NodeId`]s, and every create
+//! event reserves the database's next oid, so node `n` *is* `Oid(n)`: the
+//! same trace (recorded or generated) drives any number of databases and
+//! policies with no map between the two id spaces.
 
 use pgc_core::Collector;
+use pgc_durable::GenerationImage;
+use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
 use pgc_odb::{CollectionOutcome, Database};
-use pgc_types::{Oid, PgcError, Result, SlotId};
+use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId, Words};
 use pgc_workload::{Event, NodeId};
 
 /// Drives one database + collector pair from an event stream.
 pub struct Replayer {
     db: Database,
     collector: Collector,
-    node_map: Vec<Oid>,
     events_applied: u64,
     collections: Vec<CollectionOutcome>,
 }
@@ -33,7 +35,6 @@ impl Replayer {
         Self {
             db,
             collector,
-            node_map: Vec::new(),
             events_applied: 0,
             collections: Vec::new(),
         }
@@ -65,9 +66,10 @@ impl Replayer {
         &self.collections
     }
 
-    /// Resolves a workload node id to its database oid.
+    /// Resolves a workload node id to its database oid: `Oid(n)` for every
+    /// node created so far, reclaimed or not.
     pub fn oid_of(&self, node: NodeId) -> Option<Oid> {
-        self.node_map.get(node.as_usize()).copied()
+        (node.index() < self.db.objects().oid_bound()).then_some(Oid(node.index()))
     }
 
     fn oid(&self, node: NodeId) -> Result<Oid> {
@@ -78,8 +80,8 @@ impl Replayer {
     /// or change log with a frame spliced in twice repeats ids; accepting
     /// one would map every later node onto the wrong object.
     fn expect_next_node(&self, node: NodeId) -> Result<()> {
-        let expected = self.node_map.len();
-        if node.as_usize() == expected {
+        let expected = self.db.objects().oid_bound();
+        if node.index() == expected {
             return Ok(());
         }
         Err(PgcError::TraceFormat(format!(
@@ -101,8 +103,7 @@ impl Replayer {
         match *event {
             Event::CreateRoot { node, size, slots } => {
                 self.expect_next_node(node)?;
-                let oid = self.db.create_root(size, slots as usize)?;
-                self.node_map.push(oid);
+                self.db.create_root(size, slots as usize)?;
             }
             Event::CreateChild {
                 node,
@@ -113,10 +114,8 @@ impl Replayer {
             } => {
                 self.expect_next_node(node)?;
                 let parent_oid = self.oid(parent)?;
-                let (oid, _info) =
-                    self.db
-                        .create_object(size, slots as usize, parent_oid, SlotId(parent_slot))?;
-                self.node_map.push(oid);
+                self.db
+                    .create_object(size, slots as usize, parent_oid, SlotId(parent_slot))?;
             }
             Event::WritePointer { owner, slot, new } => {
                 let owner_oid = self.oid(owner)?;
@@ -184,6 +183,77 @@ impl Replayer {
     pub fn into_parts(self) -> (Database, Collector, Vec<CollectionOutcome>) {
         (self.db, self.collector, self.collections)
     }
+
+    /// Appends the replayer's part of a run image: events applied, the
+    /// collection log, the database's bookkeeping and the collector's
+    /// (policy, then trigger).
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        out.push(self.events_applied);
+        out.push(self.collections.len() as u64);
+        for c in &self.collections {
+            out.extend([
+                u64::from(c.victim.index()),
+                u64::from(c.target.index()),
+                c.live_objects,
+                c.live_bytes.get(),
+                c.garbage_objects,
+                c.garbage_bytes.get(),
+                c.forwarded_pointers,
+                c.gc_reads,
+                c.gc_writes,
+            ]);
+        }
+        self.db.save_state(out);
+        self.collector.save(out);
+    }
+
+    /// Resumes a fresh replayer at generation `image`: its partition
+    /// images and the run-image words [`Replayer::save`] wrote.
+    pub(crate) fn load(&mut self, image: &GenerationImage, words: &mut Words<'_>) -> Result<()> {
+        let bad = |what: &str| PgcError::TraceFormat(format!("run image: {what}"));
+        self.events_applied = words.word()?;
+        if self.events_applied != image.events_applied {
+            return Err(bad("events applied disagree with the header"));
+        }
+        let n = words.count()?;
+        self.collections = Vec::with_capacity(n);
+        for _ in 0..n {
+            self.collections.push(CollectionOutcome {
+                victim: PartitionId(words.word_u32()?),
+                target: PartitionId(words.word_u32()?),
+                live_objects: words.word()?,
+                live_bytes: Bytes(words.word()?),
+                garbage_objects: words.word()?,
+                garbage_bytes: Bytes(words.word()?),
+                forwarded_pointers: words.word()?,
+                gc_reads: words.word()?,
+                gc_writes: words.word()?,
+            });
+        }
+        let objects = image.partitions.iter().flat_map(|p| {
+            p.records.iter().map(move |r| {
+                let record = ObjectRecord {
+                    addr: ObjAddr::new(PartitionId(p.partition), r.offset),
+                    size: Bytes(r.size),
+                    slots: r.slots.iter().map(|&s| Slot::from(s.map(Oid))).collect(),
+                    weight: r.weight,
+                };
+                (Oid(r.oid), record)
+            })
+        });
+        self.db = Database::restore(
+            self.db.config().clone(),
+            image.partitions.len(),
+            self.events_applied,
+            objects,
+            words,
+        )?;
+        let collections = self.db.stats().collections;
+        if collections != image.collections || collections != n as u64 {
+            return Err(bad("collection counts disagree"));
+        }
+        self.collector.load(words)
+    }
 }
 
 #[cfg(test)]
@@ -191,7 +261,9 @@ mod tests {
     use super::*;
     use pgc_core::PolicyKind;
     use pgc_types::{Bytes, DbConfig};
-    use pgc_workload::{SyntheticWorkload, WorkloadParams};
+    use pgc_workload::{AssemblyParams, AssemblyWorkload, SyntheticWorkload, WorkloadParams};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn small_db() -> Database {
         Database::new(
@@ -326,6 +398,50 @@ mod tests {
         assert_eq!(batched.db().stats(), per_event.db().stats());
         assert_eq!(batched.db().io_stats(), per_event.db().io_stats());
         batched.db().check_invariants();
+    }
+
+    /// Taps the oid of every allocation on the bus.
+    struct Allocations(Rc<RefCell<Vec<u64>>>);
+
+    impl pgc_odb::BarrierObserver for Allocations {
+        fn on_event(&mut self, event: &pgc_odb::BarrierEvent) {
+            if let pgc_odb::BarrierEvent::Allocation { oid, .. } = event {
+                self.0.borrow_mut().push(oid.index());
+            }
+        }
+    }
+
+    #[test]
+    fn node_n_is_oid_n_under_every_policy() {
+        let tree: Vec<Event> = SyntheticWorkload::new(WorkloadParams::small().with_seed(7))
+            .unwrap()
+            .collect();
+        let assembly: Vec<Event> = AssemblyWorkload::new(AssemblyParams::small().with_seed(7))
+            .unwrap()
+            .collect();
+        for events in [&tree, &assembly] {
+            let created: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::CreateRoot { node, .. } | Event::CreateChild { node, .. } => {
+                        Some(node.index())
+                    }
+                    _ => None,
+                })
+                .collect();
+            for policy in PolicyKind::ALL {
+                let allocated = Rc::new(RefCell::new(Vec::new()));
+                let mut r = Replayer::new(small_db(), Collector::with_kind(policy, 50, 7, 16));
+                r.collector_mut()
+                    .add_observer(Box::new(Allocations(Rc::clone(&allocated))));
+                r.apply_all(events).unwrap();
+                assert_eq!(*allocated.borrow(), created, "{policy}: node n is oid n");
+                for &n in &created {
+                    assert_eq!(r.oid_of(NodeId(n)), Some(Oid(n)), "{policy}");
+                }
+                assert_eq!(r.oid_of(NodeId(created.len() as u64)), None, "{policy}");
+            }
+        }
     }
 
     #[test]

@@ -26,11 +26,11 @@
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
 use crate::replay::Replayer;
 use crate::run::{RunConfig, RunOutcome};
-use pgc_durable::DurableStore;
+use pgc_durable::{DurableStore, GenerationImage};
 use pgc_odb::oracle::{self, OracleScratch};
 use pgc_odb::BarrierObserver;
 use pgc_telemetry::{TelemetryHandle, TelemetryLevel, TelemetryObserver};
-use pgc_types::{Oid, PgcError, Result};
+use pgc_types::{Bytes, Oid, PgcError, Result, Words};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{Event, EventBlock, NodeId};
 
@@ -94,6 +94,71 @@ impl Shard {
         })
     }
 
+    /// Resumes the shard snapshot generation `image` describes, built for
+    /// `cfg` (durability off: a restored shard replays, it does not
+    /// re-persist) with telemetry at `level` — the configuration the
+    /// generation's run was written under. Stepping the events after the
+    /// generation and finishing gives the outcome the uninterrupted run
+    /// gives; an image this configuration could not have written is an
+    /// `Err`. The image's `events_applied` bounds the oids the object table
+    /// is sized by, so the caller holds it against the log first, as
+    /// [`crate::durable::restore`] does.
+    pub fn restore(
+        cfg: &RunConfig,
+        level: TelemetryLevel,
+        image: &GenerationImage,
+    ) -> Result<Self> {
+        if cfg.durability.is_enabled() {
+            return Err(PgcError::InvalidConfig("a restored shard does not persist"));
+        }
+        let mut shard = Shard::new(cfg)?;
+        shard.enable_telemetry(level);
+        let bad = |what: &str| PgcError::TraceFormat(format!("run image: {what}"));
+        let mut words = Words::new(&image.run);
+        shard.replayer.load(image, &mut words)?;
+        if words.flag()? != shard.telemetry.is_some() {
+            return Err(bad("telemetry disagrees with the manifest"));
+        }
+        if let Some(telemetry) = &shard.telemetry {
+            telemetry.load(&mut words)?;
+        }
+        shard.next_sample = words.word()?;
+        if shard.next_sample <= image.events_applied {
+            return Err(bad("the next sample is already behind"));
+        }
+        for _ in 0..words.count()? {
+            let point = SamplePoint {
+                events: words.word()?,
+                resident_bytes: Bytes(words.word()?),
+                garbage_bytes: Bytes(words.word()?),
+                footprint: Bytes(words.word()?),
+                collections: words.word()?,
+            };
+            let last = shard.series.points().last().map_or(0, |p| p.events);
+            if point.events < last || point.events > image.events_applied {
+                return Err(bad("samples out of order"));
+            }
+            shard.series.push(point);
+        }
+        words.finish()?;
+        Ok(shard)
+    }
+
+    /// Appends what a snapshot generation's run image holds for this shard
+    /// beyond the partition images: the replayer's state (events applied,
+    /// collection log, database bookkeeping, policy and trigger), the
+    /// telemetry recorder's, and sampling's (next sample, series so far).
+    /// [`Shard::restore`] reads it back.
+    pub fn save_state(&self, out: &mut Vec<u64>) {
+        save_run(
+            &self.replayer,
+            self.telemetry.as_ref(),
+            &self.series,
+            self.next_sample,
+            out,
+        );
+    }
+
     /// Registers a bystander observer on the shard's barrier bus.
     pub fn add_observer(&mut self, observer: Box<dyn BarrierObserver>) {
         self.replayer.collector_mut().add_observer(observer);
@@ -110,6 +175,11 @@ impl Shard {
             self.telemetry = Some(handle);
             self.telemetry_level = level;
         }
+    }
+
+    /// The telemetry level the shard records at.
+    pub(crate) fn telemetry_level(&self) -> TelemetryLevel {
+        self.telemetry_level
     }
 
     /// The configuration the shard was built from.
@@ -210,11 +280,14 @@ impl Shard {
         };
         let completed = self.replayer.db().stats().collections;
         if completed > durable.safepointed {
+            let (replayer, telemetry) = (&self.replayer, self.telemetry.as_ref());
+            let (series, next_sample) = (&self.series, self.next_sample);
             durable.store.safepoint(
-                self.replayer.db(),
-                self.replayer.events_applied(),
+                replayer.db(),
+                replayer.events_applied(),
                 completed,
                 false,
+                |out| save_run(replayer, telemetry, series, next_sample, out),
             )?;
             durable.safepointed = completed;
         }
@@ -233,20 +306,28 @@ impl Shard {
     /// live/garbage split, the aggregate totals, the collection log, and
     /// the telemetry snapshot. When durability is on, the store is closed
     /// first — a forced final snapshot generation, the closing safepoint
-    /// frame, and a last fsync — which is the only way this can fail.
+    /// frame, and a last fsync — which is the only way this can fail. The
+    /// closing generation is the shard as it stands before this, so a
+    /// shard restored from it and finished gives this outcome.
     ///
     /// `gen_stats` labels the outcome with the workload generator's
     /// counters (zeroed for replays of unlabelled event slices).
     pub fn finish(mut self, gen_stats: GenStats) -> Result<RunOutcome> {
-        if self.cfg.sample_every.is_some() {
-            take_sample(&mut self.series, &self.replayer, &mut self.scratch);
-        }
         let events = self.replayer.events_applied();
         let mut storage = None;
         if let Some(durable) = self.durable.as_mut() {
-            let db = self.replayer.db();
-            durable.store.finish(db, events, db.stats().collections)?;
+            let (replayer, telemetry) = (&self.replayer, self.telemetry.as_ref());
+            let (series, next_sample) = (&self.series, self.next_sample);
+            let db = replayer.db();
+            durable
+                .store
+                .finish_with(db, events, db.stats().collections, |out| {
+                    save_run(replayer, telemetry, series, next_sample, out)
+                })?;
             storage = Some(durable.store.stats());
+        }
+        if self.cfg.sample_every.is_some() {
+            take_sample(&mut self.series, &self.replayer, &mut self.scratch);
         }
         let db = self.replayer.db();
         let final_report = oracle::analyze_with(db, &mut self.scratch);
@@ -282,6 +363,33 @@ impl Shard {
             derive: None,
             storage,
         })
+    }
+}
+
+/// [`Shard::save_state`] on the parts a safepoint can borrow while the
+/// store is borrowed mutably.
+fn save_run(
+    replayer: &Replayer,
+    telemetry: Option<&TelemetryHandle>,
+    series: &TimeSeries,
+    next_sample: u64,
+    out: &mut Vec<u64>,
+) {
+    replayer.save(out);
+    out.push(u64::from(telemetry.is_some()));
+    if let Some(telemetry) = telemetry {
+        telemetry.save(out);
+    }
+    out.push(next_sample);
+    out.push(series.points().len() as u64);
+    for p in series.points() {
+        out.extend([
+            p.events,
+            p.resident_bytes.get(),
+            p.garbage_bytes.get(),
+            p.footprint.get(),
+            p.collections,
+        ]);
     }
 }
 

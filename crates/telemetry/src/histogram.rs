@@ -5,6 +5,8 @@
 //! recording is `&mut self` arithmetic and the recorded value *is* the
 //! exported one: it merges across runs and clones into a live view as is.
 
+use pgc_types::{Result, Words};
+
 /// Number of histogram buckets: one for zero plus one per power of two,
 /// covering the full `u64` range with no overflow bucket.
 pub const BUCKET_COUNT: usize = 65;
@@ -104,6 +106,22 @@ impl Histogram {
             }
         }
         bucket_upper_bound(last).min(self.max)
+    }
+
+    /// Appends the buckets, count, sum and max.
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        out.extend(self.buckets);
+        out.extend([self.count, self.sum, self.max]);
+    }
+
+    /// What [`Histogram::save`] wrote.
+    pub(crate) fn load(words: &mut Words<'_>) -> Result<Self> {
+        let mut h = Histogram::default();
+        h.buckets.copy_from_slice(words.take(BUCKET_COUNT)?);
+        h.count = words.word()?;
+        h.sum = words.word()?;
+        h.max = words.word()?;
+        Ok(h)
     }
 
     /// Adds another histogram's samples into this one.

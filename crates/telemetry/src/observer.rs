@@ -10,10 +10,12 @@
 //! simulator's test suite pins totals and victim sequences bit-identical
 //! with telemetry off and on).
 
+use crate::histogram::Histogram;
 use crate::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
-use crate::snapshot::TelemetrySnapshot;
+use crate::snapshot::{CounterSnapshot, TelemetrySnapshot};
 use crate::TelemetryLevel;
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use pgc_types::{Result, Words};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -171,6 +173,59 @@ impl BarrierObserver for TelemetryObserver {
 }
 
 impl TelemetryHandle {
+    /// Appends what the recorder has accumulated — counters, histograms,
+    /// closed records and switches, the open record, and the two clocks —
+    /// for a snapshot's run image. Level and trigger are configuration.
+    pub fn save(&self, out: &mut Vec<u64>) {
+        let s = self.state.borrow();
+        let snap = &s.snapshot;
+        snap.counters.save(out);
+        for h in [
+            &snap.reclaimed_per_activation,
+            &snap.gc_io_per_activation,
+            &snap.activation_gap_events,
+        ] {
+            h.save(out);
+        }
+        out.push(snap.records.len() as u64);
+        for rec in &snap.records {
+            rec.save(out);
+        }
+        out.push(snap.switches.len() as u64);
+        for note in &snap.switches {
+            note.save(out);
+        }
+        out.push(u64::from(s.open.is_some()));
+        if let Some(open) = &s.open {
+            open.save(out);
+        }
+        out.extend([s.last_tick_clock, s.last_app_ios]);
+    }
+
+    /// Resumes the recorder at what [`TelemetryHandle::save`] wrote.
+    pub fn load(&self, words: &mut Words<'_>) -> Result<()> {
+        let s = &mut *self.state.borrow_mut();
+        let snap = &mut s.snapshot;
+        snap.counters = CounterSnapshot::load(words)?;
+        snap.reclaimed_per_activation = Histogram::load(words)?;
+        snap.gc_io_per_activation = Histogram::load(words)?;
+        snap.activation_gap_events = Histogram::load(words)?;
+        snap.records = (0..words.count()?)
+            .map(|_| ActivationRecord::load(words))
+            .collect::<Result<_>>()?;
+        snap.switches = (0..words.count()?)
+            .map(|_| PolicySwitchNote::load(words))
+            .collect::<Result<_>>()?;
+        s.open = if words.flag()? {
+            Some(ActivationRecord::load(words)?)
+        } else {
+            None
+        };
+        s.last_tick_clock = words.word()?;
+        s.last_app_ios = words.word()?;
+        Ok(())
+    }
+
     /// Closes any in-flight activation record and returns the finished
     /// snapshot. Call after the run, once the observer has been dropped
     /// with the collector. If the observer is somehow still alive (a
@@ -251,6 +306,54 @@ mod tests {
         assert_eq!(second.victim_score, None);
         assert_eq!(snap.reclaimed_per_activation.count, 2);
         assert_eq!(snap.reclaimed_per_activation.sum, 1400);
+    }
+
+    #[test]
+    fn a_loaded_recorder_finishes_as_the_saved_one_would() {
+        let first = [
+            tick(1),
+            completed(500),
+            BarrierEvent::PolicySwitched {
+                activation: 1,
+                from: "UpdatedPointer",
+                to: "Occupancy",
+            },
+            tick(2),
+            BarrierEvent::VictimSelected {
+                victim: PartitionId(3),
+                score_bits: Some(2.5f64.to_bits()),
+            },
+        ];
+        let rest = [completed(900), tick(3), completed(0)];
+        let pair =
+            || TelemetryObserver::new(TelemetryLevel::Full, TriggerReason::OverwriteCount(5));
+        let (mut live, live_handle) = pair();
+        first.iter().for_each(|e| live.on_event(e));
+        let mut saved = Vec::new();
+        live_handle.save(&mut saved);
+        rest.iter().for_each(|e| live.on_event(e));
+        drop(live);
+
+        let (mut resumed, resumed_handle) = pair();
+        let mut words = Words::new(&saved);
+        resumed_handle.load(&mut words).unwrap();
+        words.finish().unwrap();
+        rest.iter().for_each(|e| resumed.on_event(e));
+        drop(resumed);
+        let (live, resumed) = (live_handle.finish(), resumed_handle.finish());
+        assert_eq!(resumed, live);
+        assert_eq!(resumed.records[1].victim_score, Some(2.5));
+        assert!(resumed_handle_is_refused(&saved[..saved.len() - 1]));
+    }
+
+    fn resumed_handle_is_refused(words: &[u64]) -> bool {
+        let (_, handle) =
+            TelemetryObserver::new(TelemetryLevel::Full, TriggerReason::PartitionGrowth);
+        let mut words = Words::new(words);
+        handle
+            .load(&mut words)
+            .and_then(|()| words.finish())
+            .is_err()
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! trigger fired, what the collection accomplished, and what it cost in
 //! page I/O — attributed to that activation.
 
-use pgc_types::{Bytes, PartitionId};
+use pgc_types::{put_opt, put_str, Bytes, PartitionId, PgcError, Result, Words};
 
 /// Why the GC trigger fires for a run — the telemetry-side mirror of the
 /// scheduler's trigger configuration, carried so every JSONL line is
@@ -132,6 +132,84 @@ impl ActivationRecord {
     /// Total collector page I/O attributed to this activation.
     pub fn gc_ios(&self) -> u64 {
         self.gc_reads + self.gc_writes
+    }
+
+    /// Appends every field, the score by its bit pattern.
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        out.extend([self.activation, self.event_clock, self.gap_events]);
+        put_opt(out, self.victim.map(|p| u64::from(p.index())));
+        put_opt(out, self.victim_score.map(f64::to_bits));
+        out.extend([
+            u64::from(self.collections),
+            self.live_objects,
+            self.live_bytes.get(),
+            self.garbage_objects,
+            self.garbage_bytes.get(),
+            self.forwarded_pointers,
+            self.gc_reads,
+            self.gc_writes,
+            self.app_ios_before,
+            self.app_ios_delta,
+        ]);
+        out.push(self.policy_switches.len() as u64);
+        for note in &self.policy_switches {
+            note.save(out);
+        }
+        out.push(self.shadow_picks.len() as u64);
+        for pick in &self.shadow_picks {
+            put_str(out, &pick.policy);
+            put_opt(out, pick.victim.map(|p| u64::from(p.index())));
+        }
+    }
+
+    /// What [`ActivationRecord::save`] wrote.
+    pub(crate) fn load(words: &mut Words<'_>) -> Result<Self> {
+        let partition = |p: Option<u64>| {
+            p.map(|p| u32::try_from(p).map(PartitionId))
+                .transpose()
+                .map_err(|_| PgcError::TraceFormat("run image: a partition out of range".into()))
+        };
+        let mut rec = Self::open(words.word()?, words.word()?, words.word()?);
+        rec.victim = partition(words.opt()?)?;
+        rec.victim_score = words.opt()?.map(f64::from_bits);
+        rec.collections = words.word_u32()?;
+        rec.live_objects = words.word()?;
+        rec.live_bytes = Bytes(words.word()?);
+        rec.garbage_objects = words.word()?;
+        rec.garbage_bytes = Bytes(words.word()?);
+        rec.forwarded_pointers = words.word()?;
+        rec.gc_reads = words.word()?;
+        rec.gc_writes = words.word()?;
+        rec.app_ios_before = words.word()?;
+        rec.app_ios_delta = words.word()?;
+        for _ in 0..words.count()? {
+            rec.policy_switches.push(PolicySwitchNote::load(words)?);
+        }
+        for _ in 0..words.count()? {
+            rec.shadow_picks.push(ShadowPickNote {
+                policy: words.string()?,
+                victim: partition(words.opt()?)?,
+            });
+        }
+        Ok(rec)
+    }
+}
+
+impl PolicySwitchNote {
+    /// Appends the activation and both names.
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        out.push(self.activation);
+        put_str(out, &self.from);
+        put_str(out, &self.to);
+    }
+
+    /// What [`PolicySwitchNote::save`] wrote.
+    pub(crate) fn load(words: &mut Words<'_>) -> Result<Self> {
+        Ok(Self {
+            activation: words.word()?,
+            from: words.string()?,
+            to: words.string()?,
+        })
     }
 }
 

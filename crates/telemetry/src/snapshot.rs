@@ -5,6 +5,7 @@
 use crate::histogram::Histogram;
 use crate::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
 use crate::TelemetryLevel;
+use pgc_types::{Result, Words};
 
 /// Plain-data totals of every bus-event counter the tap maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,6 +44,43 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
+    /// The counters in declaration order: what `save` writes and `load`
+    /// reads.
+    fn fields(&mut self) -> [&mut u64; 15] {
+        [
+            &mut self.events,
+            &mut self.pointer_writes,
+            &mut self.overwrites,
+            &mut self.data_writes,
+            &mut self.allocations,
+            &mut self.allocated_bytes,
+            &mut self.partition_growths,
+            &mut self.objects_copied,
+            &mut self.copied_bytes,
+            &mut self.objects_reclaimed,
+            &mut self.reclaimed_bytes,
+            &mut self.collections,
+            &mut self.activations,
+            &mut self.policy_switches,
+            &mut self.max_partitions,
+        ]
+    }
+
+    /// Appends every counter.
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
+        let mut copy = *self;
+        out.extend(copy.fields().map(|v| *v));
+    }
+
+    /// What [`CounterSnapshot::save`] wrote.
+    pub(crate) fn load(words: &mut Words<'_>) -> Result<Self> {
+        let mut counters = Self::default();
+        for field in counters.fields() {
+            *field = words.word()?;
+        }
+        Ok(counters)
+    }
+
     /// Adds another run's counters into this one.
     pub fn merge(&mut self, other: &CounterSnapshot) {
         self.events += other.events;

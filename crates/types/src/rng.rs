@@ -138,6 +138,21 @@ impl SimRng {
     pub fn pick_index(&mut self, len: usize) -> usize {
         self.below(len as u64) as usize
     }
+
+    /// Appends the stream position (the seed is the constructor's).
+    pub fn save(&self, out: &mut Vec<u64>) {
+        out.extend(self.state);
+        out.push(self.forks);
+    }
+
+    /// Resumes the stream at the position [`SimRng::save`] wrote.
+    pub fn load(&mut self, words: &mut crate::Words<'_>) -> crate::Result<()> {
+        for s in &mut self.state {
+            *s = words.word()?;
+        }
+        self.forks = words.word()?;
+        Ok(())
+    }
 }
 
 /// SplitMix64 finalizer, used for state seeding and fork decorrelation.
@@ -289,6 +304,21 @@ mod tests {
     #[test]
     fn seed_is_recorded() {
         assert_eq!(SimRng::new(123).seed(), 123);
+    }
+
+    #[test]
+    fn a_loaded_stream_resumes_where_it_was_saved() {
+        let mut live = SimRng::new(31);
+        let _ = live.below(100);
+        let _ = live.fork();
+        let mut saved = Vec::new();
+        live.save(&mut saved);
+        let mut resumed = SimRng::new(31);
+        resumed.load(&mut crate::Words::new(&saved)).unwrap();
+        for _ in 0..16 {
+            assert_eq!(resumed.next_u64(), live.next_u64());
+        }
+        assert_eq!(resumed.fork().next_u64(), live.fork().next_u64());
     }
 
     #[test]

@@ -61,19 +61,24 @@ shards:
 # digest and its directory counted (two generation files at most, no .tmp,
 # no per-partition file name), then two mid-run kills (no final snapshot,
 # buffered log tail dropped, the snapshot writer thread cut off wherever it
-# was) recovered from whatever reached disk. Exercises the same tooling the CI smoke job
-# runs; scratch dirs live under target/ and are removed afterwards.
+# was) recovered from whatever reached disk. Every directory is recovered
+# both ways — restored from its newest generation, and `--verify`'s replay
+# from event 0 — and the two digests must agree. Exercises the same tooling
+# the CI smoke job runs; scratch dirs live under target/ and are removed
+# afterwards.
 recover:
     rm -rf target/recover-smoke
     cargo build --release -p pgc-bench --bin recover_tool
     d=$(./target/release/recover_tool run target/recover-smoke/clean updated-pointer 1 | awk '/^run:/ {print $NF}'); \
-        ./target/release/recover_tool recover target/recover-smoke/clean --expect $d
+        ./target/release/recover_tool recover target/recover-smoke/clean --verify --expect $d
     if ls target/recover-smoke/clean | grep -E '\.tmp$|^snap-.*-p.*\.pgcs$'; then exit 1; fi
     [ "$(ls target/recover-smoke/clean | grep -c '^snap-.*\.pgcs$')" -le 2 ]
     for n in 5000 9000; do \
         ./target/release/recover_tool crash target/recover-smoke/killed-$n $n most-garbage 2 && \
         ls target/recover-smoke/killed-$n && \
-        ./target/release/recover_tool recover target/recover-smoke/killed-$n || exit 1; \
+        out=$(./target/release/recover_tool recover target/recover-smoke/killed-$n --verify) && \
+        echo "$out" && \
+        [ "$(echo "$out" | awk '/^recover:/ {print $NF}')" = "$(echo "$out" | awk '/^verify:/ {print $NF}')" ] || exit 1; \
     done
     rm -rf target/recover-smoke
 

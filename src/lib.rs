@@ -30,11 +30,12 @@
 //! * [`sim`] — the trace-driven simulator, metrics, multi-seed experiment
 //!   runner, and the experiment definitions that regenerate every table and
 //!   figure in the paper.
-//! * [`durable`] — the storage backend: per-partition snapshot files at
-//!   collection safepoints, an append-only change log of input events, and
-//!   the checksummed run manifest, all behind
-//!   [`durable::DurabilityConfig`]; [`sim::durable::recover`] replays a
-//!   data directory back into a bit-identical run.
+//! * [`durable`] — the storage backend: snapshot generations (every
+//!   partition's objects plus the run's state) at collection safepoints,
+//!   an append-only change log of input events, and the checksummed run
+//!   manifest, all behind [`durable::DurabilityConfig`];
+//!   [`sim::durable::recover`] loads the newest generation of a data
+//!   directory and replays the log after it back into a bit-identical run.
 //! * [`server`] — the sharded multi-tenant runtime: a deterministic router
 //!   hashing client streams onto shard worker threads, one self-contained
 //!   [`sim::Shard`] per session, cross-shard references as weak remset

@@ -216,10 +216,14 @@ fn hostile_log_segments_are_errors_or_clean_prefixes() {
         .collect();
     let originals: Vec<Vec<u8>> = paths.iter().map(|p| fs::read(p).unwrap()).collect();
     let newest = paths.len() - 1;
+    let clean_digest = outcome_digest(&recover(dir.path()).expect("clean recovery").outcome);
 
     // With segment `seq` replaced by `bytes`: the log reads back as a
     // prefix of the clean one or not at all, and recovery (run when
     // `replay` is set; it is the slow part) replays exactly what read back.
+    // Recovery reads the log from its restore point on, so damage wholly
+    // before that point is not read: such a recovery restores the
+    // undamaged run.
     let damaged = |seq: usize, bytes: &[u8], replay: bool, what: &str| {
         fs::write(&paths[seq], bytes).unwrap();
         let log = read_log(dir.path());
@@ -237,7 +241,13 @@ fn hostile_log_segments_are_errors_or_clean_prefixes() {
             }
             (Err(e), recovered) => {
                 assert!(matches!(e, PgcError::TraceFormat(_)), "{what}: {e}");
-                assert!(recovered.is_none_or(|r| r.is_err()), "{what}");
+                if let Some(Ok(recovered)) = recovered {
+                    assert!(
+                        seq < newest && recovered.restored_from.is_some(),
+                        "{what}: recovered past {e}"
+                    );
+                    assert_eq!(outcome_digest(&recovered.outcome), clean_digest, "{what}");
+                }
             }
         }
     };

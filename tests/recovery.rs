@@ -2,20 +2,28 @@
 //!
 //! The contract under test: a run persisted with
 //! [`DurabilityConfig::snapshot_and_log`] can be rebuilt from its data
-//! directory alone — manifest → config, change log → replay, snapshots →
-//! verification checkpoints — and the recovered [`RunOutcome`] is
-//! *bit-identical* to the uninterrupted run: same totals, same victim
-//! sequence, same telemetry counters and records. A torn log tail
-//! (truncated or corrupted final frame) is detected by checksum and
-//! dropped, and recovery then matches a fresh run over the surviving
-//! event prefix. The same holds per stream for a persisted server fleet.
+//! directory alone — manifest → config, the newest usable snapshot
+//! generation → the run at that safepoint, the change log after it → the
+//! tail replayed — and the recovered [`RunOutcome`] is *bit-identical* to
+//! the uninterrupted run: same totals, same victim sequence, same series,
+//! same telemetry counters and records. A generation that cannot be used
+//! costs the older one's tail; with none usable the log is replayed from
+//! event 0. A torn log tail (truncated or corrupted final frame) is
+//! detected by checksum and dropped, and recovery then matches a fresh run
+//! over the surviving event prefix. The same holds per stream for a
+//! persisted server fleet. `verify`, which replays from event 0 and checks
+//! every image against the replay, is held to the same digest throughout.
 
-use pgc::durable::{read_log, read_snapshot, scan_snapshots, PartitionSnapshot, ScratchDir};
+use pgc::durable::{
+    read_generation, read_log, read_snapshot, scan_snapshots, PartitionSnapshot, ScratchDir,
+};
 use pgc::prelude::*;
-use pgc::sim::durable::manifest_for;
+use pgc::sim::durable::{manifest_for, restore, verify};
 use pgc::workload::generator::GenStats;
 use pgc::workload::{EncodedTrace, Event, SyntheticWorkload};
 use std::fs;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Policies covering the paper's winner, the oracle, and the baseline —
 /// distinct victim sequences, so digest collisions can't hide a mix-up.
@@ -75,9 +83,18 @@ fn recovery_is_bit_identical_across_policies_and_seeds() {
             assert_eq!(recovered.events_replayed, original.totals.events);
             assert!(
                 recovered.snapshots_verified > 0,
-                "{policy} seed {seed}: the final generation must be verified"
+                "{policy} seed {seed}: the final generation must be restored"
             );
             assert_eq!(recovered.snapshot_files_skipped, 0);
+            let newest = scan_snapshots(dir.path())
+                .expect("scan")
+                .pop()
+                .expect("one");
+            assert_eq!(recovered.restored_from, Some(newest.generation));
+            assert_eq!(recovered.tail_events, 0, "a clean shutdown replays nothing");
+            let verified = verify(dir.path()).expect("verify");
+            assert_eq!(verified.snapshots_verified, recovered.snapshots_verified);
+            assert_eq!(verified.tail_events, original.totals.events);
             assert_eq!(recovered.cfg.policy, policy);
             assert_eq!(recovered.telemetry_level, TelemetryLevel::Full);
 
@@ -379,6 +396,7 @@ fn a_kill_during_landing_falls_back_to_the_older_generation() {
         clean.snapshots_verified,
         "the older generation must cover every partition"
     );
+    let older_at = read_generation(&older.path).expect("read").events_applied;
     let tmp = {
         let mut name = newest.path.file_name().expect("file name").to_os_string();
         name.push(".tmp");
@@ -401,6 +419,12 @@ fn a_kill_during_landing_falls_back_to_the_older_generation() {
             recovered.snapshots_verified, clean.snapshots_verified,
             "{state}: the older generation stands in for every partition"
         );
+        assert_eq!(recovered.restored_from, Some(older.generation), "{state}");
+        assert_eq!(
+            recovered.tail_events,
+            original.totals.events - older_at,
+            "{state}: the older generation's tail is replayed"
+        );
     };
     fs::rename(&newest.path, &tmp).expect("rename back");
     falls_back("written and fsynced, not renamed");
@@ -411,12 +435,14 @@ fn a_kill_during_landing_falls_back_to_the_older_generation() {
 }
 
 /// What one file per partition gave for free and one file per generation
-/// must still give: damage inside one image costs that partition only.
+/// must still give `verify`: damage inside one image costs its
+/// cross-check that partition only. (Restoring needs a generation whole:
+/// it falls back to the older one.)
 #[test]
 fn a_damaged_image_falls_back_for_its_partition_only() {
     let dir = ScratchDir::new("one-image");
     let original = run_durable(PolicyKind::UpdatedPointer, 3, &dir);
-    let clean = recover(dir.path()).expect("recover the clean directory");
+    let clean = verify(dir.path()).expect("verify the clean directory");
 
     let newest = scan_snapshots(dir.path())
         .expect("scan")
@@ -447,16 +473,16 @@ fn a_damaged_image_falls_back_for_its_partition_only() {
     }
     assert!(reread[middle].is_err());
 
-    let recovered = recover(dir.path()).expect("recover the damaged directory");
+    let verified = verify(dir.path()).expect("verify the damaged directory");
+    assert_eq!(outcome_digest(&verified.outcome), outcome_digest(&original));
+    assert_eq!(verified.snapshot_files_skipped, 1, "exactly one image");
     assert_eq!(
-        outcome_digest(&recovered.outcome),
-        outcome_digest(&original)
-    );
-    assert_eq!(recovered.snapshot_files_skipped, 1, "exactly one image");
-    assert_eq!(
-        recovered.snapshots_verified, clean.snapshots_verified,
+        verified.snapshots_verified, clean.snapshots_verified,
         "the older generation stands in for the damaged partition"
     );
+    let recovered = recover(dir.path()).expect("recover the damaged directory");
+    assert_eq!(recovered.restored_from, Some(newest.generation - 1));
+    assert_eq!(recovered.snapshot_files_skipped, 1, "one generation");
 }
 
 /// Builds before the one-file layout wrote `snap-G-pN.pgcs`, one image
@@ -482,6 +508,8 @@ fn a_directory_in_the_per_partition_layout_recovers_by_replay_alone() {
     );
     assert_eq!(recovered.snapshots_verified, 0);
     assert_eq!(recovered.snapshot_files_skipped, 0);
+    assert_eq!(recovered.restored_from, None, "a fresh start");
+    assert_eq!(recovered.tail_events, original.totals.events);
 }
 
 #[test]
@@ -532,4 +560,212 @@ fn server_streams_persist_and_recover_independently() {
             stream.0
         );
     }
+}
+
+/// Waits for the background writer to land `path`.
+fn landed(path: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !path.exists() {
+        assert!(Instant::now() < deadline, "{} never landed", path.display());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A copy of `dir` as it stands, holding generation `generation` only:
+/// what a kill right after that generation landed would leave.
+fn copy_at(dir: &ScratchDir, generation: u64) -> ScratchDir {
+    let snap = format!("snap-{generation:08}.pgcs");
+    landed(&dir.join(&snap));
+    let copy = ScratchDir::new("landed");
+    for entry in fs::read_dir(dir.path()).expect("list") {
+        let name = entry.expect("entry").file_name();
+        let name = name.to_string_lossy();
+        if name == "MANIFEST.pgc" || name.starts_with("log-") || *name == snap {
+            fs::copy(dir.join(&*name), copy.join(&*name)).expect("copy");
+        }
+    }
+    copy
+}
+
+#[test]
+fn restore_is_the_run_from_every_generation_it_lands() {
+    for policy in PolicyKind::ALL {
+        for seed in 0..3 {
+            let cfg = RunConfig::small()
+                .with_policy(policy)
+                .with_seed(seed)
+                .with_sampling(1_500);
+            let trace = EncodedTrace::record(cfg.workload.clone()).expect("record");
+            let events = trace.decode_all().expect("decode");
+            let dir = ScratchDir::new("every-generation");
+            let durable = cfg.clone().with_durability(
+                DurabilityConfig::snapshot_and_log(dir.path())
+                    .with_snapshot_every(1)
+                    .with_segment_bytes(16 << 10),
+            );
+            // Step the run event by event; after each safepoint (one per
+            // step that completed a collection, each taking a generation)
+            // copy the directory once the generation has landed.
+            let mut shard = Shard::new(&durable).expect("shard");
+            shard.enable_telemetry(TelemetryLevel::Full);
+            let (mut copies, mut safepointed) = (Vec::new(), 0);
+            for event in &events {
+                shard.step(event).expect("step");
+                let collections = shard.db().stats().collections;
+                if collections > safepointed {
+                    safepointed = collections;
+                    let generation = copies.len() as u64 + 1;
+                    copies.push((copy_at(&dir, generation), shard.events_applied()));
+                }
+            }
+            let original = shard.finish(GenStats::default()).expect("finish");
+            assert_eq!(
+                copies.len() as u64,
+                original.totals.collections,
+                "{policy} seed {seed}: a generation per collection"
+            );
+            let closing = copies.len() as u64 + 1;
+            copies.push((copy_at(&dir, closing), original.totals.events));
+
+            for (i, (copy, at)) in copies.iter().enumerate() {
+                let what = format!("{policy} seed {seed} generation {}", i + 1);
+                let (mut restored, tail) = restore(copy.path()).expect("restore");
+                assert_eq!(tail.restored_from, Some(i as u64 + 1), "{what}");
+                assert_eq!(tail.log.trace.events(), 0, "{what}: the copy ends there");
+                assert_eq!(restored.events_applied(), *at, "{what}");
+                restored.db().check_invariants();
+                restored
+                    .step_batch(&events[*at as usize..])
+                    .expect("step the rest");
+                let out = restored.finish(GenStats::default()).expect("finish");
+                assert_eq!(out.totals, original.totals, "{what}");
+                assert_eq!(out.collections, original.collections, "{what}");
+                assert_eq!(out.db_stats, original.db_stats, "{what}");
+                assert_eq!(out.series.points(), original.series.points(), "{what}");
+                assert_eq!(out.telemetry, original.telemetry, "{what}");
+                assert_eq!(outcome_digest(&out), outcome_digest(&original), "{what}");
+                verify(copy.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            }
+        }
+    }
+}
+
+/// The newest generation's bytes with one byte flipped `from_end` bytes
+/// before the end (the run image's words) or `from_start` after the
+/// start (the first partition image's records).
+fn flipped(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut damaged = bytes.to_vec();
+    damaged[at] ^= 0x10;
+    damaged
+}
+
+#[test]
+fn a_damaged_newest_generation_falls_back_to_the_older_one_whole() {
+    let dir = ScratchDir::new("damaged-newest");
+    let original = run_durable(PolicyKind::MostGarbage, 4, &dir);
+    let files = scan_snapshots(dir.path()).expect("scan");
+    let [older, newest] = &files[..] else {
+        panic!("two generations are kept, found {files:?}");
+    };
+    let older_at = read_generation(&older.path).expect("read").events_applied;
+    let bytes = fs::read(&newest.path).expect("read");
+    for (damage, what) in [
+        (flipped(&bytes, 60), "a partition image's record"),
+        (flipped(&bytes, bytes.len() - 12), "the run image's words"),
+    ] {
+        fs::write(&newest.path, &damage).expect("plant");
+        let recovered = recover(dir.path()).expect("recover");
+        assert_eq!(
+            outcome_digest(&recovered.outcome),
+            outcome_digest(&original),
+            "{what}"
+        );
+        assert_eq!(recovered.restored_from, Some(older.generation), "{what}");
+        assert_eq!(recovered.snapshot_files_skipped, 1, "{what}");
+        assert_eq!(
+            recovered.tail_events,
+            original.totals.events - older_at,
+            "{what}"
+        );
+        assert!(recovered.tail_events > 0, "{what}: a generation's worth");
+    }
+    fs::write(&newest.path, &bytes).expect("restore the file");
+}
+
+/// CRC-32 (IEEE), bit by bit: seals the hand-built version-1 images.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// `image` as the build before run images wrote it: version 1, records
+/// sorted by oid, each behind a length prefix and carrying its birth
+/// stamp (its oid), no offsets.
+fn version_1(image: &PartitionSnapshot) -> Vec<u8> {
+    let mut out = b"PGCS".to_vec();
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&image.generation.to_le_bytes());
+    out.extend_from_slice(&image.partition.to_le_bytes());
+    out.extend_from_slice(&image.events_applied.to_le_bytes());
+    out.extend_from_slice(&image.collections.to_le_bytes());
+    out.extend_from_slice(&(image.records.len() as u32).to_le_bytes());
+    out.extend_from_slice(&image.live_bytes.to_le_bytes());
+    let mut records = image.records.clone();
+    records.sort_by_key(|r| r.oid);
+    for r in &records {
+        out.extend_from_slice(&((29 + r.slots.len() * 8) as u32).to_le_bytes());
+        out.extend_from_slice(&r.oid.to_le_bytes());
+        out.extend_from_slice(&r.size.to_le_bytes());
+        out.push(r.weight);
+        out.extend_from_slice(&r.oid.to_le_bytes());
+        out.extend_from_slice(&(r.slots.len() as u32).to_le_bytes());
+        for slot in &r.slots {
+            out.extend_from_slice(&slot.map_or(0, |o| o + 1).to_le_bytes());
+        }
+    }
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
+    out
+}
+
+#[test]
+fn with_no_usable_generation_recovery_starts_fresh() {
+    let dir = ScratchDir::new("none-usable");
+    let original = run_durable(PolicyKind::Random, 2, &dir);
+    let files = scan_snapshots(dir.path()).expect("scan");
+    let landed: Vec<Vec<u8>> = files.iter().map(|f| fs::read(&f.path).unwrap()).collect();
+    let fresh = |what: &str, skipped: usize| {
+        let recovered = recover(dir.path()).expect("recover");
+        assert_eq!(
+            outcome_digest(&recovered.outcome),
+            outcome_digest(&original),
+            "{what}"
+        );
+        assert_eq!(recovered.restored_from, None, "{what}");
+        assert_eq!(recovered.tail_events, original.totals.events, "{what}");
+        assert_eq!(recovered.snapshot_files_skipped, skipped, "{what}");
+        verify(dir.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
+    };
+    for (file, bytes) in files.iter().zip(&landed) {
+        fs::write(&file.path, flipped(bytes, bytes.len() / 2)).expect("damage");
+    }
+    fresh("both generations damaged", 2);
+
+    // A directory a version-1 build wrote: its images are refused, not
+    // read under the new layout.
+    for (file, bytes) in files.iter().zip(&landed) {
+        fs::write(&file.path, bytes).expect("undamage");
+        let v1: Vec<u8> = read_snapshot(&file.path)
+            .into_iter()
+            .flat_map(|image| version_1(&image.expect("a landed image")))
+            .collect();
+        fs::write(&file.path, v1).expect("downgrade");
+        assert!(read_snapshot(&file.path).iter().all(Result::is_err));
+    }
+    fresh("a version-1 directory", 2);
 }
