@@ -16,9 +16,11 @@
 //! directory alone and prints what recovery did: the generation it restored
 //! (and that generation's event), the tail it replayed, and where the wall
 //! time went (reading the log, loading the generation, replaying the tail,
-//! finishing). `--verify` also replays the whole log from event 0,
-//! cross-checking every snapshot image, and fails unless both reach the same
-//! digest; `--expect` exits nonzero unless the recovered digest matches,
+//! finishing). `--verify` also replays the whole log from event 0, holding
+//! every usable generation to the replay's capture byte for byte (and the
+//! newer of two to the older one restored and replayed), and fails unless
+//! both reach the same digest; `--expect` exits nonzero unless the
+//! recovered digest matches,
 //! which is how CI pins that a recovered run is bit-identical to the
 //! uninterrupted one.
 
@@ -186,7 +188,7 @@ fn do_recover(args: &[String]) -> Result<(), String> {
     if also_verify {
         let checked = verify(dir.as_ref()).map_err(err)?;
         println!(
-            "verified: {} events replayed from 0, {} images cross-checked ({} skipped)",
+            "verified: {} events replayed from 0, {} generations round-tripped ({} passed over)",
             checked.events_replayed, checked.snapshots_verified, checked.snapshot_files_skipped
         );
         print_digest("verify", &checked.outcome);

@@ -94,10 +94,10 @@ impl Collector {
     }
 
     /// Resumes what [`Collector::save`] wrote, on a collector built for
-    /// the same configuration.
-    pub fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
-        self.policy.load(words)?;
-        self.scheduler.load(words)
+    /// the same configuration, after a run of `events` events.
+    pub fn load(&mut self, words: &mut Words<'_>, events: u64) -> Result<()> {
+        self.policy.load(words, events)?;
+        self.scheduler.load(words, events)
     }
 
     /// Delivers one event to the policy, the observers, and the trigger.

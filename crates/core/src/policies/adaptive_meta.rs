@@ -266,7 +266,7 @@ impl SelectionPolicy for AdaptiveMeta {
         }
     }
 
-    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+    fn load(&mut self, words: &mut Words<'_>, events: u64) -> Result<()> {
         let incumbent = words.word()?;
         if incumbent >= self.candidates.len() as u64 {
             return Err(PgcError::TraceFormat(format!(
@@ -286,7 +286,7 @@ impl SelectionPolicy for AdaptiveMeta {
             }
         }
         for c in &mut self.candidates {
-            c.load(words)?;
+            c.load(words, events)?;
         }
         Ok(())
     }
@@ -498,7 +498,7 @@ mod tests {
             16,
         );
         let mut words = Words::new(&saved);
-        resumed.load(&mut words).unwrap();
+        resumed.load(&mut words, 1_000).unwrap();
         words.finish().unwrap();
         for a in 3..=6u64 {
             resumed.on_event(&overwrite(1));
@@ -512,14 +512,14 @@ mod tests {
 
         let mut stray = saved.clone();
         stray[0] = 2;
-        let err = resumed.load(&mut Words::new(&stray)).unwrap_err();
+        let err = resumed.load(&mut Words::new(&stray), 1_000).unwrap_err();
         assert!(err.to_string().contains("incumbent 2"), "{err}");
 
         // Credits a file says are near the top of `u64` neither overflow
         // the switch test nor the next credit.
         let mut rich = saved.clone();
         rich[3..5].copy_from_slice(&[u64::MAX - 1, u64::MAX / 3]);
-        resumed.load(&mut Words::new(&rich)).unwrap();
+        resumed.load(&mut Words::new(&rich), 1_000).unwrap();
         for a in 3..=6u64 {
             resumed.on_event(&tick(a));
             let _ = resumed.select(&d);

@@ -55,7 +55,7 @@ impl SelectionPolicy for Random {
         self.rng.save(out);
     }
 
-    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+    fn load(&mut self, words: &mut Words<'_>, _events: u64) -> Result<()> {
         self.rng.load(words)
     }
 }

@@ -40,8 +40,9 @@ impl SelectionPolicy for RoundRobin {
         }
         // Scan at most one full cycle for a collectable, non-fresh victim.
         for _ in 0..n {
+            // Reduced first: a loaded cursor is whatever a file said.
             let candidate = PartitionId(self.next % n);
-            self.next = (self.next + 1) % n;
+            self.next = (candidate.0 + 1) % n;
             if candidate == db.empty_partition() {
                 continue;
             }
@@ -61,7 +62,7 @@ impl SelectionPolicy for RoundRobin {
         out.push(u64::from(self.next));
     }
 
-    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+    fn load(&mut self, words: &mut Words<'_>, _events: u64) -> Result<()> {
         self.next = words.word_u32()?;
         Ok(())
     }

@@ -276,8 +276,9 @@ impl SelectionPolicy for Scoreboard {
         }
     }
 
-    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
-        self.alloc_clock = words.word()?;
+    fn load(&mut self, words: &mut Words<'_>, events: u64) -> Result<()> {
+        // One allocation per event at most.
+        self.alloc_clock = words.at_most(events)?;
         for table in &mut self.tables {
             let len = words.count()?;
             table.scores = words.take(len)?.to_vec();

@@ -208,10 +208,11 @@ pub trait SelectionPolicy: BarrierObserver {
     }
 
     /// Resumes from what [`SelectionPolicy::save`] wrote, on a policy built
-    /// for the same configuration. Anything a policy of this configuration
-    /// could not have saved is an `Err`.
-    fn load(&mut self, words: &mut Words<'_>) -> pgc_types::Result<()> {
-        let _ = words;
+    /// for the same configuration, after a run of `events` events. Anything
+    /// a policy of this configuration could not have saved is an `Err`, a
+    /// counter that one event adds at most one to above `events` included.
+    fn load(&mut self, words: &mut Words<'_>, events: u64) -> pgc_types::Result<()> {
+        let _ = (words, events);
         Ok(())
     }
 }

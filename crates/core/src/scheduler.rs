@@ -81,7 +81,8 @@ impl GcScheduler {
     /// Records an allocation of `bytes` (and whether it grew the database
     /// by a partition); returns `true` when a collection is now due.
     pub fn note_allocation(&mut self, bytes: Bytes, grew: bool) -> bool {
-        self.bytes_since += bytes;
+        // Saturating: no event count bounds a loaded byte window.
+        self.bytes_since = self.bytes_since.saturating_add(bytes);
         self.grew_since |= grew;
         self.is_due()
     }
@@ -127,13 +128,14 @@ impl GcScheduler {
         ]);
     }
 
-    /// Resumes the counters [`GcScheduler::save`] wrote.
-    pub(crate) fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
-        self.overwrites_since = words.word()?;
+    /// Resumes the counters [`GcScheduler::save`] wrote after a run of
+    /// `events` events, which bound every count an event adds one to.
+    pub(crate) fn load(&mut self, words: &mut Words<'_>, events: u64) -> Result<()> {
+        self.overwrites_since = words.at_most(events)?;
         self.bytes_since = Bytes(words.word()?);
         self.grew_since = words.flag()?;
-        self.total_overwrites = words.word()?;
-        self.triggers = words.word()?;
+        self.total_overwrites = words.at_most(events)?;
+        self.triggers = words.at_most(events)?;
         Ok(())
     }
 

@@ -24,7 +24,9 @@
 //!   weight, pointer slots; CRC-32 footer per image), then a run image of
 //!   the owner's state words. The owning thread serialises a generation in
 //!   one pass; the store's background thread fsyncs the log, writes the
-//!   file to a temp name, fsyncs it and renames it into place.
+//!   file to a temp name, fsyncs it and renames it into place. One reader
+//!   ([`snapshot::read_generation`]) takes a file in whole and decodes its
+//!   records straight into the database's own form.
 //! * [`manifest`] — a checksummed key=value `MANIFEST.pgc` recording how
 //!   the run was configured, so recovery can rebuild the exact
 //!   configuration without out-of-band knowledge.
@@ -55,9 +57,6 @@ pub mod tempdir;
 pub use config::{DurabilityConfig, DurabilityMode};
 pub use log::{read_log, read_log_from, LogContents, SafepointNote, TornTail};
 pub use manifest::Manifest;
-pub use snapshot::{
-    read_generation, read_snapshot, scan_snapshots, GenerationImage, PartitionSnapshot,
-    SnapshotRecord,
-};
+pub use snapshot::{capture_generation, read_generation, scan_snapshots, GenerationImage};
 pub use store::{DurableStore, StorageStats};
 pub use tempdir::ScratchDir;

@@ -27,13 +27,16 @@
 //! Each image keeps its own checksum, and the header and record counts are
 //! all the reader needs to find where one ends and the next begins.
 //!
-//! Two readers share that walk. [`parse_generation`] is the restore path:
-//! a file is usable whole or not at all — every image checksums, the images
-//! cover partitions `0..n` in order, the run image comes last, and all of
-//! them name the same generation, event and collection count. Whether the
-//! words and records make sense is the restorer's to check.
-//! [`parse_images`] is the cross-check path: the partition images one by
-//! one, an image that fails its checksum an `Err` in its place.
+//! One walker finds the images and one reader takes them in.
+//! [`parse_generation`] reads a file usable whole or not at all: every
+//! image checksums, the images cover partitions `0..n` in order, the run
+//! image comes last, all of them name the same generation, event and
+//! collection count, and each partition image's `live_bytes` sums its
+//! records' sizes.
+//! It keeps the checked bytes and decodes the records from them straight
+//! into the database's own form ([`GenerationImage::records`]), the inverse
+//! of the capture in this module. Whether the words and records make sense
+//! otherwise is the restorer's to check.
 //!
 //! This is version 2. Version 1 images (records sorted by oid, each behind
 //! a length prefix and carrying a birth stamp; no run image) are refused,
@@ -46,12 +49,13 @@
 //! background thread then fills in each checksum and lands the file
 //! (`SnapshotDir::land`): one write to a `.tmp` sibling, one fsync, one
 //! rename into place, so a torn snapshot write never shadows an older
-//! valid generation. [`PartitionSnapshot`] and [`GenerationImage`] are the
-//! read side's (and the tests') owned forms.
+//! valid generation. [`capture_generation`] is both halves in one call,
+//! for a reader that holds a landed file to the state it restores to.
 
 use crate::crc::crc32;
+use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
 use pgc_odb::Database;
-use pgc_types::{PartitionId, PgcError, Result};
+use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result};
 use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::Write;
@@ -228,196 +232,10 @@ fn walk(mut bytes: &[u8]) -> impl Iterator<Item = Result<&[u8]>> {
     })
 }
 
-/// One live object as captured in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotRecord {
-    /// The object id.
-    pub oid: u64,
-    /// Byte offset of the object within its partition.
-    pub offset: u64,
-    /// Object size in bytes.
-    pub size: u64,
-    /// Root-distance weight.
-    pub weight: u8,
-    /// Pointer slots (`None` = empty slot).
-    pub slots: Vec<Option<u64>>,
-}
-
-/// One partition's state at a collection safepoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionSnapshot {
-    /// Snapshot generation (1-based, monotone per run).
-    pub generation: u64,
-    /// The partition this image covers.
-    pub partition: u32,
-    /// Events applied when the snapshot was taken.
-    pub events_applied: u64,
-    /// Collections completed when the snapshot was taken.
-    pub collections: u64,
-    /// Sum of member sizes (redundant with the records; cross-checked on
-    /// read).
-    pub live_bytes: u64,
-    /// The partition's members, in member-list order.
-    pub records: Vec<SnapshotRecord>,
-}
-
-impl PartitionSnapshot {
-    /// Captures `partition`'s current members from `db`.
-    pub fn capture(
-        db: &Database,
-        partition: PartitionId,
-        generation: u64,
-        events_applied: u64,
-        collections: u64,
-    ) -> Result<Self> {
-        let mut records = Vec::with_capacity(db.objects().member_count(partition));
-        let mut live_bytes = 0u64;
-        for oid in db.objects().members(partition) {
-            let rec = db.objects().get(oid)?;
-            live_bytes += rec.size.get();
-            records.push(SnapshotRecord {
-                oid: oid.index(),
-                offset: rec.addr.offset,
-                size: rec.size.get(),
-                weight: rec.weight,
-                slots: rec
-                    .slots
-                    .iter()
-                    .map(|s| s.get().map(|o| o.index()))
-                    .collect(),
-            });
-        }
-        Ok(Self {
-            generation,
-            partition: partition.as_usize() as u32,
-            events_applied,
-            collections,
-            live_bytes,
-            records,
-        })
-    }
-
-    /// Serializes to the checksummed image form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_BYTES + self.records.len() * 48);
-        put_partition_header(
-            &mut buf,
-            [self.generation, self.events_applied, self.collections],
-            self.partition,
-            self.records.len() as u32,
-            self.live_bytes,
-        );
-        for rec in &self.records {
-            put_record(
-                &mut buf,
-                [rec.oid, rec.offset, rec.size],
-                rec.weight,
-                rec.slots.iter().copied(),
-            );
-        }
-        buf.extend_from_slice(&[0; FOOTER_BYTES]);
-        seal(&mut buf);
-        buf
-    }
-
-    /// Parses and verifies one checksummed image.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if !bytes.starts_with(MAGIC) || image_len(bytes)? != bytes.len() {
-            return Err(bad("not exactly one partition image"));
-        }
-        Self::from_walked(bytes)
-    }
-
-    /// [`PartitionSnapshot::from_bytes`] for a partition `image` that
-    /// `image_len` has walked to exactly its end.
-    fn from_walked(image: &[u8]) -> Result<Self> {
-        let body = checked_body(image)?;
-        let record_count = u32_at(body, 36) as usize;
-        let live_bytes = u64_at(body, 40);
-        // `image_len` has held the count and every record's slot count
-        // against the bytes present.
-        let mut records = Vec::with_capacity(record_count);
-        let mut pos = HEADER_BYTES;
-        let mut summed = 0u64;
-        for _ in 0..record_count {
-            let size = u64_at(body, pos + 16);
-            let slots_at = pos + RECORD_FIXED_BYTES;
-            let slots_end = slots_at + u32_at(body, pos + 25) as usize * 8;
-            summed = summed
-                .checked_add(size)
-                .ok_or_else(|| bad("record sizes overflow"))?;
-            records.push(SnapshotRecord {
-                oid: u64_at(body, pos),
-                offset: u64_at(body, pos + 8),
-                size,
-                weight: body[pos + 24],
-                slots: body[slots_at..slots_end]
-                    .chunks_exact(8)
-                    .map(|c| {
-                        let raw = u64::from_le_bytes(c.try_into().unwrap());
-                        (raw != 0).then(|| raw - 1)
-                    })
-                    .collect(),
-            });
-            pos = slots_end;
-        }
-        if summed != live_bytes {
-            return Err(bad("live_bytes disagrees with records"));
-        }
-        Ok(Self {
-            generation: u64_at(body, 8),
-            partition: u32_at(body, 16),
-            events_applied: u64_at(body, 20),
-            collections: u64_at(body, 28),
-            live_bytes,
-            records,
-        })
-    }
-
-    /// Compares the snapshot against `partition`'s live state in `db`,
-    /// member for member in list order. Returns a description of the first
-    /// mismatch, if any.
-    pub fn verify_against(&self, db: &Database) -> std::result::Result<(), String> {
-        let partition = PartitionId(self.partition);
-        let members = db.objects().member_count(partition);
-        if members != self.records.len() {
-            return Err(format!(
-                "partition {partition}: snapshot has {} members, database has {members}",
-                self.records.len(),
-            ));
-        }
-        for (rec, oid) in self.records.iter().zip(db.objects().members(partition)) {
-            if rec.oid != oid.index() {
-                return Err(format!(
-                    "partition {partition}: snapshot member o#{} vs database {oid}",
-                    rec.oid
-                ));
-            }
-            let live = match db.objects().get(oid) {
-                Ok(live) => live,
-                Err(e) => return Err(format!("{oid}: {e}")),
-            };
-            let slots_match = live.slots.len() == rec.slots.len()
-                && live
-                    .slots
-                    .iter()
-                    .zip(&rec.slots)
-                    .all(|(a, b)| a.get().map(|o| o.index()) == *b);
-            if live.addr.offset != rec.offset
-                || live.size.get() != rec.size
-                || live.weight != rec.weight
-                || !slots_match
-            {
-                return Err(format!("{oid}: snapshot record diverges from database"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A generation file read back whole: every partition's image and the run
-/// image's words, all of one generation. What a restore starts from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A generation file read back whole: its checked bytes, where each
+/// partition's image starts in them, and the run image's words. What a
+/// restore starts from.
+#[derive(Debug)]
 pub struct GenerationImage {
     /// Snapshot generation (1-based, monotone per run).
     pub generation: u64,
@@ -425,95 +243,131 @@ pub struct GenerationImage {
     pub events_applied: u64,
     /// Collections completed when the generation was taken.
     pub collections: u64,
-    /// One image per partition, partition `p` at index `p`.
-    pub partitions: Vec<PartitionSnapshot>,
     /// The run image's words, as the run's owner wrote them.
     pub run: Vec<u64>,
+    bytes: Vec<u8>,
+    /// `starts[p]` is where partition `p`'s image starts in `bytes`.
+    starts: Vec<usize>,
 }
 
 impl GenerationImage {
-    /// Serializes to the file form, byte for byte what a landing writes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes: Vec<u8> = self
-            .partitions
+    /// The file as it was read.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Partition images in the file (the run image is not one).
+    pub fn partitions(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Every object record as the database holds it, partition 0's first,
+    /// each partition's in member-list order: the inverse of what
+    /// `Generation::capture` writes.
+    pub fn records(&self) -> impl Iterator<Item = (Oid, ObjectRecord)> + '_ {
+        let b = &self.bytes[..];
+        self.record_starts().map(move |(partition, at)| {
+            let slots = (0..u32_at(b, at + 25) as usize).map(|i| {
+                let word = u64_at(b, at + RECORD_FIXED_BYTES + 8 * i);
+                Slot::from(word.checked_sub(1).map(Oid))
+            });
+            let record = ObjectRecord {
+                addr: ObjAddr::new(PartitionId(partition), u64_at(b, at + 8)),
+                size: Bytes(u64_at(b, at + 16)),
+                slots: slots.collect(),
+                weight: b[at + 24],
+            };
+            (Oid(u64_at(b, at)), record)
+        })
+    }
+
+    /// Where each record starts in `bytes`, with its partition.
+    fn record_starts(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        let b = &self.bytes[..];
+        self.starts
             .iter()
-            .flat_map(PartitionSnapshot::to_bytes)
-            .collect();
-        let run_at = bytes.len();
-        put_run_image(
-            &mut bytes,
-            [self.generation, self.events_applied, self.collections],
-            &self.run,
-        );
-        seal(&mut bytes[run_at..]);
-        bytes
+            .zip(0..)
+            .flat_map(move |(&start, partition)| {
+                let mut at = start + HEADER_BYTES;
+                (0..u32_at(b, start + 36)).map(move |_| {
+                    let record = at;
+                    at += RECORD_FIXED_BYTES + 8 * u32_at(b, at + 25) as usize;
+                    (partition, record)
+                })
+            })
     }
 }
 
 /// Parses a generation file whole: see the module docs. Any image that
 /// does not walk, checksum or agree with the others is an `Err` for the
 /// file.
-pub fn parse_generation(bytes: &[u8]) -> Result<GenerationImage> {
-    let mut images = walk(bytes);
-    let mut partitions = Vec::new();
+pub fn parse_generation(bytes: Vec<u8>) -> Result<GenerationImage> {
+    let mut images = walk(&bytes);
+    let (mut starts, mut at) = (Vec::new(), 0);
     let run = loop {
         let image = images.next().ok_or_else(|| bad("no run image"))??;
+        let body = checked_body(image)?;
         if image.starts_with(RUN_MAGIC) {
-            break image;
+            break body;
         }
-        let snap = PartitionSnapshot::from_walked(image)?;
-        if snap.partition as usize != partitions.len() {
+        if u32_at(body, 16) as usize != starts.len() {
             return Err(bad("partition images out of order"));
         }
-        partitions.push(snap);
+        starts.push(at);
+        at += image.len();
     };
     if images.next().is_some() {
         return Err(bad("bytes after the run image"));
     }
-    let body = checked_body(run)?;
-    let (generation, events_applied, collections) =
-        (u64_at(body, 8), u64_at(body, 16), u64_at(body, 24));
-    let agree = |p: &PartitionSnapshot| {
-        (p.generation, p.events_applied, p.collections) == (generation, events_applied, collections)
-    };
-    if !partitions.iter().all(agree) {
+    drop(images);
+    // Generation, then events applied and collections, in every header.
+    let stamp = |s: usize| [&bytes[s + 8..s + 16], &bytes[s + 20..s + 36]];
+    if starts
+        .iter()
+        .any(|&s| stamp(s) != [&run[8..16], &run[16..32]])
+    {
         return Err(bad("images of different generations"));
     }
-    Ok(GenerationImage {
-        generation,
-        events_applied,
-        collections,
-        partitions,
-        run: body[RUN_HEADER_BYTES..]
+    let image = GenerationImage {
+        generation: u64_at(run, 8),
+        events_applied: u64_at(run, 16),
+        collections: u64_at(run, 24),
+        run: run[RUN_HEADER_BYTES..]
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
             .collect(),
-    })
+        bytes,
+        starts,
+    };
+    let mut live = vec![0u128; image.partitions()];
+    for (partition, at) in image.record_starts() {
+        live[partition as usize] += u128::from(u64_at(&image.bytes, at + 16));
+    }
+    let stated = image.starts.iter().map(|&s| u64_at(&image.bytes, s + 40));
+    if !live.into_iter().eq(stated.map(u128::from)) {
+        return Err(bad("live_bytes disagrees with the records"));
+    }
+    Ok(image)
 }
 
 /// Reads one generation file whole: see [`parse_generation`].
 pub fn read_generation(path: &Path) -> Result<GenerationImage> {
-    parse_generation(&fs::read(path).map_err(io_err)?)
+    parse_generation(fs::read(path).map_err(io_err)?)
 }
 
-/// The partition images of a generation file's bytes, in file order
-/// (partition 0 first), up to the run image. An image that fails its
-/// checksum or does not parse is an `Err` in its place and the walk goes on
-/// behind it; one whose end cannot be found is the last entry.
-pub fn parse_images(bytes: &[u8]) -> Vec<Result<PartitionSnapshot>> {
-    walk(bytes)
-        .take_while(|image| !matches!(image, Ok(image) if image.starts_with(RUN_MAGIC)))
-        .map(|image| image.and_then(PartitionSnapshot::from_walked))
-        .collect()
-}
-
-/// Reads one generation file's partition images: see [`parse_images`]. A
-/// file that cannot be read is one `Err`.
-pub fn read_snapshot(path: &Path) -> Vec<Result<PartitionSnapshot>> {
-    match fs::read(path) {
-        Ok(bytes) => parse_images(&bytes),
-        Err(unread) => vec![Err(io_err(unread))],
-    }
+/// The file the store lands for `db` at `stamp` (generation, events
+/// applied, collections), the words `run` appends making its run image:
+/// the capture a landing serialises, sealed here instead of on the
+/// store's background thread. `verify` holds landed files to it.
+pub fn capture_generation(
+    db: &Database,
+    stamp: [u64; 3],
+    run: impl FnOnce(&mut Vec<u64>),
+) -> Result<Vec<u8>> {
+    let mut generation = Generation::default();
+    generation.capture(db, stamp, run)?;
+    generation.seal();
+    Ok(generation.bytes)
 }
 
 /// A generation file found in a data directory (not yet validated).
@@ -684,7 +538,7 @@ mod tests {
     use crate::store::tests::persist;
     use crate::store::DurableStore;
     use crate::tempdir::ScratchDir;
-    use pgc_sim::durable::{manifest_for, restore};
+    use pgc_sim::durable::{manifest_for, restore, verify};
     use pgc_sim::{outcome_digest, recover, RunConfig, TelemetryLevel};
     use pgc_types::Bytes;
 
@@ -705,12 +559,12 @@ mod tests {
         let dir = ScratchDir::new("hostile-pgcs");
         let mut cfg = RunConfig::small()
             .with_seed(5)
-            .with_heap_growth(Bytes::from_kib(96));
+            .with_heap_growth(Bytes::from_kib(128));
         cfg.policy = policy.parse().expect("a policy");
         let durability = DurabilityConfig::snapshot_and_log(dir.path()).with_snapshot_every(2);
         let mut store = DurableStore::create(&durability).expect("store");
         // Only the manifest goes through `pgc-sim`'s build of this crate.
-        manifest_for(&cfg, TelemetryLevel::Off)
+        manifest_for(&cfg, TelemetryLevel::Full)
             .write_to(dir.path())
             .expect("manifest");
         let digest = outcome_digest(&persist(&cfg, &mut store, 40, |_, _| {}));
@@ -746,22 +600,14 @@ mod tests {
     }
 
     impl RealRun {
-        /// Plants `hostile` as the newest generation file. The image reader
-        /// must hand back, per image, an error or exactly what was landed;
-        /// restoring from the planted generation must fail unless it is the
-        /// landed bytes; and recovery over the directory must reach the
-        /// undamaged digest, from the older generation if need be.
+        /// Plants `hostile` as the newest generation file. The reader must
+        /// refuse it unless it is the landed bytes; restoring from the
+        /// planted generation must fail unless it is the landed bytes; and
+        /// recovery over the directory must reach the undamaged digest,
+        /// from the older generation if need be.
         fn survives(&self, hostile: &[u8], what: &str) {
-            let clean = parse_images(&self.bytes);
-            for (i, image) in parse_images(hostile).into_iter().enumerate() {
-                if let Ok(image) = image {
-                    let landed = clean.get(i).and_then(|c| c.as_ref().ok());
-                    assert_eq!(
-                        Some(&image),
-                        landed,
-                        "{what}: image {i} parsed to something else"
-                    );
-                }
+            if let Ok(image) = parse_generation(hostile.to_vec()) {
+                assert!(image.bytes() == self.bytes, "{what}: read as a file");
             }
             self.recovers_past(hostile, what);
         }
@@ -794,27 +640,55 @@ mod tests {
             refusal
         }
 
-        /// Plants the newest generation as parsed, edited and serialised
-        /// again: checksum-valid bytes that say something no run wrote.
-        /// The restore must refuse it for the reason `why` names.
-        fn edited(&self, what: &str, why: &str, edit: impl FnOnce(&mut GenerationImage)) {
-            let mut image = parse_generation(&self.bytes).expect("a landed file parses");
-            edit(&mut image);
-            let hostile = image.to_bytes();
-            assert!(parse_generation(&hostile).is_ok(), "{what}: checksum-valid");
+        /// Plants the newest generation edited in place and resealed:
+        /// checksum-valid bytes that say something no run wrote. The
+        /// restore must refuse it for the reason `why` names.
+        fn edited(&self, what: &str, why: &str, edit: impl FnOnce(&mut Vec<u8>)) {
+            let mut hostile = self.bytes.clone();
+            edit(&mut hostile);
+            reseal_all(&mut hostile);
+            assert!(
+                parse_generation(hostile.clone()).is_ok(),
+                "{what}: checksum-valid"
+            );
             let refusal = self.recovers_past(&hostile, what);
             assert!(refusal.contains(why), "{what}: refused with `{refusal}`");
         }
 
-        /// Where `words` sit in the newest generation's run image.
-        fn run_words_at(&self, words: &[u64]) -> usize {
-            let image = parse_generation(&self.bytes).expect("a landed file parses");
-            image
-                .run
-                .windows(words.len())
-                .position(|w| w == words)
-                .expect("the saved state is in the run image")
+        /// Where run word `i` of the newest generation lies in its bytes.
+        fn run_word(&self, i: usize) -> usize {
+            self.starts[self.starts.len() - 1] + RUN_HEADER_BYTES + 8 * i
         }
+
+        /// Which run word of the newest generation `saved` starts at.
+        fn run_words_at(&self, saved: &[u64]) -> usize {
+            word_at(&parse_generation(self.bytes.clone()).unwrap().run, saved)
+        }
+
+        /// The first record of the newest generation that holds a pointer:
+        /// where its image starts, where it starts, and where its first
+        /// non-empty slot lies.
+        fn first_pointer(&self) -> [usize; 3] {
+            let b = &self.bytes;
+            for &image in &self.starts[..self.starts.len() - 1] {
+                let mut at = image + HEADER_BYTES;
+                for _ in 0..u32_at(b, image + 36) {
+                    let slots_at = at + RECORD_FIXED_BYTES;
+                    let end = slots_at + 8 * u32_at(b, at + 25) as usize;
+                    if let Some(slot) = (slots_at..end).step_by(8).find(|&s| u64_at(b, s) != 0) {
+                        return [image, at, slot];
+                    }
+                    at = end;
+                }
+            }
+            panic!("a pointer somewhere")
+        }
+    }
+
+    /// Which of `words` the state `saved` starts at.
+    fn word_at(words: &[u64], saved: &[u64]) -> usize {
+        let at = words.windows(saved.len()).position(|w| w == saved);
+        at.expect("the saved state is in the run image")
     }
 
     /// Recomputes the checksum of the image at `start` where the reader
@@ -827,43 +701,65 @@ mod tests {
         }
     }
 
+    /// [`reseal`] for every image the walk finds, front to back.
+    fn reseal_all(bytes: &mut [u8]) {
+        let mut at = 0;
+        while let Ok(len) = image_len(&bytes[at..]) {
+            seal(&mut bytes[at..at + len]);
+            at += len;
+        }
+    }
+
+    fn put_u64(bytes: &mut [u8], at: usize, value: u64) {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// 60 bytes, checksum-valid: the first header of `landed` stating
+    /// `record_count = u32::MAX` over 8 bytes that are no record. Sizing
+    /// anything by that count asks for 240 GB and aborts the process.
+    fn four_billion_records(landed: &[u8]) -> Vec<u8> {
+        let mut file = landed[..HEADER_BYTES].to_vec();
+        file[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
+        file.extend_from_slice(&[0; 8 + FOOTER_BYTES]);
+        seal(&mut file);
+        assert_eq!(file.len(), 60);
+        file
+    }
+
     #[test]
     fn a_header_stating_four_billion_records_is_an_error_not_an_allocation() {
-        // 60 bytes, checksum-valid: a header, `record_count = u32::MAX`,
-        // 8 bytes that are no record. Sizing a `Vec` by that count asks
-        // for 240 GB and aborts the process.
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&VERSION.to_le_bytes());
-        file.extend_from_slice(&99u64.to_le_bytes());
-        file.extend_from_slice(&0u32.to_le_bytes());
-        file.extend_from_slice(&[0; 16]);
-        file.extend_from_slice(&u32::MAX.to_le_bytes());
-        file.extend_from_slice(&[0; 16]);
-        file.extend_from_slice(&crc32(&file).to_le_bytes());
-        assert_eq!(file.len(), 60);
-        assert!(PartitionSnapshot::from_bytes(&file).is_err());
-        assert!(parse_generation(&file).is_err());
-        let images = parse_images(&file);
-        assert!(matches!(images[..], [Err(_)]), "{images:?}");
-
-        // Planted beside a real run's files under a name newer than any of
-        // them, it costs recovery one skip and nothing else.
         let run = real_run("UpdatedPointer");
-        fs::write(run.dir.join(snapshot_name(99_999_999)), &file).expect("plant");
-        let clean = parse_images(&run.bytes).len();
-        let recovered = recover(run.dir.path()).expect("recover");
+        let file = four_billion_records(&run.bytes);
+        assert!(parse_generation(file.clone()).is_err());
+
+        // Planted beside the run's files under a name newer than any of
+        // them, it costs recovery one skip and nothing else.
+        let bogus = 99_999_999;
+        fs::write(run.dir.join(snapshot_name(bogus)), &file).expect("plant");
+        let (mut shard, tail) = restore(run.dir.path()).expect("restore");
+        let passed: Vec<u64> = tail.passed_over.iter().map(|(g, _)| *g).collect();
+        assert_eq!(passed, [bogus]);
+        assert_eq!(tail.restored_from, Some(run.generation));
+        assert_eq!(tail.log.trace.events(), 0);
+        tail.replay(&mut shard).expect("replay");
+        let recovered = tail.finish(shard).expect("finish");
         assert_eq!(outcome_digest(&recovered.outcome), run.digest);
-        assert_eq!(recovered.snapshot_files_skipped, 1);
-        assert_eq!(recovered.snapshots_verified, clean);
-        assert_eq!(recovered.restored_from, Some(run.generation));
         assert_eq!(recovered.tail_events, 0);
+
+        let verified = verify(run.dir.path()).expect("verify");
+        assert_eq!(outcome_digest(&verified.outcome), run.digest);
+        assert_eq!(verified.snapshot_files_skipped, 1);
+        assert_eq!(verified.snapshots_verified, 2);
     }
 
     #[test]
     fn hostile_generation_files_come_back_as_errors_never_a_panic() {
         let run = real_run("UpdatedPointer");
         run.survives(&run.bytes, "undamaged");
+        run.survives(
+            &four_billion_records(&run.bytes),
+            "a lone header stating four billion records",
+        );
         for cut in (0..run.bytes.len()).step_by(97) {
             run.survives(&run.bytes[..cut], &format!("truncated at {cut}"));
         }
@@ -900,40 +796,23 @@ mod tests {
     #[test]
     fn checksum_valid_generations_that_no_run_wrote_are_refused() {
         let run = real_run("UpdatedPointer");
-        let with_slots = |image: &mut GenerationImage| -> (usize, usize) {
-            image
-                .partitions
-                .iter()
-                .enumerate()
-                .find_map(|(p, part)| {
-                    let r = part
-                        .records
-                        .iter()
-                        .position(|r| r.slots.iter().any(Option::is_some));
-                    r.map(|r| (p, r))
-                })
-                .expect("a pointer somewhere")
-        };
-        run.edited("a slot naming an absent oid", "absent object", |image| {
-            let (p, r) = with_slots(image);
-            let slots = &mut image.partitions[p].records[r].slots;
-            let slot = slots.iter().position(Option::is_some).expect("a pointer");
-            slots[slot] = Some(u64::MAX - 7);
+        let [image, record, slot] = run.first_pointer();
+        run.edited("a slot naming an absent oid", "absent object", |b| {
+            put_u64(b, slot, u64::MAX - 6);
         });
         run.edited(
             "an offset past the partition's capacity",
             "past its partition",
-            |image| {
-                let (p, r) = with_slots(image);
-                image.partitions[p].records[r].offset = 16 * 1024;
-            },
+            |b| put_u64(b, record + 8, 16 * 1024),
         );
-        run.edited("an oid twice", "or twice", |image| {
-            let (p, r) = with_slots(image);
-            let part = &mut image.partitions[p];
-            let twin = part.records[r].clone();
-            part.live_bytes += twin.size;
-            part.records.push(twin);
+        run.edited("an oid twice", "or twice", |b| {
+            let end = record + RECORD_FIXED_BYTES + 8 * u32_at(b, record + 25) as usize;
+            let twin = b[record..end].to_vec();
+            b.splice(end..end, twin);
+            let count = u32_at(b, image + 36) + 1;
+            b[image + 36..image + 40].copy_from_slice(&count.to_le_bytes());
+            let live = u64_at(b, image + 40) + u64_at(b, record + 16);
+            put_u64(b, image + 40, live);
         });
 
         // The database's state opens with the oid bound; the buffer's pages
@@ -943,36 +822,28 @@ mod tests {
         shard.db().save_state(&mut db);
         let oid_bound = run.run_words_at(&db);
         let last_page = oid_bound + db.len() - 1;
-        run.edited(
-            "a buffered page out of range",
-            "page out of range",
-            |image| {
-                image.run[last_page] = u64::MAX;
-            },
-        );
+        run.edited("a buffered page out of range", "page out of range", |b| {
+            put_u64(b, run.run_word(last_page), u64::MAX)
+        });
         // A trillion events and as many oids: sizing the object table by
         // that aborts the process. Only the log can say no run got there.
         let far = 1u64 << 40;
         run.edited(
             "events and oids no log reaches",
             "the log does not reach",
-            |image| {
-                image.events_applied = far;
-                for part in &mut image.partitions {
-                    part.events_applied = far;
+            |b| {
+                let (partitions, run_image) = run.starts.split_at(run.starts.len() - 1);
+                for &start in partitions {
+                    put_u64(b, start + 20, far);
                 }
-                image.run[0] = far;
-                image.run[oid_bound] = far;
+                put_u64(b, run_image[0] + 16, far);
+                put_u64(b, run.run_word(0), far);
+                put_u64(b, run.run_word(oid_bound), far);
             },
         );
-        run.edited(
-            "an oid far past the events",
-            "oid past the bound",
-            |image| {
-                let (p, r) = with_slots(image);
-                image.partitions[p].records[r].oid = far;
-            },
-        );
+        run.edited("an oid far past the events", "oid past the bound", |b| {
+            put_u64(b, record, far)
+        });
 
         // The meta-policy's state opens with its incumbent.
         let meta = real_run("AdaptiveMeta");
@@ -980,8 +851,60 @@ mod tests {
         let mut collector = Vec::new();
         shard.collector().save(&mut collector);
         let incumbent = meta.run_words_at(&collector);
-        meta.edited("an incumbent outside the slate", "incumbent 99", |image| {
-            image.run[incumbent] = 99;
+        meta.edited("an incumbent outside the slate", "incumbent 99", |b| {
+            put_u64(b, meta.run_word(incumbent), 99);
         });
+
+        // Counters a tail replay adds to, near the top of `u64`, in the
+        // older generation alone, as a kill between the two landings leaves
+        // the directory: the database's, the policy's allocation clock, the
+        // trigger's, and the telemetry recorder's counters, histogram
+        // tallies and clocks. Each is refused, and replay from event 0
+        // reaches the undamaged digest, or restored, and the tail behind it
+        // replays to a finish.
+        fs::remove_file(&run.path).expect("remove the newest generation");
+        let (shard, tail) = restore(run.dir.path()).expect("the older generation");
+        assert_eq!(tail.restored_from, Some(run.older));
+        let activations = tail.log.safepoints.iter().filter(|s| s.generation == 0);
+        assert!(
+            activations.count() > 0,
+            "a collection in the tail to replay"
+        );
+        let older = run.dir.join(snapshot_name(run.older));
+        let landed = fs::read(&older).expect("read");
+        let words = parse_generation(landed.clone()).expect("landed").run;
+        let run_words = landed.len() - FOOTER_BYTES - 8 * words.len();
+        let (mut db, mut collector) = (Vec::new(), Vec::new());
+        shard.db().save_state(&mut db);
+        shard.collector().save(&mut collector);
+        let stats = word_at(&words, &db) + 2 + shard.db().roots().count();
+        let policy = word_at(&words, &collector);
+        let trigger = policy + collector.len() - 5;
+        let telemetry = policy + collector.len() + 1;
+        // Sampling is off: the run image ends in the next sample (never)
+        // and an empty series, behind the telemetry's two clocks.
+        assert!(words.ends_with(&[u64::MAX, 0]));
+        let histograms = (0..3).flat_map(|h| [65, 66].map(|w| telemetry + 15 + 68 * h + w));
+        let counters = (stats..stats + 9)
+            .chain([policy])
+            .chain(trigger..trigger + 5)
+            .chain(telemetry..telemetry + 15)
+            .chain(histograms)
+            .chain([words.len() - 4, words.len() - 3]);
+        for word in counters {
+            for value in [u64::MAX, u64::MAX - 1] {
+                let what = format!("run word {word} = {value}");
+                let mut hostile = landed.clone();
+                put_u64(&mut hostile, run_words + 8 * word, value);
+                reseal(&mut hostile, run_words - RUN_HEADER_BYTES);
+                fs::write(&older, &hostile).expect("plant");
+                let (mut shard, tail) = restore(run.dir.path()).expect(&what);
+                tail.replay(&mut shard).expect(&what);
+                let recovered = tail.finish(shard).expect(&what);
+                if recovered.restored_from.is_none() {
+                    assert_eq!(outcome_digest(&recovered.outcome), run.digest, "{what}");
+                }
+            }
+        }
     }
 }

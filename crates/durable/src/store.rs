@@ -252,10 +252,11 @@ impl DurableStore {
 pub(crate) mod tests {
     use super::*;
     use crate::log::{read_log, read_log_from, MAX_IN_FLIGHT};
-    use crate::snapshot::{parse_generation, snapshot_name, GenerationImage, PartitionSnapshot};
+    use crate::snapshot::{capture_generation, snapshot_name};
     use crate::tempdir::ScratchDir;
-    use pgc_sim::{RunConfig, RunOutcome, Shard};
-    use pgc_types::{Bytes, PartitionId};
+    use pgc_sim::durable::{manifest_for, restore};
+    use pgc_sim::{RunConfig, RunOutcome, Shard, TelemetryLevel};
+    use pgc_types::Bytes;
     use pgc_workload::generator::GenStats;
     use pgc_workload::{EncodedTrace, NodeId, SyntheticWorkload};
     use std::sync::mpsc;
@@ -475,21 +476,23 @@ pub(crate) mod tests {
         }
     }
 
-    /// Persists `cfg`'s run through `store` with the cadence `Shard` uses
-    /// — the events of each of `stops` steps logged ahead of it, a
-    /// safepoint after each step that completed a collection, `finish`
-    /// after the last — stopping after each. (`pgc-sim` links the non-test
-    /// build of this crate, so its `Shard` cannot own this build's store.)
+    /// Persists `cfg`'s run, telemetry recorded at `Full`, through `store`
+    /// with the cadence `Shard` uses — the events of each of `stops` steps
+    /// logged ahead of it, a safepoint after each step that completed a
+    /// collection, `finish` after the last — stopping after each.
+    /// (`pgc-sim` links the non-test build of this crate, so its `Shard`
+    /// cannot own this build's store.)
     pub(crate) fn persist(
         cfg: &RunConfig,
         store: &mut DurableStore,
         stops: usize,
-        mut at_stop: impl FnMut(usize, &DurableStore),
+        mut at_stop: impl FnMut(usize, &mut DurableStore),
     ) -> RunOutcome {
         let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
             .unwrap()
             .collect();
         let mut shard = Shard::new(cfg).unwrap();
+        shard.enable_telemetry(TelemetryLevel::Full);
         let mut safepointed = 0;
         for (stop, chunk) in events.chunks(events.len().div_ceil(stops)).enumerate() {
             store.append_events(chunk).unwrap();
@@ -549,66 +552,58 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn landed_files_equal_the_owned_form_byte_for_byte() {
+    fn a_landed_file_is_the_capture_of_the_run_it_restores() {
+        // A generation at every safepoint. At each stop, the newest file
+        // restores to a shard whose capture is that file, byte for byte.
         let dir = ScratchDir::new("bytes");
-        let mut store = DurableStore::create(&DurabilityConfig::snapshot_and_log(dir.path()))
-            .expect("create store");
-        let mut written = 0;
-        churn(5, |stop, shard| {
-            let (db, applied) = (shard.db(), shard.events_applied());
-            let generation = stop as u64 + 1;
-            // The oracle: the reader's owned form of every partition and
-            // of the run image, serialised one after the other.
-            let partitions = db.partition_count() as u32;
-            assert!(partitions > 1, "the run must spread over partitions");
-            let run = vec![generation, u64::MAX, 0];
-            let expected = GenerationImage {
-                generation,
-                events_applied: applied,
-                collections: stop as u64,
-                partitions: (0..partitions)
-                    .map(|p| {
-                        PartitionSnapshot::capture(
-                            db,
-                            PartitionId(p),
-                            generation,
-                            applied,
-                            stop as u64,
-                        )
-                        .unwrap()
-                    })
-                    .collect(),
-                run: run.clone(),
-            };
-            store
-                .safepoint(db, applied, stop as u64, true, |out| out.extend(&run))
-                .unwrap();
+        let run = RunConfig::small().with_seed(9).with_deletions_per_round(12);
+        let cfg = DurabilityConfig::snapshot_and_log(dir.path()).with_snapshot_every(1);
+        let mut store = DurableStore::create(&cfg).unwrap();
+        manifest_for(&run, TelemetryLevel::Full)
+            .write_to(dir.path())
+            .unwrap();
+        let (mut checked, mut written) = (0, 0);
+        persist(&run, &mut store, 5, |stop, store| {
             store.writer.flusher.drain().unwrap();
-            let got = fs::read(dir.join(snapshot_name(generation))).unwrap();
-            assert_eq!(parse_generation(&got).unwrap(), expected);
-            let expected = expected.to_bytes();
-            assert!(got == expected, "generation {generation}");
+            let generation = store.generation - 1;
+            if generation == checked {
+                return;
+            }
+            assert_eq!(generation, checked + 1, "stop {stop}: one at a time");
+            checked = generation;
+            let landed = fs::read(dir.join(snapshot_name(generation))).unwrap();
+            let (shard, tail) = restore(dir.path()).unwrap();
+            assert_eq!(tail.restored_from, Some(generation));
+            let stamp = [
+                generation,
+                shard.events_applied(),
+                shard.db().stats().collections,
+            ];
+            let again = capture_generation(shard.db(), stamp, |out| shard.save_state(out));
+            assert!(again.unwrap() == landed, "generation {generation}");
             let stats = store.stats();
             assert_eq!(
                 stats.snapshot_fsyncs, generation,
                 "one fsync per generation"
             );
-            written += expected.len() as u64;
+            written += landed.len() as u64;
             assert_eq!(
                 stats.snapshot_bytes, written,
                 "nothing added between images"
             );
         });
+        assert!(checked > 2, "the run must take several generations");
 
         // Pruning by remembered names leaves exactly the newest two
-        // generations and no temp file: nothing else beside the log.
+        // generations and no temp file: nothing else beside the log and the
+        // manifest.
         let mut left: Vec<String> = fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| !name.starts_with("log-"))
+            .filter(|name| !name.starts_with("log-") && name != MANIFEST_FILE)
             .collect();
         left.sort();
-        assert_eq!(left, [snapshot_name(4), snapshot_name(5)]);
+        assert_eq!(left, [snapshot_name(checked - 1), snapshot_name(checked)]);
     }
 
     /// How a test feeds one run of events to the store.

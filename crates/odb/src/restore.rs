@@ -56,36 +56,43 @@ impl Database {
 
     /// Rebuilds the database a snapshot describes: `partitions` partitions,
     /// the resident `objects` (each partition's in member-list order), and
-    /// the words [`Database::save_state`] wrote. `max_oids` bounds the oids
-    /// ever handed out (each one was created by an event, so the events
-    /// applied bound it) and with them the object table's size: the caller
-    /// vouches for it. The result is the saved database, down to member
-    /// order and buffer recency, or an `Err` naming the first thing that
-    /// could not have been saved.
+    /// the words [`Database::save_state`] wrote, after a run of `events`
+    /// events. Those bound the oids ever handed out (each one was created
+    /// by an event), and with them the object table's size, and every
+    /// counter one event adds at most one to: the caller vouches for them.
+    /// The result is the saved database, down to member order and buffer
+    /// recency, or an `Err` naming the first thing that could not have been
+    /// saved.
     pub fn restore(
         cfg: DbConfig,
         partitions: usize,
-        max_oids: u64,
+        events: u64,
         objects: impl IntoIterator<Item = (Oid, ObjectRecord)>,
         words: &mut Words<'_>,
     ) -> Result<Self> {
         let mut db = Database::new(cfg)?;
         let next_oid = words.word()?;
-        if next_oid > max_oids {
+        if next_oid > events {
             return Err(bad("more oids than events created"));
         }
         let root_count = words.count()?;
         let roots = words.take(root_count)?;
+        // Every counter within what the run could reach: one event adds at
+        // most one to a count, no object outgrows a partition, and only
+        // what was allocated is reclaimed.
+        let capacity = db.partitions.partition(PartitionId(0))?.capacity();
+        let created = words.at_most(events)?;
+        let allocated = words.at_most(created.saturating_mul(capacity.get()))?;
         db.stats = DbStats {
-            objects_created: words.word()?,
-            bytes_allocated: Bytes(words.word()?),
-            pointer_writes: words.word()?,
-            pointer_overwrites: words.word()?,
-            data_writes: words.word()?,
-            reads: words.word()?,
-            collections: words.word()?,
-            reclaimed_bytes: Bytes(words.word()?),
-            reclaimed_objects: words.word()?,
+            objects_created: created,
+            bytes_allocated: Bytes(allocated),
+            pointer_writes: words.at_most(events)?,
+            pointer_overwrites: words.at_most(events)?,
+            data_writes: words.at_most(events)?,
+            reads: words.at_most(events)?,
+            collections: words.at_most(events)?,
+            reclaimed_bytes: Bytes(words.at_most(allocated)?),
+            reclaimed_objects: words.at_most(created)?,
         };
 
         // The layout `PartitionSet::save` wrote.
@@ -98,7 +105,6 @@ impl Database {
         }
         let spread_cursor = words.word_u32()?;
         let cursors = words.take(partitions)?;
-        let capacity = db.partitions.partition(PartitionId(0))?.capacity();
         if cursors[empty] != 0 || cursors.iter().any(|&c| c > capacity.get()) {
             return Err(bad("a partition cursor out of range"));
         }
@@ -274,11 +280,14 @@ mod tests {
         let live = lived_in();
         let (records, state) = image(&live);
         let roots_at = 1;
-        let layout_at = 2 + live.roots().count() + 9;
+        let counters_at = 2 + live.roots().count();
+        let layout_at = counters_at + 9;
         let lru_last = state.len() - 1;
         for (at, value, what) in [
             (0, 5_000, "an oid bound past the events"),
             (roots_at, u64::MAX, "a root count past the words"),
+            (counters_at, 5_000, "more objects created than events"),
+            (counters_at + 1, u64::MAX, "bytes no partition holds"),
             (layout_at, 7, "a partition count not the images'"),
             (layout_at + 1, 99, "an empty partition out of range"),
             (layout_at + 3, u64::MAX, "a cursor past the partition"),

@@ -35,24 +35,26 @@
 //! from every generation a run lands). A clean shutdown's newest generation
 //! sits at the last event, so its recovery replays nothing.
 //!
-//! [`verify`] is the reference the restore path is held to: it replays the
-//! whole log from event 0, cross-checks the newest valid image of every
-//! partition against the replayed database where the image was taken, and
-//! requires its digest to equal [`recover`]'s.
+//! [`verify`] holds the restore path to the run byte for byte. One shard
+//! replays the whole log from event 0, and at each usable generation's
+//! event its capture — what the store would land there, partition images
+//! and run image alike — must be that generation's file. The older of each
+//! two usable generations, restored as [`restore`] restores it and replayed
+//! to the newer one's event, must capture to the newer file. And the
+//! replay's digest must equal [`recover`]'s.
 
 use crate::run::{RunConfig, RunOutcome};
 use crate::shard::Shard;
 use pgc_core::{PolicyKind, Trigger};
 use pgc_durable::snapshot::SnapshotFile;
 use pgc_durable::{
-    read_generation, read_log, read_log_from, read_snapshot, scan_snapshots, LogContents, Manifest,
-    PartitionSnapshot, SafepointNote, TornTail,
+    capture_generation, read_generation, read_log, read_log_from, scan_snapshots, GenerationImage,
+    LogContents, Manifest, SafepointNote, TornTail,
 };
 use pgc_telemetry::TelemetryLevel;
 use pgc_types::{fast_hash_u64, Bytes, PgcError, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
-use pgc_workload::{EncodedTrace, EventBlock, BLOCK_EVENTS};
-use std::collections::BTreeMap;
+use pgc_workload::{EventBlock, TraceCursor, BLOCK_EVENTS};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -222,12 +224,11 @@ pub struct RecoveredRun {
     /// Safepoint markers found in the log segments read.
     pub safepoints: usize,
     /// [`recover`]: partition images in the restored generation. [`verify`]:
-    /// partition images cross-checked against the replayed state.
+    /// generations whose files the round trip captured byte for byte.
     pub snapshots_verified: usize,
-    /// [`recover`]: generation files passed over as unusable. [`verify`]:
-    /// partition images skipped as corrupt, a file that could not be read
-    /// or walked to its end counting once (the older generation's image,
-    /// when present, stood in).
+    /// Generation files passed over. [`recover`]: unusable for a restore.
+    /// [`verify`]: unreadable whole, or beyond the log's end (a
+    /// checksum-valid file that no run wrote fails `verify` instead).
     pub snapshot_files_skipped: usize,
 }
 
@@ -254,7 +255,7 @@ pub struct Tail {
 impl Tail {
     /// Steps `shard` through every event of the tail.
     pub fn replay(&self, shard: &mut Shard) -> Result<()> {
-        replay(shard, &self.log.trace, BTreeMap::new()).map(drop)
+        replay(shard, &mut self.log.trace.cursor(), u64::MAX)
     }
 
     /// Finishes the replayed `shard` into the recovered run.
@@ -350,121 +351,116 @@ fn attempt(
     let reading = Instant::now();
     let log = read_log_from(dir, image.events_applied)?;
     *log_wall += reading.elapsed();
-    let frame = SafepointNote {
-        events_applied: image.events_applied,
-        collections: image.collections,
-        generation: image.generation,
-    };
-    if log.start_event != image.events_applied || !log.safepoints.contains(&frame) {
+    if log.start_event != image.events_applied || !log.safepoints.contains(&frame(&image)) {
         return Ok(Err(bad(format!(
             "the log does not reach generation {}'s safepoint at event {}",
             image.generation, image.events_applied
         ))));
     }
-    Ok(Shard::restore(cfg, level, &image).map(|shard| (shard, log, image.partitions.len())))
+    Ok(Shard::restore(cfg, level, &image).map(|shard| (shard, log, image.partitions())))
 }
 
-/// Recovery the long way, kept as the reference [`recover`] is held to:
-/// replays the whole log from event 0 through a fresh shard, cutting a
-/// block wherever a snapshot was taken to cross-check the **newest valid**
-/// image of every partition against the replayed database (a corrupt
-/// image is skipped in favour of the older generation's, for that
-/// partition only), then requires the outcome's digest to equal
-/// [`recover`]'s.
+/// The safepoint frame a generation was taken at.
+fn frame(image: &GenerationImage) -> SafepointNote {
+    SafepointNote {
+        events_applied: image.events_applied,
+        collections: image.collections,
+        generation: image.generation,
+    }
+}
+
+/// Recovery held to the run byte for byte (see the module docs): replay
+/// from event 0 captures every usable generation's file where it was taken,
+/// the older of each two usable generations restores and replays to the
+/// newer one's file, and the replay's digest is [`recover`]'s. A file that
+/// does not read whole, or whose safepoint frame the log does not hold (a
+/// generation beyond a torn tail), is passed over, as [`restore`] passes it
+/// over.
 pub fn verify(dir: &Path) -> Result<RecoveredRun> {
-    let restored = recover(dir)?;
-    let (cfg, telemetry_level) = config_from_manifest(&Manifest::read_from(dir)?)?;
+    let recovered = outcome_digest(&recover(dir)?.outcome);
+    let (cfg, level) = config_from_manifest(&Manifest::read_from(dir)?)?;
     let log = read_log(dir)?;
-
-    // Newest valid image per partition: scan ascending by generation,
-    // keep the last image that parses + checksums cleanly.
-    let mut newest: BTreeMap<u32, PartitionSnapshot> = BTreeMap::new();
-    let mut snapshot_files_skipped = 0usize;
+    let (mut usable, mut skipped) = (Vec::new(), 0);
     for file in scan_snapshots(dir)? {
-        for image in read_snapshot(&file.path) {
-            match image {
-                Ok(snap) => {
-                    newest.insert(snap.partition, snap);
-                }
-                Err(_) => snapshot_files_skipped += 1,
+        match read_generation(&file.path) {
+            Ok(image)
+                if image.generation == file.generation
+                    && log.safepoints.contains(&frame(&image)) =>
+            {
+                usable.push((file, image))
             }
+            _ => skipped += 1,
         }
     }
-    // Group into checkpoints by the event position they were taken at,
-    // dropping any from beyond a torn tail (their safepoint frame is gone).
-    let mut checkpoints: BTreeMap<u64, Vec<PartitionSnapshot>> = BTreeMap::new();
-    for (_, snap) in newest {
-        if snap.events_applied <= log.end_event() {
-            checkpoints
-                .entry(snap.events_applied)
-                .or_default()
-                .push(snap);
-        }
-    }
-
     let mut shard = Shard::new(&cfg)?;
-    shard.enable_telemetry(telemetry_level);
-    let snapshots_verified = replay(&mut shard, &log.trace, checkpoints)?;
-    let events_replayed = shard.events_applied();
-    let outcome = shard.finish(GenStats::default())?;
-    let (replayed, recovered) = (outcome_digest(&outcome), outcome_digest(&restored.outcome));
+    shard.enable_telemetry(level);
+    let mut cursor = log.trace.cursor();
+    for (_, image) in &usable {
+        replay(&mut shard, &mut cursor, image.events_applied)?;
+        round_trip(&shard, image, "the replay from event 0")?;
+    }
+    for ((older, _), (_, newer)) in usable.iter().zip(usable.iter().skip(1)) {
+        let (mut restored, after, _) = attempt(dir, &cfg, level, older, &mut Duration::default())??;
+        replay(
+            &mut restored,
+            &mut after.trace.cursor(),
+            newer.events_applied,
+        )?;
+        round_trip(&restored, newer, "its predecessor restored")?;
+    }
+    replay(&mut shard, &mut cursor, u64::MAX)?;
+    let tail = Tail {
+        log,
+        restored_from: None,
+        images: 0,
+        passed_over: Vec::new(),
+        log_wall: Duration::ZERO,
+    };
+    let verified = tail.finish(shard)?;
+    let replayed = outcome_digest(&verified.outcome);
     if replayed != recovered {
         return Err(bad(format!(
             "verify: replay from event 0 reaches digest {replayed:016x}, recovery {recovered:016x}"
         )));
     }
     Ok(RecoveredRun {
-        outcome,
-        cfg,
-        telemetry_level,
-        events_replayed,
-        tail_events: events_replayed,
-        restored_from: None,
-        torn_tail: log.torn,
-        safepoints: log.safepoints.len(),
-        snapshots_verified,
-        snapshot_files_skipped,
+        snapshots_verified: usable.len(),
+        snapshot_files_skipped: skipped,
+        ..verified
     })
 }
 
-/// The one recovery loop: steps `shard` through every event of `trace`
-/// (which starts at the shard's next event), stopping at each checkpoint
-/// to cross-check its images against the database there. Returns the
-/// images checked.
-fn replay(
-    shard: &mut Shard,
-    trace: &EncodedTrace,
-    checkpoints: BTreeMap<u64, Vec<PartitionSnapshot>>,
-) -> Result<usize> {
-    let mut checkpoints = checkpoints.into_iter().peekable();
-    let mut verified = 0usize;
-    let mut cursor = trace.cursor();
+/// Requires `shard`'s capture, stamped as generation `image` was, to be
+/// the file that landed. `from` says how the shard got there.
+fn round_trip(shard: &Shard, image: &GenerationImage, from: &str) -> Result<()> {
+    let db = shard.db();
+    let stamp = [
+        image.generation,
+        shard.events_applied(),
+        db.stats().collections,
+    ];
+    if capture_generation(db, stamp, |out| shard.save_state(out))? != image.bytes() {
+        return Err(bad(format!(
+            "verify: generation {} is not what {from} captures at event {}",
+            image.generation, image.events_applied
+        )));
+    }
+    Ok(())
+}
+
+/// The one recovery loop: steps `shard` through `cursor`'s events, a block
+/// at a time, until it has applied `until` of them or the trace ends.
+fn replay(shard: &mut Shard, cursor: &mut TraceCursor<'_>, until: u64) -> Result<()> {
     let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
     loop {
-        let at = shard.events_applied();
-        if let Some((_, snaps)) = checkpoints.next_if(|(taken_at, _)| *taken_at == at) {
-            for snap in snaps {
-                snap.verify_against(shard.db()).map_err(|mismatch| {
-                    bad(format!(
-                        "recovery: snapshot generation {} diverges from replay: {mismatch}",
-                        snap.generation
-                    ))
-                })?;
-                verified += 1;
-            }
-        }
-        // Never step past the next checkpoint: it is verified exactly
-        // where it was taken.
-        let room = checkpoints
-            .peek()
-            .map_or(u64::MAX, |(taken_at, _)| taken_at - at)
+        let room = until
+            .saturating_sub(shard.events_applied())
             .min(BLOCK_EVENTS as u64);
-        if cursor.next_block_of(&mut block, room as usize)? == 0 {
-            break;
+        if room == 0 || cursor.next_block_of(&mut block, room as usize)? == 0 {
+            return Ok(());
         }
         shard.step_block(&block)?;
     }
-    Ok(verified)
 }
 
 /// A stable digest of a run's observable results — totals, victim

@@ -21,7 +21,9 @@
 //!   [`durable::recover`] loads the newest usable snapshot generation and
 //!   replays only the change log after it, bit-identical to an
 //!   uninterrupted run over the surviving event prefix;
-//!   [`durable::verify`] replays from event 0 and holds it to that.
+//!   [`durable::verify`] replays from event 0, holds every usable
+//!   generation's file to the replay's capture byte for byte, and holds
+//!   the recovered digest to the replay's.
 //! * [`shadow`] — shadow-scoreboard policy races: one driver policy makes
 //!   the collection decisions while every other honest policy's scoreboard
 //!   rides the same barrier event bus and records the victim it *would*

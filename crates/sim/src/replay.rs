@@ -16,7 +16,6 @@
 
 use pgc_core::Collector;
 use pgc_durable::GenerationImage;
-use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
 use pgc_odb::{CollectionOutcome, Database};
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId, Words};
 use pgc_workload::{Event, NodeId};
@@ -230,29 +229,18 @@ impl Replayer {
                 gc_writes: words.word()?,
             });
         }
-        let objects = image.partitions.iter().flat_map(|p| {
-            p.records.iter().map(move |r| {
-                let record = ObjectRecord {
-                    addr: ObjAddr::new(PartitionId(p.partition), r.offset),
-                    size: Bytes(r.size),
-                    slots: r.slots.iter().map(|&s| Slot::from(s.map(Oid))).collect(),
-                    weight: r.weight,
-                };
-                (Oid(r.oid), record)
-            })
-        });
         self.db = Database::restore(
             self.db.config().clone(),
-            image.partitions.len(),
+            image.partitions(),
             self.events_applied,
-            objects,
+            image.records(),
             words,
         )?;
         let collections = self.db.stats().collections;
         if collections != image.collections || collections != n as u64 {
             return Err(bad("collection counts disagree"));
         }
-        self.collector.load(words)
+        self.collector.load(words, self.events_applied)
     }
 }
 

@@ -120,7 +120,7 @@ impl Shard {
             return Err(bad("telemetry disagrees with the manifest"));
         }
         if let Some(telemetry) = &shard.telemetry {
-            telemetry.load(&mut words)?;
+            telemetry.load(&mut words, shard.replayer.db(), image.events_applied)?;
         }
         shard.next_sample = words.word()?;
         if shard.next_sample <= image.events_applied {

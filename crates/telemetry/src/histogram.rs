@@ -67,7 +67,8 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_index(v)] += 1;
         self.count += 1;
-        self.sum += v;
+        // Saturating: a loaded sum is whatever a file said.
+        self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
     }
 
@@ -114,11 +115,14 @@ impl Histogram {
         out.extend([self.count, self.sum, self.max]);
     }
 
-    /// What [`Histogram::save`] wrote.
-    pub(crate) fn load(words: &mut Words<'_>) -> Result<Self> {
+    /// What [`Histogram::save`] wrote, for samples taken one per
+    /// activation over a run of `events` events: no tally exceeds them.
+    pub(crate) fn load(words: &mut Words<'_>, events: u64) -> Result<Self> {
         let mut h = Histogram::default();
-        h.buckets.copy_from_slice(words.take(BUCKET_COUNT)?);
-        h.count = words.word()?;
+        for n in &mut h.buckets {
+            *n = words.at_most(events)?;
+        }
+        h.count = words.at_most(events)?;
         h.sum = words.word()?;
         h.max = words.word()?;
         Ok(h)

@@ -15,7 +15,7 @@ use crate::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
 use crate::snapshot::{CounterSnapshot, TelemetrySnapshot};
 use crate::TelemetryLevel;
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
-use pgc_types::{Result, Words};
+use pgc_types::{PgcError, Result, Words};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -84,7 +84,9 @@ impl BarrierObserver for TelemetryObserver {
     fn on_event(&mut self, event: &BarrierEvent) {
         let s = &mut *self.state.borrow_mut();
         let c = &mut s.snapshot.counters;
-        c.events += 1;
+        // Saturating where a loaded run image has no bound to be held to
+        // (see `CounterSnapshot::load`).
+        c.events = c.events.saturating_add(1);
         match *event {
             BarrierEvent::PointerWrite(info) => {
                 c.pointer_writes += 1;
@@ -95,19 +97,19 @@ impl BarrierObserver for TelemetryObserver {
             BarrierEvent::DataWrite { .. } => c.data_writes += 1,
             BarrierEvent::Allocation { size, .. } => {
                 c.allocations += 1;
-                c.allocated_bytes += size.get();
+                c.allocated_bytes = c.allocated_bytes.saturating_add(size.get());
             }
             BarrierEvent::PartitionGrowth { partitions } => {
                 c.partition_growths += 1;
                 c.max_partitions = c.max_partitions.max(partitions as u64);
             }
             BarrierEvent::ObjectCopied { size, .. } => {
-                c.objects_copied += 1;
-                c.copied_bytes += size.get();
+                c.objects_copied = c.objects_copied.saturating_add(1);
+                c.copied_bytes = c.copied_bytes.saturating_add(size.get());
             }
             BarrierEvent::ObjectReclaimed { size, .. } => {
-                c.objects_reclaimed += 1;
-                c.reclaimed_bytes += size.get();
+                c.objects_reclaimed = c.objects_reclaimed.saturating_add(1);
+                c.reclaimed_bytes = c.reclaimed_bytes.saturating_add(size.get());
             }
             BarrierEvent::VictimSelected { victim, score_bits } => {
                 if let Some(open) = s.open.as_mut() {
@@ -119,13 +121,17 @@ impl BarrierObserver for TelemetryObserver {
                 c.collections += 1;
                 if let Some(open) = s.open.as_mut() {
                     open.collections += 1;
-                    open.live_objects += outcome.live_objects;
-                    open.live_bytes += outcome.live_bytes;
-                    open.garbage_objects += outcome.garbage_objects;
-                    open.garbage_bytes += outcome.garbage_bytes;
-                    open.forwarded_pointers += outcome.forwarded_pointers;
-                    open.gc_reads += outcome.gc_reads;
-                    open.gc_writes += outcome.gc_writes;
+                    for (sum, add) in [
+                        (&mut open.live_objects, outcome.live_objects),
+                        (&mut open.garbage_objects, outcome.garbage_objects),
+                        (&mut open.forwarded_pointers, outcome.forwarded_pointers),
+                        (&mut open.gc_reads, outcome.gc_reads),
+                        (&mut open.gc_writes, outcome.gc_writes),
+                    ] {
+                        *sum = sum.saturating_add(add);
+                    }
+                    open.live_bytes = open.live_bytes.saturating_add(outcome.live_bytes);
+                    open.garbage_bytes = open.garbage_bytes.saturating_add(outcome.garbage_bytes);
                 }
             }
             BarrierEvent::TriggerTick { activation } => {
@@ -202,14 +208,17 @@ impl TelemetryHandle {
         out.extend([s.last_tick_clock, s.last_app_ios]);
     }
 
-    /// Resumes the recorder at what [`TelemetryHandle::save`] wrote.
-    pub fn load(&self, words: &mut Words<'_>) -> Result<()> {
+    /// Resumes the recorder at what [`TelemetryHandle::save`] wrote, riding
+    /// `db` after a run of `events` events. A count one event adds at most
+    /// one to may not exceed `events`, and neither clock may run ahead of
+    /// what it trails: the bus clock, the database's application I/O.
+    pub fn load(&self, words: &mut Words<'_>, db: &Database, events: u64) -> Result<()> {
         let s = &mut *self.state.borrow_mut();
         let snap = &mut s.snapshot;
-        snap.counters = CounterSnapshot::load(words)?;
-        snap.reclaimed_per_activation = Histogram::load(words)?;
-        snap.gc_io_per_activation = Histogram::load(words)?;
-        snap.activation_gap_events = Histogram::load(words)?;
+        snap.counters = CounterSnapshot::load(words, events)?;
+        snap.reclaimed_per_activation = Histogram::load(words, events)?;
+        snap.gc_io_per_activation = Histogram::load(words, events)?;
+        snap.activation_gap_events = Histogram::load(words, events)?;
         snap.records = (0..words.count()?)
             .map(|_| ActivationRecord::load(words))
             .collect::<Result<_>>()?;
@@ -221,8 +230,16 @@ impl TelemetryHandle {
         } else {
             None
         };
-        s.last_tick_clock = words.word()?;
-        s.last_app_ios = words.word()?;
+        s.last_tick_clock = words.at_most(s.snapshot.counters.events)?;
+        s.last_app_ios = words.at_most(db.io_stats().app_ios())?;
+        if s.open
+            .as_ref()
+            .is_some_and(|o| u64::from(o.collections) > events)
+        {
+            return Err(PgcError::TraceFormat(
+                "run image: an open record past the events".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -336,7 +353,7 @@ mod tests {
 
         let (mut resumed, resumed_handle) = pair();
         let mut words = Words::new(&saved);
-        resumed_handle.load(&mut words).unwrap();
+        resumed_handle.load(&mut words, &db(), 100).unwrap();
         words.finish().unwrap();
         rest.iter().for_each(|e| resumed.on_event(e));
         drop(resumed);
@@ -351,9 +368,15 @@ mod tests {
             TelemetryObserver::new(TelemetryLevel::Full, TriggerReason::PartitionGrowth);
         let mut words = Words::new(words);
         handle
-            .load(&mut words)
+            .load(&mut words, &db(), 100)
             .and_then(|()| words.finish())
             .is_err()
+    }
+
+    /// A database with no I/O behind it, which the recorder rides in the
+    /// load tests (no record here saw any).
+    fn db() -> Database {
+        Database::new(pgc_types::DbConfig::default()).unwrap()
     }
 
     #[test]

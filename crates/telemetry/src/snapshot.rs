@@ -44,39 +44,46 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
-    /// The counters in declaration order: what `save` writes and `load`
-    /// reads.
-    fn fields(&mut self) -> [&mut u64; 15] {
+    /// The counters in declaration order — what `save` writes and `load`
+    /// reads — each with whether one event adds at most one to it. The bus
+    /// clock, the byte sums, copies and reclaims have no such bound and
+    /// saturate as they are counted.
+    fn fields(&mut self) -> [(&mut u64, bool); 15] {
         [
-            &mut self.events,
-            &mut self.pointer_writes,
-            &mut self.overwrites,
-            &mut self.data_writes,
-            &mut self.allocations,
-            &mut self.allocated_bytes,
-            &mut self.partition_growths,
-            &mut self.objects_copied,
-            &mut self.copied_bytes,
-            &mut self.objects_reclaimed,
-            &mut self.reclaimed_bytes,
-            &mut self.collections,
-            &mut self.activations,
-            &mut self.policy_switches,
-            &mut self.max_partitions,
+            (&mut self.events, false),
+            (&mut self.pointer_writes, true),
+            (&mut self.overwrites, true),
+            (&mut self.data_writes, true),
+            (&mut self.allocations, true),
+            (&mut self.allocated_bytes, false),
+            (&mut self.partition_growths, true),
+            (&mut self.objects_copied, false),
+            (&mut self.copied_bytes, false),
+            (&mut self.objects_reclaimed, false),
+            (&mut self.reclaimed_bytes, false),
+            (&mut self.collections, true),
+            (&mut self.activations, true),
+            (&mut self.policy_switches, true),
+            (&mut self.max_partitions, false),
         ]
     }
 
     /// Appends every counter.
     pub(crate) fn save(&self, out: &mut Vec<u64>) {
         let mut copy = *self;
-        out.extend(copy.fields().map(|v| *v));
+        out.extend(copy.fields().map(|(v, _)| *v));
     }
 
-    /// What [`CounterSnapshot::save`] wrote.
-    pub(crate) fn load(words: &mut Words<'_>) -> Result<Self> {
+    /// What [`CounterSnapshot::save`] wrote after a run of `events`
+    /// events, which bound every count an event adds at most one to.
+    pub(crate) fn load(words: &mut Words<'_>, events: u64) -> Result<Self> {
         let mut counters = Self::default();
-        for field in counters.fields() {
-            *field = words.word()?;
+        for (field, per_event) in counters.fields() {
+            *field = if per_event {
+                words.at_most(events)?
+            } else {
+                words.word()?
+            };
         }
         Ok(counters)
     }

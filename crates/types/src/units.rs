@@ -66,6 +66,12 @@ impl Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
     }
 
+    /// Saturating addition: `min(self + rhs, u64::MAX)`.
+    #[inline]
+    pub fn saturating_add(self, rhs: Bytes) -> Bytes {
+        Bytes(self.0.saturating_add(rhs.0))
+    }
+
     /// True if this is exactly zero bytes.
     #[inline]
     pub const fn is_zero(self) -> bool {

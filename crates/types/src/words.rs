@@ -56,6 +56,16 @@ impl<'a> Words<'a> {
         u32::try_from(self.word()?).map_err(|_| bad("a 32-bit field out of range"))
     }
 
+    /// The next word, which must not exceed `bound`: a counter the caller
+    /// knows the most a run could have taken it to.
+    pub fn at_most(&mut self, bound: u64) -> Result<u64> {
+        let n = self.word()?;
+        if n > bound {
+            return Err(bad("a counter past what the run could reach"));
+        }
+        Ok(n)
+    }
+
     /// The next word, which must be 0 or 1.
     pub fn flag(&mut self) -> Result<bool> {
         match self.word()? {

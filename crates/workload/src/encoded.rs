@@ -342,8 +342,8 @@ impl TraceCursor<'_> {
     }
 
     /// [`TraceCursor::next_block`] cut short at `max` events, for a replay
-    /// loop that must stop at an exact event position (recovery verifies
-    /// each snapshot where it was taken). The block keeps the bytes it was
+    /// loop that must stop at an exact event position (`verify` captures
+    /// each generation where it was taken). The block keeps the bytes it was
     /// decoded from ([`crate::block::EventBlock::encoded`]).
     #[inline]
     pub fn next_block_of(

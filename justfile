@@ -63,7 +63,8 @@ shards:
 # buffered log tail dropped, the snapshot writer thread cut off wherever it
 # was) recovered from whatever reached disk. Every directory is recovered
 # both ways — restored from its newest generation, and `--verify`'s replay
-# from event 0 — and the two digests must agree. Exercises the same tooling
+# from event 0, which must also capture every usable generation's file byte
+# for byte — and the two digests must agree. Exercises the same tooling
 # the CI smoke job runs; scratch dirs live under target/ and are removed
 # afterwards.
 recover:

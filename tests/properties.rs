@@ -117,7 +117,9 @@ fn a_record_is_no_larger_than_the_vec_based_one() {
 
 #[test]
 fn an_object_grown_past_its_inline_slots_survives_collection_and_snapshot() {
-    use pgc::durable::{read_snapshot, scan_snapshots, DurableStore, ScratchDir};
+    use pgc::durable::{
+        capture_generation, read_generation, scan_snapshots, DurableStore, ScratchDir,
+    };
     use pgc::prelude::DurabilityConfig;
 
     let cfg = DbConfig::default()
@@ -165,29 +167,21 @@ fn an_object_grown_past_its_inline_slots_survives_collection_and_snapshot() {
     assert_eq!(slots_of(&db), kept, "slots survive the copy");
     assert_eq!(db.stats().reclaimed_objects, 14, "the cut children died");
 
-    // `DurableStore::finish` serialises through `Generation::capture`; the
-    // landed file must read back as exactly this database.
+    // `DurableStore::finish` serialises through `Generation::capture`: the
+    // landed file is the capture of exactly this database, and its widest
+    // record reads back all 40 slots.
     let dir = ScratchDir::new("wide-object");
     let mut store =
         DurableStore::create(&DurabilityConfig::snapshot_and_log(dir.path())).expect("store");
     store.finish(&db, 0, collections).expect("finish");
     let files = scan_snapshots(dir.path()).expect("scan");
     assert_eq!(files.len(), 1, "one generation, one file");
-    let images = read_snapshot(&files[0].path);
-    assert_eq!(images.len(), db.partition_count());
-    let mut widest = 0;
-    for image in images {
-        let snap = image.expect("read");
-        snap.verify_against(&db).expect("snapshot matches");
-        widest = widest.max(
-            snap.records
-                .iter()
-                .map(|r| r.slots.len())
-                .max()
-                .unwrap_or(0),
-        );
-    }
-    assert_eq!(widest, 40);
+    let image = read_generation(&files[0].path).expect("read");
+    let captured = capture_generation(&db, [1, 0, collections], |_| {}).expect("capture");
+    assert!(image.bytes() == captured, "the landed file is the capture");
+    assert_eq!(image.partitions(), db.partition_count());
+    let widest = image.records().map(|(_, record)| record.slots.len()).max();
+    assert_eq!(widest, Some(40));
 }
 
 // ---------------------------------------------------------------------

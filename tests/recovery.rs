@@ -11,12 +11,11 @@
 //! event 0. A torn log tail (truncated or corrupted final frame) is
 //! detected by checksum and dropped, and recovery then matches a fresh run
 //! over the surviving event prefix. The same holds per stream for a
-//! persisted server fleet. `verify`, which replays from event 0 and checks
-//! every image against the replay, is held to the same digest throughout.
+//! persisted server fleet. `verify`, which replays from event 0 and holds
+//! every generation to its capture byte for byte, is held to the same
+//! digest throughout.
 
-use pgc::durable::{
-    read_generation, read_log, read_snapshot, scan_snapshots, PartitionSnapshot, ScratchDir,
-};
+use pgc::durable::{read_generation, read_log, scan_snapshots, ScratchDir};
 use pgc::prelude::*;
 use pgc::sim::durable::{manifest_for, restore, verify};
 use pgc::workload::generator::GenStats;
@@ -86,14 +85,16 @@ fn recovery_is_bit_identical_across_policies_and_seeds() {
                 "{policy} seed {seed}: the final generation must be restored"
             );
             assert_eq!(recovered.snapshot_files_skipped, 0);
-            let newest = scan_snapshots(dir.path())
-                .expect("scan")
-                .pop()
-                .expect("one");
-            assert_eq!(recovered.restored_from, Some(newest.generation));
+            let files = scan_snapshots(dir.path()).expect("scan");
+            let newest = files.last().expect("one").generation;
+            assert_eq!(recovered.restored_from, Some(newest));
             assert_eq!(recovered.tail_events, 0, "a clean shutdown replays nothing");
             let verified = verify(dir.path()).expect("verify");
-            assert_eq!(verified.snapshots_verified, recovered.snapshots_verified);
+            assert_eq!(
+                (verified.snapshots_verified, verified.snapshot_files_skipped),
+                (files.len(), 0),
+                "{policy} seed {seed}: every generation round-trips"
+            );
             assert_eq!(verified.tail_events, original.totals.events);
             assert_eq!(recovered.cfg.policy, policy);
             assert_eq!(recovered.telemetry_level, TelemetryLevel::Full);
@@ -391,12 +392,13 @@ fn a_kill_during_landing_falls_back_to_the_older_generation() {
     let [older, newest] = &files[..] else {
         panic!("two generations are kept, found {files:?}");
     };
+    let older_image = read_generation(&older.path).expect("read");
     assert_eq!(
-        read_snapshot(&older.path).len(),
+        older_image.partitions(),
         clean.snapshots_verified,
         "the older generation must cover every partition"
     );
-    let older_at = read_generation(&older.path).expect("read").events_applied;
+    let older_at = older_image.events_applied;
     let tmp = {
         let mut name = newest.path.file_name().expect("file name").to_os_string();
         name.push(".tmp");
@@ -434,57 +436,6 @@ fn a_kill_during_landing_falls_back_to_the_older_generation() {
     falls_back("not started");
 }
 
-/// What one file per partition gave for free and one file per generation
-/// must still give `verify`: damage inside one image costs its
-/// cross-check that partition only. (Restoring needs a generation whole:
-/// it falls back to the older one.)
-#[test]
-fn a_damaged_image_falls_back_for_its_partition_only() {
-    let dir = ScratchDir::new("one-image");
-    let original = run_durable(PolicyKind::UpdatedPointer, 3, &dir);
-    let clean = verify(dir.path()).expect("verify the clean directory");
-
-    let newest = scan_snapshots(dir.path())
-        .expect("scan")
-        .pop()
-        .expect("one");
-    let images: Vec<PartitionSnapshot> = read_snapshot(&newest.path)
-        .into_iter()
-        .map(|image| image.expect("a landed image reads"))
-        .collect();
-    assert_eq!(images.len(), clean.snapshots_verified);
-    let middle = images.len() / 2;
-    assert!(middle > 0 && middle + 1 < images.len());
-    // Flip a byte of the middle image's first oid: no length is touched, so
-    // the reader still finds where the image ends.
-    let start: usize = images[..middle].iter().map(|i| i.to_bytes().len()).sum();
-    let mut bytes = fs::read(&newest.path).expect("read");
-    assert_eq!(bytes[start..start + 4], *b"PGCS");
-    bytes[start + 48 + 4] ^= 0x01;
-    fs::write(&newest.path, &bytes).expect("write the damaged file");
-
-    let reread = read_snapshot(&newest.path);
-    assert_eq!(reread.len(), images.len(), "every image is still found");
-    for (i, (image, landed)) in reread.iter().zip(&images).enumerate() {
-        match image {
-            Ok(image) => assert_eq!(image, landed, "image {i}"),
-            Err(_) => assert_eq!(i, middle, "only the damaged image fails"),
-        }
-    }
-    assert!(reread[middle].is_err());
-
-    let verified = verify(dir.path()).expect("verify the damaged directory");
-    assert_eq!(outcome_digest(&verified.outcome), outcome_digest(&original));
-    assert_eq!(verified.snapshot_files_skipped, 1, "exactly one image");
-    assert_eq!(
-        verified.snapshots_verified, clean.snapshots_verified,
-        "the older generation stands in for the damaged partition"
-    );
-    let recovered = recover(dir.path()).expect("recover the damaged directory");
-    assert_eq!(recovered.restored_from, Some(newest.generation - 1));
-    assert_eq!(recovered.snapshot_files_skipped, 1, "one generation");
-}
-
 /// Builds before the one-file layout wrote `snap-G-pN.pgcs`, one image
 /// each. There is no second reader: such a directory recovers by replay.
 #[test]
@@ -492,10 +443,10 @@ fn a_directory_in_the_per_partition_layout_recovers_by_replay_alone() {
     let dir = ScratchDir::new("old-layout");
     let original = run_durable(PolicyKind::MostGarbage, 1, &dir);
     for file in scan_snapshots(dir.path()).expect("scan") {
-        for image in read_snapshot(&file.path) {
-            let image = image.expect("a landed image reads");
-            let name = format!("snap-{:08}-p{:06}.pgcs", image.generation, image.partition);
-            fs::write(dir.join(name), image.to_bytes()).expect("split");
+        let bytes = fs::read(&file.path).expect("read");
+        for (p, image) in partition_images(&bytes).into_iter().enumerate() {
+            let name = format!("snap-{:08}-p{p:06}.pgcs", file.generation);
+            fs::write(dir.join(name), &bytes[image]).expect("split");
         }
         fs::remove_file(&file.path).expect("remove the generation file");
     }
@@ -688,11 +639,69 @@ fn a_damaged_newest_generation_falls_back_to_the_older_one_whole() {
             "{what}"
         );
         assert!(recovered.tail_events > 0, "{what}: a generation's worth");
+        // `verify` passes over the damaged file as `restore` does, and the
+        // older generation still round-trips.
+        let verified = verify(dir.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(
+            outcome_digest(&verified.outcome),
+            outcome_digest(&recovered.outcome),
+            "{what}"
+        );
+        assert_eq!(
+            (verified.snapshots_verified, verified.snapshot_files_skipped),
+            (1, 1),
+            "{what}"
+        );
     }
     fs::write(&newest.path, &bytes).expect("restore the file");
 }
 
-/// CRC-32 (IEEE), bit by bit: seals the hand-built version-1 images.
+/// `verify` reads the run image too. A checksum-valid edit to one score of
+/// the older generation's policy table is one the restore takes and the
+/// newest generation hides from `recover`; `verify` refuses it and names
+/// the generation.
+#[test]
+fn verify_refuses_an_older_run_image_that_no_run_wrote() {
+    let dir = ScratchDir::new("older-run-image");
+    let original = run_durable(PolicyKind::UpdatedPointer, 3, &dir);
+    let files = scan_snapshots(dir.path()).expect("scan");
+    let [older, _] = &files[..] else {
+        panic!("two generations are kept, found {files:?}");
+    };
+    let (shard, _) = restore(copy_at(&dir, older.generation).path()).expect("restore");
+    let mut policy = Vec::new();
+    shard.collector().save(&mut policy);
+    let words = read_generation(&older.path).expect("read").run;
+    let at = words
+        .windows(policy.len())
+        .position(|w| w == policy)
+        .expect("the policy's words are in the run image");
+    // The allocation clock, then the overwrite table's length and scores.
+    assert!(words[at + 1] > 0, "a score to edit");
+    let mut bytes = fs::read(&older.path).expect("read");
+    let footer = bytes.len() - 4;
+    let run_words = footer - 8 * words.len();
+    bytes[run_words + 8 * (at + 2)] ^= 1;
+    let run_image = partition_images(&bytes).last().expect("images").end;
+    let crc = crc32(&bytes[run_image..footer]);
+    bytes[footer..].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&older.path, &bytes).expect("plant");
+
+    assert!(restore(copy_at(&dir, older.generation).path()).is_ok());
+    let recovered = recover(dir.path()).expect("recover restores the newest");
+    assert_eq!(
+        outcome_digest(&recovered.outcome),
+        outcome_digest(&original)
+    );
+    let err = verify(dir.path()).expect_err("a generation no run wrote");
+    assert!(
+        err.to_string()
+            .contains(&format!("generation {}", older.generation)),
+        "{err}"
+    );
+}
+
+/// CRC-32 (IEEE), bit by bit: reseals hand-edited images.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
@@ -704,33 +713,22 @@ fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// `image` as the build before run images wrote it: version 1, records
-/// sorted by oid, each behind a length prefix and carrying its birth
-/// stamp (its oid), no offsets.
-fn version_1(image: &PartitionSnapshot) -> Vec<u8> {
-    let mut out = b"PGCS".to_vec();
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&image.generation.to_le_bytes());
-    out.extend_from_slice(&image.partition.to_le_bytes());
-    out.extend_from_slice(&image.events_applied.to_le_bytes());
-    out.extend_from_slice(&image.collections.to_le_bytes());
-    out.extend_from_slice(&(image.records.len() as u32).to_le_bytes());
-    out.extend_from_slice(&image.live_bytes.to_le_bytes());
-    let mut records = image.records.clone();
-    records.sort_by_key(|r| r.oid);
-    for r in &records {
-        out.extend_from_slice(&((29 + r.slots.len() * 8) as u32).to_le_bytes());
-        out.extend_from_slice(&r.oid.to_le_bytes());
-        out.extend_from_slice(&r.size.to_le_bytes());
-        out.push(r.weight);
-        out.extend_from_slice(&r.oid.to_le_bytes());
-        out.extend_from_slice(&(r.slots.len() as u32).to_le_bytes());
-        for slot in &r.slots {
-            out.extend_from_slice(&slot.map_or(0, |o| o + 1).to_le_bytes());
+/// Where each partition image of a generation file lies (the run image
+/// follows the last): walked over the header's record count and each
+/// record's slot count.
+fn partition_images(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut images = Vec::new();
+    let mut start = 0;
+    while bytes[start..].starts_with(b"PGCS") {
+        let mut end = start + 48;
+        for _ in 0..u32_at(start + 36) {
+            end += 29 + 8 * u32_at(end + 25);
         }
+        images.push(start..end + 4);
+        start = end + 4;
     }
-    out.extend_from_slice(&crc32(&out).to_le_bytes());
-    out
+    images
 }
 
 #[test]
@@ -756,16 +754,21 @@ fn with_no_usable_generation_recovery_starts_fresh() {
     }
     fresh("both generations damaged", 2);
 
-    // A directory a version-1 build wrote: its images are refused, not
-    // read under the new layout.
+    // A directory a version-1 build wrote: its images are refused on the
+    // version word, before any walk, so a version-2 body can stand in for
+    // the old layout behind it (and no run image, which version 1 lacks).
     for (file, bytes) in files.iter().zip(&landed) {
-        fs::write(&file.path, bytes).expect("undamage");
-        let v1: Vec<u8> = read_snapshot(&file.path)
-            .into_iter()
-            .flat_map(|image| version_1(&image.expect("a landed image")))
-            .collect();
+        let mut v1 = Vec::new();
+        for image in partition_images(bytes) {
+            let mut image = bytes[image].to_vec();
+            image[4..8].copy_from_slice(&1u32.to_le_bytes());
+            let footer = image.len() - 4;
+            let crc = crc32(&image[..footer]);
+            image[footer..].copy_from_slice(&crc.to_le_bytes());
+            v1.extend(image);
+        }
         fs::write(&file.path, v1).expect("downgrade");
-        assert!(read_snapshot(&file.path).iter().all(Result::is_err));
+        assert!(read_generation(&file.path).is_err());
     }
     fresh("a version-1 directory", 2);
 }
