@@ -25,8 +25,8 @@
 //! uninterrupted one.
 
 use pgc_core::PolicyKind;
-use pgc_durable::DurabilityConfig;
 use pgc_sim::durable::restore;
+use pgc_sim::durable::DurabilityConfig;
 use pgc_sim::{outcome_digest, verify, RunConfig, RunOutcome, Shard, Simulation};
 use pgc_telemetry::TelemetryLevel;
 use pgc_workload::SyntheticWorkload;

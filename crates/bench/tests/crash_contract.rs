@@ -9,7 +9,7 @@
 //! a generation only where the log holds its safepoint frame, and the
 //! newest one in place must always qualify.
 
-use pgc_durable::{read_generation, read_log, scan_snapshots, ScratchDir};
+use pgc_sim::durable::{read_generation, read_log, scan_snapshots, ScratchDir};
 use pgc_sim::{recover, verify};
 use std::process::Command;
 

@@ -78,10 +78,10 @@ impl BufferPool {
     pub fn access(&mut self, page: PageId, kind: Access) {
         let dirty = !matches!(kind, Access::Read);
         if self.cache.touch(page, dirty) {
-            self.stats.hits += 1;
+            self.stats.hits = self.stats.hits.saturating_add(1);
             return;
         }
-        self.stats.misses += 1;
+        self.stats.misses = self.stats.misses.saturating_add(1);
         // Fault-in read, except for freshly materialized pages.
         if !matches!(kind, Access::WriteNew) {
             self.stats.count_disk_read(self.context);

@@ -29,7 +29,9 @@ impl fmt::Display for IoContext {
     }
 }
 
-/// Cumulative disk and cache statistics for one buffer pool.
+/// Cumulative disk and cache statistics for one buffer pool. A restored
+/// pool's counters come from a generation file, and nothing bounds them by
+/// the events applied, so every count and sum saturates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoStats {
     /// Disk page reads performed while the application was running.
@@ -50,39 +52,41 @@ pub struct IoStats {
 impl IoStats {
     /// Total disk operations attributed to the application.
     pub fn app_ios(&self) -> u64 {
-        self.app_disk_reads + self.app_disk_writes
+        self.app_disk_reads.saturating_add(self.app_disk_writes)
     }
 
     /// Total disk operations attributed to the collector.
     pub fn gc_ios(&self) -> u64 {
-        self.gc_disk_reads + self.gc_disk_writes
+        self.gc_disk_reads.saturating_add(self.gc_disk_writes)
     }
 
     /// Grand total of disk operations (the paper's "Total I/Os").
     pub(crate) fn total_ios(&self) -> u64 {
-        self.app_ios() + self.gc_ios()
+        self.app_ios().saturating_add(self.gc_ios())
     }
 
     /// Buffer hit rate in `[0, 1]`; `None` before any access.
     pub fn hit_rate(&self) -> Option<f64> {
-        let accesses = self.hits + self.misses;
+        let accesses = self.hits.saturating_add(self.misses);
         (accesses > 0).then(|| self.hits as f64 / accesses as f64)
     }
 
     /// Records one disk read in the given context.
     pub(crate) fn count_disk_read(&mut self, ctx: IoContext) {
-        match ctx {
-            IoContext::Application => self.app_disk_reads += 1,
-            IoContext::Collector => self.gc_disk_reads += 1,
-        }
+        let count = match ctx {
+            IoContext::Application => &mut self.app_disk_reads,
+            IoContext::Collector => &mut self.gc_disk_reads,
+        };
+        *count = count.saturating_add(1);
     }
 
     /// Records one disk write in the given context.
     pub(crate) fn count_disk_write(&mut self, ctx: IoContext) {
-        match ctx {
-            IoContext::Application => self.app_disk_writes += 1,
-            IoContext::Collector => self.gc_disk_writes += 1,
-        }
+        let count = match ctx {
+            IoContext::Application => &mut self.app_disk_writes,
+            IoContext::Collector => &mut self.gc_disk_writes,
+        };
+        *count = count.saturating_add(1);
     }
 }
 
@@ -90,12 +94,12 @@ impl Add for IoStats {
     type Output = IoStats;
     fn add(self, rhs: IoStats) -> IoStats {
         IoStats {
-            app_disk_reads: self.app_disk_reads + rhs.app_disk_reads,
-            app_disk_writes: self.app_disk_writes + rhs.app_disk_writes,
-            gc_disk_reads: self.gc_disk_reads + rhs.gc_disk_reads,
-            gc_disk_writes: self.gc_disk_writes + rhs.gc_disk_writes,
-            hits: self.hits + rhs.hits,
-            misses: self.misses + rhs.misses,
+            app_disk_reads: self.app_disk_reads.saturating_add(rhs.app_disk_reads),
+            app_disk_writes: self.app_disk_writes.saturating_add(rhs.app_disk_writes),
+            gc_disk_reads: self.gc_disk_reads.saturating_add(rhs.gc_disk_reads),
+            gc_disk_writes: self.gc_disk_writes.saturating_add(rhs.gc_disk_writes),
+            hits: self.hits.saturating_add(rhs.hits),
+            misses: self.misses.saturating_add(rhs.misses),
         }
     }
 }
@@ -165,6 +169,23 @@ mod tests {
         assert_eq!(b.app_disk_reads, 2);
         assert_eq!(b.gc_disk_writes, 8);
         assert_eq!(b.total_ios(), 2 * a.total_ios());
+    }
+
+    #[test]
+    fn counts_and_sums_saturate() {
+        let mut s = IoStats {
+            app_disk_reads: u64::MAX,
+            app_disk_writes: 1,
+            gc_disk_reads: u64::MAX - 1,
+            gc_disk_writes: 2,
+            hits: u64::MAX,
+            misses: 1,
+        };
+        assert_eq!([s.app_ios(), s.gc_ios(), s.total_ios()], [u64::MAX; 3]);
+        assert_eq!(s.hit_rate(), Some(1.0));
+        s.count_disk_read(IoContext::Application);
+        s += s;
+        assert_eq!([s.app_disk_reads, s.gc_disk_reads, s.hits], [u64::MAX; 3]);
     }
 
     #[test]

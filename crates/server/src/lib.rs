@@ -52,7 +52,7 @@ pub use server::{FleetOutcome, Server, ServerConfig, StreamHandle, StreamRef};
 pub use session::ShardReport;
 // The pieces a server driver needs ride along so callers don't take a
 // direct dependency on every lower crate for the common cases.
-pub use pgc_durable::{DurabilityConfig, DurabilityMode};
+pub use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
 pub use pgc_sim::{RunConfig, RunOutcome};
 pub use pgc_telemetry::{FleetSnapshot, ShardTelemetry, TelemetryLevel};
 pub use pgc_workload::TraceSegment;

@@ -4,7 +4,7 @@ use crate::remset::{InterShardRemset, LinkRecord, RemsetStats};
 use crate::ring::{RingInbox, SenderGuard, DEFAULT_INBOX_CAPACITY};
 use crate::router::{Router, StreamId};
 use crate::session::{ShardMsg, ShardReport, ShardWorker};
-use pgc_durable::DurabilityMode;
+use pgc_sim::durable::DurabilityMode;
 use pgc_sim::{RunConfig, RunOutcome};
 use pgc_telemetry::{FleetSnapshot, TelemetryLevel};
 use pgc_types::{Oid, PgcError, Result};

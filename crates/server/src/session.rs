@@ -50,7 +50,7 @@
 use crate::remset::{InterShardRemset, RemsetBridge};
 use crate::ring::{ReceiverGuard, RingInbox};
 use crate::router::StreamId;
-use pgc_durable::{DurabilityConfig, DurabilityMode};
+use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
 use pgc_sim::{RunConfig, RunOutcome, Shard};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot};
 use pgc_types::{PgcError, Result};

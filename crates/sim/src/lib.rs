@@ -17,11 +17,13 @@
 //!   one database + policy + scheduler + barrier bus + telemetry handle,
 //!   stepped by event batches. `Simulation` is its 1-shard special case;
 //!   the multi-tenant `pgc-server` runtime hosts one per client stream.
-//! * [`durable`] — recovery over a `pgc-durable` data directory:
-//!   [`durable::recover`] loads the newest usable snapshot generation and
-//!   replays only the change log after it, bit-identical to an
-//!   uninterrupted run over the surviving event prefix;
-//!   [`durable::verify`] replays from event 0, holds every usable
+//! * [`durable`] — persistence and recovery: a durable run's data
+//!   directory (the checksummed manifest, the write-ahead change log of
+//!   input events, snapshot generations at collection safepoints) written
+//!   through [`durable::DurableStore`]; [`durable::recover`] loads the
+//!   newest usable generation and replays only the log after it,
+//!   bit-identical to an uninterrupted run over the surviving event
+//!   prefix; [`durable::verify`] replays from event 0, holds every usable
 //!   generation's file to the replay's capture byte for byte, and holds
 //!   the recovered digest to the replay's.
 //! * [`shadow`] — shadow-scoreboard policy races: one driver policy makes

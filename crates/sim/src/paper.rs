@@ -64,7 +64,7 @@ pub fn scaled(policy: PolicyKind, seed: u64, alloc_mib: u64) -> RunConfig {
             .with_target_allocated(Bytes::from_mib(alloc_mib)),
         sample_every: None,
         trigger: None,
-        durability: pgc_durable::DurabilityConfig::off(),
+        durability: crate::durable::DurabilityConfig::off(),
     }
 }
 

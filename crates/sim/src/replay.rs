@@ -14,8 +14,8 @@
 //! same trace (recorded or generated) drives any number of databases and
 //! policies with no map between the two id spaces.
 
+use crate::durable::GenerationImage;
 use pgc_core::Collector;
-use pgc_durable::GenerationImage;
 use pgc_odb::{CollectionOutcome, Database};
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId, Words};
 use pgc_workload::{Event, NodeId};

@@ -10,16 +10,16 @@
 //! client stream and steps each through the same API, which is why
 //! per-stream server results are bit-identical to dedicated runs.
 //!
-//! With [`RunConfig::with_durability`] (or [`SimulationBuilder::durability`])
-//! the shard persists as it runs — write-ahead change log plus optional
-//! per-partition snapshots — and [`crate::durable::recover`] rebuilds a
-//! bit-identical outcome from the data directory alone.
+//! With [`RunConfig::with_durability`] the shard persists as it runs —
+//! write-ahead change log plus optional snapshot generations — and
+//! [`crate::durable::recover`] rebuilds a bit-identical outcome from the
+//! data directory alone.
 
+use crate::durable::{DurabilityConfig, StorageStats};
 use crate::metrics::{RunTotals, TimeSeries};
 use crate::replay::Replayer;
 use crate::shard::Shard;
 use pgc_core::{build_policy, Collector, PolicyKind, Trigger};
-use pgc_durable::{DurabilityConfig, StorageStats};
 use pgc_odb::{BarrierObserver, CollectionOutcome, Database, DbStats};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
 use pgc_types::{Bytes, DbConfig, PlacementPolicy, Result};
@@ -109,8 +109,9 @@ impl RunConfig {
         self
     }
 
-    /// Sets the durable storage backend (mode + data directory). The
-    /// persisted run recovers bit-identically via
+    /// Sets the durable storage backend (mode + data directory).
+    /// Persistence is a bystander: the outcome is bit-identical to an
+    /// in-memory run, and recoverable from the data directory via
     /// [`crate::durable::recover`].
     #[must_use]
     pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
@@ -295,7 +296,6 @@ impl Simulation {
             source: Source::Synthetic,
             observers: Vec::new(),
             telemetry: TelemetryLevel::Off,
-            durability: None,
         }
     }
 }
@@ -307,13 +307,12 @@ enum Source<'a> {
 }
 
 /// A configured-but-not-yet-run simulation: pick an event source, attach
-/// bus observers, telemetry, and durability, then [`SimulationBuilder::run`].
+/// bus observers and telemetry, then [`SimulationBuilder::run`].
 pub struct SimulationBuilder<'a> {
     cfg: &'a RunConfig,
     source: Source<'a>,
     observers: Vec<Box<dyn BarrierObserver>>,
     telemetry: TelemetryLevel,
-    durability: Option<DurabilityConfig>,
 }
 
 impl<'a> SimulationBuilder<'a> {
@@ -359,27 +358,10 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Overrides the configuration's durable storage backend for this run
-    /// (mode + data directory). Persistence is a bystander: the outcome is
-    /// bit-identical to an in-memory run, and recoverable from the data
-    /// directory via [`crate::durable::recover`].
-    #[must_use]
-    pub fn durability(mut self, durability: DurabilityConfig) -> Self {
-        self.durability = Some(durability);
-        self
-    }
-
     /// Runs the simulation to completion: builds one [`Shard`], streams
     /// the configured source into it, and finishes it.
     pub fn run(self) -> Result<RunOutcome> {
-        let cfg_override;
-        let cfg = match self.durability {
-            Some(d) => {
-                cfg_override = self.cfg.clone().with_durability(d);
-                &cfg_override
-            }
-            None => self.cfg,
-        };
+        let cfg = self.cfg;
         let mut shard = Shard::new(cfg)?;
         // User observers register before the telemetry tap, so the bus
         // order (and thus every observer's view) matches the pre-shard

@@ -23,10 +23,10 @@
 //! block boundaries — including sample boundaries split mid-block —
 //! replay exactly like per-event stepping.
 
+use crate::durable::{DurableStore, GenerationImage};
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
 use crate::replay::Replayer;
 use crate::run::{RunConfig, RunOutcome};
-use pgc_durable::{DurableStore, GenerationImage};
 use pgc_odb::oracle::{self, OracleScratch};
 use pgc_odb::BarrierObserver;
 use pgc_telemetry::{TelemetryHandle, TelemetryLevel, TelemetryObserver};
@@ -103,7 +103,7 @@ impl Shard {
     /// `Err`. The image's `events_applied` bounds the oids the object table
     /// is sized by, so the caller holds it against the log first, as
     /// [`crate::durable::restore`] does.
-    pub fn restore(
+    pub(crate) fn restore(
         cfg: &RunConfig,
         level: TelemetryLevel,
         image: &GenerationImage,
@@ -149,7 +149,7 @@ impl Shard {
     /// collection log, database bookkeeping, policy and trigger), the
     /// telemetry recorder's, and sampling's (next sample, series so far).
     /// [`Shard::restore`] reads it back.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
+    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
         save_run(
             &self.replayer,
             self.telemetry.as_ref(),
@@ -180,6 +180,13 @@ impl Shard {
     /// The telemetry level the shard records at.
     pub(crate) fn telemetry_level(&self) -> TelemetryLevel {
         self.telemetry_level
+    }
+
+    /// The store a durable shard persists through, for tests that watch it
+    /// between steps.
+    #[cfg(test)]
+    pub(crate) fn store(&mut self) -> &mut DurableStore {
+        &mut self.durable.as_mut().expect("a durable shard").store
     }
 
     /// The configuration the shard was built from.

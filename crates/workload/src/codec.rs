@@ -3,9 +3,9 @@
 //! Everywhere an event is bytes it is in this layout: the body of a PGCT
 //! trace file ([`crate::trace`]), the shared buffer of an
 //! [`crate::EncodedTrace`] and its [`crate::TraceSegment`]s, and the
-//! payload of an events frame in `pgc-durable`'s change log. The callers
-//! differ only in framing; nothing outside this module reads or writes an
-//! event field by field.
+//! payload of an events frame in the change log (`pgc_sim::durable`).
+//! The callers differ only in framing; nothing outside this module reads
+//! or writes an event field by field.
 //!
 //! Node ids in practice are small sequential counters, so each tag has a
 //! narrow form with `u32` ids and sizes; an event touching an id or a

@@ -30,12 +30,13 @@
 //! * [`sim`] — the trace-driven simulator, metrics, multi-seed experiment
 //!   runner, and the experiment definitions that regenerate every table and
 //!   figure in the paper.
-//! * [`durable`] — the storage backend: snapshot generations (every
-//!   partition's objects plus the run's state) at collection safepoints,
-//!   an append-only change log of input events, and the checksummed run
-//!   manifest, all behind [`durable::DurabilityConfig`];
-//!   [`sim::durable::recover`] loads the newest generation of a data
-//!   directory and replays the log after it back into a bit-identical run.
+//! * [`durable`] — the simulator's persistence module, kept at its own
+//!   path here: snapshot generations (every partition's objects plus the
+//!   run's state) at collection safepoints, an append-only change log of
+//!   input events, and the checksummed run manifest, all behind
+//!   [`durable::DurabilityConfig`]; [`durable::recover`] loads the newest
+//!   generation of a data directory and replays the log after it back
+//!   into a bit-identical run.
 //! * [`server`] — the sharded multi-tenant runtime: a deterministic router
 //!   hashing client streams onto shard worker threads, one self-contained
 //!   [`sim::Shard`] per session, cross-shard references as weak remset
@@ -74,11 +75,11 @@
 #![forbid(unsafe_code)]
 
 pub use pgc_core as core;
-pub use pgc_durable as durable;
 pub use pgc_odb as odb;
 pub use pgc_odb::{buffer, storage};
 pub use pgc_server as server;
 pub use pgc_sim as sim;
+pub use pgc_sim::durable;
 pub use pgc_telemetry as telemetry;
 pub use pgc_types as types;
 pub use pgc_workload as workload;
@@ -96,8 +97,8 @@ pub use pgc_workload as workload;
 /// ```
 pub mod prelude {
     pub use pgc_core::{PolicyKind, Trigger};
-    pub use pgc_durable::{DurabilityConfig, DurabilityMode};
     pub use pgc_server::{FleetOutcome, Server, ServerConfig, StreamHandle, StreamId};
+    pub use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
     pub use pgc_sim::report;
     pub use pgc_sim::{
         outcome_digest, recover, run_race, run_race_with_telemetry, Comparison, Experiment,

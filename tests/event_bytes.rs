@@ -8,10 +8,9 @@
 //! by a length field (a forged 4-billion-event frame is rejected, not
 //! provisioned for).
 
-use pgc::durable::{read_log, DurableStore, ScratchDir};
+use pgc::durable::{manifest_for, read_log, DurableStore, ScratchDir};
 use pgc::odb::Database;
 use pgc::prelude::*;
-use pgc::sim::durable::manifest_for;
 use pgc::types::{PgcError, SimRng};
 use pgc::workload::{read_trace, write_trace, Event, EventBlock, NodeId, SyntheticWorkload};
 use std::fs;
@@ -197,14 +196,13 @@ fn hostile_log_segments_are_errors_or_clean_prefixes() {
     let cfg = RunConfig::small()
         .with_seed(5)
         .with_heap_growth(Bytes::from_kib(64))
-        .with_gc_overwrite_threshold(8);
-    let durability = DurabilityConfig::snapshot_and_log(dir.path())
-        .with_snapshot_every(2)
-        .with_segment_bytes(1 << 10);
-    Simulation::builder(&cfg)
-        .durability(durability)
-        .run()
-        .expect("durable run");
+        .with_gc_overwrite_threshold(8)
+        .with_durability(
+            DurabilityConfig::snapshot_and_log(dir.path())
+                .with_snapshot_every(2)
+                .with_segment_bytes(1 << 10),
+        );
+    Simulation::builder(&cfg).run().expect("durable run");
     let clean = read_log(dir.path()).expect("clean log");
     let events = clean.trace.decode_all().expect("clean log decodes");
     assert!(

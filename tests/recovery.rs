@@ -15,9 +15,10 @@
 //! every generation to its capture byte for byte, is held to the same
 //! digest throughout.
 
-use pgc::durable::{read_generation, read_log, scan_snapshots, ScratchDir};
+use pgc::durable::{
+    manifest_for, read_generation, read_log, restore, scan_snapshots, verify, ScratchDir,
+};
 use pgc::prelude::*;
-use pgc::sim::durable::{manifest_for, restore, verify};
 use pgc::workload::generator::GenStats;
 use pgc::workload::{EncodedTrace, Event, SyntheticWorkload};
 use std::fs;
@@ -41,10 +42,12 @@ fn durable_cfg(dir: &ScratchDir) -> DurabilityConfig {
 }
 
 fn run_durable(policy: PolicyKind, seed: u64, dir: &ScratchDir) -> RunOutcome {
-    let cfg = RunConfig::small().with_policy(policy).with_seed(seed);
+    let cfg = RunConfig::small()
+        .with_policy(policy)
+        .with_seed(seed)
+        .with_durability(durable_cfg(dir));
     Simulation::builder(&cfg)
         .telemetry(TelemetryLevel::Full)
-        .durability(durable_cfg(dir))
         .run()
         .expect("durable run")
 }
@@ -125,19 +128,15 @@ fn persisting_a_run_does_not_change_it() {
     // must be one run — and each persisted one must recover to it.
     for policy in POLICIES {
         let cfg = RunConfig::small().with_policy(policy).with_seed(3);
-        let run = |durability: Option<DurabilityConfig>| {
-            let mut builder = Simulation::builder(&cfg).telemetry(TelemetryLevel::Full);
-            if let Some(d) = durability {
-                builder = builder.durability(d);
-            }
+        let run = |durability: DurabilityConfig| {
+            let cfg = cfg.clone().with_durability(durability);
+            let builder = Simulation::builder(&cfg).telemetry(TelemetryLevel::Full);
             outcome_digest(&builder.run().expect("run"))
         };
-        let bare = run(None);
+        let bare = run(DurabilityConfig::off());
         let (log_dir, snap_dir) = (ScratchDir::new("log-only"), ScratchDir::new("snap"));
-        let logged = run(Some(
-            DurabilityConfig::log_only(log_dir.path()).with_segment_bytes(64 << 10),
-        ));
-        let snapshotted = run(Some(durable_cfg(&snap_dir)));
+        let logged = run(DurabilityConfig::log_only(log_dir.path()).with_segment_bytes(64 << 10));
+        let snapshotted = run(durable_cfg(&snap_dir));
         assert_eq!(logged, bare, "{policy}: log-only perturbs the run");
         assert_eq!(snapshotted, bare, "{policy}: snapshots perturb the run");
         for dir in [&log_dir, &snap_dir] {
@@ -157,7 +156,8 @@ fn a_safepoint_follows_every_step_that_completed_a_collection() {
         .with_seed(6);
     let run = |trace: Option<&EncodedTrace>| {
         let dir = ScratchDir::new("schedule");
-        let mut builder = Simulation::builder(&cfg).durability(durable_cfg(&dir));
+        let cfg = cfg.clone().with_durability(durable_cfg(&dir));
+        let mut builder = Simulation::builder(&cfg);
         if let Some(trace) = trace {
             builder = builder.trace(trace);
         }
@@ -274,7 +274,8 @@ fn retired_model_keys_recover_at_their_kept_value_and_are_refused_otherwise() {
 fn a_manifest_with_hostile_geometry_is_refused_not_allocated() {
     // A MANIFEST is bytes from outside: a frame count or partition width
     // nothing could back must come back as an error, never as a capacity
-    // overflow or a failed terabyte allocation inside `Database::new`.
+    // overflow or a failed terabyte allocation inside `Database::new`; a
+    // value wider than its field, never as the truncated value's run.
     let dir = ScratchDir::new("hostile-geometry");
     run_durable(PolicyKind::UpdatedPointer, 1, &dir);
     let cfg = RunConfig::small().with_seed(1);
@@ -285,6 +286,8 @@ fn a_manifest_with_hostile_geometry_is_refused_not_allocated() {
         ("db.partition_pages", 1 << 40),
         ("db.page_size", 1 << 61),
         ("db.page_size", u64::MAX),
+        ("db.max_weight", 288),
+        ("wl.traversals_per_round", (1 << 32) + 22),
     ] {
         assert!(current.get(key).is_some(), "{key} is a manifest key");
         let mut hostile = current.clone();
