@@ -27,9 +27,9 @@
 
 use pgc_bench::{emit, CommonArgs};
 use pgc_core::{PolicyKind, Trigger};
-use pgc_sim::{report, Comparison, Experiment, RunConfig, Simulation};
+use pgc_sim::{report, Comparison, Experiment, RunConfig, Shard};
 use pgc_types::Bytes;
-use pgc_workload::TraceCache;
+use pgc_workload::{SyntheticWorkload, TraceCache};
 use std::fmt::Write as _;
 
 fn base(args: &CommonArgs, policy: PolicyKind, seed: u64) -> RunConfig {
@@ -144,22 +144,14 @@ fn main() {
     );
     for &seed in seeds.iter().take(3) {
         let cfg = base(&args, PolicyKind::UpdatedPointer, seed);
-        let outcome = Simulation::builder(&cfg).run().expect("run");
-        // Rebuild the final state and apply a complete collection on top.
-        let events: Vec<pgc_workload::Event> =
-            pgc_workload::SyntheticWorkload::new(cfg.workload.clone())
-                .expect("params")
-                .collect();
-        let db = pgc_odb::Database::new(cfg.db.clone()).expect("db");
-        let collector = pgc_core::Collector::with_kind(
-            cfg.policy,
-            cfg.db.gc_overwrite_threshold,
-            seed,
-            cfg.db.max_weight,
-        );
-        let mut replayer = pgc_sim::Replayer::new(db, collector);
-        replayer.apply_all(&events).expect("replay");
-        let (mut db, _, _) = replayer.into_parts();
+        // Keep the final state and apply a complete collection on top.
+        let mut generator = SyntheticWorkload::new(cfg.workload.clone()).expect("params");
+        let mut shard = Shard::new(&cfg).expect("shard");
+        for event in generator.by_ref() {
+            shard.step(&event).expect("replay");
+        }
+        let mut db = shard.db().clone();
+        let outcome = shard.finish(generator.stats()).expect("run");
         let full = db.collect_full().expect("full collection");
         let _ = writeln!(
             out,

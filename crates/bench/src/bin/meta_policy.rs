@@ -23,12 +23,11 @@
 
 use pgc_bench::{emit, CommonArgs};
 use pgc_core::policies::{AdaptiveMeta, DEFAULT_CANDIDATES};
-use pgc_core::{Collector, PolicyKind};
-use pgc_odb::Database;
+use pgc_core::PolicyKind;
 use pgc_sim::{
-    paper, report, run_race_with_telemetry, Experiment, Replayer, Simulation, TelemetryLevel,
+    paper, report, run_race_with_telemetry, Experiment, Shard, Simulation, TelemetryLevel,
 };
-use pgc_telemetry::{write_snapshot, TelemetryObserver, TelemetrySnapshot};
+use pgc_telemetry::{write_snapshot, TelemetrySnapshot};
 use pgc_workload::{SyntheticWorkload, TraceCache};
 use std::fmt::Write as _;
 
@@ -267,15 +266,12 @@ fn weak_incumbent_run(
     margin_pct: u64,
 ) -> TelemetrySnapshot {
     let policy = AdaptiveMeta::with_config(slate, window, margin_pct, cfg.db.max_weight);
-    let collector = Collector::with_trigger(Box::new(policy), cfg.effective_trigger());
-    let db = Database::new(cfg.db.clone()).expect("database");
-    let mut replayer = Replayer::new(db, collector);
-    let (obs, handle) = TelemetryObserver::new(TelemetryLevel::Full, cfg.trigger_reason());
-    replayer.collector_mut().add_observer(Box::new(obs));
+    let mut shard = Shard::with_policy(cfg, Box::new(policy)).expect("shard");
+    shard.enable_telemetry(TelemetryLevel::Full);
     let mut generator = SyntheticWorkload::new(cfg.workload.clone()).expect("workload");
     for event in generator.by_ref() {
-        replayer.apply(&event).expect("replay");
+        shard.step(&event).expect("replay");
     }
-    drop(replayer);
-    handle.finish()
+    let outcome = shard.finish(generator.stats()).expect("finish");
+    outcome.telemetry.expect("telemetry is on")
 }

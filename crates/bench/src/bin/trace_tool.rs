@@ -5,14 +5,17 @@
 //! trace_tool stats <file.trace>                          # event histogram
 //! trace_tool head <file.trace> [n]                       # first n events
 //! trace_tool replay <file.trace> <policy>                # simulate + totals
+//! trace_tool profile <file.trace> <policy>               # per-partition end state
 //! ```
 //!
 //! The paper's methodology is trace-driven simulation; this binary is the
 //! operational face of that: capture a workload once, inspect what it
-//! contains, and drive any policy from the identical byte stream.
+//! contains, and drive any policy from the identical byte stream. `replay`
+//! and `profile` run the same simulation; `profile` prints one row per
+//! partition of its final database instead of the totals.
 
 use pgc_core::PolicyKind;
-use pgc_sim::{RunConfig, Simulation};
+use pgc_sim::{RunConfig, Shard, Simulation};
 use pgc_workload::{
     read_trace, AssemblyParams, AssemblyWorkload, EncodedTrace, Event, TraceWriter, WorkloadParams,
 };
@@ -22,7 +25,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  trace_tool record <tree|assembly> <seed> <out.trace>\n  trace_tool stats <file.trace>\n  trace_tool head <file.trace> [n]\n  trace_tool replay <file.trace> <policy>"
+        "usage:\n  trace_tool record <tree|assembly> <seed> <out.trace>\n  trace_tool stats <file.trace>\n  trace_tool head <file.trace> [n]\n  trace_tool replay <file.trace> <policy>\n  trace_tool profile <file.trace> <policy>"
     );
     exit(2);
 }
@@ -139,21 +142,13 @@ fn profile(args: &[String]) -> Result<(), String> {
     let [path, policy] = args else { usage() };
     let policy: PolicyKind = policy.parse()?;
     let events = load(path)?;
-    let cfg = RunConfig::paper(policy, 0);
-    let db = pgc_odb::Database::new(cfg.db.clone()).map_err(|e| e.to_string())?;
-    let collector =
-        pgc_core::Collector::with_kind(policy, cfg.db.gc_overwrite_threshold, 0, cfg.db.max_weight);
-    let mut replayer = pgc_sim::Replayer::new(db, collector);
-    for e in &events {
-        replayer.apply(e).map_err(|e| e.to_string())?;
-    }
-    let report = pgc_odb::oracle::analyze(replayer.db());
+    let mut shard = Shard::new(&RunConfig::paper(policy, 0)).map_err(|e| e.to_string())?;
+    shard.step_batch(&events).map_err(|e| e.to_string())?;
+    let db = shard.db();
+    let report = pgc_odb::oracle::analyze(db);
     print!(
         "{}",
-        pgc_sim::report::format_partition_profile(
-            &replayer.db().partition_profile(),
-            Some(&report),
-        )
+        pgc_sim::report::format_partition_profile(&db.partition_profile(), Some(&report))
     );
     Ok(())
 }

@@ -3,20 +3,19 @@
 //! The trace-driven simulator (Sec. 4.2) and the experiment harness that
 //! regenerates every table and figure of the paper's evaluation (Sec. 6).
 //!
-//! * [`replay`] — [`replay::Replayer`]: applies workload events to a
-//!   [`pgc_odb::Database`] under a [`pgc_core::Collector`], mapping
-//!   workload-level node ids to database oids and running collections when
-//!   the overwrite trigger fires.
 //! * [`metrics`] — [`metrics::RunTotals`] (the aggregate numbers behind
 //!   Tables 2–5) and [`metrics::TimeSeries`] (the sampled curves behind
 //!   Figures 4–5).
 //! * [`run`] — [`run::RunConfig`] + [`run::Simulation::builder`]: one
 //!   complete simulation from a parameter set, a shared encoded trace, or
 //!   a recorded event slice, with optional bus observers and telemetry.
-//! * [`shard`] — [`shard::Shard`]: the self-contained unit a run drives —
-//!   one database + policy + scheduler + barrier bus + telemetry handle,
-//!   stepped by event batches. `Simulation` is its 1-shard special case;
-//!   the multi-tenant `pgc-server` runtime hosts one per client stream.
+//! * [`shard`] — [`shard::Shard`]: the self-contained unit a run drives
+//!   and the one thing that applies workload events — one
+//!   [`pgc_odb::Database`] under a [`pgc_core::Collector`] (policy +
+//!   scheduler + barrier bus) plus a telemetry handle, node id `n` as
+//!   `Oid(n)`, collecting when the trigger fires, stepped by event batches.
+//!   `Simulation` is its 1-shard special case; the multi-tenant
+//!   `pgc-server` runtime hosts one per client stream.
 //! * [`durable`] — persistence and recovery: a durable run's data
 //!   directory (the checksummed manifest, the write-ahead change log of
 //!   input events, snapshot generations at collection safepoints) written
@@ -56,7 +55,6 @@ pub mod durable;
 pub mod experiment;
 pub mod metrics;
 pub mod paper;
-pub mod replay;
 pub mod report;
 pub mod run;
 pub mod shadow;
@@ -67,7 +65,6 @@ pub use chart::{render_chart, ChartMetric};
 pub use durable::{outcome_digest, recover, verify, RecoveredRun};
 pub use experiment::{Comparison, Experiment, PolicyRow, RunTelemetry};
 pub use metrics::{RunTotals, SamplePoint, TimeSeries};
-pub use replay::Replayer;
 pub use run::{RunConfig, RunOutcome, Simulation, SimulationBuilder};
 pub use shadow::{
     agreement_table, regret_table, run_race, run_race_with_telemetry, RaceOutcome, RaceRecord,

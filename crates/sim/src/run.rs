@@ -17,10 +17,9 @@
 
 use crate::durable::{DurabilityConfig, StorageStats};
 use crate::metrics::{RunTotals, TimeSeries};
-use crate::replay::Replayer;
 use crate::shard::Shard;
-use pgc_core::{build_policy, Collector, PolicyKind, Trigger};
-use pgc_odb::{BarrierObserver, CollectionOutcome, Database, DbStats};
+use pgc_core::{PolicyKind, Trigger};
+use pgc_odb::{BarrierObserver, CollectionOutcome, DbStats};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
 use pgc_types::{Bytes, DbConfig, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
@@ -217,15 +216,6 @@ impl RunConfig {
             Trigger::AllocationBytes(b) => TriggerReason::AllocationBytes(b.get()),
             Trigger::PartitionGrowth => TriggerReason::PartitionGrowth,
         }
-    }
-
-    pub(crate) fn build_replayer(&self) -> Result<Replayer> {
-        let db = Database::new(self.db.clone())?;
-        let collector = Collector::with_trigger(
-            build_policy(self.policy, self.policy_seed(), self.db.max_weight),
-            self.effective_trigger(),
-        );
-        Ok(Replayer::new(db, collector))
     }
 }
 

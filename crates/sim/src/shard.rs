@@ -1,17 +1,31 @@
 //! A self-contained simulation shard: one database plus everything that
 //! drives it.
 //!
-//! [`Shard`] bundles what [`crate::run::Simulation`] used to wire inline —
-//! a [`pgc_odb::Database`], the driving policy and trigger scheduler
-//! inside a [`pgc_core::Collector`], the barrier event bus with its
-//! bystander observers, an optional telemetry tap, and time-series
-//! sampling state — behind a stepping API: feed it events one at a time
-//! ([`Shard::step`]), as recorded batches ([`Shard::step_batch`]), or as
-//! decoded SoA blocks ([`Shard::step_block`]), then [`Shard::finish`] it
-//! into a [`RunOutcome`].
+//! [`Shard`] is the junction of the whole system and the one thing that
+//! applies workload events. It holds a [`pgc_odb::Database`], the driving
+//! policy and trigger scheduler inside a [`pgc_core::Collector`], the
+//! barrier event bus with its bystander observers, an optional telemetry
+//! tap, an optional durable store, and time-series sampling state. Every
+//! event charges its page I/O through the database, which logs typed
+//! [`pgc_odb::BarrierEvent`]s; after each operation the shard pumps the log
+//! through [`pgc_core::Collector::sync`], which broadcasts the events to the
+//! selection policy (and any bystanders) and reports whether the trigger
+//! fired. Collections run the moment it does — matching the paper's setup,
+//! in which collector invocation is "independent of the partition choice"
+//! so every policy sees the same trigger points.
 //!
-//! `Simulation::builder(cfg).run()` is now exactly a 1-shard special case:
-//! it builds one `Shard`, streams the configured event source into it, and
+//! Feed it events one at a time ([`Shard::step`]), as recorded batches
+//! ([`Shard::step_batch`]), or as decoded SoA blocks
+//! ([`Shard::step_block`]), then [`Shard::finish`] it into a
+//! [`RunOutcome`].
+//!
+//! Workload events name objects by dense [`NodeId`]s, and every create
+//! event reserves the database's next oid, so node `n` *is* `Oid(n)`: the
+//! same trace (recorded or generated) drives any number of databases and
+//! policies with no map between the two id spaces.
+//!
+//! `Simulation::builder(cfg).run()` is exactly a 1-shard special case: it
+//! builds one `Shard`, streams the configured event source into it, and
 //! finishes it. A sharded runtime (the `pgc-server` crate) instead hosts
 //! one `Shard` per client session across N worker threads — each shard
 //! owns its partitions, policy, scheduler, and telemetry, so sessions
@@ -25,12 +39,12 @@
 
 use crate::durable::{DurableStore, GenerationImage};
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
-use crate::replay::Replayer;
 use crate::run::{RunConfig, RunOutcome};
+use pgc_core::{build_policy, Collector, SelectionPolicy, Trigger};
 use pgc_odb::oracle::{self, OracleScratch};
-use pgc_odb::BarrierObserver;
+use pgc_odb::{BarrierObserver, CollectionOutcome, Database};
 use pgc_telemetry::{TelemetryHandle, TelemetryLevel, TelemetryObserver};
-use pgc_types::{Bytes, Oid, PgcError, Result, Words};
+use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId, Words};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{Event, EventBlock, NodeId};
 
@@ -49,7 +63,10 @@ struct DurableState {
 /// stepped by event batches.
 pub struct Shard {
     cfg: RunConfig,
-    replayer: Replayer,
+    db: Database,
+    collector: Collector,
+    events_applied: u64,
+    collections: Vec<CollectionOutcome>,
     telemetry: Option<TelemetryHandle>,
     telemetry_level: TelemetryLevel,
     durable: Option<DurableState>,
@@ -65,12 +82,41 @@ impl Shard {
     /// observers with [`Shard::add_observer`] and a telemetry tap with
     /// [`Shard::enable_telemetry`] *before* stepping the first event.
     pub fn new(cfg: &RunConfig) -> Result<Self> {
+        let policy = build_policy(cfg.policy, cfg.policy_seed(), cfg.db.max_weight);
+        Self::build(cfg, policy)
+    }
+
+    /// [`Shard::new`] driven by a hand-built `policy` instead of the one
+    /// `cfg.policy` names (a custom candidate slate, a reference
+    /// implementation under test). A durable `cfg` is refused: a manifest
+    /// can name only a [`pgc_core::PolicyKind`], so recovery could not
+    /// rebuild the run.
+    pub fn with_policy(cfg: &RunConfig, policy: Box<dyn SelectionPolicy>) -> Result<Self> {
+        if cfg.durability.is_enabled() {
+            return Err(PgcError::InvalidConfig(
+                "a hand-built policy cannot persist: a manifest names only a policy kind",
+            ));
+        }
+        Self::build(cfg, policy)
+    }
+
+    fn build(cfg: &RunConfig, policy: Box<dyn SelectionPolicy>) -> Result<Self> {
         if cfg.sample_every == Some(0) {
             return Err(PgcError::InvalidConfig(
                 "sample_every must be at least 1 event",
             ));
         }
-        let replayer = cfg.build_replayer()?;
+        let trigger = cfg.effective_trigger();
+        if matches!(
+            trigger,
+            Trigger::OverwriteCount(0) | Trigger::AllocationBytes(Bytes(0))
+        ) {
+            return Err(PgcError::InvalidConfig(
+                "a trigger must count at least 1 overwrite or byte",
+            ));
+        }
+        let db = Database::new(cfg.db.clone())?;
+        let collector = Collector::with_trigger(policy, trigger);
         let sample_every = cfg.sample_every.unwrap_or(u64::MAX);
         let durable = if cfg.durability.is_enabled() {
             Some(DurableState {
@@ -83,7 +129,10 @@ impl Shard {
         };
         Ok(Self {
             cfg: cfg.clone(),
-            replayer,
+            db,
+            collector,
+            events_applied: 0,
+            collections: Vec::new(),
             telemetry: None,
             telemetry_level: TelemetryLevel::Off,
             durable,
@@ -115,12 +164,42 @@ impl Shard {
         shard.enable_telemetry(level);
         let bad = |what: &str| PgcError::TraceFormat(format!("run image: {what}"));
         let mut words = Words::new(&image.run);
-        shard.replayer.load(image, &mut words)?;
+        shard.events_applied = words.word()?;
+        if shard.events_applied != image.events_applied {
+            return Err(bad("events applied disagree with the header"));
+        }
+        let n = words.count()?;
+        shard.collections = Vec::with_capacity(n);
+        for _ in 0..n {
+            shard.collections.push(CollectionOutcome {
+                victim: PartitionId(words.word_u32()?),
+                target: PartitionId(words.word_u32()?),
+                live_objects: words.word()?,
+                live_bytes: Bytes(words.word()?),
+                garbage_objects: words.word()?,
+                garbage_bytes: Bytes(words.word()?),
+                forwarded_pointers: words.word()?,
+                gc_reads: words.word()?,
+                gc_writes: words.word()?,
+            });
+        }
+        shard.db = Database::restore(
+            cfg.db.clone(),
+            image.partitions(),
+            image.events_applied,
+            image.records(),
+            &mut words,
+        )?;
+        let collections = shard.db.stats().collections;
+        if collections != image.collections || collections != n as u64 {
+            return Err(bad("collection counts disagree"));
+        }
+        shard.collector.load(&mut words, image.events_applied)?;
         if words.flag()? != shard.telemetry.is_some() {
             return Err(bad("telemetry disagrees with the manifest"));
         }
         if let Some(telemetry) = &shard.telemetry {
-            telemetry.load(&mut words, shard.replayer.db(), image.events_applied)?;
+            telemetry.load(&mut words, &shard.db, image.events_applied)?;
         }
         shard.next_sample = words.word()?;
         if shard.next_sample <= image.events_applied {
@@ -145,23 +224,48 @@ impl Shard {
     }
 
     /// Appends what a snapshot generation's run image holds for this shard
-    /// beyond the partition images: the replayer's state (events applied,
-    /// collection log, database bookkeeping, policy and trigger), the
+    /// beyond the partition images: events applied, the collection log, the
+    /// database's bookkeeping, the collector's (policy, then trigger), the
     /// telemetry recorder's, and sampling's (next sample, series so far).
     /// [`Shard::restore`] reads it back.
     pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        save_run(
-            &self.replayer,
-            self.telemetry.as_ref(),
-            &self.series,
-            self.next_sample,
-            out,
-        );
+        out.push(self.events_applied);
+        out.push(self.collections.len() as u64);
+        for c in &self.collections {
+            out.extend([
+                u64::from(c.victim.index()),
+                u64::from(c.target.index()),
+                c.live_objects,
+                c.live_bytes.get(),
+                c.garbage_objects,
+                c.garbage_bytes.get(),
+                c.forwarded_pointers,
+                c.gc_reads,
+                c.gc_writes,
+            ]);
+        }
+        self.db.save_state(out);
+        self.collector.save(out);
+        out.push(u64::from(self.telemetry.is_some()));
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.save(out);
+        }
+        out.push(self.next_sample);
+        out.push(self.series.points().len() as u64);
+        for p in self.series.points() {
+            out.extend([
+                p.events,
+                p.resident_bytes.get(),
+                p.garbage_bytes.get(),
+                p.footprint.get(),
+                p.collections,
+            ]);
+        }
     }
 
     /// Registers a bystander observer on the shard's barrier bus.
     pub fn add_observer(&mut self, observer: Box<dyn BarrierObserver>) {
-        self.replayer.collector_mut().add_observer(observer);
+        self.collector.add_observer(observer);
     }
 
     /// Registers a telemetry tap at `level` (a no-op at
@@ -171,7 +275,7 @@ impl Shard {
     pub fn enable_telemetry(&mut self, level: TelemetryLevel) {
         if level.is_enabled() && self.telemetry.is_none() {
             let (obs, handle) = TelemetryObserver::new(level, self.cfg.trigger_reason());
-            self.replayer.collector_mut().add_observer(Box::new(obs));
+            self.collector.add_observer(Box::new(obs));
             self.telemetry = Some(handle);
             self.telemetry_level = level;
         }
@@ -195,24 +299,43 @@ impl Shard {
     }
 
     /// The shard's database.
-    pub fn db(&self) -> &pgc_odb::Database {
-        self.replayer.db()
+    pub fn db(&self) -> &Database {
+        &self.db
     }
 
     /// The shard's collector (policy + scheduler + bus).
-    pub fn collector(&self) -> &pgc_core::Collector {
-        self.replayer.collector()
+    pub fn collector(&self) -> &Collector {
+        &self.collector
     }
 
     /// Events stepped so far.
     pub fn events_applied(&self) -> u64 {
-        self.replayer.events_applied()
+        self.events_applied
     }
 
-    /// Resolves a workload node id to the shard-local database oid (the
-    /// hook a sharded runtime uses to key cross-shard references).
+    /// Resolves a workload node id to the shard-local database oid:
+    /// `Oid(n)` for every node created so far, reclaimed or not (the hook a
+    /// sharded runtime uses to key cross-shard references).
     pub fn oid_of(&self, node: NodeId) -> Option<Oid> {
-        self.replayer.oid_of(node)
+        (node.index() < self.db.objects().oid_bound()).then_some(Oid(node.index()))
+    }
+
+    fn oid(&self, node: NodeId) -> Result<Oid> {
+        self.oid_of(node).ok_or(PgcError::UnknownNode(node.index()))
+    }
+
+    /// A create event must name the next dense id. A checksum-valid trace
+    /// or change log with a frame spliced in twice repeats ids; accepting
+    /// one would map every later node onto the wrong object.
+    fn expect_next_node(&self, node: NodeId) -> Result<()> {
+        let expected = self.db.objects().oid_bound();
+        if node.index() == expected {
+            return Ok(());
+        }
+        Err(PgcError::TraceFormat(format!(
+            "create event names node {}, expected the next dense id {expected}",
+            node.index()
+        )))
     }
 
     /// Steps one event: write-ahead logs it (when durability is on),
@@ -223,7 +346,7 @@ impl Shard {
         if let Some(store) = self.log_ahead()? {
             store.append_event(event)?;
         }
-        self.replayer.apply(event)?;
+        self.apply(event)?;
         self.maybe_sample();
         self.maybe_safepoint()
     }
@@ -247,20 +370,83 @@ impl Shard {
             store.append_block(block)?;
         }
         if self.sample_every == u64::MAX {
-            self.replayer.apply_block(block, 0, block.len())?;
+            self.apply_range(block, 0, block.len())?;
             return self.maybe_safepoint();
         }
         let mut at = 0usize;
         while at < block.len() {
             let room = self
                 .next_sample
-                .saturating_sub(self.replayer.events_applied())
+                .saturating_sub(self.events_applied)
                 .min((block.len() - at) as u64) as usize;
-            self.replayer.apply_block(block, at, at + room)?;
+            self.apply_range(block, at, at + room)?;
             at += room;
             self.maybe_sample();
         }
         self.maybe_safepoint()
+    }
+
+    /// Applies events `start..end` of `block`. The loop stays a function of
+    /// its own: written inline in `step_block`, with or without the
+    /// unsampled shortcut, it replayed `fleet_roundtrip` 1–2% slower.
+    fn apply_range(&mut self, block: &EventBlock, start: usize, end: usize) -> Result<()> {
+        for i in start..end {
+            self.apply(&block.get(i))?;
+        }
+        Ok(())
+    }
+
+    /// Applies one event (charging I/O, pumping the barrier bus, collecting
+    /// when due).
+    ///
+    /// The pump is uniform: whatever the operation logged — allocations,
+    /// growth, pointer or data writes — is drained through the collector
+    /// after the operation completes, and the due-check covers the whole
+    /// batch. Operations that log nothing (`AddSlot`, `Visit`) drain an
+    /// empty log, and the sticky trigger can never be due there because any
+    /// due state is consumed at the operation that caused it.
+    fn apply(&mut self, event: &Event) -> Result<()> {
+        match *event {
+            Event::CreateRoot { node, size, slots } => {
+                self.expect_next_node(node)?;
+                self.db.create_root(size, slots as usize)?;
+            }
+            Event::CreateChild {
+                node,
+                parent,
+                parent_slot,
+                size,
+                slots,
+            } => {
+                self.expect_next_node(node)?;
+                let parent_oid = self.oid(parent)?;
+                self.db
+                    .create_object(size, slots as usize, parent_oid, SlotId(parent_slot))?;
+            }
+            Event::WritePointer { owner, slot, new } => {
+                let owner_oid = self.oid(owner)?;
+                let new_oid = new.map(|n| self.oid(n)).transpose()?;
+                self.db.write_slot(owner_oid, SlotId(slot), new_oid)?;
+            }
+            Event::AddSlot { owner } => {
+                let owner_oid = self.oid(owner)?;
+                self.db.add_slot(owner_oid)?;
+            }
+            Event::Visit { node } => {
+                self.db.visit(self.oid(node)?)?;
+            }
+            Event::DataWrite { node } => {
+                let oid = self.oid(node)?;
+                self.db.data_write(oid)?;
+            }
+        }
+        if self.collector.sync(&mut self.db) {
+            if let Some(outcome) = self.collector.maybe_collect(&mut self.db)? {
+                self.collections.push(outcome);
+            }
+        }
+        self.events_applied += 1;
+        Ok(())
     }
 
     /// Write-ahead: events reach the change log before they are applied,
@@ -282,30 +468,45 @@ impl Shard {
 
     /// Persists a safepoint when collections completed since the last one.
     fn maybe_safepoint(&mut self) -> Result<()> {
-        let Some(durable) = self.durable.as_mut() else {
+        let Some(safepointed) = self.durable.as_ref().map(|d| d.safepointed) else {
             return Ok(());
         };
-        let completed = self.replayer.db().stats().collections;
-        if completed > durable.safepointed {
-            let (replayer, telemetry) = (&self.replayer, self.telemetry.as_ref());
-            let (series, next_sample) = (&self.series, self.next_sample);
-            durable.store.safepoint(
-                replayer.db(),
-                replayer.events_applied(),
-                completed,
-                false,
-                |out| save_run(replayer, telemetry, series, next_sample, out),
-            )?;
+        let completed = self.db.stats().collections;
+        if completed <= safepointed {
+            return Ok(());
+        }
+        // The store is lifted out while it writes the run image the rest
+        // of the shard describes, and put back whatever the outcome.
+        let mut durable = self.durable.take().expect("checked above");
+        let landed =
+            durable
+                .store
+                .safepoint(&self.db, self.events_applied, completed, false, |out| {
+                    self.save_state(out)
+                });
+        if landed.is_ok() {
             durable.safepointed = completed;
         }
-        Ok(())
+        self.durable = Some(durable);
+        landed
     }
 
     fn maybe_sample(&mut self) {
-        if self.replayer.events_applied() >= self.next_sample {
-            take_sample(&mut self.series, &self.replayer, &mut self.scratch);
+        if self.events_applied >= self.next_sample {
+            self.take_sample();
             self.next_sample += self.sample_every;
         }
+    }
+
+    fn take_sample(&mut self) {
+        let report = oracle::analyze_with(&self.db, &mut self.scratch);
+        self.series.push(SamplePoint {
+            events: self.events_applied,
+            resident_bytes: self.db.resident_bytes(),
+            garbage_bytes: report.garbage_bytes,
+            footprint: self.db.total_footprint(),
+            collections: self.db.stats().collections,
+        });
     }
 
     /// Condenses the shard into a [`RunOutcome`]: one final time-series
@@ -320,23 +521,19 @@ impl Shard {
     /// `gen_stats` labels the outcome with the workload generator's
     /// counters (zeroed for replays of unlabelled event slices).
     pub fn finish(mut self, gen_stats: GenStats) -> Result<RunOutcome> {
-        let events = self.replayer.events_applied();
+        let events = self.events_applied;
         let mut storage = None;
-        if let Some(durable) = self.durable.as_mut() {
-            let (replayer, telemetry) = (&self.replayer, self.telemetry.as_ref());
-            let (series, next_sample) = (&self.series, self.next_sample);
-            let db = replayer.db();
+        if let Some(mut durable) = self.durable.take() {
+            let collections = self.db.stats().collections;
             durable
                 .store
-                .finish_with(db, events, db.stats().collections, |out| {
-                    save_run(replayer, telemetry, series, next_sample, out)
-                })?;
+                .finish_with(&self.db, events, collections, |out| self.save_state(out))?;
             storage = Some(durable.store.stats());
         }
         if self.cfg.sample_every.is_some() {
-            take_sample(&mut self.series, &self.replayer, &mut self.scratch);
+            self.take_sample();
         }
-        let db = self.replayer.db();
+        let db = &self.db;
         let final_report = oracle::analyze_with(db, &mut self.scratch);
         let io = db.io_stats();
         let db_stats = db.stats();
@@ -353,10 +550,9 @@ impl Shard {
             final_nepotism_bytes: final_report.nepotism_bytes,
             events,
         };
-        let (_db, collector, collections) = self.replayer.into_parts();
         // The telemetry observer closes its in-flight activation record
         // when the collector drops it; finish the handle only after.
-        drop(collector);
+        drop(self.collector);
         let telemetry = self.telemetry.map(TelemetryHandle::finish);
         Ok(RunOutcome {
             policy: self.cfg.policy,
@@ -365,7 +561,7 @@ impl Shard {
             series: self.series,
             db_stats,
             gen_stats,
-            collections,
+            collections: self.collections,
             telemetry,
             derive: None,
             storage,
@@ -373,50 +569,15 @@ impl Shard {
     }
 }
 
-/// [`Shard::save_state`] on the parts a safepoint can borrow while the
-/// store is borrowed mutably.
-fn save_run(
-    replayer: &Replayer,
-    telemetry: Option<&TelemetryHandle>,
-    series: &TimeSeries,
-    next_sample: u64,
-    out: &mut Vec<u64>,
-) {
-    replayer.save(out);
-    out.push(u64::from(telemetry.is_some()));
-    if let Some(telemetry) = telemetry {
-        telemetry.save(out);
-    }
-    out.push(next_sample);
-    out.push(series.points().len() as u64);
-    for p in series.points() {
-        out.extend([
-            p.events,
-            p.resident_bytes.get(),
-            p.garbage_bytes.get(),
-            p.footprint.get(),
-            p.collections,
-        ]);
-    }
-}
-
-fn take_sample(series: &mut TimeSeries, replayer: &Replayer, scratch: &mut OracleScratch) {
-    let db = replayer.db();
-    let report = oracle::analyze_with(db, scratch);
-    series.push(SamplePoint {
-        events: replayer.events_applied(),
-        resident_bytes: db.resident_bytes(),
-        garbage_bytes: report.garbage_bytes,
-        footprint: db.total_footprint(),
-        collections: db.stats().collections,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{DurabilityConfig, ScratchDir};
     use crate::run::Simulation;
-    use pgc_workload::SyntheticWorkload;
+    use pgc_core::PolicyKind;
+    use pgc_workload::{AssemblyParams, AssemblyWorkload, SyntheticWorkload};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn stepping_a_shard_matches_a_simulation_run() {
@@ -455,6 +616,17 @@ mod tests {
     }
 
     #[test]
+    fn a_hand_built_policy_does_not_persist() {
+        let dir = ScratchDir::new("hand-built");
+        let data = dir.join("run");
+        let cfg = RunConfig::small().with_durability(DurabilityConfig::log_only(&data));
+        let policy = build_policy(cfg.policy, cfg.policy_seed(), cfg.db.max_weight);
+        let err = Shard::with_policy(&cfg, policy).err().expect("refused");
+        assert!(matches!(err, PgcError::InvalidConfig(_)), "{err}");
+        assert!(!data.exists(), "no data directory is created");
+    }
+
+    #[test]
     fn batch_boundaries_do_not_perturb_a_shard() {
         let cfg = RunConfig::small().with_seed(32);
         let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
@@ -489,5 +661,83 @@ mod tests {
         let snap = out.telemetry.expect("telemetry requested");
         assert_eq!(snap.counters.activations, out.totals.collections);
         assert_eq!(snap.records.len() as u64, out.totals.collections);
+    }
+
+    #[test]
+    fn reachable_objects_survive_the_whole_run() {
+        // Every node the mirror still considers attached must exist in the
+        // database at the end of a collected run.
+        let cfg = RunConfig::small()
+            .with_policy(PolicyKind::MostGarbage)
+            .with_seed(5);
+        let mut gen = SyntheticWorkload::new(cfg.workload.clone()).unwrap();
+        let mut shard = Shard::new(&cfg).unwrap();
+        for event in gen.by_ref() {
+            shard.step(&event).unwrap();
+        }
+        let mirror = gen.mirror();
+        for t in 0..mirror.tree_count() as u32 {
+            for &n in mirror.members_of(t) {
+                if mirror.is_attached(n) {
+                    let oid = shard.oid_of(n).unwrap();
+                    assert!(
+                        shard.db().objects().contains(oid),
+                        "attached node {n} was reclaimed"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Taps the oid of every allocation on the bus.
+    struct Allocations(Rc<RefCell<Vec<u64>>>);
+
+    impl BarrierObserver for Allocations {
+        fn on_event(&mut self, event: &pgc_odb::BarrierEvent) {
+            if let pgc_odb::BarrierEvent::Allocation { oid, .. } = event {
+                self.0.borrow_mut().push(oid.index());
+            }
+        }
+    }
+
+    #[test]
+    fn node_n_is_oid_n_under_every_policy() {
+        let tree: Vec<Event> = SyntheticWorkload::new(RunConfig::small().with_seed(7).workload)
+            .unwrap()
+            .collect();
+        let assembly: Vec<Event> = AssemblyWorkload::new(AssemblyParams::small().with_seed(7))
+            .unwrap()
+            .collect();
+        for events in [&tree, &assembly] {
+            let created: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::CreateRoot { node, .. } | Event::CreateChild { node, .. } => {
+                        Some(node.index())
+                    }
+                    _ => None,
+                })
+                .collect();
+            for policy in PolicyKind::ALL {
+                let allocated = Rc::new(RefCell::new(Vec::new()));
+                let mut shard = Shard::new(&RunConfig::small().with_policy(policy)).unwrap();
+                shard.add_observer(Box::new(Allocations(Rc::clone(&allocated))));
+                shard.step_batch(events).unwrap();
+                assert_eq!(*allocated.borrow(), created, "{policy}: node n is oid n");
+                for &n in &created {
+                    assert_eq!(shard.oid_of(NodeId(n)), Some(Oid(n)), "{policy}");
+                }
+                assert_eq!(shard.oid_of(NodeId(created.len() as u64)), None, "{policy}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_node_reference_errors() {
+        let mut shard = Shard::new(&RunConfig::small().with_policy(PolicyKind::Random)).unwrap();
+        let err = shard.step(&Event::Visit { node: NodeId(99) }).unwrap_err();
+        // The error names the workload node, not a fabricated object id —
+        // the two id spaces are unrelated.
+        assert!(matches!(err, PgcError::UnknownNode(99)), "{err:?}");
     }
 }

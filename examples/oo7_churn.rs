@@ -11,9 +11,10 @@
 //! cargo run --release --example oo7_churn
 //! ```
 
-use pgc::core::PolicyKind;
+use pgc::core::{PolicyKind, Trigger};
 use pgc::odb::oracle;
-use pgc::sim::{RunConfig, Simulation};
+use pgc::sim::{RunConfig, Shard, Simulation};
+use pgc::types::Bytes;
 use pgc::workload::{AssemblyParams, AssemblyWorkload, Event};
 
 fn main() {
@@ -36,9 +37,8 @@ fn main() {
     // (whole-composite replacement), so the paper's overwrite trigger
     // underfires; the allocation-paced trigger extension fits it.
     for policy in [PolicyKind::UpdatedPointer, PolicyKind::MostGarbage] {
-        let cfg = RunConfig::paper(policy, 7).with_trigger(pgc::core::Trigger::AllocationBytes(
-            pgc::types::Bytes::from_kib(256),
-        ));
+        let cfg = RunConfig::paper(policy, 7)
+            .with_trigger(Trigger::AllocationBytes(Bytes::from_kib(256)));
         let out = Simulation::builder(&cfg)
             .events(&events)
             .run()
@@ -63,12 +63,11 @@ fn main() {
 
     // Show the distributed-garbage finale: partitioned collection leaves
     // some cyclic garbage behind; one complete collection clears it.
-    let cfg = RunConfig::paper(PolicyKind::UpdatedPointer, 7);
-    let db = pgc::odb::Database::new(cfg.db.clone()).expect("db");
-    let collector = pgc::core::Collector::with_kind(PolicyKind::UpdatedPointer, 100, 7, 16);
-    let mut replayer = pgc::sim::Replayer::new(db, collector);
-    replayer.apply_all(&events).expect("replay");
-    let (mut db, _, _) = replayer.into_parts();
+    let cfg =
+        RunConfig::paper(PolicyKind::UpdatedPointer, 7).with_trigger(Trigger::OverwriteCount(100));
+    let mut shard = Shard::new(&cfg).expect("shard");
+    shard.step_batch(&events).expect("replay");
+    let mut db = shard.db().clone();
 
     let before = oracle::analyze(&db);
     let full = db.collect_full().expect("full collection");

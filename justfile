@@ -27,9 +27,9 @@ unused-deps:
 check: fmt-check unused-deps clippy verify
 
 # Lines of product source: `crates/*/src` outside `crates/bench` — the
-# figure ROADMAP tracks against the round's -15% aim.
+# figure ROADMAP tracks — with its product / unit-test split.
 loc:
-    @find crates -path crates/bench -prune -o -path '*/src/*' -name '*.rs' -print | xargs cat | wc -l
+    @./scripts/loc.sh
 
 # Tap the headline comparison for telemetry: writes one JSONL line per
 # collector activation (schema pgc-telemetry/v1) to telemetry.jsonl and
@@ -82,6 +82,16 @@ recover:
         [ "$(echo "$out" | awk '/^recover:/ {print $NF}')" = "$(echo "$out" | awk '/^verify:/ {print $NF}')" ] || exit 1; \
     done
     rm -rf target/recover-smoke
+
+# Run every example in release, each with its wall time (`cargo test`
+# only compiles them).
+examples:
+    for e in examples/*.rs; do \
+        name=$(basename $e .rs); \
+        start=$(date +%s%N); \
+        cargo run --release -q --example $name > /dev/null || exit 1; \
+        echo "$name: $(( ($(date +%s%N) - start) / 1000000 )) ms"; \
+    done
 
 # Regenerate the two committed experiment reports (full scale ≈ 27 s,
 # ablations ≈ 4 s on 2 cores). Everything is deterministic in seeds, so

@@ -4,7 +4,7 @@
 
 use pgc::core::{PolicyKind, Trigger};
 use pgc::odb::oracle;
-use pgc::sim::{RunConfig, Simulation};
+use pgc::sim::{RunConfig, Shard, Simulation};
 use pgc::types::Bytes;
 use pgc::workload::{AssemblyParams, AssemblyWorkload, Event};
 
@@ -93,12 +93,11 @@ fn updated_pointer_beats_the_greedy_oracle_on_cyclic_churn() {
 #[test]
 fn complete_collection_clears_all_assembly_garbage() {
     let events = small_events(4);
-    let cfg = small_cfg(PolicyKind::UpdatedPointer);
-    let db = pgc::odb::Database::new(cfg.db.clone()).expect("db");
-    let collector = pgc::core::Collector::with_kind(PolicyKind::UpdatedPointer, 50, 4, 16);
-    let mut replayer = pgc::sim::Replayer::new(db, collector);
-    replayer.apply_all(&events).expect("replay");
-    let (mut db, _, _) = replayer.into_parts();
+    // The paper's overwrite trigger (every 50 in `small()`), not
+    // `small_cfg`'s allocation trigger.
+    let mut shard = Shard::new(&RunConfig::small()).expect("shard");
+    shard.step_batch(&events).expect("replay");
+    let mut db = shard.db().clone();
 
     let before = oracle::analyze(&db);
     assert!(before.garbage_bytes > Bytes::ZERO, "churn left garbage");

@@ -3,7 +3,7 @@
 
 use pgc::core::PolicyKind;
 use pgc::odb::oracle;
-use pgc::sim::{RunConfig, Simulation};
+use pgc::sim::{RunConfig, Shard, Simulation};
 use pgc::types::Bytes;
 
 fn run(policy: PolicyKind, seed: u64) -> pgc::sim::RunOutcome {
@@ -90,22 +90,15 @@ fn final_database_state_is_coherent_for_each_policy() {
             pgc::workload::SyntheticWorkload::new(cfg.workload.clone())
                 .expect("params")
                 .collect();
-        let db = pgc::odb::Database::new(cfg.db.clone()).expect("db");
-        let collector = pgc::core::Collector::with_kind(
-            policy,
-            cfg.db.gc_overwrite_threshold,
-            99,
-            cfg.db.max_weight,
-        );
-        let mut replayer = pgc::sim::Replayer::new(db, collector);
-        replayer.apply_all(&events).expect("replay");
-        replayer.db().check_invariants();
+        let mut shard = Shard::new(&cfg).expect("shard");
+        shard.step_batch(&events).expect("replay");
+        shard.db().check_invariants();
 
         // Every reachable object accounted; no reachable object reclaimed.
-        let report = oracle::analyze(replayer.db());
+        let report = oracle::analyze(shard.db());
         assert_eq!(
             report.live_bytes + report.garbage_bytes,
-            replayer.db().resident_bytes(),
+            shard.db().resident_bytes(),
             "{policy}"
         );
     }

@@ -151,17 +151,10 @@ fn an_add_slot_past_the_last_slot_id_is_an_error_not_a_wrapped_id() {
     let events = trace.decode_all().unwrap();
     let (last, before) = events.split_last().unwrap();
 
-    let cfg = DbConfig::default();
-    let collector = pgc::core::Collector::with_kind(
-        PolicyKind::UpdatedPointer,
-        cfg.gc_overwrite_threshold,
-        1,
-        cfg.max_weight,
-    );
-    let mut replayer = pgc::sim::Replayer::new(Database::new(cfg).unwrap(), collector);
-    replayer.apply_all(before).expect("65,536 slots have ids");
-    replayer.db().check_invariants();
-    let err = replayer.apply(last).expect_err("no id is left");
+    let mut shard = Shard::new(&RunConfig::paper(PolicyKind::UpdatedPointer, 1)).unwrap();
+    shard.step_batch(before).expect("65,536 slots have ids");
+    shard.db().check_invariants();
+    let err = shard.step(last).expect_err("no id is left");
     assert!(
         matches!(err, PgcError::SlotOutOfRange { len: 65_536, .. }),
         "{err}"

@@ -7,9 +7,11 @@
 //! which makes any failure replayable with a one-line unit test.
 
 use pgc::buffer::{Access, BufferPool};
-use pgc::core::{build_policy, Collector, PolicyKind, SelectionPolicy};
+use pgc::core::{build_policy, Collector, PolicyKind, SelectionPolicy, Trigger};
 use pgc::odb::{oracle, BarrierEvent, Database};
+use pgc::sim::Shard;
 use pgc::types::{Bytes, DbConfig, Oid, PageId, SimRng, SlotId};
+use pgc::workload::generator::GenStats;
 use pgc::workload::{read_trace, write_trace, Event, NodeId};
 
 // ---------------------------------------------------------------------
@@ -676,26 +678,25 @@ fn dense_oracle_matches_reference_after_real_workloads() {
     // equality — including `nepotism_bytes` — between implementations.
     let mut scratch = OracleScratch::new();
     for seed in 0..6u64 {
-        let cfg = pgc::sim::RunConfig::small().with_seed(seed);
-        let mut params = cfg.workload.clone();
-        params.target_allocated = Bytes::from_kib(128);
-        let events: Vec<Event> = pgc::workload::SyntheticWorkload::new(params)
+        let cfg = pgc::sim::RunConfig::small()
+            .with_seed(seed)
+            .with_heap_growth(Bytes::from_kib(128))
+            .with_trigger(Trigger::OverwriteCount(25));
+        let events: Vec<Event> = pgc::workload::SyntheticWorkload::new(cfg.workload.clone())
             .expect("params")
             .collect();
-        let db = Database::new(cfg.db.clone()).expect("db");
-        let collector = Collector::with_kind(PolicyKind::UpdatedPointer, 25, 1, 16);
-        let mut replayer = pgc::sim::Replayer::new(db, collector);
+        let mut shard = Shard::new(&cfg).expect("shard");
         for (i, event) in events.iter().enumerate() {
-            replayer.apply(event).expect("apply");
+            shard.step(event).expect("apply");
             if i % 500 == 0 {
-                let expected = oracle::reference::analyze(replayer.db());
-                let got = oracle::analyze_with(replayer.db(), &mut scratch);
+                let expected = oracle::reference::analyze(shard.db());
+                let got = oracle::analyze_with(shard.db(), &mut scratch);
                 assert_eq!(got, expected, "seed {seed}, event {i}");
             }
         }
-        let expected = oracle::reference::analyze(replayer.db());
+        let expected = oracle::reference::analyze(shard.db());
         assert_eq!(
-            oracle::analyze_with(replayer.db(), &mut scratch),
+            oracle::analyze_with(shard.db(), &mut scratch),
             expected,
             "seed {seed}, final state"
         );
@@ -709,27 +710,16 @@ fn dense_oracle_matches_reference_after_real_workloads() {
         let cfg = pgc::sim::RunConfig::small()
             .with_policy(PolicyKind::MostGarbage)
             .with_seed(seed);
-        let replay = |policy: Box<dyn SelectionPolicy>| {
-            let db = Database::new(cfg.db.clone()).expect("db");
-            let collector = Collector::with_trigger(policy, cfg.effective_trigger());
-            let mut replayer = pgc::sim::Replayer::new(db, collector);
+        let replay = |mut shard: Shard| {
             let workload = pgc::workload::SyntheticWorkload::new(cfg.workload.clone());
             for event in workload.expect("params") {
-                replayer.apply(&event).expect("apply");
+                shard.step(&event).expect("apply");
             }
-            replayer
+            shard
         };
-        let dense = replay(build_policy(
-            cfg.policy,
-            cfg.policy_seed(),
-            cfg.db.max_weight,
-        ));
-        let reference = replay(Box::new(ReferenceMostGarbage));
-        let victims = |r: &pgc::sim::Replayer| -> Vec<_> {
-            r.collections().iter().map(|c| c.victim).collect()
-        };
-        assert!(!victims(&dense).is_empty(), "seed {seed}: nothing selected");
-        assert_eq!(victims(&dense), victims(&reference), "seed {seed}");
+        let dense = replay(Shard::new(&cfg).expect("shard"));
+        let reference =
+            replay(Shard::with_policy(&cfg, Box::new(ReferenceMostGarbage)).expect("shard"));
         assert_eq!(dense.db().stats(), reference.db().stats(), "seed {seed}");
         assert_eq!(
             dense.db().io_stats(),
@@ -741,6 +731,13 @@ fn dense_oracle_matches_reference_after_real_workloads() {
             oracle::reference::analyze(reference.db()),
             "seed {seed}, final report"
         );
+        let victims = |shard: Shard| -> Vec<_> {
+            let out = shard.finish(GenStats::default()).expect("finish");
+            out.collections.iter().map(|c| c.victim).collect()
+        };
+        let (dense, reference) = (victims(dense), victims(reference));
+        assert!(!dense.is_empty(), "seed {seed}: nothing selected");
+        assert_eq!(dense, reference, "seed {seed}");
     }
 }
 

@@ -16,7 +16,7 @@
 //! digest throughout.
 
 use pgc::durable::{
-    manifest_for, read_generation, read_log, restore, scan_snapshots, verify, ScratchDir,
+    manifest_for, read_generation, read_log, restore, scan_snapshots, verify, Manifest, ScratchDir,
 };
 use pgc::prelude::*;
 use pgc::workload::generator::GenStats;
@@ -296,6 +296,50 @@ fn a_manifest_with_hostile_geometry_is_refused_not_allocated() {
         let err = recover(dir.path()).expect_err("geometry out of bounds");
         assert!(err.to_string().contains(&key[3..]), "{key}: {err}");
     }
+}
+
+#[test]
+fn every_manifest_key_takes_hostile_values_without_a_panic() {
+    // Every key a real run's MANIFEST holds, read from the file's
+    // `key = value` lines, set in turn to each value below and resealed:
+    // `recover` answers `Ok` or `Err`, and never panics or sizes an
+    // allocation by the value.
+    let dir = ScratchDir::new("hostile-manifest");
+    let run = run_durable(PolicyKind::UpdatedPointer, 1, &dir);
+    let text = fs::read_to_string(dir.join("MANIFEST.pgc")).expect("read the manifest");
+    let entries: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|line| line.split_once(" = "))
+        .filter(|(key, _)| *key != "crc")
+        .collect();
+    assert!(entries.len() >= 25, "{entries:?}");
+    let mut real = Manifest::default();
+    for (key, value) in &entries {
+        real.set(key, value);
+    }
+    let hostile = [
+        String::new(),
+        "x".into(),
+        "-1".into(),
+        "0".into(),
+        u64::MAX.to_string(),
+        (u128::from(u64::MAX) + 1).to_string(),
+        // A zero trigger once tripped the scheduler's assertion.
+        "overwrites:0".into(),
+        "alloc-bytes:0".into(),
+    ];
+    for (key, _) in entries {
+        for value in &hostile {
+            let mut edited = real.clone();
+            edited.set(key, value);
+            edited.write_to(dir.path()).expect("rewrite the manifest");
+            // Either answer is fine; a panic fails the test.
+            let _ = recover(dir.path());
+        }
+    }
+    real.write_to(dir.path()).expect("restore the manifest");
+    let recovered = recover(dir.path()).expect("the resealed original recovers");
+    assert_eq!(outcome_digest(&recovered.outcome), outcome_digest(&run));
 }
 
 /// The newest log segment in `dir`, by sequence number.
