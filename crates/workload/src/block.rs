@@ -13,7 +13,8 @@
 //! **zero allocation after warmup**. Columns are lane-shared across event
 //! kinds — `a` holds the acting node for every kind, `b` the second node
 //! (parent or pointer target) where one exists — which keeps the block at
-//! ~21 bytes/event regardless of the `Event` enum's in-memory size.
+//! 29 bytes/event (`u8` + 3 × `u64` + 2 × `u16`) regardless of the `Event`
+//! enum's in-memory size.
 //!
 //! A block filled by a cursor also keeps the encoded bytes it was decoded
 //! from ([`EventBlock::encoded`], ~7.5 bytes/event more), so a consumer
@@ -21,13 +22,14 @@
 //! ahead of every apply — copies them instead of gathering each event back
 //! out of the columns and re-encoding it.
 
-use crate::codec;
+use crate::codec::{self, Lanes};
 use crate::event::{Event, NodeId};
 use pgc_types::Bytes;
 
 /// Default number of events decoded per [`crate::TraceCursor::next_block`]
-/// call: large enough to amortize loop overhead while a block (~86 KB)
-/// still fits in L2 beside the simulator's working set.
+/// call: large enough to amortize loop overhead while a block (≈ 150 KB:
+/// 29 B/event of columns plus ~7.5 B/event of kept bytes) still fits in L2
+/// beside the simulator's working set.
 pub const BLOCK_EVENTS: usize = 4096;
 
 /// A run of decoded events in struct-of-arrays layout.
@@ -151,42 +153,19 @@ impl EventBlock {
     #[inline]
     pub fn push(&mut self, event: &Event) {
         self.encoded.clear();
-        let (kind, a, b, size, slot, slots) = match *event {
-            Event::CreateRoot { node, size, slots } => {
-                (codec::TAG_CREATE_ROOT, node.0, 0, size.get(), 0, slots)
-            }
-            Event::CreateChild {
-                node,
-                parent,
-                parent_slot,
-                size,
-                slots,
-            } => (
-                codec::TAG_CREATE_CHILD,
-                node.0,
-                parent.0,
-                size.get(),
-                parent_slot,
-                slots,
-            ),
-            Event::WritePointer { owner, slot, new } => (
-                codec::TAG_WRITE_POINTER,
-                owner.0,
-                new.map_or(0, |t| t.0),
-                new.is_some() as u64,
-                slot,
-                0,
-            ),
-            Event::AddSlot { owner } => (codec::TAG_ADD_SLOT, owner.0, 0, 0, 0, 0),
-            Event::Visit { node } => (codec::TAG_VISIT, node.0, 0, 0, 0, 0),
-            Event::DataWrite { node } => (codec::TAG_DATA_WRITE, node.0, 0, 0, 0, 0),
-        };
-        self.kind.push(kind);
-        self.a.push(a);
-        self.b.push(b);
-        self.size.push(size);
-        self.slot.push(slot);
-        self.slots.push(slots);
+        self.put(&[codec::lanes_of(event)]);
+    }
+
+    /// Appends a run of events' lanes column by column, leaving the kept
+    /// bytes to the caller.
+    #[inline]
+    pub(crate) fn put(&mut self, run: &[Lanes]) {
+        self.kind.extend(run.iter().map(|&(kind, ..)| kind));
+        self.a.extend(run.iter().map(|&(_, a, ..)| a));
+        self.b.extend(run.iter().map(|&(_, _, b, ..)| b));
+        self.size.extend(run.iter().map(|&(.., size, _, _)| size));
+        self.slot.extend(run.iter().map(|&(.., slot, _)| slot));
+        self.slots.extend(run.iter().map(|&(.., slots)| slots));
     }
 
     /// Reconstructs event `i` from the columns.

@@ -28,6 +28,11 @@
 //! goes — an unknown tag, a bad presence byte or a partial event is a
 //! [`PgcError::TraceFormat`] error, never a panic — and reads no length
 //! field, so hostile bytes cannot size an allocation.
+//!
+//! One reader matches each tag once and reads its fields at constant
+//! offsets of a 29-byte window (zero-padded near the end of the buffer).
+//! It has three sinks: an [`crate::EventBlock`]'s columns, an [`Event`]
+//! ([`decode_event`]), and nothing (validating a change-log frame).
 
 use crate::event::{Event, NodeId};
 use pgc_types::{Bytes, PgcError, Result};
@@ -50,13 +55,24 @@ const WIDE: u8 = 0x80;
 
 const NARROW: u64 = u32::MAX as u64;
 
+/// The widest form's length (a wide `CreateChild`): every event fits in a
+/// window of this many bytes.
+const WINDOW: usize = 29;
+
 /// Appends one event's encoding to `buf`. The event is staged in a fixed
-/// stack buffer (29 bytes is the widest form, a wide `CreateChild`) so the
-/// `Vec` pays one capacity check per event, not one per field.
+/// stack window so the `Vec` pays one capacity check per event, not one
+/// per field.
 #[inline]
 pub fn encode_event(buf: &mut Vec<u8>, event: &Event) {
-    let mut tmp = [0u8; 29];
-    let len = match *event {
+    let mut tmp = [0u8; WINDOW];
+    let len = encode_window(&mut tmp, event);
+    buf.extend_from_slice(&tmp[..len]);
+}
+
+/// Writes `event`'s encoding at the start of `tmp`, returning its length.
+#[inline]
+fn encode_window(tmp: &mut [u8; WINDOW], event: &Event) -> usize {
+    match *event {
         Event::CreateRoot { node, size, slots } => {
             if node.0 <= NARROW && size.get() <= NARROW {
                 tmp[0] = TAG_CREATE_ROOT;
@@ -131,15 +147,14 @@ pub fn encode_event(buf: &mut Vec<u8>, event: &Event) {
                 }
             }
         }
-        Event::AddSlot { owner } => encode_id(&mut tmp, TAG_ADD_SLOT, owner.0),
-        Event::Visit { node } => encode_id(&mut tmp, TAG_VISIT, node.0),
-        Event::DataWrite { node } => encode_id(&mut tmp, TAG_DATA_WRITE, node.0),
-    };
-    buf.extend_from_slice(&tmp[..len]);
+        Event::AddSlot { owner } => encode_id(tmp, TAG_ADD_SLOT, owner.0),
+        Event::Visit { node } => encode_id(tmp, TAG_VISIT, node.0),
+        Event::DataWrite { node } => encode_id(tmp, TAG_DATA_WRITE, node.0),
+    }
 }
 
 #[inline]
-fn encode_id(tmp: &mut [u8; 29], tag: u8, id: u64) -> usize {
+fn encode_id(tmp: &mut [u8; WINDOW], tag: u8, id: u64) -> usize {
     if id <= NARROW {
         tmp[0] = tag;
         tmp[1..5].copy_from_slice(&(id as u32).to_le_bytes());
@@ -151,35 +166,120 @@ fn encode_id(tmp: &mut [u8; 29], tag: u8, id: u64) -> usize {
     }
 }
 
+/// One event's fields in the lanes of [`crate::EventBlock`]'s columns:
+/// `(kind, a, b, size, slot, slots)`, where `kind` is the narrow tag. Lanes
+/// a kind does not use hold zero.
+pub(crate) type Lanes = (u8, u64, u64, u64, u16, u16);
+
+/// The event `lanes` hold.
 #[inline]
+fn event((kind, a, b, size, slot, slots): Lanes) -> Event {
+    let (node, size) = (NodeId(a), Bytes(size));
+    match kind {
+        TAG_CREATE_ROOT => Event::CreateRoot { node, size, slots },
+        TAG_CREATE_CHILD => Event::CreateChild {
+            node,
+            parent: NodeId(b),
+            parent_slot: slot,
+            size,
+            slots,
+        },
+        TAG_WRITE_POINTER => Event::WritePointer {
+            owner: node,
+            slot,
+            new: (size.get() != 0).then_some(NodeId(b)),
+        },
+        TAG_ADD_SLOT => Event::AddSlot { owner: node },
+        TAG_VISIT => Event::Visit { node },
+        // `read` makes no other kind.
+        _ => Event::DataWrite { node },
+    }
+}
+
+/// `event`'s lanes: its encoding, read back.
+pub(crate) fn lanes_of(event: &Event) -> Lanes {
+    let mut window = [0; WINDOW];
+    encode_window(&mut window, event);
+    read_window(&window)
+        .expect("the reader takes every encoding")
+        .0
+}
+
+#[cold]
 fn truncated() -> PgcError {
     PgcError::TraceFormat("truncated event".into())
 }
 
-#[inline]
-fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    let bytes = buf
-        .get(*pos..*pos + N)
-        .ok_or_else(truncated)?
-        .try_into()
-        .expect("slice has length N");
-    *pos += N;
-    Ok(bytes)
+/// Reads the event at `buf[*pos..]` and advances `pos` past it; `Ok(None)`
+/// when `pos` is at the end of `buf`. A partial event, unknown tag or bad
+/// presence byte is a [`PgcError::TraceFormat`] error, and leaves `pos` at
+/// the event's first byte.
+#[inline(always)]
+pub(crate) fn read(buf: &[u8], pos: &mut usize) -> Result<Option<Lanes>> {
+    let rest = buf.get(*pos..).unwrap_or_default();
+    let (lanes, len) = match rest.first_chunk::<WINDOW>() {
+        Some(window) => read_window(window)?,
+        None if rest.is_empty() => return Ok(None),
+        None => {
+            // Near the end of the buffer: the same match over a zero-padded
+            // copy, then a check that the event was all there.
+            let mut window = [0; WINDOW];
+            window[..rest.len()].copy_from_slice(rest);
+            match read_window(&window)? {
+                (_, len) if len > rest.len() => return Err(truncated()),
+                read => read,
+            }
+        }
+    };
+    *pos += len;
+    Ok(Some(lanes))
 }
 
-/// An id or a size: `u32` in the narrow form, `u64` in the wide one.
-#[inline]
-fn take_id(buf: &[u8], pos: &mut usize, wide: bool) -> Result<u64> {
-    Ok(if wide {
-        u64::from_le_bytes(take::<8>(buf, pos)?)
-    } else {
-        u32::from_le_bytes(take::<4>(buf, pos)?) as u64
+/// Reads the event at the start of `w`, returning its lanes and length.
+#[inline(always)]
+fn read_window(w: &[u8; WINDOW]) -> Result<(Lanes, usize)> {
+    if w[0] & WIDE != 0 {
+        return read_form::<8>(w);
+    }
+    read_form::<4>(w)
+}
+
+/// [`read_window`] for ids and sizes `K` bytes wide: every offset is a
+/// constant below [`WINDOW`], so no field read is checked.
+#[inline(always)]
+fn read_form<const K: usize>(w: &[u8; WINDOW]) -> Result<(Lanes, usize)> {
+    let id = |at: usize| {
+        let mut le = [0; 8];
+        le[..K].copy_from_slice(&w[at..at + K]);
+        u64::from_le_bytes(le)
+    };
+    let u16_at = |at: usize| u16::from_le_bytes([w[at], w[at + 1]]);
+    let kind = w[0] & !WIDE;
+    Ok(match kind {
+        TAG_CREATE_ROOT => ((kind, id(1), 0, id(1 + K), 0, u16_at(1 + 2 * K)), 3 + 2 * K),
+        TAG_CREATE_CHILD => {
+            let (parent, size) = (id(1 + K), id(3 + 2 * K));
+            let (slot, slots) = (u16_at(1 + 2 * K), u16_at(3 + 3 * K));
+            ((kind, id(1), parent, size, slot, slots), 5 + 3 * K)
+        }
+        TAG_WRITE_POINTER => {
+            let present = w[3 + K];
+            if present > 1 {
+                return Err(PgcError::TraceFormat(format!(
+                    "bad option byte {present} in WritePointer"
+                )));
+            }
+            // A branch, not `4 + K + present * K`: that let the compiler
+            // narrow every arm's length to a byte register whose partial
+            // write chained `pos` to the tag load (validation measured
+            // 6.3 ns/event against 2.2 on a 2.1 GHz Xeon).
+            let len = if present == 1 { 4 + 2 * K } else { 4 + K };
+            let target = if present == 1 { id(4 + K) } else { 0 };
+            ((kind, id(1), target, present as u64, u16_at(1 + K), 0), len)
+        }
+        TAG_ADD_SLOT | TAG_VISIT | TAG_DATA_WRITE => ((kind, id(1), 0, 0, 0, 0), 1 + K),
+        _ => return Err(PgcError::TraceFormat(format!("unknown tag {}", w[0]))),
     })
-}
-
-#[inline]
-fn take_u16(buf: &[u8], pos: &mut usize) -> Result<u16> {
-    Ok(u16::from_le_bytes(take::<2>(buf, pos)?))
 }
 
 /// Decodes the event starting at `pos`, advancing `pos` past it. Returns
@@ -187,50 +287,7 @@ fn take_u16(buf: &[u8], pos: &mut usize) -> Result<u16> {
 /// tag or bad presence byte is a [`PgcError::TraceFormat`] error. The
 /// inverse of [`encode_event`].
 pub fn decode_event(buf: &[u8], pos: &mut usize) -> Result<Option<Event>> {
-    let Some(&tag) = buf.get(*pos) else {
-        return Ok(None);
-    };
-    *pos += 1;
-    let wide = tag & WIDE != 0;
-    let event = match tag & !WIDE {
-        TAG_CREATE_ROOT => Event::CreateRoot {
-            node: NodeId(take_id(buf, pos, wide)?),
-            size: Bytes(take_id(buf, pos, wide)?),
-            slots: take_u16(buf, pos)?,
-        },
-        TAG_CREATE_CHILD => Event::CreateChild {
-            node: NodeId(take_id(buf, pos, wide)?),
-            parent: NodeId(take_id(buf, pos, wide)?),
-            parent_slot: take_u16(buf, pos)?,
-            size: Bytes(take_id(buf, pos, wide)?),
-            slots: take_u16(buf, pos)?,
-        },
-        TAG_WRITE_POINTER => {
-            let owner = NodeId(take_id(buf, pos, wide)?);
-            let slot = take_u16(buf, pos)?;
-            let new = match take::<1>(buf, pos)?[0] {
-                0 => None,
-                1 => Some(NodeId(take_id(buf, pos, wide)?)),
-                b => {
-                    return Err(PgcError::TraceFormat(format!(
-                        "bad option byte {b} in WritePointer"
-                    )))
-                }
-            };
-            Event::WritePointer { owner, slot, new }
-        }
-        TAG_ADD_SLOT => Event::AddSlot {
-            owner: NodeId(take_id(buf, pos, wide)?),
-        },
-        TAG_VISIT => Event::Visit {
-            node: NodeId(take_id(buf, pos, wide)?),
-        },
-        TAG_DATA_WRITE => Event::DataWrite {
-            node: NodeId(take_id(buf, pos, wide)?),
-        },
-        _ => return Err(PgcError::TraceFormat(format!("unknown tag {tag}"))),
-    };
-    Ok(Some(event))
+    Ok(read(buf, pos)?.map(event))
 }
 
 /// A stream of random events covering all six tags in both forms: ids and
@@ -279,6 +336,9 @@ pub(crate) fn random_events(seed: u64, n: usize) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{EventBlock, BLOCK_EVENTS};
+    use crate::encoded::{tests::cursor_over, EncodedTrace};
+    use crate::params::WorkloadParams;
 
     fn encode_all(events: &[Event]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -424,5 +484,146 @@ mod tests {
             }
         }
         assert_eq!(boundary_cuts, events.len(), "one clean end per boundary");
+    }
+
+    /// Runs the reader's three sinks over `bytes` — a block's columns
+    /// (`next_block_of` at three sizes), an `Event` (the `decode_event`
+    /// loop) and nothing (`extend_from_encoded`) — and requires the same
+    /// accept or `TraceFormat` error, the same events and the same stop.
+    /// Returns the loop's event count and whether it decoded to the end.
+    fn sinks_agree(bytes: &[u8], what: &str) -> (u64, bool) {
+        let (mut stop, mut events) = (0, Vec::new());
+        let accepted = loop {
+            match decode_event(bytes, &mut stop) {
+                Ok(Some(e)) => events.push(e),
+                Ok(None) => break true,
+                Err(PgcError::TraceFormat(_)) => break false,
+                Err(other) => panic!("{what}: {other}"),
+            }
+        };
+        let n = events.len() as u64;
+        assert_eq!(stop == bytes.len(), accepted, "{what}: loop stop");
+        for max in [1, 97, BLOCK_EVENTS] {
+            let what = format!("{what}, blocks of {max}");
+            let mut cursor = cursor_over(bytes, n);
+            let (mut block, mut seen, mut kept) = (EventBlock::new(), Vec::new(), Vec::new());
+            let end = loop {
+                let step = cursor.next_block_of(&mut block, max);
+                seen.extend(block.iter());
+                match step {
+                    Ok(0) => break Ok(()),
+                    Ok(_) => kept.extend_from_slice(block.encoded().expect("clean block")),
+                    Err(e) => break Err(e),
+                }
+            };
+            assert_eq!(seen, events, "{what}");
+            assert_eq!(cursor.decoded(), n, "{what}");
+            assert!(bytes[..stop].starts_with(&kept), "{what}");
+            match end {
+                Ok(()) => assert!(accepted && kept == bytes, "{what}"),
+                Err(e) => {
+                    assert!(!accepted && matches!(e, PgcError::TraceFormat(_)), "{what}");
+                    assert!(block.encoded().is_none(), "{what}: kept bytes");
+                }
+            }
+        }
+        let empty = || EncodedTrace::from_events(WorkloadParams::small(), &[]);
+        let mut trace = empty();
+        match trace.extend_from_encoded(n, bytes) {
+            Ok(()) => assert!(accepted && trace.decode_all().unwrap() == events, "{what}"),
+            Err(e) => {
+                assert!(!accepted && matches!(e, PgcError::TraceFormat(_)), "{what}");
+                assert_eq!(trace.events(), 0, "{what}: a refused run changed the trace");
+            }
+        }
+        if accepted {
+            for wrong in [n + 1, n.wrapping_sub(1)] {
+                let err = empty().extend_from_encoded(wrong, bytes);
+                assert!(err.is_err(), "{what}: {n} events taken as {wrong}");
+            }
+        }
+        (n, accepted)
+    }
+
+    #[test]
+    fn the_three_sinks_agree_on_hostile_bytes() {
+        let events: Vec<Vec<Event>> = (0..4).map(|seed| random_events(seed, 300)).collect();
+        let streams: Vec<Vec<u8>> = events.iter().map(|e| encode_all(e)).collect();
+        let wide = |e: &Event| encode_all(&[*e])[0] & WIDE != 0;
+        assert!(events[0].iter().any(wide) && !events[0].iter().all(wide));
+        for cut in 0..=streams[0].len() {
+            sinks_agree(&streams[0][..cut], &format!("cut {cut}"));
+        }
+        // Seeded bit flips, truncations and splices of one stream onto another.
+        let mut rng = pgc_types::SimRng::new(29);
+        let mut refused = 0;
+        for case in 0..2000 {
+            let mut bytes = rng.pick(&streams).clone();
+            let (len, at) = (bytes.len(), rng.pick_index(bytes.len() + 1));
+            match case % 3 {
+                0 => bytes[at.min(len - 1)] ^= 1 << rng.below(8),
+                1 => bytes.truncate(at),
+                _ => {
+                    let other = rng.pick(&streams);
+                    bytes.truncate(at);
+                    bytes.extend_from_slice(&other[rng.pick_index(other.len() + 1)..]);
+                }
+            }
+            refused += !sinks_agree(&bytes, &format!("case {case}")).1 as usize;
+        }
+        assert!(refused > 500, "{refused} of 2000 cases reached an error");
+    }
+
+    #[test]
+    fn every_tag_and_form_ends_a_stream_in_the_padded_tail() {
+        // A stream's last event has fewer bytes after its start than a
+        // window, so it is read from the zero-padded copy; so is every cut
+        // of it, including those of the one form as long as a window.
+        let (wide, node) = (u32::MAX as u64 + 1, NodeId(7));
+        let mut forms = Vec::new();
+        for id in [3, wide] {
+            let (n, size) = (NodeId(id), Bytes(id));
+            forms.extend([
+                Event::CreateRoot {
+                    node: n,
+                    size,
+                    slots: 2,
+                },
+                Event::CreateChild {
+                    node: n,
+                    parent: node,
+                    parent_slot: 1,
+                    size,
+                    slots: 2,
+                },
+                Event::WritePointer {
+                    owner: n,
+                    slot: 1,
+                    new: Some(node),
+                },
+                Event::WritePointer {
+                    owner: n,
+                    slot: 1,
+                    new: None,
+                },
+                Event::AddSlot { owner: n },
+                Event::Visit { node: n },
+                Event::DataWrite { node: n },
+            ]);
+        }
+        let lead = random_events(3, 8);
+        for last in forms {
+            let tail = encode_all(&[last]);
+            assert!(tail.len() <= WINDOW);
+            let mut bytes = encode_all(&lead);
+            let start = bytes.len();
+            bytes.extend_from_slice(&tail);
+            for cut in 0..=tail.len() {
+                let what = format!("{last:?} cut at {cut} of {}", tail.len());
+                let (n, accepted) = sinks_agree(&bytes[..start + cut], &what);
+                assert_eq!(accepted, cut == 0 || cut == tail.len(), "{what}");
+                assert_eq!(n, lead.len() as u64 + (cut == tail.len()) as u64, "{what}");
+            }
+        }
     }
 }

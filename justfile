@@ -112,8 +112,9 @@ bench-selftest:
 # every performance claim rests on: builds `benchmark/` at `parent` (a
 # `git archive` copy under target/pairs/) and in the working tree, runs `n`
 # alternating pairs of BENCHMARK.json's run length on `workload`
-# (`churn_durable` or `fleet_roundtrip`), and prints per end-to-end metric the
-# two medians, the parent's inter-quartile distance and wins/n. Ten 55 s
-# pairs take ~19 minutes.
-pairs parent workload n="10":
-    ./scripts/pairs.sh {{parent}} {{workload}} {{n}}
+# (`churn_durable` or `fleet_roundtrip`) at workload seed `seed`, and prints per
+# end-to-end metric the two medians, the parent's inter-quartile distance and
+# wins/n. Ten 55 s pairs take ~19 minutes. A claim must also hold on a seed
+# not used while writing the change.
+pairs parent workload n="10" seed="1":
+    ./scripts/pairs.sh {{parent}} {{workload}} {{n}} {{seed}}

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the repository benchmark (`just pairs`).
 #
-#   scripts/pairs.sh <parent-ref> <workload> [n=10]
+#   scripts/pairs.sh <parent-ref> <workload> [n=10] [seed=1]
 #
 # Builds `benchmark/` at <parent-ref> (a `git archive` copy under
 # target/pairs/, so nothing in the checkout or in .git changes) and in the
-# working tree, runs n pairs of BENCHMARK.json's run length each, alternating
-# which side goes first, and prints for every end-to-end metric the two
-# medians, the parent's inter-quartile distance and how many pairs the
-# change won: the rule for claiming a gain is at least nine wins in ten and
-# a median difference larger than that distance.
+# working tree, runs n pairs of BENCHMARK.json's run length each on workload
+# seed <seed>, alternating which side goes first, and prints for every
+# end-to-end metric the two medians, the parent's inter-quartile distance and
+# how many pairs the change won: the rule for claiming a gain is at least nine
+# wins in ten and a median difference larger than that distance, and the
+# claim must also hold on a seed not used while writing the change.
 #
 # The archive copy is for the build only: both binaries run from the working
 # tree. `peak_rss_mib` and `recover_events_per_s` follow the directory a run
@@ -19,9 +20,11 @@
 # set on both sides anyway.
 set -euo pipefail
 
-parent_ref=${1:?usage: pairs.sh <parent-ref> <workload> [n=10]}
-workload=${2:?usage: pairs.sh <parent-ref> <workload> [n=10]}
+usage="usage: pairs.sh <parent-ref> <workload> [n=10] [seed=1]"
+parent_ref=${1:?$usage}
+workload=${2:?$usage}
 n=${3:-10}
+seed=${4:-1}
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 seconds=$(grep -o '"run_seconds": [0-9]*' BENCHMARK.json | grep -o '[0-9]*$')
@@ -43,7 +46,7 @@ done
 # working tree's root (the cwd since the `cd` above). Its last stdout line is
 # the JSON result.
 run() {
-    "$work/bench-$1" --workload "$workload" --seed 1 \
+    "$work/bench-$1" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 | tail -n 1 >>"$work/$1.jsonl"
 }
 for ((pair = 1; pair <= n; pair++)); do
@@ -66,7 +69,7 @@ quartiles() { # <side> <metric>: q1 median q3, linearly interpolated
         END { print q(0.25), q(0.5), q(0.75) }'
 }
 
-echo "$workload: $n alternating pairs of ${seconds}s, parent $parent_ref; failed parent $(failed parent) change $(failed change)"
+echo "$workload seed $seed: $n alternating pairs of ${seconds}s, parent $parent_ref; failed parent $(failed parent) change $(failed change)"
 printf '%-22s %14s %14s %8s %14s %6s\n' metric parent_median change_median change parent_iqd wins
 grep -o '"name": "[a-z_]*", "unit": "[^"]*", "better": "[a-z]*", "bound"' BENCHMARK.json |
     awk -F'"' '{print $4, $12}' | while read -r metric better; do
