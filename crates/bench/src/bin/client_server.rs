@@ -18,7 +18,7 @@
 //!     [--shards N] [--streams M] [--scale PCT]
 //! ```
 
-use pgc_bench::{emit, CommonArgs};
+use pgc_bench::{emit, positive, usage_exit, CommonArgs};
 use pgc_core::PolicyKind;
 use pgc_server::{Server, ServerConfig, StreamId, TelemetryLevel};
 use pgc_sim::{paper, RunConfig, Simulation};
@@ -32,32 +32,35 @@ use std::time::Instant;
 /// interleave on the inboxes, large enough to amortize the ring hop.
 const BATCH: u64 = 2048;
 
-fn main() {
-    // Server-specific flags peel off before the common ones parse.
-    let mut shards = 4usize;
-    let mut streams = 8usize;
+/// Peels the server flags off the command line before the common ones
+/// parse: `(shards, streams, the rest)`.
+fn server_flags(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(usize, usize, Vec<String>), String> {
+    let (mut shards, mut streams) = (4, 8);
     let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shards needs a positive integer");
+        let slot = match arg.as_str() {
+            "--shards" => &mut shards,
+            "--streams" => &mut streams,
+            _ => {
+                rest.push(arg);
+                continue;
             }
-            "--streams" => {
-                streams = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--streams needs a positive integer");
-            }
-            other => rest.push(other.to_string()),
-        }
+        };
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{arg} needs a positive integer"))?;
+        *slot = positive(&arg, &value)? as usize;
     }
+    Ok((shards, streams, rest))
+}
+
+fn main() {
+    let (shards, streams, rest) =
+        server_flags(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e));
     let args = CommonArgs::flags_only(rest);
-    assert!(shards >= 1, "--shards must be at least 1");
-    assert!(streams >= 1, "--streams must be at least 1");
 
     // One tenant per stream: the paper's policy slate round-robined over
     // the streams, each on its own seed.
@@ -182,4 +185,41 @@ fn main() {
         &out,
     );
     assert!(identical, "fleet run diverged from the dedicated run");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(usize, usize, Vec<String>), String> {
+        server_flags(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn malformed_server_flags_are_errors_not_panics() {
+        let err = |args: &[&str]| parse(args).expect_err("malformed");
+        assert_eq!(
+            err(&["--shards", "x"]),
+            "--shards needs a positive integer, not x"
+        );
+        assert_eq!(
+            err(&["--streams", "x"]),
+            "--streams needs a positive integer, not x"
+        );
+        assert_eq!(
+            err(&["--shards", "0"]),
+            "--shards needs a positive integer, not 0"
+        );
+        assert_eq!(
+            err(&["--streams", "0"]),
+            "--streams needs a positive integer, not 0"
+        );
+        assert_eq!(err(&["--streams"]), "--streams needs a positive integer");
+        let rest = vec!["--scale".to_string(), "25".to_string()];
+        assert_eq!(parse(&[]), Ok((4, 8, Vec::new())));
+        assert_eq!(
+            parse(&["--scale", "25", "--shards", "2", "--streams", "3"]),
+            Ok((2, 3, rest))
+        );
+    }
 }

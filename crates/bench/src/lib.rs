@@ -181,7 +181,7 @@ impl Default for CommonArgs {
 }
 
 /// A flag value that must be an integer of at least 1.
-fn positive(flag: &str, value: &str) -> Result<u64, String> {
+pub fn positive(flag: &str, value: &str) -> Result<u64, String> {
     let n = value.parse().ok().filter(|&n| n >= 1);
     n.ok_or_else(|| format!("{flag} needs a positive integer, not {value}"))
 }

@@ -15,10 +15,10 @@
 //!   batch stream by stream (every stream's messages in arrival order),
 //!   and steps each submitted segment block-at-a-time through one
 //!   reusable decode scratch.
-//! * [`remset`] — the [`remset::InterShardRemset`]: cross-shard references
-//!   as remset traffic over the existing barrier event bus, striped by
-//!   target stream so shards touching different tenants never contend,
-//!   and weak by design so they cannot perturb any session's collection
+//! * [`remset`] — cross-shard references as remset traffic over the
+//!   existing barrier event bus: each session owns the [`remset::Links`]
+//!   into its stream, so workers share nothing but their rings, and links
+//!   are weak by design so they cannot perturb any session's collection
 //!   decisions.
 //! * [`server`] — [`server::Server`]: start, open streams, submit events
 //!   as zero-copy [`TraceSegment`]s, link across streams, and fold the
@@ -45,7 +45,7 @@ pub mod router;
 pub mod server;
 pub mod session;
 
-pub use remset::{InterShardRemset, LinkRecord, RemsetBridge, RemsetStats, REMSET_STRIPES};
+pub use remset::{LinkRecord, Links, RemsetBridge, RemsetStats};
 pub use ring::{RingInbox, DEFAULT_INBOX_CAPACITY};
 pub use router::{Router, StreamId};
 pub use server::{FleetOutcome, Server, ServerConfig, StreamHandle, StreamRef};

@@ -1,6 +1,6 @@
 //! The N-shard runtime: router + workers + fleet-wide shutdown fold.
 
-use crate::remset::{InterShardRemset, LinkRecord, RemsetStats};
+use crate::remset::{LinkRecord, Links, RemsetStats};
 use crate::ring::{RingInbox, SenderGuard, DEFAULT_INBOX_CAPACITY};
 use crate::router::{Router, StreamId};
 use crate::session::{ShardMsg, ShardReport, ShardWorker};
@@ -9,7 +9,7 @@ use pgc_sim::{RunConfig, RunOutcome};
 use pgc_telemetry::{FleetSnapshot, TelemetryLevel};
 use pgc_types::{Oid, PgcError, Result};
 use pgc_workload::{NodeId, TraceSegment};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -155,7 +155,7 @@ pub struct FleetOutcome {
     /// Per-shard telemetry and its deterministic fleet-wide merge (empty
     /// when the server ran with telemetry off).
     pub fleet: FleetSnapshot,
-    /// Inter-shard remset counters at shutdown.
+    /// Inter-shard remset counters at shutdown, summed over every stream.
     pub remset: RemsetStats,
     /// How many shards the fleet ran on.
     pub shards: usize,
@@ -166,8 +166,8 @@ pub struct FleetOutcome {
     total_events: u64,
     /// Collections across every stream, folded once at shutdown.
     total_collections: u64,
-    /// The inter-shard remset as the workers left it.
-    links: Arc<InterShardRemset>,
+    /// Each stream's links as its session left them.
+    links: BTreeMap<StreamId, Links>,
 }
 
 impl FleetOutcome {
@@ -192,7 +192,10 @@ impl FleetOutcome {
     /// The cross-shard links into `stream`'s graph still live at shutdown,
     /// in ascending oid order.
     pub fn links_into(&self, stream: StreamId) -> Vec<(Oid, LinkRecord)> {
-        self.links.links_into(stream)
+        self.links
+            .get(&stream)
+            .map(Links::records)
+            .unwrap_or_default()
     }
 }
 
@@ -233,7 +236,6 @@ impl FleetOutcome {
 pub struct Server {
     router: Router,
     telemetry: TelemetryLevel,
-    remset: Arc<InterShardRemset>,
     inboxes: Vec<SenderGuard<ShardMsg>>,
     workers: Vec<JoinHandle<Result<ShardReport>>>,
     streams: BTreeSet<StreamId>,
@@ -244,28 +246,25 @@ impl Server {
     /// Spawns the shard workers and returns the running server.
     pub fn start(cfg: ServerConfig) -> Self {
         let router = Router::new(cfg.shards);
-        let remset = Arc::new(InterShardRemset::new());
         let persist = cfg.data_dir.map(|dir| (dir, cfg.durability));
         let mut inboxes = Vec::with_capacity(router.shards());
         let mut workers = Vec::with_capacity(router.shards());
         for shard in 0..router.shards() {
             let ring = RingInbox::with_capacity(cfg.inbox_capacity);
             let rx = Arc::clone(&ring);
-            let remset = Arc::clone(&remset);
             let telemetry = cfg.telemetry;
             let persist = persist.clone();
             // Sessions hold thread-local state (Rc-based telemetry taps,
             // boxed policies), so the worker is built *on* its thread and
             // never crosses it — only the plain-data report comes back.
             workers.push(std::thread::spawn(move || {
-                ShardWorker::new(shard, telemetry, remset, persist).run(rx)
+                ShardWorker::new(shard, telemetry, persist).run(rx)
             }));
             inboxes.push(SenderGuard(ring));
         }
         Self {
             router,
             telemetry: cfg.telemetry,
-            remset,
             inboxes,
             workers,
             streams: BTreeSet::new(),
@@ -327,8 +326,8 @@ impl Server {
     /// Registers a cross-shard reference: `source`'s graph references
     /// `node` in `target`'s graph. Both streams must be open. Routed to
     /// the target's home shard, which resolves the node and records the
-    /// link in the shared inter-shard remset (unresolvable targets count
-    /// as dangling).
+    /// link in the target's session (unresolvable targets count as
+    /// dangling).
     ///
     /// The reference apply-point is the target session's state after
     /// every segment submitted to `target` before this call and none
@@ -376,6 +375,8 @@ impl Server {
         let mut outcomes = Vec::new();
         let mut fleet = FleetSnapshot::new();
         let mut ring_high_water = vec![0u64; self.router.shards()];
+        let mut remset = RemsetStats::default();
+        let mut links = BTreeMap::new();
         let mut first_err = None;
         for worker in self.workers {
             let report = match worker.join() {
@@ -402,6 +403,10 @@ impl Server {
                         );
                     }
                     outcomes.extend(report.outcomes);
+                    for (stream, stream_links) in report.links {
+                        remset += stream_links.stats();
+                        links.insert(stream, stream_links);
+                    }
                 }
                 Err(e) => first_err = Some(first_err.unwrap_or(e)),
             }
@@ -415,12 +420,12 @@ impl Server {
         Ok(FleetOutcome {
             outcomes,
             fleet,
-            remset: self.remset.stats(),
+            remset,
             shards: self.router.shards(),
             ring_high_water,
             total_events,
             total_collections,
-            links: self.remset,
+            links,
         })
     }
 }
@@ -481,5 +486,34 @@ mod tests {
         let fleet = server.shutdown().expect("shutdown");
         assert_eq!(fleet.remset.dangling, 1);
         assert_eq!(fleet.remset.registered, 0);
+    }
+
+    #[test]
+    fn a_handle_from_another_server_is_refused_on_every_path() {
+        let mut a = Server::start(ServerConfig::new(1));
+        let mut b = Server::start(ServerConfig::new(1));
+        // The same stream id on both: only the issuing server tells them apart.
+        let foreign = a
+            .open_stream(StreamId(0), RunConfig::small())
+            .expect("open on a");
+        let local = b
+            .open_stream(StreamId(0), RunConfig::small())
+            .expect("open on b");
+        let refused = |result: Result<()>| {
+            let err = result.expect_err("a handle from another server");
+            assert!(
+                matches!(&err, PgcError::Session(msg)
+                    if msg.contains("stream handle s0 belongs to a different server")),
+                "got {err}"
+            );
+        };
+        refused(b.submit_segment(foreign, TraceSegment::encode(&[])));
+        refused(b.link(foreign, local, NodeId(0)));
+        refused(b.link(local, foreign, NodeId(0)));
+        // Nothing reached b's worker: its stream saw no event and no link.
+        let fleet = b.shutdown().expect("shutdown b");
+        assert_eq!(fleet.total_events(), 0);
+        assert_eq!(fleet.remset, RemsetStats::default());
+        a.shutdown().expect("shutdown a");
     }
 }

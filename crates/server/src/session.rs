@@ -28,10 +28,9 @@
 //! program order, the drain keeps arrival order, and the grouping is
 //! stable, so every session sees its `Open`, its segments and the `Link`s
 //! that resolve against it exactly as submitted. *Across* streams the
-//! batch is reordered, and nothing can tell: sessions share no mutable
-//! state, a `Link` reads only its target's session, and the one shared
-//! structure — the inter-shard remset — keeps per-target records and
-//! counters that are sums. Cross-stream order was already arbitrary
+//! batch is reordered, and nothing can tell: sessions share no state, and
+//! a `Link` reads and writes only its target's session, which owns the
+//! links into it. Cross-stream order was already arbitrary
 //! between shards; it is now equally so within one. Block and segment
 //! boundaries are semantically invisible too (`step_block` is
 //! bit-identical to per-event stepping), so neither how a client cuts its
@@ -43,11 +42,11 @@
 //! ahead of its shard.
 //!
 //! At shutdown the worker finishes its sessions in ascending stream-id
-//! order and reports per-stream [`RunOutcome`]s, one merged telemetry
-//! snapshot, and the ring's occupancy high-water mark, ready for the
-//! fleet-wide fold.
+//! order and reports per-stream [`RunOutcome`]s and [`Links`], one merged
+//! telemetry snapshot, and the ring's occupancy high-water mark, ready for
+//! the fleet-wide fold.
 
-use crate::remset::{InterShardRemset, RemsetBridge};
+use crate::remset::{Links, RemsetBridge};
 use crate::ring::{ReceiverGuard, RingInbox};
 use crate::router::StreamId;
 use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
@@ -56,8 +55,10 @@ use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot};
 use pgc_types::{PgcError, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EventBlock, NodeId, TraceSegment};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// One message on a shard ring.
@@ -80,8 +81,8 @@ pub(crate) enum ShardMsg {
     },
     /// Register that `source`'s graph references `node` in `target`'s
     /// graph. Routed to the *target*'s home shard, which resolves the
-    /// node against the target session and records the link in the
-    /// shared inter-shard remset.
+    /// node against the target session and records the link in that
+    /// session's [`Links`].
     Link {
         /// The referencing stream.
         source: StreamId,
@@ -109,6 +110,8 @@ pub struct ShardReport {
     pub shard: usize,
     /// One outcome per hosted session, in ascending stream-id order.
     pub outcomes: Vec<(StreamId, RunOutcome)>,
+    /// The links into each hosted session, in ascending stream-id order.
+    pub links: Vec<(StreamId, Links)>,
     /// Every hosted session's telemetry folded together (`None` when the
     /// server ran with telemetry off or the shard hosted no streams).
     pub telemetry: Option<TelemetrySnapshot>,
@@ -117,16 +120,22 @@ pub struct ShardReport {
     pub ring_high_water: u64,
 }
 
+/// One hosted stream: its shard, and the links into it that the shard's
+/// [`RemsetBridge`] keeps in step with its events.
+struct Session {
+    shard: Shard,
+    links: Rc<RefCell<Links>>,
+}
+
 /// The per-thread state of one shard worker: its session table plus one
 /// reusable block of decode scratch shared by every hosted session.
 pub(crate) struct ShardWorker {
     shard: usize,
     telemetry: TelemetryLevel,
-    remset: Arc<InterShardRemset>,
     /// Durability root + mode when the fleet persists: each stream gets
     /// its own recoverable data directory `<root>/stream-NNNNNN/`.
     persist: Option<(PathBuf, DurabilityMode)>,
-    sessions: BTreeMap<StreamId, Shard>,
+    sessions: BTreeMap<StreamId, Session>,
     scratch: EventBlock,
 }
 
@@ -134,13 +143,11 @@ impl ShardWorker {
     pub(crate) fn new(
         shard: usize,
         telemetry: TelemetryLevel,
-        remset: Arc<InterShardRemset>,
         persist: Option<(PathBuf, DurabilityMode)>,
     ) -> Self {
         Self {
             shard,
             telemetry,
-            remset,
             persist,
             sessions: BTreeMap::new(),
             scratch: EventBlock::new(),
@@ -173,7 +180,7 @@ impl ShardWorker {
                     source,
                     target,
                     node,
-                } => self.link(source, target, node),
+                } => self.link(source, target, node)?,
             }
         }
         Ok(())
@@ -181,10 +188,11 @@ impl ShardWorker {
 
     /// Steps `stream`'s session through one segment.
     fn step_segment(&mut self, stream: StreamId, segment: &TraceSegment) -> Result<()> {
-        let shard = self
+        let shard = &mut self
             .sessions
             .get_mut(&stream)
-            .ok_or_else(|| PgcError::Session(format!("stream {stream} is not open")))?;
+            .ok_or_else(|| not_open(stream))?
+            .shard;
         let mut cursor = segment.cursor();
         while cursor.next_block(&mut self.scratch)? > 0 {
             shard.step_block(&self.scratch)?;
@@ -217,37 +225,39 @@ impl ShardWorker {
         let mut shard = Shard::new(cfg)?;
         // Bus registration order is part of the determinism contract:
         // bridge first, telemetry last — constant across shard counts.
-        shard.add_observer(Box::new(RemsetBridge::new(
-            stream,
-            Arc::clone(&self.remset),
-        )));
+        let links = Rc::default();
+        shard.add_observer(Box::new(RemsetBridge::new(Rc::clone(&links))));
         shard.enable_telemetry(self.telemetry);
-        self.sessions.insert(stream, shard);
+        self.sessions.insert(stream, Session { shard, links });
         Ok(())
     }
 
     /// Resolves a cross-shard reference against the target session and
-    /// records it; unresolvable targets count as dangling instead of
+    /// records it there; unresolvable targets count as dangling instead of
     /// failing (the link API is advisory bookkeeping, not a mutation).
-    fn link(&mut self, source: StreamId, target: StreamId, node: NodeId) {
-        let resolved = self.sessions.get(&target).and_then(|session| {
-            let oid = session.oid_of(node)?;
-            let partition = session.db().partition_of(oid)?;
-            Some((oid, partition))
-        });
+    fn link(&self, source: StreamId, target: StreamId, node: NodeId) -> Result<()> {
+        let Session { shard, links } =
+            self.sessions.get(&target).ok_or_else(|| not_open(target))?;
+        let resolved = shard
+            .oid_of(node)
+            .and_then(|oid| Some((oid, shard.db().partition_of(oid)?)));
+        let mut links = links.borrow_mut();
         match resolved {
             Some((oid, partition)) => {
-                self.remset.register(source, target, oid, partition);
+                links.register(source, oid, partition);
             }
-            None => self.remset.note_dangling(target),
+            None => links.note_dangling(),
         }
+        Ok(())
     }
 
     fn finish(self, ring_high_water: u64) -> Result<ShardReport> {
         let mut outcomes = Vec::with_capacity(self.sessions.len());
+        let mut links = Vec::with_capacity(self.sessions.len());
         let mut telemetry: Option<TelemetrySnapshot> = None;
-        for (stream, shard) in self.sessions {
-            let outcome = shard.finish(GenStats::default())?;
+        for (stream, session) in self.sessions {
+            let outcome = session.shard.finish(GenStats::default())?;
+            links.push((stream, session.links.take()));
             if let Some(snap) = &outcome.telemetry {
                 match telemetry.as_mut() {
                     Some(merged) => merged.merge(snap),
@@ -259,10 +269,15 @@ impl ShardWorker {
         Ok(ShardReport {
             shard: self.shard,
             outcomes,
+            links,
             telemetry,
             ring_high_water,
         })
     }
+}
+
+fn not_open(stream: StreamId) -> PgcError {
+    PgcError::Session(format!("stream {stream} is not open"))
 }
 
 #[cfg(test)]
@@ -333,33 +348,27 @@ mod tests {
             link(late),
         ];
 
-        let remset = Arc::new(InterShardRemset::new());
-        let mut worker = ShardWorker::new(0, TelemetryLevel::Off, Arc::clone(&remset), None);
+        let mut worker = ShardWorker::new(0, TelemetryLevel::Off, None);
         worker.serve(&mut batch).unwrap();
         assert!(batch.is_empty(), "serving empties the batch");
 
-        let stats = remset.stats();
+        let Session { shard, links } = &worker.sessions[&target];
+        let links = links.borrow();
+        let stats = links.stats();
         assert_eq!(
             stats.dangling, 1,
             "the node of the second segment: {stats:?}"
         );
         assert_eq!(stats.registered, 2, "{stats:?}");
-        let session = &worker.sessions[&target];
-        assert_eq!(session.events_applied(), of_target.len() as u64);
-        let mut want = vec![
-            session.oid_of(early).unwrap(),
-            session.oid_of(late).unwrap(),
-        ];
+        assert_eq!(shard.events_applied(), of_target.len() as u64);
+        let mut want = vec![shard.oid_of(early).unwrap(), shard.oid_of(late).unwrap()];
         want.sort();
-        let got: Vec<_> = remset
-            .links_into(target)
-            .into_iter()
-            .map(|(oid, _)| oid)
-            .collect();
+        let got: Vec<_> = links.records().into_iter().map(|(oid, _)| oid).collect();
         assert_eq!(got, want);
         for stream in [other, third] {
-            assert_eq!(worker.sessions[&stream].events_applied(), 4_000);
-            assert!(remset.links_into(stream).is_empty());
+            let session = &worker.sessions[&stream];
+            assert_eq!(session.shard.events_applied(), 4_000);
+            assert_eq!(*session.links.borrow(), Links::default());
         }
     }
 }

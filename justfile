@@ -49,8 +49,9 @@ serve shards="4" streams="8" scale="25":
     cargo run --release -p pgc-bench --bin client_server -- \
         --shards {{shards}} --streams {{streams}} --scale {{scale}}
 
-# The server's own tests (ring inbox, remset, worker batching) and the
-# 1/2/4-shard and drain-batching equivalence suite (throughput is the
+# The server's own tests (ring inbox, per-session links, worker batching,
+# stream handles) and the 1/2/4-shard and drain-batching equivalence
+# suite (throughput is the
 # benchmark's business: `fleet_roundtrip` in benchmark/README.md). The
 # same two commands run under ThreadSanitizer in CI's advisory job.
 shards:
