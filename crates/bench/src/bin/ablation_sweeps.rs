@@ -29,7 +29,7 @@ use pgc_bench::{emit, CommonArgs};
 use pgc_core::{PolicyKind, Trigger};
 use pgc_sim::{report, Comparison, Experiment, RunConfig, Shard};
 use pgc_types::Bytes;
-use pgc_workload::{SyntheticWorkload, TraceCache};
+use pgc_workload::{EventBlock, SyntheticWorkload, TraceCache};
 use std::fmt::Write as _;
 
 fn base(args: &CommonArgs, policy: PolicyKind, seed: u64) -> RunConfig {
@@ -147,8 +147,9 @@ fn main() {
         // Keep the final state and apply a complete collection on top.
         let mut generator = SyntheticWorkload::new(cfg.workload.clone()).expect("params");
         let mut shard = Shard::new(&cfg).expect("shard");
-        for event in generator.by_ref() {
-            shard.step(&event).expect("replay");
+        let mut block = EventBlock::new();
+        while generator.next_block(&mut block) > 0 {
+            shard.step_block(&block).expect("replay");
         }
         let mut db = shard.db().clone();
         let outcome = shard.finish(generator.stats()).expect("run");

@@ -28,7 +28,7 @@ use pgc_sim::{
     paper, report, run_race_with_telemetry, Experiment, Shard, Simulation, TelemetryLevel,
 };
 use pgc_telemetry::{write_snapshot, TelemetrySnapshot};
-use pgc_workload::{SyntheticWorkload, TraceCache};
+use pgc_workload::{EventBlock, SyntheticWorkload, TraceCache};
 use std::fmt::Write as _;
 
 fn main() {
@@ -269,8 +269,9 @@ fn weak_incumbent_run(
     let mut shard = Shard::with_policy(cfg, Box::new(policy)).expect("shard");
     shard.enable_telemetry(TelemetryLevel::Full);
     let mut generator = SyntheticWorkload::new(cfg.workload.clone()).expect("workload");
-    for event in generator.by_ref() {
-        shard.step(&event).expect("replay");
+    let mut block = EventBlock::new();
+    while generator.next_block(&mut block) > 0 {
+        shard.step_block(&block).expect("replay");
     }
     let outcome = shard.finish(generator.stats()).expect("finish");
     outcome.telemetry.expect("telemetry is on")

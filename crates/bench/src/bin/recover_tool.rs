@@ -6,9 +6,10 @@
 //! recover_tool recover <dir> [--verify] [--expect DIGEST]
 //! ```
 //!
-//! `run` persists a small workload (snapshots + change log) into `dir` and
-//! prints the [`outcome_digest`] of the finished run. `crash` does the
-//! same but *abandons* the shard after `<events>` events — no final
+//! `run` persists a small workload (snapshots + change log, a generation at
+//! every safepoint) into `dir` and prints the [`outcome_digest`] of the
+//! finished run. `crash` does the same for a workload four times as long,
+//! fed as blocks cut at `<events>`, then *abandons* the shard — no final
 //! snapshot, no clean log close, buffered frames dropped on the floor, and
 //! the store's snapshot writer thread cut off wherever it was (the newest
 //! generation not landed, a stray `.tmp`) — simulating a process
@@ -29,7 +30,8 @@ use pgc_sim::durable::restore;
 use pgc_sim::durable::DurabilityConfig;
 use pgc_sim::{outcome_digest, verify, RunConfig, RunOutcome, Shard, Simulation};
 use pgc_telemetry::TelemetryLevel;
-use pgc_workload::SyntheticWorkload;
+use pgc_types::Bytes;
+use pgc_workload::{EncodedTrace, EventBlock, BLOCK_EVENTS};
 use std::process::exit;
 use std::time::{Duration, Instant};
 
@@ -66,12 +68,19 @@ fn parse_policy_seed(args: &[String]) -> Result<(PolicyKind, u64), String> {
     Ok((policy, seed))
 }
 
+/// A generation at every safepoint, so one lands at each `BLOCK_EVENTS`
+/// boundary that completed a collection.
 fn config(policy: PolicyKind, seed: u64, dir: &str) -> RunConfig {
     RunConfig::small()
         .with_policy(policy)
         .with_seed(seed)
-        .with_durability(DurabilityConfig::snapshot_and_log(dir).with_snapshot_every(2))
+        .with_durability(DurabilityConfig::snapshot_and_log(dir).with_snapshot_every(1))
 }
+
+/// What `crash` allocates: four times `run`'s workload (about 40,000
+/// events against 10,000), so a kill can come after generations have been
+/// pruned.
+const CRASH_ALLOCATES: Bytes = Bytes::from_kib(2048);
 
 fn print_digest(label: &str, out: &RunOutcome) {
     println!(
@@ -100,23 +109,28 @@ fn crash(args: &[String]) -> Result<(), String> {
     let [dir, events, rest @ ..] = args else {
         usage()
     };
-    let budget: usize = events.parse().map_err(|_| "events must be an integer")?;
+    let budget: u64 = events.parse().map_err(|_| "events must be an integer")?;
     let (policy, seed) = parse_policy_seed(rest)?;
-    let cfg = config(policy, seed, dir);
-    let events: Vec<_> = SyntheticWorkload::new(cfg.workload.clone())
-        .map_err(|e| e.to_string())?
-        .collect();
-    let budget = budget.min(events.len());
-    let mut shard = Shard::new(&cfg).map_err(|e| e.to_string())?;
+    let cfg = config(policy, seed, dir).with_heap_growth(CRASH_ALLOCATES);
+    let err = |e: pgc_types::PgcError| e.to_string();
+    let trace = EncodedTrace::record(cfg.workload.clone()).map_err(err)?;
+    let mut shard = Shard::new(&cfg).map_err(err)?;
     shard.enable_telemetry(TelemetryLevel::Metrics);
-    shard
-        .step_batch(&events[..budget])
-        .map_err(|e| e.to_string())?;
+    let (mut cursor, mut block) = (trace.cursor(), EventBlock::new());
+    let room = |applied: u64| (budget - applied).min(BLOCK_EVENTS as u64) as usize;
+    while cursor
+        .next_block_of(&mut block, room(shard.events_applied()))
+        .map_err(err)?
+        > 0
+    {
+        shard.step_block(&block).map_err(err)?;
+    }
     println!(
-        "crash: policy {} seed {} abandoned after {budget} of {} events",
+        "crash: policy {} seed {} abandoned after {} of {} events",
         policy.name(),
         seed,
-        events.len()
+        shard.events_applied(),
+        trace.events()
     );
     // Simulate the kill: leak the shard so neither the final snapshot nor
     // the buffered log tail is written — process exit drops the file

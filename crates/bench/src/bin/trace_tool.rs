@@ -143,7 +143,9 @@ fn profile(args: &[String]) -> Result<(), String> {
     let policy: PolicyKind = policy.parse()?;
     let events = load(path)?;
     let mut shard = Shard::new(&RunConfig::paper(policy, 0)).map_err(|e| e.to_string())?;
-    shard.step_batch(&events).map_err(|e| e.to_string())?;
+    shard
+        .step_block(&events.into_iter().collect())
+        .map_err(|e| e.to_string())?;
     let db = shard.db();
     let report = pgc_odb::oracle::analyze(db);
     print!(
@@ -158,8 +160,9 @@ fn replay(args: &[String]) -> Result<(), String> {
     let policy: PolicyKind = policy.parse()?;
     let events = load(path)?;
     let cfg = RunConfig::paper(policy, 0);
+    let trace = EncodedTrace::from_events(cfg.workload.clone(), &events);
     let out = Simulation::builder(&cfg)
-        .events(&events)
+        .trace(&trace)
         .run()
         .map_err(|e| e.to_string())?;
     let t = &out.totals;

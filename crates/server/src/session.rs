@@ -32,9 +32,10 @@
 //! a `Link` reads and writes only its target's session, which owns the
 //! links into it. Cross-stream order was already arbitrary
 //! between shards; it is now equally so within one. Block and segment
-//! boundaries are semantically invisible too (`step_block` is
-//! bit-identical to per-event stepping), so neither how a client cuts its
-//! stream nor how the worker batches it can change a result.
+//! boundaries are invisible too (`step_block` itself stops at every sample
+//! and safepoint boundary inside a block), so neither how a client cuts
+//! its stream nor how the worker batches it can change a result or a byte
+//! of a stream's data directory.
 //!
 //! The price is latency, and it is bounded: a message waits for at most
 //! the batch drained ahead of it, and a batch is at most `inbox_capacity`

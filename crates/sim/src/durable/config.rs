@@ -25,7 +25,7 @@ pub struct DurabilityConfig {
     /// The data directory (created on first use; must not already hold a
     /// manifest from a previous run).
     pub(crate) dir: PathBuf,
-    /// Write a snapshot generation every this many collection safepoints
+    /// Write a snapshot generation every this many safepoints
     /// (`SnapshotAndLog` only; a final generation is always written at
     /// clean shutdown).
     pub(crate) snapshot_every: u64,
@@ -63,7 +63,7 @@ impl DurabilityConfig {
         }
     }
 
-    /// Sets the snapshot cadence in collection safepoints (clamped ≥ 1).
+    /// Sets the snapshot cadence in safepoints (clamped ≥ 1).
     #[must_use]
     pub fn with_snapshot_every(mut self, safepoints: u64) -> Self {
         self.snapshot_every = safepoints.max(1);

@@ -15,7 +15,8 @@
 //!   frames are a replayable prefix of the run's input stream —
 //!   [`read_log`] hands them back as an [`EncodedTrace`].
 //! * **safepoint** (`kind 2`): `events_applied u64 | collections u64 |
-//!   generation u64` — a collection boundary; `generation` names the
+//!   generation u64` — a frame boundary after which a collection
+//!   completed, or the end of the run; `generation` names the
 //!   snapshot generation written at this safepoint (0 = none), and
 //!   `events_applied` is the number of events framed before it (a frame
 //!   that says otherwise is an error).

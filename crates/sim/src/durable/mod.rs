@@ -13,12 +13,13 @@
 //!   CRC-framed records. Event frames carry every input event write-ahead
 //!   in the one event byte form (`pgc_workload::codec`, the layout of trace
 //!   files and encoded traces too), so the log is a replayable trace and is
-//!   read back as one ([`read_log`]); safepoint frames mark collection
-//!   boundaries and snapshot generations. A truncated or corrupted final
+//!   read back as one ([`read_log`]); safepoint frames mark the frame
+//!   boundaries after which a collection completed, the end of the run,
+//!   and snapshot generations. A truncated or corrupted final
 //!   frame is a torn tail, found by length and checksum and dropped, never
 //!   a crash.
 //! * `snap-*.pgcs` (`snapshot.rs`) — one file per **generation**: the whole
-//!   run at a collection safepoint, every partition's object records
+//!   run at a safepoint, every partition's object records
 //!   (versioned header, records in member-list order, CRC-32 footer per
 //!   image), then a run image of everything else the run had learned (the
 //!   database's bookkeeping and buffer, the policy's tables, the trigger,
@@ -28,8 +29,9 @@
 //! [`DurableStore`] (`store.rs`) is the write side a durable [`Shard`]
 //! owns, configured by [`DurabilityConfig`] (`Off` / `LogOnly` /
 //! `SnapshotAndLog`, snapshot cadence, segment size). It buffers events
-//! into block-sized frames ahead of their application, takes generations
-//! and writes safepoint frames at collection boundaries, rotates segments
+//! into `BLOCK_EVENTS` frames ahead of their application, takes generations
+//! and writes safepoint frames at the frame boundaries after which a
+//! collection completed, rotates segments
 //! (the only fsync the run thread waits for before shutdown) and reports
 //! [`StorageStats`]. The run thread serialises a generation in one pass;
 //! the store's background thread fsyncs the log up to its safepoint frame,

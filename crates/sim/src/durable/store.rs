@@ -1,19 +1,20 @@
 //! [`DurableStore`]: the run-side persistence handle.
 //!
 //! One store per shard (one data directory per stream). The owning shard
-//! feeds it every input event *before* applying it (write-ahead), compares
-//! the database's collection count with the last safepointed one after
-//! each step, and drives [`DurableStore::safepoint`] when a collection has
-//! completed. Events are buffered and framed at
-//! [`pgc_workload::BLOCK_EVENTS`] granularity so frame overhead stays
-//! negligible. The owning thread waits for the disk at segment rotation
-//! and shutdown only: a snapshot generation costs it one serialising pass
-//! over the object table plus the owner's run-image words, and the
-//! generation's two fsyncs — the log up to its safepoint frame, then the
-//! one file it lands as — happen on the store's background thread, in that
-//! order. That order is what makes a landed generation a restore point:
-//! recovery loads the newest one whose safepoint frame the log holds and
-//! replays only the events after it.
+//! feeds it every input event *before* applying it (write-ahead), framed
+//! every [`pgc_workload::BLOCK_EVENTS`] events, and drives
+//! [`DurableStore::safepoint`] at each frame boundary after which a
+//! collection completed ([`DurableStore::finish_with`] adds the closing
+//! one). So every frame but the last is whole, every generation sits on a
+//! frame boundary, and the directory depends on the run alone, not on how
+//! its events were cut. The owning thread waits for the disk at segment
+//! rotation and shutdown only: a snapshot generation costs it one
+//! serialising pass over the object table plus the owner's run-image
+//! words, and the generation's two fsyncs — the log up to its safepoint
+//! frame, then the one file it lands as — happen on the store's background
+//! thread, in that order. That order is what makes a landed generation a
+//! restore point: recovery loads the newest one whose safepoint frame the
+//! log holds and replays only the events after it.
 
 use super::config::DurabilityConfig;
 use super::io_err;
@@ -23,6 +24,7 @@ use pgc_odb::Database;
 use pgc_types::{PgcError, Result};
 use pgc_workload::{encode_event, Event, EventBlock, BLOCK_EVENTS};
 use std::fs;
+use std::ops::Range;
 
 /// Byte and operation counters for one store's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,31 +103,25 @@ impl DurableStore {
         manifest.write_to(&self.cfg.dir)
     }
 
-    /// Buffers one input event, ahead of it being applied.
-    #[inline]
-    pub(crate) fn append_event(&mut self, event: &Event) -> Result<()> {
-        self.append_run(1, |_| *event)
-    }
-
     /// Buffers a batch of input events.
     pub fn append_events(&mut self, events: &[Event]) -> Result<()> {
         self.append_run(events.len(), |i| events[i])
     }
 
-    /// Buffers a decoded block of input events, cutting frames exactly
-    /// where appending its events one by one would.
+    /// Buffers events `range` of a decoded block, cutting frames every
+    /// [`BLOCK_EVENTS`] events whatever the cut of the blocks.
     ///
-    /// A block that still holds the bytes it was decoded from
+    /// A whole block that still holds the bytes it was decoded from
     /// ([`EventBlock::encoded`]) and fits in the frame being filled is
-    /// logged as those bytes; any other block — one built from pushes, or
-    /// one that straddles a frame boundary, whose cut falls at a byte
-    /// offset only a decode can find — is re-encoded. Either way the frame
-    /// decodes to the block's events, and for bytes our encoder wrote the
-    /// two are the same bytes.
-    pub fn append_block(&mut self, block: &EventBlock) -> Result<()> {
+    /// logged as those bytes; anything else — a block built from pushes,
+    /// part of a block, or a block that straddles a frame boundary, whose
+    /// cut falls at a byte offset only a decode can find — is re-encoded.
+    /// Either way the frame decodes to the block's events, and for bytes
+    /// our encoder wrote the two are the same bytes.
+    pub fn append_block(&mut self, block: &EventBlock, range: Range<usize>) -> Result<()> {
         let room = BLOCK_EVENTS - self.pending as usize;
         match block.encoded() {
-            Some(bytes) if block.len() <= room => {
+            Some(bytes) if range == (0..block.len()) && block.len() <= room => {
                 self.scratch.extend_from_slice(bytes);
                 self.pending += block.len() as u32;
                 if self.pending as usize == BLOCK_EVENTS {
@@ -133,7 +129,7 @@ impl DurableStore {
                 }
                 Ok(())
             }
-            _ => self.append_run(block.len(), |i| block.get(i)),
+            _ => self.append_run(range.len(), |i| block.get(range.start + i)),
         }
     }
 
@@ -472,11 +468,8 @@ pub(crate) mod tests {
             .collect();
         let mut shard = Shard::new(cfg).unwrap();
         shard.enable_telemetry(TelemetryLevel::Full);
-        let mut block = EventBlock::new();
         for (stop, chunk) in events.chunks(events.len().div_ceil(stops)).enumerate() {
-            block.clear();
-            chunk.iter().for_each(|e| block.push(e));
-            shard.step_block(&block).unwrap();
+            shard.step_block(&chunk.iter().copied().collect()).unwrap();
             at_stop(stop, &mut shard);
         }
         shard.finish(GenStats::default()).unwrap()
@@ -522,11 +515,12 @@ pub(crate) mod tests {
             taken + 1,
             "all landed, the closing one too"
         );
-        // What the store that fsynced the log inside `safepoint` reported
-        // for this run: 7 generations + 1 rotation + shutdown, 113 images.
+        // Safepoints at events 4,096 and 8,192 (the second taking a
+        // generation) and the closing one: 2 generations + 1 rotation +
+        // shutdown, 46 images.
         assert_eq!(
             (stats.fsyncs, stats.snapshot_fsyncs, stats.snapshots),
-            (9, 7, 113)
+            (4, 2, 46)
         );
     }
 
@@ -592,8 +586,8 @@ pub(crate) mod tests {
     /// How a test feeds one run of events to the store.
     #[derive(Debug, Clone, Copy)]
     enum Feed {
-        /// `append_event`, one at a time: the reference bytes.
-        PerEvent,
+        /// `append_events`, the whole run at once: the reference bytes.
+        Slice,
         /// A block built from pushes, which holds no bytes to reuse.
         Pushed,
         /// A block decoded by `next_block_of` at this cut, which does.
@@ -601,7 +595,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn append_block_writes_the_bytes_of_per_event_appends() {
+    fn append_block_writes_the_bytes_of_a_slice_append() {
         let events: Vec<Event> = SyntheticWorkload::new(RunConfig::small().workload)
             .unwrap()
             .collect();
@@ -612,21 +606,21 @@ pub(crate) mod tests {
             let mut store = DurableStore::create(&DurabilityConfig::log_only(dir.path())).unwrap();
             let mut block = EventBlock::new();
             match feed {
-                Feed::PerEvent => events.iter().for_each(|e| store.append_event(e).unwrap()),
+                Feed::Slice => store.append_events(&events).unwrap(),
                 // Ragged blocks, so frames straddle block boundaries.
                 Feed::Pushed => {
                     for chunk in events.chunks(BLOCK_EVENTS - 7) {
                         block.clear();
                         chunk.iter().for_each(|e| block.push(e));
                         assert!(block.encoded().is_none());
-                        store.append_block(&block).unwrap();
+                        store.append_block(&block, 0..block.len()).unwrap();
                     }
                 }
                 Feed::Decoded(cut) => {
                     let mut cursor = trace.cursor();
                     while cursor.next_block_of(&mut block, cut).unwrap() > 0 {
                         assert!(block.encoded().is_some());
-                        store.append_block(&block).unwrap();
+                        store.append_block(&block, 0..block.len()).unwrap();
                     }
                 }
             }
@@ -637,7 +631,7 @@ pub(crate) mod tests {
             fs::read(dir.join(segment_name(0))).unwrap()
         };
         assert!(events.len() > 2 * BLOCK_EVENTS);
-        let reference = log_bytes(Feed::PerEvent);
+        let reference = log_bytes(Feed::Slice);
         // One event at a time (bytes copied into a frame being filled), a
         // cut that drifts against the frame size (copied when the block
         // fits, re-encoded when it straddles a frame boundary), and whole
@@ -662,18 +656,18 @@ pub(crate) mod tests {
         let mut block = EventBlock::new();
         let trace = EncodedTrace::from_events(RunConfig::small().workload, &first);
         trace.cursor().next_block(&mut block).unwrap();
-        store.append_block(&block).unwrap();
+        store.append_block(&block, 0..block.len()).unwrap();
         // Cleared and refilled by hand: the bytes of `first` are gone.
         block.clear();
         second.iter().for_each(|e| block.push(e));
         assert!(block.encoded().is_none());
-        store.append_block(&block).unwrap();
+        store.append_block(&block, 0..block.len()).unwrap();
         // Decoded again, then grown by one push: the decoded bytes no
         // longer cover the block, so they must not be used either.
         trace.cursor().next_block(&mut block).unwrap();
         block.push(&second[0]);
         assert!(block.encoded().is_none());
-        store.append_block(&block).unwrap();
+        store.append_block(&block, 0..block.len()).unwrap();
         store.finish(&db, 301, 0).unwrap();
 
         let mut want = first.clone();

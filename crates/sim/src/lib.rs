@@ -7,18 +7,18 @@
 //!   Tables 2–5) and [`metrics::TimeSeries`] (the sampled curves behind
 //!   Figures 4–5).
 //! * [`run`] — [`run::RunConfig`] + [`run::Simulation::builder`]: one
-//!   complete simulation from a parameter set, a shared encoded trace, or
-//!   a recorded event slice, with optional bus observers and telemetry.
+//!   complete simulation from a parameter set or a shared encoded trace,
+//!   with optional bus observers and telemetry.
 //! * [`shard`] — [`shard::Shard`]: the self-contained unit a run drives
 //!   and the one thing that applies workload events — one
 //!   [`pgc_odb::Database`] under a [`pgc_core::Collector`] (policy +
 //!   scheduler + barrier bus) plus a telemetry handle, node id `n` as
-//!   `Oid(n)`, collecting when the trigger fires, stepped by event batches.
+//!   `Oid(n)`, collecting when the trigger fires, stepped by event blocks.
 //!   `Simulation` is its 1-shard special case; the multi-tenant
 //!   `pgc-server` runtime hosts one per client stream.
 //! * [`durable`] — persistence and recovery: a durable run's data
 //!   directory (the checksummed manifest, the write-ahead change log of
-//!   input events, snapshot generations at collection safepoints) written
+//!   input events, snapshot generations at safepoints) written
 //!   through [`durable::DurableStore`]; [`durable::recover`] loads the
 //!   newest usable generation and replays only the log after it,
 //!   bit-identical to an uninterrupted run over the surviving event

@@ -1,14 +1,15 @@
 //! One complete simulation run.
 //!
 //! [`Simulation::builder`] is the single entry point: it wires a
-//! [`RunConfig`] to an event source — the synthetic workload by default, a
-//! shared [`EncodedTrace`] via [`SimulationBuilder::trace`], or a recorded
-//! event slice via [`SimulationBuilder::events`] — and drives one
+//! [`RunConfig`] to an event source — the synthetic workload by default, or
+//! a shared [`EncodedTrace`] via [`SimulationBuilder::trace`] (a recorded
+//! event slice goes through [`EncodedTrace::from_events`]) — and drives one
 //! [`Shard`] (database + collector + barrier bus + telemetry + sampling)
-//! through it. A `Simulation` run is exactly the 1-shard special case of
-//! the sharded runtime: the multi-tenant server hosts one [`Shard`] per
-//! client stream and steps each through the same API, which is why
-//! per-stream server results are bit-identical to dedicated runs.
+//! through it, a block at a time. A `Simulation` run is exactly the
+//! 1-shard special case of the sharded runtime: the multi-tenant server
+//! hosts one [`Shard`] per client stream and steps each through the same
+//! API, which is why per-stream server results are bit-identical to
+//! dedicated runs.
 //!
 //! With [`RunConfig::with_durability`] the shard persists as it runs —
 //! write-ahead change log plus optional snapshot generations — and
@@ -23,9 +24,7 @@ use pgc_odb::{BarrierObserver, CollectionOutcome, DbStats};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
 use pgc_types::{Bytes, DbConfig, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
-use pgc_workload::{
-    EncodedTrace, Event, EventBlock, SyntheticWorkload, WorkloadParams, BLOCK_EVENTS,
-};
+use pgc_workload::{EncodedTrace, EventBlock, SyntheticWorkload, WorkloadParams, BLOCK_EVENTS};
 
 /// Everything needed to run one simulation.
 #[derive(Debug, Clone)]
@@ -293,7 +292,6 @@ impl Simulation {
 enum Source<'a> {
     Synthetic,
     Encoded(&'a EncodedTrace),
-    Events(&'a [Event]),
 }
 
 /// A configured-but-not-yet-run simulation: pick an event source, attach
@@ -316,15 +314,6 @@ impl<'a> SimulationBuilder<'a> {
     #[must_use]
     pub fn trace(mut self, trace: &'a EncodedTrace) -> Self {
         self.source = Source::Encoded(trace);
-        self
-    }
-
-    /// Replays a recorded event slice instead of generating the workload
-    /// (the configured workload parameters are ignored except for the
-    /// seed, which labels the run). Generator counters are zeroed.
-    #[must_use]
-    pub fn events(mut self, events: &'a [Event]) -> Self {
-        self.source = Source::Events(events);
         self
     }
 
@@ -360,26 +349,22 @@ impl<'a> SimulationBuilder<'a> {
             shard.add_observer(obs);
         }
         shard.enable_telemetry(self.telemetry);
+        // Either source fills one reused block, in stream order.
+        let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
         let gen_stats = match self.source {
             Source::Synthetic => {
                 let mut generator = SyntheticWorkload::new(cfg.workload.clone())?;
-                for event in generator.by_ref() {
-                    shard.step(&event)?;
+                while generator.next_block(&mut block) > 0 {
+                    shard.step_block(&block)?;
                 }
                 generator.stats()
             }
             Source::Encoded(trace) => {
-                // Batched decode into one reused block, in stream order.
                 let mut cursor = trace.cursor();
-                let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
                 while cursor.next_block(&mut block)? > 0 {
                     shard.step_block(&block)?;
                 }
                 trace.stats()
-            }
-            Source::Events(events) => {
-                shard.step_batch(events)?;
-                GenStats::default()
             }
         };
         shard.finish(gen_stats)
@@ -470,17 +455,6 @@ mod tests {
         assert_eq!(live.collections, replayed.collections, "victim sequences");
         assert_eq!(live.db_stats, replayed.db_stats);
         assert_eq!(live.series.points(), replayed.series.points());
-    }
-
-    #[test]
-    fn trace_replay_matches_live_run() {
-        let cfg = RunConfig::small().with_seed(6);
-        let live = run(&cfg);
-        let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
-            .unwrap()
-            .collect();
-        let replayed = Simulation::builder(&cfg).events(&events).run().unwrap();
-        assert_eq!(live.totals, replayed.totals);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! in which collector invocation is "independent of the partition choice"
 //! so every policy sees the same trigger points.
 //!
-//! Feed it events one at a time ([`Shard::step`]), as recorded batches
-//! ([`Shard::step_batch`]), or as decoded SoA blocks
-//! ([`Shard::step_block`]), then [`Shard::finish`] it into a
-//! [`RunOutcome`].
+//! Events enter one way, as SoA blocks cut anywhere ([`Shard::step_block`]),
+//! and [`Shard::finish`] turns the shard into a [`RunOutcome`]. A durable
+//! shard safepoints at each [`BLOCK_EVENTS`] boundary of the events applied
+//! after which a collection completed, and at `finish`.
 //!
 //! Workload events name objects by dense [`NodeId`]s, and every create
 //! event reserves the database's next oid, so node `n` *is* `Oid(n)`: the
@@ -33,9 +33,9 @@
 //! a dedicated single-`Simulation` run at any shard count. Server workers
 //! lean on [`Shard::step_block`]'s invisibility guarantee: segments
 //! arriving over the ring inboxes decode into SoA blocks wherever the
-//! client happened to cut them, without changing any result, because
-//! block boundaries — including sample boundaries split mid-block —
-//! replay exactly like per-event stepping.
+//! client happened to cut them, without changing any result or any byte
+//! of the data directory, because the shard itself stops at every sample
+//! and safepoint boundary inside a block.
 
 use crate::durable::{DurableStore, GenerationImage};
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
@@ -46,12 +46,12 @@ use pgc_odb::{BarrierObserver, CollectionOutcome, Database};
 use pgc_telemetry::{TelemetryHandle, TelemetryLevel, TelemetryObserver};
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId, Words};
 use pgc_workload::generator::GenStats;
-use pgc_workload::{Event, EventBlock, NodeId};
+use pgc_workload::{Event, EventBlock, NodeId, BLOCK_EVENTS};
 
 /// The persistence half of a shard: the write side of a data directory
 /// plus how far its safepoint frames have got (the store stays off the
 /// bus — it needs `&Database` and file handles, which bystander observers
-/// must not hold — so the shard compares counts after each step instead).
+/// must not hold — so the shard compares counts at frame boundaries).
 struct DurableState {
     store: DurableStore,
     /// `db.stats().collections` as of the last safepoint frame.
@@ -338,52 +338,47 @@ impl Shard {
         )))
     }
 
-    /// Steps one event: write-ahead logs it (when durability is on),
-    /// charges its I/O, pumps the barrier bus, collects when the trigger
-    /// fires, takes a time-series sample at each configured boundary, and
-    /// drives a durability safepoint when a collection completed.
-    pub fn step(&mut self, event: &Event) -> Result<()> {
-        if let Some(store) = self.log_ahead()? {
-            store.append_event(event)?;
-        }
-        self.apply(event)?;
-        self.maybe_sample();
-        self.maybe_safepoint()
-    }
-
-    /// Steps a batch of events (a session inbox message, a recorded
-    /// slice). Semantics are exactly [`Shard::step`] in order.
-    pub fn step_batch(&mut self, events: &[Event]) -> Result<()> {
-        for event in events {
-            self.step(event)?;
+    /// Steps one SoA block, cut at every [`BLOCK_EVENTS`] boundary of the
+    /// events applied: each piece is logged ahead (when durability is on),
+    /// applied with a sample at each configured boundary inside it, and,
+    /// if it ends on a boundary after which a collection completed,
+    /// followed by a safepoint. So neither results nor data directory
+    /// depend on the cut; a feed of whole `BLOCK_EVENTS` blocks splits none.
+    pub fn step_block(&mut self, block: &EventBlock) -> Result<()> {
+        const FRAME: u64 = BLOCK_EVENTS as u64;
+        let mut at = 0usize;
+        while at < block.len() {
+            let to_boundary = FRAME - self.events_applied % FRAME;
+            let end = block.len().min(at + to_boundary as usize);
+            if let Some(store) = self.log_ahead()? {
+                store.append_block(block, at..end)?;
+            }
+            self.apply_sampled(block, at, end)?;
+            if self.events_applied.is_multiple_of(FRAME) {
+                self.maybe_safepoint()?;
+            }
+            at = end;
         }
         Ok(())
     }
 
-    /// Steps one decoded SoA block, stopping at each sample boundary
-    /// inside it. Bit-identical to stepping the block's events one by one.
-    /// Durability safepoints land at block granularity here (the whole
-    /// block is logged ahead, then one safepoint check follows it) — the
-    /// log stays a faithful write-ahead record either way.
-    pub fn step_block(&mut self, block: &EventBlock) -> Result<()> {
-        if let Some(store) = self.log_ahead()? {
-            store.append_block(block)?;
-        }
+    /// Applies events `start..end` of `block`, stopping at each sample
+    /// boundary inside them.
+    fn apply_sampled(&mut self, block: &EventBlock, start: usize, end: usize) -> Result<()> {
         if self.sample_every == u64::MAX {
-            self.apply_range(block, 0, block.len())?;
-            return self.maybe_safepoint();
+            return self.apply_range(block, start, end);
         }
-        let mut at = 0usize;
-        while at < block.len() {
+        let mut at = start;
+        while at < end {
             let room = self
                 .next_sample
                 .saturating_sub(self.events_applied)
-                .min((block.len() - at) as u64) as usize;
+                .min((end - at) as u64) as usize;
             self.apply_range(block, at, at + room)?;
             at += room;
             self.maybe_sample();
         }
-        self.maybe_safepoint()
+        Ok(())
     }
 
     /// Applies events `start..end` of `block`. The loop stays a function of
@@ -468,16 +463,12 @@ impl Shard {
 
     /// Persists a safepoint when collections completed since the last one.
     fn maybe_safepoint(&mut self) -> Result<()> {
-        let Some(safepointed) = self.durable.as_ref().map(|d| d.safepointed) else {
-            return Ok(());
-        };
         let completed = self.db.stats().collections;
-        if completed <= safepointed {
-            return Ok(());
-        }
         // The store is lifted out while it writes the run image the rest
         // of the shard describes, and put back whatever the outcome.
-        let mut durable = self.durable.take().expect("checked above");
+        let Some(mut durable) = self.durable.take_if(|d| completed > d.safepointed) else {
+            return Ok(());
+        };
         let landed =
             durable
                 .store
@@ -580,29 +571,10 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
-    fn stepping_a_shard_matches_a_simulation_run() {
-        let cfg = RunConfig::small().with_seed(31).with_sampling(5_000);
-        let via_sim = Simulation::builder(&cfg).run().unwrap();
-
-        let mut generator = SyntheticWorkload::new(cfg.workload.clone()).unwrap();
-        let mut shard = Shard::new(&cfg).unwrap();
-        for event in generator.by_ref() {
-            shard.step(&event).unwrap();
-        }
-        let via_shard = shard.finish(generator.stats()).unwrap();
-
-        assert_eq!(via_sim.totals, via_shard.totals);
-        assert_eq!(via_sim.collections, via_shard.collections);
-        assert_eq!(via_sim.db_stats, via_shard.db_stats);
-        assert_eq!(via_sim.gen_stats, via_shard.gen_stats);
-        assert_eq!(via_sim.series.points(), via_shard.series.points());
-    }
-
-    #[test]
     fn a_zero_sampling_interval_is_rejected_not_spun_on() {
         // `with_sampling` clamps to 1; the public field does not. A zero
-        // interval would leave `next_sample` at 0 forever: `step` would
-        // sample at every event and `step_block` never advance past it.
+        // interval would leave `next_sample` at 0 forever, and `step_block`
+        // would never advance past it.
         let mut cfg = RunConfig::small();
         cfg.sample_every = Some(0);
         let trace = pgc_workload::EncodedTrace::record(cfg.workload.clone()).unwrap();
@@ -634,13 +606,15 @@ mod tests {
             .collect();
 
         let mut whole = Shard::new(&cfg).unwrap();
-        whole.step_batch(&events).unwrap();
+        whole.step_block(&events.iter().copied().collect()).unwrap();
         let whole = whole.finish(GenStats::default()).unwrap();
 
         let mut chunked = Shard::new(&cfg).unwrap();
         // Ragged batch sizes: the session layer never sees tidy chunks.
         for chunk in events.chunks(97) {
-            chunked.step_batch(chunk).unwrap();
+            chunked
+                .step_block(&chunk.iter().copied().collect())
+                .unwrap();
         }
         let chunked = chunked.finish(GenStats::default()).unwrap();
 
@@ -656,7 +630,7 @@ mod tests {
             .collect();
         let mut shard = Shard::new(&cfg).unwrap();
         shard.enable_telemetry(pgc_telemetry::TelemetryLevel::Full);
-        shard.step_batch(&events).unwrap();
+        shard.step_block(&events.iter().copied().collect()).unwrap();
         let out = shard.finish(GenStats::default()).unwrap();
         let snap = out.telemetry.expect("telemetry requested");
         assert_eq!(snap.counters.activations, out.totals.collections);
@@ -672,8 +646,9 @@ mod tests {
             .with_seed(5);
         let mut gen = SyntheticWorkload::new(cfg.workload.clone()).unwrap();
         let mut shard = Shard::new(&cfg).unwrap();
-        for event in gen.by_ref() {
-            shard.step(&event).unwrap();
+        let mut block = EventBlock::new();
+        while gen.next_block(&mut block) > 0 {
+            shard.step_block(&block).unwrap();
         }
         let mirror = gen.mirror();
         for t in 0..mirror.tree_count() as u32 {
@@ -722,7 +697,7 @@ mod tests {
                 let allocated = Rc::new(RefCell::new(Vec::new()));
                 let mut shard = Shard::new(&RunConfig::small().with_policy(policy)).unwrap();
                 shard.add_observer(Box::new(Allocations(Rc::clone(&allocated))));
-                shard.step_batch(events).unwrap();
+                shard.step_block(&events.iter().copied().collect()).unwrap();
                 assert_eq!(*allocated.borrow(), created, "{policy}: node n is oid n");
                 for &n in &created {
                     assert_eq!(shard.oid_of(NodeId(n)), Some(Oid(n)), "{policy}");
@@ -735,7 +710,10 @@ mod tests {
     #[test]
     fn unknown_node_reference_errors() {
         let mut shard = Shard::new(&RunConfig::small().with_policy(PolicyKind::Random)).unwrap();
-        let err = shard.step(&Event::Visit { node: NodeId(99) }).unwrap_err();
+        let visit = Event::Visit { node: NodeId(99) };
+        let err = shard
+            .step_block(&[visit].into_iter().collect())
+            .unwrap_err();
         // The error names the workload node, not a fabricated object id —
         // the two id spaces are unrelated.
         assert!(matches!(err, PgcError::UnknownNode(99)), "{err:?}");

@@ -212,6 +212,14 @@ impl EventBlock {
     }
 }
 
+impl FromIterator<Event> for EventBlock {
+    fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Self {
+        let mut block = Self::new();
+        events.into_iter().for_each(|e| block.push(&e));
+        block
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,6 +21,7 @@
 //! simulated database, so recording its output and replaying the trace
 //! drives every policy with identical input.
 
+use crate::block::{EventBlock, BLOCK_EVENTS};
 use crate::event::{Event, NodeId};
 use crate::mirror::{Mirror, TREE_SLOTS};
 use crate::params::WorkloadParams;
@@ -99,6 +100,17 @@ impl SyntheticWorkload {
     /// The parameters this generator runs under.
     pub fn params(&self) -> &WorkloadParams {
         &self.params
+    }
+
+    /// Clears `block` and fills it with the next [`BLOCK_EVENTS`] events
+    /// (fewer at the end), returning how many — `0` once the workload is
+    /// spent: the generator's side of [`crate::TraceCursor::next_block`].
+    pub fn next_block(&mut self, block: &mut EventBlock) -> usize {
+        block.clear();
+        self.by_ref()
+            .take(BLOCK_EVENTS)
+            .for_each(|e| block.push(&e));
+        block.len()
     }
 
     // -----------------------------------------------------------------

@@ -15,7 +15,7 @@ use pgc::core::{PolicyKind, Trigger};
 use pgc::odb::oracle;
 use pgc::sim::{RunConfig, Shard, Simulation};
 use pgc::types::Bytes;
-use pgc::workload::{AssemblyParams, AssemblyWorkload, Event};
+use pgc::workload::{AssemblyParams, AssemblyWorkload, EncodedTrace, Event, WorkloadParams};
 
 fn main() {
     let params = AssemblyParams::default()
@@ -36,11 +36,12 @@ fn main() {
     // This workload mutates pointers rarely but allocates constantly
     // (whole-composite replacement), so the paper's overwrite trigger
     // underfires; the allocation-paced trigger extension fits it.
+    let trace = EncodedTrace::from_events(WorkloadParams::default(), &events);
     for policy in [PolicyKind::UpdatedPointer, PolicyKind::MostGarbage] {
         let cfg = RunConfig::paper(policy, 7)
             .with_trigger(Trigger::AllocationBytes(Bytes::from_kib(256)));
         let out = Simulation::builder(&cfg)
-            .events(&events)
+            .trace(&trace)
             .run()
             .expect("replay");
         println!(
@@ -66,7 +67,9 @@ fn main() {
     let cfg =
         RunConfig::paper(PolicyKind::UpdatedPointer, 7).with_trigger(Trigger::OverwriteCount(100));
     let mut shard = Shard::new(&cfg).expect("shard");
-    shard.step_batch(&events).expect("replay");
+    shard
+        .step_block(&events.into_iter().collect())
+        .expect("replay");
     let mut db = shard.db().clone();
 
     let before = oracle::analyze(&db);

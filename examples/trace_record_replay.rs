@@ -9,7 +9,9 @@
 
 use pgc::core::PolicyKind;
 use pgc::sim::{RunConfig, Simulation};
-use pgc::workload::{read_trace, write_trace, Event, SyntheticWorkload, WorkloadParams};
+use pgc::workload::{
+    read_trace, write_trace, EncodedTrace, Event, SyntheticWorkload, WorkloadParams,
+};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
@@ -18,7 +20,7 @@ fn main() {
 
     // 1. Record: generate a workload once and persist it.
     let params = WorkloadParams::small().with_seed(2024);
-    let events: Vec<Event> = SyntheticWorkload::new(params)
+    let events: Vec<Event> = SyntheticWorkload::new(params.clone())
         .expect("valid params")
         .collect();
     let file = BufWriter::new(File::create(&path).expect("create trace file"));
@@ -35,11 +37,12 @@ fn main() {
     let replayed: Vec<Event> =
         read_trace(BufReader::new(File::open(&path).expect("open"))).expect("decode trace");
     assert_eq!(replayed, events, "codec round-trip must be lossless");
+    let trace = EncodedTrace::from_events(params, &replayed);
 
     for policy in [PolicyKind::UpdatedPointer, PolicyKind::MutatedPartition] {
         let cfg = RunConfig::small().with_policy(policy);
         let out = Simulation::builder(&cfg)
-            .events(&replayed)
+            .trace(&trace)
             .run()
             .expect("replay runs");
         println!(
@@ -55,7 +58,7 @@ fn main() {
     let cfg = RunConfig::small().with_seed(2024);
     let live = Simulation::builder(&cfg).run().expect("live run");
     let from_trace = Simulation::builder(&cfg)
-        .events(&replayed)
+        .trace(&trace)
         .run()
         .expect("trace run");
     assert_eq!(live.totals, from_trace.totals);

@@ -60,9 +60,11 @@ shards:
 
 # Crash-recovery smoke: a clean durable run recovered with a pinned
 # digest and its directory counted (two generation files at most, no .tmp,
-# no per-partition file name), then two mid-run kills (no final snapshot,
-# buffered log tail dropped, the snapshot writer thread cut off wherever it
-# was) recovered from whatever reached disk. Every directory is recovered
+# no per-partition file name), then two mid-run kills of a run four times
+# as long (no final snapshot, buffered log tail dropped, the snapshot
+# writer thread cut off wherever it was) recovered from whatever reached
+# disk: each from a mid-run generation, the later one after generation 1
+# was pruned (CI's crash step says why). Every directory is recovered
 # both ways — restored from its newest generation, and `--verify`'s replay
 # from event 0, which must also capture every usable generation's file byte
 # for byte — and the two digests must agree. Exercises the same tooling
@@ -75,13 +77,15 @@ recover:
         ./target/release/recover_tool recover target/recover-smoke/clean --verify --expect $d
     if ls target/recover-smoke/clean | grep -E '\.tmp$|^snap-.*-p.*\.pgcs$'; then exit 1; fi
     [ "$(ls target/recover-smoke/clean | grep -c '^snap-.*\.pgcs$')" -le 2 ]
-    for n in 5000 9000; do \
+    for n in 13000 21000; do \
         ./target/release/recover_tool crash target/recover-smoke/killed-$n $n most-garbage 2 && \
         ls target/recover-smoke/killed-$n && \
         out=$(./target/release/recover_tool recover target/recover-smoke/killed-$n --verify) && \
         echo "$out" && \
+        echo "$out" | grep -q '^restored: generation' && \
         [ "$(echo "$out" | awk '/^recover:/ {print $NF}')" = "$(echo "$out" | awk '/^verify:/ {print $NF}')" ] || exit 1; \
     done
+    [ ! -e target/recover-smoke/killed-21000/snap-00000001.pgcs ]
     rm -rf target/recover-smoke
 
 # Run every example in release, each with its wall time (`cargo test`

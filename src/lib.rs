@@ -32,7 +32,7 @@
 //!   figure in the paper.
 //! * [`durable`] — the simulator's persistence module, kept at its own
 //!   path here: snapshot generations (every partition's objects plus the
-//!   run's state) at collection safepoints, an append-only change log of
+//!   run's state) at safepoints, an append-only change log of
 //!   input events, and the checksummed run manifest, all behind
 //!   [`durable::DurabilityConfig`]; [`durable::recover`] loads the newest
 //!   generation of a data directory and replays the log after it back

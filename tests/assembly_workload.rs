@@ -6,12 +6,17 @@ use pgc::core::{PolicyKind, Trigger};
 use pgc::odb::oracle;
 use pgc::sim::{RunConfig, Shard, Simulation};
 use pgc::types::Bytes;
-use pgc::workload::{AssemblyParams, AssemblyWorkload, Event};
+use pgc::workload::{AssemblyParams, AssemblyWorkload, EncodedTrace, Event, WorkloadParams};
 
 fn small_events(seed: u64) -> Vec<Event> {
     AssemblyWorkload::new(AssemblyParams::small().with_seed(seed))
         .expect("valid params")
         .collect()
+}
+
+/// `events` as a trace the simulator replays.
+fn trace(events: &[Event]) -> EncodedTrace {
+    EncodedTrace::from_events(WorkloadParams::default(), events)
 }
 
 fn small_cfg(policy: PolicyKind) -> RunConfig {
@@ -26,7 +31,7 @@ fn assembly_trace_replays_under_every_policy() {
     let events = small_events(1);
     for policy in PolicyKind::ALL {
         let out = Simulation::builder(&small_cfg(policy))
-            .events(&events)
+            .trace(&trace(&events))
             .run()
             .expect("replay");
         assert_eq!(out.totals.events, events.len() as u64, "{policy}");
@@ -42,7 +47,7 @@ fn replacements_generate_cyclic_garbage() {
     // pile up as garbage the oracle can see.
     let events = small_events(2);
     let out = Simulation::builder(&small_cfg(PolicyKind::NoCollection))
-        .events(&events)
+        .trace(&trace(&events))
         .run()
         .expect("replay");
     let params = AssemblyParams::small();
@@ -75,7 +80,7 @@ fn updated_pointer_beats_the_greedy_oracle_on_cyclic_churn() {
         let cfg = RunConfig::paper(policy, 3)
             .with_trigger(Trigger::AllocationBytes(Bytes::from_kib(256)));
         Simulation::builder(&cfg)
-            .events(&events)
+            .trace(&trace(&events))
             .run()
             .expect("replay")
             .totals
@@ -96,7 +101,9 @@ fn complete_collection_clears_all_assembly_garbage() {
     // The paper's overwrite trigger (every 50 in `small()`), not
     // `small_cfg`'s allocation trigger.
     let mut shard = Shard::new(&RunConfig::small()).expect("shard");
-    shard.step_batch(&events).expect("replay");
+    shard
+        .step_block(&events.into_iter().collect())
+        .expect("replay");
     let mut db = shard.db().clone();
 
     let before = oracle::analyze(&db);
@@ -118,11 +125,11 @@ fn assembly_trace_round_trips_through_codec() {
     assert_eq!(back, events);
     // And the replay of the decoded trace matches the original.
     let a = Simulation::builder(&small_cfg(PolicyKind::Random))
-        .events(&events)
+        .trace(&trace(&events))
         .run()
         .expect("a");
     let b = Simulation::builder(&small_cfg(PolicyKind::Random))
-        .events(&back)
+        .trace(&trace(&back))
         .run()
         .expect("b");
     assert_eq!(a.totals, b.totals);

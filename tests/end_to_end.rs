@@ -91,7 +91,9 @@ fn final_database_state_is_coherent_for_each_policy() {
                 .expect("params")
                 .collect();
         let mut shard = Shard::new(&cfg).expect("shard");
-        shard.step_batch(&events).expect("replay");
+        shard
+            .step_block(&events.into_iter().collect())
+            .expect("replay");
         shard.db().check_invariants();
 
         // Every reachable object accounted; no reachable object reclaimed.

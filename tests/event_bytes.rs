@@ -28,8 +28,7 @@ fn a_wide_size_survives_every_layer() {
     let trace = EncodedTrace::from_events(WorkloadParams::default(), &events);
     assert_eq!(trace.decode_all().unwrap(), events);
 
-    let mut block = EventBlock::new();
-    events.iter().for_each(|e| block.push(e));
+    let block: EventBlock = events.into_iter().collect();
     assert_eq!(block.iter().collect::<Vec<_>>(), events);
 
     // `append_block` and `append_events` write the same log bytes, and the
@@ -39,7 +38,7 @@ fn a_wide_size_survives_every_layer() {
         let dir = ScratchDir::new("wide");
         let mut store = DurableStore::create(&DurabilityConfig::log_only(dir.path())).unwrap();
         if by_block {
-            store.append_block(&block).unwrap();
+            store.append_block(&block, 0..block.len()).unwrap();
         } else {
             store.append_events(&events).unwrap();
         }
@@ -152,9 +151,13 @@ fn an_add_slot_past_the_last_slot_id_is_an_error_not_a_wrapped_id() {
     let (last, before) = events.split_last().unwrap();
 
     let mut shard = Shard::new(&RunConfig::paper(PolicyKind::UpdatedPointer, 1)).unwrap();
-    shard.step_batch(before).expect("65,536 slots have ids");
+    shard
+        .step_block(&before.iter().copied().collect())
+        .expect("65,536 slots have ids");
     shard.db().check_invariants();
-    let err = shard.step(last).expect_err("no id is left");
+    let err = shard
+        .step_block(&[*last].into_iter().collect())
+        .expect_err("no id is left");
     assert!(
         matches!(err, PgcError::SlotOutOfRange { len: 65_536, .. }),
         "{err}"
@@ -186,14 +189,18 @@ fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn hostile_log_segments_are_errors_or_clean_prefixes() {
     let dir = ScratchDir::new("hostile");
+    // Safepoints land only at `BLOCK_EVENTS` boundaries, and segments
+    // rotate only there: a run 51 events past two of them, whose whole
+    // frames outgrow a segment and whose short last one does not, leaves
+    // three, the newest a few hundred bytes to cut at every length.
     let cfg = RunConfig::small()
         .with_seed(5)
-        .with_heap_growth(Bytes::from_kib(64))
+        .with_heap_growth(Bytes::from_kib(372))
         .with_gc_overwrite_threshold(8)
         .with_durability(
             DurabilityConfig::snapshot_and_log(dir.path())
                 .with_snapshot_every(2)
-                .with_segment_bytes(1 << 10),
+                .with_segment_bytes(16 << 10),
         );
     Simulation::builder(&cfg).run().expect("durable run");
     let clean = read_log(dir.path()).expect("clean log");
@@ -207,6 +214,11 @@ fn hostile_log_segments_are_errors_or_clean_prefixes() {
         .collect();
     let originals: Vec<Vec<u8>> = paths.iter().map(|p| fs::read(p).unwrap()).collect();
     let newest = paths.len() - 1;
+    // More than a header (24 bytes) and the closing frame (33).
+    assert!(
+        originals[newest].len() > 24 + 33,
+        "the newest segment holds the last events frame too"
+    );
     let clean_digest = outcome_digest(&recover(dir.path()).expect("clean recovery").outcome);
 
     // With segment `seq` replaced by `bytes`: the log reads back as a

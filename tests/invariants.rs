@@ -40,7 +40,9 @@ fn sweep(cfg: &RunConfig, events: &[Event], label: &str) {
     shard.add_observer(Box::new(InvariantSweep {
         activations: Rc::clone(&activations),
     }));
-    shard.step_batch(events).expect("replay");
+    shard
+        .step_block(&events.iter().copied().collect())
+        .expect("replay");
     shard.db().check_invariants();
     assert!(activations.get() > 0, "{label}: the trigger never fired");
 }

@@ -12,7 +12,7 @@ use pgc::odb::{oracle, BarrierEvent, Database};
 use pgc::sim::Shard;
 use pgc::types::{Bytes, DbConfig, Oid, PageId, SimRng, SlotId};
 use pgc::workload::generator::GenStats;
-use pgc::workload::{read_trace, write_trace, Event, NodeId};
+use pgc::workload::{read_trace, write_trace, Event, EventBlock, NodeId};
 
 // ---------------------------------------------------------------------
 // LRU buffer pool vs a naive reference model
@@ -549,8 +549,9 @@ fn any_seeded_workload_replays_cleanly() {
             .expect("params")
             .collect();
         let cfg = pgc::sim::RunConfig::small();
+        let trace = pgc::workload::EncodedTrace::from_events(cfg.workload.clone(), &events);
         let out = pgc::sim::Simulation::builder(&cfg)
-            .events(&events)
+            .trace(&trace)
             .run()
             .expect("replay");
         assert_eq!(out.totals.events, events.len() as u64, "seed {seed}");
@@ -687,7 +688,10 @@ fn dense_oracle_matches_reference_after_real_workloads() {
             .collect();
         let mut shard = Shard::new(&cfg).expect("shard");
         for (i, event) in events.iter().enumerate() {
-            shard.step(event).expect("apply");
+            // 1-event blocks: a check after every 500th event.
+            shard
+                .step_block(&[*event].into_iter().collect())
+                .expect("apply");
             if i % 500 == 0 {
                 let expected = oracle::reference::analyze(shard.db());
                 let got = oracle::analyze_with(shard.db(), &mut scratch);
@@ -711,9 +715,11 @@ fn dense_oracle_matches_reference_after_real_workloads() {
             .with_policy(PolicyKind::MostGarbage)
             .with_seed(seed);
         let replay = |mut shard: Shard| {
-            let workload = pgc::workload::SyntheticWorkload::new(cfg.workload.clone());
-            for event in workload.expect("params") {
-                shard.step(&event).expect("apply");
+            let mut workload =
+                pgc::workload::SyntheticWorkload::new(cfg.workload.clone()).expect("params");
+            let mut block = EventBlock::new();
+            while workload.next_block(&mut block) > 0 {
+                shard.step_block(&block).expect("apply");
             }
             shard
         };

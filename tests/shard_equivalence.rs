@@ -139,8 +139,9 @@ fn dedicated_runs(configs: &[(StreamId, RunConfig)], events: &[Vec<Event>]) -> V
         .iter()
         .zip(events)
         .map(|((_, cfg), events)| {
+            let trace = EncodedTrace::from_events(cfg.workload.clone(), events);
             Simulation::builder(cfg)
-                .events(events)
+                .trace(&trace)
                 .telemetry(TelemetryLevel::Full)
                 .run()
                 .expect("dedicated run")

@@ -140,13 +140,14 @@ fn builder_sources_are_exact_equivalents() {
     // Synthetic source (the default).
     let synthetic = Simulation::builder(&cfg).run().expect("synthetic run");
 
-    // Event-slice source.
+    // Event-slice source, encoded.
     let events: Vec<pgc::workload::Event> =
         pgc::workload::SyntheticWorkload::new(cfg.workload.clone())
             .expect("params")
             .collect();
+    let sliced = pgc::workload::EncodedTrace::from_events(cfg.workload.clone(), &events);
     let sliced = Simulation::builder(&cfg)
-        .events(&events)
+        .trace(&sliced)
         .run()
         .expect("event-slice run");
     assert_eq!(synthetic.totals, sliced.totals);
