@@ -11,12 +11,15 @@
 
 use pgc_sim::durable::{read_generation, read_log, scan_snapshots, ScratchDir};
 use pgc_sim::{recover, verify};
+use pgc_workload::BLOCK_EVENTS;
 use std::process::Command;
 
 #[test]
 fn no_generation_file_outruns_the_log_at_any_kill_point() {
-    let mut generations_checked = 0;
-    for budget in [2_000, 4_000, 6_000, 8_000, 10_000] {
+    // Generations are taken only at `BLOCK_EVENTS` boundaries (this run
+    // takes its third at 12,288 and its fifth at 20,480), so the first
+    // kill may leave none, and the later ones come after pruning.
+    for budget in [6_000, 13_000, 17_000, 21_000, 25_000] {
         let dir = ScratchDir::new("crash-contract");
         let data = dir.join("data");
         let output = Command::new(env!("CARGO_BIN_EXE_recover_tool"))
@@ -27,8 +30,10 @@ fn no_generation_file_outruns_the_log_at_any_kill_point() {
             .expect("run recover_tool");
         assert!(output.status.success(), "crash at {budget}: {output:?}");
 
-        let logged = read_log(&data).expect("read the log").trace.events();
+        let log = read_log(&data).expect("read the log");
+        let logged = log.trace.events();
         assert!(logged <= budget, "{logged} events logged of {budget}");
+        let mut in_place = Vec::new();
         for file in scan_snapshots(&data).expect("scan") {
             let image = read_generation(&file.path).expect("a renamed file is whole");
             assert!(
@@ -37,7 +42,28 @@ fn no_generation_file_outruns_the_log_at_any_kill_point() {
                 image.generation,
                 image.events_applied
             );
-            generations_checked += 1;
+            in_place.push(image.generation);
+        }
+        // The writer holds at most two generations and keeps two landed,
+        // so a log that reaches generation n's frame (n >= 3) finds n - 2
+        // or a newer one in place, and nothing older than n - 3.
+        let newest = log.safepoints.iter().map(|frame| frame.generation).max();
+        let newest = newest.unwrap_or(0);
+        assert_eq!(
+            newest >= 3,
+            budget > 3 * BLOCK_EVENTS as u64,
+            "crash at {budget}: {:?}",
+            log.safepoints
+        );
+        if newest >= 3 {
+            assert!(
+                in_place.iter().any(|&g| g + 2 >= newest),
+                "crash at {budget}: generation {newest} taken, {in_place:?} in place"
+            );
+            assert!(
+                in_place.iter().all(|&g| g + 3 >= newest),
+                "crash at {budget}: generation {newest} taken, {in_place:?} not pruned"
+            );
         }
         let recovered = recover(&data).expect("recover");
         assert_eq!(recovered.events_replayed, logged);
@@ -47,8 +73,4 @@ fn no_generation_file_outruns_the_log_at_any_kill_point() {
         let verified = verify(&data).expect("verify agrees");
         assert_eq!(verified.snapshot_files_skipped, 0);
     }
-    assert!(
-        generations_checked > 0,
-        "no kill left a generation in place"
-    );
 }
