@@ -32,8 +32,8 @@
 //! seen — nothing there is replayed.
 
 use super::crc::{crc32, Crc32};
-use super::io_err;
 use super::snapshot::{Generation, SnapshotDir};
+use super::{io_err, u32_at, u64_at};
 use pgc_types::{PgcError, Result};
 use pgc_workload::{EncodedTrace, WorkloadParams};
 use std::fs::{self, File};
@@ -550,19 +550,19 @@ fn check_header(bytes: &[u8], seq: u64) -> Result<u64> {
             "log segment {seq}: bad or missing header"
         )));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let version = u32_at(bytes, 4);
     if version != VERSION {
         return Err(PgcError::TraceFormat(format!(
             "log segment {seq}: unsupported version {version}"
         )));
     }
-    let stated_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let stated_seq = u64_at(bytes, 8);
     if stated_seq != seq {
         return Err(PgcError::TraceFormat(format!(
             "log segment {seq}: header says seq {stated_seq}"
         )));
     }
-    Ok(u64::from_le_bytes(bytes[16..24].try_into().unwrap()))
+    Ok(u64_at(bytes, 16))
 }
 
 fn read_segment(dir: &Path, seq: u64, last: bool, from: u64, out: &mut LogContents) -> Result<()> {
@@ -594,7 +594,7 @@ fn read_segment(dir: &Path, seq: u64, last: bool, from: u64, out: &mut LogConten
             }
             return Err(hard("truncated frame header"));
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let len = u32_at(&bytes, pos) as usize;
         pos += 4;
         if bytes.len() - pos < 1 + len + 4 {
             if last {
@@ -604,8 +604,7 @@ fn read_segment(dir: &Path, seq: u64, last: bool, from: u64, out: &mut LogConten
             return Err(hard("truncated frame body"));
         }
         let kind_and_payload = &bytes[pos..pos + 1 + len];
-        let stated_crc =
-            u32::from_le_bytes(bytes[pos + 1 + len..pos + 1 + len + 4].try_into().unwrap());
+        let stated_crc = u32_at(&bytes, pos + 1 + len);
         if crc32(kind_and_payload) != stated_crc {
             if last {
                 out.torn = Some(torn(frame_start, "frame checksum mismatch"));
@@ -645,9 +644,9 @@ fn read_segment(dir: &Path, seq: u64, last: bool, from: u64, out: &mut LogConten
                     )));
                 }
                 let note = SafepointNote {
-                    events_applied: u64::from_le_bytes(payload[..8].try_into().unwrap()),
-                    collections: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
-                    generation: u64::from_le_bytes(payload[16..].try_into().unwrap()),
+                    events_applied: u64_at(payload, 0),
+                    collections: u64_at(payload, 8),
+                    generation: u64_at(payload, 16),
                 };
                 // Every event is logged before it is applied and flushed
                 // into a frame before the safepoint that follows it.

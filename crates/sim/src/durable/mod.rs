@@ -109,6 +109,22 @@ fn io_err(e: std::io::Error) -> PgcError {
     PgcError::TraceIo(e.to_string())
 }
 
+/// The `N` bytes at `at`. Every reader of the durable formats checks the
+/// lengths first, so its reads stay inside them and cannot fail.
+fn array_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut word = [0; N];
+    word.copy_from_slice(&bytes[at..at + N]);
+    word
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(array_at(bytes, at))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(array_at(bytes, at))
+}
+
 /// What [`recover`] (or [`verify`]) brings back from a data directory.
 #[derive(Debug)]
 pub struct RecoveredRun {

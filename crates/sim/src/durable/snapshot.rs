@@ -53,7 +53,7 @@
 //! for a reader that holds a landed file to the state it restores to.
 
 use super::crc::crc32;
-use super::io_err;
+use super::{io_err, u32_at, u64_at};
 use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
 use pgc_odb::Database;
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result};
@@ -78,14 +78,6 @@ pub(crate) fn snapshot_name(generation: u64) -> String {
 
 fn bad(reason: &str) -> PgcError {
     PgcError::TraceFormat(format!("snapshot: {reason}"))
-}
-
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
 /// Appends a partition image's header.
@@ -153,11 +145,10 @@ fn seal(image: &mut [u8]) {
 
 /// The image's body (everything but the footer), once its checksum holds.
 fn checked_body(image: &[u8]) -> Result<&[u8]> {
-    let (body, footer) = image.split_at(image.len() - FOOTER_BYTES);
-    if crc32(body) != u32_at(footer, 0) {
-        return Err(bad("checksum mismatch"));
+    match image.split_last_chunk::<FOOTER_BYTES>() {
+        Some((body, footer)) if crc32(body) == u32::from_le_bytes(*footer) => Ok(body),
+        _ => Err(bad("checksum mismatch")),
     }
-    Ok(body)
 }
 
 /// Length of the image at the front of `bytes`, found from its header and
@@ -329,7 +320,7 @@ fn parse_generation(bytes: Vec<u8>) -> Result<GenerationImage> {
         collections: u64_at(run, 24),
         run: run[RUN_HEADER_BYTES..]
             .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .map(|w| u64_at(w, 0))
             .collect(),
         bytes,
         starts,
