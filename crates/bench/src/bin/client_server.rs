@@ -20,7 +20,7 @@
 
 use pgc_bench::{emit, positive, usage_exit, CommonArgs};
 use pgc_core::PolicyKind;
-use pgc_server::{Server, ServerConfig, StreamId, TelemetryLevel};
+use pgc_server::{Server, ServerConfig, StreamHandle, StreamId, TelemetryLevel};
 use pgc_sim::{paper, RunConfig, Simulation};
 use pgc_workload::{EncodedTrace, NodeId, TraceSegment};
 use std::collections::VecDeque;
@@ -91,14 +91,15 @@ fn main() {
     let t0 = Instant::now();
     let mut server =
         Server::start(ServerConfig::new(shards).with_telemetry(TelemetryLevel::Metrics));
-    for (stream, cfg) in &configs {
-        server.open_stream(*stream, cfg.clone()).expect("open");
-    }
+    let handles: Vec<StreamHandle> = configs
+        .iter()
+        .map(|(stream, cfg)| server.open_stream(*stream, cfg.clone()).expect("open"))
+        .collect();
     loop {
         let mut any = false;
-        for (i, (stream, _)) in configs.iter().enumerate() {
+        for (i, &stream) in handles.iter().enumerate() {
             if let Some(segment) = segments[i].pop_front() {
-                server.submit_segment(*stream, segment).expect("submit");
+                server.submit_segment(stream, segment).expect("submit");
                 any = true;
             }
         }
@@ -108,12 +109,10 @@ fn main() {
     }
     // Cross-tenant references: each tenant points at its neighbor's first
     // few objects — inter-shard remset traffic over the barrier bus.
-    for i in 0..streams as u64 {
-        let target = StreamId((i + 1) % streams as u64);
+    for (i, &source) in handles.iter().enumerate() {
+        let target = handles[(i + 1) % streams];
         for node in 0..4 {
-            server
-                .link(StreamId(i), target, NodeId(node))
-                .expect("link");
+            server.link(source, target, NodeId(node)).expect("link");
         }
     }
     let fleet = server.shutdown().expect("fleet shutdown");

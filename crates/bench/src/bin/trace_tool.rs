@@ -17,7 +17,7 @@
 use pgc_core::PolicyKind;
 use pgc_sim::{RunConfig, Shard, Simulation};
 use pgc_workload::{
-    read_trace, AssemblyParams, AssemblyWorkload, EncodedTrace, Event, TraceWriter, WorkloadParams,
+    AssemblyParams, AssemblyWorkload, EncodedTrace, Event, EventBlock, WorkloadParams,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -49,46 +49,39 @@ fn main() {
 fn record(args: &[String]) -> Result<(), String> {
     let [kind, seed, path] = args else { usage() };
     let seed: u64 = seed.parse().map_err(|_| "seed must be an integer")?;
-    let file = File::create(path).map_err(|e| e.to_string())?;
-    let n = match kind.as_str() {
-        // The tree workload records straight into the shared-trace engine's
-        // encoded buffer; the file bytes are identical to the streaming
-        // writer's.
-        "tree" => {
-            let trace = EncodedTrace::record(WorkloadParams::default().with_seed(seed))
-                .map_err(|e| e.to_string())?;
-            trace
-                .write_to(BufWriter::new(file))
-                .map_err(|e| e.to_string())?;
-            trace.events()
-        }
+    let trace = match kind.as_str() {
+        "tree" => EncodedTrace::record(WorkloadParams::default().with_seed(seed))
+            .map_err(|e| e.to_string())?,
         "assembly" => {
-            let mut writer = TraceWriter::new(BufWriter::new(file)).map_err(|e| e.to_string())?;
-            let events: Box<dyn Iterator<Item = Event>> = Box::new(
+            let events: Vec<Event> =
                 AssemblyWorkload::new(AssemblyParams::default().with_seed(seed))
-                    .map_err(|e| e.to_string())?,
-            );
-            for e in events {
-                writer.write_event(&e).map_err(|e| e.to_string())?;
-            }
-            let n = writer.events_written();
-            writer.finish().map_err(|e| e.to_string())?;
-            n
+                    .map_err(|e| e.to_string())?
+                    .collect();
+            EncodedTrace::from_events(WorkloadParams::default(), &events)
         }
         other => return Err(format!("unknown workload '{other}' (tree|assembly)")),
     };
+    let file = File::create(path).map_err(|e| e.to_string())?;
+    let n = trace
+        .write_to(BufWriter::new(file))
+        .map_err(|e| e.to_string())?;
     println!("recorded {n} events to {path}");
     Ok(())
 }
 
-fn load(path: &str) -> Result<Vec<Event>, String> {
+fn load(path: &str) -> Result<EncodedTrace, String> {
     let file = File::open(path).map_err(|e| e.to_string())?;
-    read_trace(BufReader::new(file)).map_err(|e| e.to_string())
+    EncodedTrace::read_from(BufReader::new(file)).map_err(|e| e.to_string())
+}
+
+/// Every event of the trace file at `path`.
+fn load_events(path: &str) -> Result<Vec<Event>, String> {
+    load(path)?.cursor().decode_all().map_err(|e| e.to_string())
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
     let [path] = args else { usage() };
-    let events = load(path)?;
+    let events = load_events(path)?;
     let mut creations = 0u64;
     let mut created_bytes = 0u64;
     let mut pointer_writes = 0u64;
@@ -132,7 +125,7 @@ fn head(args: &[String]) -> Result<(), String> {
         [path, n] => (path, n.parse().map_err(|_| "n must be an integer")?),
         _ => usage(),
     };
-    for e in load(path)?.into_iter().take(n) {
+    for e in load_events(path)?.into_iter().take(n) {
         println!("{e:?}");
     }
     Ok(())
@@ -141,11 +134,12 @@ fn head(args: &[String]) -> Result<(), String> {
 fn profile(args: &[String]) -> Result<(), String> {
     let [path, policy] = args else { usage() };
     let policy: PolicyKind = policy.parse()?;
-    let events = load(path)?;
+    let trace = load(path)?;
     let mut shard = Shard::new(&RunConfig::paper(policy, 0)).map_err(|e| e.to_string())?;
-    shard
-        .step_block(&events.into_iter().collect())
-        .map_err(|e| e.to_string())?;
+    let (mut cursor, mut block) = (trace.cursor(), EventBlock::new());
+    while cursor.next_block(&mut block).map_err(|e| e.to_string())? > 0 {
+        shard.step_block(&block).map_err(|e| e.to_string())?;
+    }
     let db = shard.db();
     let report = pgc_odb::oracle::analyze(db);
     print!(
@@ -158,9 +152,8 @@ fn profile(args: &[String]) -> Result<(), String> {
 fn replay(args: &[String]) -> Result<(), String> {
     let [path, policy] = args else { usage() };
     let policy: PolicyKind = policy.parse()?;
-    let events = load(path)?;
+    let trace = load(path)?;
     let cfg = RunConfig::paper(policy, 0);
-    let trace = EncodedTrace::from_events(cfg.workload.clone(), &events);
     let out = Simulation::builder(&cfg)
         .trace(&trace)
         .run()

@@ -48,7 +48,7 @@ pub mod session;
 pub use remset::{LinkRecord, Links, RemsetBridge, RemsetStats};
 pub use ring::{RingInbox, DEFAULT_INBOX_CAPACITY};
 pub use router::{Router, StreamId};
-pub use server::{FleetOutcome, Server, ServerConfig, StreamHandle, StreamRef};
+pub use server::{FleetOutcome, Server, ServerConfig, StreamHandle};
 pub use session::ShardReport;
 // The pieces a server driver needs ride along so callers don't take a
 // direct dependency on every lower crate for the common cases.

@@ -88,10 +88,10 @@ static SERVER_TAG: AtomicU64 = AtomicU64::new(1);
 
 /// A typed handle to an open stream: the id, the home shard the router
 /// pinned it to, and the issuing server. Returned by
-/// [`Server::open_stream`] and accepted anywhere a [`StreamId`] is —
-/// [`Server::submit_segment`], [`Server::link`] — with the extra guarantee
-/// that a handle from another server instance is rejected instead of
-/// silently addressing the wrong fleet.
+/// [`Server::open_stream`], and the only way to address a stream on
+/// [`Server::submit_segment`] and [`Server::link`]: a handle exists only
+/// for a stream that was opened, and one from another server instance is
+/// refused instead of silently addressing the wrong fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamHandle {
     id: StreamId,
@@ -100,7 +100,7 @@ pub struct StreamHandle {
 }
 
 impl StreamHandle {
-    /// The raw stream id (for logs, maps, and the thin-delegate paths).
+    /// The raw stream id (for logs and maps).
     pub fn id(&self) -> StreamId {
         self.id
     }
@@ -109,39 +109,16 @@ impl StreamHandle {
     pub fn shard(&self) -> usize {
         self.shard
     }
-}
 
-/// Anything that can address an open stream: a raw [`StreamId`] (thin
-/// delegate, no provenance check) or a [`StreamHandle`] (validated
-/// against the issuing server).
-pub trait StreamRef {
-    /// Resolves to the raw stream id, or errors when the reference was
-    /// issued by a different server instance (`server_tag` identifies the
-    /// server doing the resolving).
-    fn resolve(&self, server_tag: u64) -> Result<StreamId>;
-}
-
-impl StreamRef for StreamId {
-    fn resolve(&self, _server_tag: u64) -> Result<StreamId> {
-        Ok(*self)
-    }
-}
-
-impl StreamRef for StreamHandle {
-    fn resolve(&self, server_tag: u64) -> Result<StreamId> {
-        if self.server != server_tag {
+    /// The stream id, when `server` issued this handle.
+    fn resolve(self, server: u64) -> Result<StreamId> {
+        if self.server != server {
             return Err(PgcError::Session(format!(
                 "stream handle {} belongs to a different server",
                 self.id
             )));
         }
         Ok(self.id)
-    }
-}
-
-impl StreamRef for &StreamHandle {
-    fn resolve(&self, server_tag: u64) -> Result<StreamId> {
-        (*self).resolve(server_tag)
     }
 }
 
@@ -213,9 +190,8 @@ impl FleetOutcome {
 /// trace); nothing is allocated or copied per event. A caller holding
 /// decoded events encodes them once with [`TraceSegment::encode`] (~7.5
 /// bytes/event in flight). A full ring blocks the submitting thread until
-/// the shard catches up (bounded memory, lossless). It accepts a raw
-/// [`StreamId`] or the [`StreamHandle`] that [`Server::open_stream`]
-/// returned.
+/// the shard catches up (bounded memory, lossless). It addresses the
+/// stream by the [`StreamHandle`] that [`Server::open_stream`] returned.
 ///
 /// ```
 /// use pgc_server::{Server, ServerConfig, StreamId};
@@ -228,7 +204,7 @@ impl FleetOutcome {
 /// let mut server = Server::start(ServerConfig::new(2));
 /// let stream = server.open_stream(StreamId(0), cfg).unwrap();
 /// server
-///     .submit_segment(&stream, TraceSegment::whole(Arc::clone(&trace)))
+///     .submit_segment(stream, TraceSegment::whole(Arc::clone(&trace)))
 ///     .unwrap();
 /// let fleet = server.shutdown().unwrap();
 /// assert_eq!(fleet.total_events(), trace.events());
@@ -284,7 +260,7 @@ impl Server {
 
     /// Opens a session for `stream` under `cfg` on its home shard and
     /// returns its typed [`StreamHandle`] (stream id + pinned home shard),
-    /// which the submit and link paths accept in place of a raw id.
+    /// which the submit and link paths take.
     pub fn open_stream(&mut self, stream: StreamId, cfg: RunConfig) -> Result<StreamHandle> {
         if !self.streams.insert(stream) {
             return Err(PgcError::Session(format!("stream {stream} already open")));
@@ -312,11 +288,8 @@ impl Server {
     /// Segments for the same stream apply in submission order; segments
     /// for different streams are independent. Blocks while the home
     /// shard's ring is full.
-    pub fn submit_segment(&mut self, stream: impl StreamRef, segment: TraceSegment) -> Result<()> {
+    pub fn submit_segment(&mut self, stream: StreamHandle, segment: TraceSegment) -> Result<()> {
         let stream = stream.resolve(self.tag)?;
-        if !self.streams.contains(&stream) {
-            return Err(PgcError::Session(format!("stream {stream} is not open")));
-        }
         self.send(
             self.router.route(stream),
             ShardMsg::Data { stream, segment },
@@ -324,29 +297,18 @@ impl Server {
     }
 
     /// Registers a cross-shard reference: `source`'s graph references
-    /// `node` in `target`'s graph. Both streams must be open. Routed to
-    /// the target's home shard, which resolves the node and records the
-    /// link in the target's session (unresolvable targets count as
-    /// dangling).
+    /// `node` in `target`'s graph. Routed to the target's home shard, which
+    /// resolves the node and records the link in the target's session
+    /// (unresolvable targets count as dangling).
     ///
     /// The reference apply-point is the target session's state after
     /// every segment submitted to `target` before this call and none
     /// submitted after — deterministic because one server handle feeds
     /// each ring in program order and the worker keeps every stream's
     /// messages in arrival order.
-    pub fn link(
-        &mut self,
-        source: impl StreamRef,
-        target: impl StreamRef,
-        node: NodeId,
-    ) -> Result<()> {
+    pub fn link(&mut self, source: StreamHandle, target: StreamHandle, node: NodeId) -> Result<()> {
         let source = source.resolve(self.tag)?;
         let target = target.resolve(self.tag)?;
-        for stream in [source, target] {
-            if !self.streams.contains(&stream) {
-                return Err(PgcError::Session(format!("stream {stream} is not open")));
-            }
-        }
         self.send(
             self.router.route(target),
             ShardMsg::Link {
@@ -464,28 +426,6 @@ mod tests {
                 "got {err}"
             );
         }
-    }
-
-    #[test]
-    fn link_rejects_a_stream_that_was_never_opened_on_either_side() {
-        let mut server = Server::start(ServerConfig::new(2));
-        let open = server
-            .open_stream(StreamId(0), RunConfig::small())
-            .expect("open");
-        let never = StreamId(7);
-        for (source, target) in [(never, open.id()), (open.id(), never)] {
-            let err = server.link(source, target, NodeId(0)).unwrap_err();
-            assert!(
-                matches!(&err, PgcError::Session(msg) if msg.contains("stream s7 is not open")),
-                "got {err}"
-            );
-        }
-        server.link(open, open, NodeId(0)).expect("both open");
-        // Only the accepted link reached a worker: it dangles (nothing was
-        // ever submitted), the rejected ones left no trace.
-        let fleet = server.shutdown().expect("shutdown");
-        assert_eq!(fleet.remset.dangling, 1);
-        assert_eq!(fleet.remset.registered, 0);
     }
 
     #[test]

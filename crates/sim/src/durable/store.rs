@@ -280,7 +280,7 @@ pub(crate) mod tests {
         store.finish(&db, 10_000, 2).unwrap();
 
         let log = read_log(dir.path()).unwrap();
-        assert_eq!(log.trace.decode_all().unwrap(), evs);
+        assert_eq!(log.trace.cursor().decode_all().unwrap(), evs);
         assert!(log.torn.is_none());
         assert_eq!(log.safepoints.len(), 2);
         assert_eq!(log.safepoints[0].events_applied, 6_000);
@@ -303,13 +303,18 @@ pub(crate) mod tests {
         let path = dir.join(segment_name(0));
         let full = fs::read(&path).unwrap();
         let whole = read_log(dir.path()).unwrap();
-        assert_eq!(whole.trace.decode_all().unwrap(), evs);
+        assert_eq!(whole.trace.cursor().decode_all().unwrap(), evs);
 
         // Chop the file at a sweep of lengths: every prefix must parse to
         // a clean event prefix (or nothing), never crash or misdecode.
         for cut in (24..full.len()).step_by(97) {
             fs::write(&path, &full[..cut]).unwrap();
-            let prefix = read_log(dir.path()).unwrap().trace.decode_all().unwrap();
+            let prefix = read_log(dir.path())
+                .unwrap()
+                .trace
+                .cursor()
+                .decode_all()
+                .unwrap();
             assert!(prefix.len() <= evs.len());
             assert_eq!(prefix[..], evs[..prefix.len()]);
         }
@@ -350,7 +355,7 @@ pub(crate) mod tests {
         store.finish(&db, 4_000, 9).unwrap();
         let log = read_log(dir.path()).unwrap();
         assert!(log.segments > 1, "expected rotation, got {}", log.segments);
-        assert_eq!(log.trace.decode_all().unwrap(), evs);
+        assert_eq!(log.trace.cursor().decode_all().unwrap(), evs);
     }
 
     #[test]
@@ -384,7 +389,7 @@ pub(crate) mod tests {
         );
         let log = read_log(dir.path()).unwrap();
         assert_eq!(log.segments, 9);
-        assert_eq!(log.trace.decode_all().unwrap(), evs);
+        assert_eq!(log.trace.cursor().decode_all().unwrap(), evs);
         let generations: Vec<u64> = log.safepoints.iter().map(|s| s.generation).collect();
         assert_eq!(generations, (1..=9).collect::<Vec<u64>>());
         // Each mid-run frame is the last thing in its segment: the next
@@ -423,7 +428,7 @@ pub(crate) mod tests {
         let segment = |seq: u64| dir.join(segment_name(seq));
         let from = read_log_from(dir.path(), 2_500).unwrap();
         assert_eq!(from.start_event, 2_500);
-        assert_eq!(from.trace.decode_all().unwrap(), evs[2_500..]);
+        assert_eq!(from.trace.cursor().decode_all().unwrap(), evs[2_500..]);
         let first = from.safepoints[0];
         assert_eq!((first.events_applied, first.collections), (2_500, 5));
         assert_eq!(from.segments, 9);
@@ -436,7 +441,7 @@ pub(crate) mod tests {
         fs::write(segment(0), &damaged).unwrap();
         assert!(read_log(dir.path()).is_err());
         let past = read_log_from(dir.path(), 2_500).unwrap();
-        assert_eq!(past.trace.decode_all().unwrap(), evs[2_500..]);
+        assert_eq!(past.trace.cursor().decode_all().unwrap(), evs[2_500..]);
         // A header that lies is caught wherever it is.
         let mut lying = clean.clone();
         lying[16] = 7;
@@ -450,7 +455,7 @@ pub(crate) mod tests {
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..10]).unwrap();
         let log = read_log(dir.path()).unwrap();
-        assert_eq!(log.trace.decode_all().unwrap(), evs);
+        assert_eq!(log.trace.cursor().decode_all().unwrap(), evs);
         let torn = log.torn.expect("a torn header");
         assert_eq!((torn.segment, torn.offset), (8, 0));
     }
@@ -675,7 +680,7 @@ pub(crate) mod tests {
         want.extend(&first);
         want.push(second[0]);
         let log = read_log(dir.path()).unwrap();
-        assert_eq!(log.trace.decode_all().unwrap(), want);
+        assert_eq!(log.trace.cursor().decode_all().unwrap(), want);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Batched struct-of-arrays event decoding.
 //!
-//! The per-event replay path decodes one tagged record at a time and
-//! immediately dispatches it — decode and apply interleave, so the decoder's
-//! branchy byte-twiddling and the simulator's table lookups fight over the
-//! same instruction and data caches. [`EventBlock`] separates the phases:
-//! [`crate::TraceCursor::next_block`] decodes a *run* of events into six
-//! flat, column-ordered arrays in one tight pass, and the replay loop then
-//! applies the run from those arrays without touching the byte stream.
+//! Every replay decodes events a run at a time: [`EventBlock`] is the run.
+//! [`crate::TraceCursor::next_block`] decodes up to [`BLOCK_EVENTS`] events
+//! into six flat, column-ordered arrays in one tight pass, and the replay
+//! loop then applies the run from those arrays without touching the byte
+//! stream, so the decoder's branchy byte-twiddling and the simulator's
+//! table lookups do not interleave and fight over the same caches.
 //!
 //! The block is plain reusable scratch: [`EventBlock::clear`] keeps every
 //! column's capacity, so a replay loop that recycles one block performs
@@ -266,9 +265,12 @@ mod tests {
     #[test]
     fn block_replay_of_a_recorded_trace_matches_per_event_decode() {
         let trace = EncodedTrace::record(WorkloadParams::small().with_seed(11)).unwrap();
-        let per_event: Vec<Event> = trace.cursor().collect();
-        let mut cursor = trace.cursor();
         let mut block = EventBlock::new();
+        let (mut cursor, mut per_event) = (trace.cursor(), Vec::new());
+        while cursor.next_block_of(&mut block, 1).unwrap() > 0 {
+            per_event.push(block.get(0));
+        }
+        let mut cursor = trace.cursor();
         let mut batched = Vec::with_capacity(per_event.len());
         loop {
             let n = cursor.next_block(&mut block).unwrap();
@@ -361,7 +363,7 @@ mod tests {
         let mut bytes = Vec::new();
         trace.write_to(&mut bytes).unwrap();
         bytes.truncate(bytes.len() - 3);
-        let chopped = crate::trace::read_trace(bytes.as_slice());
+        let chopped = EncodedTrace::read_from(bytes.as_slice());
         assert!(chopped.is_err(), "sanity: the cut lands mid-event");
         let mut corrupt = trace.clone();
         corrupt.truncate_for_test(3);

@@ -1,11 +1,13 @@
 //! The byte form of an [`Event`] — the only one.
 //!
-//! Everywhere an event is bytes it is in this layout: the body of a PGCT
-//! trace file ([`crate::trace`]), the shared buffer of an
-//! [`crate::EncodedTrace`] and its [`crate::TraceSegment`]s, and the
-//! payload of an events frame in the change log (`pgc_sim::durable`).
-//! The callers differ only in framing; nothing outside this module reads
-//! or writes an event field by field.
+//! Everywhere an event is bytes it is in this layout: the shared buffer of
+//! an [`crate::EncodedTrace`] and its [`crate::TraceSegment`]s, the body of
+//! a PGCT trace file (the same buffer behind a magic and version header:
+//! [`crate::EncodedTrace::write_to`] and
+//! [`crate::EncodedTrace::read_from`]), and the payload of an events frame
+//! in the change log (`pgc_sim::durable`). The callers differ only in
+//! framing; nothing outside this module reads or writes an event field by
+//! field.
 //!
 //! Node ids in practice are small sequential counters, so each tag has a
 //! narrow form with `u32` ids and sizes; an event touching an id or a
@@ -31,11 +33,12 @@
 //!
 //! One reader matches each tag once and reads its fields at constant
 //! offsets of a 29-byte window (zero-padded near the end of the buffer).
-//! It has three sinks: an [`crate::EventBlock`]'s columns, an [`Event`]
-//! ([`decode_event`]), and nothing (validating a change-log frame).
+//! It has two sinks: an [`crate::EventBlock`]'s columns
+//! ([`crate::TraceCursor::next_block`]), and nothing (counting and marking
+//! the events of a trace file or a change-log frame read back from disk).
 
-use crate::event::{Event, NodeId};
-use pgc_types::{Bytes, PgcError, Result};
+use crate::event::Event;
+use pgc_types::{PgcError, Result};
 
 /// Tag of [`Event::CreateRoot`].
 pub(crate) const TAG_CREATE_ROOT: u8 = 1;
@@ -171,31 +174,6 @@ fn encode_id(tmp: &mut [u8; WINDOW], tag: u8, id: u64) -> usize {
 /// a kind does not use hold zero.
 pub(crate) type Lanes = (u8, u64, u64, u64, u16, u16);
 
-/// The event `lanes` hold.
-#[inline]
-fn event((kind, a, b, size, slot, slots): Lanes) -> Event {
-    let (node, size) = (NodeId(a), Bytes(size));
-    match kind {
-        TAG_CREATE_ROOT => Event::CreateRoot { node, size, slots },
-        TAG_CREATE_CHILD => Event::CreateChild {
-            node,
-            parent: NodeId(b),
-            parent_slot: slot,
-            size,
-            slots,
-        },
-        TAG_WRITE_POINTER => Event::WritePointer {
-            owner: node,
-            slot,
-            new: (size.get() != 0).then_some(NodeId(b)),
-        },
-        TAG_ADD_SLOT => Event::AddSlot { owner: node },
-        TAG_VISIT => Event::Visit { node },
-        // `read` makes no other kind.
-        _ => Event::DataWrite { node },
-    }
-}
-
 /// `event`'s lanes: its encoding, read back.
 pub(crate) fn lanes_of(event: &Event) -> Lanes {
     let mut window = [0; WINDOW];
@@ -282,18 +260,12 @@ fn read_form<const K: usize>(w: &[u8; WINDOW]) -> Result<(Lanes, usize)> {
     })
 }
 
-/// Decodes the event starting at `pos`, advancing `pos` past it. Returns
-/// `Ok(None)` when `pos` is at the end of `buf`; a partial event, unknown
-/// tag or bad presence byte is a [`PgcError::TraceFormat`] error. The
-/// inverse of [`encode_event`].
-pub fn decode_event(buf: &[u8], pos: &mut usize) -> Result<Option<Event>> {
-    Ok(read(buf, pos)?.map(event))
-}
-
 /// A stream of random events covering all six tags in both forms: ids and
 /// sizes are mostly narrow, with wide values and `u64::MAX` mixed in.
 #[cfg(test)]
 pub(crate) fn random_events(seed: u64, n: usize) -> Vec<Event> {
+    use crate::event::NodeId;
+    use pgc_types::Bytes;
     let mut rng = pgc_types::SimRng::new(seed);
     let value = |rng: &mut pgc_types::SimRng| match rng.below(20) {
         0 => u64::MAX,
@@ -338,7 +310,9 @@ mod tests {
     use super::*;
     use crate::block::{EventBlock, BLOCK_EVENTS};
     use crate::encoded::{tests::cursor_over, EncodedTrace};
+    use crate::event::NodeId;
     use crate::params::WorkloadParams;
+    use pgc_types::Bytes;
 
     fn encode_all(events: &[Event]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -346,18 +320,19 @@ mod tests {
         buf
     }
 
-    /// Decodes until the end of `buf` or the first error, returning what
-    /// decoded cleanly alongside how the loop ended.
-    fn decode_all(buf: &[u8]) -> (Vec<Event>, Result<()>) {
-        let mut pos = 0;
-        let mut out = Vec::new();
-        loop {
-            match decode_event(buf, &mut pos) {
-                Ok(Some(e)) => out.push(e),
-                Ok(None) => return (out, Ok(())),
-                Err(e) => return (out, Err(e)),
+    /// Reads lanes one `read` at a time until the end of `buf` or the
+    /// first error, returning the events that read cleanly, where the
+    /// reader stopped, and how the loop ended.
+    fn decode_all(buf: &[u8]) -> (Vec<Event>, usize, Result<()>) {
+        let (mut pos, mut block) = (0, EventBlock::new());
+        let end = loop {
+            match read(buf, &mut pos) {
+                Ok(Some(lanes)) => block.put(&[lanes]),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
             }
-        }
+        };
+        (block.iter().collect(), pos, end)
     }
 
     #[test]
@@ -415,7 +390,7 @@ mod tests {
             },
             Event::DataWrite { node: NodeId(0) },
         ];
-        let (back, end) = decode_all(&encode_all(&events));
+        let (back, _, end) = decode_all(&encode_all(&events));
         end.unwrap();
         assert_eq!(back, events);
     }
@@ -438,11 +413,11 @@ mod tests {
             slots: 2,
         }]);
         for cut in 1..buf.len() {
-            assert!(decode_event(&buf[..cut], &mut 0).is_err());
+            assert!(read(&buf[..cut], &mut 0).is_err());
         }
-        assert!(decode_event(&[0xFF, 0, 0, 0, 0], &mut 0).is_err());
-        assert!(decode_event(&[7, 0, 0, 0, 0], &mut 0).is_err());
-        assert!(decode_event(&[0, 0, 0, 0, 0], &mut 0).is_err());
+        assert!(read(&[0xFF, 0, 0, 0, 0], &mut 0).is_err());
+        assert!(read(&[7, 0, 0, 0, 0], &mut 0).is_err());
+        assert!(read(&[0, 0, 0, 0, 0], &mut 0).is_err());
     }
 
     #[test]
@@ -451,7 +426,7 @@ mod tests {
         buf.extend_from_slice(&7u32.to_le_bytes());
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.push(9); // neither 0 nor 1
-        let err = decode_event(&buf, &mut 0).unwrap_err();
+        let err = read(&buf, &mut 0).unwrap_err();
         assert!(err.to_string().contains("option byte"), "got {err}");
     }
 
@@ -460,7 +435,7 @@ mod tests {
         for seed in 0..20u64 {
             let events = random_events(seed, 400);
             let buf = encode_all(&events);
-            let (back, end) = decode_all(&buf);
+            let (back, _, end) = decode_all(&buf);
             end.unwrap();
             assert_eq!(back, events, "seed {seed}");
         }
@@ -475,7 +450,7 @@ mod tests {
         let buf = encode_all(&events);
         let mut boundary_cuts = 0;
         for cut in 0..buf.len() {
-            let (prefix, end) = decode_all(&buf[..cut]);
+            let (prefix, _, end) = decode_all(&buf[..cut]);
             assert_eq!(prefix[..], events[..prefix.len()], "cut {cut}");
             match end {
                 Ok(()) => boundary_cuts += 1,
@@ -486,20 +461,17 @@ mod tests {
         assert_eq!(boundary_cuts, events.len(), "one clean end per boundary");
     }
 
-    /// Runs the reader's three sinks over `bytes` — a block's columns
-    /// (`next_block_of` at three sizes), an `Event` (the `decode_event`
-    /// loop) and nothing (`extend_from_encoded`) — and requires the same
+    /// Runs the reader's two sinks over `bytes` — a block's columns
+    /// (`next_block_of` at three sizes) and nothing (`extend_from_encoded`)
+    /// — against a reference loop of single `read`s, and requires the same
     /// accept or `TraceFormat` error, the same events and the same stop.
-    /// Returns the loop's event count and whether it decoded to the end.
+    /// Returns the reference's event count and whether it read to the end.
     fn sinks_agree(bytes: &[u8], what: &str) -> (u64, bool) {
-        let (mut stop, mut events) = (0, Vec::new());
-        let accepted = loop {
-            match decode_event(bytes, &mut stop) {
-                Ok(Some(e)) => events.push(e),
-                Ok(None) => break true,
-                Err(PgcError::TraceFormat(_)) => break false,
-                Err(other) => panic!("{what}: {other}"),
-            }
+        let (events, stop, end) = decode_all(bytes);
+        let accepted = match end {
+            Ok(()) => true,
+            Err(PgcError::TraceFormat(_)) => false,
+            Err(other) => panic!("{what}: {other}"),
         };
         let n = events.len() as u64;
         assert_eq!(stop == bytes.len(), accepted, "{what}: loop stop");
@@ -530,7 +502,10 @@ mod tests {
         let empty = || EncodedTrace::from_events(WorkloadParams::small(), &[]);
         let mut trace = empty();
         match trace.extend_from_encoded(n, bytes) {
-            Ok(()) => assert!(accepted && trace.decode_all().unwrap() == events, "{what}"),
+            Ok(()) => assert!(
+                accepted && trace.cursor().decode_all().unwrap() == events,
+                "{what}"
+            ),
             Err(e) => {
                 assert!(!accepted && matches!(e, PgcError::TraceFormat(_)), "{what}");
                 assert_eq!(trace.events(), 0, "{what}: a refused run changed the trace");
@@ -546,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn the_three_sinks_agree_on_hostile_bytes() {
+    fn the_two_sinks_agree_on_hostile_bytes() {
         let events: Vec<Vec<Event>> = (0..4).map(|seed| random_events(seed, 300)).collect();
         let streams: Vec<Vec<u8>> = events.iter().map(|e| encode_all(e)).collect();
         let wide = |e: &Event| encode_all(&[*e])[0] & WIDE != 0;

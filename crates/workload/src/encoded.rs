@@ -12,9 +12,14 @@
 //!   (~7.5 bytes/event, a fraction of `size_of::<Event>()`), with a
 //!   [`TraceHeader`] carrying the seed, event count, and generator
 //!   counters. Recorded once per parameter set by [`EncodedTrace::record`].
-//! * [`TraceCursor`] — a zero-allocation iterator that decodes events on
-//!   the fly straight from the shared buffer; replaying a trace never
-//!   materializes an intermediate `Vec<Event>`.
+//!   On disk it is a PGCT trace file: magic `"PGCT"`, version `u32` LE,
+//!   then the buffer byte for byte, ending at EOF on an event boundary
+//!   ([`EncodedTrace::write_to`], [`EncodedTrace::read_from`]). Version 1
+//!   (fixed-width ids) is refused by the version check.
+//! * [`TraceCursor`] — a zero-allocation cursor that decodes a run of
+//!   events at a time straight from the shared buffer into an
+//!   [`crate::EventBlock`]'s columns; replaying a trace never materializes
+//!   an intermediate `Vec<Event>`.
 //! * [`TraceCache`] — an `Arc`-sharing cache keyed by
 //!   [`WorkloadParams::digest`], so concurrent experiment workers record
 //!   each distinct trace exactly once and replay it from shared memory.
@@ -22,22 +27,28 @@
 //!   trace. A server data plane ships segments instead of `Vec<Event>`
 //!   batches: submitting one is an `Arc` bump plus three integers, however
 //!   many events it spans. Traces record event-boundary byte marks every
-//!   [`crate::block::BLOCK_EVENTS`] events, so carving a trace into
-//!   block-aligned segments is pure arithmetic (unaligned splits scan from
-//!   the nearest mark).
+//!   [`BLOCK_EVENTS`] events, so carving a trace into block-aligned
+//!   segments is pure arithmetic (unaligned splits scan from the nearest
+//!   mark).
 //!
 //! Replay is bit-identical to live generation by construction: the
 //! generator is a pure function of its parameters and the codec round-trips
 //! exactly (pinned by tests here and in `pgc-sim`).
 
+use crate::block::{EventBlock, BLOCK_EVENTS};
 use crate::codec;
 use crate::event::Event;
 use crate::generator::{GenStats, SyntheticWorkload};
 use crate::params::WorkloadParams;
-use crate::trace;
-use pgc_types::{FastHashMap, Result};
-use std::io::Write;
+use pgc_types::{FastHashMap, PgcError, Result};
+use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
+
+/// The first bytes of a PGCT trace file.
+const MAGIC: &[u8; 4] = b"PGCT";
+/// The PGCT version after [`MAGIC`]: 2, ids and sizes in the codec's
+/// narrow or wide form.
+const VERSION: u32 = 2;
 
 /// Metadata recorded alongside the encoded event stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +69,14 @@ pub struct TraceHeader {
 ///
 /// let trace = EncodedTrace::record(WorkloadParams::small().with_seed(3)).unwrap();
 /// assert_eq!(trace.seed(), 3);
-/// let decoded = trace.cursor().count() as u64;
-/// assert_eq!(decoded, trace.events());
+/// let events = trace.cursor().decode_all().unwrap();
+/// assert_eq!(events.len() as u64, trace.events());
+///
+/// // A trace file is the same bytes behind a header.
+/// let mut file = Vec::new();
+/// trace.write_to(&mut file).unwrap();
+/// let back = EncodedTrace::read_from(file.as_slice()).unwrap();
+/// assert_eq!(back.cursor().decode_all().unwrap(), events);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EncodedTrace {
@@ -75,7 +92,7 @@ pub struct EncodedTrace {
 
 /// Event interval between recorded byte marks — one mark per decode block,
 /// so block-sized segmentation never scans.
-pub const MARK_EVERY: u64 = crate::block::BLOCK_EVENTS as u64;
+pub const MARK_EVERY: u64 = BLOCK_EVENTS as u64;
 
 impl EncodedTrace {
     /// Runs the synthetic generator for `params` and encodes its entire
@@ -85,27 +102,11 @@ impl EncodedTrace {
         let mut generator = SyntheticWorkload::new(params.clone())?;
         // The paper trace runs ~7.5 bytes/event and one event per ~21
         // allocated bytes; seed the buffer above that to avoid regrowth.
-        let mut buf = Vec::with_capacity((params.target_allocated.get() / 2).min(1 << 28) as usize);
-        let mut marks = Vec::new();
-        let mut events = 0u64;
-        for event in generator.by_ref() {
-            codec::encode_event(&mut buf, &event);
-            events += 1;
-            if events.is_multiple_of(MARK_EVERY) {
-                marks.push(buf.len());
-            }
-        }
-        buf.shrink_to_fit();
-        Ok(Self {
-            header: TraceHeader {
-                seed: params.seed,
-                events,
-                stats: generator.stats(),
-            },
-            params,
-            buf,
-            marks,
-        })
+        let buf = Vec::with_capacity((params.target_allocated.get() / 2).min(1 << 28) as usize);
+        let mut trace = Self::encode(params, buf, generator.by_ref());
+        trace.buf.shrink_to_fit();
+        trace.header.stats = generator.stats();
+        Ok(trace)
     }
 
     /// Encodes an explicit event sequence (e.g. an assembly workload or a
@@ -115,11 +116,20 @@ impl EncodedTrace {
         params: WorkloadParams,
         events: impl IntoIterator<Item = &'a Event>,
     ) -> Self {
-        let mut buf = Vec::new();
-        let mut marks = Vec::new();
-        let mut count = 0u64;
+        Self::encode(params, Vec::new(), events.into_iter().copied())
+    }
+
+    /// Encodes `events` onto `buf` (empty, perhaps with capacity), marking
+    /// every [`MARK_EVERY`]th boundary: the one encode loop behind
+    /// [`EncodedTrace::record`] and [`EncodedTrace::from_events`].
+    fn encode(
+        params: WorkloadParams,
+        mut buf: Vec<u8>,
+        events: impl Iterator<Item = Event>,
+    ) -> Self {
+        let (mut marks, mut count) = (Vec::new(), 0u64);
         for event in events {
-            codec::encode_event(&mut buf, event);
+            codec::encode_event(&mut buf, &event);
             count += 1;
             if count.is_multiple_of(MARK_EVERY) {
                 marks.push(buf.len());
@@ -137,36 +147,66 @@ impl EncodedTrace {
         }
     }
 
+    /// Reads a PGCT trace file, the inverse of [`EncodedTrace::write_to`]:
+    /// checks the magic and version, then takes the rest of `source` as the
+    /// buffer, decoded once to count its events and mark its blocks. A
+    /// partial event, an unknown tag or a bad presence byte is a
+    /// [`PgcError::TraceFormat`] error; a file cut at an event boundary
+    /// reads as the prefix it holds. A file carries no parameters: the
+    /// trace is labelled [`WorkloadParams::default`] with zeroed generator
+    /// counters.
+    pub fn read_from(mut source: impl Read) -> Result<Self> {
+        let io_err = |e: std::io::Error| PgcError::TraceIo(e.to_string());
+        let mut magic = [0u8; 4];
+        source.read_exact(&mut magic).map_err(io_err)?;
+        if &magic != MAGIC {
+            return Err(PgcError::TraceFormat("bad magic".into()));
+        }
+        let mut version = [0u8; 4];
+        source.read_exact(&mut version).map_err(io_err)?;
+        let version = u32::from_le_bytes(version);
+        if version != VERSION {
+            return Err(PgcError::TraceFormat(format!(
+                "unsupported version {version} (expected {VERSION})"
+            )));
+        }
+        let mut body = Vec::new();
+        source.read_to_end(&mut body).map_err(io_err)?;
+        let mut trace = Self::from_events(WorkloadParams::default(), &[]);
+        (trace.header.events, trace.marks) = trace.scan(&body)?;
+        trace.buf = body;
+        Ok(trace)
+    }
+
     /// Appends `events` events that are already bytes in the layout of
     /// [`crate::codec`] — the payload of a change-log frame read back from
     /// disk. The bytes are not trusted: they are decoded once here and
     /// must hold exactly `events` events, so every trace (and every cursor
     /// over one) is valid by construction. On error the trace is unchanged.
     pub fn extend_from_encoded(&mut self, events: u64, bytes: &[u8]) -> Result<()> {
-        let base = self.buf.len();
-        let mut pos = 0;
-        let mut marks = Vec::new();
-        for n in 1..=events {
-            if codec::read(bytes, &mut pos)?.is_none() {
-                return Err(pgc_types::PgcError::TraceFormat(format!(
-                    "encoded run ended after {} of {events} events",
-                    n - 1
-                )));
-            }
-            if (self.header.events + n).is_multiple_of(MARK_EVERY) {
-                marks.push(base + pos);
-            }
-        }
-        if pos != bytes.len() {
-            return Err(pgc_types::PgcError::TraceFormat(format!(
-                "encoded run has {} bytes after its {events} events",
-                bytes.len() - pos
+        let (held, marks) = self.scan(bytes)?;
+        if held != events {
+            return Err(PgcError::TraceFormat(format!(
+                "encoded run holds {held} events, not {events}"
             )));
         }
         self.marks.extend(marks);
         self.buf.extend_from_slice(bytes);
         self.header.events += events;
         Ok(())
+    }
+
+    /// Decodes `bytes` to their end as if appended to this trace, returning
+    /// the events they hold and the byte marks they would add.
+    fn scan(&self, bytes: &[u8]) -> Result<(u64, Vec<usize>)> {
+        let (mut pos, mut held, mut marks) = (0, 0u64, Vec::new());
+        while codec::read(bytes, &mut pos)?.is_some() {
+            held += 1;
+            if (self.header.events + held).is_multiple_of(MARK_EVERY) {
+                marks.push(self.buf.len() + pos);
+            }
+        }
+        Ok((held, marks))
     }
 
     /// The trace metadata.
@@ -209,17 +249,6 @@ impl EncodedTrace {
         }
     }
 
-    /// Decodes the whole stream into a vector (diagnostics and tests; the
-    /// simulator replays through [`EncodedTrace::cursor`] instead).
-    pub fn decode_all(&self) -> Result<Vec<Event>> {
-        let mut out = Vec::with_capacity(self.header.events as usize);
-        let mut cursor = self.cursor();
-        while let Some(event) = cursor.next_event()? {
-            out.push(event);
-        }
-        Ok(out)
-    }
-
     /// Byte offset of the event boundary after `event` events: `0` for the
     /// start of the stream, `byte_len()` for its end. Boundaries at
     /// multiples of [`MARK_EVERY`] resolve from the recorded marks in O(1);
@@ -241,7 +270,7 @@ impl EncodedTrace {
         };
         for _ in 0..(event % MARK_EVERY) {
             if codec::read(&self.buf, &mut pos)?.is_none() {
-                return Err(pgc_types::PgcError::TraceFormat(format!(
+                return Err(PgcError::TraceFormat(format!(
                     "encoded trace ended before event {event}"
                 )));
             }
@@ -256,9 +285,13 @@ impl EncodedTrace {
     /// come straight from the recorded marks; otherwise each split scans at
     /// most one mark interval.
     pub fn segments(trace: &Arc<Self>, max_events: u64) -> Result<Vec<TraceSegment>> {
-        assert!(max_events >= 1, "segments must hold at least one event");
+        if max_events == 0 {
+            return Err(PgcError::InvalidConfig(
+                "segments must hold at least one event",
+            ));
+        }
         let total = trace.header.events;
-        let mut out = Vec::with_capacity(total.div_ceil(max_events.max(1)) as usize);
+        let mut out = Vec::with_capacity(total.div_ceil(max_events) as usize);
         let mut start_event = 0u64;
         let mut start_byte = 0usize;
         while start_event < total {
@@ -284,26 +317,28 @@ impl EncodedTrace {
     }
 
     /// Writes the stream as a PGCT trace file (magic + version header
-    /// followed by the body this trace already holds), returning the event
-    /// count. The output is byte-identical to recording the same workload
-    /// through [`crate::trace::TraceWriter`].
+    /// followed by the buffer this trace already holds), returning the
+    /// event count. [`EncodedTrace::read_from`] reads it back.
     pub fn write_to<W: Write>(&self, mut sink: W) -> Result<u64> {
-        let io_err = |e: std::io::Error| pgc_types::PgcError::TraceIo(e.to_string());
-        sink.write_all(trace::MAGIC).map_err(io_err)?;
-        sink.write_all(&trace::VERSION.to_le_bytes())
-            .map_err(io_err)?;
+        let io_err = |e: std::io::Error| PgcError::TraceIo(e.to_string());
+        sink.write_all(MAGIC).map_err(io_err)?;
+        sink.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
         sink.write_all(&self.buf).map_err(io_err)?;
         sink.flush().map_err(io_err)?;
         Ok(self.header.events)
     }
 }
 
-/// Zero-allocation decoding iterator over an [`EncodedTrace`].
+/// Zero-allocation decoding cursor over an [`EncodedTrace`] or a
+/// [`TraceSegment`].
 ///
-/// Events decode on the fly into the `Event` value the iterator yields
-/// (`Event` is `Copy`); nothing is allocated per event and the underlying
+/// Each call decodes a run of events into the columns of a caller-owned
+/// [`EventBlock`]; nothing is allocated per event and the underlying
 /// buffer is shared, so any number of cursors can replay one trace
-/// concurrently.
+/// concurrently. Decoding errors only on a corrupt buffer, which no
+/// constructor produces: a trace either encoded its own bytes or validated
+/// the ones it was given ([`EncodedTrace::read_from`],
+/// [`EncodedTrace::extend_from_encoded`]).
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'a> {
     buf: &'a [u8],
@@ -313,44 +348,22 @@ pub struct TraceCursor<'a> {
 }
 
 impl TraceCursor<'_> {
-    /// Decodes the next event, or `Ok(None)` at the end of the stream.
-    /// Errors only on a corrupt buffer, which no constructor produces:
-    /// a trace either encoded its own bytes or validated the ones it was
-    /// given ([`EncodedTrace::extend_from_encoded`]).
+    /// Decodes up to [`BLOCK_EVENTS`] events into `block` (cleared first),
+    /// returning how many were decoded — `0` at the end of the stream. The
+    /// struct-of-arrays entry point behind batched replay: the caller loops
+    /// `next_block` and applies each run from the block's flat columns,
+    /// reusing one block for the whole trace.
     #[inline]
-    pub fn next_event(&mut self) -> Result<Option<Event>> {
-        let event = codec::decode_event(self.buf, &mut self.pos)?;
-        if event.is_some() {
-            self.decoded += 1;
-        } else if self.decoded != self.expected {
-            return Err(pgc_types::PgcError::TraceFormat(format!(
-                "encoded trace ended after {} of {} events",
-                self.decoded, self.expected
-            )));
-        }
-        Ok(event)
-    }
-
-    /// Decodes up to [`crate::block::BLOCK_EVENTS`] events into `block`
-    /// (cleared first), returning how many were decoded — `0` at the end of
-    /// the stream. The struct-of-arrays entry point behind batched replay:
-    /// the caller loops `next_block` and applies each run from the block's
-    /// flat columns, reusing one block for the whole trace.
-    #[inline]
-    pub fn next_block(&mut self, block: &mut crate::block::EventBlock) -> Result<usize> {
-        self.next_block_of(block, crate::block::BLOCK_EVENTS)
+    pub fn next_block(&mut self, block: &mut EventBlock) -> Result<usize> {
+        self.next_block_of(block, BLOCK_EVENTS)
     }
 
     /// [`TraceCursor::next_block`] cut short at `max` events, for a replay
     /// loop that must stop at an exact event position (`verify` captures
     /// each generation where it was taken). The block keeps the bytes it was
-    /// decoded from ([`crate::block::EventBlock::encoded`]).
+    /// decoded from ([`EventBlock::encoded`]).
     #[inline]
-    pub fn next_block_of(
-        &mut self,
-        block: &mut crate::block::EventBlock,
-        max: usize,
-    ) -> Result<usize> {
+    pub fn next_block_of(&mut self, block: &mut EventBlock, max: usize) -> Result<usize> {
         block.clear();
         let start = self.pos;
         // Events are read into a stack run and appended to the columns a
@@ -374,14 +387,27 @@ impl TraceCursor<'_> {
         };
         block.put(&run[..n]);
         self.decoded += block.len() as u64;
-        if ended? {
-            // The bytes are spent: `next_event` checks the header's count.
-            self.next_event()?;
+        if ended? && self.decoded != self.expected {
+            return Err(PgcError::TraceFormat(format!(
+                "encoded trace ended after {} of {} events",
+                self.decoded, self.expected
+            )));
         }
         // Only after every event decoded cleanly: the block's bytes are
         // validated bytes, never a prefix that ended in an error.
         block.set_encoded(&self.buf[start..self.pos]);
         Ok(block.len())
+    }
+
+    /// Decodes every event left into a vector, a block at a time
+    /// (diagnostics and tests; a replay steps the blocks themselves).
+    pub fn decode_all(mut self) -> Result<Vec<Event>> {
+        let mut out = Vec::with_capacity(self.remaining_events() as usize);
+        let mut block = EventBlock::new();
+        while self.next_block(&mut block)? > 0 {
+            out.extend(block.iter());
+        }
+        Ok(out)
     }
 
     /// Events decoded so far.
@@ -397,23 +423,13 @@ impl TraceCursor<'_> {
     }
 }
 
-impl Iterator for TraceCursor<'_> {
-    type Item = Event;
-
-    /// Iterator view; would panic on a corrupt buffer, which no
-    /// constructor produces (see [`TraceCursor::next_event`]).
-    fn next(&mut self) -> Option<Event> {
-        self.next_event().expect("corrupt encoded trace")
-    }
-}
-
 /// A refcounted handle onto a byte range of a shared [`EncodedTrace`].
 ///
 /// This is the zero-copy unit of a server data plane: where a `Vec<Event>`
 /// batch deep-copies (and re-allocates) every event it ships, a segment is
 /// an `Arc` bump plus a byte range — the events stay in the shared encoded
 /// buffer and decode straight into the consumer's reusable
-/// [`crate::block::EventBlock`] scratch. Cloning a segment is O(1)
+/// [`EventBlock`] scratch. Cloning a segment is O(1)
 /// whatever it spans.
 ///
 /// ```
@@ -422,8 +438,8 @@ impl Iterator for TraceCursor<'_> {
 ///
 /// let trace = Arc::new(EncodedTrace::record(WorkloadParams::small().with_seed(3)).unwrap());
 /// let segments = EncodedTrace::segments(&trace, 4096).unwrap();
-/// let replayed: u64 = segments.iter().map(|s| s.cursor().count() as u64).sum();
-/// assert_eq!(replayed, trace.events());
+/// let replayed: usize = segments.iter().map(|s| s.cursor().decode_all().unwrap().len()).sum();
+/// assert_eq!(replayed as u64, trace.events());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceSegment {
@@ -558,7 +574,8 @@ impl TraceCache {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::trace::{read_trace, write_trace};
+    use crate::event::NodeId;
+    use pgc_types::Bytes;
 
     fn small(seed: u64) -> WorkloadParams {
         WorkloadParams::small().with_seed(seed)
@@ -583,24 +600,24 @@ pub(crate) mod tests {
         assert_eq!(trace.events(), events.len() as u64);
         assert_eq!(trace.stats(), live.stats());
         assert_eq!(trace.seed(), 5);
-        assert_eq!(trace.decode_all().unwrap(), events);
-        // Cursor iteration agrees with bulk decoding.
-        let streamed: Vec<Event> = trace.cursor().collect();
-        assert_eq!(streamed, events);
+        assert_eq!(trace.cursor().decode_all().unwrap(), events);
     }
 
     #[test]
     fn cursor_is_restartable_and_tracks_progress() {
         let trace = EncodedTrace::record(small(6)).unwrap();
+        let mut block = EventBlock::new();
         let mut a = trace.cursor();
-        let first = a.next_event().unwrap().unwrap();
+        a.next_block_of(&mut block, 1).unwrap();
+        let first = block.get(0);
         assert_eq!(a.decoded(), 1);
         // A second cursor starts from the beginning, independently.
         let mut b = trace.cursor();
-        assert_eq!(b.next_event().unwrap().unwrap(), first);
+        b.next_block_of(&mut block, 1).unwrap();
+        assert_eq!(block.get(0), first);
         // Draining reaches the recorded count.
         let mut c = trace.cursor();
-        while c.next_event().unwrap().is_some() {}
+        while c.next_block(&mut block).unwrap() > 0 {}
         assert_eq!(c.decoded(), trace.events());
     }
 
@@ -608,31 +625,144 @@ pub(crate) mod tests {
     fn from_events_round_trips_arbitrary_streams() {
         let events = vec![
             Event::CreateRoot {
-                node: crate::NodeId(0),
-                size: pgc_types::Bytes(100),
+                node: NodeId(0),
+                size: Bytes(100),
                 slots: 2,
             },
-            Event::Visit {
-                node: crate::NodeId(0),
-            },
+            Event::Visit { node: NodeId(0) },
         ];
         let trace = EncodedTrace::from_events(small(1), &events);
         assert_eq!(trace.events(), 2);
         assert_eq!(trace.stats(), GenStats::default());
-        assert_eq!(trace.decode_all().unwrap(), events);
+        assert_eq!(trace.cursor().decode_all().unwrap(), events);
     }
 
     #[test]
     fn write_to_is_byte_identical_to_the_file_codec() {
+        // The file is the magic, version 2, then each event in the codec's
+        // layout, nothing else.
         let params = small(7);
         let trace = EncodedTrace::record(params.clone()).unwrap();
-        let events: Vec<Event> = SyntheticWorkload::new(params).unwrap().collect();
-        let mut via_writer = Vec::new();
-        write_trace(&mut via_writer, &events).unwrap();
-        let mut via_encoded = Vec::new();
-        trace.write_to(&mut via_encoded).unwrap();
-        assert_eq!(via_encoded, via_writer);
-        assert_eq!(read_trace(via_encoded.as_slice()).unwrap(), events);
+        let mut by_hand = b"PGCT\x02\x00\x00\x00".to_vec();
+        for event in SyntheticWorkload::new(params).unwrap() {
+            codec::encode_event(&mut by_hand, &event);
+        }
+        let mut file = Vec::new();
+        assert_eq!(trace.write_to(&mut file).unwrap(), trace.events());
+        assert_eq!(file, by_hand);
+    }
+
+    fn sample_events() -> Vec<Event> {
+        vec![
+            Event::CreateRoot {
+                node: NodeId(0),
+                size: Bytes(120),
+                slots: 2,
+            },
+            Event::CreateChild {
+                node: NodeId(1),
+                parent: NodeId(0),
+                parent_slot: 1,
+                size: Bytes(65536),
+                slots: 2,
+            },
+            Event::AddSlot { owner: NodeId(0) },
+            Event::WritePointer {
+                owner: NodeId(0),
+                slot: 2,
+                new: Some(NodeId(1)),
+            },
+            Event::Visit { node: NodeId(1) },
+            Event::DataWrite { node: NodeId(1) },
+            Event::WritePointer {
+                owner: NodeId(0),
+                slot: 1,
+                new: None,
+            },
+        ]
+    }
+
+    /// `events` as a PGCT file.
+    fn file_of(events: &[Event]) -> Vec<u8> {
+        let mut file = Vec::new();
+        EncodedTrace::from_events(small(0), events)
+            .write_to(&mut file)
+            .unwrap();
+        file
+    }
+
+    /// The events of the file `bytes`, read back.
+    fn read_back(bytes: &[u8]) -> Result<Vec<Event>> {
+        EncodedTrace::read_from(bytes)?.cursor().decode_all()
+    }
+
+    #[test]
+    fn round_trip_preserves_events() {
+        let events = sample_events();
+        assert_eq!(read_back(&file_of(&events)).unwrap(), events);
+    }
+
+    #[test]
+    fn full_generated_workload_round_trips() {
+        let trace = EncodedTrace::record(small(2)).unwrap();
+        let mut file = Vec::new();
+        trace.write_to(&mut file).unwrap();
+        let back = EncodedTrace::read_from(file.as_slice()).unwrap();
+        assert_eq!(back.events(), trace.events());
+        assert_eq!(back.buf, trace.buf);
+        assert_eq!(back.marks, trace.marks);
+    }
+
+    #[test]
+    fn bad_magic_is_rejected() {
+        assert!(matches!(
+            read_back(b"NOPE\x02\x00\x00\x00"),
+            Err(PgcError::TraceFormat(_))
+        ));
+    }
+
+    #[test]
+    fn wrong_version_is_rejected() {
+        // 1 is the retired fixed-width layout: an error, not a second reader.
+        for version in [1u32, 99] {
+            let mut file = b"PGCT".to_vec();
+            file.extend_from_slice(&version.to_le_bytes());
+            file.extend_from_slice(&[5, 0, 0, 0, 0]);
+            let err = read_back(&file).unwrap_err();
+            assert!(matches!(err, PgcError::TraceFormat(_)));
+            assert!(
+                err.to_string().contains(&format!("version {version} ")),
+                "got {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_event_is_an_error() {
+        let mut file = file_of(&sample_events());
+        file.truncate(file.len() - 3); // chop mid-event
+        assert!(matches!(read_back(&file), Err(PgcError::TraceFormat(_))));
+    }
+
+    #[test]
+    fn unknown_tag_is_an_error() {
+        let mut file = file_of(&[]);
+        file.push(250);
+        assert!(matches!(read_back(&file), Err(PgcError::TraceFormat(_))));
+    }
+
+    #[test]
+    fn empty_trace_is_fine() {
+        let file = file_of(&[]);
+        assert_eq!(file.len(), 8, "a header and nothing else");
+        let trace = EncodedTrace::read_from(file.as_slice()).unwrap();
+        assert_eq!(trace.events(), 0);
+        assert!(trace.cursor().decode_all().unwrap().is_empty());
+        // A file too short for its header is an I/O error, not a trace.
+        assert!(matches!(
+            EncodedTrace::read_from(&file[..5]),
+            Err(PgcError::TraceIo(_))
+        ));
     }
 
     #[test]
@@ -640,27 +770,18 @@ pub(crate) mod tests {
         let full = EncodedTrace::record(small(8)).unwrap();
         let mut corrupt = full.clone();
         corrupt.buf.truncate(corrupt.buf.len() - 3);
-        let mut cursor = corrupt.cursor();
-        let err = loop {
-            match cursor.next_event() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("truncation must not decode cleanly"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, pgc_types::PgcError::TraceFormat(_)));
+        let err = corrupt.cursor().decode_all().unwrap_err();
+        assert!(matches!(err, PgcError::TraceFormat(_)));
         // Truncating at an event boundary is caught by the header count.
         let boundary = {
             let mut t = full.clone();
             let mut cursor = t.cursor();
-            cursor.next_event().unwrap();
+            cursor.next_block_of(&mut EventBlock::new(), 1).unwrap();
             let first_len = cursor.pos;
             t.buf.truncate(first_len);
             t
         };
-        let mut cursor = boundary.cursor();
-        cursor.next_event().unwrap();
-        let err = cursor.next_event().unwrap_err();
+        let err = boundary.cursor().decode_all().unwrap_err();
         assert!(
             err.to_string().contains("ended after"),
             "count mismatch must be reported, got {err}"
@@ -670,7 +791,7 @@ pub(crate) mod tests {
     #[test]
     fn segments_tile_the_trace_exactly() {
         let trace = Arc::new(EncodedTrace::record(small(12)).unwrap());
-        let all: Vec<Event> = trace.cursor().collect();
+        let all = trace.cursor().decode_all().unwrap();
         // Aligned (mark-resolved), unaligned (scan-resolved), and
         // degenerate (single-segment) carvings must all tile the stream.
         for max_events in [MARK_EVERY, 1000, 97, trace.events() + 1] {
@@ -680,11 +801,9 @@ pub(crate) mod tests {
             for seg in &segments {
                 assert!(seg.events() <= max_events);
                 assert!(!seg.is_empty());
-                let mut cursor = seg.cursor();
-                while let Some(e) = cursor.next_event().unwrap() {
-                    replayed.push(e);
-                }
-                assert_eq!(cursor.decoded(), seg.events());
+                let events = seg.cursor().decode_all().unwrap();
+                assert_eq!(events.len() as u64, seg.events());
+                replayed.extend(events);
                 bytes += seg.byte_len();
             }
             assert_eq!(replayed, all, "segment size {max_events}");
@@ -699,9 +818,9 @@ pub(crate) mod tests {
         assert_eq!(whole.events(), trace.events());
         assert_eq!(whole.byte_len(), trace.byte_len());
         assert!(Arc::ptr_eq(whole.trace(), &trace));
-        let events = trace.decode_all().unwrap();
+        let events = trace.cursor().decode_all().unwrap();
         let encoded = TraceSegment::encode(&events);
-        let back: Vec<Event> = encoded.cursor().collect();
+        let back = encoded.cursor().decode_all().unwrap();
         assert_eq!(back, events);
         // Cloning a segment shares the underlying trace.
         let clone = whole.clone();
@@ -712,7 +831,7 @@ pub(crate) mod tests {
     fn segment_cursor_feeds_blocks() {
         let trace = Arc::new(EncodedTrace::record(small(14)).unwrap());
         let segments = EncodedTrace::segments(&trace, 1500).unwrap();
-        let mut block = crate::block::EventBlock::new();
+        let mut block = EventBlock::new();
         let mut replayed = Vec::new();
         for seg in &segments {
             let mut cursor = seg.cursor();
@@ -720,7 +839,7 @@ pub(crate) mod tests {
                 replayed.extend(block.iter());
             }
         }
-        assert_eq!(replayed, trace.decode_all().unwrap());
+        assert_eq!(replayed, trace.cursor().decode_all().unwrap());
     }
 
     /// A deterministic synthetic event stream of exactly `n` events (no
@@ -748,9 +867,9 @@ pub(crate) mod tests {
     fn next_block_of_stops_at_the_asked_count() {
         let trace = EncodedTrace::record(small(15)).unwrap();
         let mut cursor = trace.cursor();
-        let mut block = crate::block::EventBlock::new();
+        let mut block = EventBlock::new();
         let mut replayed = Vec::new();
-        for max in [1, 97, crate::block::BLOCK_EVENTS, 5].into_iter().cycle() {
+        for max in [1, 97, BLOCK_EVENTS, 5].into_iter().cycle() {
             let left = cursor.remaining_events() as usize;
             let n = cursor.next_block_of(&mut block, max).unwrap();
             assert_eq!(n, max.min(left));
@@ -759,7 +878,7 @@ pub(crate) mod tests {
             }
             replayed.extend(block.iter());
         }
-        assert_eq!(replayed, trace.decode_all().unwrap());
+        assert_eq!(replayed, trace.cursor().decode_all().unwrap());
     }
 
     #[test]
@@ -788,7 +907,7 @@ pub(crate) mod tests {
             (u64::MAX, bytes),
         ] {
             let err = grown.extend_from_encoded(count, bytes).unwrap_err();
-            assert!(matches!(err, pgc_types::PgcError::TraceFormat(_)));
+            assert!(matches!(err, PgcError::TraceFormat(_)));
             assert_eq!(grown.buf, whole.buf);
             assert_eq!(grown.marks, whole.marks);
             assert_eq!(grown.events(), whole.events());
@@ -799,8 +918,12 @@ pub(crate) mod tests {
     fn an_empty_trace_carves_and_cursors_cleanly() {
         let trace = Arc::new(EncodedTrace::from_events(small(20), &[]));
         assert_eq!(trace.events(), 0);
-        assert!(trace.cursor().next_event().unwrap().is_none());
+        assert!(trace.cursor().decode_all().unwrap().is_empty());
         assert!(EncodedTrace::segments(&trace, 1).unwrap().is_empty());
+        assert!(matches!(
+            EncodedTrace::segments(&trace, 0),
+            Err(PgcError::InvalidConfig(_))
+        ));
         assert!(EncodedTrace::segments(&trace, MARK_EVERY)
             .unwrap()
             .is_empty());
@@ -808,7 +931,7 @@ pub(crate) mod tests {
         let whole = TraceSegment::whole(Arc::clone(&trace));
         assert_eq!(whole.events(), 0);
         assert!(whole.is_empty());
-        assert!(whole.cursor().next_event().unwrap().is_none());
+        assert!(whole.cursor().decode_all().unwrap().is_empty());
     }
 
     #[test]
@@ -822,7 +945,7 @@ pub(crate) mod tests {
             let segments = EncodedTrace::segments(&trace, max_events).unwrap();
             let replayed: Vec<Event> = segments
                 .iter()
-                .flat_map(|seg| seg.cursor().collect::<Vec<Event>>())
+                .flat_map(|seg| seg.cursor().decode_all().unwrap())
                 .collect();
             assert_eq!(replayed, events, "carve width {max_events}");
             assert_eq!(
@@ -850,7 +973,7 @@ pub(crate) mod tests {
         assert_eq!(segments[1].events(), MARK_EVERY + 37 - width);
         let replayed: Vec<Event> = segments
             .iter()
-            .flat_map(|seg| seg.cursor().collect::<Vec<Event>>())
+            .flat_map(|seg| seg.cursor().decode_all().unwrap())
             .collect();
         assert_eq!(replayed, events);
     }
@@ -871,7 +994,7 @@ pub(crate) mod tests {
             let size = next(3 * MARK_EVERY) as usize;
             let events = synthetic_events(size);
             let trace = Arc::new(EncodedTrace::from_events(small(23), &events));
-            let whole: Vec<Event> = trace.cursor().collect();
+            let whole = trace.cursor().decode_all().unwrap();
             assert_eq!(whole, events);
             for _ in 0..4 {
                 let width = 1 + next(MARK_EVERY + MARK_EVERY / 2);
@@ -883,7 +1006,7 @@ pub(crate) mod tests {
                 );
                 let replayed: Vec<Event> = segments
                     .iter()
-                    .flat_map(|seg| seg.cursor().collect::<Vec<Event>>())
+                    .flat_map(|seg| seg.cursor().decode_all().unwrap())
                     .collect();
                 assert_eq!(replayed, whole, "size {size} width {width}");
             }

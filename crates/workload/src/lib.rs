@@ -22,11 +22,10 @@
 //! * [`codec`] — the one byte form of an event (narrow `u32` ids and
 //!   sizes, a wide-tag `u64` fallback), shared by everything below and by
 //!   the durable change log.
-//! * [`trace`] — the versioned PGCT trace file (record to bytes/file,
-//!   replay as an event iterator), dependency-free.
 //! * [`encoded`] — the generate-once / replay-many engine:
 //!   [`encoded::EncodedTrace`] (one workload's stream as a compact shared
-//!   byte buffer plus header), [`encoded::TraceCursor`] (zero-allocation
+//!   byte buffer plus header, and on disk the versioned PGCT trace file:
+//!   `write_to` / `read_from`), [`encoded::TraceCursor`] (zero-allocation
 //!   replay), and [`encoded::TraceCache`] (`Arc`-sharing cache keyed by
 //!   [`params::WorkloadParams::digest`]) — what lets a multi-policy
 //!   experiment pay the generator cost once per seed instead of once per
@@ -50,13 +49,11 @@ pub mod event;
 pub mod generator;
 pub mod mirror;
 pub mod params;
-pub mod trace;
 
 pub use assembly::{AssemblyParams, AssemblyWorkload};
 pub use block::{EventBlock, BLOCK_EVENTS};
-pub use codec::{decode_event, encode_event};
+pub use codec::encode_event;
 pub use encoded::{EncodedTrace, TraceCache, TraceCursor, TraceHeader, TraceSegment, MARK_EVERY};
 pub use event::{Event, NodeId};
 pub use generator::SyntheticWorkload;
 pub use params::WorkloadParams;
-pub use trace::{read_trace, write_trace, TraceReader, TraceWriter};

@@ -9,9 +9,7 @@
 
 use pgc::core::PolicyKind;
 use pgc::sim::{RunConfig, Simulation};
-use pgc::workload::{
-    read_trace, write_trace, EncodedTrace, Event, SyntheticWorkload, WorkloadParams,
-};
+use pgc::workload::{EncodedTrace, Event, SyntheticWorkload, WorkloadParams};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
@@ -24,7 +22,9 @@ fn main() {
         .expect("valid params")
         .collect();
     let file = BufWriter::new(File::create(&path).expect("create trace file"));
-    let written = write_trace(file, &events).expect("encode trace");
+    let written = EncodedTrace::from_events(params, &events)
+        .write_to(file)
+        .expect("encode trace");
     let bytes = std::fs::metadata(&path).expect("stat").len();
     println!(
         "recorded {written} events to {} ({:.1} KB, {:.1} bytes/event)",
@@ -34,10 +34,10 @@ fn main() {
     );
 
     // 2. Replay the identical stream under two policies.
-    let replayed: Vec<Event> =
-        read_trace(BufReader::new(File::open(&path).expect("open"))).expect("decode trace");
+    let trace = EncodedTrace::read_from(BufReader::new(File::open(&path).expect("open")))
+        .expect("read trace");
+    let replayed = trace.cursor().decode_all().expect("decode trace");
     assert_eq!(replayed, events, "codec round-trip must be lossless");
-    let trace = EncodedTrace::from_events(params, &replayed);
 
     for policy in [PolicyKind::UpdatedPointer, PolicyKind::MutatedPartition] {
         let cfg = RunConfig::small().with_policy(policy);

@@ -31,6 +31,12 @@ check: fmt-check unused-deps clippy verify
 loc:
     @./scripts/loc.sh
 
+# Product lines that can panic (`unwrap()`, `expect(`, `panic!`,
+# `unreachable!`, `assert*`) per crate, on `loc`'s product / unit-test
+# split; fails above the ceiling written in the script (a CI gate).
+panics:
+    @./scripts/panics.sh
+
 # Tap the headline comparison for telemetry: writes one JSONL line per
 # collector activation (schema pgc-telemetry/v1) to telemetry.jsonl and
 # prints the per-policy telemetry summary table. Scaled down by default;

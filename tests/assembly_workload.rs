@@ -120,16 +120,16 @@ fn complete_collection_clears_all_assembly_garbage() {
 fn assembly_trace_round_trips_through_codec() {
     let events = small_events(5);
     let mut buf = Vec::new();
-    pgc::workload::write_trace(&mut buf, &events).expect("encode");
-    let back = pgc::workload::read_trace(buf.as_slice()).expect("decode");
-    assert_eq!(back, events);
-    // And the replay of the decoded trace matches the original.
+    trace(&events).write_to(&mut buf).expect("encode");
+    let back = EncodedTrace::read_from(buf.as_slice()).expect("decode");
+    assert_eq!(back.cursor().decode_all().expect("decode"), events);
+    // And the replay of the trace read back matches the original.
     let a = Simulation::builder(&small_cfg(PolicyKind::Random))
         .trace(&trace(&events))
         .run()
         .expect("a");
     let b = Simulation::builder(&small_cfg(PolicyKind::Random))
-        .trace(&trace(&back))
+        .trace(&back)
         .run()
         .expect("b");
     assert_eq!(a.totals, b.totals);

@@ -12,8 +12,9 @@ use pgc::durable::{manifest_for, read_log, DurableStore, ScratchDir};
 use pgc::odb::Database;
 use pgc::prelude::*;
 use pgc::types::{PgcError, SimRng};
-use pgc::workload::{read_trace, write_trace, Event, EventBlock, NodeId, SyntheticWorkload};
+use pgc::workload::{Event, EventBlock, NodeId, SyntheticWorkload, TraceSegment};
 use std::fs;
+use std::sync::Arc;
 
 #[test]
 fn a_wide_size_survives_every_layer() {
@@ -26,7 +27,7 @@ fn a_wide_size_survives_every_layer() {
         Event::Visit { node: NodeId(0) },
     ];
     let trace = EncodedTrace::from_events(WorkloadParams::default(), &events);
-    assert_eq!(trace.decode_all().unwrap(), events);
+    assert_eq!(trace.cursor().decode_all().unwrap(), events);
 
     let block: EventBlock = events.into_iter().collect();
     assert_eq!(block.iter().collect::<Vec<_>>(), events);
@@ -43,7 +44,12 @@ fn a_wide_size_survives_every_layer() {
             store.append_events(&events).unwrap();
         }
         store.finish(&db, events.len() as u64, 0).unwrap();
-        let read_back = read_log(dir.path()).unwrap().trace.decode_all().unwrap();
+        let read_back = read_log(dir.path())
+            .unwrap()
+            .trace
+            .cursor()
+            .decode_all()
+            .unwrap();
         assert_eq!(read_back, events);
         fs::read(dir.join("log-00000000.pgcl")).unwrap()
     };
@@ -80,10 +86,16 @@ fn hostile_trace_files_are_errors_or_clean_prefixes() {
         node: NodeId(u64::MAX), // one wide form in the mix
     });
     let mut file = Vec::new();
-    write_trace(&mut file, &events).unwrap();
+    EncodedTrace::from_events(WorkloadParams::default(), &events)
+        .write_to(&mut file)
+        .unwrap();
+    // A file that reads is validated: its cursor decodes it without error.
+    let read = |bytes: &[u8]| {
+        EncodedTrace::read_from(bytes).map(|t| t.cursor().decode_all().expect("validated"))
+    };
 
     for cut in 0..file.len() {
-        match read_trace(&file[..cut]) {
+        match read(&file[..cut]) {
             Ok(prefix) => assert_eq!(prefix[..], events[..prefix.len()], "cut {cut}"),
             Err(PgcError::TraceIo(_) | PgcError::TraceFormat(_)) => {}
             Err(other) => panic!("unexpected error at cut {cut}: {other}"),
@@ -92,10 +104,46 @@ fn hostile_trace_files_are_errors_or_clean_prefixes() {
     let mut rng = SimRng::new(0xB17E5);
     for _ in 0..4_000 {
         let bytes = mutate(&mut rng, &file);
-        if let Ok(decoded) = read_trace(bytes.as_slice()) {
+        if let Ok(decoded) = read(bytes.as_slice()) {
             // No field states a count: a stream cannot decode to more
             // events than its bytes hold (5 is the shortest event).
             assert!(decoded.len() * 5 <= bytes.len());
+        }
+    }
+}
+
+/// Each segment's events and byte length, in order.
+fn carved(trace: &Arc<EncodedTrace>, max_events: u64) -> Vec<(Vec<Event>, usize)> {
+    let segments = EncodedTrace::segments(trace, max_events).unwrap();
+    let carve = |s: &TraceSegment| (s.cursor().decode_all().unwrap(), s.byte_len());
+    segments.iter().map(carve).collect()
+}
+
+#[test]
+fn a_trace_file_read_back_is_the_trace_that_wrote_it() {
+    let recorded = EncodedTrace::record(WorkloadParams::small().with_seed(2)).unwrap();
+    let blocks = recorded.events() as usize / 4096;
+    assert!(blocks > 0 && !recorded.events().is_multiple_of(4096));
+    // Cut to a whole number of blocks: the last byte mark is the end of
+    // the buffer.
+    let events = recorded.cursor().decode_all().unwrap();
+    let aligned = EncodedTrace::from_events(WorkloadParams::default(), &events[..blocks * 4096]);
+    for original in [recorded, aligned] {
+        let mut file = Vec::new();
+        original.write_to(&mut file).unwrap();
+        let back = EncodedTrace::read_from(file.as_slice()).unwrap();
+        let mut again = Vec::new();
+        back.write_to(&mut again).unwrap();
+        assert_eq!(again, file, "the buffer is byte-equal");
+        assert_eq!(back.byte_len(), original.byte_len());
+        assert_eq!(back.events(), original.events());
+        let (original, back) = (Arc::new(original), Arc::new(back));
+        for max_events in [4096, 97] {
+            assert_eq!(
+                carved(&back, max_events),
+                carved(&original, max_events),
+                "{max_events}-event segments"
+            );
         }
     }
 }
@@ -147,7 +195,7 @@ fn an_add_slot_past_the_last_slot_id_is_an_error_not_a_wrapped_id() {
     }];
     events.resize(65_536, Event::AddSlot { owner: NodeId(0) });
     let trace = EncodedTrace::from_events(WorkloadParams::default(), &events);
-    let events = trace.decode_all().unwrap();
+    let events = trace.cursor().decode_all().unwrap();
     let (last, before) = events.split_last().unwrap();
 
     let mut shard = Shard::new(&RunConfig::paper(PolicyKind::UpdatedPointer, 1)).unwrap();
@@ -204,7 +252,11 @@ fn hostile_log_segments_are_errors_or_clean_prefixes() {
         );
     Simulation::builder(&cfg).run().expect("durable run");
     let clean = read_log(dir.path()).expect("clean log");
-    let events = clean.trace.decode_all().expect("clean log decodes");
+    let events = clean
+        .trace
+        .cursor()
+        .decode_all()
+        .expect("clean log decodes");
     assert!(
         clean.segments >= 3,
         "rotation gives older segments to damage"
@@ -234,7 +286,11 @@ fn hostile_log_segments_are_errors_or_clean_prefixes() {
         fs::write(&paths[seq], &originals[seq]).unwrap();
         match (log, recovered) {
             (Ok(log), recovered) => {
-                let prefix = log.trace.decode_all().expect("a log that reads decodes");
+                let prefix = log
+                    .trace
+                    .cursor()
+                    .decode_all()
+                    .expect("a log that reads decodes");
                 assert_eq!(prefix[..], events[..prefix.len()], "{what}");
                 if let Some(recovered) = recovered {
                     let recovered = recovered.unwrap_or_else(|e| panic!("{what}: {e}"));
@@ -293,5 +349,8 @@ fn hostile_log_segments_are_errors_or_clean_prefixes() {
     let first_frame = &originals[newest][24..24 + first];
     fs::write(&paths[newest], forged(&[first_frame, first_frame].concat())).unwrap();
     let log = read_log(dir.path()).expect("every checksum holds");
-    log.trace.decode_all().expect("validated when read");
+    log.trace
+        .cursor()
+        .decode_all()
+        .expect("validated when read");
 }

@@ -12,7 +12,7 @@ use pgc::odb::{oracle, BarrierEvent, Database};
 use pgc::sim::Shard;
 use pgc::types::{Bytes, DbConfig, Oid, PageId, SimRng, SlotId};
 use pgc::workload::generator::GenStats;
-use pgc::workload::{read_trace, write_trace, Event, EventBlock, NodeId};
+use pgc::workload::{EncodedTrace, Event, EventBlock, NodeId, WorkloadParams};
 
 // ---------------------------------------------------------------------
 // LRU buffer pool vs a naive reference model
@@ -229,9 +229,15 @@ fn trace_codec_round_trips() {
             .map(|_| random_event(&mut rng))
             .collect();
         let mut buf = Vec::new();
-        write_trace(&mut buf, &events).expect("encode");
-        let back = read_trace(buf.as_slice()).expect("decode");
-        assert_eq!(back, events, "seed {seed}");
+        EncodedTrace::from_events(WorkloadParams::default(), &events)
+            .write_to(&mut buf)
+            .expect("encode");
+        let back = EncodedTrace::read_from(buf.as_slice()).expect("decode");
+        assert_eq!(
+            back.cursor().decode_all().expect("decode"),
+            events,
+            "seed {seed}"
+        );
     }
 }
 
@@ -243,11 +249,16 @@ fn truncated_traces_never_panic() {
             .map(|_| random_event(&mut rng))
             .collect();
         let mut buf = Vec::new();
-        write_trace(&mut buf, &events).expect("encode");
+        EncodedTrace::from_events(WorkloadParams::default(), &events)
+            .write_to(&mut buf)
+            .expect("encode");
         let cut_at = 8 + rng.below(buf.len().saturating_sub(8).max(1) as u64) as usize;
         buf.truncate(cut_at);
         // Must yield Ok (clean prefix) or a TraceFormat error — no panic.
-        let _ = read_trace(buf.as_slice());
+        if let Ok(prefix) = EncodedTrace::read_from(buf.as_slice()) {
+            let prefix = prefix.cursor().decode_all().expect("validated when read");
+            assert_eq!(prefix[..], events[..prefix.len()], "seed {seed}");
+        }
     }
 }
 

@@ -426,7 +426,7 @@ fn replay_prefix_baseline(dir: &ScratchDir, recovered: &RecoveredRun) -> RunOutc
     let log = read_log(dir.path()).expect("read log");
     let mut shard = Shard::new(&recovered.cfg).expect("shard");
     shard.enable_telemetry(recovered.telemetry_level);
-    let events = log.trace.decode_all().expect("decode the log");
+    let events = log.trace.cursor().decode_all().expect("decode the log");
     shard
         .step_block(&events.into_iter().collect())
         .expect("replay prefix");
@@ -589,7 +589,7 @@ fn server_streams_persist_and_recover_independently() {
     for (stream, cfg) in &configs {
         handles.push(server.open_stream(*stream, cfg.clone()).expect("open"));
     }
-    for ((_, cfg), handle) in configs.iter().zip(&handles) {
+    for ((_, cfg), &handle) in configs.iter().zip(&handles) {
         let events: Vec<_> = SyntheticWorkload::new(cfg.workload.clone())
             .expect("workload")
             .collect();
@@ -656,7 +656,7 @@ fn restore_is_the_run_from_every_generation_it_lands() {
                 .with_heap_growth(Bytes::from_kib(1024))
                 .with_sampling(1_500);
             let trace = EncodedTrace::record(cfg.workload.clone()).expect("record");
-            let events = trace.decode_all().expect("decode");
+            let events = trace.cursor().decode_all().expect("decode");
             let dir = ScratchDir::new("every-generation");
             let durable = cfg.clone().with_durability(
                 DurabilityConfig::snapshot_and_log(dir.path())

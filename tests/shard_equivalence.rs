@@ -12,7 +12,7 @@
 
 use pgc::core::PolicyKind;
 use pgc::prelude::{
-    outcome_digest, RunConfig, RunOutcome, Server, ServerConfig, Simulation, StreamId,
+    outcome_digest, RunConfig, RunOutcome, Server, ServerConfig, Simulation, StreamHandle, StreamId,
 };
 use pgc::telemetry::TelemetryLevel;
 use pgc::types::SimRng;
@@ -92,9 +92,10 @@ fn run_fleet(
     events: &[Vec<Event>],
 ) -> pgc::server::FleetOutcome {
     let mut server = Server::start(ServerConfig::new(shards).with_telemetry(TelemetryLevel::Full));
-    for (stream, cfg) in configs {
-        server.open_stream(*stream, cfg.clone()).expect("open");
-    }
+    let handles: Vec<StreamHandle> = configs
+        .iter()
+        .map(|(stream, cfg)| server.open_stream(*stream, cfg.clone()).expect("open"))
+        .collect();
     let mut segments = stream_segments(configs, events);
     // pop() from the back yields submission order
     segments.iter_mut().for_each(|segs| segs.reverse());
@@ -102,7 +103,7 @@ fn run_fleet(
     let mut linked = false;
     loop {
         let mut any = false;
-        for (i, (stream, _)) in configs.iter().enumerate() {
+        for (i, &stream) in handles.iter().enumerate() {
             let at = cursors[i];
             if at >= events[i].len() {
                 continue;
@@ -110,7 +111,7 @@ fn run_fleet(
             let end = (at + BATCH).min(events[i].len());
             let seg = segments[i].pop().expect("segment per batch");
             assert_eq!(seg.events(), (end - at) as u64, "segment tiling");
-            server.submit_segment(*stream, seg).expect("submit_segment");
+            server.submit_segment(stream, seg).expect("submit_segment");
             cursors[i] = end;
             any = true;
         }
@@ -118,12 +119,12 @@ fn run_fleet(
         // enough that later collections reclaim or relocate some targets.
         if !linked && cursors[0] >= events[0].len() / 2 {
             linked = true;
-            for i in 0..configs.len() {
-                let target = StreamId((i + 1) as u64 % configs.len() as u64);
-                for node in link_nodes(&events[(i + 1) % configs.len()]) {
+            for (i, &source) in handles.iter().enumerate() {
+                let target = (i + 1) % handles.len();
+                for node in link_nodes(&events[target]) {
                     // Twice on purpose: registration must be idempotent.
-                    server.link(configs[i].0, target, node).expect("link");
-                    server.link(configs[i].0, target, node).expect("link");
+                    server.link(source, handles[target], node).expect("link");
+                    server.link(source, handles[target], node).expect("link");
                 }
             }
         }
@@ -269,9 +270,10 @@ fn drain_batching_is_invisible_in_results_and_links() {
     let run = |shards: usize, inbox_capacity: usize| {
         let mut server =
             Server::start(ServerConfig::new(shards).with_inbox_capacity(inbox_capacity));
-        for (stream, cfg) in &configs {
-            server.open_stream(*stream, cfg.clone()).expect("open");
-        }
+        let handles: Vec<StreamHandle> = configs
+            .iter()
+            .map(|(stream, cfg)| server.open_stream(*stream, cfg.clone()).expect("open"))
+            .collect();
         // Round-robin over the streams, a seeded link before every third
         // submit, naming a node its target may or may not have been sent
         // yet.
@@ -280,7 +282,7 @@ fn drain_batching_is_invisible_in_results_and_links() {
         let mut submits = 0;
         for round in 0.. {
             let mut any = false;
-            for (i, (stream, _)) in configs.iter().enumerate() {
+            for (i, &stream) in handles.iter().enumerate() {
                 let Some(segment) = segments[i].get(round) else {
                     continue;
                 };
@@ -290,11 +292,11 @@ fn drain_batching_is_invisible_in_results_and_links() {
                     let source = (target + 1 + rng.pick_index(STREAMS - 1)) % STREAMS;
                     let node = NodeId(rng.below((sent[target] / 4).max(1)));
                     server
-                        .link(configs[source].0, configs[target].0, node)
+                        .link(handles[source], handles[target], node)
                         .expect("link");
                 }
                 server
-                    .submit_segment(*stream, segment.clone())
+                    .submit_segment(stream, segment.clone())
                     .expect("submit_segment");
                 sent[i] += segment.events();
                 submits += 1;
@@ -357,7 +359,7 @@ fn ragged_tiny_segments_match_one_whole_segment() {
         .with_inbox_capacity(2);
 
     let mut interleaved = Server::start(tiny.clone());
-    interleaved.open_stream(stream, cfg.clone()).expect("open");
+    let handle = interleaved.open_stream(stream, cfg.clone()).expect("open");
     for (j, segment) in segments.into_iter().enumerate() {
         let at = j * CHUNK;
         let end = (at + CHUNK).min(events[0].len());
@@ -367,15 +369,15 @@ fn ragged_tiny_segments_match_one_whole_segment() {
             segment
         };
         interleaved
-            .submit_segment(stream, segment)
+            .submit_segment(handle, segment)
             .expect("submit_segment");
     }
     let interleaved = interleaved.shutdown().expect("shutdown");
 
     let mut whole = Server::start(tiny);
-    whole.open_stream(stream, cfg).expect("open");
+    let handle = whole.open_stream(stream, cfg).expect("open");
     whole
-        .submit_segment(stream, TraceSegment::whole(trace))
+        .submit_segment(handle, TraceSegment::whole(trace))
         .expect("submit_segment");
     let whole = whole.shutdown().expect("shutdown");
 
@@ -402,10 +404,10 @@ fn one_slot_inbox_backpressures_without_losing_events() {
     let (stream, cfg) = configs[0].clone();
 
     let mut server = Server::start(ServerConfig::new(1).with_inbox_capacity(1));
-    server.open_stream(stream, cfg).expect("open");
+    let handle = server.open_stream(stream, cfg).expect("open");
     for chunk in events[0].chunks(64) {
         server
-            .submit_segment(stream, TraceSegment::encode(chunk))
+            .submit_segment(handle, TraceSegment::encode(chunk))
             .expect("submit");
     }
     let fleet = server.shutdown().expect("shutdown");
@@ -423,14 +425,14 @@ fn a_non_dense_create_id_surfaces_as_an_error_at_shutdown() {
 
     let (stream, cfg) = stream_configs()[0].clone();
     let mut server = Server::start(ServerConfig::new(1));
-    server.open_stream(stream, cfg).expect("open");
+    let handle = server.open_stream(stream, cfg).expect("open");
     let poison = Event::CreateRoot {
         node: NodeId(1_000_000),
         size: Bytes(64),
         slots: 2,
     };
     server
-        .submit_segment(stream, TraceSegment::encode(&[poison]))
+        .submit_segment(handle, TraceSegment::encode(&[poison]))
         .expect("enqueue");
     let err = server.shutdown().expect_err("the poisoned stream");
     assert!(
