@@ -26,7 +26,7 @@
 //! ```
 
 use pgc_bench::{emit, CommonArgs};
-use pgc_core::{PolicyKind, Trigger};
+use pgc_odb::{PolicyKind, Trigger};
 use pgc_sim::{report, Comparison, Experiment, RunConfig, Shard};
 use pgc_types::Bytes;
 use pgc_workload::{EventBlock, SyntheticWorkload, TraceCache};

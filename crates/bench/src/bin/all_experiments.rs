@@ -16,7 +16,7 @@
 //! the largest database for Figure 6.
 
 use pgc_bench::{emit, emit_telemetry, usage_exit, CommonArgs, Section};
-use pgc_core::PolicyKind;
+use pgc_odb::PolicyKind;
 use pgc_sim::{
     paper, render_chart, report, ChartMetric, Comparison, Experiment, RunConfig, RunOutcome,
     TelemetryLevel,

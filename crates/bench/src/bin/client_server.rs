@@ -19,9 +19,9 @@
 //! ```
 
 use pgc_bench::{emit, positive, usage_exit, CommonArgs};
-use pgc_core::PolicyKind;
-use pgc_server::{Server, ServerConfig, StreamHandle, StreamId, TelemetryLevel};
-use pgc_sim::{paper, RunConfig, Simulation};
+use pgc_odb::PolicyKind;
+use pgc_server::{Server, ServerConfig, StreamHandle, StreamId};
+use pgc_sim::{paper, RunConfig, Simulation, TelemetryLevel};
 use pgc_workload::{EncodedTrace, NodeId, TraceSegment};
 use std::collections::VecDeque;
 use std::fmt::Write as _;

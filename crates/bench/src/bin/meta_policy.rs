@@ -22,12 +22,12 @@
 //! ```
 
 use pgc_bench::{emit, CommonArgs};
-use pgc_core::policies::{AdaptiveMeta, DEFAULT_CANDIDATES};
-use pgc_core::PolicyKind;
+use pgc_odb::policies::{AdaptiveMeta, DEFAULT_CANDIDATES};
+use pgc_odb::PolicyKind;
+use pgc_sim::telemetry::{write_snapshot, TelemetrySnapshot};
 use pgc_sim::{
     paper, report, run_race_with_telemetry, Experiment, Shard, Simulation, TelemetryLevel,
 };
-use pgc_telemetry::{write_snapshot, TelemetrySnapshot};
 use pgc_workload::{EventBlock, SyntheticWorkload, TraceCache};
 use std::fmt::Write as _;
 

@@ -25,11 +25,10 @@
 //! which is how CI pins that a recovered run is bit-identical to the
 //! uninterrupted one.
 
-use pgc_core::PolicyKind;
+use pgc_odb::PolicyKind;
 use pgc_sim::durable::restore;
 use pgc_sim::durable::DurabilityConfig;
-use pgc_sim::{outcome_digest, verify, RunConfig, RunOutcome, Shard, Simulation};
-use pgc_telemetry::TelemetryLevel;
+use pgc_sim::{outcome_digest, verify, RunConfig, RunOutcome, Shard, Simulation, TelemetryLevel};
 use pgc_types::Bytes;
 use pgc_workload::{EncodedTrace, EventBlock, BLOCK_EVENTS};
 use std::process::exit;

@@ -14,7 +14,7 @@
 //! and `profile` run the same simulation; `profile` prints one row per
 //! partition of its final database instead of the totals.
 
-use pgc_core::PolicyKind;
+use pgc_odb::PolicyKind;
 use pgc_sim::{RunConfig, Shard, Simulation};
 use pgc_workload::{
     AssemblyParams, AssemblyWorkload, EncodedTrace, Event, EventBlock, WorkloadParams,

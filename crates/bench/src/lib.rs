@@ -9,9 +9,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pgc_core::PolicyKind;
+use pgc_odb::PolicyKind;
+use pgc_sim::telemetry::{write_snapshot, TelemetryLevel};
 use pgc_sim::Comparison;
-use pgc_telemetry::{write_snapshot, TelemetryLevel};
 use std::path::PathBuf;
 
 /// Parses a policy-list spec shared by every experiment binary.
@@ -267,7 +267,7 @@ impl CommonArgs {
 
 /// Writes every tapped run of a [`Comparison`] to `--telemetry-out` as
 /// JSONL (one line per collector activation, schema
-/// [`pgc_telemetry::SCHEMA`]), appending a human summary of the per-policy
+/// [`pgc_sim::telemetry::SCHEMA`]), appending a human summary of the per-policy
 /// aggregates to stdout. No-op when the flag (or the tap) is absent.
 pub fn emit_telemetry(args: &CommonArgs, cmp: &Comparison) {
     let Some(path) = &args.telemetry_out else {

@@ -8,17 +8,18 @@
 //! resulting collection events back through the same bus so every listener
 //! sees one consistent stream.
 
-use crate::policies::build_policy;
-use crate::policy::{PolicyKind, SelectionPolicy};
-use crate::scheduler::{GcScheduler, Trigger};
-use pgc_odb::{BarrierEvent, BarrierObserver, CollectionOutcome, Database, ObserverRegistry};
+use crate::events::ObserverRegistry;
+use crate::scheduler::GcScheduler;
+use crate::{
+    build_policy, BarrierEvent, BarrierObserver, CollectionOutcome, Database, PolicyKind,
+    SelectionPolicy, Trigger,
+};
 use pgc_types::{Result, Words};
 
 /// A complete partitioned garbage collector: selection policy + trigger.
 ///
 /// ```
-/// use pgc_core::{Collector, PolicyKind};
-/// use pgc_odb::Database;
+/// use pgc_odb::{Collector, Database, PolicyKind};
 /// use pgc_types::{Bytes, DbConfig, SlotId};
 ///
 /// let mut db = Database::new(DbConfig::default()).unwrap();
@@ -44,7 +45,7 @@ pub struct Collector {
 impl Collector {
     /// Creates a collector with the given policy instance and the paper's
     /// overwrite-count trigger.
-    pub fn new(policy: Box<dyn SelectionPolicy>, overwrite_threshold: u64) -> Self {
+    pub(crate) fn new(policy: Box<dyn SelectionPolicy>, overwrite_threshold: u64) -> Self {
         Self {
             policy,
             scheduler: GcScheduler::new(overwrite_threshold),
@@ -81,11 +82,6 @@ impl Collector {
         self.observers.register(observer);
     }
 
-    /// The trigger state.
-    pub fn scheduler(&self) -> &GcScheduler {
-        &self.scheduler
-    }
-
     /// Appends the driving policy's state, then the trigger's counters,
     /// for a snapshot's run image. Bystanders save their own.
     pub fn save(&self, out: &mut Vec<u64>) {
@@ -103,9 +99,9 @@ impl Collector {
     /// Delivers one event to the policy, the observers, and the trigger.
     /// Returns `true` if a collection is now due.
     ///
-    /// Normally events arrive via [`Collector::sync`]; this entry point
-    /// exists for tests and for embedders that fabricate their own stream.
-    pub fn observe_event(&mut self, event: &BarrierEvent) -> bool {
+    /// Normally events arrive via [`Collector::sync`]; tests call this
+    /// directly to fabricate a stream.
+    pub(crate) fn observe_event(&mut self, event: &BarrierEvent) -> bool {
         self.policy.on_event(event);
         self.observers.broadcast(event);
         match event {
@@ -245,7 +241,7 @@ mod tests {
         let out = c.maybe_collect(&mut d).unwrap();
         let out = out.expect("collection happened");
         assert_eq!(out.garbage_objects, 1);
-        assert_eq!(c.scheduler().triggers(), 1);
+        assert_eq!(c.scheduler.triggers(), 1);
         // Not due any more.
         assert!(c.maybe_collect(&mut d).unwrap().is_none());
     }
@@ -260,7 +256,7 @@ mod tests {
         assert!(c.sync(&mut d));
         assert!(c.maybe_collect(&mut d).unwrap().is_none());
         assert_eq!(d.stats().collections, 0);
-        assert!(!c.scheduler().is_due(), "window reset even when declining");
+        assert!(!c.scheduler.is_due(), "window reset even when declining");
     }
 
     #[test]

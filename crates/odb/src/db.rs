@@ -4,7 +4,7 @@
 //! The database is layered:
 //!
 //! * **This module** owns the state (`partitions`, `objects`, `buffer`,
-//!   `remsets`, `roots`, `stats`, and the barrier [`EventLog`]) and the
+//!   `remsets`, `roots`, `stats`, and the barrier `EventLog`) and the
 //!   read-only surface.
 //! * [`crate::engine`] is the **mutation engine**: object creation, the
 //!   write barrier ([`Database::write_slot`]), visits and data writes —
@@ -14,10 +14,9 @@
 //!   copying collection of one partition, emitting per-object copy/reclaim
 //!   events and a completion event on the same bus.
 //!
-//! Events accumulate in the internal log until a pump (the `pgc_core`
-//! collector wrapper or the `pgc_sim` replayer) drains them with
-//! [`Database::drain_events`]; standalone users can inspect them via
-//! [`Database::events`] or discard them with [`Database::clear_events`].
+//! Events accumulate in the internal log until a pump (the
+//! [`crate::Collector`]) drains them with [`Database::drain_events`];
+//! standalone users can discard them with [`Database::clear_events`].
 
 use crate::buffer::{BufferPool, IoStats};
 use crate::collect::CollectScratch;
@@ -72,7 +71,9 @@ pub struct PartitionProfile {
 /// assert!(!db.objects().contains(child));
 ///
 /// // Every mutation above also landed on the barrier event bus.
-/// assert!(!db.events().is_empty());
+/// let mut logged = 0;
+/// db.drain_events(|_| logged += 1);
+/// assert!(logged > 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Database {
@@ -111,7 +112,7 @@ impl Database {
 
     /// Shared view of the buffered (undrained) barrier events.
     #[inline]
-    pub fn events(&self) -> &EventLog {
+    pub(crate) fn events(&self) -> &EventLog {
         &self.events
     }
 
@@ -133,12 +134,6 @@ impl Database {
     // ---------------------------------------------------------------
     // Views
     // ---------------------------------------------------------------
-
-    /// The configuration this database was created with.
-    #[inline]
-    pub fn config(&self) -> &DbConfig {
-        &self.cfg
-    }
 
     /// Semantic event counters.
     #[inline]
@@ -174,13 +169,13 @@ impl Database {
 
     /// Shared view of the partition set.
     #[inline]
-    pub fn partitions(&self) -> &PartitionSet {
+    pub(crate) fn partitions(&self) -> &PartitionSet {
         &self.partitions
     }
 
     /// Shared view of the remembered sets.
     #[inline]
-    pub fn remsets(&self) -> &RemsetTable {
+    pub(crate) fn remsets(&self) -> &RemsetTable {
         &self.remsets
     }
 

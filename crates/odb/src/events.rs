@@ -6,8 +6,8 @@
 //! observes nothing but the write barrier (Sec. 4.1). This module makes
 //! that constraint a type: the mutation engine ([`crate::engine`]) and the
 //! collector ([`crate::collect`]) log [`BarrierEvent`]s into the database's
-//! internal [`EventLog`]; a pump (the collector wrapper in `pgc_core`, or
-//! the replayer in `pgc_sim`) drains the log and broadcasts each event to
+//! internal `EventLog`; the pump ([`crate::Collector`], which a
+//! `pgc_sim` shard drives) drains the log and broadcasts each event to
 //! every registered [`BarrierObserver`]. Comparing N policies no longer
 //! requires N replays — N scoreboards can ride one event stream — and
 //! metrics, tracing, or clustering subsystems can tap the same bus without
@@ -142,24 +142,24 @@ pub trait BarrierObserver {
 /// delivery mechanism of the bus: the pump drains the database's
 /// [`EventLog`] and broadcasts each event here.
 #[derive(Default)]
-pub struct ObserverRegistry {
+pub(crate) struct ObserverRegistry {
     observers: Vec<Box<dyn BarrierObserver>>,
 }
 
 impl ObserverRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends an observer; it receives every subsequent broadcast.
-    pub fn register(&mut self, observer: Box<dyn BarrierObserver>) {
+    pub(crate) fn register(&mut self, observer: Box<dyn BarrierObserver>) {
         self.observers.push(observer);
     }
 
     /// Delivers one event to every observer, in registration order.
     #[inline]
-    pub fn broadcast(&mut self, event: &BarrierEvent) {
+    pub(crate) fn broadcast(&mut self, event: &BarrierEvent) {
         for obs in &mut self.observers {
             obs.on_event(event);
         }
@@ -167,7 +167,7 @@ impl ObserverRegistry {
 
     /// Notifies every observer that the trigger fired (see
     /// [`BarrierObserver::on_trigger`]).
-    pub fn notify_trigger(&mut self, db: &Database) {
+    pub(crate) fn notify_trigger(&mut self, db: &Database) {
         for obs in &mut self.observers {
             obs.on_trigger(db);
         }
@@ -175,14 +175,8 @@ impl ObserverRegistry {
 
     /// Number of registered observers.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.observers.len()
-    }
-
-    /// True if no observers are registered.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.observers.is_empty()
     }
 }
 
@@ -201,13 +195,13 @@ impl fmt::Debug for ObserverRegistry {
 /// users that never drain can ignore or [`EventLog::clear`] it — events
 /// are plain `Copy` values with no side effects of their own.
 #[derive(Debug, Clone, Default)]
-pub struct EventLog {
+pub(crate) struct EventLog {
     events: Vec<BarrierEvent>,
 }
 
 impl EventLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -216,21 +210,15 @@ impl EventLog {
         self.events.push(event);
     }
 
-    /// Number of buffered (undrained) events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// True if nothing is buffered.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// Shared view of the buffered events, oldest first.
-    #[inline]
-    pub fn events(&self) -> &[BarrierEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[BarrierEvent] {
         &self.events
     }
 
@@ -238,7 +226,7 @@ impl EventLog {
     /// the log empty (capacity kept): listeners read the events where they
     /// were logged, so the pump needs no buffer of its own.
     #[inline]
-    pub fn drain(&mut self, mut deliver: impl FnMut(&BarrierEvent)) {
+    pub(crate) fn drain(&mut self, mut deliver: impl FnMut(&BarrierEvent)) {
         for event in &self.events {
             deliver(event);
         }
@@ -247,7 +235,7 @@ impl EventLog {
 
     /// Discards all buffered events.
     #[inline]
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.events.clear();
     }
 }
@@ -286,7 +274,7 @@ mod tests {
         let a = std::rc::Rc::new(std::cell::RefCell::new(Counter::default()));
         let b = std::rc::Rc::new(std::cell::RefCell::new(Counter::default()));
         let mut reg = ObserverRegistry::new();
-        assert!(reg.is_empty());
+        assert_eq!(reg.len(), 0);
         reg.register(Box::new(Tap(a.clone())));
         reg.register(Box::new(Tap(b.clone())));
         assert_eq!(reg.len(), 2);
@@ -306,7 +294,7 @@ mod tests {
         assert!(log.is_empty());
         log.push(BarrierEvent::PartitionGrowth { partitions: 2 });
         log.push(BarrierEvent::TriggerTick { activation: 7 });
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.events.len(), 2);
         let mut sink = Vec::new();
         log.drain(|event| sink.push(*event));
         assert!(log.is_empty());

@@ -292,7 +292,7 @@ pub mod reference {
     }
 
     /// Hash-set reachability, as originally implemented.
-    pub fn reachable_set(db: &Database) -> HashSet<Oid> {
+    pub(crate) fn reachable_set(db: &Database) -> HashSet<Oid> {
         let objects = db.objects();
         let mut live: HashSet<Oid> = HashSet::new();
         let mut stack: Vec<Oid> = db.roots().collect();

@@ -24,11 +24,12 @@
 //! 150%), the challenger becomes the driver from the next activation on,
 //! all credits are halved (old evidence fades), and a
 //! [`PolicySwitch`] is recorded for the collector to broadcast as
-//! [`pgc_odb::BarrierEvent::PolicySwitched`].
+//! [`crate::BarrierEvent::PolicySwitched`].
 
-use crate::policies::build_policy;
-use crate::policy::{PolicyKind, PolicySwitch, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use crate::{
+    build_policy, BarrierEvent, BarrierObserver, Database, PolicyKind, PolicySwitch,
+    SelectionPolicy,
+};
 use pgc_types::{PartitionId, PgcError, Result, Words};
 use std::fmt;
 
@@ -44,11 +45,11 @@ pub const DEFAULT_CANDIDATES: [PolicyKind; 5] = [
 ];
 
 /// Default re-scoring window, in activations.
-pub const DEFAULT_WINDOW: u64 = 8;
+pub(crate) const DEFAULT_WINDOW: u64 = 8;
 
 /// Default switch margin: a challenger needs `150%` of the incumbent's
 /// credit to take over.
-pub const DEFAULT_MARGIN_PCT: u64 = 150;
+pub(crate) const DEFAULT_MARGIN_PCT: u64 = 150;
 
 /// The adaptive meta-policy.
 pub struct AdaptiveMeta {
@@ -69,7 +70,7 @@ impl AdaptiveMeta {
     /// Creates the meta-policy over [`DEFAULT_CANDIDATES`] with the
     /// default window and margin. `max_weight` parameterizes the
     /// `WeightedPointer` candidate.
-    pub fn new(max_weight: u8) -> Self {
+    pub(crate) fn new(max_weight: u8) -> Self {
         Self::with_config(
             &DEFAULT_CANDIDATES,
             DEFAULT_WINDOW,
@@ -112,13 +113,13 @@ impl AdaptiveMeta {
     }
 
     /// The currently driving candidate.
-    pub fn incumbent(&self) -> PolicyKind {
+    pub(crate) fn incumbent(&self) -> PolicyKind {
         self.candidates[self.incumbent].kind()
     }
 
     /// Garbage credit (bytes) accumulated by each candidate since the last
     /// credit halving.
-    pub fn credits(&self) -> Vec<(PolicyKind, u64)> {
+    pub(crate) fn credits(&self) -> Vec<(PolicyKind, u64)> {
         self.candidates
             .iter()
             .zip(&self.credit)
@@ -295,7 +296,7 @@ impl SelectionPolicy for AdaptiveMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgc_odb::CollectionOutcome;
+    use crate::CollectionOutcome;
     use pgc_types::{Bytes, DbConfig, Oid, SlotId};
 
     fn tick(activation: u64) -> BarrierEvent {
@@ -317,11 +318,11 @@ mod tests {
     }
 
     fn overwrite(old_partition: u32) -> BarrierEvent {
-        BarrierEvent::PointerWrite(pgc_odb::PointerWriteInfo {
+        BarrierEvent::PointerWrite(crate::PointerWriteInfo {
             owner: Oid(1),
             owner_partition: PartitionId(3),
             slot: SlotId(0),
-            old: Some(pgc_odb::PointerTarget {
+            old: Some(crate::PointerTarget {
                 oid: Oid(2),
                 partition: PartitionId(old_partition),
                 weight: 3,
@@ -394,11 +395,11 @@ mod tests {
     }
 
     fn write_owned_by(owner_partition: u32, old_partition: Option<u32>) -> BarrierEvent {
-        BarrierEvent::PointerWrite(pgc_odb::PointerWriteInfo {
+        BarrierEvent::PointerWrite(crate::PointerWriteInfo {
             owner: Oid(1),
             owner_partition: PartitionId(owner_partition),
             slot: SlotId(0),
-            old: old_partition.map(|p| pgc_odb::PointerTarget {
+            old: old_partition.map(|p| crate::PointerTarget {
                 oid: Oid(2),
                 partition: PartitionId(p),
                 weight: 3,

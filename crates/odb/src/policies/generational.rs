@@ -14,17 +14,16 @@
 //! the object table, which is equivalent in outcome; oids are handed out in
 //! allocation order, so an object's oid is its allocation stamp.
 
-use crate::policy::{PolicyKind, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::PartitionId;
 
 /// The youngest-partition policy.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Generational;
+pub(crate) struct Generational;
 
 impl Generational {
     /// Creates the policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 }

@@ -1,10 +1,10 @@
 //! The concrete selection policies.
 //!
-//! Paper policies (Sec. 3.1): [`NoCollection`], [`Random`],
+//! Paper policies (Sec. 3.1): `NoCollection`, `Random`,
 //! `MutatedPartition`, `UpdatedPointer`, `WeightedPointer`,
-//! [`MostGarbage`]. Baseline from related work: `YNY-Mutated` (the
+//! `MostGarbage`. Baseline from related work: `YNY-Mutated` (the
 //! unenhanced Yong/Naughton/Yu policy). Extensions for ablation studies:
-//! [`RoundRobin`], [`Occupancy`], [`Generational`], `UpdatedDecay`,
+//! `RoundRobin`, `Occupancy`, `Generational`, `UpdatedDecay`,
 //! `Composite` (three signals blended into one score) and
 //! [`AdaptiveMeta`] (online policy switching).
 //!
@@ -23,13 +23,13 @@ mod random;
 mod round_robin;
 mod scoreboard;
 
-pub use adaptive_meta::{AdaptiveMeta, DEFAULT_CANDIDATES, DEFAULT_MARGIN_PCT, DEFAULT_WINDOW};
-pub use generational::Generational;
-pub use most_garbage::MostGarbage;
-pub use no_collection::NoCollection;
-pub use occupancy::Occupancy;
-pub use random::Random;
-pub use round_robin::RoundRobin;
+pub use adaptive_meta::{AdaptiveMeta, DEFAULT_CANDIDATES};
+pub(crate) use generational::Generational;
+pub(crate) use most_garbage::MostGarbage;
+pub(crate) use no_collection::NoCollection;
+pub(crate) use occupancy::Occupancy;
+pub(crate) use random::Random;
+pub(crate) use round_robin::RoundRobin;
 
 use crate::policy::{PolicyKind, SelectionPolicy};
 use scoreboard::{Scoreboard, Signal};

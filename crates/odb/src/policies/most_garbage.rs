@@ -8,9 +8,9 @@
 //!
 //! The oracle traversal costs no simulated I/O.
 
-use crate::policy::{fallback_victim, PolicyKind, SelectionPolicy};
-use pgc_odb::oracle::OracleScratch;
-use pgc_odb::{oracle, BarrierEvent, BarrierObserver, Database};
+use crate::oracle::{self, OracleScratch};
+use crate::policy::fallback_victim;
+use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::PartitionId;
 
 /// The oracle-backed near-optimal policy.
@@ -20,13 +20,13 @@ use pgc_types::PartitionId;
 /// memory for the entire run instead of allocating three hash sets each
 /// time.
 #[derive(Debug, Clone, Default)]
-pub struct MostGarbage {
+pub(crate) struct MostGarbage {
     scratch: OracleScratch,
 }
 
 impl MostGarbage {
     /// Creates the policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -5,17 +5,16 @@
 //! collection improves locality — and to show that a *bad* selection policy
 //! can cost more total I/O than collecting nothing at all.
 
-use crate::policy::{PolicyKind, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::PartitionId;
 
 /// The never-collect policy.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoCollection;
+pub(crate) struct NoCollection;
 
 impl NoCollection {
     /// Creates the policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 }

@@ -6,17 +6,16 @@
 //! use it to separate "knowing where writes happen" from "knowing where
 //! data is".
 
-use crate::policy::{PolicyKind, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::PartitionId;
 
 /// The fullest-partition policy.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Occupancy;
+pub(crate) struct Occupancy;
 
 impl Occupancy {
     /// Creates the policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 }

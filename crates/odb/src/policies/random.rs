@@ -5,19 +5,18 @@
 //! over collectable partitions that have ever been allocated into; picking
 //! a fresh partition would be a guaranteed no-op collection.
 
-use crate::policy::{PolicyKind, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::{PartitionId, Result, SimRng, Words};
 
 /// The random-selection baseline.
 #[derive(Debug, Clone)]
-pub struct Random {
+pub(crate) struct Random {
     rng: SimRng,
 }
 
 impl Random {
     /// Creates the policy with its own seeded generator.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             rng: SimRng::new(seed),
         }

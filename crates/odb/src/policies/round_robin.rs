@@ -6,19 +6,18 @@
 //! Used by the ablation benches to ask how much of `Random`'s performance
 //! is just coverage.
 
-use crate::policy::{PolicyKind, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::{PartitionId, Result, Words};
 
 /// The cyclic-order policy.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin {
+pub(crate) struct RoundRobin {
     next: u32,
 }
 
 impl RoundRobin {
     /// Creates the policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -14,8 +14,8 @@
 //! break toward the lowest partition id, and a board with no positive
 //! score falls back to [`fallback_victim`] (the fullest partition).
 
-use crate::policy::{fallback_victim, PolicyKind, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
+use crate::policy::fallback_victim;
+use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::{PartitionId, Result, Words};
 
 /// `Composite`'s blend: `4096·overwrites + 16·resident KiB + 1·recency`.
@@ -289,9 +289,10 @@ impl SelectionPolicy for Scoreboard {
 
 #[cfg(test)]
 mod tests {
-    use crate::policies::build_policy;
-    use crate::policy::{PolicyKind, SelectionPolicy};
-    use pgc_odb::{BarrierEvent, CollectionOutcome, Database, PointerTarget, PointerWriteInfo};
+    use crate::{
+        build_policy, BarrierEvent, CollectionOutcome, Database, PointerTarget, PointerWriteInfo,
+        PolicyKind, SelectionPolicy,
+    };
     use pgc_types::{Bytes, DbConfig, Oid, PartitionId, SlotId};
 
     const SINGLE_SIGNAL: [PolicyKind; 5] = [

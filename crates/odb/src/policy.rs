@@ -10,7 +10,7 @@
 //! trait hands `select` a full view of the database; honest policies only
 //! use its cheap structural accessors.
 
-use pgc_odb::{BarrierObserver, Database};
+use crate::{BarrierObserver, Database};
 use pgc_types::{PartitionId, Words};
 use std::fmt;
 use std::str::FromStr;
@@ -156,10 +156,10 @@ impl FromStr for PolicyKind {
 ///
 /// Lifecycle per simulation: the policy observes the barrier event stream
 /// through its [`BarrierObserver::on_event`] implementation —
-/// [`pgc_odb::BarrierEvent::PointerWrite`] feeds the scoreboards,
-/// [`pgc_odb::BarrierEvent::DataWrite`] is counted only by the unenhanced
+/// [`crate::BarrierEvent::PointerWrite`] feeds the scoreboards,
+/// [`crate::BarrierEvent::DataWrite`] is counted only by the unenhanced
 /// Yong/Naughton/Yu policy (ignoring it *is* the paper's enhancement), and
-/// [`pgc_odb::BarrierEvent::CollectionCompleted`] resets the victim's
+/// [`crate::BarrierEvent::CollectionCompleted`] resets the victim's
 /// per-partition state. When the scheduler triggers a collection,
 /// [`SelectionPolicy::select`] names the victim.
 ///
@@ -180,7 +180,7 @@ pub trait SelectionPolicy: BarrierObserver {
     /// one. Scoreboard policies report their counter; policies with no
     /// per-partition score (`Random`, the oracle, `NoCollection`) report
     /// `None`. Purely diagnostic: the collector broadcasts it on the bus
-    /// as [`pgc_odb::BarrierEvent::VictimSelected`], and it must never
+    /// as [`crate::BarrierEvent::VictimSelected`], and it must never
     /// influence selection.
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         let _ = partition;
@@ -194,7 +194,7 @@ pub trait SelectionPolicy: BarrierObserver {
 
     /// Drains any driving-policy switches the policy decided since the
     /// last drain. Only meta-policies ever return entries; the collector
-    /// broadcasts each as [`pgc_odb::BarrierEvent::PolicySwitched`].
+    /// broadcasts each as [`crate::BarrierEvent::PolicySwitched`].
     fn take_switches(&mut self) -> Vec<PolicySwitch> {
         Vec::new()
     }

@@ -28,7 +28,7 @@ use pgc_types::{FastHashMap, FastHashSet, Oid, PartitionId, PointerLoc};
 /// Remembered sets (`into`) and out-of-partition pointer counts (`out`) for
 /// every partition.
 #[derive(Debug, Clone, Default)]
-pub struct RemsetTable {
+pub(crate) struct RemsetTable {
     /// `into[t]`: for each target partition, target object → locations of
     /// cross-partition pointers at it. These maps are genuinely sparse
     /// (most objects are never remembered), so they stay hash maps — but
@@ -43,7 +43,7 @@ pub struct RemsetTable {
 
 impl RemsetTable {
     /// Creates empty tables.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -59,7 +59,13 @@ impl RemsetTable {
 
     /// Records creation of a cross-partition pointer at `loc` (an object in
     /// `from`) targeting `target` (an object in `to`).
-    pub fn add_edge(&mut self, loc: PointerLoc, from: PartitionId, target: Oid, to: PartitionId) {
+    pub(crate) fn add_edge(
+        &mut self,
+        loc: PointerLoc,
+        from: PartitionId,
+        target: Oid,
+        to: PartitionId,
+    ) {
         debug_assert_ne!(from, to, "intra-partition edge recorded in remset");
         self.ensure(from);
         self.ensure(to);
@@ -72,7 +78,7 @@ impl RemsetTable {
 
     /// Records destruction of the cross-partition pointer at `loc` that
     /// targeted `target` in partition `to`.
-    pub fn remove_edge(
+    pub(crate) fn remove_edge(
         &mut self,
         loc: PointerLoc,
         from: PartitionId,
@@ -97,7 +103,7 @@ impl RemsetTable {
 
     /// The remembered targets in partition `t`: objects that some other
     /// partition points at, i.e. the remset roots for a collection of `t`.
-    pub fn remembered_targets(&self, t: PartitionId) -> impl Iterator<Item = Oid> + '_ {
+    pub(crate) fn remembered_targets(&self, t: PartitionId) -> impl Iterator<Item = Oid> + '_ {
         self.into
             .get(t.as_usize())
             .into_iter()
@@ -106,7 +112,7 @@ impl RemsetTable {
 
     /// The recorded locations of cross-partition pointers at `target`
     /// (which resides in partition `t`).
-    pub fn locations_of(
+    pub(crate) fn locations_of(
         &self,
         t: PartitionId,
         target: Oid,
@@ -119,12 +125,12 @@ impl RemsetTable {
     }
 
     /// Number of remembered (pointed-into) objects in partition `t`.
-    pub fn remembered_target_count(&self, t: PartitionId) -> usize {
+    pub(crate) fn remembered_target_count(&self, t: PartitionId) -> usize {
         self.into.get(t.as_usize()).map_or(0, |m| m.len())
     }
 
     /// Total number of remembered pointer locations into partition `t`.
-    pub fn remembered_pointer_count(&self, t: PartitionId) -> usize {
+    pub(crate) fn remembered_pointer_count(&self, t: PartitionId) -> usize {
         self.into
             .get(t.as_usize())
             .map_or(0, |m| m.values().map(|s| s.len()).sum())
@@ -132,14 +138,14 @@ impl RemsetTable {
 
     /// True if object `oid` in partition `f` holds any cross-partition
     /// pointers (is in the out-of-partition set of `f`).
-    pub fn in_out_set(&self, f: PartitionId, oid: Oid) -> bool {
+    pub(crate) fn in_out_set(&self, f: PartitionId, oid: Oid) -> bool {
         self.out
             .get(f.as_usize())
             .is_some_and(|m| m.contains_key(&oid))
     }
 
     /// The out-of-partition set of `f`.
-    pub fn out_set(&self, f: PartitionId) -> impl Iterator<Item = Oid> + '_ {
+    pub(crate) fn out_set(&self, f: PartitionId) -> impl Iterator<Item = Oid> + '_ {
         self.out
             .get(f.as_usize())
             .into_iter()
@@ -154,7 +160,7 @@ impl RemsetTable {
     ///   by owner and slot, so the collector can charge pointer-forwarding
     ///   I/O in an order that does not depend on the hash set's history);
     /// * `oid`'s out-count moves from `out[from]` to `out[to]`.
-    pub fn relocate_object(
+    pub(crate) fn relocate_object(
         &mut self,
         oid: Oid,
         from: PartitionId,
@@ -177,7 +183,7 @@ impl RemsetTable {
     /// Forgets everything recorded about dead object `oid` as a *target* in
     /// partition `t` (used when a remembered object turns out to be garbage
     /// because its only rememberers died first).
-    pub fn purge_target(&mut self, t: PartitionId, oid: Oid) {
+    pub(crate) fn purge_target(&mut self, t: PartitionId, oid: Oid) {
         if let Some(m) = self.into.get_mut(t.as_usize()) {
             m.remove(&oid);
         }
@@ -187,7 +193,7 @@ impl RemsetTable {
     /// The per-target `into` entries sourced at `oid` must be removed via
     /// [`RemsetTable::remove_edge`] by the caller, which knows the dead
     /// object's slots.
-    pub fn purge_source(&mut self, f: PartitionId, oid: Oid) {
+    pub(crate) fn purge_source(&mut self, f: PartitionId, oid: Oid) {
         if let Some(m) = self.out.get_mut(f.as_usize()) {
             m.remove(&oid);
         }
@@ -195,7 +201,7 @@ impl RemsetTable {
 
     /// Debug invariant check: every out-count equals the number of `into`
     /// locations owned by that object, and no empty inner sets linger.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let mut counted: FastHashMap<Oid, u32> = FastHashMap::default();
         for per_target in &self.into {
             for (target, locs) in per_target {

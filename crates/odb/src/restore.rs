@@ -220,7 +220,7 @@ mod tests {
     fn restore(db: &Database, records: Records, state: &[u64]) -> Result<Database> {
         let mut words = Words::new(state);
         let restored = Database::restore(
-            db.config().clone(),
+            db.cfg.clone(),
             db.partition_count(),
             1_000,
             records,

@@ -28,7 +28,7 @@ pub enum Trigger {
 
 /// Tracks application activity and fires collections per its [`Trigger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcScheduler {
+pub(crate) struct GcScheduler {
     trigger: Trigger,
     overwrites_since: u64,
     bytes_since: Bytes,
@@ -40,12 +40,12 @@ pub struct GcScheduler {
 impl GcScheduler {
     /// Creates the paper's scheduler: fire every `threshold` overwrites
     /// (must be positive; the configuration validates this).
-    pub fn new(threshold: u64) -> Self {
+    pub(crate) fn new(threshold: u64) -> Self {
         Self::with_trigger(Trigger::OverwriteCount(threshold))
     }
 
     /// Creates a scheduler with an explicit trigger.
-    pub fn with_trigger(trigger: Trigger) -> Self {
+    pub(crate) fn with_trigger(trigger: Trigger) -> Self {
         if let Trigger::OverwriteCount(t) = trigger {
             debug_assert!(t > 0);
         }
@@ -62,17 +62,11 @@ impl GcScheduler {
         }
     }
 
-    /// The configured trigger.
-    #[inline]
-    pub fn trigger(&self) -> Trigger {
-        self.trigger
-    }
-
     /// Records one pointer overwrite; returns `true` when a collection is
     /// now due. The caller must invoke [`GcScheduler::collection_done`]
     /// after actually collecting (or deciding not to, for `NoCollection`),
     /// otherwise the trigger keeps reporting due.
-    pub fn note_overwrite(&mut self) -> bool {
+    pub(crate) fn note_overwrite(&mut self) -> bool {
         self.overwrites_since += 1;
         self.total_overwrites += 1;
         self.is_due()
@@ -80,7 +74,7 @@ impl GcScheduler {
 
     /// Records an allocation of `bytes` (and whether it grew the database
     /// by a partition); returns `true` when a collection is now due.
-    pub fn note_allocation(&mut self, bytes: Bytes, grew: bool) -> bool {
+    pub(crate) fn note_allocation(&mut self, bytes: Bytes, grew: bool) -> bool {
         // Saturating: no event count bounds a loaded byte window.
         self.bytes_since = self.bytes_since.saturating_add(bytes);
         self.grew_since |= grew;
@@ -88,7 +82,7 @@ impl GcScheduler {
     }
 
     /// True when the trigger condition has been met since the last reset.
-    pub fn is_due(&self) -> bool {
+    pub(crate) fn is_due(&self) -> bool {
         match self.trigger {
             Trigger::OverwriteCount(t) => self.overwrites_since >= t,
             Trigger::AllocationBytes(b) => self.bytes_since >= b,
@@ -97,22 +91,16 @@ impl GcScheduler {
     }
 
     /// Resets the window after a collection attempt.
-    pub fn collection_done(&mut self) {
+    pub(crate) fn collection_done(&mut self) {
         self.overwrites_since = 0;
         self.bytes_since = Bytes::ZERO;
         self.grew_since = false;
         self.triggers += 1;
     }
 
-    /// Total overwrites observed over the scheduler's lifetime.
-    #[inline]
-    pub fn total_overwrites(&self) -> u64 {
-        self.total_overwrites
-    }
-
     /// Number of times the trigger fired (collections attempted).
     #[inline]
-    pub fn triggers(&self) -> u64 {
+    pub(crate) fn triggers(&self) -> u64 {
         self.triggers
     }
 
@@ -138,14 +126,6 @@ impl GcScheduler {
         self.triggers = words.at_most(events)?;
         Ok(())
     }
-
-    /// The overwrite threshold, when that is the trigger.
-    pub fn threshold(&self) -> Option<u64> {
-        match self.trigger {
-            Trigger::OverwriteCount(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +142,7 @@ mod tests {
         s.collection_done();
         assert!(!s.is_due());
         assert_eq!(s.triggers(), 1);
-        assert_eq!(s.threshold(), Some(3));
+        assert_eq!(s.trigger, Trigger::OverwriteCount(3));
     }
 
     #[test]
@@ -183,7 +163,7 @@ mod tests {
                 s.collection_done();
             }
         }
-        assert_eq!(s.total_overwrites(), 10);
+        assert_eq!(s.total_overwrites, 10);
         assert_eq!(s.triggers(), 5);
     }
 
@@ -196,7 +176,7 @@ mod tests {
         // Overwrites don't matter for this trigger.
         s.collection_done();
         assert!(!s.note_overwrite());
-        assert_eq!(s.threshold(), None);
+        assert_eq!(s.trigger, Trigger::AllocationBytes(Bytes(1000)));
     }
 
     #[test]

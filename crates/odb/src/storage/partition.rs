@@ -73,7 +73,7 @@ impl Partition {
     }
 
     /// Bytes handed out so far (live + dead + fragmentation).
-    pub fn used_bytes(&self) -> Bytes {
+    pub(crate) fn used_bytes(&self) -> Bytes {
         Bytes(self.cursor)
     }
 
@@ -83,7 +83,7 @@ impl Partition {
     }
 
     /// True if nothing has ever been allocated since the last reset.
-    pub fn is_fresh(&self) -> bool {
+    pub(crate) fn is_fresh(&self) -> bool {
         self.cursor == 0
     }
 

@@ -111,7 +111,7 @@ impl PartitionSet {
     }
 
     /// Shared view of a partition.
-    pub fn partition(&self, id: PartitionId) -> Result<&Partition> {
+    pub(crate) fn partition(&self, id: PartitionId) -> Result<&Partition> {
         self.partitions
             .get(id.as_usize())
             .ok_or(PgcError::UnknownPartition(id))

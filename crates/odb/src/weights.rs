@@ -21,13 +21,13 @@ pub const ROOT_WEIGHT: u8 = 1;
 
 /// Clamps a tentative weight to the configured maximum.
 #[inline]
-pub fn cap(weight: u16, max_weight: u8) -> u8 {
+pub(crate) fn cap(weight: u16, max_weight: u8) -> u8 {
     weight.min(max_weight as u16) as u8
 }
 
 /// The weight a new child reached through `parent_weight` should get.
 #[inline]
-pub fn child_weight(parent_weight: u8, max_weight: u8) -> u8 {
+pub(crate) fn child_weight(parent_weight: u8, max_weight: u8) -> u8 {
     cap(parent_weight as u16 + 1, max_weight)
 }
 
@@ -38,7 +38,12 @@ pub fn child_weight(parent_weight: u8, max_weight: u8) -> u8 {
 /// Propagation terminates because weights are positive integers that only
 /// decrease; each object can be improved at most `max_weight - 1` times
 /// over its lifetime.
-pub fn note_edge(table: &mut ObjectTable, from: Oid, to: Oid, max_weight: u8) -> Result<usize> {
+pub(crate) fn note_edge(
+    table: &mut ObjectTable,
+    from: Oid,
+    to: Oid,
+    max_weight: u8,
+) -> Result<usize> {
     let from_weight = table.get(from)?.weight;
     let candidate = child_weight(from_weight, max_weight);
     let to_rec = table.get(to)?;

@@ -21,7 +21,7 @@
 //!   are weak by design so they cannot perturb any session's collection
 //!   decisions.
 //! * [`server`] — [`server::Server`]: start, open streams, submit events
-//!   as zero-copy [`TraceSegment`]s, link across streams, and fold the
+//!   as zero-copy [`pgc_workload::TraceSegment`]s, link across streams, and fold the
 //!   fleet into a [`server::FleetOutcome`] at shutdown.
 //!
 //! # Determinism
@@ -50,9 +50,3 @@ pub use ring::{RingInbox, DEFAULT_INBOX_CAPACITY};
 pub use router::{Router, StreamId};
 pub use server::{FleetOutcome, Server, ServerConfig, StreamHandle};
 pub use session::ShardReport;
-// The pieces a server driver needs ride along so callers don't take a
-// direct dependency on every lower crate for the common cases.
-pub use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
-pub use pgc_sim::{RunConfig, RunOutcome};
-pub use pgc_telemetry::{FleetSnapshot, ShardTelemetry, TelemetryLevel};
-pub use pgc_workload::TraceSegment;

@@ -5,8 +5,8 @@ use crate::ring::{RingInbox, SenderGuard, DEFAULT_INBOX_CAPACITY};
 use crate::router::{Router, StreamId};
 use crate::session::{ShardMsg, ShardReport, ShardWorker};
 use pgc_sim::durable::DurabilityMode;
-use pgc_sim::{RunConfig, RunOutcome};
-use pgc_telemetry::{FleetSnapshot, TelemetryLevel};
+use pgc_sim::telemetry::FleetSnapshot;
+use pgc_sim::{RunConfig, RunOutcome, TelemetryLevel};
 use pgc_types::{Oid, PgcError, Result};
 use pgc_workload::{NodeId, TraceSegment};
 use std::collections::{BTreeMap, BTreeSet};
@@ -188,9 +188,10 @@ impl FleetOutcome {
 /// One submit path feeds a stream: [`Server::submit_segment`] ships a
 /// [`TraceSegment`] (an `Arc` bump plus a byte range of a shared encoded
 /// trace); nothing is allocated or copied per event. A caller holding
-/// decoded events encodes them once with [`TraceSegment::encode`] (~7.5
-/// bytes/event in flight). A full ring blocks the submitting thread until
-/// the shard catches up (bounded memory, lossless). It addresses the
+/// decoded events encodes them once with
+/// [`pgc_workload::EncodedTrace::from_events`] (~7.5 bytes/event in
+/// flight). A full ring blocks the submitting thread until the shard
+/// catches up (bounded memory, lossless). It addresses the
 /// stream by the [`StreamHandle`] that [`Server::open_stream`] returned.
 ///
 /// ```
@@ -407,6 +408,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgc_workload::{EncodedTrace, WorkloadParams};
 
     #[test]
     fn a_panicked_worker_surfaces_as_a_session_error_at_shutdown() {
@@ -447,7 +449,8 @@ mod tests {
                 "got {err}"
             );
         };
-        refused(b.submit_segment(foreign, TraceSegment::encode(&[])));
+        let empty = EncodedTrace::from_events(WorkloadParams::default(), &[]);
+        refused(b.submit_segment(foreign, TraceSegment::whole(Arc::new(empty))));
         refused(b.link(foreign, local, NodeId(0)));
         refused(b.link(local, foreign, NodeId(0)));
         // Nothing reached b's worker: its stream saw no event and no link.

@@ -51,8 +51,7 @@ use crate::remset::{Links, RemsetBridge};
 use crate::ring::{ReceiverGuard, RingInbox};
 use crate::router::StreamId;
 use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
-use pgc_sim::{RunConfig, RunOutcome, Shard};
-use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot};
+use pgc_sim::{RunConfig, RunOutcome, Shard, TelemetryLevel, TelemetrySnapshot};
 use pgc_types::{PgcError, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EventBlock, NodeId, TraceSegment};
@@ -284,7 +283,7 @@ fn not_open(stream: StreamId) -> PgcError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgc_workload::{Event, SyntheticWorkload};
+    use pgc_workload::{EncodedTrace, Event, SyntheticWorkload, WorkloadParams};
 
     /// The nodes `events` creates, in creation order.
     fn created(events: &[Event]) -> Vec<NodeId> {
@@ -324,7 +323,10 @@ mod tests {
         };
         let data = |stream, events: &[Event]| ShardMsg::Data {
             stream,
-            segment: TraceSegment::encode(events),
+            segment: TraceSegment::whole(Arc::new(EncodedTrace::from_events(
+                WorkloadParams::default(),
+                events,
+            ))),
         };
         let link = |node| ShardMsg::Link {
             source: other,

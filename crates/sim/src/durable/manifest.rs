@@ -17,8 +17,8 @@
 use super::crc::crc32;
 use super::{bad, io_err};
 use crate::run::RunConfig;
-use pgc_core::{PolicyKind, Trigger};
-use pgc_telemetry::TelemetryLevel;
+use crate::telemetry::TelemetryLevel;
+use pgc_odb::{PolicyKind, Trigger};
 use pgc_types::{Bytes, PgcError, PlacementPolicy, Result};
 use std::fmt::Display;
 use std::fs;

@@ -92,9 +92,9 @@ pub use tempdir::ScratchDir;
 
 use crate::run::{RunConfig, RunOutcome};
 use crate::shard::Shard;
+use crate::telemetry::TelemetryLevel;
 use log::read_log_from;
 use manifest::config_from_manifest;
-use pgc_telemetry::TelemetryLevel;
 use pgc_types::{fast_hash_u64, PgcError, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EventBlock, TraceCursor, BLOCK_EVENTS};

@@ -248,7 +248,7 @@ pub(crate) mod tests {
     use crate::durable::{capture_generation, read_log, restore, scan_snapshots, ScratchDir};
     use crate::run::{RunConfig, RunOutcome};
     use crate::shard::Shard;
-    use pgc_telemetry::TelemetryLevel;
+    use crate::telemetry::TelemetryLevel;
     use pgc_types::Bytes;
     use pgc_workload::generator::GenStats;
     use pgc_workload::{EncodedTrace, NodeId, SyntheticWorkload};

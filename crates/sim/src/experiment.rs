@@ -9,7 +9,7 @@
 //!
 //! ```no_run
 //! use pgc_sim::{Experiment, RunConfig};
-//! use pgc_core::PolicyKind;
+//! use pgc_odb::PolicyKind;
 //!
 //! let cmp = Experiment::new()
 //!     .with_threads(4)
@@ -37,8 +37,8 @@
 
 use crate::run::{RunConfig, RunOutcome, Simulation};
 use crate::summary::Summary;
-use pgc_core::PolicyKind;
-use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot};
+use crate::telemetry::{TelemetryLevel, TelemetrySnapshot};
+use pgc_odb::PolicyKind;
 use pgc_types::Result;
 use pgc_workload::{TraceCache, WorkloadParams};
 use std::sync::atomic::{AtomicUsize, Ordering};

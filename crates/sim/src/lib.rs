@@ -11,7 +11,7 @@
 //!   with optional bus observers and telemetry.
 //! * [`shard`] — [`shard::Shard`]: the self-contained unit a run drives
 //!   and the one thing that applies workload events — one
-//!   [`pgc_odb::Database`] under a [`pgc_core::Collector`] (policy +
+//!   [`pgc_odb::Database`] under a [`pgc_odb::Collector`] (policy +
 //!   scheduler + barrier bus) plus a telemetry handle, node id `n` as
 //!   `Oid(n)`, collecting when the trigger fires, stepped by event blocks.
 //!   `Simulation` is its 1-shard special case; the multi-tenant
@@ -31,6 +31,11 @@
 //!   have picked, yielding a per-collection agreement matrix and a
 //!   cumulative-regret accounting (would-be picks scored against realized
 //!   garbage) from a single replay.
+//! * [`telemetry`] — sampling-gated observability riding the barrier
+//!   event bus: counters and histograms, one record per collector
+//!   activation, the fleet-wide merge of per-shard snapshots, and the
+//!   schema-versioned JSONL writer — a bystander that cannot perturb the
+//!   run it records.
 //! * [`summary`] — mean / standard deviation over the ten-seed repetitions
 //!   the paper reports.
 //! * [`experiment`] — multi-policy, multi-seed comparisons
@@ -60,6 +65,7 @@ pub mod run;
 pub mod shadow;
 pub mod shard;
 pub mod summary;
+pub mod telemetry;
 
 pub use chart::{render_chart, ChartMetric};
 pub use durable::{outcome_digest, recover, verify, RecoveredRun};
@@ -72,6 +78,4 @@ pub use shadow::{
 };
 pub use shard::Shard;
 pub use summary::Summary;
-// The telemetry vocabulary rides along so simulator users don't need a
-// direct `pgc_telemetry` dependency for the common cases.
-pub use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot};
+pub use telemetry::{TelemetryLevel, TelemetrySnapshot};

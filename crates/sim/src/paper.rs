@@ -13,7 +13,7 @@
 //!   connectivity covers 1.005–1.167 pointers per object.
 
 use crate::run::RunConfig;
-use pgc_core::PolicyKind;
+use pgc_odb::PolicyKind;
 use pgc_types::{Bytes, DbConfig};
 use pgc_workload::WorkloadParams;
 

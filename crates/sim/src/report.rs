@@ -192,10 +192,12 @@ pub fn format_policy_race(races: &[RaceOutcome]) -> String {
 
 /// Renders the cumulative-regret accounting of a set of shadow-scoreboard
 /// races (typically one per seed, same driver): for each shadow policy,
-/// the garbage its would-be picks earned under the credit-once rule the
-/// `AdaptiveMeta` policy scores its candidates with, and its regret
-/// relative to the driver's realized reclamation (positive = the driver
-/// out-earned it).
+/// the garbage its would-be picks earned under the race's credit-once rule
+/// ([`RaceOutcome::shadow_credit`]: full credit to every pending
+/// nominator, picks never expire — unlike `AdaptiveMeta`, which halves a
+/// late nominator's credit and expires picks after `2·window`
+/// activations), and its regret relative to the driver's realized
+/// reclamation (positive = the driver out-earned it).
 pub fn format_regret(races: &[RaceOutcome]) -> String {
     let mut out = String::new();
     let Some(first) = races.first() else {
@@ -310,7 +312,7 @@ mod tests {
     use super::*;
     use crate::experiment::Experiment;
     use crate::run::RunConfig;
-    use pgc_core::PolicyKind;
+    use pgc_odb::PolicyKind;
 
     fn tiny_comparison() -> Comparison {
         Experiment::new()
@@ -449,7 +451,7 @@ mod tests {
         let plain = tiny_comparison();
         assert!(format_telemetry(&plain).is_empty(), "untapped is empty");
         let tapped = Experiment::new()
-            .with_telemetry(pgc_telemetry::TelemetryLevel::Metrics)
+            .with_telemetry(crate::telemetry::TelemetryLevel::Metrics)
             .compare(
                 &[PolicyKind::UpdatedPointer, PolicyKind::MostGarbage],
                 &[1, 2],

@@ -19,9 +19,8 @@
 use crate::durable::{DurabilityConfig, StorageStats};
 use crate::metrics::{RunTotals, TimeSeries};
 use crate::shard::Shard;
-use pgc_core::{PolicyKind, Trigger};
-use pgc_odb::{BarrierObserver, CollectionOutcome, DbStats};
-use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
+use crate::telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
+use pgc_odb::{BarrierObserver, CollectionOutcome, DbStats, PolicyKind, Trigger};
 use pgc_types::{Bytes, DbConfig, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EncodedTrace, EventBlock, SyntheticWorkload, WorkloadParams, BLOCK_EVENTS};
@@ -532,7 +531,7 @@ mod tests {
 #[cfg(test)]
 mod trigger_tests {
     use super::*;
-    use pgc_core::Trigger;
+    use pgc_odb::Trigger;
     use pgc_types::Bytes;
 
     fn run(cfg: &RunConfig) -> RunOutcome {

@@ -20,9 +20,8 @@
 
 use crate::run::{RunConfig, RunOutcome, Simulation};
 use crate::summary::Summary;
-use pgc_core::{build_policy, PolicyKind, SelectionPolicy};
-use pgc_odb::{BarrierEvent, BarrierObserver, Database};
-use pgc_telemetry::{ShadowPickNote, TelemetryLevel};
+use crate::telemetry::{ShadowPickNote, TelemetryLevel};
+use pgc_odb::{build_policy, BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::{Bytes, PartitionId, Result};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -183,8 +182,7 @@ impl RaceOutcome {
     }
 
     /// Cumulative credit a shadow's would-be picks earned against the
-    /// driver's realized collections — the scoring rule the `AdaptiveMeta`
-    /// policy applies to its candidates, here applied retrospectively.
+    /// driver's realized collections.
     ///
     /// Each activation the shadow's pick (recorded at trigger time, before
     /// any collection settles) joins its pending set; whenever the driver
@@ -192,6 +190,12 @@ impl RaceOutcome {
     /// that collection's garbage bytes once and all pending picks of that
     /// partition clear. Nominating a partition every activation earns no
     /// more than nominating it once.
+    ///
+    /// This is not the rule `AdaptiveMeta` scores its candidates with. The
+    /// race credits every pending nominator the full garbage bytes, where
+    /// `AdaptiveMeta` gives a nominator whose pick is not the oldest half;
+    /// and a pick here stays pending until its partition is collected,
+    /// where `AdaptiveMeta` drops picks older than `2·window` activations.
     pub fn shadow_credit(&self, shadow: PolicyKind) -> u64 {
         let mut pending: Vec<PartitionId> = Vec::new();
         let mut credit = 0;
@@ -286,7 +290,7 @@ pub fn run_race(cfg: &RunConfig, shadows: &[PolicyKind]) -> Result<RaceOutcome> 
 /// [`run_race`] with a telemetry tap on the same bus. Beyond the ordinary
 /// [`RunOutcome::telemetry`] capture, each per-activation telemetry record
 /// is annotated with every shadow's counterfactual pick
-/// ([`pgc_telemetry::ActivationRecord::shadow_picks`]), so a JSONL export
+/// ([`crate::telemetry::ActivationRecord::shadow_picks`]), so a JSONL export
 /// carries the full race, not just the driver's decisions.
 pub fn run_race_with_telemetry(
     cfg: &RunConfig,
@@ -461,6 +465,60 @@ mod tests {
         let table = regret_table(std::slice::from_ref(&race));
         assert_eq!(table.len(), PAPER_SHADOWS.len());
         assert!(regret_table(&[]).is_empty());
+    }
+
+    #[test]
+    fn shadow_credit_is_full_for_late_nominators_and_never_expires() {
+        // Hand-built: shadow A nominates partition 1 at activation 1 and
+        // partition 2 at activation 2; shadow B nominates partition 1 only
+        // at activation 3, where the driver collects it. The driver then
+        // collects partition 3 at activations 4..=103 and partition 2 at
+        // activation 104.
+        let (a, b) = (PolicyKind::UpdatedPointer, PolicyKind::MutatedPartition);
+        let record = |activation, victim, picks: &[(PolicyKind, u32)]| RaceRecord {
+            activation,
+            driver_victim: Some(PartitionId(victim)),
+            driver_reclaimed: Bytes(1000 * u64::from(victim)),
+            picks: picks
+                .iter()
+                .map(|&(policy, p)| ShadowPick {
+                    policy,
+                    victim: Some(PartitionId(p)),
+                })
+                .collect(),
+        };
+        let mut records = vec![
+            record(1, 3, &[(a, 1)]),
+            record(2, 3, &[(a, 2)]),
+            record(3, 1, &[(b, 1)]),
+        ];
+        records.extend((4..=103).map(|act| record(act, 3, &[])));
+        records.push(record(104, 2, &[]));
+        let race = RaceOutcome {
+            driver: PolicyKind::Occupancy,
+            seed: 0,
+            shadows: vec![a, b],
+            records,
+            outcome: RunOutcome {
+                policy: PolicyKind::Occupancy,
+                seed: 0,
+                totals: Default::default(),
+                series: Default::default(),
+                db_stats: Default::default(),
+                gen_stats: Default::default(),
+                collections: Vec::new(),
+                telemetry: None,
+                derive: None,
+                storage: None,
+            },
+        };
+        // B nominated partition 1 two activations after A did, and still
+        // earns its full 1000 bytes: `AdaptiveMeta` would give it 500.
+        assert_eq!(race.shadow_credit(b), 1000);
+        // A's pick of partition 2 is 102 activations old when the driver
+        // collects it, far past `AdaptiveMeta`'s 2·window horizon (16 at
+        // the default window), and still earns 2000 bytes.
+        assert_eq!(race.shadow_credit(a), 1000 + 2000);
     }
 
     #[test]

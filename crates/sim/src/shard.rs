@@ -3,12 +3,12 @@
 //!
 //! [`Shard`] is the junction of the whole system and the one thing that
 //! applies workload events. It holds a [`pgc_odb::Database`], the driving
-//! policy and trigger scheduler inside a [`pgc_core::Collector`], the
+//! policy and trigger scheduler inside a [`pgc_odb::Collector`], the
 //! barrier event bus with its bystander observers, an optional telemetry
 //! tap, an optional durable store, and time-series sampling state. Every
 //! event charges its page I/O through the database, which logs typed
 //! [`pgc_odb::BarrierEvent`]s; after each operation the shard pumps the log
-//! through [`pgc_core::Collector::sync`], which broadcasts the events to the
+//! through [`pgc_odb::Collector::sync`], which broadcasts the events to the
 //! selection policy (and any bystanders) and reports whether the trigger
 //! fired. Collections run the moment it does — matching the paper's setup,
 //! in which collector invocation is "independent of the partition choice"
@@ -40,10 +40,11 @@
 use crate::durable::{DurableStore, GenerationImage};
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
 use crate::run::{RunConfig, RunOutcome};
-use pgc_core::{build_policy, Collector, SelectionPolicy, Trigger};
+use crate::telemetry::{TelemetryHandle, TelemetryLevel, TelemetryObserver};
 use pgc_odb::oracle::{self, OracleScratch};
-use pgc_odb::{BarrierObserver, CollectionOutcome, Database};
-use pgc_telemetry::{TelemetryHandle, TelemetryLevel, TelemetryObserver};
+use pgc_odb::{
+    build_policy, BarrierObserver, CollectionOutcome, Collector, Database, SelectionPolicy, Trigger,
+};
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId, Words};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{Event, EventBlock, NodeId, BLOCK_EVENTS};
@@ -89,7 +90,7 @@ impl Shard {
     /// [`Shard::new`] driven by a hand-built `policy` instead of the one
     /// `cfg.policy` names (a custom candidate slate, a reference
     /// implementation under test). A durable `cfg` is refused: a manifest
-    /// can name only a [`pgc_core::PolicyKind`], so recovery could not
+    /// can name only a [`pgc_odb::PolicyKind`], so recovery could not
     /// rebuild the run.
     pub fn with_policy(cfg: &RunConfig, policy: Box<dyn SelectionPolicy>) -> Result<Self> {
         if cfg.durability.is_enabled() {
@@ -565,7 +566,7 @@ mod tests {
     use super::*;
     use crate::durable::{DurabilityConfig, ScratchDir};
     use crate::run::Simulation;
-    use pgc_core::PolicyKind;
+    use pgc_odb::PolicyKind;
     use pgc_workload::{AssemblyParams, AssemblyWorkload, SyntheticWorkload};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -629,7 +630,7 @@ mod tests {
             .unwrap()
             .collect();
         let mut shard = Shard::new(&cfg).unwrap();
-        shard.enable_telemetry(pgc_telemetry::TelemetryLevel::Full);
+        shard.enable_telemetry(crate::telemetry::TelemetryLevel::Full);
         shard.step_block(&events.iter().copied().collect()).unwrap();
         let out = shard.finish(GenStats::default()).unwrap();
         let snap = out.telemetry.expect("telemetry requested");

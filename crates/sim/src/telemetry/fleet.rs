@@ -9,7 +9,7 @@
 //! wall-clock order workers finished in — the fleet numbers for the same
 //! sessions are bit-identical at any shard count.
 
-use crate::snapshot::TelemetrySnapshot;
+use super::snapshot::TelemetrySnapshot;
 
 /// One shard's telemetry contribution to a fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,11 +68,6 @@ impl FleetSnapshot {
         self.shards.iter().map(|s| s.streams).sum()
     }
 
-    /// True when no shard has reported.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
     /// The fleet-wide aggregate: every shard's snapshot folded together in
     /// ascending shard-id order (`None` for an empty fleet). Counters add,
     /// histograms merge bucket-wise, and `runs` counts sessions across the
@@ -90,8 +85,8 @@ impl FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TriggerReason;
-    use crate::TelemetryLevel;
+    use crate::telemetry::record::TriggerReason;
+    use crate::telemetry::TelemetryLevel;
 
     fn shard_snapshot(activations: u64) -> TelemetrySnapshot {
         let mut s =
@@ -126,7 +121,7 @@ mod tests {
     #[test]
     fn empty_fleet_has_no_merge() {
         let fleet = FleetSnapshot::new();
-        assert!(fleet.is_empty());
+        assert!(fleet.shards.is_empty());
         assert_eq!(fleet.streams(), 0);
         assert!(fleet.merged().is_none());
     }

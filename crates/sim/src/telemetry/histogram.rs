@@ -1,7 +1,7 @@
 //! The one metric type with structure: a fixed-bucket log2 [`Histogram`].
 //!
 //! Plain data. The recording observer owns the histograms it fills (they
-//! are fields of the [`crate::TelemetrySnapshot`] it hands back), so
+//! are fields of the [`super::TelemetrySnapshot`] it hands back), so
 //! recording is `&mut self` arithmetic and the recorded value *is* the
 //! exported one: it merges across runs and clones into a live view as is.
 
@@ -9,7 +9,7 @@ use pgc_types::{Result, Words};
 
 /// Number of histogram buckets: one for zero plus one per power of two,
 /// covering the full `u64` range with no overflow bucket.
-pub const BUCKET_COUNT: usize = 65;
+pub(crate) const BUCKET_COUNT: usize = 65;
 
 /// Upper bound (inclusive) of bucket `i`: 0 for bucket 0, `2^i - 1` for
 /// the rest (saturating at `u64::MAX`).
@@ -64,7 +64,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one sample.
     #[inline]
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[bucket_index(v)] += 1;
         self.count += 1;
         // Saturating: a loaded sum is whatever a file said.
@@ -72,13 +72,8 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -89,7 +84,7 @@ impl Histogram {
     /// The bucket upper bound at or below which fraction `q` (in `[0, 1]`)
     /// of the samples fall — a quantized percentile. Returns the exact max
     /// for the final populated bucket, 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -129,7 +124,7 @@ impl Histogram {
     }
 
     /// Adds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
@@ -170,7 +165,7 @@ mod tests {
         assert_eq!(h.quantile(0.0), 0);
         assert!(h.quantile(0.5) <= 3);
         assert_eq!(h.quantile(1.0), 1000, "top quantile reports exact max");
-        assert!(Histogram::default().is_empty());
+        assert_eq!(Histogram::default().count, 0);
         assert_eq!(Histogram::default().quantile(0.5), 0);
     }
 

@@ -24,8 +24,8 @@
 //! non-finite score); `victim_score_bits` (`f64::to_bits`) is the exact
 //! value.
 
-use crate::record::{ActivationRecord, TriggerReason};
-use crate::snapshot::TelemetrySnapshot;
+use super::record::{ActivationRecord, TriggerReason};
+use super::snapshot::TelemetrySnapshot;
 use std::fmt::Write as _;
 use std::io;
 
@@ -126,7 +126,7 @@ pub fn record_line(
 }
 
 /// Writes every record of `snapshot` to `w`, one line per activation.
-/// Snapshots recorded below [`crate::TelemetryLevel::Full`] carry no
+/// Snapshots recorded below [`super::TelemetryLevel::Full`] carry no
 /// records and write nothing.
 pub fn write_snapshot<W: io::Write>(
     w: &mut W,
@@ -143,7 +143,7 @@ pub fn write_snapshot<W: io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{PolicySwitchNote, ShadowPickNote};
+    use crate::telemetry::record::{PolicySwitchNote, ShadowPickNote};
     use pgc_types::{Bytes, PartitionId};
 
     /// The writer's pin: every key in schema order, a distinct value under

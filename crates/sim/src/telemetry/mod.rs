@@ -1,45 +1,39 @@
-//! # pgc-telemetry
-//!
 //! Sampling-gated observability for the barrier event bus: the layer that
 //! turns a run's event stream into per-activation evidence (which
 //! partition was picked, what it reclaimed, what it cost in page I/O)
 //! without perturbing the run.
 //!
-//! * [`histogram`] — [`histogram::Histogram`]: a plain fixed-bucket log2
-//!   histogram, the one metric type with structure (counters are `u64`
-//!   fields of the snapshot).
-//! * [`record`] — [`record::ActivationRecord`]: one structured record per
+//! * [`histogram`] — [`Histogram`]: a plain fixed-bucket log2 histogram,
+//!   the one metric type with structure (counters are `u64` fields of the
+//!   snapshot).
+//! * [`record`] — [`ActivationRecord`]: one structured record per
 //!   collector activation, plus the trigger-reason vocabulary.
-//! * [`observer`] — [`observer::TelemetryObserver`]: the
-//!   [`pgc_odb::BarrierObserver`] bystander that records straight into
-//!   the snapshot it will hand back, and the [`observer::TelemetryHandle`]
-//!   that survives the run to extract it.
-//! * [`snapshot`] — [`snapshot::TelemetrySnapshot`]: the in-memory sink
-//!   (counters, run-level histograms, records), mergeable across seeds.
-//! * [`fleet`] — [`fleet::FleetSnapshot`]: per-shard snapshots from a
-//!   sharded runtime plus the deterministic fleet-wide merge.
+//! * `observer` — the [`pgc_odb::BarrierObserver`] bystander that records
+//!   straight into the snapshot it will hand back, and the handle a
+//!   [`crate::Shard`] keeps to extract it after the run.
+//! * [`snapshot`] — [`TelemetrySnapshot`]: the in-memory sink (counters,
+//!   run-level histograms, records), mergeable across seeds.
+//! * [`fleet`] — [`FleetSnapshot`]: per-shard snapshots from a sharded
+//!   runtime plus the deterministic fleet-wide merge.
 //! * [`jsonl`] — the schema-versioned JSONL writer.
 //!
-//! The recorder is a pure bystander on the bus built in PR 3: it reads
+//! The recorder is a pure bystander on the barrier event bus: it reads
 //! the same stream every selection policy sees and touches nothing else,
 //! so totals and victim sequences are bit-identical with telemetry off or
 //! on — the simulator's test suite pins this, and the benchmark's
 //! `telemetry.full_over_off` is what the enabled path costs.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod fleet;
 pub mod histogram;
 pub mod jsonl;
-pub mod observer;
+mod observer;
 pub mod record;
 pub mod snapshot;
 
 pub use fleet::{FleetSnapshot, ShardTelemetry};
 pub use histogram::Histogram;
 pub use jsonl::{record_line, write_snapshot, SCHEMA};
-pub use observer::{TelemetryHandle, TelemetryObserver};
+pub(crate) use observer::{TelemetryHandle, TelemetryObserver};
 pub use record::{ActivationRecord, PolicySwitchNote, ShadowPickNote, TriggerReason};
 pub use snapshot::{CounterSnapshot, TelemetrySnapshot};
 
@@ -62,7 +56,7 @@ pub enum TelemetryLevel {
 
 impl TelemetryLevel {
     /// True unless the level is [`TelemetryLevel::Off`].
-    pub fn is_enabled(self) -> bool {
+    pub(crate) fn is_enabled(self) -> bool {
         self != TelemetryLevel::Off
     }
 }

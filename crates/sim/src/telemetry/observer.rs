@@ -10,10 +10,10 @@
 //! simulator's test suite pins totals and victim sequences bit-identical
 //! with telemetry off and on).
 
-use crate::histogram::Histogram;
-use crate::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
-use crate::snapshot::{CounterSnapshot, TelemetrySnapshot};
-use crate::TelemetryLevel;
+use super::histogram::Histogram;
+use super::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
+use super::snapshot::{CounterSnapshot, TelemetrySnapshot};
+use super::TelemetryLevel;
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::{PgcError, Result, Words};
 use std::cell::RefCell;
@@ -48,12 +48,12 @@ impl TelemetryState {
 }
 
 /// The bus-riding recorder half of a telemetry pair.
-pub struct TelemetryObserver {
+pub(crate) struct TelemetryObserver {
     state: Rc<RefCell<TelemetryState>>,
 }
 
 /// The surviving half: extracts the snapshot after the run.
-pub struct TelemetryHandle {
+pub(crate) struct TelemetryHandle {
     state: Rc<RefCell<TelemetryState>>,
 }
 
@@ -62,7 +62,7 @@ impl TelemetryObserver {
     /// given trigger configuration. Register the observer on the
     /// collector's bus; call [`TelemetryHandle::finish`] when the run
     /// ends.
-    pub fn new(level: TelemetryLevel, trigger: TriggerReason) -> (Self, TelemetryHandle) {
+    pub(crate) fn new(level: TelemetryLevel, trigger: TriggerReason) -> (Self, TelemetryHandle) {
         let mut snapshot = TelemetrySnapshot::empty(level, trigger);
         snapshot.runs = 1;
         let state = Rc::new(RefCell::new(TelemetryState {
@@ -182,7 +182,7 @@ impl TelemetryHandle {
     /// Appends what the recorder has accumulated — counters, histograms,
     /// closed records and switches, the open record, and the two clocks —
     /// for a snapshot's run image. Level and trigger are configuration.
-    pub fn save(&self, out: &mut Vec<u64>) {
+    pub(crate) fn save(&self, out: &mut Vec<u64>) {
         let s = self.state.borrow();
         let snap = &s.snapshot;
         snap.counters.save(out);
@@ -212,7 +212,7 @@ impl TelemetryHandle {
     /// `db` after a run of `events` events. A count one event adds at most
     /// one to may not exceed `events`, and neither clock may run ahead of
     /// what it trails: the bus clock, the database's application I/O.
-    pub fn load(&self, words: &mut Words<'_>, db: &Database, events: u64) -> Result<()> {
+    pub(crate) fn load(&self, words: &mut Words<'_>, db: &Database, events: u64) -> Result<()> {
         let s = &mut *self.state.borrow_mut();
         let snap = &mut s.snapshot;
         snap.counters = CounterSnapshot::load(words, events)?;
@@ -248,7 +248,7 @@ impl TelemetryHandle {
     /// with the collector. If the observer is somehow still alive (a
     /// mid-run peek), the snapshot is taken as-is with the in-flight
     /// activation still open and excluded.
-    pub fn finish(self) -> TelemetrySnapshot {
+    pub(crate) fn finish(self) -> TelemetrySnapshot {
         match Rc::try_unwrap(self.state) {
             Ok(cell) => {
                 let mut state = cell.into_inner();

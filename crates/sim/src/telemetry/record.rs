@@ -22,7 +22,7 @@ pub enum TriggerReason {
 impl TriggerReason {
     /// Compact token used in the JSONL schema (`overwrites:200`,
     /// `alloc-bytes:393216`, `partition-growth`).
-    pub fn token(&self) -> String {
+    pub(crate) fn token(&self) -> String {
         match self {
             TriggerReason::OverwriteCount(n) => format!("overwrites:{n}"),
             TriggerReason::AllocationBytes(n) => format!("alloc-bytes:{n}"),
@@ -107,7 +107,7 @@ pub struct ActivationRecord {
 impl ActivationRecord {
     /// A zeroed record opened at trigger time; the recorder fills it in as
     /// the activation's events stream past.
-    pub fn open(activation: u64, event_clock: u64, gap_events: u64) -> Self {
+    pub(crate) fn open(activation: u64, event_clock: u64, gap_events: u64) -> Self {
         Self {
             activation,
             event_clock,
@@ -130,7 +130,7 @@ impl ActivationRecord {
     }
 
     /// Total collector page I/O attributed to this activation.
-    pub fn gc_ios(&self) -> u64 {
+    pub(crate) fn gc_ios(&self) -> u64 {
         self.gc_reads + self.gc_writes
     }
 

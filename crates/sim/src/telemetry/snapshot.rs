@@ -2,9 +2,9 @@
 //! condensed to plain data that can ride on a `RunOutcome`, merge across
 //! seeds, or serialize to JSONL.
 
-use crate::histogram::Histogram;
-use crate::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
-use crate::TelemetryLevel;
+use super::histogram::Histogram;
+use super::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
+use super::TelemetryLevel;
 use pgc_types::{Result, Words};
 
 /// Plain-data totals of every bus-event counter the tap maintains.
@@ -89,7 +89,7 @@ impl CounterSnapshot {
     }
 
     /// Adds another run's counters into this one.
-    pub fn merge(&mut self, other: &CounterSnapshot) {
+    pub(crate) fn merge(&mut self, other: &CounterSnapshot) {
         self.events += other.events;
         self.pointer_writes += other.pointer_writes;
         self.overwrites += other.overwrites;
@@ -138,7 +138,7 @@ pub struct TelemetrySnapshot {
 
 impl TelemetrySnapshot {
     /// An empty snapshot (useful as a merge accumulator).
-    pub fn empty(level: TelemetryLevel, trigger: TriggerReason) -> Self {
+    pub(crate) fn empty(level: TelemetryLevel, trigger: TriggerReason) -> Self {
         Self {
             level,
             trigger,
@@ -169,7 +169,7 @@ impl TelemetrySnapshot {
     }
 
     /// Mean activations per merged run.
-    pub fn activations_per_run(&self) -> f64 {
+    pub(crate) fn activations_per_run(&self) -> f64 {
         if self.runs == 0 {
             0.0
         } else {
@@ -198,7 +198,7 @@ mod tests {
     fn merge_accumulates_counters_and_drops_records() {
         let mut a = sample(3);
         a.records
-            .push(crate::record::ActivationRecord::open(1, 10, 10));
+            .push(crate::telemetry::record::ActivationRecord::open(1, 10, 10));
         a.switches.push(PolicySwitchNote {
             activation: 2,
             from: "UpdatedPointer".to_string(),

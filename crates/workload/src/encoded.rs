@@ -462,18 +462,6 @@ impl TraceSegment {
         }
     }
 
-    /// Encodes an event slice into a fresh single-segment trace — the
-    /// compatibility bridge for callers still holding decoded events. Pays
-    /// one encode pass (~7.5 bytes/event retained, versus
-    /// `size_of::<Event>()` for a cloned `Vec`); after that the segment
-    /// ships and replays like any other.
-    pub fn encode(events: &[Event]) -> Self {
-        Self::whole(Arc::new(EncodedTrace::from_events(
-            WorkloadParams::default(),
-            events,
-        )))
-    }
-
     /// Events the segment spans.
     pub fn events(&self) -> u64 {
         self.events
@@ -819,7 +807,10 @@ pub(crate) mod tests {
         assert_eq!(whole.byte_len(), trace.byte_len());
         assert!(Arc::ptr_eq(whole.trace(), &trace));
         let events = trace.cursor().decode_all().unwrap();
-        let encoded = TraceSegment::encode(&events);
+        let encoded = TraceSegment::whole(Arc::new(EncodedTrace::from_events(
+            WorkloadParams::default(),
+            &events,
+        )));
         let back = encoded.cursor().decode_all().unwrap();
         assert_eq!(back, events);
         // Cloning a segment shares the underlying trace.

@@ -13,8 +13,7 @@
 //! cargo run --release --example design_repository
 //! ```
 
-use pgc::core::{Collector, PolicyKind};
-use pgc::odb::Database;
+use pgc::odb::{Collector, Database, PolicyKind};
 use pgc::types::{Bytes, DbConfig, Oid, SimRng, SlotId};
 
 const ASSEMBLY_SIZE: Bytes = Bytes(120);

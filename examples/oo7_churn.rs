@@ -11,8 +11,7 @@
 //! cargo run --release --example oo7_churn
 //! ```
 
-use pgc::core::{PolicyKind, Trigger};
-use pgc::odb::oracle;
+use pgc::odb::{oracle, PolicyKind, Trigger};
 use pgc::sim::{RunConfig, Shard, Simulation};
 use pgc::types::Bytes;
 use pgc::workload::{AssemblyParams, AssemblyWorkload, EncodedTrace, Event, WorkloadParams};

@@ -5,7 +5,7 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use pgc::core::PolicyKind;
+use pgc::odb::PolicyKind;
 use pgc::sim::{report, Experiment, RunConfig};
 use pgc::types::Bytes;
 

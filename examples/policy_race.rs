@@ -13,7 +13,7 @@
 //! cargo run --release --example policy_race
 //! ```
 
-use pgc::core::PolicyKind;
+use pgc::odb::PolicyKind;
 use pgc::sim::report::format_policy_race;
 use pgc::sim::shadow::{run_race, RaceOutcome};
 use pgc::sim::RunConfig;

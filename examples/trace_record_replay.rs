@@ -7,7 +7,7 @@
 //! cargo run --release --example trace_record_replay
 //! ```
 
-use pgc::core::PolicyKind;
+use pgc::odb::PolicyKind;
 use pgc::sim::{RunConfig, Simulation};
 use pgc::workload::{EncodedTrace, Event, SyntheticWorkload, WorkloadParams};
 use std::fs::File;

@@ -10,26 +10,27 @@
 //! ## What's inside
 //!
 //! * [`types`] — identifiers, units, configuration, seeded RNG.
-//! * [`odb`] — the simulated object database: object graph, root set, write
-//!   barrier, remembered sets and out-of-partition sets, object weights, and
-//!   a full-reachability oracle. Two of its modules keep their own paths
-//!   here: [`storage`], the physical model (8 KB pages grouped into
-//!   contiguous partitions, bump allocation with near-parent placement, the
-//!   object table mapping stable [`types::Oid`]s to physical locations), and
-//!   [`buffer`], the LRU write-back page buffer that accounts page I/O split
-//!   between application and collector (the paper's cost model).
-//! * [`core`] — the paper's contribution: the [`core::SelectionPolicy`]
-//!   trait, the six policies of the paper (plus extensions), the
-//!   breadth-first copying partition collector, and the overwrite-count GC
-//!   scheduler.
+//! * [`odb`] — the simulated object database and its collector: object
+//!   graph, root set, write barrier, remembered sets and out-of-partition
+//!   sets, object weights, a full-reachability oracle, the breadth-first
+//!   copying partition collector, the overwrite-count GC scheduler, and the
+//!   paper's contribution — the [`odb::SelectionPolicy`] trait with the six
+//!   policies of the paper (plus extensions). Two of its modules keep their
+//!   own paths here: [`storage`], the physical model (8 KB pages grouped
+//!   into contiguous partitions, bump allocation with near-parent
+//!   placement, the object table mapping stable [`types::Oid`]s to physical
+//!   locations), and [`buffer`], the LRU write-back page buffer that
+//!   accounts page I/O split between application and collector (the
+//!   paper's cost model).
 //! * [`workload`] — the synthetic augmented-binary-tree application model
 //!   and a versioned binary trace codec for record/replay.
-//! * [`telemetry`] — sampling-gated observability riding the barrier event
-//!   bus: counters and histograms, per-activation records, and a JSONL
-//!   export — provably non-perturbing.
 //! * [`sim`] — the trace-driven simulator, metrics, multi-seed experiment
 //!   runner, and the experiment definitions that regenerate every table and
 //!   figure in the paper.
+//! * [`telemetry`] — the simulator's observability module, kept at its own
+//!   path here: sampling-gated counters and histograms riding the barrier
+//!   event bus, per-activation records, and a JSONL export — provably
+//!   non-perturbing.
 //! * [`durable`] — the simulator's persistence module, kept at its own
 //!   path here: snapshot generations (every partition's objects plus the
 //!   run's state) at safepoints, an append-only change log of
@@ -74,13 +75,11 @@
 
 #![forbid(unsafe_code)]
 
-pub use pgc_core as core;
 pub use pgc_odb as odb;
 pub use pgc_odb::{buffer, storage};
 pub use pgc_server as server;
 pub use pgc_sim as sim;
-pub use pgc_sim::durable;
-pub use pgc_telemetry as telemetry;
+pub use pgc_sim::{durable, telemetry};
 pub use pgc_types as types;
 pub use pgc_workload as workload;
 
@@ -96,16 +95,15 @@ pub use pgc_workload as workload;
 /// assert!(out.totals.collections > 0);
 /// ```
 pub mod prelude {
-    pub use pgc_core::{PolicyKind, Trigger};
+    pub use pgc_odb::{PolicyKind, Trigger};
     pub use pgc_server::{FleetOutcome, Server, ServerConfig, StreamHandle, StreamId};
     pub use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
     pub use pgc_sim::report;
     pub use pgc_sim::{
         outcome_digest, recover, run_race, run_race_with_telemetry, Comparison, Experiment,
         PolicyRow, RaceOutcome, RecoveredRun, RunConfig, RunOutcome, RunTelemetry, RunTotals,
-        Shard, Simulation, SimulationBuilder, Summary,
+        Shard, Simulation, SimulationBuilder, Summary, TelemetryLevel, TelemetrySnapshot,
     };
-    pub use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot};
     pub use pgc_types::{Bytes, DbConfig, PlacementPolicy};
     pub use pgc_workload::{EncodedTrace, TraceCache, TraceSegment, WorkloadParams};
 }

@@ -2,8 +2,7 @@
 //! composite garbage, policy behaviour under churn, and the complete
 //! collection extension.
 
-use pgc::core::{PolicyKind, Trigger};
-use pgc::odb::oracle;
+use pgc::odb::{oracle, PolicyKind, Trigger};
 use pgc::sim::{RunConfig, Shard, Simulation};
 use pgc::types::Bytes;
 use pgc::workload::{AssemblyParams, AssemblyWorkload, EncodedTrace, Event, WorkloadParams};

@@ -12,7 +12,7 @@
 //! checks at integration level that registering every honest policy as a
 //! shadow perturbs nothing about the driver's run.
 
-use pgc::core::PolicyKind;
+use pgc::odb::PolicyKind;
 use pgc::sim::shadow::run_race;
 use pgc::sim::{RunConfig, RunTotals, Simulation};
 use pgc::types::Bytes;

@@ -6,7 +6,7 @@
 //! paper configuration. This is what makes it sound for [`Experiment`] to
 //! record once per seed and fan the trace out to all policy workers.
 
-use pgc_core::PolicyKind;
+use pgc_odb::PolicyKind;
 use pgc_sim::{Experiment, RunConfig, Simulation};
 use pgc_workload::{EncodedTrace, TraceCache};
 

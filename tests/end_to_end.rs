@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: full simulations through the `pgc`
 //! facade, checking system-level invariants for every policy.
 
-use pgc::core::PolicyKind;
-use pgc::odb::oracle;
+use pgc::odb::{oracle, PolicyKind};
 use pgc::sim::{RunConfig, Shard, Simulation};
 use pgc::types::Bytes;
 

@@ -9,8 +9,7 @@
 //! page representation is checked against the model, not only against the
 //! numbers it was tuned to reproduce.
 
-use pgc::core::{PolicyKind, Trigger};
-use pgc::odb::{BarrierEvent, BarrierObserver, Database};
+use pgc::odb::{BarrierEvent, BarrierObserver, Database, PolicyKind, Trigger};
 use pgc::sim::{RunConfig, Shard};
 use pgc::types::Bytes;
 use pgc::workload::{AssemblyParams, AssemblyWorkload, Event, SyntheticWorkload};

@@ -5,7 +5,7 @@
 //! over a few seeds. The full-scale numbers live in EXPERIMENTS.md and are
 //! regenerated by the `pgc-bench` binaries.
 
-use pgc::core::PolicyKind;
+use pgc::odb::PolicyKind;
 use pgc::sim::{Comparison, Experiment, RunConfig};
 use pgc::types::Bytes;
 

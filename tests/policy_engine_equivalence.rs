@@ -4,7 +4,7 @@
 //! field and the exact victim sequence (FNV-1a digest) over seeds 0-9 on
 //! the small configuration and seeds 0-2 on a 10% paper configuration.
 //! They predate the current representation of counter-policy state (the
-//! plain per-partition score tables of `pgc_core::policies::scoreboard`)
+//! plain per-partition score tables of `pgc_odb::policies::scoreboard`)
 //! and have been held, unmodified, across every rewrite of it: how a
 //! policy stores its counters is never a selection decision. (The two
 //! oldest tests keep the names the tier-1 floor list knows them by.)
@@ -18,7 +18,7 @@
 //!
 //! Style and digest follow `tests/bus_equivalence.rs`.
 
-use pgc::core::{PolicyKind, Trigger};
+use pgc::odb::{PolicyKind, Trigger};
 use pgc::sim::shadow::run_race;
 use pgc::sim::{outcome_digest, RunConfig, RunTotals, Simulation};
 use pgc::types::Bytes;

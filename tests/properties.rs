@@ -7,8 +7,9 @@
 //! which makes any failure replayable with a one-line unit test.
 
 use pgc::buffer::{Access, BufferPool};
-use pgc::core::{build_policy, Collector, PolicyKind, SelectionPolicy, Trigger};
-use pgc::odb::{oracle, BarrierEvent, Database};
+use pgc::odb::{
+    build_policy, oracle, BarrierEvent, Collector, Database, PolicyKind, SelectionPolicy, Trigger,
+};
 use pgc::sim::Shard;
 use pgc::types::{Bytes, DbConfig, Oid, PageId, SimRng, SlotId};
 use pgc::workload::generator::GenStats;
@@ -773,6 +774,6 @@ impl SelectionPolicy for ReferenceMostGarbage {
     fn select(&mut self, db: &Database) -> Option<pgc::types::PartitionId> {
         oracle::reference::analyze(db)
             .most_garbage_partition(db.empty_partition())
-            .or_else(|| pgc::core::policy::fallback_victim(db))
+            .or_else(|| pgc::odb::policy::fallback_victim(db))
     }
 }

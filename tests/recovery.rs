@@ -593,8 +593,9 @@ fn server_streams_persist_and_recover_independently() {
         let events: Vec<_> = SyntheticWorkload::new(cfg.workload.clone())
             .expect("workload")
             .collect();
+        let trace = EncodedTrace::from_events(WorkloadParams::default(), &events);
         server
-            .submit_segment(handle, TraceSegment::encode(&events))
+            .submit_segment(handle, TraceSegment::whole(Arc::new(trace)))
             .expect("submit");
     }
     let fleet = server.shutdown().expect("shutdown");

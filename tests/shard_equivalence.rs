@@ -10,11 +10,10 @@
 //! each cross-stream pointer exactly once, clean it when the target is
 //! reclaimed, and report identical counters at every shard count.
 
-use pgc::core::PolicyKind;
 use pgc::prelude::{
-    outcome_digest, RunConfig, RunOutcome, Server, ServerConfig, Simulation, StreamHandle, StreamId,
+    outcome_digest, PolicyKind, RunConfig, RunOutcome, Server, ServerConfig, Simulation,
+    StreamHandle, StreamId, TelemetryLevel, WorkloadParams,
 };
-use pgc::telemetry::TelemetryLevel;
 use pgc::types::SimRng;
 use pgc::workload::{EncodedTrace, Event, NodeId, SyntheticWorkload, TraceSegment};
 use std::sync::Arc;
@@ -42,6 +41,14 @@ fn stream_events(configs: &[(StreamId, RunConfig)]) -> Vec<Vec<Event>> {
                 .collect()
         })
         .collect()
+}
+
+/// One segment holding exactly `events`, encoded once.
+fn encode(events: &[Event]) -> TraceSegment {
+    TraceSegment::whole(Arc::new(EncodedTrace::from_events(
+        WorkloadParams::default(),
+        events,
+    )))
 }
 
 /// Nodes to cross-link per link-ring edge.
@@ -364,7 +371,7 @@ fn ragged_tiny_segments_match_one_whole_segment() {
         let at = j * CHUNK;
         let end = (at + CHUNK).min(events[0].len());
         let segment = if j % 2 == 0 {
-            TraceSegment::encode(&events[0][at..end])
+            encode(&events[0][at..end])
         } else {
             segment
         };
@@ -407,7 +414,7 @@ fn one_slot_inbox_backpressures_without_losing_events() {
     let handle = server.open_stream(stream, cfg).expect("open");
     for chunk in events[0].chunks(64) {
         server
-            .submit_segment(handle, TraceSegment::encode(chunk))
+            .submit_segment(handle, encode(chunk))
             .expect("submit");
     }
     let fleet = server.shutdown().expect("shutdown");
@@ -432,7 +439,7 @@ fn a_non_dense_create_id_surfaces_as_an_error_at_shutdown() {
         slots: 2,
     };
     server
-        .submit_segment(handle, TraceSegment::encode(&[poison]))
+        .submit_segment(handle, encode(&[poison]))
         .expect("enqueue");
     let err = server.shutdown().expect_err("the poisoned stream");
     assert!(

@@ -8,7 +8,7 @@
 //! three event sources (synthetic, recorded slice, shared encoded trace)
 //! agree exactly.
 
-use pgc::core::PolicyKind;
+use pgc::odb::PolicyKind;
 use pgc::sim::{Experiment, RunConfig, Simulation};
 use pgc::telemetry::{record_line, write_snapshot, TelemetryLevel};
 
