@@ -30,7 +30,10 @@
 //! * [`collect`] — the breadth-first **copying collection** of one
 //!   partition into the designated empty partition, with remembered-set
 //!   forwarding and cleanup; this is the fixed mechanism every selection
-//!   policy shares.
+//!   policy shares. Its **extension** (the paper's future work) is the
+//!   complete collection: a global mark, then the same mechanism on every
+//!   partition, reclaiming the distributed cyclic garbage single-partition
+//!   collections cannot.
 //! * [`policy`] — the paper's contribution: the [`SelectionPolicy`] trait,
 //!   every honest policy a [`BarrierObserver`] over the typed
 //!   [`BarrierEvent`] stream that must produce a victim partition on
@@ -52,13 +55,11 @@
 //!   (shadow scoreboards), and drives [`Database::collect_partition`] when
 //!   the trigger fires: the policy decides **which** partition the copying
 //!   mechanism of [`collect`] runs on, the scheduler **when**.
-//! * [`global`] — **extension** (the paper's future work): a complete
-//!   stop-the-world mark-and-collect over the whole database, reclaiming
-//!   the distributed cyclic garbage single-partition collections cannot.
 //! * [`oracle`] — exact reachability analysis over the whole database,
 //!   backing the `MostGarbage` policy and the "actual garbage" rows of the
-//!   evaluation. The oracle is free (no I/O): it models the simulator's
-//!   omniscience, not an implementable system.
+//!   evaluation; its mark is also the complete collection's. The oracle is
+//!   free (no I/O): it models the simulator's omniscience, not an
+//!   implementable system.
 //! * [`stats`] — database counters and the [`PointerWriteInfo`] record the
 //!   write barrier emits for the selection policies to observe.
 //! * [`restore`] — what a snapshot generation needs beyond the object
@@ -74,7 +75,6 @@ pub mod collector;
 pub mod db;
 pub mod engine;
 pub mod events;
-pub mod global;
 pub mod oracle;
 pub mod policies;
 pub mod policy;
@@ -85,11 +85,10 @@ pub mod stats;
 pub mod storage;
 pub mod weights;
 
-pub use collect::CollectionOutcome;
+pub use collect::{CollectionOutcome, FullCollectionOutcome};
 pub use collector::Collector;
 pub use db::{Database, PartitionProfile};
 pub use events::{BarrierEvent, BarrierObserver};
-pub use global::FullCollectionOutcome;
 pub use oracle::OracleReport;
 pub use policies::build_policy;
 pub use policy::{PolicyKind, PolicySwitch, SelectionPolicy};

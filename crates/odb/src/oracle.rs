@@ -24,8 +24,8 @@
 //! the equivalence tests.
 
 use crate::db::Database;
+use crate::storage::{ObjectRecord, ObjectTable};
 use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId};
-use std::collections::HashSet;
 
 /// The oracle's view of the database at one instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,25 +119,19 @@ pub fn analyze(db: &Database) -> OracleReport {
 pub fn analyze_with(db: &Database, scratch: &mut OracleScratch) -> OracleReport {
     let objects = db.objects();
     let bound = objects.oid_bound() as usize;
-    scratch.live.clear();
-    scratch.live.reserve(bound);
     scratch.garbage.clear();
     scratch.garbage.reserve(bound);
     scratch.seen.clear();
     scratch.seen.reserve(bound);
-    scratch.stack.clear();
 
     // Phase 1: mark everything reachable from the roots.
-    scratch.stack.extend(db.roots());
-    while let Some(oid) = scratch.stack.pop() {
-        if !scratch.live.insert(oid.index()) {
-            continue;
-        }
-        let rec = objects
-            .get(oid)
-            .expect("reachable object missing from table");
-        scratch.stack.extend(rec.slots.targets());
-    }
+    mark(
+        objects,
+        db.roots(),
+        &mut scratch.live,
+        &mut scratch.stack,
+        |_| {},
+    );
 
     // Phase 2: everything resident but unmarked is garbage; attribute it.
     let partition_count = db.partition_count();
@@ -197,15 +191,22 @@ pub fn analyze_with(db: &Database, scratch: &mut OracleScratch) -> OracleReport 
     }
 }
 
-/// The set of objects reachable from the database roots.
-///
-/// Retained for callers that want the set itself rather than the report;
-/// built via the dense traversal and materialized into a `HashSet` at the
-/// end, so it is not on the zero-allocation path.
-pub fn reachable_set(db: &Database) -> HashSet<Oid> {
-    let objects = db.objects();
-    let mut live = DenseBitSet::with_capacity(objects.oid_bound() as usize);
-    let mut stack: Vec<Oid> = db.roots().collect();
+/// Marks in `live` every object reachable from `roots`, depth first, and
+/// hands each record to `visit` as it is marked: the one traversal behind
+/// [`analyze_with`] (which visits nothing) and
+/// [`Database::collect_full`] (which reads each marked object's pages).
+/// `live` and `stack` are cleared first.
+pub(crate) fn mark(
+    objects: &ObjectTable,
+    roots: impl IntoIterator<Item = Oid>,
+    live: &mut DenseBitSet,
+    stack: &mut Vec<Oid>,
+    mut visit: impl FnMut(&ObjectRecord),
+) {
+    live.clear();
+    live.reserve(objects.oid_bound() as usize);
+    stack.clear();
+    stack.extend(roots);
     while let Some(oid) = stack.pop() {
         if !live.insert(oid.index()) {
             continue;
@@ -213,9 +214,9 @@ pub fn reachable_set(db: &Database) -> HashSet<Oid> {
         let rec = objects
             .get(oid)
             .expect("reachable object missing from table");
+        visit(rec);
         stack.extend(rec.slots.targets());
     }
-    live.iter().map(Oid).collect()
 }
 
 /// The original hash-set oracle, kept as a correctness baseline.
@@ -292,7 +293,7 @@ pub mod reference {
     }
 
     /// Hash-set reachability, as originally implemented.
-    pub(crate) fn reachable_set(db: &Database) -> HashSet<Oid> {
+    pub fn reachable_set(db: &Database) -> HashSet<Oid> {
         let objects = db.objects();
         let mut live: HashSet<Oid> = HashSet::new();
         let mut stack: Vec<Oid> = db.roots().collect();

@@ -180,15 +180,6 @@ impl RemsetTable {
         }
     }
 
-    /// Forgets everything recorded about dead object `oid` as a *target* in
-    /// partition `t` (used when a remembered object turns out to be garbage
-    /// because its only rememberers died first).
-    pub(crate) fn purge_target(&mut self, t: PartitionId, oid: Oid) {
-        if let Some(m) = self.into.get_mut(t.as_usize()) {
-            m.remove(&oid);
-        }
-    }
-
     /// Forgets the out-count of dead object `oid` in partition `f`.
     /// The per-target `into` entries sourced at `oid` must be removed via
     /// [`RemsetTable::remove_edge`] by the caller, which knows the dead
@@ -343,13 +334,15 @@ mod tests {
     fn purge_source_and_target() {
         let mut r = RemsetTable::new();
         r.add_edge(loc(1, 0), P0, Oid(10), P1);
-        // Dead target: collector discards its remembered entries wholesale.
-        r.purge_target(P1, Oid(10));
+        r.add_edge(loc(1, 1), P0, Oid(20), P2);
+        // A dead source's pointers leave their targets' sets one by one...
+        r.remove_edge(loc(1, 0), P0, Oid(10), P1);
         assert_eq!(r.remembered_target_count(P1), 0);
-        // Out-count still present until the source is purged.
-        assert!(r.in_out_set(P0, Oid(1)));
+        assert!(r.in_out_set(P0, Oid(1)), "one pointer still out");
+        // ...and purging the source forgets whatever out-count is left.
         r.purge_source(P0, Oid(1));
         assert!(!r.in_out_set(P0, Oid(1)));
+        assert_eq!(r.remembered_target_count(P2), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use super::crc::{crc32, Crc32};
 use super::snapshot::{Generation, SnapshotDir};
-use super::{io_err, u32_at, u64_at};
+use super::{io_err, numbered_files, u32_at, u64_at};
 use pgc_types::{PgcError, Result};
 use pgc_workload::{EncodedTrace, WorkloadParams};
 use std::fs::{self, File};
@@ -458,19 +458,10 @@ pub fn read_log(dir: &Path) -> Result<LogContents> {
 /// exactly there ([`LogContents::start_event`]` == from`) and that frame
 /// is among [`LogContents::safepoints`].
 pub(crate) fn read_log_from(dir: &Path, from: u64) -> Result<LogContents> {
-    let mut seqs: Vec<u64> = Vec::new();
-    for entry in fs::read_dir(dir).map_err(io_err)? {
-        let name = entry.map_err(io_err)?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("log-")
-            .and_then(|s| s.strip_suffix(".pgcl"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            seqs.push(seq);
-        }
-    }
-    seqs.sort_unstable();
+    let seqs: Vec<u64> = numbered_files(dir, "log-", ".pgcl")?
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect();
     if seqs.is_empty() {
         return Err(PgcError::TraceFormat(format!(
             "no log segments under {}",

@@ -98,7 +98,8 @@ use manifest::config_from_manifest;
 use pgc_types::{fast_hash_u64, PgcError, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EventBlock, TraceCursor, BLOCK_EVENTS};
-use std::path::Path;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn bad(msg: String) -> PgcError {
@@ -123,6 +124,27 @@ fn u32_at(bytes: &[u8], at: usize) -> u32 {
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(array_at(bytes, at))
+}
+
+/// The files under `dir` named `prefix` + a number + `suffix`, as
+/// `(number, path)` in ascending order. A `.tmp` left by an interrupted
+/// write is not one, and neither is any other name.
+fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<(u64, PathBuf)>> {
+    let mut found = Vec::new();
+    for entry in fs::read_dir(dir).map_err(io_err)? {
+        let entry = entry.map_err(io_err)?;
+        let number = entry
+            .file_name()
+            .to_string_lossy()
+            .strip_prefix(prefix)
+            .and_then(|s| s.strip_suffix(suffix))
+            .and_then(|s| s.parse().ok());
+        if let Some(number) = number {
+            found.push((number, entry.path()));
+        }
+    }
+    found.sort_unstable();
+    Ok(found)
 }
 
 /// What [`recover`] (or [`verify`]) brings back from a data directory.

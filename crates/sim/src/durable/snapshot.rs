@@ -53,7 +53,7 @@
 //! for a reader that holds a landed file to the state it restores to.
 
 use super::crc::crc32;
-use super::{io_err, u32_at, u64_at};
+use super::{io_err, numbered_files, u32_at, u64_at};
 use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
 use pgc_odb::Database;
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result};
@@ -370,24 +370,10 @@ pub struct SnapshotFile {
 /// from an interrupted write is not one, and neither is anything else
 /// whose name is not `snap-` + a number + `.pgcs`.
 pub fn scan_snapshots(dir: &Path) -> Result<Vec<SnapshotFile>> {
-    let mut found = Vec::new();
-    for entry in fs::read_dir(dir).map_err(io_err)? {
-        let entry = entry.map_err(io_err)?;
-        let name = entry.file_name();
-        let generation = name
-            .to_string_lossy()
-            .strip_prefix("snap-")
-            .and_then(|s| s.strip_suffix(".pgcs"))
-            .and_then(|s| s.parse().ok());
-        if let Some(generation) = generation {
-            found.push(SnapshotFile {
-                generation,
-                path: entry.path(),
-            });
-        }
-    }
-    found.sort_by_key(|f| f.generation);
-    Ok(found)
+    Ok(numbered_files(dir, "snap-", ".pgcs")?
+        .into_iter()
+        .map(|(generation, path)| SnapshotFile { generation, path })
+        .collect())
 }
 
 /// One snapshot generation on its way from the run thread to disk: every

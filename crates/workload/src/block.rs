@@ -281,7 +281,6 @@ mod tests {
             batched.extend(block.iter());
         }
         assert_eq!(batched, per_event);
-        assert_eq!(cursor.decoded(), trace.events());
         assert_eq!(cursor.remaining_events(), 0);
     }
 

@@ -489,7 +489,7 @@ mod tests {
                 }
             };
             assert_eq!(seen, events, "{what}");
-            assert_eq!(cursor.decoded(), n, "{what}");
+            assert_eq!(cursor.remaining_events(), 0, "{what}");
             assert!(bytes[..stop].starts_with(&kept), "{what}");
             match end {
                 Ok(()) => assert!(accepted && kept == bytes, "{what}"),

@@ -9,9 +9,9 @@
 //!
 //! * [`EncodedTrace`] — one workload's whole event stream as a single
 //!   contiguous byte buffer in the layout of [`crate::codec`]
-//!   (~7.5 bytes/event, a fraction of `size_of::<Event>()`), with a
-//!   [`TraceHeader`] carrying the seed, event count, and generator
-//!   counters. Recorded once per parameter set by [`EncodedTrace::record`].
+//!   (~7.5 bytes/event, a fraction of `size_of::<Event>()`), with its
+//!   parameters, event count and generator counters. Recorded once per
+//!   parameter set by [`EncodedTrace::record`].
 //!   On disk it is a PGCT trace file: magic `"PGCT"`, version `u32` LE,
 //!   then the buffer byte for byte, ending at EOF on an event boundary
 //!   ([`EncodedTrace::write_to`], [`EncodedTrace::read_from`]). Version 1
@@ -42,25 +42,13 @@ use crate::generator::{GenStats, SyntheticWorkload};
 use crate::params::WorkloadParams;
 use pgc_types::{FastHashMap, PgcError, Result};
 use std::io::{Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The first bytes of a PGCT trace file.
 const MAGIC: &[u8; 4] = b"PGCT";
 /// The PGCT version after [`MAGIC`]: 2, ids and sizes in the codec's
 /// narrow or wide form.
 const VERSION: u32 = 2;
-
-/// Metadata recorded alongside the encoded event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceHeader {
-    /// The generator seed (`params.seed`, duplicated for convenience).
-    pub seed: u64,
-    /// Number of events in the stream.
-    pub events: u64,
-    /// Generator counters accumulated while recording ([`GenStats::default`]
-    /// when the trace was built from raw events rather than recorded).
-    pub stats: GenStats,
-}
 
 /// One workload's event stream, encoded into a single contiguous buffer.
 ///
@@ -80,10 +68,14 @@ pub struct TraceHeader {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EncodedTrace {
-    header: TraceHeader,
     params: WorkloadParams,
+    /// Number of events in the stream.
+    events: u64,
+    /// Generator counters accumulated while recording (zeroed when the
+    /// trace was built from raw events rather than recorded).
+    stats: GenStats,
     buf: Vec<u8>,
-    /// Byte offset after every [`MARK_EVERY`]th event: `marks[k]` is the
+    /// Byte offset after every `MARK_EVERY`th event: `marks[k]` is the
     /// position just past event `(k + 1) * MARK_EVERY`. Lets
     /// [`EncodedTrace::segments`] carve block-aligned segments without
     /// scanning the variable-length byte stream.
@@ -92,7 +84,7 @@ pub struct EncodedTrace {
 
 /// Event interval between recorded byte marks — one mark per decode block,
 /// so block-sized segmentation never scans.
-pub const MARK_EVERY: u64 = BLOCK_EVENTS as u64;
+const MARK_EVERY: u64 = BLOCK_EVENTS as u64;
 
 impl EncodedTrace {
     /// Runs the synthetic generator for `params` and encodes its entire
@@ -105,13 +97,13 @@ impl EncodedTrace {
         let buf = Vec::with_capacity((params.target_allocated.get() / 2).min(1 << 28) as usize);
         let mut trace = Self::encode(params, buf, generator.by_ref());
         trace.buf.shrink_to_fit();
-        trace.header.stats = generator.stats();
+        trace.stats = generator.stats();
         Ok(trace)
     }
 
     /// Encodes an explicit event sequence (e.g. an assembly workload or a
     /// hand-built test stream). `params` labels the trace for cache keying;
-    /// the header's generator counters are zeroed.
+    /// the generator counters are zeroed.
     pub fn from_events<'a>(
         params: WorkloadParams,
         events: impl IntoIterator<Item = &'a Event>,
@@ -120,7 +112,7 @@ impl EncodedTrace {
     }
 
     /// Encodes `events` onto `buf` (empty, perhaps with capacity), marking
-    /// every [`MARK_EVERY`]th boundary: the one encode loop behind
+    /// every `MARK_EVERY`th boundary: the one encode loop behind
     /// [`EncodedTrace::record`] and [`EncodedTrace::from_events`].
     fn encode(
         params: WorkloadParams,
@@ -136,12 +128,9 @@ impl EncodedTrace {
             }
         }
         Self {
-            header: TraceHeader {
-                seed: params.seed,
-                events: count,
-                stats: GenStats::default(),
-            },
             params,
+            events: count,
+            stats: GenStats::default(),
             buf,
             marks,
         }
@@ -173,7 +162,7 @@ impl EncodedTrace {
         let mut body = Vec::new();
         source.read_to_end(&mut body).map_err(io_err)?;
         let mut trace = Self::from_events(WorkloadParams::default(), &[]);
-        (trace.header.events, trace.marks) = trace.scan(&body)?;
+        (trace.events, trace.marks) = trace.scan(&body)?;
         trace.buf = body;
         Ok(trace)
     }
@@ -192,7 +181,7 @@ impl EncodedTrace {
         }
         self.marks.extend(marks);
         self.buf.extend_from_slice(bytes);
-        self.header.events += events;
+        self.events += events;
         Ok(())
     }
 
@@ -202,16 +191,11 @@ impl EncodedTrace {
         let (mut pos, mut held, mut marks) = (0, 0u64, Vec::new());
         while codec::read(bytes, &mut pos)?.is_some() {
             held += 1;
-            if (self.header.events + held).is_multiple_of(MARK_EVERY) {
+            if (self.events + held).is_multiple_of(MARK_EVERY) {
                 marks.push(self.buf.len() + pos);
             }
         }
         Ok((held, marks))
-    }
-
-    /// The trace metadata.
-    pub fn header(&self) -> &TraceHeader {
-        &self.header
     }
 
     /// The parameters the trace was recorded from.
@@ -221,17 +205,17 @@ impl EncodedTrace {
 
     /// The generator seed.
     pub fn seed(&self) -> u64 {
-        self.header.seed
+        self.params.seed
     }
 
     /// Number of events in the stream.
     pub fn events(&self) -> u64 {
-        self.header.events
+        self.events
     }
 
     /// Generator counters recorded with the trace.
     pub fn stats(&self) -> GenStats {
-        self.header.stats
+        self.stats
     }
 
     /// Size of the encoded stream in bytes.
@@ -245,21 +229,21 @@ impl EncodedTrace {
             buf: &self.buf,
             pos: 0,
             decoded: 0,
-            expected: self.header.events,
+            expected: self.events,
         }
     }
 
     /// Byte offset of the event boundary after `event` events: `0` for the
     /// start of the stream, `byte_len()` for its end. Boundaries at
-    /// multiples of [`MARK_EVERY`] resolve from the recorded marks in O(1);
+    /// multiples of `MARK_EVERY` resolve from the recorded marks in O(1);
     /// others scan forward from the nearest mark (at most one block's worth
     /// of tag-skipping).
     fn byte_pos_of(&self, event: u64) -> Result<usize> {
-        debug_assert!(event <= self.header.events);
+        debug_assert!(event <= self.events);
         if event == 0 {
             return Ok(0);
         }
-        if event == self.header.events {
+        if event == self.events {
             return Ok(self.buf.len());
         }
         let whole_marks = (event / MARK_EVERY) as usize;
@@ -281,7 +265,7 @@ impl EncodedTrace {
     /// Carves a shared trace into consecutive [`TraceSegment`]s of at most
     /// `max_events` events each (the last takes the remainder). Each
     /// segment is an `Arc` bump plus a byte range — no event is copied.
-    /// When `max_events` is a multiple of [`MARK_EVERY`] the boundaries
+    /// When `max_events` is a multiple of [`BLOCK_EVENTS`] the boundaries
     /// come straight from the recorded marks; otherwise each split scans at
     /// most one mark interval.
     pub fn segments(trace: &Arc<Self>, max_events: u64) -> Result<Vec<TraceSegment>> {
@@ -290,7 +274,7 @@ impl EncodedTrace {
                 "segments must hold at least one event",
             ));
         }
-        let total = trace.header.events;
+        let total = trace.events;
         let mut out = Vec::with_capacity(total.div_ceil(max_events) as usize);
         let mut start_event = 0u64;
         let mut start_byte = 0usize;
@@ -325,7 +309,7 @@ impl EncodedTrace {
         sink.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
         sink.write_all(&self.buf).map_err(io_err)?;
         sink.flush().map_err(io_err)?;
-        Ok(self.header.events)
+        Ok(self.events)
     }
 }
 
@@ -410,12 +394,7 @@ impl TraceCursor<'_> {
         Ok(out)
     }
 
-    /// Events decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Events left to decode, from the header count. Lets a replay loop
+    /// Events left to decode, from the trace's event count. Lets a replay loop
     /// size batches (e.g. stop a block at a sampling boundary) without
     /// probing the byte stream.
     pub fn remaining_events(&self) -> u64 {
@@ -453,7 +432,7 @@ impl TraceSegment {
     /// The whole trace as one segment.
     pub fn whole(trace: Arc<EncodedTrace>) -> Self {
         let end = trace.buf.len();
-        let events = trace.header.events;
+        let events = trace.events;
         Self {
             trace,
             start: 0,
@@ -475,11 +454,6 @@ impl TraceSegment {
     /// Size of the segment's byte range.
     pub fn byte_len(&self) -> usize {
         self.end - self.start
-    }
-
-    /// The shared trace the segment points into.
-    pub fn trace(&self) -> &Arc<EncodedTrace> {
-        &self.trace
     }
 
     /// A decoding cursor over exactly this segment's events.
@@ -513,10 +487,16 @@ impl TraceCache {
         Self::default()
     }
 
+    /// The map, even if a thread panicked holding it: it only ever holds
+    /// immutable `Arc`s, and `record` runs outside the lock, so no update
+    /// can have been left half done.
+    fn entries(&self) -> MutexGuard<'_, FastHashMap<u64, CacheBucket>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The trace for `params`, if already recorded.
-    pub fn get(&self, params: &WorkloadParams) -> Option<Arc<EncodedTrace>> {
-        let entries = self.entries.lock().expect("trace cache poisoned");
-        entries
+    fn get(&self, params: &WorkloadParams) -> Option<Arc<EncodedTrace>> {
+        self.entries()
             .get(&params.digest())?
             .iter()
             .find(|(p, _)| p == params)
@@ -532,7 +512,7 @@ impl TraceCache {
             return Ok(hit);
         }
         let recorded = Arc::new(EncodedTrace::record(params.clone())?);
-        let mut entries = self.entries.lock().expect("trace cache poisoned");
+        let mut entries = self.entries();
         let bucket = entries.entry(params.digest()).or_default();
         if let Some((_, existing)) = bucket.iter().find(|(p, _)| p == params) {
             return Ok(Arc::clone(existing));
@@ -543,19 +523,12 @@ impl TraceCache {
 
     /// Number of distinct traces held.
     pub fn len(&self) -> usize {
-        let entries = self.entries.lock().expect("trace cache poisoned");
-        entries.values().map(Vec::len).sum()
+        self.entries().values().map(Vec::len).sum()
     }
 
     /// True when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total bytes held across all encoded streams.
-    pub fn resident_bytes(&self) -> usize {
-        let entries = self.entries.lock().expect("trace cache poisoned");
-        entries.values().flatten().map(|(_, t)| t.byte_len()).sum()
     }
 }
 
@@ -598,7 +571,7 @@ pub(crate) mod tests {
         let mut a = trace.cursor();
         a.next_block_of(&mut block, 1).unwrap();
         let first = block.get(0);
-        assert_eq!(a.decoded(), 1);
+        assert_eq!(a.remaining_events(), trace.events() - 1);
         // A second cursor starts from the beginning, independently.
         let mut b = trace.cursor();
         b.next_block_of(&mut block, 1).unwrap();
@@ -606,7 +579,7 @@ pub(crate) mod tests {
         // Draining reaches the recorded count.
         let mut c = trace.cursor();
         while c.next_block(&mut block).unwrap() > 0 {}
-        assert_eq!(c.decoded(), trace.events());
+        assert_eq!(c.remaining_events(), 0);
     }
 
     #[test]
@@ -760,7 +733,7 @@ pub(crate) mod tests {
         corrupt.buf.truncate(corrupt.buf.len() - 3);
         let err = corrupt.cursor().decode_all().unwrap_err();
         assert!(matches!(err, PgcError::TraceFormat(_)));
-        // Truncating at an event boundary is caught by the header count.
+        // Truncating at an event boundary is caught by the event count.
         let boundary = {
             let mut t = full.clone();
             let mut cursor = t.cursor();
@@ -805,7 +778,7 @@ pub(crate) mod tests {
         let whole = TraceSegment::whole(Arc::clone(&trace));
         assert_eq!(whole.events(), trace.events());
         assert_eq!(whole.byte_len(), trace.byte_len());
-        assert!(Arc::ptr_eq(whole.trace(), &trace));
+        assert!(Arc::ptr_eq(&whole.trace, &trace));
         let events = trace.cursor().decode_all().unwrap();
         let encoded = TraceSegment::whole(Arc::new(EncodedTrace::from_events(
             WorkloadParams::default(),
@@ -815,7 +788,7 @@ pub(crate) mod tests {
         assert_eq!(back, events);
         // Cloning a segment shares the underlying trace.
         let clone = whole.clone();
-        assert!(Arc::ptr_eq(clone.trace(), whole.trace()));
+        assert!(Arc::ptr_eq(&clone.trace, &whole.trace));
     }
 
     #[test]
@@ -1015,7 +988,6 @@ pub(crate) mod tests {
         let c = cache.get_or_record(&small(2)).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 2);
-        assert!(cache.resident_bytes() >= a.byte_len() + c.byte_len());
         assert!(cache.get(&small(3)).is_none());
     }
 

@@ -53,7 +53,7 @@ pub mod params;
 pub use assembly::{AssemblyParams, AssemblyWorkload};
 pub use block::{EventBlock, BLOCK_EVENTS};
 pub use codec::encode_event;
-pub use encoded::{EncodedTrace, TraceCache, TraceCursor, TraceHeader, TraceSegment, MARK_EVERY};
+pub use encoded::{EncodedTrace, TraceCache, TraceCursor, TraceSegment};
 pub use event::{Event, NodeId};
 pub use generator::SyntheticWorkload;
 pub use params::WorkloadParams;

@@ -318,9 +318,11 @@ fn collector_never_reclaims_reachable_objects() {
         let ops: Vec<Op> = (0..rng.range_inclusive(1, 120))
             .map(|_| random_op(&mut rng))
             .collect();
+        // Two-page partitions, so a program spans several of them and
+        // builds cross-partition pointers, cycles and nepotism.
         let cfg = DbConfig::default()
             .with_page_size(512)
-            .with_partition_pages(8)
+            .with_partition_pages(2)
             .with_gc_overwrite_threshold(10);
         let mut db = Database::new(cfg).expect("db");
         let mut collector = Collector::with_kind(policy, 10, 1, 16);
@@ -353,7 +355,7 @@ fn collector_never_reclaims_reachable_objects() {
                         continue;
                     }
                     // Only mutate reachable objects, like a real app.
-                    if !oracle::reachable_set(&db).contains(&o) {
+                    if !oracle::reference::reachable_set(&db).contains(&o) {
                         continue;
                     }
                     db.write_slot(o, SlotId(slot as u16), None).expect("write");
@@ -371,7 +373,7 @@ fn collector_never_reclaims_reachable_objects() {
                     if !db.objects().contains(o) || !db.objects().contains(t) {
                         continue;
                     }
-                    let reachable = oracle::reachable_set(&db);
+                    let reachable = oracle::reference::reachable_set(&db);
                     if !reachable.contains(&o) || !reachable.contains(&t) {
                         continue;
                     }
@@ -382,7 +384,7 @@ fn collector_never_reclaims_reachable_objects() {
                     // `force_collect` pumps the accumulated barrier events
                     // through the bus before selecting, so the policy's
                     // scoreboard is current at selection time.
-                    let reachable_before = oracle::reachable_set(&db);
+                    let reachable_before = oracle::reference::reachable_set(&db);
                     collector.force_collect(&mut db).expect("collect");
                     for oid in &reachable_before {
                         assert!(
@@ -397,11 +399,24 @@ fn collector_never_reclaims_reachable_objects() {
 
         // Final safety sweep: everything reachable is present with a valid
         // weight, and remsets mirror the heap exactly (check_invariants).
-        let reachable = oracle::reachable_set(&db);
-        for oid in reachable {
+        let reachable = oracle::reference::reachable_set(&db);
+        for &oid in &reachable {
             let rec = db.objects().get(oid).expect("reachable object exists");
             assert!(rec.weight >= 1 && rec.weight <= 16, "seed {seed}");
         }
+
+        // A complete collection on top keeps everything reachable and
+        // leaves no garbage, distributed cycles included.
+        let mut full = db.clone();
+        full.collect_full().expect("full collection");
+        for oid in &reachable {
+            assert!(
+                full.objects().contains(*oid),
+                "seed {seed}: complete collection reclaimed reachable object {oid}"
+            );
+        }
+        assert_eq!(oracle::analyze(&full).garbage_objects, 0, "seed {seed}");
+        full.check_invariants();
     }
 }
 
@@ -473,7 +488,9 @@ fn scoreboard_selections_maximize_victim_score() {
                         continue;
                     }
                     let o = objects[owner % objects.len()];
-                    if !db.objects().contains(o) || !oracle::reachable_set(&db).contains(&o) {
+                    if !db.objects().contains(o)
+                        || !oracle::reference::reachable_set(&db).contains(&o)
+                    {
                         continue;
                     }
                     db.write_slot(o, SlotId(slot as u16), None).expect("write");
@@ -491,7 +508,7 @@ fn scoreboard_selections_maximize_victim_score() {
                     if !db.objects().contains(o) || !db.objects().contains(t) {
                         continue;
                     }
-                    let reachable = oracle::reachable_set(&db);
+                    let reachable = oracle::reference::reachable_set(&db);
                     if !reachable.contains(&o) || !reachable.contains(&t) {
                         continue;
                     }
