@@ -30,364 +30,80 @@
 //! generation's restore point on ([`read_log_from`]): segments wholly
 //! before it are checked by header only, so damage inside them is not
 //! seen — nothing there is replayed.
+//!
+//! This module is the format alone: [`open_segment`] and the frame writers
+//! put these bytes onto a segment through the `fs` seam, and when they are
+//! flushed and synced is the store's to decide (`store.rs`).
 
 use super::crc::{crc32, Crc32};
-use super::snapshot::{Generation, SnapshotDir};
+use super::fs::Appender;
 use super::{io_err, numbered_files, u32_at, u64_at};
 use pgc_types::{PgcError, Result};
 use pgc_workload::{EncodedTrace, WorkloadParams};
 use std::fs::{self, File};
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::thread;
+use std::io::Read;
+use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PGCL";
 const VERSION: u32 = 1;
-const HEADER_BYTES: u64 = 4 + 4 + 8 + 8;
+pub(super) const HEADER_BYTES: u64 = 4 + 4 + 8 + 8;
 
 const FRAME_EVENTS: u8 = 1;
 const FRAME_SAFEPOINT: u8 = 2;
+
+/// Write buffer in front of each segment file; sized so a whole block of
+/// frames accumulates between safepoint flushes without write syscalls.
+const WRITE_BUF_BYTES: usize = 512 << 10;
 
 /// File name of log segment `seq`.
 pub(crate) fn segment_name(seq: u64) -> String {
     format!("log-{seq:08}.pgcl")
 }
 
-/// Write buffer in front of each segment file; sized so a whole block of
-/// frames accumulates between safepoint flushes without write syscalls.
-const WRITE_BUF_BYTES: usize = 512 << 10;
-
-/// Dirty bytes that accumulate before a safepoint kicks the background
-/// flusher. Kicking on every safepoint would sync near-clean files over
-/// and over; kicking by volume keeps the dirty-page debt bounded while
-/// staying off the hot path between kicks.
-const KICK_BYTES: u64 = 1 << 20;
-
-/// Most snapshot generations the background thread holds at once: the one
-/// it is writing and one queued behind it.
-pub(crate) const MAX_IN_FLIGHT: usize = 2;
-
-/// Work for the store's one background thread.
-enum Job {
-    /// fsync a duplicated log-segment handle (best effort).
-    SyncLog(File),
-    /// fsync the log segment that holds a generation's safepoint frame,
-    /// then land the generation, and report back.
-    Land { log: File, generation: Generation },
+/// Creates segment `seq` under `dir`, starting at event `start_event`, and
+/// writes its header, flushed to the OS so that a kill never leaves a
+/// segment file behind empty.
+pub(super) fn open_segment(dir: &Path, seq: u64, start_event: u64) -> Result<Appender> {
+    let mut out = Appender::create(dir.join(segment_name(seq)), WRITE_BUF_BYTES)?;
+    let mut header = [0u8; HEADER_BYTES as usize];
+    header[..4].copy_from_slice(MAGIC);
+    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    header[8..16].copy_from_slice(&seq.to_le_bytes());
+    header[16..].copy_from_slice(&start_event.to_le_bytes());
+    out.write(&header)?;
+    out.flush()?;
+    Ok(out)
 }
 
-/// The background thread's report on one generation; the buffer comes
-/// back with it for the next capture.
-struct Landed {
-    generation: Generation,
-    /// `Ok` once both fsyncs — the log's, then the file's — were issued
-    /// and the file is in place; otherwise what went wrong.
-    outcome: Result<()>,
+/// Writes one frame whose payload is the concatenation of `parts`,
+/// checksumming as it goes (no intermediate assembly copy); returns the
+/// frame's size in bytes.
+fn write_frame(out: &mut Appender, kind: u8, parts: &[&[u8]]) -> Result<u64> {
+    let payload_len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut crc = Crc32::new();
+    crc.update(&[kind]);
+    out.write(&(payload_len as u32).to_le_bytes())?;
+    out.write(&[kind])?;
+    for part in parts {
+        crc.update(part);
+        out.write(part)?;
+    }
+    out.write(&crc.finish().to_le_bytes())?;
+    Ok(4 + 1 + payload_len as u64 + 4)
 }
 
-/// The store's background I/O thread. It does two jobs, in the order they
-/// were handed over.
-///
-/// *Log fsyncs between generations.* An `fsync` pays for every dirty page
-/// still unwritten, so the log writer may hand over a duplicated file
-/// handle at any safepoint, which is fsynced here while the run keeps
-/// going. Dropped kicks are fine — this is an optimization, not a
-/// guarantee: a safepoint that carries no generation promises "flushed to
-/// the OS" and no more.
-///
-/// *Snapshot generations.* The run thread serialises a generation, appends
-/// and flushes its safepoint frame, and hands both over
-/// ([`Flusher::land`]): a duplicated handle of the segment that holds the
-/// frame, and the generation. Here the log is fsynced first, then the
-/// file is checksummed, written, fsynced and renamed, then the oldest
-/// generation is pruned — two fsyncs and three directory operations per
-/// generation, none of them on the run thread. The ordering contract:
-/// **a generation file in place implies the log up to its safepoint frame
-/// is on disk; `finish` returns only after both.** Recovery leans on
-/// exactly that (it drops any snapshot taken beyond the log it read). The
-/// outcome of every generation comes back to the run thread, which must
-/// see it: [`Flusher::next_generation`] and [`Flusher::drain`] return the
-/// first error reported — a failed log fsync like a failed landing — and
-/// fail rather than wait if the thread is gone.
-pub(crate) struct Flusher {
-    jobs: Option<mpsc::SyncSender<Job>>,
-    landed: mpsc::Receiver<Landed>,
-    handle: Option<thread::JoinHandle<()>>,
-    /// Generations handed over and not yet reported back.
-    in_flight: usize,
-    /// Buffers of landed generations, kept for reuse.
-    spare: Vec<Generation>,
-    /// Generations reported landed so far: each stands for one log fsync
-    /// and one snapshot-file fsync issued on the thread.
-    pub(crate) generations_landed: u64,
+/// Writes an events frame: `count` events already encoded in `body`.
+pub(super) fn write_events(out: &mut Appender, count: u32, body: &[u8]) -> Result<u64> {
+    write_frame(out, FRAME_EVENTS, &[&count.to_le_bytes(), body])
 }
 
-impl Flusher {
-    fn spawn(dir: &Path) -> Self {
-        let (jobs, rx) = mpsc::sync_channel::<Job>(2);
-        let (reports, landed) = mpsc::channel::<Landed>();
-        let mut snapshots = SnapshotDir::new(dir.to_path_buf());
-        let handle = thread::Builder::new()
-            .name("pgc-durable-io".into())
-            .spawn(move || {
-                for job in rx {
-                    match job {
-                        // Best-effort: a failed background sync is retried
-                        // by the next synchronous durability point.
-                        Job::SyncLog(file) => {
-                            let _ = file.sync_data();
-                        }
-                        Job::Land {
-                            log,
-                            mut generation,
-                        } => {
-                            let outcome = log
-                                .sync_data()
-                                .map_err(io_err)
-                                .and_then(|()| snapshots.land(&mut generation));
-                            // The store may already be gone (dropped after
-                            // an error): nobody is left to tell.
-                            let _ = reports.send(Landed {
-                                generation,
-                                outcome,
-                            });
-                        }
-                    }
-                }
-            })
-            .ok();
-        Self {
-            jobs: Some(jobs),
-            landed,
-            handle,
-            in_flight: 0,
-            spare: Vec::with_capacity(MAX_IN_FLIGHT),
-            generations_landed: 0,
-        }
-    }
-
-    /// Asks for a background fsync of `file`; drops the request if the
-    /// thread is still busy with earlier work.
-    fn kick(&self, file: &File) {
-        if let (Some(jobs), Ok(clone)) = (&self.jobs, file.try_clone()) {
-            let _ = jobs.try_send(Job::SyncLog(clone));
-        }
-    }
-
-    fn gone() -> PgcError {
-        PgcError::TraceIo("snapshot writer thread is gone".into())
-    }
-
-    /// Takes in every report that is ready, then waits until at most
-    /// `allow` generations are still with the thread.
-    fn settle(&mut self, allow: usize) -> Result<()> {
-        loop {
-            let report = if self.in_flight > allow {
-                self.landed.recv().map_err(|_| Self::gone())?
-            } else {
-                match self.landed.try_recv() {
-                    Ok(report) => report,
-                    Err(mpsc::TryRecvError::Empty) => return Ok(()),
-                    Err(mpsc::TryRecvError::Disconnected) => return Err(Self::gone()),
-                }
-            };
-            self.in_flight -= 1;
-            self.spare.push(report.generation);
-            report.outcome?;
-            self.generations_landed += 1;
-        }
-    }
-
-    /// Surfaces any error reported since the last call, without waiting.
-    pub(crate) fn poll(&mut self) -> Result<()> {
-        self.settle(MAX_IN_FLIGHT)
-    }
-
-    /// A buffer to capture the next generation into. Blocks while a
-    /// generation is queued behind the one being written, so buffers
-    /// never pile up behind a slow disk.
-    pub(crate) fn next_generation(&mut self) -> Result<Generation> {
-        self.settle(MAX_IN_FLIGHT - 1)?;
-        Ok(self.spare.pop().unwrap_or_default())
-    }
-
-    /// Hands a captured generation over for landing, behind an fsync of
-    /// `log`.
-    fn land(&mut self, log: File, generation: Generation) -> Result<()> {
-        let jobs = self.jobs.as_ref().ok_or_else(Self::gone)?;
-        jobs.send(Job::Land { log, generation })
-            .map_err(|_| Self::gone())?;
-        self.in_flight += 1;
-        Ok(())
-    }
-
-    /// Waits until every generation handed over has landed.
-    pub(crate) fn drain(&mut self) -> Result<()> {
-        self.settle(0)
-    }
-}
-
-impl Drop for Flusher {
-    fn drop(&mut self) {
-        self.jobs = None; // close the channel so the thread exits
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The append side. Owned by [`super::DurableStore`].
-pub(crate) struct LogWriter {
-    dir: PathBuf,
-    out: BufWriter<File>,
-    seq: u64,
-    seg_bytes: u64,
-    segment_limit: u64,
-    bytes_since_kick: u64,
-    pub(crate) flusher: Flusher,
-    // Counters surfaced through StorageStats.
-    pub(crate) bytes_written: u64,
-    pub(crate) frames: u64,
-    pub(crate) fsyncs: u64,
-    pub(crate) segments: u64,
-}
-
-impl LogWriter {
-    pub(crate) fn create(dir: &Path, segment_limit: u64) -> Result<Self> {
-        let mut writer = Self {
-            dir: dir.to_path_buf(),
-            out: BufWriter::with_capacity(WRITE_BUF_BYTES, open_segment(dir, 0)?),
-            seq: 0,
-            seg_bytes: HEADER_BYTES,
-            segment_limit,
-            bytes_since_kick: 0,
-            flusher: Flusher::spawn(dir),
-            bytes_written: HEADER_BYTES,
-            frames: 0,
-            fsyncs: 0,
-            segments: 1,
-        };
-        writer.write_header(0)?;
-        Ok(writer)
-    }
-
-    /// Writes a fresh segment's header and flushes it to the OS, so a
-    /// segment file is never left behind empty by a kill before its first
-    /// safepoint.
-    fn write_header(&mut self, start_event: u64) -> Result<()> {
-        self.out.write_all(MAGIC).map_err(io_err)?;
-        self.out.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
-        self.out
-            .write_all(&self.seq.to_le_bytes())
-            .map_err(io_err)?;
-        self.out
-            .write_all(&start_event.to_le_bytes())
-            .map_err(io_err)?;
-        self.out.flush().map_err(io_err)
-    }
-
-    /// Writes one frame whose payload is the concatenation of `parts`,
-    /// checksumming as it goes — no intermediate assembly copy.
-    fn write_frame(&mut self, kind: u8, parts: &[&[u8]]) -> Result<()> {
-        let payload_len: usize = parts.iter().map(|p| p.len()).sum();
-        let mut crc = Crc32::new();
-        crc.update(&[kind]);
-        self.out
-            .write_all(&(payload_len as u32).to_le_bytes())
-            .map_err(io_err)?;
-        self.out.write_all(&[kind]).map_err(io_err)?;
-        for part in parts {
-            crc.update(part);
-            self.out.write_all(part).map_err(io_err)?;
-        }
-        self.out
-            .write_all(&crc.finish().to_le_bytes())
-            .map_err(io_err)?;
-        let frame_bytes = 4 + 1 + payload_len as u64 + 4;
-        self.seg_bytes += frame_bytes;
-        self.bytes_written += frame_bytes;
-        self.bytes_since_kick += frame_bytes;
-        self.frames += 1;
-        Ok(())
-    }
-
-    /// Appends an events frame: `count` events already encoded in `body`.
-    pub(crate) fn append_events(&mut self, count: u32, body: &[u8]) -> Result<()> {
-        self.write_frame(FRAME_EVENTS, &[&count.to_le_bytes(), body])
-    }
-
-    /// Appends a safepoint frame — carrying `generation`'s number when a
-    /// snapshot generation was captured at this safepoint — and rotates
-    /// the segment if it outgrew the configured limit.
-    ///
-    /// Every safepoint *flushes* to the OS — buffered frames survive a
-    /// process kill from here on — and never waits for the disk. A
-    /// generation goes to the background [`Flusher`] together with a
-    /// handle of the segment its frame was just written to (duplicated
-    /// before any rotation below), which fsyncs that segment and then lands
-    /// the file; otherwise, once [`KICK_BYTES`] of frames have accumulated,
-    /// the flusher is kicked so dirty pages drain to disk while the run
-    /// continues. The synchronous `fsync` is reserved for segment rotation
-    /// and shutdown. Per-collection synchronous fsyncs would dominate the
-    /// whole write path (milliseconds each against a microsecond-scale
-    /// inter-collection interval) for a guarantee the torn-tail recovery
-    /// does not need.
-    pub(crate) fn safepoint(
-        &mut self,
-        events_applied: u64,
-        collections: u64,
-        generation: Option<Generation>,
-    ) -> Result<()> {
-        let number = generation.as_ref().map_or(0, Generation::number);
-        let mut payload = [0u8; 24];
-        payload[..8].copy_from_slice(&events_applied.to_le_bytes());
-        payload[8..16].copy_from_slice(&collections.to_le_bytes());
-        payload[16..].copy_from_slice(&number.to_le_bytes());
-        self.write_frame(FRAME_SAFEPOINT, &[&payload])?;
-        self.out.flush().map_err(io_err)?;
-        if let Some(generation) = generation {
-            let log = self.out.get_ref().try_clone().map_err(io_err)?;
-            self.flusher.land(log, generation)?;
-            self.bytes_since_kick = 0;
-        } else if self.bytes_since_kick >= KICK_BYTES {
-            self.flusher.kick(self.out.get_ref());
-            self.bytes_since_kick = 0;
-        }
-        if self.seg_bytes >= self.segment_limit {
-            self.rotate(events_applied)?;
-        }
-        Ok(())
-    }
-
-    fn rotate(&mut self, start_event: u64) -> Result<()> {
-        // A sealed segment is made power-loss durable before the next one
-        // opens, so only the newest segment can ever hold a torn tail.
-        self.sync()?;
-        self.seq += 1;
-        self.out = BufWriter::with_capacity(WRITE_BUF_BYTES, open_segment(&self.dir, self.seq)?);
-        self.seg_bytes = HEADER_BYTES;
-        self.bytes_written += HEADER_BYTES;
-        self.segments += 1;
-        self.write_header(start_event)
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.out.flush().map_err(io_err)?;
-        self.out.get_ref().sync_data().map_err(io_err)?;
-        self.fsyncs += 1;
-        self.bytes_since_kick = 0;
-        Ok(())
-    }
-
-    /// Final flush + fsync at shutdown.
-    pub(crate) fn finish(&mut self) -> Result<()> {
-        self.sync()
-    }
-}
-
-fn open_segment(dir: &Path, seq: u64) -> Result<File> {
-    File::create(dir.join(segment_name(seq))).map_err(io_err)
+/// Writes a safepoint frame.
+pub(super) fn write_safepoint(out: &mut Appender, note: SafepointNote) -> Result<u64> {
+    let mut payload = [0u8; 24];
+    payload[..8].copy_from_slice(&note.events_applied.to_le_bytes());
+    payload[8..16].copy_from_slice(&note.collections.to_le_bytes());
+    payload[16..].copy_from_slice(&note.generation.to_le_bytes());
+    write_frame(out, FRAME_SAFEPOINT, &[&payload])
 }
 
 /// A safepoint frame as read back from the log.
@@ -523,13 +239,14 @@ pub(crate) fn read_log_from(dir: &Path, from: u64) -> Result<LogContents> {
 /// Checks segment `seq`'s header; returns its start event and file length,
 /// or `None` for a file shorter than a header.
 fn read_header(dir: &Path, seq: u64) -> Result<Option<(u64, u64)>> {
-    let mut file = File::open(dir.join(segment_name(seq))).map_err(io_err)?;
-    let len = file.metadata().map_err(io_err)?.len();
+    let path = dir.join(segment_name(seq));
+    let mut file = File::open(&path).map_err(io_err(&path))?;
+    let len = file.metadata().map_err(io_err(&path))?.len();
     if len < HEADER_BYTES {
         return Ok(None);
     }
     let mut header = [0u8; HEADER_BYTES as usize];
-    file.read_exact(&mut header).map_err(io_err)?;
+    file.read_exact(&mut header).map_err(io_err(&path))?;
     check_header(&header, seq).map(|start| Some((start, len)))
 }
 
@@ -557,7 +274,8 @@ fn check_header(bytes: &[u8], seq: u64) -> Result<u64> {
 }
 
 fn read_segment(dir: &Path, seq: u64, last: bool, from: u64, out: &mut LogContents) -> Result<()> {
-    let bytes = fs::read(dir.join(segment_name(seq))).map_err(io_err)?;
+    let path = dir.join(segment_name(seq));
+    let bytes = fs::read(&path).map_err(io_err(&path))?;
     let torn = |offset: usize, reason: &str| TornTail {
         segment: seq,
         offset: offset as u64,

@@ -131,19 +131,15 @@ impl Manifest {
         Ok(Self { entries })
     }
 
-    /// Writes `MANIFEST.pgc` into `dir` (temp file + rename).
+    /// Writes `MANIFEST.pgc` into `dir` (temp file, sync, rename).
     pub fn write_to(&self, dir: &Path) -> Result<()> {
-        let tmp = dir.join("MANIFEST.pgc.tmp");
-        let path = dir.join(MANIFEST_FILE);
-        fs::write(&tmp, self.to_bytes()).map_err(io_err)?;
-        fs::rename(&tmp, &path).map_err(io_err)?;
-        Ok(())
+        super::fs::replace(dir, MANIFEST_FILE, &self.to_bytes())
     }
 
     /// Reads and verifies `MANIFEST.pgc` from `dir`.
     pub(super) fn read_from(dir: &Path) -> Result<Self> {
-        let bytes = fs::read(dir.join(MANIFEST_FILE)).map_err(io_err)?;
-        Self::from_bytes(&bytes)
+        let path = dir.join(MANIFEST_FILE);
+        Self::from_bytes(&fs::read(&path).map_err(io_err(&path))?)
     }
 }
 
@@ -330,5 +326,12 @@ mod tests {
         m.set("seed", 3u64);
         m.write_to(dir.path()).unwrap();
         assert_eq!(Manifest::read_from(dir.path()).unwrap(), m);
+    }
+
+    #[test]
+    fn recovering_a_directory_without_a_manifest_names_the_file() {
+        let dir = ScratchDir::new("no-manifest");
+        let err = crate::durable::recover(dir.path()).unwrap_err().to_string();
+        assert!(err.contains(MANIFEST_FILE), "{err}");
     }
 }

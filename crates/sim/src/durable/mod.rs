@@ -27,16 +27,18 @@
 //!   whole and decodes its records straight into the database's own form.
 //!
 //! [`DurableStore`] (`store.rs`) is the write side a durable [`Shard`]
-//! owns, configured by [`DurabilityConfig`] (`Off` / `LogOnly` /
+//! owns, configured by [`DurabilityConfig`] (`LogOnly` /
 //! `SnapshotAndLog`, snapshot cadence, segment size). It buffers events
 //! into `BLOCK_EVENTS` frames ahead of their application, takes generations
 //! and writes safepoint frames at the frame boundaries after which a
-//! collection completed, rotates segments
-//! (the only fsync the run thread waits for before shutdown) and reports
-//! [`StorageStats`]. The run thread serialises a generation in one pass;
-//! the store's background thread fsyncs the log up to its safepoint frame,
-//! then lands the file (temp name, fsync, rename). [`ScratchDir`] is a
-//! self-cleaning temp directory for tests and benches.
+//! collection completed, rotates segments (the only fsync the run thread
+//! waits for before shutdown, beside the manifest's) and reports
+//! [`StorageStats`]; it holds the whole write order. The run thread
+//! serialises a generation in one pass; the store's background thread
+//! fsyncs the log up to its safepoint frame, then lands the file. Every
+//! write goes through `fs.rs`, the one module that touches the disk: one
+//! temp-sync-rename lands the manifest and every generation alike.
+//! [`ScratchDir`] is a self-cleaning temp directory for tests and benches.
 //!
 //! [`recover`] rebuilds the run from the directory alone:
 //!
@@ -75,6 +77,7 @@
 
 mod config;
 mod crc;
+mod fs;
 mod log;
 mod manifest;
 mod snapshot;
@@ -98,7 +101,6 @@ use manifest::config_from_manifest;
 use pgc_types::{fast_hash_u64, PgcError, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EventBlock, TraceCursor, BLOCK_EVENTS};
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -106,8 +108,9 @@ fn bad(msg: String) -> PgcError {
     PgcError::TraceFormat(msg)
 }
 
-fn io_err(e: std::io::Error) -> PgcError {
-    PgcError::TraceIo(e.to_string())
+/// An I/O error on `path`, naming it.
+fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> PgcError + '_ {
+    move |e| PgcError::TraceIo(format!("{}: {e}", path.display()))
 }
 
 /// The `N` bytes at `at`. Every reader of the durable formats checks the
@@ -131,8 +134,8 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 /// write is not one, and neither is any other name.
 fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<(u64, PathBuf)>> {
     let mut found = Vec::new();
-    for entry in fs::read_dir(dir).map_err(io_err)? {
-        let entry = entry.map_err(io_err)?;
+    for entry in std::fs::read_dir(dir).map_err(io_err(dir))? {
+        let entry = entry.map_err(io_err(dir))?;
         let number = entry
             .file_name()
             .to_string_lossy()

@@ -46,20 +46,19 @@
 //! A generation is produced in two halves. The run thread serialises every
 //! partition straight from the object table, and the owner's words after
 //! them, into one recycled buffer (`Generation::capture`); the store's
-//! background thread then fills in each checksum and lands the file
-//! (`SnapshotDir::land`): one write to a `.tmp` sibling, one fsync, one
-//! rename into place, so a torn snapshot write never shadows an older
-//! valid generation. [`capture_generation`] is both halves in one call,
-//! for a reader that holds a landed file to the state it restores to.
+//! background thread then fills in each checksum (`Generation::seal`) and
+//! lands the file through `fs::replace`, the temp-sync-rename the manifest
+//! lands by too, so a torn snapshot write never shadows an older valid
+//! generation. This module writes no file itself. [`capture_generation`]
+//! is both halves in one call, for a reader that holds a landed file to
+//! the state it restores to.
 
 use super::crc::crc32;
 use super::{io_err, numbered_files, u32_at, u64_at};
 use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
 use pgc_odb::Database;
 use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result};
-use std::collections::VecDeque;
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"PGCS";
@@ -339,7 +338,7 @@ fn parse_generation(bytes: Vec<u8>) -> Result<GenerationImage> {
 /// Reads one generation file whole: any image that does not walk,
 /// checksum or agree with the others is an `Err` for the file.
 pub fn read_generation(path: &Path) -> Result<GenerationImage> {
-    parse_generation(fs::read(path).map_err(io_err)?)
+    parse_generation(fs::read(path).map_err(io_err(path))?)
 }
 
 /// The file the store lands for `db` at `stamp` (generation, events
@@ -383,7 +382,7 @@ pub fn scan_snapshots(dir: &Path) -> Result<Vec<SnapshotFile>> {
 pub(crate) struct Generation {
     generation: u64,
     /// The images, partition 0 first, the run image last. Each ends in a
-    /// zeroed footer slot until [`SnapshotDir::land`] fills the checksum
+    /// zeroed footer slot until [`Generation::seal`] fills the checksum
     /// in.
     bytes: Vec<u8>,
     /// `ends[i]` is where image `i` ends in `bytes`.
@@ -451,7 +450,7 @@ impl Generation {
 
     /// Fills in every image's checksum footer and returns the finished
     /// file.
-    fn seal(&mut self) -> &[u8] {
+    pub(crate) fn seal(&mut self) -> &[u8] {
         let mut start = 0;
         for &end in &self.ends {
             seal(&mut self.bytes[start..end]);
@@ -461,51 +460,11 @@ impl Generation {
     }
 }
 
-/// How many snapshot generations stay on disk (current + fallback).
-const KEEP_GENERATIONS: usize = 2;
-
-/// Writer half: the data directory as the snapshot writer sees it, with
-/// the generations it has landed there and not yet removed. The writer
-/// made those files, so it prunes them by name without reading the
-/// directory.
-#[derive(Debug)]
-pub(crate) struct SnapshotDir {
-    dir: PathBuf,
-    /// The retained generations, oldest first.
-    retained: VecDeque<u64>,
-}
-
-impl SnapshotDir {
-    pub(crate) fn new(dir: PathBuf) -> Self {
-        Self {
-            dir,
-            retained: VecDeque::with_capacity(KEEP_GENERATIONS + 1),
-        }
-    }
-
-    /// Lands `generation`: sealed, then one write to a temp file, one
-    /// fsync and one rename; once it is in place, removes the generation
-    /// beyond [`KEEP_GENERATIONS`].
-    pub(crate) fn land(&mut self, generation: &mut Generation) -> Result<()> {
-        let name = snapshot_name(generation.generation);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let mut file = File::create(&tmp).map_err(io_err)?;
-        file.write_all(generation.seal()).map_err(io_err)?;
-        file.sync_data().map_err(io_err)?;
-        drop(file);
-        fs::rename(&tmp, self.dir.join(name)).map_err(io_err)?;
-        self.retained.push_back(generation.generation);
-        if self.retained.len() > KEEP_GENERATIONS {
-            if let Some(old) = self.retained.pop_front() {
-                fs::remove_file(self.dir.join(snapshot_name(old))).map_err(io_err)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    // These tests plant damaged generation files.
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
     use crate::durable::store::tests::churn;
     use crate::durable::{outcome_digest, recover, restore, verify, DurabilityConfig, ScratchDir};

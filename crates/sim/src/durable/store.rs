@@ -1,4 +1,5 @@
-//! [`DurableStore`]: the run-side persistence handle.
+//! [`DurableStore`]: the run-side persistence handle, and the whole write
+//! order of a data directory.
 //!
 //! One store per shard (one data directory per stream). The owning shard
 //! feeds it every input event *before* applying it (write-ahead), framed
@@ -7,24 +8,39 @@
 //! collection completed ([`DurableStore::finish_with`] adds the closing
 //! one). So every frame but the last is whole, every generation sits on a
 //! frame boundary, and the directory depends on the run alone, not on how
-//! its events were cut. The owning thread waits for the disk at segment
-//! rotation and shutdown only: a snapshot generation costs it one
-//! serialising pass over the object table plus the owner's run-image
-//! words, and the generation's two fsyncs — the log up to its safepoint
-//! frame, then the one file it lands as — happen on the store's background
-//! thread, in that order. That order is what makes a landed generation a
-//! restore point: recovery loads the newest one whose safepoint frame the
-//! log holds and replays only the events after it.
+//! its events were cut.
+//!
+//! Every byte goes through the `fs` seam. The run thread lands the
+//! manifest before the first frame (temp file, sync, rename), flushes the
+//! log to the OS at every safepoint, and waits for the disk only to sync a
+//! full segment before it creates the next (so only the newest can hold a
+//! torn tail) and the last one at shutdown. The `pgc-durable-io` thread
+//! takes jobs in order: sync the segment that holds a generation's
+//! safepoint frame, land the generation (temp file, sync, rename), remove
+//! the one beyond the newest `KEEP_GENERATIONS`. A job without a
+//! generation (a kick, every `KICK_BYTES` of frames) only syncs, best
+//! effort, so that the synchronous syncs pay for a short dirty tail.
+//!
+//! The ordering contract: **a generation file in place implies the log up
+//! to its safepoint frame is on disk; [`DurableStore::finish`] returns
+//! only after both.** Recovery leans on exactly that: it loads the newest
+//! generation whose safepoint frame the log holds and replays the events
+//! after it. Neither thread syncs the directory, so the contract covers a
+//! process kill, not a power loss.
 
 use super::config::DurabilityConfig;
-use super::io_err;
-use super::log::LogWriter;
+use super::fs::{self, Appender};
+use super::log::{self, open_segment, SafepointNote, HEADER_BYTES};
 use super::manifest::{Manifest, MANIFEST_FILE};
+use super::snapshot::{snapshot_name, Generation};
 use pgc_odb::Database;
 use pgc_types::{PgcError, Result};
 use pgc_workload::{encode_event, Event, EventBlock, BLOCK_EVENTS};
-use std::fs;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::path::PathBuf;
+use std::sync::mpsc;
+use std::thread;
 
 /// Byte and operation counters for one store's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,10 +52,10 @@ pub struct StorageStats {
     /// Log segment files written.
     pub log_segments: u64,
     /// `fsync` calls issued on the change log (snapshot files are counted
-    /// in `snapshot_fsyncs`): the synchronous ones at rotation and
-    /// shutdown, plus one per generation the background writer has
-    /// reported landed — so mid-run it trails by the generations still in
-    /// flight.
+    /// in `snapshot_fsyncs`, and the manifest's one sync is not counted):
+    /// the synchronous ones at rotation and shutdown, plus one per
+    /// generation the background writer has reported landed — so mid-run
+    /// it trails by the generations still in flight.
     pub fsyncs: u64,
     /// Partition images handed to the background writer (all of them on
     /// disk once [`DurableStore::finish`] has returned); a generation's
@@ -54,10 +70,29 @@ pub struct StorageStats {
     pub safepoints: u64,
 }
 
+/// Dirty bytes that accumulate before a safepoint kicks the background
+/// thread. Kicking on every safepoint would sync near-clean files over
+/// and over; kicking by volume keeps the dirty-page debt bounded while
+/// staying off the hot path between kicks.
+const KICK_BYTES: u64 = 1 << 20;
+
+/// Most snapshot generations the background thread holds at once: the one
+/// it is writing and one queued behind it.
+const MAX_IN_FLIGHT: usize = 2;
+
+/// How many snapshot generations stay on disk (current + fallback).
+const KEEP_GENERATIONS: usize = 2;
+
 /// The write side of a data directory: change log + snapshots + manifest.
 pub struct DurableStore {
     cfg: DurabilityConfig,
-    writer: LogWriter,
+    /// The log segment being appended to.
+    segment: Appender,
+    /// Bytes in `segment` so far.
+    segment_bytes: u64,
+    /// Frame bytes since the background thread last synced the log.
+    bytes_since_kick: u64,
+    flusher: Flusher,
     /// Encoded-but-unframed events (flushed at block granularity).
     scratch: Vec<u8>,
     pending: u32,
@@ -65,35 +100,43 @@ pub struct DurableStore {
     generation: u64,
     /// Safepoints since the last snapshot generation.
     since_snapshot: u64,
-    snapshots: u64,
-    snapshot_bytes: u64,
-    safepoints: u64,
+    /// The counters kept on the run thread: `fsyncs` counts its own syncs
+    /// and `snapshot_fsyncs` stays 0 (see [`DurableStore::stats`]).
+    counts: StorageStats,
 }
 
 impl DurableStore {
     /// Creates the data directory and opens the first log segment. Fails
-    /// if the directory already holds a previous run's manifest (refusing
-    /// to silently shadow recoverable data).
+    /// on an `Off` config, and if the directory already holds a previous
+    /// run's manifest (refusing to silently shadow recoverable data).
     pub fn create(cfg: &DurabilityConfig) -> Result<Self> {
-        debug_assert!(cfg.is_enabled());
-        fs::create_dir_all(&cfg.dir).map_err(io_err)?;
+        if !cfg.is_enabled() {
+            return Err(PgcError::InvalidConfig(
+                "a durable store needs a log-only or snapshot-and-log config",
+            ));
+        }
+        fs::create_dir_all(&cfg.dir)?;
         if cfg.dir.join(MANIFEST_FILE).exists() {
             return Err(PgcError::TraceIo(format!(
                 "data dir {} already holds a run (remove it first)",
                 cfg.dir.display()
             )));
         }
-        let writer = LogWriter::create(&cfg.dir, cfg.segment_bytes)?;
         Ok(Self {
             cfg: cfg.clone(),
-            writer,
+            segment: open_segment(&cfg.dir, 0, 0)?,
+            segment_bytes: HEADER_BYTES,
+            bytes_since_kick: 0,
+            flusher: Flusher::spawn(cfg.dir.clone()),
             scratch: Vec::with_capacity(BLOCK_EVENTS * 16),
             pending: 0,
             generation: 1,
             since_snapshot: 0,
-            snapshots: 0,
-            snapshot_bytes: 0,
-            safepoints: 0,
+            counts: StorageStats {
+                log_bytes: HEADER_BYTES,
+                log_segments: 1,
+                ..StorageStats::default()
+            },
         })
     }
 
@@ -153,25 +196,35 @@ impl DurableStore {
 
     fn flush_pending(&mut self) -> Result<()> {
         if self.pending > 0 {
-            self.writer.append_events(self.pending, &self.scratch)?;
+            let bytes = log::write_events(&mut self.segment, self.pending, &self.scratch)?;
+            self.framed(bytes);
             self.scratch.clear();
             self.pending = 0;
         }
         Ok(())
     }
 
+    /// Counts a frame of `bytes` just written to the segment.
+    fn framed(&mut self, bytes: u64) {
+        self.segment_bytes += bytes;
+        self.bytes_since_kick += bytes;
+        self.counts.log_bytes += bytes;
+        self.counts.log_frames += 1;
+    }
+
     /// Drives one safepoint: flushes buffered events, takes a snapshot
-    /// generation when the cadence (or `force_snapshot`) says so, and
-    /// appends the safepoint frame. The log is flushed to the OS at every
-    /// safepoint; none waits for the disk.
+    /// generation when the cadence (or `force_snapshot`) says so, appends
+    /// the safepoint frame and flushes it to the OS, then rotates the
+    /// segment if it outgrew the configured limit. None waits for the disk:
+    /// a synchronous sync per collection would cost milliseconds against a
+    /// microsecond-scale interval, for a guarantee recovery does not need.
     ///
-    /// Taking a generation serialises every partition here, then `run`
-    /// appends the owner's state for the run image (it is called only
-    /// then), and hands the bytes to the background writer, which fsyncs
-    /// the log and then lands the file after this returns (see
-    /// [`DurableStore::finish_with`]). At most one generation waits behind
-    /// the one being written: a further one blocks here until the writer
-    /// has caught up. An error the writer met since the previous call is
+    /// A generation serialises every partition here, then `run` appends the
+    /// owner's state for the run image (it is called only then); the bytes
+    /// go to the background thread with the segment the frame went to,
+    /// named before any rotation. At most one generation waits behind the
+    /// one being written: a further one blocks here until the thread has
+    /// caught up. An error the thread met since the previous call is
     /// returned from this one.
     pub(crate) fn safepoint(
         &mut self,
@@ -184,28 +237,55 @@ impl DurableStore {
         self.flush_pending()?;
         let mut generation = None;
         if self.cfg.snapshots_enabled() {
-            self.writer.flusher.poll()?;
+            self.flusher.settle(MAX_IN_FLIGHT)?;
             self.since_snapshot += 1;
             if force_snapshot || self.since_snapshot >= self.cfg.snapshot_every {
-                let mut file = self.writer.flusher.next_generation()?;
+                let mut file = self.flusher.next_generation()?;
                 file.capture(db, [self.generation, events_applied, collections], run)?;
-                self.snapshots += u64::from(file.images());
-                self.snapshot_bytes += file.total_bytes();
+                self.counts.snapshots += u64::from(file.images());
+                self.counts.snapshot_bytes += file.total_bytes();
                 generation = Some(file);
                 self.generation += 1;
                 self.since_snapshot = 0;
             }
         }
-        self.writer
-            .safepoint(events_applied, collections, generation)?;
-        self.safepoints += 1;
+        let note = SafepointNote {
+            events_applied,
+            collections,
+            generation: generation.as_ref().map_or(0, Generation::number),
+        };
+        let bytes = log::write_safepoint(&mut self.segment, note)?;
+        self.framed(bytes);
+        self.segment.flush()?;
+        if generation.is_some() || self.bytes_since_kick >= KICK_BYTES {
+            let log = self.segment.path().to_path_buf();
+            self.flusher.send(Job { log, generation })?;
+            self.bytes_since_kick = 0;
+        }
+        if self.segment_bytes >= self.cfg.segment_bytes {
+            self.sync()?;
+            let seq = self.counts.log_segments;
+            self.segment = open_segment(&self.cfg.dir, seq, events_applied)?;
+            self.segment_bytes = HEADER_BYTES;
+            self.counts.log_bytes += HEADER_BYTES;
+            self.counts.log_segments += 1;
+        }
+        self.counts.safepoints += 1;
+        Ok(())
+    }
+
+    /// Flushes the segment and syncs it on this thread.
+    fn sync(&mut self) -> Result<()> {
+        self.segment.sync()?;
+        self.counts.fsyncs += 1;
+        self.bytes_since_kick = 0;
         Ok(())
     }
 
     /// Clean shutdown: final safepoint (with a final snapshot generation
     /// when snapshots are enabled, whose run image `run` writes), then
-    /// waits for every generation to land behind its log fsync, then a last
-    /// fsync of the log.
+    /// waits for every generation to land behind its log sync, then a last
+    /// sync of the log.
     pub(crate) fn finish_with(
         &mut self,
         db: &Database,
@@ -214,8 +294,8 @@ impl DurableStore {
         run: impl FnOnce(&mut Vec<u64>),
     ) -> Result<()> {
         self.safepoint(db, events_applied, collections, true, run)?;
-        self.writer.flusher.drain()?;
-        self.writer.finish()
+        self.flusher.drain()?;
+        self.sync()
     }
 
     /// The clean shutdown of an owner that keeps no run state:
@@ -227,23 +307,165 @@ impl DurableStore {
 
     /// Counters so far.
     pub fn stats(&self) -> StorageStats {
+        let landed = self.flusher.generations_landed;
         StorageStats {
-            log_bytes: self.writer.bytes_written,
-            log_frames: self.writer.frames,
-            log_segments: self.writer.segments,
-            fsyncs: self.writer.fsyncs + self.writer.flusher.generations_landed,
-            snapshots: self.snapshots,
-            snapshot_bytes: self.snapshot_bytes,
-            snapshot_fsyncs: self.writer.flusher.generations_landed,
-            safepoints: self.safepoints,
+            fsyncs: self.counts.fsyncs + landed,
+            snapshot_fsyncs: landed,
+            ..self.counts
+        }
+    }
+}
+
+/// Work for the store's background thread: sync the log segment `log`,
+/// then land `generation` if there is one. A job without one is a kick.
+struct Job {
+    log: PathBuf,
+    generation: Option<Generation>,
+}
+
+/// The background thread's report on one generation; the buffer comes
+/// back with it for the next capture.
+struct Landed {
+    generation: Generation,
+    /// `Ok` once both syncs — the log's, then the file's — were issued
+    /// and the file is in place; otherwise what went wrong.
+    outcome: Result<()>,
+}
+
+/// The run thread's end of the `pgc-durable-io` thread (the module docs
+/// say what the thread does). Every generation's outcome comes back, and
+/// [`Flusher::settle`] returns the first error reported — a failed log
+/// sync like a failed landing — or fails rather than wait if the thread is
+/// gone. A kick promises nothing: the next synchronous sync retries it.
+struct Flusher {
+    jobs: Option<mpsc::SyncSender<Job>>,
+    landed: mpsc::Receiver<Landed>,
+    handle: Option<thread::JoinHandle<()>>,
+    /// Generations handed over and not yet reported back.
+    in_flight: usize,
+    /// Buffers of landed generations, kept for reuse.
+    spare: Vec<Generation>,
+    /// Generations reported landed so far: each stands for one log sync
+    /// and one snapshot-file sync issued on the thread.
+    generations_landed: u64,
+}
+
+impl Flusher {
+    fn spawn(dir: PathBuf) -> Self {
+        let (jobs, rx) = mpsc::sync_channel::<Job>(2);
+        let (reports, landed) = mpsc::channel::<Landed>();
+        let handle = thread::Builder::new()
+            .name("pgc-durable-io".into())
+            .spawn(move || {
+                // The generations landed and not yet removed, oldest first.
+                // This thread made those files, so it prunes them by name
+                // without reading the directory.
+                let mut retained = VecDeque::with_capacity(KEEP_GENERATIONS + 1);
+                for Job { log, generation } in rx {
+                    let synced = fs::sync(&log);
+                    // A kick's outcome is dropped: it promised nothing.
+                    let Some(mut generation) = generation else {
+                        continue;
+                    };
+                    let number = generation.number();
+                    let outcome = synced.and_then(|()| {
+                        fs::replace(&dir, &snapshot_name(number), generation.seal())?;
+                        retained.push_back(number);
+                        if retained.len() > KEEP_GENERATIONS {
+                            if let Some(old) = retained.pop_front() {
+                                fs::remove(&dir.join(snapshot_name(old)))?;
+                            }
+                        }
+                        Ok(())
+                    });
+                    // The store may already be gone (dropped after an
+                    // error): nobody is left to tell.
+                    let _ = reports.send(Landed {
+                        generation,
+                        outcome,
+                    });
+                }
+            })
+            .ok();
+        Self {
+            jobs: Some(jobs),
+            landed,
+            handle,
+            in_flight: 0,
+            spare: Vec::with_capacity(MAX_IN_FLIGHT),
+            generations_landed: 0,
+        }
+    }
+
+    fn gone() -> PgcError {
+        PgcError::TraceIo("snapshot writer thread is gone".into())
+    }
+
+    /// Hands `job` over. A kick is dropped if the thread is still busy with
+    /// earlier work; a generation waits for room.
+    fn send(&mut self, job: Job) -> Result<()> {
+        let jobs = self.jobs.as_ref().ok_or_else(Self::gone)?;
+        if job.generation.is_none() {
+            let _ = jobs.try_send(job);
+            return Ok(());
+        }
+        jobs.send(job).map_err(|_| Self::gone())?;
+        self.in_flight += 1;
+        Ok(())
+    }
+
+    /// Takes in every report that is ready, then waits until at most
+    /// `allow` generations are still with the thread; `MAX_IN_FLIGHT`
+    /// never waits.
+    fn settle(&mut self, allow: usize) -> Result<()> {
+        loop {
+            let report = if self.in_flight > allow {
+                self.landed.recv().map_err(|_| Self::gone())?
+            } else {
+                match self.landed.try_recv() {
+                    Ok(report) => report,
+                    Err(mpsc::TryRecvError::Empty) => return Ok(()),
+                    Err(mpsc::TryRecvError::Disconnected) => return Err(Self::gone()),
+                }
+            };
+            self.in_flight -= 1;
+            self.spare.push(report.generation);
+            report.outcome?;
+            self.generations_landed += 1;
+        }
+    }
+
+    /// A buffer to capture the next generation into. Blocks while a
+    /// generation is queued behind the one being written, so buffers
+    /// never pile up behind a slow disk.
+    fn next_generation(&mut self) -> Result<Generation> {
+        self.settle(MAX_IN_FLIGHT - 1)?;
+        Ok(self.spare.pop().unwrap_or_default())
+    }
+
+    /// Waits until every generation handed over has landed.
+    fn drain(&mut self) -> Result<()> {
+        self.settle(0)
+    }
+}
+
+impl Drop for Flusher {
+    fn drop(&mut self) {
+        self.jobs = None; // close the channel so the thread exits
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
+    // These tests plant truncated and damaged files.
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
-    use crate::durable::log::{read_log_from, segment_name, MAX_IN_FLIGHT};
+    use crate::durable::fs::tests::{ops, Op};
+    use crate::durable::log::{read_log_from, segment_name};
     use crate::durable::snapshot::snapshot_name;
     use crate::durable::{capture_generation, read_log, restore, scan_snapshots, ScratchDir};
     use crate::run::{RunConfig, RunOutcome};
@@ -252,6 +474,8 @@ pub(crate) mod tests {
     use pgc_types::Bytes;
     use pgc_workload::generator::GenStats;
     use pgc_workload::{EncodedTrace, NodeId, SyntheticWorkload};
+    use std::fs;
+    use std::path::Path;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -330,6 +554,13 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_off_config_is_refused_and_writes_nothing() {
+        let refused = DurableStore::create(&DurabilityConfig::off());
+        assert!(matches!(refused, Err(PgcError::InvalidConfig(_))));
+        assert!(ops(Path::new("")).is_empty(), "nothing under the cwd");
+    }
+
+    #[test]
     fn refuses_to_reuse_a_populated_data_dir() {
         let dir = ScratchDir::new("reuse");
         let cfg = DurabilityConfig::log_only(dir.path());
@@ -361,14 +592,15 @@ pub(crate) mod tests {
     #[test]
     fn generation_safepoints_that_rotate_keep_every_fsync_and_every_frame() {
         // Every safepoint carries a generation and overflows the 4 KiB
-        // segment. The handle handed over is duplicated before the
-        // rotation, so it is the segment the frame went to (which rotation
-        // then seals with its own synchronous sync), not the fresh one
-        // behind it; what can be heard of that is every count and where
-        // each frame sits.
+        // segment, so segment k ends in generation k + 1's safepoint frame
+        // (the closing generation's frame is all segment 8 holds) and the
+        // background sync of that segment races its rotation. What can be
+        // heard of that is every count, where each frame sits and the op
+        // log's order.
         let dir = ScratchDir::new("rotate-gen");
         let cfg = DurabilityConfig::snapshot_and_log(dir.path()).with_segment_bytes(4 << 10);
         let mut store = DurableStore::create(&cfg).unwrap();
+        store.write_manifest(&Manifest::default()).unwrap();
         let db = Database::new(pgc_types::DbConfig::default()).unwrap();
         let evs = events(4_000);
         for (i, chunk) in evs.chunks(500).enumerate() {
@@ -405,6 +637,84 @@ pub(crate) mod tests {
             );
             assert_eq!(tail[16..], frame.generation.to_le_bytes(), "segment {seq}");
         }
+        write_order_holds(dir.path(), stats);
+    }
+
+    /// The op log of `dir`, written as the test above writes it, keeps the
+    /// write order the module docs state: `(a)` to `(e)` below.
+    fn write_order_holds(dir: &Path, stats: StorageStats) {
+        let (ops, generations) = (ops(dir), stats.snapshot_fsyncs);
+        let name = |op: &Op| op.path.file_name().unwrap().to_string_lossy().into_owned();
+        let at = |io: bool, kind: &str, file: &str| -> Vec<usize> {
+            let hit = |op: &Op| op.io == io && op.kind == kind && name(op) == file;
+            (0..ops.len()).filter(|&i| hit(&ops[i])).collect()
+        };
+        let (seg, snap) = (segment_name, snapshot_name);
+        // (a) Every rename's `.tmp` was written and synced on the renaming
+        // thread, its sync after its last write.
+        for (r, rename) in ops.iter().enumerate().filter(|(_, op)| op.kind == "rename") {
+            let tmp = format!("{}.tmp", name(rename));
+            let on_tmp = |op: &&Op| name(op) == tmp;
+            let before: Vec<&Op> = ops[..r].iter().filter(on_tmp).collect();
+            assert!(
+                before.iter().all(|op| op.io == rename.io),
+                "{tmp}: one thread"
+            );
+            let last_write = before.iter().rposition(|op| op.kind == "write");
+            let sync = before.iter().rposition(|op| op.kind == "sync");
+            assert!(
+                matches!((last_write, sync), (Some(w), Some(s)) if s > w),
+                "{tmp}: renamed without a sync after its last write"
+            );
+        }
+        for g in 1..=generations {
+            // (b) `snap-G` is renamed in after an I/O-thread sync of the
+            // segment that holds its safepoint frame, issued after the
+            // run thread flushed that frame (its segment's last write).
+            let k = g - 1;
+            let last_write = *at(false, "write", &seg(k)).last().unwrap();
+            let flushed = at(false, "flush", &seg(k))
+                .into_iter()
+                .find(|&f| f > last_write);
+            let [renamed] = at(true, "rename", &snap(g))[..] else {
+                panic!("{}: renamed once", snap(g));
+            };
+            assert!(
+                at(true, "sync", &seg(k))
+                    .iter()
+                    .any(|&s| s > flushed.unwrap() && s < renamed),
+                "{} renamed before the log under its frame was synced",
+                snap(g)
+            );
+            // (e) `snap-G` is removed only after `snap-(G+2)` is in place.
+            match at(true, "remove", &snap(g))[..] {
+                [] => assert!(g + 2 > generations, "{} kept", snap(g)),
+                [removed] => assert!(removed > at(true, "rename", &snap(g + 2))[0]),
+                _ => panic!("{} removed twice", snap(g)),
+            }
+        }
+        // (c) Segment k + 1 is created only after segment k's run-thread
+        // sync.
+        for k in 0..generations - 1 {
+            let created = at(false, "create", &seg(k + 1))[0];
+            assert!(at(false, "sync", &seg(k)).iter().any(|&s| s < created));
+        }
+        // (d) The run thread syncs once per rotation, once at shutdown and
+        // once for the manifest, the I/O thread twice per generation (no
+        // kick: every safepoint hands over a generation); `fsyncs` is the
+        // run thread's log syncs plus one per generation landed.
+        let io_syncs = ops.iter().filter(|op| op.io && op.kind == "sync");
+        assert_eq!(io_syncs.count() as u64, 2 * generations);
+        let run_syncs: Vec<String> = ops
+            .iter()
+            .filter(|op| !op.io && op.kind == "sync")
+            .map(name)
+            .collect();
+        let mut want = vec![format!("{MANIFEST_FILE}.tmp")];
+        want.extend((0..generations).map(seg));
+        assert_eq!(run_syncs, want);
+        let log_syncs = run_syncs.len() as u64 - 1;
+        assert_eq!(stats.fsyncs, log_syncs + stats.snapshot_fsyncs);
     }
 
     #[test]
@@ -502,7 +812,7 @@ pub(crate) mod tests {
             let store = shard.store();
             taken = store.generation - 1;
             let stats = store.stats();
-            let behind = store.writer.fsyncs + taken - stats.fsyncs;
+            let behind = store.counts.fsyncs + taken - stats.fsyncs;
             assert!(
                 behind <= MAX_IN_FLIGHT as u64,
                 "stop {stop}: {behind} behind"
@@ -565,7 +875,7 @@ pub(crate) mod tests {
         };
         let out = churn(&run, 5, |_, shard| {
             let store = shard.store();
-            store.writer.flusher.drain().unwrap();
+            store.flusher.drain().unwrap();
             check(store.generation - 1, store.stats());
         });
         let closing = scan_snapshots(dir.path())
@@ -699,7 +1009,7 @@ pub(crate) mod tests {
                 }
                 if stop == 1 {
                     // The first generation has landed; now the disk "fails".
-                    store.writer.flusher.drain().unwrap();
+                    store.flusher.drain().unwrap();
                     fs::remove_dir_all(dir.path()).unwrap();
                 }
                 let (db, applied) = (shard.db(), shard.events_applied());

@@ -1,4 +1,7 @@
-//! A self-cleaning scratch directory (no external `tempfile` dependency).
+//! A self-cleaning scratch directory (no external `tempfile` dependency),
+//! outside the `fs` seam: it writes no data directory's files.
+
+#![allow(clippy::disallowed_methods)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
