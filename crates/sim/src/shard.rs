@@ -653,7 +653,7 @@ mod tests {
         }
         let mirror = gen.mirror();
         for t in 0..mirror.tree_count() as u32 {
-            for &n in mirror.members_of(t) {
+            for n in mirror.members_of(t).map(|i| NodeId(i.into())) {
                 if mirror.is_attached(n) {
                     let oid = shard.oid_of(n).unwrap();
                     assert!(

@@ -143,79 +143,67 @@ impl SyntheticWorkload {
 
         // 1. Random binary tree shape: attach node i to a uniformly random
         //    free child slot of the existing nodes.
-        let mut parents: Vec<Option<(usize, u16)>> = vec![None; n];
-        let mut open_slots: Vec<(usize, u16)> = vec![(0, 0), (0, 1)];
-        for (i, parent) in parents.iter_mut().enumerate().skip(1) {
+        let mut children: Vec<[Option<usize>; 2]> = vec![[None; 2]; n];
+        let mut open_slots: Vec<(usize, usize)> = vec![(0, 0), (0, 1)];
+        for i in 1..n {
             let k = self.rng.pick_index(open_slots.len());
             let (p, s) = open_slots.swap_remove(k);
-            *parent = Some((p, s));
+            children[p][s] = Some(i);
             open_slots.push((i, 0));
             open_slots.push((i, 1));
         }
 
-        // 2. Leaves are the nodes no one attaches to.
-        let mut has_child = vec![false; n];
-        for parent in parents.iter().flatten() {
-            has_child[parent.0] = true;
-        }
-
-        // 3. Emit creations in breadth-first order (the paper's placement
-        //    order). Children lists come from the shape.
-        let mut children: Vec<Vec<(usize, u16)>> = vec![Vec::new(); n];
-        for (i, parent) in parents.iter().enumerate() {
-            if let Some((p, s)) = parent {
-                children[*p].push((i, *s));
-            }
-        }
+        // 2. Emit creations in breadth-first order (the paper's placement
+        //    order), left child before right. Leaves are the nodes with no
+        //    children in the shape.
         let p_large = self.params.large_leaf_probability();
         let root_size = self.small_size();
-        let root_id = self.mirror.add_root(false);
-        self.emit_creation(Event::CreateRoot {
-            node: root_id,
-            size: root_size,
-            slots: TREE_SLOTS,
-        });
+        let root_id = self.mirror.add_root();
+        self.emit_creation(
+            Event::CreateRoot {
+                node: root_id,
+                size: root_size,
+                slots: TREE_SLOTS,
+            },
+            root_size,
+        );
 
-        let mut ids: Vec<Option<NodeId>> = vec![None; n];
-        ids[0] = Some(root_id);
-        let mut queue: VecDeque<usize> = VecDeque::from([0]);
-        while let Some(i) = queue.pop_front() {
-            let parent_id = ids[i].expect("BFS emits parents before children");
-            let mut kids = children[i].clone();
-            kids.sort_by_key(|&(_, s)| s); // left before right
-            for (c, slot) in kids {
-                let is_large = !has_child[c] && self.rng.chance(p_large);
+        let mut queue: VecDeque<(usize, NodeId)> = VecDeque::from([(0, root_id)]);
+        while let Some((i, parent_id)) = queue.pop_front() {
+            for (slot, c) in (0..TREE_SLOTS).zip(children[i]) {
+                let Some(c) = c else { continue };
+                let is_large = children[c] == [None; 2] && self.rng.chance(p_large);
                 let size = if is_large {
                     Bytes(self.params.large_object_size)
                 } else {
                     self.small_size()
                 };
-                let child_id = self.mirror.add_child(parent_id, slot, is_large);
+                let child_id = self.mirror.add_child(parent_id, slot);
                 if is_large {
                     self.stats.large_objects += 1;
                 }
-                ids[c] = Some(child_id);
-                self.emit_creation(Event::CreateChild {
-                    node: child_id,
-                    parent: parent_id,
-                    parent_slot: slot,
+                self.emit_creation(
+                    Event::CreateChild {
+                        node: child_id,
+                        parent: parent_id,
+                        parent_slot: slot,
+                        size,
+                        slots: TREE_SLOTS,
+                    },
                     size,
-                    slots: TREE_SLOTS,
-                });
-                queue.push_back(c);
+                );
+                queue.push_back((c, child_id));
             }
         }
 
-        // 4. Dense edges between random nodes of this tree.
+        // 3. Dense edges between random nodes of this tree.
         let dense = (self.params.dense_edge_fraction * n as f64).round() as usize;
-        let tree = self.mirror.node(root_id).tree;
+        let tree = (self.mirror.tree_count() - 1) as u32;
         for _ in 0..dense {
-            let members = self.mirror.members_of(tree);
-            let a = members[self.rng.pick_index(members.len())];
-            let b = members[self.rng.pick_index(members.len())];
-            let slot = self.mirror.add_extra_slot(a);
+            let a = self.pick_member(tree);
+            let b = self.pick_member(tree);
+            let slot = self.mirror.add_dense_slot(a);
             self.pending.push_back(Event::AddSlot { owner: a });
-            self.mirror.set_slot(a, slot, Some(b));
             self.pending.push_back(Event::WritePointer {
                 owner: a,
                 slot,
@@ -233,14 +221,17 @@ impl SyntheticWorkload {
         )
     }
 
-    fn emit_creation(&mut self, event: Event) {
-        let size = match event {
-            Event::CreateRoot { size, .. } | Event::CreateChild { size, .. } => size,
-            _ => unreachable!("emit_creation takes creation events"),
-        };
+    /// Queues a creation event for an object of `size` bytes.
+    fn emit_creation(&mut self, event: Event, size: Bytes) {
         self.stats.nodes_created += 1;
         self.stats.bytes_allocated += size;
         self.pending.push_back(event);
+    }
+
+    /// A uniformly random member of tree `tree`, attached or not.
+    fn pick_member(&mut self, tree: u32) -> NodeId {
+        let members = self.mirror.members_of(tree);
+        NodeId(u64::from(members.start) + self.rng.pick_index(members.len()) as u64)
     }
 
     // -----------------------------------------------------------------
@@ -272,11 +263,9 @@ impl SyntheticWorkload {
                 self.pending.push_back(Event::DataWrite { node });
                 self.stats.data_writes += 1;
             }
-            for slot in 0..TREE_SLOTS {
-                if let Some(child) = self.mirror.node(node).tree_children[slot as usize] {
-                    if !self.rng.chance(self.params.p_skip_edge) {
-                        work.push_back(child);
-                    }
+            for child in self.mirror.children(node).into_iter().flatten() {
+                if !self.rng.chance(self.params.p_skip_edge) {
+                    work.push_back(child);
                 }
             }
         }
@@ -293,20 +282,18 @@ impl SyntheticWorkload {
         }
         for _ in 0..ATTEMPTS {
             let tree = self.rng.pick_index(self.mirror.tree_count()) as u32;
-            let members = self.mirror.members_of(tree);
-            let candidate = members[self.rng.pick_index(members.len())];
+            let candidate = self.pick_member(tree);
             if !self.mirror.is_attached(candidate) {
                 continue;
             }
-            let node = self.mirror.node(candidate);
-            let filled: Vec<u16> = (0..TREE_SLOTS)
-                .filter(|&s| node.tree_children[s as usize].is_some())
-                .collect();
-            if filled.is_empty() {
+            let [left, right] = self.mirror.children(candidate).map(|c| c.is_some());
+            if !(left || right) {
                 continue;
             }
-            let slot = *self.rng.pick(&filled);
-            self.mirror.set_slot(candidate, slot, None);
+            // A uniform pick among the filled slots.
+            let k = self.rng.pick_index(usize::from(left) + usize::from(right)) as u16;
+            let slot = if left { k } else { 1 };
+            self.mirror.cut(candidate, slot);
             self.pending.push_back(Event::WritePointer {
                 owner: candidate,
                 slot,
@@ -338,6 +325,7 @@ impl Iterator for SyntheticWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mirror::tests::reaches;
 
     fn small() -> WorkloadParams {
         WorkloadParams::small().with_seed(11)
@@ -478,37 +466,47 @@ mod tests {
 
     #[test]
     fn deletions_only_cut_tree_slots_of_attached_nodes() {
+        // Re-run the event stream checking every deletion and visit against
+        // breadth-first reachability over a forest rebuilt from the events
+        // themselves, independently of the generator's mirror.
         let g = SyntheticWorkload::new(small()).unwrap();
-        // Re-run the event stream checking every deletion against a replica
-        // mirror built from the events themselves.
-        let mut replica = Mirror::new();
+        let mut kids: Vec<[Option<NodeId>; 2]> = Vec::new();
+        let mut root_of: Vec<NodeId> = Vec::new();
         for e in g {
             match e {
-                Event::CreateRoot { .. } => {
-                    replica.add_root(false);
+                Event::CreateRoot { node, .. } => {
+                    kids.push([None; 2]);
+                    root_of.push(node);
                 }
                 Event::CreateChild {
+                    node,
                     parent,
                     parent_slot,
                     ..
                 } => {
-                    replica.add_child(parent, parent_slot, false);
+                    kids.push([None; 2]);
+                    root_of.push(root_of[parent.as_usize()]);
+                    kids[parent.as_usize()][parent_slot as usize] = Some(node);
                 }
-                Event::AddSlot { owner } => {
-                    replica.add_extra_slot(owner);
-                }
+                Event::AddSlot { .. } => {}
                 Event::WritePointer { owner, slot, new } => {
-                    if new.is_none() && slot < TREE_SLOTS {
+                    if slot < TREE_SLOTS {
+                        assert!(new.is_none(), "tree slots are only ever cleared");
                         assert!(
-                            replica.node(owner).tree_children[slot as usize].is_some(),
+                            kids[owner.as_usize()][slot as usize].take().is_some(),
                             "deletion of an already-empty slot"
                         );
-                        assert!(replica.is_attached(owner), "deletion from detached node");
+                        assert!(
+                            reaches(&kids, root_of[owner.as_usize()], owner),
+                            "deletion from detached node"
+                        );
                     }
-                    replica.set_slot(owner, slot, new);
                 }
                 Event::Visit { node } | Event::DataWrite { node } => {
-                    assert!(replica.is_attached(node), "visited a detached node");
+                    assert!(
+                        reaches(&kids, root_of[node.as_usize()], node),
+                        "visited a detached node"
+                    );
                 }
             }
         }

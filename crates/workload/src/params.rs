@@ -191,6 +191,16 @@ impl WorkloadParams {
         if self.target_allocated.is_zero() {
             return Err(PgcError::InvalidConfig("target_allocated must be positive"));
         }
+        // Every object but those of the last tree is built below the target,
+        // and the mirror indexes nodes by `u32`.
+        let max_nodes = (self.target_allocated.get() / self.object_size_min)
+            .checked_add(self.tree_nodes_max)
+            .filter(|&n| n <= u64::from(u32::MAX));
+        if max_nodes.is_none() {
+            return Err(PgcError::InvalidConfig(
+                "target_allocated / object_size_min + tree_nodes_max must fit a u32",
+            ));
+        }
         for (p, name) in [
             (self.p_no_traversal, "p_no_traversal"),
             (self.p_depth_first, "p_depth_first"),
@@ -293,6 +303,22 @@ mod tests {
             ..WorkloadParams::default()
         };
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_more_nodes_than_a_u32_indexes() {
+        let at = |target: u64, tree_nodes_max: u64| WorkloadParams {
+            target_allocated: Bytes(target),
+            object_size_min: 1,
+            object_size_max: 1,
+            tree_nodes_max,
+            ..WorkloadParams::default()
+        };
+        let limit = u64::from(u32::MAX);
+        at(limit - 800, 800).validate().unwrap();
+        for p in [at(limit - 799, 800), at(u64::MAX, 800), at(1, u64::MAX)] {
+            assert!(matches!(p.validate(), Err(PgcError::InvalidConfig(_))));
+        }
     }
 
     #[test]
