@@ -24,6 +24,12 @@
 //! recovered digest matches,
 //! which is how CI pins that a recovered run is bit-identical to the
 //! uninterrupted one.
+//!
+//! `crash` is the one real process exit among the crash tests. The
+//! crash-point matrix in `pgc-sim`'s unit tests (`durable/store.rs`)
+//! rebuilds every directory state a kill can leave from a record of the
+//! store's writes and recovers each; CI's kills at 13,000 and 21,000
+//! events are the reference that model is held to.
 
 use pgc_odb::PolicyKind;
 use pgc_sim::durable::restore;

@@ -327,11 +327,4 @@ mod tests {
         m.write_to(dir.path()).unwrap();
         assert_eq!(Manifest::read_from(dir.path()).unwrap(), m);
     }
-
-    #[test]
-    fn recovering_a_directory_without_a_manifest_names_the_file() {
-        let dir = ScratchDir::new("no-manifest");
-        let err = crate::durable::recover(dir.path()).unwrap_err().to_string();
-        assert!(err.contains(MANIFEST_FILE), "{err}");
-    }
 }

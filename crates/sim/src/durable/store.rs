@@ -464,19 +464,25 @@ pub(crate) mod tests {
     #![allow(clippy::disallowed_methods)]
 
     use super::*;
-    use crate::durable::fs::tests::{ops, Op};
+    use crate::durable::fs::tests::{ops, state_at, Op};
     use crate::durable::log::{read_log_from, segment_name};
     use crate::durable::snapshot::snapshot_name;
-    use crate::durable::{capture_generation, read_log, restore, scan_snapshots, ScratchDir};
+    use crate::durable::{
+        outcome_digest, read_generation, read_log, recover, restore, round_trip, scan_snapshots,
+        verify, ScratchDir,
+    };
     use crate::run::{RunConfig, RunOutcome};
     use crate::shard::Shard;
     use crate::telemetry::TelemetryLevel;
+    use pgc_odb::PolicyKind;
     use pgc_types::Bytes;
     use pgc_workload::generator::GenStats;
     use pgc_workload::{EncodedTrace, NodeId, SyntheticWorkload};
+    use std::collections::HashMap;
     use std::fs;
     use std::path::Path;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Mutex};
+    use std::thread;
     use std::time::Duration;
 
     fn events(n: u64) -> Vec<Event> {
@@ -809,7 +815,7 @@ pub(crate) mod tests {
             // What a store that fsynced the log inside `safepoint` would
             // have counted by now: the synchronous ones plus one per
             // generation taken.
-            let store = shard.store();
+            let store = shard.store().unwrap();
             taken = store.generation - 1;
             let stats = store.stats();
             let behind = store.counts.fsyncs + taken - stats.fsyncs;
@@ -839,63 +845,148 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn a_landed_file_is_the_capture_of_the_run_it_restores() {
-        // A generation at every safepoint. At each stop, the newest file
-        // restores to a shard whose capture is that file, byte for byte.
-        let dir = ScratchDir::new("bytes");
-        let run = deletions()
-            .with_durability(DurabilityConfig::snapshot_and_log(dir.path()).with_snapshot_every(1));
-        let (mut checked, mut written) = (0, 0);
-        let mut check = |generation: u64, stats: StorageStats| {
-            if generation == checked {
-                return;
-            }
-            assert_eq!(generation, checked + 1, "one at a time");
-            checked = generation;
-            let landed = fs::read(dir.join(snapshot_name(generation))).unwrap();
-            let (shard, tail) = restore(dir.path()).unwrap();
-            assert_eq!(tail.restored_from, Some(generation));
-            let stamp = [
-                generation,
-                shard.events_applied(),
-                shard.db().stats().collections,
-            ];
-            let again = capture_generation(shard.db(), stamp, |out| shard.save_state(out));
-            assert!(again.unwrap() == landed, "generation {generation}");
-            assert_eq!(
-                stats.snapshot_fsyncs, generation,
-                "one fsync per generation"
-            );
-            written += landed.len() as u64;
-            assert_eq!(
-                stats.snapshot_bytes, written,
-                "nothing added between images"
-            );
-        };
-        let out = churn(&run, 5, |_, shard| {
-            let store = shard.store();
-            store.flusher.drain().unwrap();
-            check(store.generation - 1, store.stats());
-        });
-        let closing = scan_snapshots(dir.path())
+    /// Every file directly under `dir`, by name, with its bytes.
+    fn files_of(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
             .unwrap()
-            .last()
-            .unwrap()
-            .generation;
-        check(closing, out.storage.unwrap());
-        assert!(checked > 2, "the run must take several generations");
-
-        // Pruning by remembered names leaves exactly the newest two
-        // generations and no temp file: nothing else beside the log and the
-        // manifest.
-        let mut left: Vec<String> = fs::read_dir(dir.path())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| !name.starts_with("log-") && name != MANIFEST_FILE)
+            .map(|entry| entry.unwrap().path())
+            .map(|path| (name_of(&path), fs::read(&path).unwrap()))
             .collect();
-        left.sort();
-        assert_eq!(left, [snapshot_name(checked - 1), snapshot_name(checked)]);
+        files.sort();
+        files
+    }
+
+    fn name_of(path: &Path) -> String {
+        path.file_name().unwrap().to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn every_directory_state_a_kill_can_leave_recovers_a_prefix_of_the_run() {
+        // A generation at every safepoint and 64 KiB segments: the run
+        // rotates its log, lands a generation at each `BLOCK_EVENTS`
+        // boundary that completed a collection, and prunes all but two.
+        // Sampling puts a series in every run image.
+        let dir = ScratchDir::new("matrix");
+        let cfg = RunConfig::small()
+            .with_policy(PolicyKind::UpdatedPointer)
+            .with_seed(7)
+            .with_heap_growth(Bytes::from_kib(1024))
+            .with_sampling(1_500);
+        let run = cfg.clone().with_durability(
+            DurabilityConfig::snapshot_and_log(dir.path())
+                .with_snapshot_every(1)
+                .with_segment_bytes(64 << 10),
+        );
+        let stats = churn(&run, 1, |_, _| {}).storage.unwrap();
+        let generations = stats.snapshot_fsyncs;
+        assert!(stats.log_segments >= 3 && generations >= 5, "{stats:?}");
+        let ops = ops(dir.path());
+        let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
+            .unwrap()
+            .collect();
+        // What a fresh shard makes of the first n events, once per n.
+        let fresh = Mutex::new(HashMap::new());
+        let reference = |n: u64| {
+            *fresh.lock().unwrap().entry(n).or_insert_with(|| {
+                let mut shard = Shard::new(&cfg).unwrap();
+                shard.enable_telemetry(TelemetryLevel::Full);
+                shard
+                    .step_block(&events[..n as usize].iter().copied().collect())
+                    .unwrap();
+                outcome_digest(&shard.finish(GenStats::default()).unwrap())
+            })
+        };
+        let is_snap = |op: &Op| name_of(&op.path).starts_with("snap-");
+        let landing = |op: &&Op| op.kind == "rename" && is_snap(op);
+        let manifest = ops
+            .iter()
+            .position(|op| name_of(&op.path) == MANIFEST_FILE)
+            .unwrap();
+
+        // The directory a kill at cut k leaves recovers; the generation it
+        // restores from, or `None` before the manifest lands.
+        let check = |&(k, tear): &(usize, bool)| -> Option<Option<u64>> {
+            let last = k.checked_sub(1).map(|i| &ops[i]);
+            let state = state_at(&ops, k, tear, k as u64);
+            let what = format!(
+                "cut {k}, torn {tear}: {:?}",
+                last.map(|op| (op.kind, &op.path))
+            );
+            if k <= manifest {
+                let err = recover(state.path()).expect_err(&what).to_string();
+                assert!(err.contains(MANIFEST_FILE), "{what}: {err}");
+                return None;
+            }
+            let recovered = recover(state.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let digest = outcome_digest(&recovered.outcome);
+            assert_eq!(digest, reference(recovered.events_replayed), "{what}");
+            let verified = verify(state.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(outcome_digest(&verified.outcome), digest, "{what}");
+            // Restored from the newest generation in place, which needs its
+            // safepoint frame in the log: no file in place outruns the log.
+            let files = scan_snapshots(state.path()).unwrap();
+            let in_place: Vec<u64> = files.iter().map(|file| file.generation).collect();
+            assert_eq!(recovered.restored_from, in_place.last().copied(), "{what}");
+            assert_eq!(recovered.snapshot_files_skipped, 0, "{what}");
+            // The writer holds at most two generations and keeps two
+            // landed: a log that reaches generation n's frame (n >= 3) finds
+            // n - 2 or a newer one in place and nothing older than n - 3,
+            // and once two have landed a fallback stays.
+            let log = read_log(state.path()).unwrap();
+            if let Some(n @ 3..) = log.safepoints.iter().map(|f| f.generation).max() {
+                assert!(in_place.iter().any(|&g| g + 2 >= n), "{what}: {in_place:?}");
+                assert!(in_place.iter().all(|&g| g + 3 >= n), "{what}: {in_place:?}");
+            }
+            let landed = ops[..k].iter().filter(landing).count();
+            assert!(in_place.len() >= landed.min(KEEP_GENERATIONS), "{what}");
+            // A generation just renamed in is what its restore captures.
+            if let (Some(_), Some(file)) = (last.filter(landing), files.last()) {
+                let (shard, _) = restore(state.path()).unwrap();
+                let image = read_generation(&file.path).unwrap();
+                round_trip(&shard, &image, &format!("its restore, {what}")).unwrap();
+            }
+            Some(recovered.restored_from)
+        };
+
+        // Every cut after an op that changes what a kill leaves (a write
+        // only through a tear), untorn and torn, shared out over two
+        // threads: `verify` replays from event 0 at each.
+        let cuts: Vec<(usize, bool)> = (0..=ops.len())
+            .flat_map(|k| [(k, false), (k, true)])
+            .filter(|&(k, tear)| match k.checked_sub(1).map(|i| ops[i].kind) {
+                Some("sync") => false,
+                Some("write") => tear,
+                _ => true,
+            })
+            .collect();
+        let every_other =
+            |first: usize| -> Vec<_> { cuts[first..].iter().step_by(2).map(&check).collect() };
+        let halves = thread::scope(|s| {
+            let odd = s.spawn(|| every_other(1));
+            [every_other(0), odd.join().unwrap()]
+        });
+        let restored: Vec<Option<u64>> = (0..cuts.len())
+            .filter_map(|i| halves[i % 2][i / 2])
+            .collect();
+        assert!(restored.windows(2).all(|w| w[0] <= w[1]), "{restored:?}");
+        let mut seen = restored.clone();
+        seen.dedup();
+        // Fresh, then each generation once it lands.
+        assert_eq!(seen.len() as u64, generations + 1, "{seen:?}");
+
+        // The last cut is the finished directory: the generation bytes
+        // written are the ones counted, and pruning by remembered names
+        // leaves exactly the newest two generations and no temp file.
+        let (end, files) = (state_at(&ops, ops.len(), false, 0), files_of(dir.path()));
+        assert!(files_of(end.path()) == files, "the last cut");
+        let snap_writes = ops.iter().filter(|op| op.kind == "write" && is_snap(op));
+        let written: usize = snap_writes.map(|op| op.bytes.len()).sum();
+        assert_eq!(written as u64, stats.snapshot_bytes);
+        let names = files.iter().map(|(name, _)| name.as_str());
+        let others: Vec<&str> = names
+            .filter(|name| !name.starts_with("log-") && *name != MANIFEST_FILE)
+            .collect();
+        assert_eq!(others, [generations - 1, generations].map(snapshot_name));
     }
 
     /// How a test feeds one run of events to the store.

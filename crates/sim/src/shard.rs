@@ -287,11 +287,11 @@ impl Shard {
         self.telemetry_level
     }
 
-    /// The store a durable shard persists through, for tests that watch it
-    /// between steps.
+    /// The store a durable shard persists through (`None` for one that
+    /// does not persist), for tests that watch it between steps.
     #[cfg(test)]
-    pub(crate) fn store(&mut self) -> &mut DurableStore {
-        &mut self.durable.as_mut().expect("a durable shard").store
+    pub(crate) fn store(&mut self) -> Option<&mut DurableStore> {
+        self.durable.as_mut().map(|durable| &mut durable.store)
     }
 
     /// The configuration the shard was built from.

@@ -75,7 +75,9 @@ shards:
 # from event 0, which must also capture every usable generation's file byte
 # for byte — and the two digests must agree. Exercises the same tooling
 # the CI smoke job runs; scratch dirs live under target/ and are removed
-# afterwards.
+# afterwards. The kills are real process exits, the reference for the
+# crash-point matrix in pgc-sim's unit tests (every directory state a kill
+# can leave, built from the store's recorded writes).
 recover:
     rm -rf target/recover-smoke
     cargo build --release -p pgc-bench --bin recover_tool

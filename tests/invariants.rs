@@ -9,7 +9,10 @@
 //! page representation is checked against the model, not only against the
 //! numbers it was tuned to reproduce.
 
-use pgc::odb::{BarrierEvent, BarrierObserver, Database, PolicyKind, Trigger};
+mod common;
+
+use common::InvariantSweep;
+use pgc::odb::{PolicyKind, Trigger};
 use pgc::sim::{RunConfig, Shard};
 use pgc::types::Bytes;
 use pgc::workload::{AssemblyParams, AssemblyWorkload, Event, SyntheticWorkload};
@@ -18,26 +21,12 @@ use std::rc::Rc;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-/// Checks the whole database at each activation (the pre-collection state:
-/// everything the mutator and the previous collection left behind).
-struct InvariantSweep {
-    activations: Rc<Cell<u64>>,
-}
-
-impl BarrierObserver for InvariantSweep {
-    fn on_event(&mut self, _event: &BarrierEvent) {}
-
-    fn on_trigger(&mut self, db: &Database) {
-        db.check_invariants();
-        self.activations.set(self.activations.get() + 1);
-    }
-}
-
 fn sweep(cfg: &RunConfig, events: &[Event], label: &str) {
     let activations = Rc::new(Cell::new(0));
     let mut shard = Shard::new(cfg).expect("shard");
     shard.add_observer(Box::new(InvariantSweep {
         activations: Rc::clone(&activations),
+        checks: u64::MAX,
     }));
     shard
         .step_block(&events.iter().copied().collect())

@@ -8,21 +8,30 @@
 //! the uninterrupted run: same totals, same victim sequence, same series,
 //! same telemetry counters and records. A generation that cannot be used
 //! costs the older one's tail; with none usable the log is replayed from
-//! event 0. A torn log tail (truncated or corrupted final frame) is
-//! detected by checksum and dropped, and recovery then matches a fresh run
-//! over the surviving event prefix. The same holds per stream for a
-//! persisted server fleet. `verify`, which replays from event 0 and holds
-//! every generation to its capture byte for byte, is held to the same
-//! digest throughout.
+//! event 0. A corrupted final frame is detected by checksum and dropped,
+//! and recovery then matches a fresh run over the surviving event prefix.
+//! The same holds per stream for a persisted server fleet. `verify`, which
+//! replays from event 0 and holds every generation to its capture byte for
+//! byte, is held to the same digest throughout.
+//!
+//! What a process kill leaves is not staged here: the crash-point matrix
+//! in `pgc-sim`'s `durable/store.rs` rebuilds every directory state a kill
+//! can leave from the store's recorded writes (a torn log tail, a `.tmp`
+//! mid-landing, a generation pruned) and recovers each.
 
+mod common;
+
+use common::InvariantSweep;
 use pgc::durable::{
     manifest_for, read_generation, read_log, restore, scan_snapshots, verify, Manifest, ScratchDir,
 };
 use pgc::prelude::*;
 use pgc::workload::generator::GenStats;
 use pgc::workload::{EncodedTrace, EventBlock, SyntheticWorkload, BLOCK_EVENTS};
+use std::cell::Cell;
 use std::fs;
 use std::path::Path;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -405,21 +414,6 @@ fn every_manifest_key_takes_hostile_values_without_a_panic() {
     assert_eq!(outcome_digest(&recovered.outcome), outcome_digest(&run));
 }
 
-/// The newest log segment in `dir`, by sequence number.
-fn newest_log_segment(dir: &ScratchDir) -> std::path::PathBuf {
-    let mut segments: Vec<_> = fs::read_dir(dir.path())
-        .expect("read data dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("log-") && n.ends_with(".pgcl"))
-        })
-        .collect();
-    segments.sort();
-    segments.pop().expect("at least one log segment")
-}
-
 /// Replays `dir`'s surviving log prefix through a bare [`Shard`] — the
 /// ground truth a torn-tail recovery must match.
 fn replay_prefix_baseline(dir: &ScratchDir, recovered: &RecoveredRun) -> RunOutcome {
@@ -434,43 +428,14 @@ fn replay_prefix_baseline(dir: &ScratchDir, recovered: &RecoveredRun) -> RunOutc
 }
 
 #[test]
-fn torn_tail_is_dropped_and_recovery_matches_the_surviving_prefix() {
-    let dir = ScratchDir::new("torn");
-    run_durable(PolicyKind::UpdatedPointer, 7, &dir);
-
-    // Tear the tail: chop bytes off the newest segment so its final frame
-    // is truncated mid-payload.
-    let tail = newest_log_segment(&dir);
-    let len = fs::metadata(&tail).expect("stat").len();
-    let file = fs::OpenOptions::new()
-        .write(true)
-        .open(&tail)
-        .expect("open tail");
-    file.set_len(len - 9).expect("truncate");
-    drop(file);
-
-    let recovered = recover(dir.path()).expect("recovery survives a torn tail");
-    assert!(
-        recovered.torn_tail.is_some(),
-        "the torn frame must be detected"
-    );
-    let baseline = replay_prefix_baseline(&dir, &recovered);
-    assert_eq!(
-        outcome_digest(&recovered.outcome),
-        outcome_digest(&baseline),
-        "torn-tail recovery must equal a fresh run over the surviving prefix"
-    );
-    assert_eq!(recovered.outcome.totals, baseline.totals);
-}
-
-#[test]
 fn corrupted_tail_frame_fails_its_checksum_and_is_dropped() {
     let dir = ScratchDir::new("corrupt");
     run_durable(PolicyKind::MostGarbage, 3, &dir);
 
     // Flip one byte inside the final frame: the length prefix still reads,
     // the CRC no longer matches.
-    let tail = newest_log_segment(&dir);
+    let segments = read_log(dir.path()).expect("read log").segments;
+    let tail = dir.join(format!("log-{:08}.pgcl", segments - 1));
     let mut bytes = fs::read(&tail).expect("read tail");
     let at = bytes.len() - 6;
     bytes[at] ^= 0xA5;
@@ -486,59 +451,6 @@ fn corrupted_tail_frame_fails_its_checksum_and_is_dropped() {
         outcome_digest(&recovered.outcome),
         outcome_digest(&baseline)
     );
-}
-
-/// A generation lands on a background thread after `safepoint()` has
-/// returned: one `.tmp` written, fsynced, renamed. A kill in that window
-/// leaves one of three states behind; each is made by hand here, in the
-/// reverse of the order a landing passes through them.
-#[test]
-fn a_kill_during_landing_falls_back_to_the_older_generation() {
-    let dir = ScratchDir::new("landing");
-    let original = run_durable(PolicyKind::UpdatedPointer, 3, &dir);
-
-    let files = scan_snapshots(dir.path()).expect("scan");
-    let [older, newest] = &files[..] else {
-        panic!("two generations are kept, found {files:?}");
-    };
-    let older_image = read_generation(&older.path).expect("read");
-    let older_at = older_image.events_applied;
-    let tmp = {
-        let mut name = newest.path.file_name().expect("file name").to_os_string();
-        name.push(".tmp");
-        newest.path.with_file_name(name)
-    };
-    let bytes = fs::read(&newest.path).expect("read");
-    let falls_back = |state: &str| {
-        let recovered = recover(dir.path()).expect("recover the damaged directory");
-        assert_eq!(
-            outcome_digest(&recovered.outcome),
-            outcome_digest(&original),
-            "{state}"
-        );
-        assert_eq!(recovered.torn_tail, None, "{state}: the log is whole");
-        assert_eq!(
-            recovered.snapshot_files_skipped, 0,
-            "{state}: a .tmp file is never read, so nothing can be found corrupt"
-        );
-        assert_eq!(
-            recovered.snapshots_verified,
-            older_image.partitions(),
-            "{state}: the older generation restores whole"
-        );
-        assert_eq!(recovered.restored_from, Some(older.generation), "{state}");
-        assert_eq!(
-            recovered.tail_events,
-            original.totals.events - older_at,
-            "{state}: the older generation's tail is replayed"
-        );
-    };
-    fs::rename(&newest.path, &tmp).expect("rename back");
-    falls_back("written and fsynced, not renamed");
-    fs::write(&tmp, &bytes[..bytes.len() / 2]).expect("tear");
-    falls_back("torn mid-write");
-    fs::remove_file(&tmp).expect("remove");
-    falls_back("not started");
 }
 
 /// Builds before the one-file layout wrote `snap-G-pN.pgcs`, one image
@@ -698,11 +610,22 @@ fn restore_is_the_run_from_every_generation_it_lands() {
                 assert_eq!(tail.restored_from, Some(i as u64 + 1), "{what}");
                 assert_eq!(tail.log.trace.events(), 0, "{what}: the copy ends there");
                 assert_eq!(restored.events_applied(), *at, "{what}");
+                // The structures as loaded, then at the first activation
+                // after the restore: what the mutator made of them.
                 restored.db().check_invariants();
+                let activations = Rc::new(Cell::new(0));
+                restored.add_observer(Box::new(InvariantSweep {
+                    activations: Rc::clone(&activations),
+                    checks: 1,
+                }));
+                let before = restored.db().stats().collections;
                 restored
                     .step_block(&events[*at as usize..].iter().copied().collect())
                     .expect("step the rest");
                 let out = restored.finish(GenStats::default()).expect("finish");
+                if out.totals.collections > before {
+                    assert!(activations.get() > 0, "{what}: no sweep after the restore");
+                }
                 assert_eq!(out.totals, original.totals, "{what}");
                 assert_eq!(out.collections, original.collections, "{what}");
                 assert_eq!(out.db_stats, original.db_stats, "{what}");
