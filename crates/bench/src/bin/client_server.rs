@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Events per submitted segment: small enough that thousands of streams
-/// interleave on the inboxes, large enough to amortize the ring hop.
+/// interleave on the inboxes, large enough to amortize the inbox hop.
 const BATCH: u64 = 2048;
 
 /// Peels the server flags off the command line before the common ones
@@ -133,7 +133,7 @@ fn main() {
     let _ = writeln!(
         out,
         "\n{:<7} {:>8} {:>14} {:>13} {:>14} {:>9}",
-        "Shard", "streams", "bus events", "activations", "reclaimed KB", "ring hwm"
+        "Shard", "streams", "bus events", "activations", "reclaimed KB", "max batch"
     );
     for shard in fleet.fleet.shards() {
         let _ = writeln!(

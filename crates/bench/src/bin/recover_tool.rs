@@ -18,9 +18,9 @@
 //! (and that generation's event), the tail it replayed, and where the wall
 //! time went (reading the log, loading the generation, replaying the tail,
 //! finishing). `--verify` also replays the whole log from event 0, holding
-//! every usable generation to the replay's capture byte for byte (and the
-//! newer of two to the older one restored and replayed), and fails unless
-//! both reach the same digest; `--expect` exits nonzero unless the
+//! every usable generation to the replay's capture byte for byte (and each
+//! to its predecessor restored and replayed), recovers again from the newest,
+//! and fails unless that recovery reaches the replay's digest; `--expect` exits nonzero unless the
 //! recovered digest matches,
 //! which is how CI pins that a recovered run is bit-identical to the
 //! uninterrupted one.

@@ -6,23 +6,23 @@
 //!
 //! * [`router`] — [`router::StreamId`] and the stateless [`router::Router`]
 //!   hashing streams onto shards.
-//! * [`ring`] — the [`ring::RingInbox`]: fixed-capacity shard inboxes with
-//!   park/unpark backpressure, a FIFO drain that takes everything queued
-//!   under one lock, and an occupancy high-water mark; a slow shard
-//!   throttles its producers instead of buffering the world.
 //! * [`session`] — the session layer: each shard worker owns a table of
-//!   sessions (one [`pgc_sim::Shard`] per stream), serves each drained
-//!   batch stream by stream (every stream's messages in arrival order),
-//!   and steps each submitted segment block-at-a-time through one
-//!   reusable decode scratch.
+//!   sessions (one [`pgc_sim::Shard`] per stream) fed by a bounded
+//!   `sync_channel` (a slow shard blocks its producer instead of buffering
+//!   the world), serves each batch of up to `inbox_capacity` messages
+//!   stream by stream (every stream's messages in arrival order), and
+//!   steps each submitted segment block-at-a-time through one reusable
+//!   decode scratch.
 //! * [`remset`] — cross-shard references as remset traffic over the
 //!   existing barrier event bus: each session owns the [`remset::Links`]
-//!   into its stream, so workers share nothing but their rings, and links
+//!   into its stream, so workers share nothing but their inboxes, and links
 //!   are weak by design so they cannot perturb any session's collection
 //!   decisions.
 //! * [`server`] — [`server::Server`]: start, open streams, submit events
 //!   as zero-copy [`pgc_workload::TraceSegment`]s, link across streams, and fold the
 //!   fleet into a [`server::FleetOutcome`] at shutdown.
+//! * [`ring`] — [`ring::RingInbox`], a stand-in FIFO the benchmark times;
+//!   no shard uses it.
 //!
 //! # Determinism
 //!
@@ -46,7 +46,7 @@ pub mod server;
 pub mod session;
 
 pub use remset::{LinkRecord, Links, RemsetBridge, RemsetStats};
-pub use ring::{RingInbox, DEFAULT_INBOX_CAPACITY};
+pub use ring::RingInbox;
 pub use router::{Router, StreamId};
-pub use server::{FleetOutcome, Server, ServerConfig, StreamHandle};
+pub use server::{FleetOutcome, Server, ServerConfig, StreamHandle, DEFAULT_INBOX_CAPACITY};
 pub use session::ShardReport;

@@ -1,7 +1,6 @@
 //! The N-shard runtime: router + workers + fleet-wide shutdown fold.
 
 use crate::remset::{LinkRecord, Links, RemsetStats};
-use crate::ring::{RingInbox, SenderGuard, DEFAULT_INBOX_CAPACITY};
 use crate::router::{Router, StreamId};
 use crate::session::{ShardMsg, ShardReport, ShardWorker};
 use pgc_sim::durable::DurabilityMode;
@@ -12,19 +11,23 @@ use pgc_workload::{NodeId, TraceSegment};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread::JoinHandle;
+
+/// Inbox slots a shard holds before its producer blocks.
+pub const DEFAULT_INBOX_CAPACITY: usize = 256;
 
 /// How a [`Server`] is shaped: shard count, per-session telemetry, inbox
 /// depth, and (optionally) where streams persist.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (and thus shard rings). Clamped to at least one.
+    /// Worker threads (and thus shard inboxes). Clamped to at least one.
     pub shards: usize,
     /// Telemetry level every session is opened with.
     pub telemetry: TelemetryLevel,
-    /// Messages a shard's ring inbox holds before producers block — the
-    /// backpressure knob. Clamped to at least one.
+    /// Messages a shard's inbox (a bounded channel) holds before the
+    /// producer blocks — the backpressure knob, and the most a worker
+    /// takes as one batch. Clamped to at least one.
     pub inbox_capacity: usize,
     /// Root data directory for durability. Each stream persists into its
     /// own subdirectory `stream-NNNNNN/` (one recoverable data dir per
@@ -55,7 +58,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-shard ring inbox capacity, in messages.
+    /// Sets the per-shard inbox capacity, in messages.
     #[must_use]
     pub fn with_inbox_capacity(mut self, capacity: usize) -> Self {
         self.inbox_capacity = capacity.max(1);
@@ -136,8 +139,9 @@ pub struct FleetOutcome {
     pub remset: RemsetStats,
     /// How many shards the fleet ran on.
     pub shards: usize,
-    /// Peak ring-inbox occupancy per shard, indexed by shard id — how
-    /// close each shard ran to throttling its producers.
+    /// The largest batch each shard's worker drained from its inbox,
+    /// indexed by shard id: at most the inbox capacity, which it reaches
+    /// when the producer ran a full inbox ahead of the worker.
     pub ring_high_water: Vec<u64>,
     /// Events across every stream, folded once at shutdown.
     total_events: u64,
@@ -190,7 +194,7 @@ impl FleetOutcome {
 /// trace); nothing is allocated or copied per event. A caller holding
 /// decoded events encodes them once with
 /// [`pgc_workload::EncodedTrace::from_events`] (~7.5 bytes/event in
-/// flight). A full ring blocks the submitting thread until the shard
+/// flight). A full inbox blocks the submitting thread until the shard
 /// catches up (bounded memory, lossless). It addresses the
 /// stream by the [`StreamHandle`] that [`Server::open_stream`] returned.
 ///
@@ -213,7 +217,7 @@ impl FleetOutcome {
 pub struct Server {
     router: Router,
     telemetry: TelemetryLevel,
-    inboxes: Vec<SenderGuard<ShardMsg>>,
+    inboxes: Vec<SyncSender<ShardMsg>>,
     workers: Vec<JoinHandle<Result<ShardReport>>>,
     streams: BTreeSet<StreamId>,
     tag: u64,
@@ -224,20 +228,21 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> Self {
         let router = Router::new(cfg.shards);
         let persist = cfg.data_dir.map(|dir| (dir, cfg.durability));
+        // A public field can skip the builder's clamp; 0 is a rendezvous.
+        let capacity = cfg.inbox_capacity.max(1);
         let mut inboxes = Vec::with_capacity(router.shards());
         let mut workers = Vec::with_capacity(router.shards());
         for shard in 0..router.shards() {
-            let ring = RingInbox::with_capacity(cfg.inbox_capacity);
-            let rx = Arc::clone(&ring);
+            let (tx, rx) = sync_channel(capacity);
             let telemetry = cfg.telemetry;
             let persist = persist.clone();
             // Sessions hold thread-local state (Rc-based telemetry taps,
             // boxed policies), so the worker is built *on* its thread and
             // never crosses it — only the plain-data report comes back.
             workers.push(std::thread::spawn(move || {
-                ShardWorker::new(shard, telemetry, persist).run(rx)
+                ShardWorker::new(shard, telemetry, persist).run(rx, capacity)
             }));
-            inboxes.push(SenderGuard(ring));
+            inboxes.push(tx);
         }
         Self {
             router,
@@ -288,7 +293,7 @@ impl Server {
     ///
     /// Segments for the same stream apply in submission order; segments
     /// for different streams are independent. Blocks while the home
-    /// shard's ring is full.
+    /// shard's inbox is full.
     pub fn submit_segment(&mut self, stream: StreamHandle, segment: TraceSegment) -> Result<()> {
         let stream = stream.resolve(self.tag)?;
         self.send(
@@ -305,7 +310,7 @@ impl Server {
     /// The reference apply-point is the target session's state after
     /// every segment submitted to `target` before this call and none
     /// submitted after — deterministic because one server handle feeds
-    /// each ring in program order and the worker keeps every stream's
+    /// each inbox in program order and the worker keeps every stream's
     /// messages in arrival order.
     pub fn link(&mut self, source: StreamHandle, target: StreamHandle, node: NodeId) -> Result<()> {
         let source = source.resolve(self.tag)?;
@@ -322,15 +327,15 @@ impl Server {
 
     fn send(&self, shard: usize, msg: ShardMsg) -> Result<()> {
         self.inboxes[shard]
-            .ring()
-            .push(msg)
+            .send(msg)
             .map_err(|_| PgcError::Session(format!("shard {shard} worker is gone")))
     }
 
-    /// Closes every ring, joins the workers, and folds their reports into
-    /// the fleet outcome. The fold is deterministic: outcomes sort by
-    /// stream id and telemetry merges in ascending shard-id order, so the
-    /// result is independent of worker completion order. A worker that
+    /// Closes every inbox by dropping its sender, joins the workers, and
+    /// folds their reports into the fleet outcome. The fold is
+    /// deterministic: outcomes sort by stream id and telemetry merges in
+    /// ascending shard-id order, so the result is independent of worker
+    /// completion order. A worker that
     /// panicked surfaces as a [`PgcError::Session`] carrying the panic
     /// payload — one poisoned shard reports instead of crashing the fold.
     pub fn shutdown(self) -> Result<FleetOutcome> {
@@ -409,6 +414,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use pgc_workload::{EncodedTrace, WorkloadParams};
+    use std::sync::Arc;
 
     #[test]
     fn a_panicked_worker_surfaces_as_a_session_error_at_shutdown() {

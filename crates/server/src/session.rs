@@ -3,14 +3,14 @@
 //! Each shard is one OS thread owning a table of sessions — a session is
 //! one client stream bound to its own [`Shard`] (database + policy +
 //! scheduler + barrier bus + telemetry). The server routes every message
-//! for a stream to its home shard's bounded ring inbox. The worker's path
-//! per message is `drain → group → decode → log bytes → apply`:
+//! for a stream to its home shard's inbox, a bounded `sync_channel`. The
+//! worker's path per message is `batch → group → decode → log bytes → apply`:
 //!
-//! * **drain** — it takes everything queued under one lock
-//!   ([`RingInbox::drain`]): up to a ring-full, in arrival order.
+//! * **batch** — it waits for one message, then takes what else is queued:
+//!   up to `inbox_capacity` messages in all, in arrival order.
 //! * **group** — it serves that batch stream by stream (a stable sort on
 //!   the stream whose session a message touches), so a stream applies up
-//!   to a ring-full of its segments back to back while its heap is still
+//!   to an inbox-full of its segments back to back while its heap is still
 //!   in cache, instead of being evicted by every other tenant's turn
 //!   between two of its own.
 //! * **decode** — a data message carries a [`TraceSegment`], a refcounted
@@ -24,12 +24,12 @@
 //!
 //! # What order is kept, and why the rest was never observable
 //!
-//! Within a stream nothing moves: one server handle feeds the ring in
-//! program order, the drain keeps arrival order, and the grouping is
-//! stable, so every session sees its `Open`, its segments and the `Link`s
-//! that resolve against it exactly as submitted. *Across* streams the
-//! batch is reordered, and nothing can tell: sessions share no state, and
-//! a `Link` reads and writes only its target's session, which owns the
+//! Within a stream nothing moves: one server handle feeds the inbox in
+//! program order, the channel keeps each sender's order, and the grouping
+//! is stable, so every session sees its `Open`, its segments and the
+//! `Link`s that resolve against it exactly as submitted. *Across* streams
+//! the batch is reordered, and nothing can tell: sessions share no state,
+//! and a `Link` reads and writes only its target's session, which owns the
 //! links into it. Cross-stream order was already arbitrary
 //! between shards; it is now equally so within one. Block and segment
 //! boundaries are invisible too (`step_block` itself stops at every sample
@@ -38,17 +38,16 @@
 //! of a stream's data directory.
 //!
 //! The price is latency, and it is bounded: a message waits for at most
-//! the batch drained ahead of it, and a batch is at most `inbox_capacity`
+//! the batch taken ahead of it, and a batch is at most `inbox_capacity`
 //! messages — the setting that already bounded how far a client runs
 //! ahead of its shard.
 //!
 //! At shutdown the worker finishes its sessions in ascending stream-id
 //! order and reports per-stream [`RunOutcome`]s and [`Links`], one merged
-//! telemetry snapshot, and the ring's occupancy high-water mark, ready for
-//! the fleet-wide fold.
+//! telemetry snapshot, and its largest batch, ready for the fleet-wide
+//! fold.
 
 use crate::remset::{Links, RemsetBridge};
-use crate::ring::{ReceiverGuard, RingInbox};
 use crate::router::StreamId;
 use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
 use pgc_sim::{RunConfig, RunOutcome, Shard, TelemetryLevel, TelemetrySnapshot};
@@ -59,9 +58,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::mpsc::Receiver;
 
-/// One message on a shard ring.
+/// One message on a shard's inbox.
 pub(crate) enum ShardMsg {
     /// Open a session for `stream` under `cfg`.
     Open {
@@ -94,8 +93,8 @@ pub(crate) enum ShardMsg {
 }
 
 impl ShardMsg {
-    /// The stream whose session the message touches — what a drained
-    /// batch is grouped by.
+    /// The stream whose session the message touches — what a batch is
+    /// grouped by.
     fn session(&self) -> StreamId {
         match *self {
             ShardMsg::Open { stream, .. } | ShardMsg::Data { stream, .. } => stream,
@@ -115,8 +114,9 @@ pub struct ShardReport {
     /// Every hosted session's telemetry folded together (`None` when the
     /// server ran with telemetry off or the shard hosted no streams).
     pub telemetry: Option<TelemetrySnapshot>,
-    /// Peak occupancy of the shard's ring inbox, in messages — how close
-    /// the shard ran to saturating its producers.
+    /// The largest batch the worker drained from its inbox, in messages:
+    /// at most the inbox capacity, which it reaches when the producer ran
+    /// a full inbox ahead of the worker.
     pub ring_high_water: u64,
 }
 
@@ -154,22 +154,25 @@ impl ShardWorker {
         }
     }
 
-    /// Serves the ring a drained batch at a time until the sender closes,
-    /// then finishes all sessions into the shard's report. The receiver
-    /// guard marks the ring dead on any exit — return or panic — so parked
-    /// producers fail fast instead of deadlocking.
-    pub(crate) fn run(mut self, inbox: Arc<RingInbox<ShardMsg>>) -> Result<ShardReport> {
-        let guard = ReceiverGuard(Arc::clone(&inbox));
-        let mut batch = Vec::with_capacity(inbox.capacity());
-        while inbox.drain(&mut batch) {
+    /// Serves the inbox a batch of at most `capacity` (≥ 1) messages at a
+    /// time until the sender is dropped, then finishes all sessions into
+    /// the shard's report. Any exit — return, error or panic — drops
+    /// `inbox`, which fails the producer's pending and later sends
+    /// instead of leaving it blocked.
+    pub(crate) fn run(mut self, inbox: Receiver<ShardMsg>, capacity: usize) -> Result<ShardReport> {
+        let mut batch = Vec::with_capacity(capacity);
+        let mut largest = 0;
+        while let Ok(first) = inbox.recv() {
+            batch.push(first);
+            batch.extend(inbox.try_iter().take(capacity - 1));
+            largest = largest.max(batch.len());
             self.serve(&mut batch)?;
         }
-        let high_water = guard.ring().high_water() as u64;
-        self.finish(high_water)
+        self.finish(largest as u64)
     }
 
-    /// Serves one drained batch, emptying it: stream by stream, each
-    /// stream's messages in arrival order (the sort is stable).
+    /// Serves one batch, emptying it: stream by stream, each stream's
+    /// messages in arrival order (the sort is stable).
     fn serve(&mut self, batch: &mut Vec<ShardMsg>) -> Result<()> {
         batch.sort_by_key(ShardMsg::session);
         for msg in batch.drain(..) {
@@ -284,6 +287,7 @@ fn not_open(stream: StreamId) -> PgcError {
 mod tests {
     use super::*;
     use pgc_workload::{EncodedTrace, Event, SyntheticWorkload, WorkloadParams};
+    use std::sync::Arc;
 
     /// The nodes `events` creates, in creation order.
     fn created(events: &[Event]) -> Vec<NodeId> {

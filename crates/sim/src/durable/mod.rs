@@ -67,13 +67,14 @@
 //! from every generation a run lands). A clean shutdown's newest generation
 //! sits at the last event, so its recovery replays nothing.
 //!
-//! [`verify`] holds the restore path to the run byte for byte. One shard
-//! replays the whole log from event 0, and at each usable generation's
-//! event its capture — what the store would land there, partition images
-//! and run image alike — must be that generation's file. The older of each
-//! two usable generations, restored as [`restore`] restores it and replayed
-//! to the newer one's event, must capture to the newer file. And the
-//! replay's digest must equal [`recover`]'s.
+//! [`verify`] holds the restore path to the run byte for byte, and is a
+//! recovery itself. One shard replays the whole log from event 0, and at
+//! each usable generation's event its capture — what the store would land
+//! there, partition images and run image alike — must be that
+//! generation's file. Every usable generation, restored as [`restore`]
+//! restores it, replays to the next one's event and must capture to its
+//! file; the newest replays the log's tail, which is [`recover`]'s run, and
+//! its digest must equal the replay from event 0's.
 
 mod config;
 mod crc;
@@ -165,10 +166,11 @@ pub struct RecoveredRun {
     /// log's surviving prefix, `outcome.totals.events`.
     pub events_replayed: u64,
     /// Events replayed from the log after the restore point (all of them
-    /// for a fresh start and for [`verify`]).
+    /// for a fresh start). [`verify`]'s is [`recover`]'s: the events its
+    /// newest usable generation's restore replays.
     pub tail_events: u64,
     /// The generation the run was restored from; `None` when it started
-    /// fresh (and always for [`verify`]).
+    /// fresh. [`verify`]'s is [`recover`]'s.
     pub restored_from: Option<u64>,
     /// The torn tail that was detected and dropped, if any.
     pub torn_tail: Option<TornTail>,
@@ -320,15 +322,17 @@ fn frame(image: &GenerationImage) -> SafepointNote {
     }
 }
 
-/// Recovery held to the run byte for byte (see the module docs): replay
-/// from event 0 captures every usable generation's file where it was taken,
-/// the older of each two usable generations restores and replays to the
-/// newer one's file, and the replay's digest is [`recover`]'s. A file that
-/// does not read whole, or whose safepoint frame the log does not hold (a
-/// generation beyond a torn tail), is passed over, as [`restore`] passes it
-/// over.
+/// Recovery held to the run byte for byte (see the module docs), and
+/// returned: replay from event 0 captures every usable generation's file
+/// where it was taken; each usable generation, restored as [`restore`]
+/// restores it, replays to the next one's event and captures its file, and
+/// the newest replays to the log's end — the recovery, whose digest must be
+/// the replay from event 0's. With no usable generation that replay is the
+/// recovery, a fresh start. A file that does not read whole, or whose
+/// safepoint frame the log does not hold (a generation beyond a torn
+/// tail), is passed over, as [`restore`] passes it over; a usable one that
+/// does not restore is an `Err`.
 pub fn verify(dir: &Path) -> Result<RecoveredRun> {
-    let recovered = outcome_digest(&recover(dir)?.outcome);
     let (cfg, level) = config_from_manifest(&Manifest::read_from(dir)?)?;
     let log = read_log(dir)?;
     let (mut usable, mut skipped) = (Vec::new(), 0);
@@ -350,35 +354,42 @@ pub fn verify(dir: &Path) -> Result<RecoveredRun> {
         replay(&mut shard, &mut cursor, image.events_applied)?;
         round_trip(&shard, image, "the replay from event 0")?;
     }
-    for ((older, _), (_, newer)) in usable.iter().zip(usable.iter().skip(1)) {
-        let (mut restored, after, _) = attempt(dir, &cfg, level, older, &mut Duration::default())??;
-        replay(
-            &mut restored,
-            &mut after.trace.cursor(),
-            newer.events_applied,
-        )?;
-        round_trip(&restored, newer, "its predecessor restored")?;
-    }
     replay(&mut shard, &mut cursor, u64::MAX)?;
-    let tail = Tail {
-        log,
-        restored_from: None,
-        images: 0,
-        passed_over: Vec::new(),
-        log_wall: Duration::ZERO,
-    };
-    let verified = tail.finish(shard)?;
-    let replayed = outcome_digest(&verified.outcome);
-    if replayed != recovered {
-        return Err(bad(format!(
-            "verify: replay from event 0 reaches digest {replayed:016x}, recovery {recovered:016x}"
-        )));
+    let mut recovered = tail_of(log, None).finish(shard)?;
+    let replayed = outcome_digest(&recovered.outcome);
+    for (i, (file, _)) in usable.iter().enumerate() {
+        let (mut restored, after, _) = attempt(dir, &cfg, level, file, &mut Duration::default())??;
+        let next = usable.get(i + 1).map(|(_, image)| image);
+        let until = next.map_or(u64::MAX, |image| image.events_applied);
+        replay(&mut restored, &mut after.trace.cursor(), until)?;
+        if let Some(image) = next {
+            round_trip(&restored, image, "its predecessor restored")?;
+            continue;
+        }
+        recovered = tail_of(after, Some(file.generation)).finish(restored)?;
+        let digest = outcome_digest(&recovered.outcome);
+        if digest != replayed {
+            return Err(bad(format!(
+                "verify: replay from event 0 reaches digest {replayed:016x}, recovery {digest:016x}"
+            )));
+        }
     }
     Ok(RecoveredRun {
         snapshots_verified: usable.len(),
         snapshot_files_skipped: skipped,
-        ..verified
+        ..recovered
     })
+}
+
+/// A tail [`verify`] replays: `log` from the restore point on.
+fn tail_of(log: LogContents, restored_from: Option<u64>) -> Tail {
+    Tail {
+        log,
+        restored_from,
+        images: 0,
+        passed_over: Vec::new(),
+        log_wall: Duration::ZERO,
+    }
 }
 
 /// Requires `shard`'s capture, stamped as generation `image` was, to be

@@ -23,8 +23,8 @@
 //!   newest usable generation and replays only the log after it,
 //!   bit-identical to an uninterrupted run over the surviving event
 //!   prefix; [`durable::verify`] replays from event 0, holds every usable
-//!   generation's file to the replay's capture byte for byte, and holds
-//!   the recovered digest to the replay's.
+//!   generation's file to the replay's capture byte for byte, and returns
+//!   the recovery from the newest, held to the replay's digest.
 //! * [`shadow`] — shadow-scoreboard policy races: one driver policy makes
 //!   the collection decisions while every other honest policy's scoreboard
 //!   rides the same barrier event bus and records the victim it *would*

@@ -32,7 +32,7 @@
 //! never share mutable state and per-stream results are bit-identical to
 //! a dedicated single-`Simulation` run at any shard count. Server workers
 //! lean on [`Shard::step_block`]'s invisibility guarantee: segments
-//! arriving over the ring inboxes decode into SoA blocks wherever the
+//! arriving over the shard inboxes decode into SoA blocks wherever the
 //! client happened to cut them, without changing any result or any byte
 //! of the data directory, because the shard itself stops at every sample
 //! and safepoint boundary inside a block.

@@ -18,8 +18,9 @@ pub struct ShardTelemetry {
     pub shard: usize,
     /// Client streams whose sessions the shard hosted.
     pub streams: u32,
-    /// Peak occupancy of the shard's ring inbox over the run, in
-    /// messages — how close the shard ran to throttling its producers.
+    /// The largest batch the shard's worker drained from its inbox, in
+    /// messages: at most the inbox capacity, which it reaches when the
+    /// producer ran a full inbox ahead of the worker.
     pub ring_high_water: u64,
     /// The shard's snapshot: every hosted session folded together (so
     /// `snapshot.runs` counts sessions, and per-activation records are

@@ -11,8 +11,9 @@
 //! event 0. A corrupted final frame is detected by checksum and dropped,
 //! and recovery then matches a fresh run over the surviving event prefix.
 //! The same holds per stream for a persisted server fleet. `verify`, which
-//! replays from event 0 and holds every generation to its capture byte for
-//! byte, is held to the same digest throughout.
+//! replays from event 0, holds every generation to its capture byte for
+//! byte and then recovers as `recover` does, is held to the same digest
+//! and the same restore point throughout.
 //!
 //! What a process kill leaves is not staged here: the crash-point matrix
 //! in `pgc-sim`'s `durable/store.rs` rebuilds every directory state a kill
@@ -109,7 +110,11 @@ fn recovery_is_bit_identical_across_policies_and_seeds() {
                 (files.len(), 0),
                 "{policy} seed {seed}: every generation round-trips"
             );
-            assert_eq!(verified.tail_events, original.totals.events);
+            assert_eq!(
+                (verified.restored_from, verified.tail_events),
+                (Some(newest), 0),
+                "{policy} seed {seed}: verify's recovery is recover's"
+            );
             assert_eq!(recovered.cfg.policy, policy);
             assert_eq!(recovered.telemetry_level, TelemetryLevel::Full);
 
@@ -676,12 +681,18 @@ fn a_damaged_newest_generation_falls_back_to_the_older_one_whole() {
             "{what}"
         );
         assert!(recovered.tail_events > 0, "{what}: a generation's worth");
-        // `verify` passes over the damaged file as `restore` does, and the
-        // older generation still round-trips.
+        // `verify` passes over the damaged file as `restore` does, the
+        // older generation still round-trips, and its recovery is
+        // `recover`'s: restored from the older one, the same tail replayed.
         let verified = verify(dir.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(
             outcome_digest(&verified.outcome),
             outcome_digest(&recovered.outcome),
+            "{what}"
+        );
+        assert_eq!(
+            (verified.restored_from, verified.tail_events),
+            (recovered.restored_from, recovered.tail_events),
             "{what}"
         );
         assert_eq!(
@@ -784,7 +795,12 @@ fn with_no_usable_generation_recovery_starts_fresh() {
         assert_eq!(recovered.restored_from, None, "{what}");
         assert_eq!(recovered.tail_events, original.totals.events, "{what}");
         assert_eq!(recovered.snapshot_files_skipped, skipped, "{what}");
-        verify(dir.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let verified = verify(dir.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(
+            (verified.restored_from, verified.tail_events),
+            (None, original.totals.events),
+            "{what}: the replay from event 0 is the recovery"
+        );
     };
     for (file, bytes) in files.iter().zip(&landed) {
         fs::write(&file.path, flipped(bytes, bytes.len() / 2)).expect("damage");

@@ -447,3 +447,72 @@ fn a_non_dense_create_id_surfaces_as_an_error_at_shutdown() {
         "got {err}"
     );
 }
+
+/// A worker that stops on a stream's error drops its inbox's receiving
+/// end, so a client blocked on the full one-slot inbox, or submitting
+/// later, gets an error back instead of waiting forever, and shutdown
+/// still reports why the worker stopped. The client runs on a helper
+/// thread so a hang fails the test at the timeout instead of stalling it.
+#[test]
+fn a_stopped_worker_fails_the_blocked_client_and_shutdown_says_why() {
+    use pgc::types::{Bytes, PgcError};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (stream, cfg) = stream_configs()[0].clone();
+    let poison = encode(&[Event::CreateRoot {
+        node: NodeId(1_000_000),
+        size: Bytes(64),
+        slots: 2,
+    }]);
+    let (done, outcome) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut server = Server::start(ServerConfig::new(1).with_inbox_capacity(1));
+        let handle = server.open_stream(stream, cfg).expect("open");
+        let refused = loop {
+            if let Err(e) = server.submit_segment(handle, poison.clone()) {
+                break e;
+            }
+        };
+        let shutdown = server.shutdown().expect_err("the poisoned stream");
+        done.send((refused, shutdown)).expect("the test is waiting");
+    });
+    let (refused, shutdown) = outcome
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a submit to a stopped worker must fail, not block");
+    client.join().expect("client thread");
+    assert!(
+        matches!(&refused, PgcError::Session(msg) if msg.contains("shard 0 worker is gone")),
+        "got {refused}"
+    );
+    assert!(
+        matches!(&shutdown, PgcError::TraceFormat(msg) if msg.contains("1000000")),
+        "got {shutdown}"
+    );
+}
+
+/// `inbox_capacity` is a public field, so a caller can skip the builder's
+/// clamp; a zero there runs as a one-slot inbox, not a rendezvous, and the
+/// stream comes out as its dedicated run.
+#[test]
+fn a_zero_inbox_capacity_set_on_the_field_runs_as_one_slot() {
+    let configs = stream_configs();
+    let events = stream_events(&configs);
+    let (stream, cfg) = configs[0].clone();
+    let dedicated = &dedicated_runs(&configs[..1], &events[..1])[0];
+
+    let mut config = ServerConfig::new(1);
+    config.inbox_capacity = 0;
+    let mut server = Server::start(config);
+    let handle = server.open_stream(stream, cfg).expect("open");
+    for chunk in events[0].chunks(64) {
+        server
+            .submit_segment(handle, encode(chunk))
+            .expect("submit");
+    }
+    let fleet = server.shutdown().expect("shutdown");
+    let outcome = fleet.outcome(stream).expect("outcome");
+    assert_eq!(outcome.totals, dedicated.totals);
+    assert_eq!(outcome.collections, dedicated.collections);
+    assert_eq!(fleet.ring_high_water, vec![1], "batches of one message");
+}
