@@ -97,8 +97,13 @@ impl Database {
         let CollectScratch {
             queue,
             oids,
+            residents,
             forwarded,
         } = &mut scratch;
+        // The victim's list, whole: survivors join the target's list as
+        // they are copied, and whatever is still in the victim at the end
+        // is garbage. The victim keeps an empty list.
+        self.objects.take_members(victim, residents);
 
         // --- 1. Gather the victim's roots, deterministically ordered. ---
         // Database roots first (BTreeSet iteration is sorted), then
@@ -179,12 +184,12 @@ impl Database {
         );
 
         // --- 3. Reclaim the stragglers: everything left is garbage. ---
-        oids.clear();
-        oids.extend(self.objects.members(victim));
-        oids.sort_unstable();
+        let objects = &self.objects;
+        residents.retain(|&oid| objects.get(oid).is_ok_and(|r| r.addr.partition == victim));
+        residents.sort_unstable();
         let mut garbage_objects = 0u64;
         let mut garbage_bytes = Bytes::ZERO;
-        for &oid in oids.iter() {
+        for &oid in residents.iter() {
             let rec = self.objects.remove(oid)?;
             forget_pointers(&mut self.remsets, &self.objects, victim, oid, &rec.slots);
             self.partitions
@@ -345,8 +350,10 @@ pub struct FullCollectionOutcome {
 pub(crate) struct CollectScratch {
     /// The breadth-first frontier.
     queue: VecDeque<Oid>,
-    /// The victim's roots, then its dead residents.
+    /// The victim's roots.
     oids: Vec<Oid>,
+    /// The victim's member list, taken whole; then its dead residents.
+    residents: Vec<Oid>,
     /// Remembered locations forwarded to the object just moved.
     forwarded: Vec<PointerLoc>,
 }

@@ -89,7 +89,7 @@ impl Database {
                 slots: Slots::nulls(slot_count),
                 weight,
             },
-        );
+        )?;
         self.stats.objects_created += 1;
         self.stats.bytes_allocated += size;
         self.events.push(BarrierEvent::Allocation {

@@ -132,7 +132,7 @@ impl Database {
             if bytes.get() > cursors[p] {
                 return Err(bad("residents overfill their partition"));
             }
-            table.register(oid, rec);
+            table.register(oid, rec)?;
         }
         for (oid, rec) in table.iter() {
             for (i, slot) in rec.slots.iter().enumerate() {

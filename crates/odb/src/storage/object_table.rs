@@ -9,29 +9,36 @@
 //!
 //! # Dense-id representation
 //!
-//! `Oid`s are allocated sequentially and never reused, so the table is a
-//! **slab** of entries indexed by `Oid::index()`. Every
+//! `Oid`s are allocated sequentially and never reused, so the table is an
+//! **index** by `Oid::index()` over a dense store of records. The index
+//! holds one `u32` per oid ever handed out: the position of the object's
+//! record plus one, or 0 while the oid is unregistered or reclaimed. The
+//! records sit in a `Vec` sized by the live set: reclaiming an object
+//! frees its record's position, and the next `register` takes the lowest
+//! free one. Lowest first keeps objects created together in ascending
+//! positions, the order a traversal of their tree reads them; handing out
+//! the most recently freed position instead scattered them: against the
+//! oid-indexed slab this table replaced, `fleet_roundtrip`'s bare replay
+//! read 8.2% slower that way and 1.8% slower lowest first (medians of ten
+//! benchmark pairs each). Every
 //! lookup on the simulator's hottest paths (oracle traversal, write
-//! barrier, collection) is one bounds check and one indexed load, with no
-//! hashing. A record is 56 bytes with its pointer slots inside it
-//! ([`super::slots::Slots`]: creating or reclaiming one of the tree's
-//! two-slot objects never calls the allocator), and its slab entry adds
-//! the object's position in its partition's member list: 64 bytes, one
-//! cache line for everything a collection touches per object. (The width
-//! also keeps the slab's growth stages at power-of-two byte sizes, which
-//! glibc maps and returns whole; with 56-byte entries the slab's last
-//! stage on `churn_durable` fell just under glibc's 32 MiB line, and once
-//! freed pulled every later run's slab onto the untrimmed heap: 10 MiB of
-//! peak RSS.) Reclaimed
-//! entries stay `None` forever; for the workloads the simulator runs
-//! (bounded live set, ~2x total allocation over peak live) the slab's tail
-//! of tombstones is far cheaper than hashing every access. Iteration is in
-//! ascending oid order — deterministic across processes and threads.
+//! barrier, collection) is two indexed loads, with no hashing. A record is
+//! 56 bytes with its pointer slots inside it ([`super::slots::Slots`]:
+//! creating or reclaiming one of the tree's two-slot objects never calls
+//! the allocator). An object that died keeps only its 4-byte index word,
+//! so a table restored from a snapshot costs its live records plus one
+//! word per oid, however many objects the run reclaimed. At most
+//! `u32::MAX` objects are live at once: `register` refuses the next one.
+//! Record positions are internal. Iteration walks the index, in ascending
+//! oid order — deterministic across processes and threads.
 //!
-//! Partition membership is a `Vec<Oid>` per partition, each entry knowing
-//! its own position for O(1) swap-removal. Membership order is a deterministic
+//! Partition membership is a `Vec<Oid>` per partition, in the order the
+//! objects joined it. Only the collector takes objects out of a partition,
+//! and it empties the partition whole: it takes the victim's list with
+//! [`ObjectTable::take_members`] first, so relocating or removing an
+//! object leaves its old list alone. Membership order is a deterministic
 //! function of the operation history; callers that need a canonical order
-//! (the collector's garbage sweep) sort, exactly as they did before.
+//! (the collector's garbage sweep) sort.
 
 use super::addr::ObjAddr;
 use super::slots::Slots;
@@ -66,28 +73,32 @@ impl ObjectRecord {
     }
 }
 
-/// A slab entry: a registered object's record, and where the object sits
-/// in its partition's member list.
-#[derive(Debug, Clone)]
-struct Entry {
-    record: ObjectRecord,
-    member_pos: u32,
-}
-
-/// The Oid → record slab plus per-partition membership.
+/// The Oid → record index, the records, and per-partition membership.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectTable {
-    /// Slab of entries, indexed by `Oid::index()`. `None` = reserved but
-    /// unregistered, or reclaimed.
-    slab: Vec<Option<Entry>>,
+    /// Indexed by `Oid::index()`: the position of the object's record in
+    /// `records` plus one, 0 = reserved but unregistered, or reclaimed.
+    index: Vec<u32>,
+    /// The registered objects' records, in no particular order. `None` is
+    /// a position on the free list.
+    records: Vec<Option<ObjectRecord>>,
+    /// The free positions of `records`, highest first while
+    /// `free_sorted`; `register` takes the last, the lowest.
+    free: Vec<u32>,
+    /// False from a `remove` to the next `register`, which sorts `free`.
+    free_sorted: bool,
     /// Per-partition resident lists.
     members: Vec<Vec<Oid>>,
-    /// Count of registered (live) objects.
-    live: usize,
     /// Oids are handed out in creation order, so an oid is also the
     /// object's logical birth time.
     next_oid: u64,
     total_bytes: Bytes,
+}
+
+/// The index word of the record at `pos`: its position plus one, which a
+/// `u32` holds for positions below `u32::MAX`.
+fn index_word(pos: usize) -> Result<u32> {
+    u32::try_from(pos + 1).map_err(|_| PgcError::TooManyObjects)
 }
 
 impl ObjectTable {
@@ -98,11 +109,11 @@ impl ObjectTable {
 
     /// An empty table that hands out `next_oid` next: what a restore
     /// registers a snapshot's survivors into, in no particular oid order.
-    /// The slab gets the capacity the live table's doubling reached, not
-    /// whatever the order of those survivors would grow it to.
+    /// The index covers every oid below the bound from the start; the
+    /// records grow with the survivors registered.
     pub(crate) fn with_oid_bound(next_oid: u64) -> Self {
         Self {
-            slab: Vec::with_capacity((next_oid as usize).next_power_of_two()),
+            index: vec![0; next_oid as usize],
             next_oid,
             ..Self::default()
         }
@@ -111,6 +122,11 @@ impl ObjectTable {
     /// Total bytes of all registered objects.
     pub(crate) fn total_bytes(&self) -> Bytes {
         self.total_bytes
+    }
+
+    /// Count of registered (live) objects.
+    fn live(&self) -> usize {
+        self.records.len() - self.free.len()
     }
 
     /// One past the highest oid ever reserved — the exclusive upper bound
@@ -131,86 +147,106 @@ impl ObjectTable {
 
     /// Registers a record under `oid` (previously handed out by
     /// [`ObjectTable::reserve_oid`]), at the end of its partition's member
-    /// list.
+    /// list. Fails with [`PgcError::TooManyObjects`] when `u32::MAX`
+    /// objects are already registered.
     ///
     /// # Panics
     ///
     /// Debug-asserts that `oid` is not already registered.
-    pub(crate) fn register(&mut self, oid: Oid, record: ObjectRecord) {
+    pub(crate) fn register(&mut self, oid: Oid, record: ObjectRecord) -> Result<()> {
         let idx = oid.index() as usize;
-        if self.slab.len() <= idx {
-            self.slab.resize_with(idx + 1, || None);
+        if self.index.len() <= idx {
+            self.index.resize(idx + 1, 0);
         }
-        debug_assert!(self.slab[idx].is_none(), "duplicate oid {oid}");
+        debug_assert!(self.index[idx] == 0, "duplicate oid {oid}");
+        if !self.free_sorted {
+            self.free.sort_unstable_by(|a, b| b.cmp(a));
+            self.free_sorted = true;
+        }
+        let word = match self.free.pop() {
+            Some(pos) => pos + 1,
+            None => {
+                let word = index_word(self.records.len())?;
+                self.records.push(None);
+                word
+            }
+        };
+        self.index[idx] = word;
         self.ensure_partition(record.addr.partition);
-        let list = &mut self.members[record.addr.partition.as_usize()];
-        let member_pos = list.len() as u32;
-        list.push(oid);
+        self.members[record.addr.partition.as_usize()].push(oid);
         self.total_bytes += record.size;
-        self.live += 1;
-        self.slab[idx] = Some(Entry { record, member_pos });
+        self.records[word as usize - 1] = Some(record);
+        Ok(())
     }
 
-    fn entry(&self, oid: Oid) -> Result<&Entry> {
-        self.slab
-            .get(oid.index() as usize)
-            .and_then(Option::as_ref)
-            .ok_or(PgcError::UnknownObject(oid))
-    }
-
-    fn entry_mut(&mut self, oid: Oid) -> Result<&mut Entry> {
-        self.slab
-            .get_mut(oid.index() as usize)
-            .and_then(Option::as_mut)
-            .ok_or(PgcError::UnknownObject(oid))
+    /// The position of `oid`'s record, if it is registered.
+    #[inline]
+    fn position(&self, oid: Oid) -> Option<usize> {
+        let word = *self.index.get(oid.index() as usize)?;
+        Some(word.checked_sub(1)? as usize)
     }
 
     /// Looks up an object, failing with [`PgcError::UnknownObject`] if it
     /// does not exist (any more).
     pub fn get(&self, oid: Oid) -> Result<&ObjectRecord> {
-        self.entry(oid).map(|e| &e.record)
+        self.position(oid)
+            .and_then(|pos| self.records.get(pos)?.as_ref())
+            .ok_or(PgcError::UnknownObject(oid))
     }
 
     /// Mutable lookup.
     pub(crate) fn get_mut(&mut self, oid: Oid) -> Result<&mut ObjectRecord> {
-        self.entry_mut(oid).map(|e| &mut e.record)
+        self.position(oid)
+            .and_then(|pos| self.records.get_mut(pos)?.as_mut())
+            .ok_or(PgcError::UnknownObject(oid))
     }
 
     /// True if `oid` is currently registered.
     pub fn contains(&self, oid: Oid) -> bool {
-        self.entry(oid).is_ok()
+        self.get(oid).is_ok()
     }
 
-    /// Removes an object (it has been reclaimed), returning its record.
+    /// Removes an object (it has been reclaimed), returning its record and
+    /// freeing its position. Its partition's member list is left alone:
+    /// the collector, the one caller, has taken it with
+    /// [`ObjectTable::take_members`].
     pub(crate) fn remove(&mut self, oid: Oid) -> Result<ObjectRecord> {
-        let Entry { record, member_pos } = self
-            .slab
-            .get_mut(oid.index() as usize)
+        let pos = self.position(oid).ok_or(PgcError::UnknownObject(oid))?;
+        let record = self
+            .records
+            .get_mut(pos)
             .and_then(Option::take)
             .ok_or(PgcError::UnknownObject(oid))?;
-        self.unlink_member(oid, record.addr.partition, member_pos);
+        self.index[oid.index() as usize] = 0;
+        self.free.push(pos as u32);
+        self.free_sorted = false;
         self.total_bytes -= record.size;
-        self.live -= 1;
         Ok(record)
     }
 
-    /// Moves an object to a new physical address (collector evacuation),
-    /// updating partition membership.
+    /// Moves an object to a new physical address (collector evacuation).
+    /// An object moved to another partition joins the end of that
+    /// partition's member list; its old list is left alone, as for
+    /// [`ObjectTable::remove`].
     pub(crate) fn relocate(&mut self, oid: Oid, new_addr: ObjAddr) -> Result<()> {
-        let entry = self.entry(oid)?;
-        let (old_partition, pos) = (entry.record.addr.partition, entry.member_pos);
-        let mut member_pos = pos;
+        let record = self.get_mut(oid)?;
+        let old_partition = std::mem::replace(&mut record.addr, new_addr).partition;
         if old_partition != new_addr.partition {
             self.ensure_partition(new_addr.partition);
-            self.unlink_member(oid, old_partition, pos);
-            let list = &mut self.members[new_addr.partition.as_usize()];
-            member_pos = list.len() as u32;
-            list.push(oid);
+            self.members[new_addr.partition.as_usize()].push(oid);
         }
-        let entry = self.entry_mut(oid)?;
-        entry.record.addr = new_addr;
-        entry.member_pos = member_pos;
         Ok(())
+    }
+
+    /// Swaps `partition`'s member list into `into` (whose old contents are
+    /// dropped), leaving the partition an empty list with `into`'s
+    /// capacity. Until every object taken is relocated out or removed,
+    /// the table's membership does not cover them.
+    pub(crate) fn take_members(&mut self, partition: PartitionId, into: &mut Vec<Oid>) {
+        into.clear();
+        if let Some(list) = self.members.get_mut(partition.as_usize()) {
+            std::mem::swap(list, into);
+        }
     }
 
     /// The objects currently resident in `partition`.
@@ -230,24 +266,10 @@ impl ObjectTable {
 
     /// Iterates over every `(oid, record)` pair in ascending oid order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Oid, &ObjectRecord)> {
-        self.slab
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (Oid(i as u64), &e.record)))
-    }
-
-    /// Swap-removes `oid`, at `pos`, from `partition`'s member list, fixing
-    /// up the displaced element's recorded position.
-    fn unlink_member(&mut self, oid: Oid, partition: PartitionId, pos: u32) {
-        let pos = pos as usize;
-        let list = &mut self.members[partition.as_usize()];
-        debug_assert_eq!(list[pos], oid, "member position out of sync");
-        list.swap_remove(pos);
-        if let Some(&moved) = list.get(pos) {
-            if let Some(entry) = self.slab[moved.index() as usize].as_mut() {
-                entry.member_pos = pos as u32;
-            }
-        }
+        self.index.iter().enumerate().filter_map(|(i, &word)| {
+            let record = self.records.get(word.checked_sub(1)? as usize)?.as_ref()?;
+            Some((Oid(i as u64), record))
+        })
     }
 
     fn ensure_partition(&mut self, partition: PartitionId) {
@@ -257,34 +279,62 @@ impl ObjectTable {
         }
     }
 
-    /// Debug invariant check: membership lists partition the record slab.
+    /// Debug invariant check: the index and the free list name each
+    /// position of the records exactly once (the index the occupied ones,
+    /// the free list the rest), and the member lists partition the
+    /// registered objects.
     pub(crate) fn check_invariants(&self) {
-        let mut seen = 0usize;
-        for (idx, list) in self.members.iter().enumerate() {
-            for (pos, &oid) in list.iter().enumerate() {
-                let entry = self.entry(oid).expect("member without record");
-                assert_eq!(
-                    entry.record.addr.partition.as_usize(),
-                    idx,
-                    "object {oid} in wrong member list"
-                );
-                assert_eq!(
-                    entry.member_pos as usize, pos,
-                    "object {oid} has stale member position"
-                );
-                seen += 1;
+        if let Some(broken) = self.first_violation() {
+            panic!("object table: {broken}");
+        }
+    }
+
+    /// The first invariant of [`ObjectTable::check_invariants`] the table
+    /// breaks, described, or `None`.
+    fn first_violation(&self) -> Option<String> {
+        // Each position is named once: by an oid's index word if occupied,
+        // by the free list if not.
+        let mut named = vec![false; self.records.len()];
+        let indexed =
+            self.index.iter().enumerate().filter_map(|(i, &word)| {
+                Some((Some(Oid(i as u64)), word.checked_sub(1)? as usize))
+            });
+        let freed = self.free.iter().map(|&pos| (None, pos as usize));
+        for (oid, pos) in indexed.chain(freed) {
+            let occupied = self.records.get(pos).map(Option::is_some);
+            if occupied != Some(oid.is_some()) || std::mem::replace(&mut named[pos], true) {
+                let who = oid.map_or("the free list".to_string(), |oid| format!("{oid}"));
+                return Some(format!("{who} names record position {pos} wrongly"));
             }
         }
-        assert_eq!(seen, self.live, "membership does not cover table");
-        assert_eq!(self.iter().count(), self.live, "live count drifted");
+        if let Some(pos) = named.iter().position(|&n| !n) {
+            return Some(format!("record position {pos} is neither indexed nor free"));
+        }
+        // Each registered object is listed once, under its own partition.
+        let mut listed = vec![false; self.index.len()];
+        for (p, list) in self.members.iter().enumerate() {
+            for &oid in list {
+                let home = self.get(oid).map(|r| r.addr.partition.as_usize());
+                if home != Ok(p) || std::mem::replace(&mut listed[oid.index() as usize], true) {
+                    return Some(format!("{oid} is misfiled in the member list of P{p}"));
+                }
+            }
+        }
+        let listed = listed.iter().filter(|&&l| l).count();
+        if listed != self.live() {
+            return Some(format!("{listed} members of {} records", self.live()));
+        }
         let bytes: Bytes = self.iter().map(|(_, r)| r.size).sum();
-        assert_eq!(bytes, self.total_bytes, "byte accounting drifted");
+        (bytes != self.total_bytes)
+            .then(|| format!("records of {bytes}, {} counted", self.total_bytes))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgc_types::SimRng;
+    use std::collections::BTreeMap;
 
     fn rec(partition: u32, offset: u64, size: u64, nslots: usize) -> ObjectRecord {
         ObjectRecord {
@@ -301,12 +351,12 @@ mod tests {
         let a = t.reserve_oid();
         let b = t.reserve_oid();
         assert_ne!(a, b);
-        t.register(a, rec(1, 0, 100, 2));
+        t.register(a, rec(1, 0, 100, 2)).unwrap();
         assert!(t.contains(a));
         assert!(!t.contains(b));
         assert_eq!(t.get(a).unwrap().size, Bytes(100));
         assert!(matches!(t.get(b), Err(PgcError::UnknownObject(_))));
-        assert_eq!(t.live, 1);
+        assert_eq!(t.live(), 1);
         assert_eq!(t.total_bytes(), Bytes(100));
         assert_eq!(t.oid_bound(), 2);
         t.check_invariants();
@@ -316,7 +366,7 @@ mod tests {
     fn oids_are_never_reused() {
         let mut t = ObjectTable::new();
         let a = t.reserve_oid();
-        t.register(a, rec(1, 0, 10, 0));
+        t.register(a, rec(1, 0, 10, 0)).unwrap();
         t.remove(a).unwrap();
         let b = t.reserve_oid();
         assert_ne!(a, b);
@@ -326,8 +376,11 @@ mod tests {
     fn remove_updates_membership_and_bytes() {
         let mut t = ObjectTable::new();
         let a = t.reserve_oid();
-        t.register(a, rec(2, 0, 64, 1));
+        t.register(a, rec(2, 0, 64, 1)).unwrap();
         assert_eq!(t.member_count(PartitionId(2)), 1);
+        let mut taken = Vec::new();
+        t.take_members(PartitionId(2), &mut taken);
+        assert_eq!(taken, vec![a]);
         let removed = t.remove(a).unwrap();
         assert_eq!(removed.size, Bytes(64));
         assert_eq!(t.member_count(PartitionId(2)), 0);
@@ -340,7 +393,8 @@ mod tests {
     fn relocate_moves_membership() {
         let mut t = ObjectTable::new();
         let a = t.reserve_oid();
-        t.register(a, rec(1, 0, 100, 2));
+        t.register(a, rec(1, 0, 100, 2)).unwrap();
+        t.take_members(PartitionId(1), &mut Vec::new());
         t.relocate(a, ObjAddr::new(PartitionId(3), 500)).unwrap();
         assert_eq!(t.member_count(PartitionId(1)), 0);
         assert_eq!(t.member_count(PartitionId(3)), 1);
@@ -353,8 +407,8 @@ mod tests {
         let mut t = ObjectTable::new();
         let a = t.reserve_oid();
         let b = t.reserve_oid();
-        t.register(a, rec(1, 0, 100, 0));
-        t.register(b, rec(1, 100, 100, 0));
+        t.register(a, rec(1, 0, 100, 0)).unwrap();
+        t.register(b, rec(1, 100, 100, 0)).unwrap();
         t.relocate(a, ObjAddr::new(PartitionId(1), 700)).unwrap();
         assert_eq!(t.member_count(PartitionId(1)), 2);
         assert_eq!(t.get(a).unwrap().addr.offset, 700);
@@ -367,9 +421,9 @@ mod tests {
         let a = t.reserve_oid();
         let b = t.reserve_oid();
         let c = t.reserve_oid();
-        t.register(a, rec(1, 0, 10, 0));
-        t.register(b, rec(1, 10, 10, 0));
-        t.register(c, rec(2, 0, 10, 0));
+        t.register(a, rec(1, 0, 10, 0)).unwrap();
+        t.register(b, rec(1, 10, 10, 0)).unwrap();
+        t.register(c, rec(2, 0, 10, 0)).unwrap();
         let mut in_p1: Vec<Oid> = t.members(PartitionId(1)).collect();
         in_p1.sort();
         assert_eq!(in_p1, vec![a, b]);
@@ -377,29 +431,10 @@ mod tests {
     }
 
     #[test]
-    fn swap_removal_keeps_positions_consistent() {
-        // Remove from the middle of a member list repeatedly; the position
-        // slab must track every displaced element.
-        let mut t = ObjectTable::new();
-        let oids: Vec<Oid> = (0..10)
-            .map(|i| {
-                let o = t.reserve_oid();
-                t.register(o, rec(1, i * 10, 10, 0));
-                o
-            })
-            .collect();
-        for &o in &[oids[4], oids[0], oids[9], oids[5]] {
-            t.remove(o).unwrap();
-            t.check_invariants();
-        }
-        assert_eq!(t.member_count(PartitionId(1)), 6);
-    }
-
-    #[test]
     fn slot_bounds_are_checked() {
         let mut t = ObjectTable::new();
         let a = t.reserve_oid();
-        t.register(a, rec(1, 0, 100, 2));
+        t.register(a, rec(1, 0, 100, 2)).unwrap();
         let r = t.get(a).unwrap();
         assert_eq!(r.slot(a, SlotId(0)).unwrap(), None);
         assert_eq!(r.slot(a, SlotId(1)).unwrap(), None);
@@ -415,11 +450,250 @@ mod tests {
         let mut oids = Vec::new();
         for i in 0..5 {
             let o = t.reserve_oid();
-            t.register(o, rec(1, i * 10, 10, 0));
+            t.register(o, rec(1, i * 10, 10, 0)).unwrap();
             oids.push(o);
         }
         t.remove(oids[2]).unwrap();
         let visited: Vec<Oid> = t.iter().map(|(o, _)| o).collect();
         assert_eq!(visited, vec![oids[0], oids[1], oids[3], oids[4]]);
+    }
+
+    #[test]
+    fn the_lowest_free_position_is_taken_first() {
+        let mut t = ObjectTable::new();
+        for i in 0..4 {
+            let o = t.reserve_oid();
+            t.register(o, rec(1, i * 10, 10, 0)).unwrap();
+        }
+        t.take_members(PartitionId(1), &mut Vec::new());
+        for oid in [Oid(0), Oid(3), Oid(1)] {
+            t.remove(oid).unwrap();
+        }
+        let positions: Vec<u32> = (0..3)
+            .map(|_| {
+                let o = t.reserve_oid();
+                t.register(o, rec(2, 0, 10, 0)).unwrap();
+                t.index[o.index() as usize] - 1
+            })
+            .collect();
+        assert_eq!(positions, vec![0, 1, 3]);
+        assert_eq!(t.records.len(), 4);
+    }
+
+    #[test]
+    fn positions_past_a_u32_index_word_are_refused() {
+        assert_eq!(index_word(0), Ok(1));
+        assert_eq!(index_word(u32::MAX as usize - 1), Ok(u32::MAX));
+        assert_eq!(index_word(u32::MAX as usize), Err(PgcError::TooManyObjects));
+    }
+
+    #[test]
+    fn a_broken_index_or_free_list_is_a_violation() {
+        let table = || {
+            let mut t = ObjectTable::new();
+            for i in 0..3 {
+                let o = t.reserve_oid();
+                t.register(o, rec(1, i * 10, 10, 0)).unwrap();
+            }
+            t.take_members(PartitionId(1), &mut Vec::new());
+            t.remove(Oid(1)).unwrap();
+            t.members[1] = vec![Oid(0), Oid(2)];
+            assert_eq!(t.first_violation(), None);
+            t
+        };
+        let broken = |edit: &dyn Fn(&mut ObjectTable)| {
+            let mut t = table();
+            edit(&mut t);
+            t.first_violation().expect("a violation")
+        };
+        broken(&|t| t.index[2] = t.index[0]);
+        broken(&|t| t.index[1] = 2);
+        broken(&|t| t.index[2] = 9);
+        broken(&|t| t.free.push(t.free[0]));
+        broken(&|t| t.free.push(0));
+        broken(&|t| t.free.clear());
+        broken(&|t| t.members[1].push(Oid(0)));
+        broken(&|t| {
+            t.members[1].pop();
+        });
+        broken(&|t| t.total_bytes += Bytes(1));
+    }
+
+    /// What a [`ObjectTable`] should hold: each object's partition, offset
+    /// and size, each partition's members in order, and the most objects
+    /// ever live at once.
+    #[derive(Default)]
+    struct Model {
+        objects: BTreeMap<Oid, (u32, u64, u64)>,
+        lists: BTreeMap<u32, Vec<Oid>>,
+        peak: usize,
+    }
+
+    impl Model {
+        /// Registers a new object in a random partition below 5, or (one
+        /// time in ten) reserves an oid and leaves it unregistered.
+        fn register(&mut self, t: &mut ObjectTable, rng: &mut SimRng) {
+            let oid = t.reserve_oid();
+            if rng.chance(0.1) {
+                return;
+            }
+            let (p, off, size) = (rng.below(5) as u32, rng.below(1000), 1 + rng.below(100));
+            t.register(oid, rec(p, off, size, 2)).unwrap();
+            self.objects.insert(oid, (p, off, size));
+            self.lists.entry(p).or_default().push(oid);
+            self.peak = self.peak.max(self.objects.len());
+        }
+
+        fn relocate(&mut self, t: &mut ObjectTable, oid: Oid, to: u32, off: u64) {
+            t.relocate(oid, ObjAddr::new(PartitionId(to), off)).unwrap();
+            let (p, offset, _) = self.objects.get_mut(&oid).unwrap();
+            (*p, *offset) = (to, off);
+            self.lists.entry(to).or_default().push(oid);
+        }
+
+        /// Takes `partition`'s member list from both.
+        fn take(&mut self, t: &mut ObjectTable, partition: u32) -> Vec<Oid> {
+            let mut taken = Vec::new();
+            t.take_members(PartitionId(partition), &mut taken);
+            assert_eq!(taken, self.lists.remove(&partition).unwrap_or_default());
+            taken
+        }
+
+        /// Collects a random partition the way the collector does: takes
+        /// its list, then relocates into partition 5 or removes each taken
+        /// object in shuffled order, registering new objects in between.
+        /// Partition 5's residents then move back under the victim's id,
+        /// so the next collection finds it empty again.
+        fn collect(&mut self, t: &mut ObjectTable, rng: &mut SimRng) {
+            let victim = rng.below(5) as u32;
+            let mut taken = self.take(t, victim);
+            shuffle(&mut taken, rng);
+            for oid in taken {
+                if rng.chance(0.2) {
+                    self.register(t, rng);
+                }
+                if rng.chance(0.5) {
+                    let (_, _, size) = self.objects.remove(&oid).unwrap();
+                    assert_eq!(t.remove(oid).unwrap().size, Bytes(size));
+                } else {
+                    self.relocate(t, oid, 5, rng.below(1000));
+                }
+            }
+            for oid in self.take(t, 5) {
+                let off = self.objects[&oid].1;
+                self.relocate(t, oid, victim, off);
+            }
+        }
+
+        /// `t` against the model: lookups of every oid below the bound,
+        /// iteration, membership, record storage and the table's own
+        /// invariants.
+        fn agree(&self, t: &ObjectTable) {
+            t.check_invariants();
+            for oid in (0..t.oid_bound()).map(Oid) {
+                let got = t.get(oid).ok();
+                let got = got.map(|r| (r.addr.partition.0, r.addr.offset, r.size.get()));
+                assert_eq!(got, self.objects.get(&oid).copied(), "{oid}");
+            }
+            let iterated: Vec<(Oid, u64)> = t.iter().map(|(o, r)| (o, r.addr.offset)).collect();
+            let modelled: Vec<(Oid, u64)> = self
+                .objects
+                .iter()
+                .map(|(&o, &(_, off, _))| (o, off))
+                .collect();
+            assert_eq!(iterated, modelled);
+            for p in 0..6 {
+                let listed: Vec<Oid> = t.members(PartitionId(p)).collect();
+                assert_eq!(
+                    listed,
+                    self.lists.get(&p).cloned().unwrap_or_default(),
+                    "P{p}"
+                );
+            }
+            assert!(t.records.len() <= self.peak);
+        }
+    }
+
+    fn shuffle<T>(items: &mut [T], rng: &mut SimRng) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.pick_index(i + 1));
+        }
+    }
+
+    #[test]
+    fn matches_a_btreemap_model_through_churn_and_restore() {
+        for seed in 0..8 {
+            let mut rng = SimRng::new(seed);
+            let mut t = ObjectTable::new();
+            let mut model = Model::default();
+            for round in 0..6 {
+                for _ in 0..200 {
+                    if rng.chance(0.8) {
+                        model.register(&mut t, &mut rng);
+                    } else {
+                        model.collect(&mut t, &mut rng);
+                    }
+                }
+                model.agree(&t);
+                if round % 2 == 1 {
+                    // A restore: the survivors, registered in shuffled order
+                    // into a table that covers the oid bound.
+                    let mut survivors: Vec<(Oid, ObjectRecord)> =
+                        t.iter().map(|(o, r)| (o, r.clone())).collect();
+                    shuffle(&mut survivors, &mut rng);
+                    t = ObjectTable::with_oid_bound(t.oid_bound());
+                    model.lists.clear();
+                    model.peak = model.objects.len();
+                    for (oid, record) in survivors {
+                        model
+                            .lists
+                            .entry(record.addr.partition.0)
+                            .or_default()
+                            .push(oid);
+                        t.register(oid, record).unwrap();
+                    }
+                    model.agree(&t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_storage_follows_the_live_set_not_the_oid_bound() {
+        // Ten generations of 100 objects, each reclaimed before the next is
+        // created: 1,000 oids, never more than 100 records.
+        let mut t = ObjectTable::new();
+        for generation in 0..10 {
+            for i in 0..100 {
+                let oid = t.reserve_oid();
+                t.register(oid, rec(1, i * 10, 10, 2)).unwrap();
+            }
+            let mut dead = Vec::new();
+            t.take_members(PartitionId(1), &mut dead);
+            if generation < 9 {
+                for oid in dead {
+                    t.remove(oid).unwrap();
+                }
+            } else {
+                t.members[1] = dead;
+            }
+        }
+        t.check_invariants();
+        assert_eq!(t.records.len(), 100);
+        assert!(t.records.capacity() <= 128);
+        assert_eq!(t.index.len(), 1_000);
+
+        // A restored table holding k survivors of 2^20 oids keeps k records
+        // and one index word per oid.
+        let k = 1_000;
+        let mut r = ObjectTable::with_oid_bound(1 << 20);
+        for i in (0..k).rev() {
+            r.register(Oid(i * 1_000), rec(1, i * 10, 10, 2)).unwrap();
+        }
+        r.check_invariants();
+        assert_eq!(r.records.len(), k as usize);
+        assert!(r.records.capacity() < 2 * k as usize);
+        assert!(r.free.is_empty());
+        assert_eq!((r.index.len(), r.index.capacity()), (1 << 20, 1 << 20));
     }
 }

@@ -99,7 +99,8 @@ mod tests {
                     slots: Slots::nulls(3),
                     weight: w,
                 },
-            );
+            )
+            .unwrap();
             oids.push(oid);
         }
         (t, oids)

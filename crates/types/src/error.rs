@@ -44,6 +44,9 @@ pub enum PgcError {
     },
     /// An operation referenced a partition id that does not exist.
     UnknownPartition(PartitionId),
+    /// An object was registered while `u32::MAX` objects were live, the
+    /// most the object table indexes.
+    TooManyObjects,
     /// The collector was asked to collect the designated empty partition.
     CollectEmptyPartition(PartitionId),
     /// A trace byte stream was malformed or truncated.
@@ -74,6 +77,9 @@ impl fmt::Display for PgcError {
                 "object of {size} cannot fit in a partition of {partition_capacity}"
             ),
             PgcError::UnknownPartition(p) => write!(f, "unknown partition {p}"),
+            PgcError::TooManyObjects => {
+                write!(f, "more than {} live objects", u32::MAX)
+            }
             PgcError::CollectEmptyPartition(p) => {
                 write!(
                     f,

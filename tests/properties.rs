@@ -113,7 +113,8 @@ fn lru_matches_reference_model() {
 
 #[test]
 fn a_record_is_no_larger_than_the_vec_based_one() {
-    // 64 bytes with the `Option` niche: the tombstoned slab must not grow.
+    // 64 bytes with the `Option` niche: the object table's record store
+    // holds `Option`s (`None` = a free position), one cache line at most.
     assert!(std::mem::size_of::<Option<pgc::storage::ObjectRecord>>() <= 64);
     assert_eq!(std::mem::size_of::<pgc::storage::Slot>(), 8);
 }
