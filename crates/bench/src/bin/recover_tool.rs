@@ -17,7 +17,9 @@
 //! directory alone and prints what recovery did: the generation it restored
 //! (and that generation's event), the tail it replayed, and where the wall
 //! time went (reading the log, loading the generation, replaying the tail,
-//! finishing). `--verify` also replays the whole log from event 0, holding
+//! finishing); then, read back from the restored file, how many object
+//! records it holds and the bytes they take. `--verify` also replays the
+//! whole log from event 0, holding
 //! every usable generation to the replay's capture byte for byte (and each
 //! to its predecessor restored and replayed), recovers again from the newest,
 //! and fails unless that recovery reaches the replay's digest; `--expect` exits nonzero unless the
@@ -32,8 +34,7 @@
 //! events are the reference that model is held to.
 
 use pgc_odb::PolicyKind;
-use pgc_sim::durable::restore;
-use pgc_sim::durable::DurabilityConfig;
+use pgc_sim::durable::{read_generation, restore, scan_snapshots, DurabilityConfig};
 use pgc_sim::{outcome_digest, verify, RunConfig, RunOutcome, Shard, Simulation, TelemetryLevel};
 use pgc_types::Bytes;
 use pgc_workload::{EncodedTrace, EventBlock, BLOCK_EVENTS};
@@ -192,6 +193,17 @@ fn do_recover(args: &[String]) -> Result<(), String> {
         ms(replayed),
         ms(finished),
     );
+    if let Some(generation) = rec.restored_from {
+        let files = scan_snapshots(dir.as_ref()).map_err(err)?;
+        let file = files.iter().find(|f| f.generation == generation);
+        let image = read_generation(&file.ok_or("the restored generation is gone")?.path);
+        let image = image.map_err(err)?;
+        let (records, bytes) = (image.records().count(), image.record_bytes());
+        println!(
+            "image: generation {generation}, {records} records in {bytes} bytes ({:.1} B per record)",
+            bytes as f64 / records.max(1) as f64
+        );
+    }
     println!(
         "recovered: {} events, {} safepoints read, {} images restored ({} generations skipped), torn tail: {}",
         rec.events_replayed,

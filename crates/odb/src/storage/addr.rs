@@ -70,23 +70,26 @@ impl ExactSizeIterator for PageSpan {}
 
 /// Computes the global pages touched by an object of `size` bytes at `addr`.
 ///
-/// `page_size` and `partition_pages` come from the database configuration.
-/// A zero-sized extent touches no pages.
+/// `page_size` and `partition_pages` come from the database configuration,
+/// whose validation makes `page_size` a power of two: a page index is a
+/// shift, not a division. A zero-sized extent touches no pages.
 ///
 /// # Panics
 ///
-/// Debug-asserts that the extent stays inside its partition; the allocator
-/// guarantees this for all addresses it hands out.
+/// Debug-asserts that the page size is a power of two and that the extent
+/// stays inside its partition; the allocator guarantees the latter for all
+/// addresses it hands out.
 pub fn page_span(addr: ObjAddr, size: Bytes, page_size: usize, partition_pages: u64) -> PageSpan {
     let base_page = addr.partition.index() as u64 * partition_pages;
     if size.is_zero() {
         return PageSpan { next: 0, end: 0 };
     }
-    let first = addr.offset / page_size as u64;
-    let last = (addr.offset + size.get() - 1) / page_size as u64;
+    let shift = page_size.trailing_zeros();
+    let first = addr.offset >> shift;
+    let last = (addr.offset + size.get() - 1) >> shift;
     debug_assert!(
-        last < partition_pages,
-        "extent {addr}+{size} escapes its partition ({partition_pages} pages)"
+        page_size.is_power_of_two() && last < partition_pages,
+        "extent {addr}+{size} escapes its partition ({partition_pages} pages of {page_size} bytes)"
     );
     PageSpan {
         next: base_page + first,

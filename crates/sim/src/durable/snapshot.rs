@@ -3,15 +3,18 @@
 //! A generation is the whole run at a safepoint, and its file is
 //! what recovery starts from: every partition's image, partition 0 first,
 //! then one **run image**, back to back with nothing between them. All
-//! integers little-endian:
+//! fixed-width integers little-endian:
 //!
 //! ```text
 //! partition image (one per partition):
 //!   header:  magic "PGCS" | version u32 | generation u64 | partition u32
 //!            | events_applied u64 | collections u64
-//!            | record_count u32 | live_bytes u64
-//!   record*: oid u64 | offset u64 | size u64 | weight u8
-//!            | slot_count u32 | slot*: u64 (oid + 1; 0 encodes None)
+//!            | record_count u32 | live_bytes u64 | body_bytes u64
+//!   body:    record*, each against the one before (prev_oid, prev_end:
+//!            its oid and offset + size; 0 before the first), varints LEB128:
+//!            zigzag(oid - prev_oid) | zigzag(offset - prev_end) | size
+//!            | weight u8 | slot_count
+//!            | slot*: 0 for None, else zigzag(target - oid) + 1
 //!   footer:  crc32 u32 over every preceding byte of the image
 //! run image (last):
 //!   header:  magic "PGCR" | version u32 | generation u64
@@ -21,27 +24,31 @@
 //! ```
 //!
 //! Records are in member-list order, so a restored partition's member list
-//! is the live one. The run image's words belong to the run's owner (the
-//! shard writes them: the database's bookkeeping, the policy, the trigger,
-//! telemetry, sampling); this module frames and checksums them.
-//! Each image keeps its own checksum, and the header and record counts are
-//! all the reader needs to find where one ends and the next begins.
+//! is the live one. That order is mostly allocation order, so the deltas
+//! are small: a two-slot record takes about 8 bytes. The run image's words
+//! belong to the run's owner (the shard writes them: the database's
+//! bookkeeping, the policy, the trigger, telemetry, sampling); this module
+//! frames and checksums them. Each image keeps its own checksum, and its
+//! header alone says where it ends and the next begins.
 //!
 //! One walker finds the images and one reader takes them in.
 //! [`parse_generation`] reads a file usable whole or not at all: every
 //! image checksums, the images cover partitions `0..n` in order, the run
 //! image comes last, all of them name the same generation, event and
-//! collection count, and each partition image's `live_bytes` sums its
-//! records' sizes.
+//! collection count, and each partition image's body is its records and
+//! nothing else, their sizes summing to its `live_bytes` (one decode pass
+//! checks both; `record.rs` owns the record codec).
 //! It keeps the checked bytes and decodes the records from them straight
 //! into the database's own form ([`GenerationImage::records`]), the inverse
 //! of the capture in this module. Whether the words and records make sense
 //! otherwise is the restorer's to check.
 //!
-//! This is version 2. Version 1 images (records sorted by oid, each behind
-//! a length prefix and carrying a birth stamp; no run image) are refused,
-//! as are the one-file-per-image names of the builds before them: a
-//! directory of either recovers by replay from event 0.
+//! This is version 3. Version 2 (the same images with fixed-width records,
+//! 29 bytes plus 8 per slot) and version 1 (records sorted by oid, each
+//! behind a length prefix and carrying a birth stamp; no run image) are
+//! refused on the version word, as are the one-file-per-image names of the
+//! builds before them: a directory of any of these recovers by replay from
+//! event 0.
 //!
 //! A generation is produced in two halves. The run thread serialises every
 //! partition straight from the object table, and the owner's words after
@@ -55,18 +62,18 @@
 
 use super::crc::crc32;
 use super::{io_err, numbered_files, u32_at, u64_at};
-use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
+use pgc_odb::storage::ObjectRecord;
 use pgc_odb::Database;
-use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result};
+use pgc_types::{Oid, PartitionId, PgcError, Result};
 use std::fs;
 use std::path::{Path, PathBuf};
 
+mod record;
+
 const MAGIC: &[u8; 4] = b"PGCS";
 const RUN_MAGIC: &[u8; 4] = b"PGCR";
-const VERSION: u32 = 2;
-const HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 8 + 8 + 4 + 8;
-/// Fixed part of a record: oid, offset, size, weight and slot count.
-const RECORD_FIXED_BYTES: usize = 8 + 8 + 8 + 1 + 4;
+const VERSION: u32 = 3;
+const HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 8 + 8 + 4 + 8 + 8;
 const RUN_HEADER_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 4;
 const FOOTER_BYTES: usize = 4;
 
@@ -79,42 +86,41 @@ fn bad(reason: &str) -> PgcError {
     PgcError::TraceFormat(format!("snapshot: {reason}"))
 }
 
-/// Appends a partition image's header.
-fn put_partition_header(
+/// Appends partition `partition`'s image of its `count` members, `records`
+/// in member-list order, its footer zeroed for [`seal`].
+fn put_partition<'a>(
     buf: &mut Vec<u8>,
     [generation, events_applied, collections]: [u64; 3],
     partition: u32,
-    record_count: u32,
-    live_bytes: u64,
-) {
+    count: u32,
+    records: impl Iterator<Item = Result<(Oid, &'a ObjectRecord)>>,
+) -> Result<()> {
+    let start = buf.len();
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&generation.to_le_bytes());
     buf.extend_from_slice(&partition.to_le_bytes());
     buf.extend_from_slice(&events_applied.to_le_bytes());
     buf.extend_from_slice(&collections.to_le_bytes());
-    buf.extend_from_slice(&record_count.to_le_bytes());
-    buf.extend_from_slice(&live_bytes.to_le_bytes());
-}
-
-/// Appends one record.
-fn put_record(
-    buf: &mut Vec<u8>,
-    [oid, offset, size]: [u64; 3],
-    weight: u8,
-    slots: impl ExactSizeIterator<Item = Option<u64>>,
-) {
-    let mut fixed = [0u8; RECORD_FIXED_BYTES];
-    fixed[..8].copy_from_slice(&oid.to_le_bytes());
-    fixed[8..16].copy_from_slice(&offset.to_le_bytes());
-    fixed[16..24].copy_from_slice(&size.to_le_bytes());
-    fixed[24] = weight;
-    fixed[25..].copy_from_slice(&(slots.len() as u32).to_le_bytes());
-    buf.reserve(RECORD_FIXED_BYTES + slots.len() * 8);
-    buf.extend_from_slice(&fixed);
-    for slot in slots {
-        buf.extend_from_slice(&slot.map_or(0, |o| o + 1).to_le_bytes());
+    buf.extend_from_slice(&count.to_le_bytes());
+    buf.extend_from_slice(&[0; 16]);
+    let (mut live_bytes, mut prev) = (0u64, [0; 2]);
+    for rec in records {
+        let (oid, rec) = rec?;
+        live_bytes += rec.size.get();
+        record::put_record(
+            buf,
+            &mut prev,
+            [oid.index(), rec.addr.offset, rec.size.get()],
+            rec.weight,
+            rec.slots.iter().map(|s| s.get().map(|o| o.index())),
+        )?;
     }
+    let body_bytes = (buf.len() - start - HEADER_BYTES) as u64;
+    buf[start + 40..start + 48].copy_from_slice(&live_bytes.to_le_bytes());
+    buf[start + 48..start + 56].copy_from_slice(&body_bytes.to_le_bytes());
+    buf.extend_from_slice(&[0; FOOTER_BYTES]);
+    Ok(())
 }
 
 /// Appends a run image of `words`, its footer zeroed for [`seal`].
@@ -150,11 +156,10 @@ fn checked_body(image: &[u8]) -> Result<&[u8]> {
     }
 }
 
-/// Length of the image at the front of `bytes`, found from its header and
-/// counts alone (nothing else is looked at, the checksum included). Every
-/// length is checked against the bytes present, and so is every count
-/// before anything is sized by it; a version other than this one is
-/// refused before anything is walked.
+/// Length of the image at the front of `bytes`, found from its header
+/// alone (nothing else is looked at, the checksum included). Its stated
+/// length is checked against the bytes present; a version other than this
+/// one is refused before anything is walked.
 fn image_len(bytes: &[u8]) -> Result<usize> {
     if bytes.len() < 8 || !(&bytes[..4] == MAGIC || &bytes[..4] == RUN_MAGIC) {
         return Err(bad("bad or missing header"));
@@ -176,26 +181,11 @@ fn image_len(bytes: &[u8]) -> Result<usize> {
     if bytes.len() < HEADER_BYTES + FOOTER_BYTES {
         return Err(bad("truncated header"));
     }
-    let record_count = u32_at(bytes, 36) as usize;
-    if record_count > (bytes.len() - HEADER_BYTES - FOOTER_BYTES) / RECORD_FIXED_BYTES {
-        return Err(bad("record count exceeds the bytes present"));
+    let body = u64_at(bytes, 48);
+    if body > (bytes.len() - HEADER_BYTES - FOOTER_BYTES) as u64 {
+        return Err(bad("body length exceeds the bytes present"));
     }
-    let mut pos = HEADER_BYTES;
-    for _ in 0..record_count {
-        if bytes.len() - pos < RECORD_FIXED_BYTES {
-            return Err(bad("truncated record"));
-        }
-        let slots = u32_at(bytes, pos + 25) as usize;
-        let len = RECORD_FIXED_BYTES + slots * 8;
-        if bytes.len() - pos < len {
-            return Err(bad("truncated record"));
-        }
-        pos += len;
-    }
-    if bytes.len() - pos < FOOTER_BYTES {
-        return Err(bad("truncated footer"));
-    }
-    Ok(pos + FOOTER_BYTES)
+    Ok(HEADER_BYTES + body as usize + FOOTER_BYTES)
 }
 
 /// The images at the front of `bytes`, one walk step at a time; the first
@@ -217,6 +207,12 @@ fn walk(mut bytes: &[u8]) -> impl Iterator<Item = Result<&[u8]>> {
             }
         })
     })
+}
+
+/// A partition image's header and body (its records), from a checked image
+/// without its footer.
+fn split_partition(image: &[u8]) -> (&[u8], &[u8]) {
+    image[..HEADER_BYTES + u64_at(image, 48) as usize].split_at(HEADER_BYTES)
 }
 
 /// A generation file read back whole: its checked bytes, where each
@@ -248,39 +244,25 @@ impl GenerationImage {
         self.starts.len()
     }
 
+    /// Bytes the object records take: every partition image's body,
+    /// headers and footers left out.
+    pub fn record_bytes(&self) -> u64 {
+        self.starts
+            .iter()
+            .map(|&s| u64_at(&self.bytes, s + 48))
+            .sum()
+    }
+
     /// Every object record as the database holds it, partition 0's first,
     /// each partition's in member-list order: the inverse of what
     /// `Generation::capture` writes.
     pub fn records(&self) -> impl Iterator<Item = (Oid, ObjectRecord)> + '_ {
-        let b = &self.bytes[..];
-        self.record_starts().map(move |(partition, at)| {
-            let slots = (0..u32_at(b, at + 25) as usize).map(|i| {
-                let word = u64_at(b, at + RECORD_FIXED_BYTES + 8 * i);
-                Slot::from(word.checked_sub(1).map(Oid))
-            });
-            let record = ObjectRecord {
-                addr: ObjAddr::new(PartitionId(partition), u64_at(b, at + 8)),
-                size: Bytes(u64_at(b, at + 16)),
-                slots: slots.collect(),
-                weight: b[at + 24],
-            };
-            (Oid(u64_at(b, at)), record)
-        })
-    }
-
-    /// Where each record starts in `bytes`, with its partition.
-    fn record_starts(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        let b = &self.bytes[..];
         self.starts
             .iter()
             .zip(0..)
             .flat_map(move |(&start, partition)| {
-                let mut at = start + HEADER_BYTES;
-                (0..u32_at(b, start + 36)).map(move |_| {
-                    let record = at;
-                    at += RECORD_FIXED_BYTES + 8 * u32_at(b, at + 25) as usize;
-                    (partition, record)
-                })
+                let (header, body) = split_partition(&self.bytes[start..]);
+                record::decode(body, u32_at(header, 36), PartitionId(partition))
             })
     }
 }
@@ -295,8 +277,13 @@ fn parse_generation(bytes: Vec<u8>) -> Result<GenerationImage> {
         if image.starts_with(RUN_MAGIC) {
             break body;
         }
-        if u32_at(body, 16) as usize != starts.len() {
+        let (header, records) = split_partition(body);
+        if u32_at(header, 16) as usize != starts.len() {
             return Err(bad("partition images out of order"));
+        }
+        let live = record::check(records, u32_at(header, 36))?;
+        if live != u128::from(u64_at(header, 40)) {
+            return Err(bad("live_bytes disagrees with the records"));
         }
         starts.push(at);
         at += image.len();
@@ -313,7 +300,7 @@ fn parse_generation(bytes: Vec<u8>) -> Result<GenerationImage> {
     {
         return Err(bad("images of different generations"));
     }
-    let image = GenerationImage {
+    Ok(GenerationImage {
         generation: u64_at(run, 8),
         events_applied: u64_at(run, 16),
         collections: u64_at(run, 24),
@@ -323,16 +310,7 @@ fn parse_generation(bytes: Vec<u8>) -> Result<GenerationImage> {
             .collect(),
         bytes,
         starts,
-    };
-    let mut live = vec![0u128; image.partitions()];
-    for (partition, at) in image.record_starts() {
-        live[partition as usize] += u128::from(u64_at(&image.bytes, at + 16));
-    }
-    let stated = image.starts.iter().map(|&s| u64_at(&image.bytes, s + 40));
-    if !live.into_iter().eq(stated.map(u128::from)) {
-        return Err(bad("live_bytes disagrees with the records"));
-    }
-    Ok(image)
+    })
 }
 
 /// Reads one generation file whole: any image that does not walk,
@@ -413,33 +391,35 @@ impl Generation {
     pub(crate) fn capture(
         &mut self,
         db: &Database,
-        [generation, events_applied, collections]: [u64; 3],
+        stamp: [u64; 3],
         run: impl FnOnce(&mut Vec<u64>),
     ) -> Result<()> {
-        self.generation = generation;
+        let objects = db.objects();
+        let partitions = (0..db.partition_count() as u32).map(|p| {
+            let id = PartitionId(p);
+            let records = objects.members(id).map(|oid| Ok((oid, objects.get(oid)?)));
+            (objects.member_count(id) as u32, records)
+        });
+        self.capture_records(stamp, partitions, run)
+    }
+
+    /// [`Generation::capture`] of the partitions `partitions` lists, each
+    /// as its record count and records.
+    fn capture_records<'a, R>(
+        &mut self,
+        stamp: [u64; 3],
+        partitions: impl Iterator<Item = (u32, R)>,
+        run: impl FnOnce(&mut Vec<u64>),
+    ) -> Result<()>
+    where
+        R: Iterator<Item = Result<(Oid, &'a ObjectRecord)>>,
+    {
+        self.generation = stamp[0];
         self.bytes.clear();
         self.ends.clear();
-        let objects = db.objects();
-        let stamp = [generation, events_applied, collections];
-        for partition in 0..db.partition_count() as u32 {
-            let id = PartitionId(partition);
-            let buf = &mut self.bytes;
-            let start = buf.len();
-            put_partition_header(buf, stamp, partition, objects.member_count(id) as u32, 0);
-            let mut live_bytes = 0u64;
-            for oid in objects.members(id) {
-                let rec = objects.get(oid)?;
-                live_bytes += rec.size.get();
-                put_record(
-                    buf,
-                    [oid.index(), rec.addr.offset, rec.size.get()],
-                    rec.weight,
-                    rec.slots.iter().map(|s| s.get().map(|o| o.index())),
-                );
-            }
-            buf[start + 40..start + 48].copy_from_slice(&live_bytes.to_le_bytes());
-            buf.extend_from_slice(&[0; FOOTER_BYTES]);
-            self.ends.push(buf.len());
+        for (partition, (count, records)) in (0..).zip(partitions) {
+            put_partition(&mut self.bytes, stamp, partition, count, records)?;
+            self.ends.push(self.bytes.len());
         }
         self.words.clear();
         run(&mut self.words);
@@ -469,18 +449,18 @@ mod tests {
     use crate::durable::store::tests::churn;
     use crate::durable::{outcome_digest, recover, restore, verify, DurabilityConfig, ScratchDir};
     use crate::run::RunConfig;
+    use pgc_odb::storage::Slot;
+    use pgc_types::Bytes;
 
     /// A small run's data directory, its digest, and its newest generation
-    /// file: the generation, the path, the bytes, and where each image (the
-    /// run image last) starts in them.
+    /// file: the generation, the path, and the file read.
     struct RealRun {
         dir: ScratchDir,
         digest: u64,
         generation: u64,
         older: u64,
         path: PathBuf,
-        bytes: Vec<u8>,
-        starts: Vec<usize>,
+        image: GenerationImage,
     }
 
     fn real_run(policy: &str) -> RealRun {
@@ -499,14 +479,8 @@ mod tests {
             panic!("two generations are kept, found {files:?}");
         };
         let bytes = fs::read(&newest.path).expect("read the newest generation");
-        let starts: Vec<usize> = walk(&bytes)
-            .scan(0, |at, image| {
-                let start = *at;
-                *at += image.expect("a landed file walks").len();
-                Some(start)
-            })
-            .collect();
-        assert!(starts.len() >= 4, "the run must spread over partitions");
+        let image = parse_generation(bytes).expect("a landed file reads");
+        assert!(image.partitions() >= 3, "spread over partitions");
         let recovered = recover(dir.path()).expect("recover the clean directory");
         assert_eq!(outcome_digest(&recovered.outcome), digest);
         assert_eq!(recovered.restored_from, Some(newest.generation));
@@ -519,8 +493,7 @@ mod tests {
             generation: newest.generation,
             older: older.generation,
             path: newest.path.clone(),
-            bytes,
-            starts,
+            image,
             dir,
         }
     }
@@ -532,8 +505,8 @@ mod tests {
         /// recovery over the directory must reach the undamaged digest,
         /// from the older generation if need be.
         fn survives(&self, hostile: &[u8], what: &str) {
-            if let Ok(image) = parse_generation(hostile.to_vec()) {
-                assert!(image.bytes() == self.bytes, "{what}: read as a file");
+            if parse_generation(hostile.to_vec()).is_ok() {
+                assert!(hostile == self.image.bytes(), "{what}: read as a file");
             }
             self.recovers_past(hostile, what);
         }
@@ -543,7 +516,7 @@ mod tests {
         /// it was restored).
         fn recovers_past(&self, hostile: &[u8], what: &str) -> String {
             fs::write(&self.path, hostile).expect("plant");
-            let intact = hostile == self.bytes;
+            let intact = hostile == self.image.bytes();
             let (mut shard, tail) =
                 restore(self.dir.path()).unwrap_or_else(|e| panic!("{what}: {e}"));
             let refusal = match &tail.passed_over[..] {
@@ -562,7 +535,7 @@ mod tests {
             assert_eq!(outcome_digest(&recovered.outcome), self.digest, "{what}");
             let from = if intact { self.generation } else { self.older };
             assert_eq!(recovered.restored_from, Some(from), "{what}");
-            fs::write(&self.path, &self.bytes).expect("put the landed file back");
+            fs::write(&self.path, self.image.bytes()).expect("put the landed file back");
             refusal
         }
 
@@ -570,9 +543,9 @@ mod tests {
         /// checksum-valid bytes that say something no run wrote. The
         /// restore must refuse it for the reason `why` names.
         fn edited(&self, what: &str, why: &str, edit: impl FnOnce(&mut Vec<u8>)) {
-            let mut hostile = self.bytes.clone();
+            let mut hostile = self.image.bytes().to_vec();
             edit(&mut hostile);
-            reseal_all(&mut hostile);
+            reseal(&mut hostile, 0);
             assert!(
                 parse_generation(hostile.clone()).is_ok(),
                 "{what}: checksum-valid"
@@ -581,33 +554,50 @@ mod tests {
             assert!(refusal.contains(why), "{what}: refused with `{refusal}`");
         }
 
+        /// [`RealRun::edited`] with the edit made to the records (in
+        /// [`GenerationImage::records`] order), and the file captured again
+        /// from them with the module's own writer.
+        fn recoded(&self, what: &str, why: &str, edit: impl FnOnce(&mut Vec<(Oid, ObjectRecord)>)) {
+            let (image, mut records) = (&self.image, self.image.records().collect());
+            edit(&mut records);
+            let mut parts = vec![Vec::new(); image.partitions()];
+            for (oid, rec) in records {
+                parts[rec.addr.partition.as_usize()].push((oid, rec));
+            }
+            let partitions = parts
+                .iter()
+                .map(|p| (p.len() as u32, p.iter().map(|(o, r)| Ok((*o, r)))));
+            let stamp = [image.generation, image.events_applied, image.collections];
+            let mut generation = Generation::default();
+            let run = |out: &mut Vec<u64>| out.extend(&image.run);
+            generation
+                .capture_records(stamp, partitions, run)
+                .expect("encodes");
+            self.edited(what, why, |b| *b = generation.seal().to_vec());
+        }
+
+        /// Where each image of the newest generation starts, the run image
+        /// last.
+        fn starts(&self) -> impl Iterator<Item = usize> + '_ {
+            let run_image = self.run_word(0) - RUN_HEADER_BYTES;
+            self.image.starts.iter().copied().chain([run_image])
+        }
+
         /// Where run word `i` of the newest generation lies in its bytes.
         fn run_word(&self, i: usize) -> usize {
-            self.starts[self.starts.len() - 1] + RUN_HEADER_BYTES + 8 * i
+            self.image.bytes().len() - FOOTER_BYTES - 8 * (self.image.run.len() - i)
         }
 
-        /// Which run word of the newest generation `saved` starts at.
-        fn run_words_at(&self, saved: &[u64]) -> usize {
-            word_at(&parse_generation(self.bytes.clone()).unwrap().run, saved)
-        }
-
-        /// The first record of the newest generation that holds a pointer:
-        /// where its image starts, where it starts, and where its first
-        /// non-empty slot lies.
-        fn first_pointer(&self) -> [usize; 3] {
-            let b = &self.bytes;
-            for &image in &self.starts[..self.starts.len() - 1] {
-                let mut at = image + HEADER_BYTES;
-                for _ in 0..u32_at(b, image + 36) {
-                    let slots_at = at + RECORD_FIXED_BYTES;
-                    let end = slots_at + 8 * u32_at(b, at + 25) as usize;
-                    if let Some(slot) = (slots_at..end).step_by(8).find(|&s| u64_at(b, s) != 0) {
-                        return [image, at, slot];
-                    }
-                    at = end;
-                }
-            }
-            panic!("a pointer somewhere")
+        /// Where the first record of partition `p` states its slot count
+        /// (one byte, below 128), found by re-encoding its head with none;
+        /// `None` for a partition without records.
+        fn slot_count_at(&self, p: usize) -> Option<usize> {
+            let mut records = self.image.records();
+            let (oid, rec) = records.find(|(_, r)| r.addr.partition.as_usize() == p)?;
+            assert!(rec.slots.len() < 128, "a one-byte slot count");
+            let (fields, mut head) = ([oid.index(), rec.addr.offset, rec.size.get()], vec![]);
+            record::put_record(&mut head, &mut [0; 2], fields, rec.weight, [].into_iter()).ok()?;
+            Some(self.image.starts[p] + HEADER_BYTES + head.len() - 1)
         }
     }
 
@@ -617,22 +607,14 @@ mod tests {
         at.expect("the saved state is in the run image")
     }
 
-    /// Recomputes the checksum of the image at `start` where the reader
-    /// will look for it, so that damage to a count is reached and not
-    /// merely caught by the CRC. An image whose end the walk cannot find
-    /// has no such place.
-    fn reseal(bytes: &mut [u8], start: usize) {
-        if let Ok(len) = image_len(&bytes[start..]) {
+    /// Recomputes the checksum of each image the walk finds from `start`
+    /// on, where the reader will look for it, so that damage to a count is
+    /// reached and not merely caught by the CRC. An image whose end the
+    /// walk cannot find has no such place, and ends the walk.
+    fn reseal(bytes: &mut [u8], mut start: usize) {
+        while let Ok(len) = image_len(&bytes[start..]) {
             seal(&mut bytes[start..start + len]);
-        }
-    }
-
-    /// [`reseal`] for every image the walk finds, front to back.
-    fn reseal_all(bytes: &mut [u8]) {
-        let mut at = 0;
-        while let Ok(len) = image_len(&bytes[at..]) {
-            seal(&mut bytes[at..at + len]);
-            at += len;
+            start += len;
         }
     }
 
@@ -640,13 +622,13 @@ mod tests {
         bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
     }
 
-    /// 60 bytes, checksum-valid: the first header of `landed` stating
-    /// `record_count = u32::MAX` over 8 bytes that are no record. Sizing
+    /// 60 bytes, checksum-valid: partition 0's image at `image`'s stamp
+    /// stating `record_count = u32::MAX` over a body of none. Sizing
     /// anything by that count asks for 240 GB and aborts the process.
-    fn four_billion_records(landed: &[u8]) -> Vec<u8> {
-        let mut file = landed[..HEADER_BYTES].to_vec();
-        file[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
-        file.extend_from_slice(&[0; 8 + FOOTER_BYTES]);
+    fn four_billion_records(image: &GenerationImage) -> Vec<u8> {
+        let stamp = [image.generation, image.events_applied, image.collections];
+        let mut file = Vec::new();
+        put_partition(&mut file, stamp, 0, u32::MAX, std::iter::empty()).expect("a header");
         seal(&mut file);
         assert_eq!(file.len(), 60);
         file
@@ -655,7 +637,7 @@ mod tests {
     #[test]
     fn a_header_stating_four_billion_records_is_an_error_not_an_allocation() {
         let run = real_run("UpdatedPointer");
-        let file = four_billion_records(&run.bytes);
+        let file = four_billion_records(&run.image);
         assert!(parse_generation(file.clone()).is_err());
 
         // Planted beside the run's files under a name newer than any of
@@ -681,37 +663,36 @@ mod tests {
     #[test]
     fn hostile_generation_files_come_back_as_errors_never_a_panic() {
         let run = real_run("UpdatedPointer");
-        run.survives(&run.bytes, "undamaged");
+        run.survives(run.image.bytes(), "undamaged");
         run.survives(
-            &four_billion_records(&run.bytes),
+            &four_billion_records(&run.image),
             "a lone header stating four billion records",
         );
-        for cut in (0..run.bytes.len()).step_by(97) {
-            run.survives(&run.bytes[..cut], &format!("truncated at {cut}"));
+        for cut in (0..run.image.bytes().len()).step_by(97) {
+            run.survives(&run.image.bytes()[..cut], &format!("truncated at {cut}"));
         }
-        for at in (0..run.bytes.len()).step_by(89) {
-            let mut flipped = run.bytes.clone();
+        for at in (0..run.image.bytes().len()).step_by(89) {
+            let mut flipped = run.image.bytes().to_vec();
             flipped[at] ^= 0x5A;
             run.survives(&flipped, &format!("byte {at} flipped"));
         }
         // The counts the walk and the parse trust, in every image: a
-        // partition image's record count and first record's slot count, the
-        // run image's word count.
-        let run_image = run.starts[run.starts.len() - 1];
-        for (i, &start) in run.starts.iter().enumerate() {
-            let fields = if start == run_image {
-                vec![("word_count", start + 32)]
-            } else {
-                vec![
-                    ("record_count", start + 36),
-                    ("first record slot_count", start + HEADER_BYTES + 25),
-                ]
-            };
-            for (field, at) in fields {
-                let stated = u32_at(&run.bytes, at);
-                for value in [0, u32::MAX, stated.wrapping_sub(1), stated.wrapping_add(1)] {
-                    let mut hostile = run.bytes.clone();
-                    hostile[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        // partition image's record count, body length and first record's
+        // slot count, the run image's word count.
+        for (i, start) in run.starts().enumerate() {
+            let mut fields = vec![("word_count", start + 32, 4)];
+            if i < run.image.partitions() {
+                let (records, body) = (start + 36, start + 48);
+                fields = vec![("record_count", records, 4), ("body_bytes", body, 8)];
+                fields.extend(run.slot_count_at(i).map(|at| ("first slot_count", at, 1)));
+            }
+            for (field, at, width) in fields {
+                let mut stated = [0; 8];
+                stated[..width].copy_from_slice(&run.image.bytes()[at..at + width]);
+                let (stated, max) = (u64::from_le_bytes(stated), u64::MAX >> (64 - 8 * width));
+                for value in [0, max, stated.wrapping_sub(1) & max, stated + 1] {
+                    let mut hostile = run.image.bytes().to_vec();
+                    hostile[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
                     reseal(&mut hostile, start);
                     run.survives(&hostile, &format!("image {i}: {field} = {value}"));
                 }
@@ -722,23 +703,20 @@ mod tests {
     #[test]
     fn checksum_valid_generations_that_no_run_wrote_are_refused() {
         let run = real_run("UpdatedPointer");
-        let [image, record, slot] = run.first_pointer();
-        run.edited("a slot naming an absent oid", "absent object", |b| {
-            put_u64(b, slot, u64::MAX - 6);
+        // The first record with a pointer, and its first.
+        let slot = |r: ObjectRecord| r.slots.iter().position(|s| s.get().is_some());
+        let mut records = run.image.records().enumerate();
+        let pointer = records.find_map(|(i, (_, r))| Some((i, slot(r)?)));
+        let (record, slot) = pointer.expect("a pointer");
+        run.recoded("a slot naming an absent oid", "absent object", |r| {
+            r[record].1.slots[slot] = Slot::from(Some(Oid(u64::MAX - 7)));
         });
-        run.edited(
-            "an offset past the partition's capacity",
-            "past its partition",
-            |b| put_u64(b, record + 8, 16 * 1024),
-        );
-        run.edited("an oid twice", "or twice", |b| {
-            let end = record + RECORD_FIXED_BYTES + 8 * u32_at(b, record + 25) as usize;
-            let twin = b[record..end].to_vec();
-            b.splice(end..end, twin);
-            let count = u32_at(b, image + 36) + 1;
-            b[image + 36..image + 40].copy_from_slice(&count.to_le_bytes());
-            let live = u64_at(b, image + 40) + u64_at(b, record + 16);
-            put_u64(b, image + 40, live);
+        let what = "an offset past the partition's capacity";
+        run.recoded(what, "past its partition", |r| {
+            r[record].1.addr.offset = 16 * 1024
+        });
+        run.recoded("an oid twice", "or twice", |r| {
+            r.insert(record + 1, r[record].clone())
         });
 
         // The database's state opens with the oid bound; the buffer's pages
@@ -746,7 +724,7 @@ mod tests {
         let (shard, _) = restore(run.dir.path()).expect("clean");
         let mut db = Vec::new();
         shard.db().save_state(&mut db);
-        let oid_bound = run.run_words_at(&db);
+        let oid_bound = word_at(&run.image.run, &db);
         let last_page = oid_bound + db.len() - 1;
         run.edited("a buffered page out of range", "page out of range", |b| {
             put_u64(b, run.run_word(last_page), u64::MAX)
@@ -758,17 +736,16 @@ mod tests {
             "events and oids no log reaches",
             "the log does not reach",
             |b| {
-                let (partitions, run_image) = run.starts.split_at(run.starts.len() - 1);
-                for &start in partitions {
-                    put_u64(b, start + 20, far);
+                for (i, start) in run.starts().enumerate() {
+                    let events = if i < run.image.partitions() { 20 } else { 16 };
+                    put_u64(b, start + events, far);
                 }
-                put_u64(b, run_image[0] + 16, far);
                 put_u64(b, run.run_word(0), far);
                 put_u64(b, run.run_word(oid_bound), far);
             },
         );
-        run.edited("an oid far past the events", "oid past the bound", |b| {
-            put_u64(b, record, far)
+        run.recoded("an oid far past the events", "oid past the bound", |r| {
+            r[record].0 = Oid(far);
         });
 
         // The meta-policy's state opens with its incumbent.
@@ -776,7 +753,7 @@ mod tests {
         let (shard, _) = restore(meta.dir.path()).expect("clean");
         let mut collector = Vec::new();
         shard.collector().save(&mut collector);
-        let incumbent = meta.run_words_at(&collector);
+        let incumbent = word_at(&meta.image.run, &collector);
         meta.edited("an incumbent outside the slate", "incumbent 99", |b| {
             put_u64(b, meta.run_word(incumbent), 99);
         });

@@ -131,8 +131,9 @@ impl DbConfig {
     /// Checks internal consistency; returns a descriptive error for the
     /// first violated constraint.
     pub fn validate(&self) -> Result<()> {
-        if self.page_size == 0 {
-            return Err(PgcError::InvalidConfig("page_size must be positive"));
+        // Page indices are shifts by the page size's trailing zeros.
+        if !self.page_size.is_power_of_two() {
+            return Err(PgcError::InvalidConfig("page_size must be a power of two"));
         }
         if self.partition_pages == 0 {
             return Err(PgcError::InvalidConfig("partition_pages must be positive"));
@@ -232,5 +233,13 @@ mod tests {
             .with_page_size(1 << 61)
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn validation_takes_only_power_of_two_page_sizes() {
+        for (page_size, ok) in [(1000, false), (3000, false), (1024, true), (8192, true)] {
+            let cfg = DbConfig::default().with_page_size(page_size);
+            assert_eq!(cfg.validate().is_ok(), ok, "page_size {page_size}");
+        }
     }
 }

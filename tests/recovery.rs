@@ -762,19 +762,15 @@ fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Where each partition image of a generation file lies (the run image
-/// follows the last): walked over the header's record count and each
-/// record's slot count.
+/// follows the last): walked over each header's body length.
 fn partition_images(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
-    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let mut images = Vec::new();
     let mut start = 0;
     while bytes[start..].starts_with(b"PGCS") {
-        let mut end = start + 48;
-        for _ in 0..u32_at(start + 36) {
-            end += 29 + 8 * u32_at(end + 25);
-        }
-        images.push(start..end + 4);
-        start = end + 4;
+        let end = start + 56 + u64_at(start + 48) + 4;
+        images.push(start..end);
+        start = end;
     }
     images
 }
@@ -807,21 +803,29 @@ fn with_no_usable_generation_recovery_starts_fresh() {
     }
     fresh("both generations damaged", 2);
 
-    // A directory a version-1 build wrote: its images are refused on the
-    // version word, before any walk, so a version-2 body can stand in for
-    // the old layout behind it (and no run image, which version 1 lacks).
-    for (file, bytes) in files.iter().zip(&landed) {
-        let mut v1 = Vec::new();
-        for image in partition_images(bytes) {
-            let mut image = bytes[image].to_vec();
-            image[4..8].copy_from_slice(&1u32.to_le_bytes());
-            let footer = image.len() - 4;
-            let crc = crc32(&image[..footer]);
-            image[footer..].copy_from_slice(&crc.to_le_bytes());
-            v1.extend(image);
+    // A directory a version-1 or version-2 build wrote: its images are
+    // refused on the version word, before any walk, so a version-3 body
+    // can stand in for the old layout behind it (version 2's fixed-width
+    // records; version 1's, and no run image, which version 1 lacks).
+    for version in [1u32, 2] {
+        for (file, bytes) in files.iter().zip(&landed) {
+            let mut images = partition_images(bytes);
+            if version == 2 {
+                images.push(images.last().expect("images").end..bytes.len());
+            }
+            let mut old = Vec::new();
+            for image in images {
+                let mut image = bytes[image].to_vec();
+                image[4..8].copy_from_slice(&version.to_le_bytes());
+                let footer = image.len() - 4;
+                let crc = crc32(&image[..footer]);
+                image[footer..].copy_from_slice(&crc.to_le_bytes());
+                old.extend(image);
+            }
+            fs::write(&file.path, old).expect("downgrade");
+            let err = read_generation(&file.path).expect_err("an older version");
+            assert!(err.to_string().contains("unsupported version"), "{err}");
         }
-        fs::write(&file.path, v1).expect("downgrade");
-        assert!(read_generation(&file.path).is_err());
+        fresh(&format!("a version-{version} directory"), 2);
     }
-    fresh("a version-1 directory", 2);
 }
