@@ -198,7 +198,7 @@ fn do_recover(args: &[String]) -> Result<(), String> {
         let file = files.iter().find(|f| f.generation == generation);
         let image = read_generation(&file.ok_or("the restored generation is gone")?.path);
         let image = image.map_err(err)?;
-        let (records, bytes) = (image.records().count(), image.record_bytes());
+        let (records, bytes) = (image.record_counts().sum::<usize>(), image.record_bytes());
         println!(
             "image: generation {generation}, {records} records in {bytes} bytes ({:.1} B per record)",
             bytes as f64 / records.max(1) as f64

@@ -4,11 +4,14 @@
 //! partition's image — oid, address, size, weight and slots, each partition's
 //! members in member-list order — and, inside the run image, the words
 //! [`Database::save_state`] appends: what the records do not say. Everything
-//! else is derived on the way back in. The remembered and out-of-partition
-//! sets are rebuilt from the slots (`check_invariants` proves they are
-//! exactly the cross-partition edges, and no consumer depends on the order a
-//! hash set hands them out in), and each partition's resident bytes and
-//! count are summed from its members.
+//! else is derived on the way back in, in one pass over the records, each
+//! decoded once into an object table sized from the images' record counts,
+//! and one walk of the member lists (`ObjectTable::load`). The remembered
+//! and out-of-partition sets are rebuilt from the slots (`check_invariants`
+//! proves they are exactly the cross-partition edges, and no consumer
+//! depends on the order a hash set hands them out in, which the walk's
+//! member order sets), and each partition's resident bytes and count are
+//! summed from its members.
 //!
 //! [`Database::restore`] trusts nothing it is handed: the records and words
 //! come from a file, and a checksum only says the file is the one that was
@@ -20,9 +23,9 @@
 use crate::db::Database;
 use crate::stats::DbStats;
 use crate::storage::{ObjectRecord, ObjectTable, Partition};
-use pgc_types::{Bytes, DbConfig, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId, Words};
+use pgc_types::{Bytes, DbConfig, Oid, PartitionId, PgcError, Result, Words};
 
-fn bad(what: &str) -> PgcError {
+pub(crate) fn bad(what: &str) -> PgcError {
     PgcError::TraceFormat(format!("snapshot: {what}"))
 }
 
@@ -54,22 +57,24 @@ impl Database {
         self.buffer.save(out);
     }
 
-    /// Rebuilds the database a snapshot describes: `partitions` partitions,
-    /// the resident `objects` (each partition's in member-list order), and
-    /// the words [`Database::save_state`] wrote, after a run of `events`
-    /// events. Those bound the oids ever handed out (each one was created
-    /// by an event), and with them the object table's size, and every
-    /// counter one event adds at most one to: the caller vouches for them.
+    /// Rebuilds the database a snapshot describes: a partition per entry of
+    /// `counts`, the resident `records` (`counts[p]` in partition `p`,
+    /// partition by partition in member-list order), and the words
+    /// [`Database::save_state`] wrote, after a run of `events` events.
+    /// Those bound the oids ever handed out (each one was created by an
+    /// event), and with them the object table's size, and every counter one
+    /// event adds at most one to: the caller vouches for them and `counts`.
     /// The result is the saved database, down to member order and buffer
     /// recency, or an `Err` naming the first thing that could not have been
-    /// saved.
+    /// saved (or the first of `records`).
     pub fn restore(
         cfg: DbConfig,
-        partitions: usize,
+        counts: &[usize],
         events: u64,
-        objects: impl IntoIterator<Item = (Oid, ObjectRecord)>,
+        records: impl IntoIterator<Item = Result<(Oid, ObjectRecord)>>,
         words: &mut Words<'_>,
     ) -> Result<Self> {
+        let partitions = counts.len();
         let mut db = Database::new(cfg)?;
         let next_oid = words.word()?;
         if next_oid > events {
@@ -109,13 +114,9 @@ impl Database {
             return Err(bad("a partition cursor out of range"));
         }
 
-        let mut table = ObjectTable::with_oid_bound(next_oid);
         let mut resident = vec![(Bytes::ZERO, 0u64); partitions];
-        for (oid, rec) in objects {
+        let admit = |rec: &ObjectRecord| {
             let p = rec.addr.partition.as_usize();
-            if oid.index() >= next_oid || table.contains(oid) {
-                return Err(bad("an oid past the bound, or twice"));
-            }
             if p >= partitions || p == empty {
                 return Err(bad("an object outside the allocatable partitions"));
             }
@@ -132,22 +133,11 @@ impl Database {
             if bytes.get() > cursors[p] {
                 return Err(bad("residents overfill their partition"));
             }
-            table.register(oid, rec)?;
-        }
-        for (oid, rec) in table.iter() {
-            for (i, slot) in rec.slots.iter().enumerate() {
-                let Some(target) = slot.get() else { continue };
-                let to = table
-                    .get(target)
-                    .map_err(|_| bad("a slot names an absent object"))?
-                    .addr
-                    .partition;
-                if to != rec.addr.partition {
-                    let loc = PointerLoc::new(oid, SlotId(i as u16));
-                    db.remsets.add_edge(loc, rec.addr.partition, target, to);
-                }
-            }
-        }
+            Ok(())
+        };
+        let remsets = &mut db.remsets;
+        let edge = |loc, from, target, to| remsets.add_edge(loc, from, target, to);
+        let table = ObjectTable::load(next_oid, counts, records, admit, edge)?;
         for &root in roots {
             if !table.contains(Oid(root)) {
                 return Err(bad("a root names an absent object"));
@@ -176,6 +166,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::storage::Slot;
+    use pgc_types::{PointerLoc, SimRng, SlotId};
 
     /// What a snapshot carries of the objects: `(oid, record)`, partition
     /// by partition in member order.
@@ -217,17 +208,110 @@ mod tests {
         (records, state)
     }
 
+    /// `records` and `state` restored as a snapshot of `db` restores, each
+    /// partition's record count its member count in `db`.
     fn restore(db: &Database, records: Records, state: &[u64]) -> Result<Database> {
+        let counts: Vec<usize> = (0..db.partition_count() as u32)
+            .map(|p| db.objects().member_count(PartitionId(p)))
+            .collect();
         let mut words = Words::new(state);
-        let restored = Database::restore(
-            db.cfg.clone(),
-            db.partition_count(),
-            1_000,
-            records,
-            &mut words,
-        )?;
+        let records = records.into_iter().map(Ok);
+        let restored = Database::restore(db.cfg.clone(), &counts, 1_000, records, &mut words)?;
         words.finish()?;
         Ok(restored)
+    }
+
+    /// A database grown by `seed`'s random creations, pointer writes and
+    /// collections.
+    fn random(seed: u64) -> Database {
+        let mut rng = SimRng::new(seed);
+        let mut db = lived_in();
+        let mut live: Vec<Oid> = db.roots().collect();
+        for _ in 0..150 {
+            let slots = |db: &Database, o: Oid| db.objects().get(o).unwrap().slots.len() as u64;
+            let owner = live[rng.pick_index(live.len())];
+            let slot = SlotId(rng.below(slots(&db, owner)) as u16);
+            match rng.below(8) {
+                0..=3 => {
+                    let (size, width) = (Bytes(1 + rng.below(700)), 1 + rng.below(3) as usize);
+                    live.push(db.create_object(size, width, owner, slot).unwrap().0);
+                }
+                4..=6 => {
+                    let target = live[rng.pick_index(live.len())];
+                    db.write_slot(owner, slot, Some(target)).unwrap();
+                }
+                _ => {
+                    let victims = db.collectable_partitions();
+                    db.collect_partition(victims[rng.pick_index(victims.len())])
+                        .unwrap();
+                    live.retain(|&o| db.objects().contains(o));
+                }
+            }
+            db.clear_events();
+        }
+        db
+    }
+
+    /// Per partition, its remembered targets with their pointers' locations
+    /// and its out-of-partition set.
+    type Sets = Vec<(Vec<(Oid, Vec<PointerLoc>)>, Vec<Oid>)>;
+
+    /// The remembered and out-of-partition sets of `db`'s first
+    /// `partitions` partitions, each sorted.
+    fn remsets(db: &Database, partitions: u32) -> Sets {
+        fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+            v.sort();
+            v
+        }
+        let sets = db.remsets();
+        (0..partitions)
+            .map(PartitionId)
+            .map(|p| {
+                let into = sets
+                    .remembered_targets(p)
+                    .map(|t| (t, sorted(sets.locations_of(p, t).collect())));
+                (sorted(into.collect()), sorted(sets.out_set(p).collect()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_load_is_a_register_and_add_edge_build() {
+        for (seed, live) in [(None, lived_in())]
+            .into_iter()
+            .chain((0..12).map(|s| (Some(s), random(s))))
+        {
+            let (records, state) = image(&live);
+            let loaded = restore(&live, records.clone(), &state).expect("restores");
+            // The build a restore replaced: one `register` per record into
+            // an empty table covering the oid bound and the partitions, then
+            // the slots walked in oid order.
+            let mut reference = Database::new(live.cfg.clone()).unwrap();
+            let (bound, partitions) = (live.objects().oid_bound(), live.partition_count());
+            let empty =
+                ObjectTable::load(bound, &vec![0; partitions], [], |_| Ok(()), |_, _, _, _| ());
+            reference.objects = empty.unwrap();
+            for (oid, rec) in records {
+                reference.objects.register(oid, rec).unwrap();
+            }
+            for (oid, rec) in reference.objects.iter() {
+                let from = rec.addr.partition;
+                for (i, target) in rec.slots.iter().enumerate() {
+                    let Some(target) = target.get() else { continue };
+                    let to = reference.objects.get(target).unwrap().addr.partition;
+                    if to != from {
+                        let loc = PointerLoc::new(oid, SlotId(i as u16));
+                        reference.remsets.add_edge(loc, from, target, to);
+                    }
+                }
+            }
+            let table = |db: &Database| format!("{:?}", db.objects());
+            assert_eq!(table(&loaded), table(&reference), "seed {seed:?}");
+            let sets = |db: &Database| remsets(db, partitions as u32);
+            assert_eq!(sets(&loaded), sets(&reference), "seed {seed:?}");
+            assert_eq!(sets(&loaded), sets(&live), "seed {seed:?}");
+            loaded.check_invariants();
+        }
     }
 
     #[test]
@@ -267,10 +351,7 @@ mod tests {
         };
         refused(&|r| r[0].1.slots[0] = Slot::from(Some(Oid(999))));
         refused(&|r| r[0].1.addr.offset = 8 * 1024);
-        refused(&|r| {
-            let first = r[0].clone();
-            r.push(first);
-        });
+        refused(&|r| r.insert(1, r[0].clone()));
         refused(&|r| r[0].0 = Oid(5_000));
         refused(&|r| r[0].1.addr.partition = live.empty_partition());
     }

@@ -42,7 +42,8 @@
 
 use super::addr::ObjAddr;
 use super::slots::Slots;
-use pgc_types::{Bytes, Oid, PartitionId, PgcError, Result, SlotId};
+use crate::restore::bad;
+use pgc_types::{Bytes, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId};
 
 /// Everything the database knows about one object.
 #[derive(Debug, Clone)]
@@ -107,16 +108,65 @@ impl ObjectTable {
         Self::default()
     }
 
-    /// An empty table that hands out `next_oid` next: what a restore
-    /// registers a snapshot's survivors into, in no particular oid order.
-    /// The index covers every oid below the bound from the start; the
-    /// records grow with the survivors registered.
-    pub(crate) fn with_oid_bound(next_oid: u64) -> Self {
-        Self {
+    /// The table a restore loads: `records` (`counts[p]` in partition `p`,
+    /// partition by partition in member order, each passing `admit`) move
+    /// into storage sized once, so the member lists, read in order, are the
+    /// record store front to back. One walk of them then gives `edge` each
+    /// cross-partition pointer (location, partition, target, its partition):
+    /// a target outside its owner's run of positions. An oid past
+    /// `next_oid` or twice, partitions out of order and a slot naming an
+    /// absent object are each an `Err`, as is one from `records`.
+    pub(crate) fn load(
+        next_oid: u64,
+        counts: &[usize],
+        records: impl IntoIterator<Item = Result<(Oid, ObjectRecord)>>,
+        mut admit: impl FnMut(&ObjectRecord) -> Result<()>,
+        mut edge: impl FnMut(PointerLoc, PartitionId, Oid, PartitionId),
+    ) -> Result<Self> {
+        let mut table = Self {
             index: vec![0; next_oid as usize],
+            records: Vec::with_capacity(counts.iter().sum()),
+            free_sorted: true,
+            members: counts.iter().map(|&n| Vec::with_capacity(n)).collect(),
             next_oid,
             ..Self::default()
+        };
+        let mut last = 0;
+        for item in records {
+            let (oid, record) = item?;
+            admit(&record)?;
+            let word = index_word(table.records.len())?;
+            let p = record.addr.partition.as_usize();
+            let members = table.members.get_mut(p).filter(|_| p >= last);
+            let members = members.ok_or_else(|| bad("records out of partition order"))?;
+            let entry = table
+                .index
+                .get_mut(oid.index() as usize)
+                .filter(|e| **e == 0);
+            *entry.ok_or_else(|| bad("an oid past the bound, or twice"))? = word;
+            members.push(oid);
+            table.total_bytes += record.size;
+            table.records.push(Some(record));
+            last = p;
         }
+        let mut start = 0;
+        for (from, members) in (0..).map(PartitionId).zip(&table.members) {
+            let here = start..start + members.len();
+            let records = table.records.get(here.clone()).unwrap_or_default();
+            for (&oid, record) in members.iter().zip(records.iter().flatten()) {
+                for (i, target) in record.slots.iter().enumerate() {
+                    let Some(target) = target.get() else { continue };
+                    let at = table.position(target);
+                    let at = at.ok_or_else(|| bad("a slot names an absent object"))?;
+                    if !here.contains(&at) {
+                        let to = table.get(target)?.addr.partition;
+                        edge(PointerLoc::new(oid, SlotId(i as u16)), from, target, to);
+                    }
+                }
+            }
+            start = here.end;
+        }
+        Ok(table)
     }
 
     /// Total bytes of all registered objects.
@@ -636,22 +686,24 @@ mod tests {
                 }
                 model.agree(&t);
                 if round % 2 == 1 {
-                    // A restore: the survivors, registered in shuffled order
-                    // into a table that covers the oid bound.
-                    let mut survivors: Vec<(Oid, ObjectRecord)> =
-                        t.iter().map(|(o, r)| (o, r.clone())).collect();
-                    shuffle(&mut survivors, &mut rng);
-                    t = ObjectTable::with_oid_bound(t.oid_bound());
-                    model.lists.clear();
+                    // A restore: the survivors, partition by partition in
+                    // member order, loaded into a table that covers the
+                    // oid bound, which churn then goes on in.
+                    let ids = (0..6).map(PartitionId);
+                    let counts: Vec<usize> = ids.clone().map(|p| t.member_count(p)).collect();
+                    let survivors: Vec<_> = ids
+                        .flat_map(|p| t.members(p))
+                        .map(|o| Ok((o, t.get(o)?.clone())))
+                        .collect();
+                    t = ObjectTable::load(
+                        t.oid_bound(),
+                        &counts,
+                        survivors,
+                        |_| Ok(()),
+                        |_, _, _, _| (),
+                    )
+                    .unwrap();
                     model.peak = model.objects.len();
-                    for (oid, record) in survivors {
-                        model
-                            .lists
-                            .entry(record.addr.partition.0)
-                            .or_default()
-                            .push(oid);
-                        t.register(oid, record).unwrap();
-                    }
                     model.agree(&t);
                 }
             }
@@ -686,13 +738,22 @@ mod tests {
         // A restored table holding k survivors of 2^20 oids keeps k records
         // and one index word per oid.
         let k = 1_000;
-        let mut r = ObjectTable::with_oid_bound(1 << 20);
-        for i in (0..k).rev() {
-            r.register(Oid(i * 1_000), rec(1, i * 10, 10, 2)).unwrap();
-        }
+        let survivors = (0..k)
+            .rev()
+            .map(|i| Ok((Oid(i * 1_000), rec(1, i * 10, 10, 2))));
+        let r = ObjectTable::load(
+            1 << 20,
+            &[0, k as usize],
+            survivors,
+            |_| Ok(()),
+            |_, _, _, _| (),
+        );
+        let r = r.unwrap();
         r.check_invariants();
-        assert_eq!(r.records.len(), k as usize);
-        assert!(r.records.capacity() < 2 * k as usize);
+        assert_eq!(
+            (r.records.len(), r.records.capacity()),
+            (k as usize, k as usize)
+        );
         assert!(r.free.is_empty());
         assert_eq!((r.index.len(), r.index.capacity()), (1 << 20, 1 << 20));
     }

@@ -21,12 +21,14 @@ impl Slot {
     pub const NULL: Slot = Slot(u64::MAX);
 
     /// The slot's value.
+    #[inline]
     pub fn get(self) -> Option<Oid> {
         (self.0 != u64::MAX).then_some(Oid(self.0))
     }
 }
 
 impl From<Option<Oid>> for Slot {
+    #[inline]
     fn from(value: Option<Oid>) -> Self {
         value.map_or(Slot::NULL, |oid| Slot(oid.index()))
     }
@@ -86,26 +88,32 @@ impl Slots {
         }
     }
 
+    /// `count` slots, each the next `slot` reads, or its first `Err`: how a
+    /// restored record gets its slots back, up to two straight inline.
+    #[inline(always)]
+    pub fn read<E>(count: u32, mut slot: impl FnMut() -> Result<Slot, E>) -> Result<Self, E> {
+        if count as usize <= INLINE_SLOTS {
+            let mut slots = [Slot::NULL; INLINE_SLOTS];
+            for s in &mut slots[..count as usize] {
+                *s = slot()?;
+            }
+            let len = count as u8;
+            return Ok(Slots(Repr::Inline { len, slots }));
+        }
+        let buf = (0..count).map(|_| slot()).collect::<Result<_, E>>()?;
+        Ok(Slots(Repr::Spilled { len: count, buf }))
+    }
+
     /// The non-null targets, in slot order.
     pub(crate) fn targets(&self) -> impl Iterator<Item = Oid> + '_ {
         self.iter().filter_map(|slot| slot.get())
     }
 }
 
-/// How a restored record gets its slots back.
-impl FromIterator<Slot> for Slots {
-    fn from_iter<I: IntoIterator<Item = Slot>>(iter: I) -> Self {
-        let mut slots = Slots::nulls(0);
-        for slot in iter {
-            slots.push(slot);
-        }
-        slots
-    }
-}
-
 impl Deref for Slots {
     type Target = [Slot];
 
+    #[inline]
     fn deref(&self) -> &[Slot] {
         match &self.0 {
             Repr::Inline { len, slots } => &slots[..usize::from(*len)],
@@ -115,6 +123,7 @@ impl Deref for Slots {
 }
 
 impl DerefMut for Slots {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [Slot] {
         match &mut self.0 {
             Repr::Inline { len, slots } => &mut slots[..usize::from(*len)],

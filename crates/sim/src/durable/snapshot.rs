@@ -32,16 +32,16 @@
 //! header alone says where it ends and the next begins.
 //!
 //! One walker finds the images and one reader takes them in.
-//! [`parse_generation`] reads a file usable whole or not at all: every
-//! image checksums, the images cover partitions `0..n` in order, the run
-//! image comes last, all of them name the same generation, event and
-//! collection count, and each partition image's body is its records and
-//! nothing else, their sizes summing to its `live_bytes` (one decode pass
-//! checks both; `record.rs` owns the record codec).
-//! It keeps the checked bytes and decodes the records from them straight
-//! into the database's own form ([`GenerationImage::records`]), the inverse
-//! of the capture in this module. Whether the words and records make sense
-//! otherwise is the restorer's to check.
+//! [`parse_generation`] checks the framing of a file usable whole or not at
+//! all: every image checksums, the images cover partitions `0..n` in order,
+//! the run image comes last, all of them name the same generation, event
+//! and collection count, and no image states more records than its body
+//! holds. It keeps the checked bytes. The restore decodes each record from
+//! them once, straight into the database's own form, the inverse of the
+//! capture in this module ([`GenerationImage::records`]; `record.rs` owns
+//! the codec), and that pass checks that each body is its records and
+//! nothing else, their sizes summing to its `live_bytes`. Whether the words
+//! and records make sense otherwise is the restorer's to check.
 //!
 //! This is version 3. Version 2 (the same images with fixed-width records,
 //! 29 bytes plus 8 per slot) and version 1 (records sorted by oid, each
@@ -253,16 +253,24 @@ impl GenerationImage {
             .sum()
     }
 
+    /// Each partition image's record count, as its header states it.
+    pub fn record_counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts
+            .iter()
+            .map(|&s| u32_at(&self.bytes, s + 36) as usize)
+    }
+
     /// Every object record as the database holds it, partition 0's first,
     /// each partition's in member-list order: the inverse of what
-    /// `Generation::capture` writes.
-    pub fn records(&self) -> impl Iterator<Item = (Oid, ObjectRecord)> + '_ {
+    /// `Generation::capture` writes, decoded and checked in one pass.
+    pub fn records(&self) -> impl Iterator<Item = Result<(Oid, ObjectRecord)>> + '_ {
         self.starts
             .iter()
             .zip(0..)
             .flat_map(move |(&start, partition)| {
                 let (header, body) = split_partition(&self.bytes[start..]);
-                record::decode(body, u32_at(header, 36), PartitionId(partition))
+                let (count, live) = (u32_at(header, 36), u64_at(header, 40));
+                record::records(body, count, live, PartitionId(partition))
             })
     }
 }
@@ -281,9 +289,8 @@ fn parse_generation(bytes: Vec<u8>) -> Result<GenerationImage> {
         if u32_at(header, 16) as usize != starts.len() {
             return Err(bad("partition images out of order"));
         }
-        let live = record::check(records, u32_at(header, 36))?;
-        if live != u128::from(u64_at(header, 40)) {
-            return Err(bad("live_bytes disagrees with the records"));
+        if u32_at(header, 36) as usize > records.len() / record::MIN_RECORD_BYTES {
+            return Err(bad("record count exceeds the bytes present"));
         }
         starts.push(at);
         at += image.len();
@@ -499,21 +506,12 @@ mod tests {
     }
 
     impl RealRun {
-        /// Plants `hostile` as the newest generation file. The reader must
-        /// refuse it unless it is the landed bytes; restoring from the
-        /// planted generation must fail unless it is the landed bytes; and
-        /// recovery over the directory must reach the undamaged digest,
-        /// from the older generation if need be.
-        fn survives(&self, hostile: &[u8], what: &str) {
-            if parse_generation(hostile.to_vec()).is_ok() {
-                assert!(hostile == self.image.bytes(), "{what}: read as a file");
-            }
-            self.recovers_past(hostile, what);
-        }
-
-        /// The part of [`RealRun::survives`] that holds for any bytes.
-        /// Returns why the planted generation was passed over (empty when
-        /// it was restored).
+        /// Plants `hostile` as the newest generation file. Reading and
+        /// restoring the planted generation must fail unless it is the
+        /// landed bytes, and recovery over the directory must reach the
+        /// undamaged digest, from the older generation if need be. Returns
+        /// why the planted generation was passed over (empty when it was
+        /// restored).
         fn recovers_past(&self, hostile: &[u8], what: &str) -> String {
             fs::write(&self.path, hostile).expect("plant");
             let intact = hostile == self.image.bytes();
@@ -558,7 +556,7 @@ mod tests {
         /// [`GenerationImage::records`] order), and the file captured again
         /// from them with the module's own writer.
         fn recoded(&self, what: &str, why: &str, edit: impl FnOnce(&mut Vec<(Oid, ObjectRecord)>)) {
-            let (image, mut records) = (&self.image, self.image.records().collect());
+            let (image, mut records) = (&self.image, self.records());
             edit(&mut records);
             let mut parts = vec![Vec::new(); image.partitions()];
             for (oid, rec) in records {
@@ -574,6 +572,28 @@ mod tests {
                 .capture_records(stamp, partitions, run)
                 .expect("encodes");
             self.edited(what, why, |b| *b = generation.seal().to_vec());
+        }
+
+        /// The newest generation's records, decoded.
+        fn records(&self) -> Vec<(Oid, ObjectRecord)> {
+            let records = self.image.records().collect::<Result<_>>();
+            records.expect("a landed file decodes")
+        }
+
+        /// The newest generation with partition `p`'s body replaced by
+        /// `body`, its header stating `count` records of `live` bytes, and
+        /// every image resealed.
+        fn spliced(&self, p: usize, body: &[u8], count: u32, live: u64) -> Vec<u8> {
+            let (bytes, start) = (self.image.bytes(), self.image.starts[p]);
+            let end = start + image_len(&bytes[start..]).expect("a landed image");
+            let mut header = bytes[start..start + HEADER_BYTES].to_vec();
+            header[36..40].copy_from_slice(&count.to_le_bytes());
+            put_u64(&mut header, 40, live);
+            put_u64(&mut header, 48, body.len() as u64);
+            let footer = [0; FOOTER_BYTES];
+            let mut file = [&bytes[..start], &header, body, &footer, &bytes[end..]].concat();
+            reseal(&mut file, 0);
+            file
         }
 
         /// Where each image of the newest generation starts, the run image
@@ -592,8 +612,10 @@ mod tests {
         /// (one byte, below 128), found by re-encoding its head with none;
         /// `None` for a partition without records.
         fn slot_count_at(&self, p: usize) -> Option<usize> {
-            let mut records = self.image.records();
-            let (oid, rec) = records.find(|(_, r)| r.addr.partition.as_usize() == p)?;
+            let records = self.records();
+            let (oid, rec) = records
+                .into_iter()
+                .find(|(_, r)| r.addr.partition.as_usize() == p)?;
             assert!(rec.slots.len() < 128, "a one-byte slot count");
             let (fields, mut head) = ([oid.index(), rec.addr.offset, rec.size.get()], vec![]);
             record::put_record(&mut head, &mut [0; 2], fields, rec.weight, [].into_iter()).ok()?;
@@ -663,18 +685,18 @@ mod tests {
     #[test]
     fn hostile_generation_files_come_back_as_errors_never_a_panic() {
         let run = real_run("UpdatedPointer");
-        run.survives(run.image.bytes(), "undamaged");
-        run.survives(
+        run.recovers_past(run.image.bytes(), "undamaged");
+        run.recovers_past(
             &four_billion_records(&run.image),
             "a lone header stating four billion records",
         );
         for cut in (0..run.image.bytes().len()).step_by(97) {
-            run.survives(&run.image.bytes()[..cut], &format!("truncated at {cut}"));
+            run.recovers_past(&run.image.bytes()[..cut], &format!("truncated at {cut}"));
         }
         for at in (0..run.image.bytes().len()).step_by(89) {
             let mut flipped = run.image.bytes().to_vec();
             flipped[at] ^= 0x5A;
-            run.survives(&flipped, &format!("byte {at} flipped"));
+            run.recovers_past(&flipped, &format!("byte {at} flipped"));
         }
         // The counts the walk and the parse trust, in every image: a
         // partition image's record count, body length and first record's
@@ -694,9 +716,18 @@ mod tests {
                     let mut hostile = run.image.bytes().to_vec();
                     hostile[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
                     reseal(&mut hostile, start);
-                    run.survives(&hostile, &format!("image {i}: {field} = {value}"));
+                    run.recovers_past(&hostile, &format!("image {i}: {field} = {value}"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hostile_record_bodies_are_passed_over_for_the_older_generation() {
+        let run = real_run("UpdatedPointer");
+        for (what, body, count, live, why) in record::tests::hostile_bodies() {
+            let refusal = run.recovers_past(&run.spliced(0, &body, count, live), what);
+            assert!(refusal.contains(why), "{what}: refused with `{refusal}`");
         }
     }
 
@@ -705,7 +736,7 @@ mod tests {
         let run = real_run("UpdatedPointer");
         // The first record with a pointer, and its first.
         let slot = |r: ObjectRecord| r.slots.iter().position(|s| s.get().is_some());
-        let mut records = run.image.records().enumerate();
+        let mut records = run.records().into_iter().enumerate();
         let pointer = records.find_map(|(i, (_, r))| Some((i, slot(r)?)));
         let (record, slot) = pointer.expect("a pointer");
         run.recoded("a slot naming an absent oid", "absent object", |r| {

@@ -6,19 +6,20 @@
 //! allocation order, each delta is small and so is each slot's distance to
 //! its owner.
 //!
-//! The reader takes hostile bytes. A varint longer than ten bytes or past
-//! `u64`, a record count the body cannot hold (no record is shorter than
-//! [`MIN_RECORD_BYTES`]), a slot count past the bytes left, a record cut
-//! short and bytes after the last record are each an `Err`, found before
-//! anything is sized by them.
+//! The reader ([`records`]) takes hostile bytes and checks them in the pass
+//! that decodes them: a varint longer than ten bytes or past `u64`, a slot
+//! count past the bytes left, a record cut short, sizes that miss the
+//! header's `live_bytes` and bytes after the last record are each an `Err`.
+//! No record is shorter than [`MIN_RECORD_BYTES`], the framing's bound on
+//! a record count before anything is sized by it.
 
 use super::bad;
-use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot};
+use pgc_odb::storage::{ObjAddr, ObjectRecord, Slot, Slots};
 use pgc_types::{Bytes, Oid, PartitionId, Result};
 
 /// The shortest record: three one-byte varints, the weight and a zero slot
 /// count.
-const MIN_RECORD_BYTES: usize = 5;
+pub(super) const MIN_RECORD_BYTES: usize = 5;
 /// The longest varint: ten bytes of seven bits hold a `u64`.
 const VARINT_MAX: usize = 10;
 /// The stack window a record is staged in: its fields and two slots at
@@ -83,18 +84,21 @@ pub(super) fn put_record(
     Ok(())
 }
 
-/// The varint at the front of `bytes`, and its length. Most are one or two
+/// The varint at `body[*at..]`; moves `at` past it. Most are one or two
 /// bytes.
 #[inline(always)]
-fn read_varint(bytes: &[u8]) -> Result<(u64, usize)> {
-    match *bytes {
-        [low, ..] if low < 0x80 => Ok((u64::from(low), 1)),
-        [low, high, ..] if high < 0x80 => Ok((u64::from(low & 0x7f) | u64::from(high) << 7, 2)),
-        _ => long_varint(bytes),
-    }
+fn varint(body: &[u8], at: &mut usize) -> Result<u64> {
+    let (value, len) = match *body.get(*at..).unwrap_or_default() {
+        [low, ..] if low < 0x80 => (u64::from(low), 1),
+        [low, high, ..] if high < 0x80 => (u64::from(low & 0x7f) | u64::from(high) << 7, 2),
+        ref bytes => long_varint(bytes)?,
+    };
+    *at += len;
+    Ok(value)
 }
 
-/// [`read_varint`] past two bytes, or malformed.
+/// The varint at the front of `bytes` past two bytes, and its length, or
+/// why it is malformed.
 #[inline(never)]
 fn long_varint(bytes: &[u8]) -> Result<(u64, usize)> {
     let mut value = 0;
@@ -114,107 +118,78 @@ fn long_varint(bytes: &[u8]) -> Result<(u64, usize)> {
     }))
 }
 
-/// The records of one image body, read front to back.
-struct Reader<'a> {
-    body: &'a [u8],
-    at: usize,
-    /// The previous record's oid and end.
-    prev: [u64; 2],
-}
-
-impl<'a> Reader<'a> {
-    fn new(body: &'a [u8]) -> Self {
-        Reader {
-            body,
-            at: 0,
-            prev: [0; 2],
-        }
-    }
-
-    #[inline(always)]
-    fn varint(&mut self) -> Result<u64> {
-        let (value, len) = read_varint(self.body.get(self.at..).unwrap_or_default())?;
-        self.at += len;
-        Ok(value)
-    }
-
-    /// The next record's oid, offset and size, its weight and its slot
-    /// count, checked against the bytes left; one [`Reader::slot`] reads
-    /// each slot after it.
-    #[inline(always)]
-    fn head(&mut self) -> Result<([u64; 3], u8, usize)> {
-        let oid = self.prev[0].wrapping_add(unzigzag(self.varint()?));
-        let offset = self.prev[1].wrapping_add(unzigzag(self.varint()?));
-        let size = self.varint()?;
-        let &weight = self
-            .body
-            .get(self.at)
-            .ok_or_else(|| bad("truncated record"))?;
-        self.at += 1;
-        let slots = self.varint()?;
-        if slots > (self.body.len() - self.at) as u64 {
-            return Err(bad("slot count exceeds the bytes left"));
-        }
-        self.prev = [oid, offset.wrapping_add(size)];
-        Ok(([oid, offset, size], weight, slots as usize))
-    }
-
-    /// The next slot of the record [`Reader::head`] read last, in a body
-    /// [`check`] passed, where every slot reads.
-    #[inline]
-    fn slot(&mut self) -> Slot {
-        let word = self.varint().unwrap_or(0);
-        let target = word
-            .checked_sub(1)
-            .map(|z| self.prev[0].wrapping_add(unzigzag(z)));
-        Slot::from(target.map(Oid))
-    }
-}
-
-/// Checks that `body` is `count` records and nothing else; returns the sum
-/// of their sizes, for the header's `live_bytes`.
-pub(super) fn check(body: &[u8], count: u32) -> Result<u128> {
-    if count as usize > body.len() / MIN_RECORD_BYTES {
-        return Err(bad("record count exceeds the bytes present"));
-    }
-    let mut reader = Reader::new(body);
-    let mut live = 0u128;
-    for _ in 0..count {
-        let ([_, _, size], _, slots) = reader.head()?;
-        live += u128::from(size);
-        for _ in 0..slots {
-            reader.varint()?;
-        }
-    }
-    if reader.at != body.len() {
-        return Err(bad("bytes after the last record"));
-    }
-    Ok(live)
-}
-
-/// The `count` records of `body`, a body [`check`] passed, as the database
-/// holds them in `partition`. Allocates nothing for a record of up to two
-/// slots.
-pub(super) fn decode(
+/// The `count` records of a partition image's `body`, in `partition`,
+/// decoded front to back as the database holds them: the one pass over the
+/// bytes, checking as it goes. A record cut short, a slot count past the
+/// bytes left, sizes that do not sum to `live` (the header's `live_bytes`)
+/// and bytes after the last record are each an `Err` item, and the last.
+pub(super) fn records(
     body: &[u8],
     count: u32,
+    mut live: u64,
     partition: PartitionId,
-) -> impl Iterator<Item = (Oid, ObjectRecord)> + '_ {
-    let mut reader = Reader::new(body);
-    (0..count).map_while(move |_| {
-        let ([oid, offset, size], weight, slots) = reader.head().ok()?;
-        let record = ObjectRecord {
-            addr: ObjAddr::new(partition, offset),
-            size: Bytes(size),
-            slots: (0..slots).map(|_| reader.slot()).collect(),
-            weight,
+) -> impl Iterator<Item = Result<(Oid, ObjectRecord)>> + '_ {
+    let (mut at, mut prev, mut left) = (0, [0; 2], Some(count));
+    std::iter::from_fn(move || {
+        let n = left?;
+        let item = if n > 0 {
+            record(body, &mut at, &mut prev, &mut live, partition).map(Some)
+        } else if at != body.len() {
+            Err(bad("bytes after the last record"))
+        } else if live != 0 {
+            Err(bad("live_bytes disagrees with the records"))
+        } else {
+            Ok(None)
         };
-        Some((Oid(oid), record))
+        left = n.checked_sub(1).filter(|_| matches!(item, Ok(Some(_))));
+        item.transpose()
     })
 }
 
+/// The record at `body[*at..]`, encoded against `prev` (the previous
+/// record's oid and end); moves `at` and `prev` past it and takes its size
+/// off `live`. Allocates nothing for a record of up to two slots.
+#[inline(always)]
+fn record(
+    body: &[u8],
+    at: &mut usize,
+    prev: &mut [u64; 2],
+    live: &mut u64,
+    partition: PartitionId,
+) -> Result<(Oid, ObjectRecord)> {
+    let mut pos = *at;
+    let oid = prev[0].wrapping_add(unzigzag(varint(body, &mut pos)?));
+    let offset = prev[1].wrapping_add(unzigzag(varint(body, &mut pos)?));
+    let size = varint(body, &mut pos)?;
+    let &weight = body.get(pos).ok_or_else(|| bad("truncated record"))?;
+    pos += 1;
+    let slots = varint(body, &mut pos)?;
+    // Each slot takes a byte at least, and no body holds 2^32 of them.
+    if slots > (body.len() - pos).min(u32::MAX as usize) as u64 {
+        return Err(bad("slot count exceeds the bytes left"));
+    }
+    let slots = Slots::read(slots as u32, || {
+        let target = varint(body, &mut pos)?.checked_sub(1);
+        Ok(Slot::from(
+            target.map(|z| Oid(oid.wrapping_add(unzigzag(z)))),
+        ))
+    })?;
+    *live = live
+        .checked_sub(size)
+        .ok_or_else(|| bad("live_bytes disagrees with the records"))?;
+    *at = pos;
+    *prev = [oid, offset.wrapping_add(size)];
+    let record = ObjectRecord {
+        addr: ObjAddr::new(partition, offset),
+        size: Bytes(size),
+        slots,
+        weight,
+    };
+    Ok((Oid(oid), record))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::super::{parse_generation, Generation};
     use super::*;
     use pgc_types::SimRng;
@@ -273,13 +248,15 @@ mod tests {
                     1 => Some(oid.wrapping_add(rng.below(200)).wrapping_sub(100)),
                     _ => Some(any_u64(rng)),
                 };
-                let slots = (0..rng.below(41)).map(|_| slot(rng));
                 // No slot holds `u64::MAX` (the null) or the oid 2^63 away.
-                let slots = slots.map(|s| s.filter(|&t| t != u64::MAX && t != oid ^ 1 << 63));
+                let slots = Slots::read(rng.below(41) as u32, || {
+                    let target = slot(rng).filter(|&t| t != u64::MAX && t != oid ^ 1 << 63);
+                    Ok::<_, ()>(Slot::from(target.map(Oid)))
+                });
                 let record = ObjectRecord {
                     addr: ObjAddr::new(PartitionId(p), offset),
                     size: Bytes(size),
-                    slots: slots.map(|s| Slot::from(s.map(Oid))).collect(),
+                    slots: slots.expect("infallible"),
                     weight: rng.below(256) as u8,
                 };
                 (Oid(oid), record)
@@ -306,7 +283,7 @@ mod tests {
                 .expect("capture");
             let image = parse_generation(generation.seal().to_vec()).expect("parse");
             assert_eq!(image.run, words, "seed {seed}");
-            let read: Vec<_> = image.records().collect();
+            let read: Vec<_> = image.records().collect::<Result<_>>().expect("decodes");
             assert_eq!(fields(&read), fields(&partitions.concat()), "seed {seed}");
         }
 
@@ -322,58 +299,102 @@ mod tests {
         assert!(far.is_err());
     }
 
-    #[test]
-    fn hostile_varints_and_counts_are_errors() {
+    /// Record bodies no capture writes, each with its stated record count
+    /// and `live_bytes`, and what its refusal says.
+    pub(crate) fn hostile_bodies() -> [(&'static str, Vec<u8>, u32, u64, &'static str); 9] {
+        // Oid 1 at offset 0, 100 bytes, weight 1, then `slots`.
         let record = |slots: &[u8]| [&[2, 0, 100, 1][..], slots].concat();
-        let cases: [(&str, Vec<u8>, u32, &str); 7] = [
+        [
             (
                 "an 11-byte varint",
                 [&[0x80; 10][..], &[0, 0, 0, 1, 0]].concat(),
                 1,
+                100,
                 "longer",
             ),
             (
                 "a 10th byte of 2",
                 [&[0xff; 9][..], &[2, 0, 0, 1, 0]].concat(),
                 1,
+                100,
                 "past u64",
             ),
             (
                 "a cut inside a varint",
                 vec![0, 0, 0x80, 0x80, 0x80],
                 1,
+                100,
                 "truncated",
             ),
-            ("a cut inside a slot", record(&[1, 0x81]), 1, "truncated"),
+            (
+                "a cut inside a slot",
+                record(&[1, 0x81]),
+                1,
+                100,
+                "truncated",
+            ),
             (
                 "a slot count past the bytes left",
                 record(&[3, 1, 1]),
                 1,
+                100,
                 "slot count",
             ),
             (
                 "a record count past body/5",
                 record(&[0; 5]),
                 2,
+                100,
                 "record count",
             ),
             (
                 "bytes after the last record",
                 record(&[1, 1, 0]),
                 1,
+                100,
                 "after the last",
             ),
-        ];
-        for (what, body, count, why) in cases {
-            let err = check(&body, count).expect_err(what).to_string();
+            (
+                "sizes past live_bytes",
+                [record(&[0]), record(&[0])].concat(),
+                2,
+                100,
+                "live_bytes",
+            ),
+            (
+                "sizes short of live_bytes",
+                record(&[0]),
+                1,
+                101,
+                "live_bytes",
+            ),
+        ]
+    }
+
+    /// `body` read as a partition image's body stating `count` records of
+    /// `live` bytes, as a restore reads it: the framing's bound on the
+    /// count, then the records.
+    fn read(body: &[u8], count: u32, live: u64) -> Result<Vec<(Oid, ObjectRecord)>> {
+        if count as usize > body.len() / MIN_RECORD_BYTES {
+            return Err(bad("record count exceeds the bytes present"));
+        }
+        records(body, count, live, PartitionId(3)).collect()
+    }
+
+    #[test]
+    fn hostile_varints_and_counts_are_errors() {
+        for (what, body, count, live, why) in hostile_bodies() {
+            let err = read(&body, count, live).expect_err(what).to_string();
             assert!(err.contains(why), "{what}: {err}");
+            // The records before the refusal read, and nothing after it.
+            let items = records(&body, count, live, PartitionId(3));
+            assert!(items.skip_while(Result::is_ok).nth(1).is_none(), "{what}");
         }
 
         // Ten bytes reach `u64::MAX` exactly; the bodies above, cut one byte
         // short, are just as much errors.
         let widest = [&[0xff; 9][..], &[1, 0, 0, 7, 1, 1]].concat();
-        assert_eq!(check(&widest, 1).expect("ten bytes"), 0);
-        let read: Vec<_> = decode(&widest, 1, PartitionId(3)).collect();
+        let read = read(&widest, 1, 0).expect("ten bytes");
         let [(oid, rec)] = &read[..] else {
             panic!("one record, read {read:?}")
         };

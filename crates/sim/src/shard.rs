@@ -184,9 +184,10 @@ impl Shard {
                 gc_writes: words.word()?,
             });
         }
+        let counts: Vec<usize> = image.record_counts().collect();
         shard.db = Database::restore(
             cfg.db.clone(),
-            image.partitions(),
+            &counts,
             image.events_applied,
             image.records(),
             &mut words,

@@ -184,7 +184,10 @@ fn an_object_grown_past_its_inline_slots_survives_collection_and_snapshot() {
     let captured = capture_generation(&db, [1, 0, collections], |_| {}).expect("capture");
     assert!(image.bytes() == captured, "the landed file is the capture");
     assert_eq!(image.partitions(), db.partition_count());
-    let widest = image.records().map(|(_, record)| record.slots.len()).max();
+    let widest = image
+        .records()
+        .map(|r| r.expect("decodes").1.slots.len())
+        .max();
     assert_eq!(widest, Some(40));
 }
 
