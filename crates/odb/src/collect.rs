@@ -245,16 +245,17 @@ impl Database {
         let mut marked = DenseBitSet::default();
         let (cfg, buffer) = (&self.cfg, &mut self.buffer);
         let roots = self.roots.iter().copied();
-        oracle::mark(&self.objects, roots, &mut marked, &mut Vec::new(), |rec| {
+        oracle::mark::<1>(&self.objects, roots, &mut marked, &mut Vec::new(), |rec| {
             let span = page_span(rec.addr, rec.size, cfg.page_size, cfg.partition_pages);
             buffer.access_span(span, Access::Read);
         });
         self.buffer.set_context(IoContext::Application);
 
         // --- 2. Forget the remembered pointers unmarked objects hold. ---
+        let marked_at = |pos: usize| marked.contains(pos as u64);
         let mut dead: Vec<Oid> = (0..self.partition_count() as u32)
             .flat_map(|p| self.remsets.out_set(PartitionId(p)))
-            .filter(|oid| !marked.contains(oid.index()))
+            .filter(|&oid| !self.objects.position(oid).is_some_and(marked_at))
             .collect();
         dead.sort_unstable();
         for oid in dead {

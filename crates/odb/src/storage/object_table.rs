@@ -4,8 +4,8 @@
 //! layer names objects by [`Oid`] and resolves physical locations through
 //! this table. Besides the per-object records, the table maintains dense
 //! per-partition membership lists, which the collector uses to enumerate a
-//! partition's residents (to find its garbage) and the oracle uses to
-//! attribute garbage to partitions.
+//! partition's residents (to find its garbage), and the set of free record
+//! positions, which the oracle's sweep reads a word at a time.
 //!
 //! # Dense-id representation
 //!
@@ -15,7 +15,8 @@
 //! record plus one, or 0 while the oid is unregistered or reclaimed. The
 //! records sit in a `Vec` sized by the live set: reclaiming an object
 //! frees its record's position, and the next `register` takes the lowest
-//! free one. Lowest first keeps objects created together in ascending
+//! free one (a bitset, searched from a floor below which none is free).
+//! Lowest first keeps objects created together in ascending
 //! positions, the order a traversal of their tree reads them; handing out
 //! the most recently freed position instead scattered them: against the
 //! oid-indexed slab this table replaced, `fleet_roundtrip`'s bare replay
@@ -43,7 +44,7 @@
 use super::addr::ObjAddr;
 use super::slots::Slots;
 use crate::restore::bad;
-use pgc_types::{Bytes, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId};
+use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId};
 
 /// Everything the database knows about one object.
 #[derive(Debug, Clone)]
@@ -81,13 +82,12 @@ pub struct ObjectTable {
     /// `records` plus one, 0 = reserved but unregistered, or reclaimed.
     index: Vec<u32>,
     /// The registered objects' records, in no particular order. `None` is
-    /// a position on the free list.
+    /// a free position.
     records: Vec<Option<ObjectRecord>>,
-    /// The free positions of `records`, highest first while
-    /// `free_sorted`; `register` takes the last, the lowest.
-    free: Vec<u32>,
-    /// False from a `remove` to the next `register`, which sorts `free`.
-    free_sorted: bool,
+    /// The free positions of `records`; `register` takes the lowest.
+    free: DenseBitSet,
+    /// No position below this one is free: where that search starts.
+    free_floor: u64,
     /// Per-partition resident lists.
     members: Vec<Vec<Oid>>,
     /// Oids are handed out in creation order, so an oid is also the
@@ -126,7 +126,6 @@ impl ObjectTable {
         let mut table = Self {
             index: vec![0; next_oid as usize],
             records: Vec::with_capacity(counts.iter().sum()),
-            free_sorted: true,
             members: counts.iter().map(|&n| Vec::with_capacity(n)).collect(),
             next_oid,
             ..Self::default()
@@ -179,6 +178,20 @@ impl ObjectTable {
         self.records.len() - self.free.len()
     }
 
+    /// Length of the record store, whose positions are occupied or free.
+    pub(crate) fn store_len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The occupied positions among `64 * w .. 64 * w + 64`, as the bits of
+    /// one word: below the store's length and not free.
+    #[inline]
+    pub(crate) fn occupied_word(&self, w: usize) -> u64 {
+        let tail = self.records.len().saturating_sub(w * 64).min(64) as u32;
+        let past_end = u64::MAX.checked_shl(tail).unwrap_or(0);
+        !self.free.word(w) & !past_end
+    }
+
     /// One past the highest oid ever reserved — the exclusive upper bound
     /// of valid `Oid::index()` values, i.e. the capacity a dense per-object
     /// structure (bit set, scratch slab) must cover. Every create event
@@ -209,12 +222,12 @@ impl ObjectTable {
             self.index.resize(idx + 1, 0);
         }
         debug_assert!(self.index[idx] == 0, "duplicate oid {oid}");
-        if !self.free_sorted {
-            self.free.sort_unstable_by(|a, b| b.cmp(a));
-            self.free_sorted = true;
-        }
-        let word = match self.free.pop() {
-            Some(pos) => pos + 1,
+        let word = match self.free.first_from(self.free_floor) {
+            Some(pos) => {
+                self.free.remove(pos);
+                self.free_floor = pos + 1;
+                index_word(pos as usize)?
+            }
             None => {
                 let word = index_word(self.records.len())?;
                 self.records.push(None);
@@ -231,9 +244,15 @@ impl ObjectTable {
 
     /// The position of `oid`'s record, if it is registered.
     #[inline]
-    fn position(&self, oid: Oid) -> Option<usize> {
+    pub(crate) fn position(&self, oid: Oid) -> Option<usize> {
         let word = *self.index.get(oid.index() as usize)?;
         Some(word.checked_sub(1)? as usize)
+    }
+
+    /// The record at position `pos`, if it is occupied.
+    #[inline]
+    pub(crate) fn at(&self, pos: usize) -> Option<&ObjectRecord> {
+        self.records.get(pos)?.as_ref()
     }
 
     /// Looks up an object, failing with [`PgcError::UnknownObject`] if it
@@ -268,8 +287,8 @@ impl ObjectTable {
             .and_then(Option::take)
             .ok_or(PgcError::UnknownObject(oid))?;
         self.index[oid.index() as usize] = 0;
-        self.free.push(pos as u32);
-        self.free_sorted = false;
+        self.free.insert(pos as u64);
+        self.free_floor = self.free_floor.min(pos as u64);
         self.total_bytes -= record.size;
         Ok(record)
     }
@@ -329,10 +348,10 @@ impl ObjectTable {
         }
     }
 
-    /// Debug invariant check: the index and the free list name each
-    /// position of the records exactly once (the index the occupied ones,
-    /// the free list the rest), and the member lists partition the
-    /// registered objects.
+    /// Debug invariant check: the index and the free set name each position
+    /// of the records exactly once (the index the occupied ones, the free
+    /// set the rest, none of them below the floor), and the member lists
+    /// partition the registered objects.
     pub(crate) fn check_invariants(&self) {
         if let Some(broken) = self.first_violation() {
             panic!("object table: {broken}");
@@ -343,22 +362,25 @@ impl ObjectTable {
     /// breaks, described, or `None`.
     fn first_violation(&self) -> Option<String> {
         // Each position is named once: by an oid's index word if occupied,
-        // by the free list if not.
+        // by the free set if not.
         let mut named = vec![false; self.records.len()];
         let indexed =
             self.index.iter().enumerate().filter_map(|(i, &word)| {
                 Some((Some(Oid(i as u64)), word.checked_sub(1)? as usize))
             });
-        let freed = self.free.iter().map(|&pos| (None, pos as usize));
+        let freed = self.free.iter().map(|pos| (None, pos as usize));
         for (oid, pos) in indexed.chain(freed) {
             let occupied = self.records.get(pos).map(Option::is_some);
             if occupied != Some(oid.is_some()) || std::mem::replace(&mut named[pos], true) {
-                let who = oid.map_or("the free list".to_string(), |oid| format!("{oid}"));
+                let who = oid.map_or("the free set".to_string(), |oid| format!("{oid}"));
                 return Some(format!("{who} names record position {pos} wrongly"));
             }
         }
         if let Some(pos) = named.iter().position(|&n| !n) {
             return Some(format!("record position {pos} is neither indexed nor free"));
+        }
+        if let Some(pos) = self.free.first_from(0).filter(|&pos| pos < self.free_floor) {
+            return Some(format!("free position {pos} lies below the floor"));
         }
         // Each registered object is listed once, under its own partition.
         let mut listed = vec![false; self.index.len()];
@@ -384,7 +406,7 @@ impl ObjectTable {
 mod tests {
     use super::*;
     use pgc_types::SimRng;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn rec(partition: u32, offset: u64, size: u64, nslots: usize) -> ObjectRecord {
         ObjectRecord {
@@ -559,9 +581,21 @@ mod tests {
         broken(&|t| t.index[2] = t.index[0]);
         broken(&|t| t.index[1] = 2);
         broken(&|t| t.index[2] = 9);
-        broken(&|t| t.free.push(t.free[0]));
-        broken(&|t| t.free.push(0));
-        broken(&|t| t.free.clear());
+        // A position both indexed and free: Oid(1) back at its old position
+        // while the free set still holds it.
+        broken(&|t| {
+            t.records[1] = t.records[0].clone();
+            t.index[1] = 2;
+        });
+        // An occupied position marked free.
+        broken(&|t| {
+            t.free.insert(0);
+        });
+        // A free position lost.
+        broken(&|t| {
+            t.free.remove(1);
+        });
+        broken(&|t| t.free_floor = 2);
         broken(&|t| t.members[1].push(Oid(0)));
         broken(&|t| {
             t.members[1].pop();
@@ -570,18 +604,21 @@ mod tests {
     }
 
     /// What a [`ObjectTable`] should hold: each object's partition, offset
-    /// and size, each partition's members in order, and the most objects
-    /// ever live at once.
+    /// and size, each partition's members in order, the most objects ever
+    /// live at once, and the record store's length and free positions.
     #[derive(Default)]
     struct Model {
         objects: BTreeMap<Oid, (u32, u64, u64)>,
         lists: BTreeMap<u32, Vec<Oid>>,
         peak: usize,
+        store: usize,
+        free: BTreeSet<usize>,
     }
 
     impl Model {
         /// Registers a new object in a random partition below 5, or (one
-        /// time in ten) reserves an oid and leaves it unregistered.
+        /// time in ten) reserves an oid and leaves it unregistered. The
+        /// record takes the lowest free position, or extends the store.
         fn register(&mut self, t: &mut ObjectTable, rng: &mut SimRng) {
             let oid = t.reserve_oid();
             if rng.chance(0.1) {
@@ -589,6 +626,11 @@ mod tests {
             }
             let (p, off, size) = (rng.below(5) as u32, rng.below(1000), 1 + rng.below(100));
             t.register(oid, rec(p, off, size, 2)).unwrap();
+            let lowest = self.free.pop_first().unwrap_or_else(|| {
+                self.store += 1;
+                self.store - 1
+            });
+            assert_eq!(t.position(oid), Some(lowest), "{oid}");
             self.objects.insert(oid, (p, off, size));
             self.lists.entry(p).or_default().push(oid);
             self.peak = self.peak.max(self.objects.len());
@@ -624,6 +666,7 @@ mod tests {
                 }
                 if rng.chance(0.5) {
                     let (_, _, size) = self.objects.remove(&oid).unwrap();
+                    self.free.insert(t.position(oid).unwrap());
                     assert_eq!(t.remove(oid).unwrap().size, Bytes(size));
                 } else {
                     self.relocate(t, oid, 5, rng.below(1000));
@@ -661,6 +704,9 @@ mod tests {
                 );
             }
             assert!(t.records.len() <= self.peak);
+            assert_eq!(t.records.len(), self.store);
+            let free: Vec<usize> = t.free.iter().map(|pos| pos as usize).collect();
+            assert_eq!(free, self.free.iter().copied().collect::<Vec<_>>());
         }
     }
 
@@ -704,6 +750,7 @@ mod tests {
                     )
                     .unwrap();
                     model.peak = model.objects.len();
+                    (model.store, model.free) = (model.objects.len(), BTreeSet::new());
                     model.agree(&t);
                 }
             }

@@ -1,12 +1,12 @@
 //! A dense, reusable bit set keyed by small integer ids.
 //!
-//! [`Oid`](crate::Oid)s are handed out densely (`0, 1, 2, ...`) and never
-//! reused, so any per-object set the simulator maintains — the oracle's
-//! live/garbage sets, the full collector's mark set — can be a flat bit
-//! vector indexed by `Oid::index()` instead of a hashed set. Membership
-//! tests become a shift and a mask, and a set that is reused across oracle
-//! passes ([`DenseBitSet::clear`] keeps the allocation) costs no
-//! per-pass allocation at all.
+//! The object table's record positions are dense (`0, 1, 2, ...`, one per
+//! resident), so any per-object set the simulator maintains — the oracle's
+//! live and seen sets, the full collector's mark set, the table's free
+//! positions — can be a flat bit vector over them instead of a hashed set.
+//! Membership tests become a shift and a mask, and a set that is reused
+//! across oracle passes ([`DenseBitSet::clear`] keeps the allocation) costs
+//! no per-pass allocation at all.
 
 /// A growable bit set over `u64` indices.
 ///
@@ -106,6 +106,27 @@ impl DenseBitSet {
             .is_some_and(|w| w & (1 << (bit % 64)) != 0)
     }
 
+    /// Members `64 * i .. 64 * i + 64` as the bits of one word, 0 past the
+    /// end: for set algebra a word at a time.
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
+    /// The lowest member at or above `from`.
+    pub fn first_from(&self, from: u64) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut i = (from / 64) as usize;
+        let mut w = self.word(i) & u64::MAX << (from % 64);
+        while w == 0 && i + 1 < self.words.len() {
+            i += 1;
+            w = self.words[i];
+        }
+        (w != 0).then(|| i as u64 * 64 + u64::from(w.trailing_zeros()))
+    }
+
     /// Iterates over members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &w)| {
@@ -185,6 +206,18 @@ mod tests {
         let s: DenseBitSet = members.iter().copied().collect();
         let got: Vec<u64> = s.iter().collect();
         assert_eq!(got, members);
+    }
+
+    #[test]
+    fn words_and_first_from_agree_with_membership() {
+        let members = [0u64, 5, 63, 64, 130];
+        let s: DenseBitSet = members.iter().copied().collect();
+        assert_eq!(s.word(0), 1 | 1 << 5 | 1 << 63);
+        assert_eq!((s.word(1), s.word(2), s.word(3)), (1, 1 << 2, 0));
+        for from in 0..200 {
+            let lowest = members.iter().copied().find(|&m| m >= from);
+            assert_eq!(s.first_from(from), lowest, "from {from}");
+        }
     }
 
     #[test]

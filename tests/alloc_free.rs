@@ -2,7 +2,7 @@
 //! allocator per object.
 //!
 //! The only allocations left on that path are amortised growth — the object
-//! table's oid index, its records and their free list, the member lists, the
+//! table's oid index, its records and their free set, the member lists, the
 //! event log — whose count is logarithmic in the number of objects, so a counting allocator separates "none per object"
 //! from "one per object" by orders of magnitude. Its own test binary: the
 //! counter is process-wide.

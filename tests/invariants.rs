@@ -1,6 +1,6 @@
 //! The invariant sweep: `Database::check_invariants` — remembered-set
 //! exactness against the real cross-partition edges, the object table's oid
-//! index, records and free list against each other and the member lists,
+//! index, records and free set against each other and the member lists,
 //! the LRU recency list against its page table — run at
 //! every collector activation and once more on the finished state, for
 //! every policy on both workloads.
