@@ -1,10 +1,10 @@
 //! # pgc-bench
 //!
 //! The experiment driver (`all_experiments`, one section per table/figure
-//! of the paper), the ablation and meta-policy studies, and the trace,
-//! recovery and server tools. The library part holds the small helpers the
-//! binaries share: CLI parsing for the common flags and the section list,
-//! and output-file plumbing.
+//! of the paper), the ablation studies, and the trace, recovery and server
+//! tools. The library part holds the small helpers the binaries share: CLI
+//! parsing for the common flags and the section list, and output-file
+//! plumbing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +20,7 @@ use std::path::PathBuf;
 /// ([`PolicyKind::ALL`]), `implementable` (every policy that observes only
 /// the barrier bus — [`PolicyKind::ALL`] minus the oracle), or a
 /// comma-separated list of policy names/aliases accepted by
-/// `PolicyKind::from_str` (e.g. `UpdatedPointer,mutated,composite`).
+/// `PolicyKind::from_str` (e.g. `UpdatedPointer,mutated,decay`).
 /// Duplicates are dropped, first occurrence wins, order is preserved.
 pub fn parse_policies(spec: &str) -> Result<Vec<PolicyKind>, String> {
     let mut list: Vec<PolicyKind> = match spec.trim().to_ascii_lowercase().as_str() {
@@ -400,11 +400,11 @@ mod tests {
                 .count()
         );
         assert_eq!(
-            parse_policies("UpdatedPointer, composite,adaptive-meta").unwrap(),
+            parse_policies("UpdatedPointer, decay,yny").unwrap(),
             vec![
                 PolicyKind::UpdatedPointer,
-                PolicyKind::Composite,
-                PolicyKind::AdaptiveMeta
+                PolicyKind::UpdatedDecay,
+                PolicyKind::YnyMutated
             ]
         );
         // Duplicates collapse, first occurrence wins.

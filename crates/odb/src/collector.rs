@@ -92,7 +92,7 @@ impl Collector {
     /// Resumes what [`Collector::save`] wrote, on a collector built for
     /// the same configuration, after a run of `events` events.
     pub fn load(&mut self, words: &mut Words<'_>, events: u64) -> Result<()> {
-        self.policy.load(words, events)?;
+        self.policy.load(words)?;
         self.scheduler.load(words, events)
     }
 
@@ -182,24 +182,7 @@ impl Collector {
         // completion record) so scoreboards reset before the next
         // activation.
         self.sync(db);
-        // A meta-policy decides switches while digesting the collection
-        // outcome; announce them on the bus immediately so taps attribute
-        // each switch to the activation that caused it (the new policy
-        // drives from the next activation on).
-        self.broadcast_switches();
         Ok(Some(outcome))
-    }
-
-    fn broadcast_switches(&mut self) {
-        for s in self.policy.take_switches() {
-            let event = BarrierEvent::PolicySwitched {
-                activation: s.activation,
-                from: s.from.name(),
-                to: s.to.name(),
-            };
-            self.policy.on_event(&event);
-            self.observers.broadcast(&event);
-        }
     }
 }
 

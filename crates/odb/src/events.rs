@@ -103,19 +103,6 @@ pub enum BarrierEvent {
         /// 1-based count of trigger activations so far in this run.
         activation: u64,
     },
-    /// A meta-policy handed the driver's seat to a different policy.
-    /// Emitted by the collector wrapper after the activation whose
-    /// collection outcome triggered the switch; the new policy drives
-    /// selection from the next activation on. Names are the policies'
-    /// stable display names (static strings keep this enum `Copy`).
-    PolicySwitched {
-        /// The activation whose outcome triggered the switch.
-        activation: u64,
-        /// Display name of the policy that was driving.
-        from: &'static str,
-        /// Display name of the policy now driving.
-        to: &'static str,
-    },
 }
 
 /// An observer of the barrier event stream.

@@ -43,8 +43,7 @@
 //!   (`NoCollection`, `Random`, `MutatedPartition`, `UpdatedPointer`,
 //!   `WeightedPointer`, `MostGarbage`), extensions used for ablations
 //!   (`RoundRobin`, `Occupancy`, `YnyMutated`, `Generational`,
-//!   `UpdatedDecay`, `Composite`), and the `AdaptiveMeta` meta-policy
-//!   that races them. The six counter policies share one representation:
+//!   `UpdatedDecay`). The five counter policies share one representation:
 //!   a per-partition score table bumped from bus events and ranked by one
 //!   pass when the trigger fires.
 //! * [`scheduler`] — the paper's trigger: collect after a fixed number of
@@ -91,6 +90,6 @@ pub use db::{Database, PartitionProfile};
 pub use events::{BarrierEvent, BarrierObserver};
 pub use oracle::OracleReport;
 pub use policies::build_policy;
-pub use policy::{PolicyKind, PolicySwitch, SelectionPolicy};
+pub use policy::{PolicyKind, SelectionPolicy};
 pub use scheduler::Trigger;
 pub use stats::{DbStats, PointerTarget, PointerWriteInfo};

@@ -4,17 +4,15 @@
 //! `MutatedPartition`, `UpdatedPointer`, `WeightedPointer`,
 //! `MostGarbage`. Baseline from related work: `YNY-Mutated` (the
 //! unenhanced Yong/Naughton/Yu policy). Extensions for ablation studies:
-//! `RoundRobin`, `Occupancy`, `Generational`, `UpdatedDecay`,
-//! `Composite` (three signals blended into one score) and
-//! [`AdaptiveMeta`] (online policy switching).
+//! `RoundRobin`, `Occupancy`, `Generational`, `UpdatedDecay`.
 //!
-//! The six counter policies named without a link are one type, the
-//! `scoreboard` module's score tables: per signal a `Vec<u64>` indexed by
-//! partition, bumped from barrier events and ranked by one pass at
-//! selection time. They differ only in which events they count;
-//! [`build_policy`] is their constructor.
+//! The five counter policies (`MutatedPartition`, `UpdatedPointer`,
+//! `WeightedPointer`, `YNY-Mutated`, `UpdatedDecay`) are one type, the
+//! `scoreboard` module's score table: a `Vec<u64>` indexed by partition,
+//! bumped from barrier events and ranked by one pass at selection time.
+//! They differ only in which events they count; [`build_policy`] is their
+//! constructor.
 
-mod adaptive_meta;
 mod generational;
 mod most_garbage;
 mod no_collection;
@@ -23,7 +21,6 @@ mod random;
 mod round_robin;
 mod scoreboard;
 
-pub use adaptive_meta::{AdaptiveMeta, DEFAULT_CANDIDATES};
 pub(crate) use generational::Generational;
 pub(crate) use most_garbage::MostGarbage;
 pub(crate) use no_collection::NoCollection;
@@ -41,23 +38,19 @@ use scoreboard::{Scoreboard, Signal};
 /// `WeightedPointer`'s exponential scoring and must be the database's
 /// validated [`pgc_types::DbConfig::max_weight`] (1..=32).
 pub fn build_policy(kind: PolicyKind, seed: u64, max_weight: u8) -> Box<dyn SelectionPolicy> {
-    let scored = |signals: &[Signal]| -> Box<dyn SelectionPolicy> {
-        Box::new(Scoreboard::new(kind, signals))
-    };
+    let scored = |signal| -> Box<dyn SelectionPolicy> { Box::new(Scoreboard::new(kind, signal)) };
     match kind {
         PolicyKind::NoCollection => Box::new(NoCollection::new()),
         PolicyKind::Random => Box::new(Random::new(seed)),
-        PolicyKind::MutatedPartition => scored(&[Signal::PointerWrites]),
-        PolicyKind::UpdatedPointer => scored(&[Signal::Overwrites]),
-        PolicyKind::WeightedPointer => scored(&[Signal::WeightedOverwrites { max_weight }]),
+        PolicyKind::MutatedPartition => scored(Signal::PointerWrites),
+        PolicyKind::UpdatedPointer => scored(Signal::Overwrites),
+        PolicyKind::WeightedPointer => scored(Signal::WeightedOverwrites { max_weight }),
         PolicyKind::MostGarbage => Box::new(MostGarbage::new()),
         PolicyKind::RoundRobin => Box::new(RoundRobin::new()),
         PolicyKind::Occupancy => Box::new(Occupancy::new()),
-        PolicyKind::YnyMutated => scored(&[Signal::Mutations]),
+        PolicyKind::YnyMutated => scored(Signal::Mutations),
         PolicyKind::Generational => Box::new(Generational::new()),
-        PolicyKind::UpdatedDecay => scored(&[Signal::DecayedOverwrites]),
-        PolicyKind::Composite => scored(&Signal::COMPOSITE),
-        PolicyKind::AdaptiveMeta => Box::new(AdaptiveMeta::new(max_weight)),
+        PolicyKind::UpdatedDecay => scored(Signal::DecayedOverwrites),
     }
 }
 

@@ -54,7 +54,7 @@ impl SelectionPolicy for Random {
         self.rng.save(out);
     }
 
-    fn load(&mut self, words: &mut Words<'_>, _events: u64) -> Result<()> {
+    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
         self.rng.load(words)
     }
 }

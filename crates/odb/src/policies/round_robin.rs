@@ -61,7 +61,7 @@ impl SelectionPolicy for RoundRobin {
         out.push(u64::from(self.next));
     }
 
-    fn load(&mut self, words: &mut Words<'_>, _events: u64) -> Result<()> {
+    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
         self.next = words.word_u32()?;
         Ok(())
     }

@@ -4,11 +4,11 @@
 //! The paper's implementable policies (Sec. 3.1) keep "a counter
 //! associated with each partition" and collect the partition whose
 //! counter is highest, then zero it. [`Scoreboard`] is that and nothing
-//! more: per [`Signal`] a plain `Vec<u64>` indexed by partition, folded
+//! more: one [`Signal`]'s plain `Vec<u64>` indexed by partition, folded
 //! from [`BarrierEvent`]s, and a selection that is one pass over the
 //! collectable partitions. `MutatedPartition`, `UpdatedPointer`,
-//! `WeightedPointer`, `YNY-Mutated` and `UpdatedDecay` rank by a single
-//! signal; `Composite` blends three.
+//! `WeightedPointer`, `YNY-Mutated` and `UpdatedDecay` differ only in
+//! their signal.
 //!
 //! Ranking rule, for every kind: partitions scoring zero are skipped, ties
 //! break toward the lowest partition id, and a board with no positive
@@ -18,18 +18,8 @@ use crate::policy::fallback_victim;
 use crate::{BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
 use pgc_types::{PartitionId, Result, Words};
 
-/// `Composite`'s blend: `4096·overwrites + 16·resident KiB + 1·recency`.
-/// On the paper's workload scale that makes the signals hierarchical —
-/// overwrite hints (the paper's best signal) dominate, resident bytes
-/// break ties among similarly-hinted partitions (more bytes = more
-/// potential garbage), allocation recency breaks the rest.
-const COMPOSITE_OVERWRITES: u128 = 4096;
-const COMPOSITE_OCCUPANCY_KIB: u128 = 16;
-const COMPOSITE_RECENCY: u128 = 1;
-
-/// What one score table counts. Every table but
-/// [`Signal::OccupancyBytes`] zeroes the victim's entry when a collection
-/// completes.
+/// What the score table counts. Every signal zeroes the victim's entry
+/// when a collection completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Signal {
     /// +1 to the *old target's* partition per pointer overwrite —
@@ -79,59 +69,44 @@ pub(super) enum Signal {
     /// touching the counters); halving makes old hints fade geometrically.
     /// The bump is doubled so one round of decay keeps integer resolution.
     DecayedOverwrites,
-    /// Bytes resident per partition, from allocation/copy/reclaim events.
-    /// Not reset on collection: those events already account for the
-    /// evacuation exactly.
-    OccupancyBytes,
-    /// The allocation-clock value (allocations observed so far) at the
-    /// partition's most recent allocation: higher = allocated into more
-    /// recently.
-    LastAllocation,
 }
 
-impl Signal {
-    /// `Composite`'s three signals, in the order [`Scoreboard::score`]
-    /// reads them.
-    pub(super) const COMPOSITE: [Signal; 3] = [
-        Signal::Overwrites,
-        Signal::OccupancyBytes,
-        Signal::LastAllocation,
-    ];
-}
-
-/// One signal's per-partition scores, grown on demand: a partition beyond
-/// the end of `scores` scores zero.
+/// A counter policy: its kind, its signal, and that signal's
+/// per-partition scores, grown on demand (a partition beyond the end of
+/// `scores` scores zero).
 #[derive(Debug)]
-struct Table {
+pub(super) struct Scoreboard {
+    kind: PolicyKind,
     signal: Signal,
     scores: Vec<u64>,
 }
 
-impl Table {
-    fn get(&self, p: PartitionId) -> u64 {
+impl Scoreboard {
+    /// A scoreboard reporting itself as `kind` and ranking by `signal`.
+    pub(super) fn new(kind: PolicyKind, signal: Signal) -> Self {
+        Self {
+            kind,
+            signal,
+            scores: Vec::new(),
+        }
+    }
+
+    fn score(&self, p: PartitionId) -> u64 {
         self.scores.get(p.as_usize()).copied().unwrap_or(0)
     }
 
-    fn entry(&mut self, p: PartitionId) -> &mut u64 {
+    fn add(&mut self, p: PartitionId, amount: u64) {
         let idx = p.as_usize();
         if self.scores.len() <= idx {
             self.scores.resize(idx + 1, 0);
         }
-        &mut self.scores[idx]
+        // Saturating: a loaded score is whatever a file said.
+        self.scores[idx] = self.scores[idx].saturating_add(amount);
     }
+}
 
-    fn add(&mut self, p: PartitionId, amount: u64) {
-        // Saturating, as `sub` is: a loaded score is whatever a file said.
-        let v = self.entry(p);
-        *v = v.saturating_add(amount);
-    }
-
-    fn sub(&mut self, p: PartitionId, amount: u64) {
-        let v = self.entry(p);
-        *v = v.saturating_sub(amount);
-    }
-
-    fn update(&mut self, event: &BarrierEvent, alloc_clock: u64) {
+impl BarrierObserver for Scoreboard {
+    fn on_event(&mut self, event: &BarrierEvent) {
         match (self.signal, event) {
             (Signal::Overwrites, BarrierEvent::PointerWrite(info)) => {
                 if let Some(old) = info.old {
@@ -155,30 +130,6 @@ impl Table {
                     self.add(old.partition, 2);
                 }
             }
-            (
-                Signal::OccupancyBytes,
-                BarrierEvent::Allocation {
-                    partition, size, ..
-                },
-            ) => {
-                self.add(*partition, size.get());
-            }
-            (Signal::OccupancyBytes, BarrierEvent::ObjectCopied { from, to, size, .. }) => {
-                self.sub(*from, size.get());
-                self.add(*to, size.get());
-            }
-            (
-                Signal::OccupancyBytes,
-                BarrierEvent::ObjectReclaimed {
-                    partition, size, ..
-                },
-            ) => {
-                self.sub(*partition, size.get());
-            }
-            (Signal::LastAllocation, BarrierEvent::Allocation { partition, .. }) => {
-                *self.entry(*partition) = alloc_clock;
-            }
-            (Signal::OccupancyBytes, BarrierEvent::CollectionCompleted(_)) => {}
             (signal, BarrierEvent::CollectionCompleted(outcome)) => {
                 if let Some(v) = self.scores.get_mut(outcome.victim.as_usize()) {
                     *v = 0;
@@ -194,62 +145,13 @@ impl Table {
     }
 }
 
-/// A counter policy: its kind, the score table(s) it ranks by, and the
-/// allocation clock [`Signal::LastAllocation`] reads.
-#[derive(Debug)]
-pub(super) struct Scoreboard {
-    kind: PolicyKind,
-    tables: Vec<Table>,
-    alloc_clock: u64,
-}
-
-impl Scoreboard {
-    /// A scoreboard reporting itself as `kind` and ranking by `signals`:
-    /// one signal's value, or the [`Signal::COMPOSITE`] blend.
-    pub(super) fn new(kind: PolicyKind, signals: &[Signal]) -> Self {
-        Self {
-            kind,
-            tables: signals
-                .iter()
-                .map(|&signal| Table {
-                    signal,
-                    scores: Vec::new(),
-                })
-                .collect(),
-            alloc_clock: 0,
-        }
-    }
-
-    fn score(&self, p: PartitionId) -> u128 {
-        match self.tables.as_slice() {
-            [overwrites, occupancy, recency] => {
-                overwrites.get(p) as u128 * COMPOSITE_OVERWRITES
-                    + (occupancy.get(p) / 1024) as u128 * COMPOSITE_OCCUPANCY_KIB
-                    + recency.get(p) as u128 * COMPOSITE_RECENCY
-            }
-            tables => tables[0].get(p) as u128,
-        }
-    }
-}
-
-impl BarrierObserver for Scoreboard {
-    fn on_event(&mut self, event: &BarrierEvent) {
-        if matches!(event, BarrierEvent::Allocation { .. }) {
-            self.alloc_clock += 1;
-        }
-        for table in &mut self.tables {
-            table.update(event, self.alloc_clock);
-        }
-    }
-}
-
 impl SelectionPolicy for Scoreboard {
     fn kind(&self) -> PolicyKind {
         self.kind
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        let mut best: Option<(PartitionId, u128)> = None;
+        let mut best: Option<(PartitionId, u64)> = None;
         for p in db.collectable_partitions() {
             let s = self.score(p);
             if s == 0 {
@@ -267,22 +169,15 @@ impl SelectionPolicy for Scoreboard {
         Some(self.score(partition) as f64)
     }
 
-    /// The allocation clock, then each table's scores behind their count.
+    /// The scores behind their count.
     fn save(&self, out: &mut Vec<u64>) {
-        out.push(self.alloc_clock);
-        for table in &self.tables {
-            out.push(table.scores.len() as u64);
-            out.extend(&table.scores);
-        }
+        out.push(self.scores.len() as u64);
+        out.extend(&self.scores);
     }
 
-    fn load(&mut self, words: &mut Words<'_>, events: u64) -> Result<()> {
-        // One allocation per event at most.
-        self.alloc_clock = words.at_most(events)?;
-        for table in &mut self.tables {
-            let len = words.count()?;
-            table.scores = words.take(len)?.to_vec();
-        }
+    fn load(&mut self, words: &mut Words<'_>) -> Result<()> {
+        let len = words.count()?;
+        self.scores = words.take(len)?.to_vec();
         Ok(())
     }
 }
@@ -295,7 +190,7 @@ mod tests {
     };
     use pgc_types::{Bytes, DbConfig, Oid, PartitionId, SlotId};
 
-    const SINGLE_SIGNAL: [PolicyKind; 5] = [
+    const SCORED: [PolicyKind; 5] = [
         PolicyKind::MutatedPartition,
         PolicyKind::UpdatedPointer,
         PolicyKind::WeightedPointer,
@@ -422,7 +317,7 @@ mod tests {
 
     #[test]
     fn allocations_alone_score_nothing_for_the_single_signal_kinds() {
-        for kind in SINGLE_SIGNAL {
+        for kind in SCORED {
             let mut p = policy(kind);
             p.on_event(&alloc(1, 100));
             assert_eq!(score(&*p, 1), 0, "{kind}");
@@ -431,7 +326,7 @@ mod tests {
 
     #[test]
     fn data_writes_count_only_for_yny_mutated() {
-        for kind in SINGLE_SIGNAL {
+        for kind in SCORED {
             let mut p = policy(kind);
             p.on_event(&data_write(1));
             let want = u64::from(kind == PolicyKind::YnyMutated);
@@ -536,60 +431,12 @@ mod tests {
         assert!(score(&*p, 2) > score(&*p, 1));
     }
 
-    #[test]
-    fn composite_occupancy_follows_alloc_copy_reclaim() {
-        // Occupancy enters the blend as 16 per resident KiB; nothing else
-        // scores here (the one allocation sets recency 1 on P1).
-        let mut p = policy(PolicyKind::Composite);
-        p.on_event(&alloc(1, 3 * 1024));
-        assert_eq!(score(&*p, 1), 3 * 16 + 1);
-        p.on_event(&BarrierEvent::ObjectCopied {
-            oid: Oid(7),
-            from: PartitionId(1),
-            to: PartitionId(2),
-            size: Bytes(1024),
-        });
-        assert_eq!(score(&*p, 1), 2 * 16 + 1);
-        assert_eq!(score(&*p, 2), 16);
-        p.on_event(&BarrierEvent::ObjectReclaimed {
-            oid: Oid(7),
-            partition: PartitionId(1),
-            size: Bytes(2 * 1024),
-        });
-        assert_eq!(score(&*p, 1), 1);
-        // A collection resets overwrites and recency, never occupancy.
-        p.on_event(&collected(2));
-        assert_eq!(score(&*p, 2), 16);
-    }
-
-    #[test]
-    fn composite_overwrite_evidence_dominates_occupancy() {
-        let d = db();
-        let mut p = policy(PolicyKind::Composite);
-        // 200 KiB resident in P2 vs. a single overwrite hint on P1: the
-        // blend puts the hint on top (4096 > 200·16).
-        p.on_event(&alloc(2, 200 * 1024));
-        p.on_event(&overwrite(1));
-        assert!(score(&*p, 1) > score(&*p, 2));
-        assert_eq!(p.select(&d), Some(PartitionId(1)));
-    }
-
-    #[test]
-    fn composite_occupancy_breaks_overwrite_ties() {
-        let d = db();
-        let mut p = policy(PolicyKind::Composite);
-        p.on_event(&overwrite(1));
-        p.on_event(&overwrite(2));
-        p.on_event(&alloc(2, 64 * 1024));
-        assert_eq!(p.select(&d), Some(PartitionId(2)));
-    }
-
     // ---- the ranking rule, identical for every kind ----
 
     #[test]
     fn the_highest_score_wins_and_the_victim_is_zeroed() {
         let d = db();
-        for kind in SINGLE_SIGNAL {
+        for kind in SCORED {
             let mut p = policy(kind);
             for _ in 0..5 {
                 bump(&mut *p, 1);
@@ -639,7 +486,7 @@ mod tests {
     #[test]
     fn ties_break_toward_the_lowest_partition() {
         let d = db();
-        for kind in SINGLE_SIGNAL {
+        for kind in SCORED {
             let mut p = policy(kind);
             bump(&mut *p, 2);
             bump(&mut *p, 1);
@@ -651,7 +498,7 @@ mod tests {
     fn the_empty_partition_is_never_picked() {
         let d = db();
         let empty = d.empty_partition().0;
-        for kind in SINGLE_SIGNAL {
+        for kind in SCORED {
             let mut p = policy(kind);
             for _ in 0..3 {
                 bump(&mut *p, empty);
@@ -664,7 +511,7 @@ mod tests {
     #[test]
     fn an_all_zero_board_falls_back_to_the_fullest_partition() {
         let d = db();
-        for kind in SINGLE_SIGNAL.into_iter().chain([PolicyKind::Composite]) {
+        for kind in SCORED {
             let mut p = policy(kind);
             assert_eq!(p.select(&d), Some(PartitionId(2)), "{kind}");
         }

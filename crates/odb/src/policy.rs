@@ -51,14 +51,6 @@ pub enum PolicyKind {
     /// Extension (not in the paper): `UpdatedPointer` with geometric score
     /// decay at each collection, so stale hints fade.
     UpdatedDecay,
-    /// Extension (not in the paper): a weighted blend of overwrite count,
-    /// partition occupancy, and allocation recency.
-    Composite,
-    /// Extension (not in the paper): an adaptive meta-policy that races a
-    /// slate of candidate policies as shadow scoreboards and switches the
-    /// driving policy mid-run when a challenger's retrospective garbage
-    /// credit beats the incumbent's by a configurable margin.
-    AdaptiveMeta,
 }
 
 impl PolicyKind {
@@ -74,7 +66,7 @@ impl PolicyKind {
     ];
 
     /// Every implemented policy, paper policies first.
-    pub const ALL: [PolicyKind; 13] = [
+    pub const ALL: [PolicyKind; 11] = [
         PolicyKind::NoCollection,
         PolicyKind::MutatedPartition,
         PolicyKind::Random,
@@ -86,8 +78,6 @@ impl PolicyKind {
         PolicyKind::YnyMutated,
         PolicyKind::Generational,
         PolicyKind::UpdatedDecay,
-        PolicyKind::Composite,
-        PolicyKind::AdaptiveMeta,
     ];
 
     /// Stable display name, matching the paper's table rows.
@@ -104,8 +94,6 @@ impl PolicyKind {
             PolicyKind::YnyMutated => "YNY-Mutated",
             PolicyKind::Generational => "Generational",
             PolicyKind::UpdatedDecay => "UpdatedDecay",
-            PolicyKind::Composite => "Composite",
-            PolicyKind::AdaptiveMeta => "AdaptiveMeta",
         }
     }
 
@@ -145,8 +133,6 @@ impl FromStr for PolicyKind {
             "ynymutated" | "yny" => Ok(PolicyKind::YnyMutated),
             "generational" => Ok(PolicyKind::Generational),
             "updateddecay" | "decay" => Ok(PolicyKind::UpdatedDecay),
-            "composite" => Ok(PolicyKind::Composite),
-            "adaptivemeta" | "adaptive" | "meta" => Ok(PolicyKind::AdaptiveMeta),
             _ => Err(format!("unknown policy '{s}'")),
         }
     }
@@ -192,41 +178,21 @@ pub trait SelectionPolicy: BarrierObserver {
         self.kind().name()
     }
 
-    /// Drains any driving-policy switches the policy decided since the
-    /// last drain. Only meta-policies ever return entries; the collector
-    /// broadcasts each as [`crate::BarrierEvent::PolicySwitched`].
-    fn take_switches(&mut self) -> Vec<PolicySwitch> {
-        Vec::new()
-    }
-
     /// Appends whatever the policy has learned from the run so far (score
     /// tables, a generator's position) for a snapshot's run image. Policies
     /// that read everything off the database at `select` save nothing.
-    /// Called between activations, when no switch is pending.
+    /// Called between activations.
     fn save(&self, out: &mut Vec<u64>) {
         let _ = out;
     }
 
     /// Resumes from what [`SelectionPolicy::save`] wrote, on a policy built
-    /// for the same configuration, after a run of `events` events. Anything
-    /// a policy of this configuration could not have saved is an `Err`, a
-    /// counter that one event adds at most one to above `events` included.
-    fn load(&mut self, words: &mut Words<'_>, events: u64) -> pgc_types::Result<()> {
-        let _ = (words, events);
+    /// for the same configuration. Anything a policy of this configuration
+    /// could not have saved is an `Err`.
+    fn load(&mut self, words: &mut Words<'_>) -> pgc_types::Result<()> {
+        let _ = words;
         Ok(())
     }
-}
-
-/// One driving-policy switch decided by a meta-policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicySwitch {
-    /// The activation whose collection outcome triggered the switch (the
-    /// new policy drives selection from the *next* activation).
-    pub activation: u64,
-    /// The policy that was driving.
-    pub from: PolicyKind,
-    /// The policy now driving.
-    pub to: PolicyKind,
 }
 
 /// Deterministic fallback victim used by counter-based policies whose
@@ -289,7 +255,7 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips_through_its_name() {
-        assert_eq!(PolicyKind::ALL.len(), 13);
+        assert_eq!(PolicyKind::ALL.len(), 11);
         for kind in PolicyKind::ALL {
             assert_eq!(
                 kind.name().parse::<PolicyKind>().unwrap(),
@@ -297,17 +263,9 @@ mod tests {
                 "{kind}: display name must parse back to the same variant"
             );
         }
-        // The CLI aliases of `Composite` and the meta-policy.
-        assert_eq!(
-            "composite".parse::<PolicyKind>().unwrap(),
-            PolicyKind::Composite
-        );
-        for alias in ["adaptive-meta", "adaptive", "meta"] {
-            assert_eq!(
-                alias.parse::<PolicyKind>().unwrap(),
-                PolicyKind::AdaptiveMeta,
-                "{alias}"
-            );
+        // The retired blend and meta-policy name no policy any more.
+        for retired in ["composite", "adaptive-meta", "adaptive", "meta"] {
+            assert!(retired.parse::<PolicyKind>().is_err(), "{retired}");
         }
     }
 

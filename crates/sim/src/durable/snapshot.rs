@@ -43,10 +43,12 @@
 //! nothing else, their sizes summing to its `live_bytes`. Whether the words
 //! and records make sense otherwise is the restorer's to check.
 //!
-//! This is version 3. Version 2 (the same images with fixed-width records,
-//! 29 bytes plus 8 per slot) and version 1 (records sorted by oid, each
-//! behind a length prefix and carrying a birth stamp; no run image) are
-//! refused on the version word, as are the one-file-per-image names of the
+//! This is version 4. Version 3 (the same framing, with a run image that
+//! also held the scoreboard's allocation clock and telemetry's
+//! policy-switch words), version 2 (fixed-width records, 29 bytes plus 8
+//! per slot) and version 1 (records sorted by oid, each behind a length
+//! prefix and carrying a birth stamp; no run image) are refused on the
+//! version word, as are the one-file-per-image names of the
 //! builds before them: a directory of any of these recovers by replay from
 //! event 0.
 //!
@@ -72,7 +74,7 @@ mod record;
 
 const MAGIC: &[u8; 4] = b"PGCS";
 const RUN_MAGIC: &[u8; 4] = b"PGCR";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 const HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 8 + 8 + 4 + 8 + 8;
 const RUN_HEADER_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 4;
 const FOOTER_BYTES: usize = 4;
@@ -779,20 +781,10 @@ mod tests {
             r[record].0 = Oid(far);
         });
 
-        // The meta-policy's state opens with its incumbent.
-        let meta = real_run("AdaptiveMeta");
-        let (shard, _) = restore(meta.dir.path()).expect("clean");
-        let mut collector = Vec::new();
-        shard.collector().save(&mut collector);
-        let incumbent = word_at(&meta.image.run, &collector);
-        meta.edited("an incumbent outside the slate", "incumbent 99", |b| {
-            put_u64(b, meta.run_word(incumbent), 99);
-        });
-
         // Counters a tail replay adds to, near the top of `u64`, in the
         // older generation alone, as a kill between the two landings leaves
         // the directory: the database's, the buffer's I/O counts, the
-        // policy's allocation clock, the trigger's, and the telemetry
+        // trigger's, and the telemetry
         // recorder's counters, histogram tallies and clocks. Each is
         // refused, and replay from event 0 reaches the undamaged digest, or
         // restored, and the tail behind it replays to a finish.
@@ -828,12 +820,11 @@ mod tests {
         // Sampling is off: the run image ends in the next sample (never)
         // and an empty series, behind the telemetry's two clocks.
         assert!(words.ends_with(&[u64::MAX, 0]));
-        let histograms = (0..3).flat_map(|h| [65, 66].map(|w| telemetry + 15 + 68 * h + w));
+        let histograms = (0..3).flat_map(|h| [65, 66].map(|w| telemetry + 14 + 68 * h + w));
         let counters = (stats..stats + 9)
             .chain(buffer..buffer + io.len())
-            .chain([policy])
             .chain(trigger..trigger + 5)
-            .chain(telemetry..telemetry + 15)
+            .chain(telemetry..telemetry + 14)
             .chain(histograms)
             .chain([words.len() - 4, words.len() - 3]);
         for word in counters {

@@ -28,9 +28,8 @@
 //! * [`shadow`] — shadow-scoreboard policy races: one driver policy makes
 //!   the collection decisions while every other honest policy's scoreboard
 //!   rides the same barrier event bus and records the victim it *would*
-//!   have picked, yielding a per-collection agreement matrix and a
-//!   cumulative-regret accounting (would-be picks scored against realized
-//!   garbage) from a single replay.
+//!   have picked, yielding a per-collection agreement matrix from a single
+//!   replay.
 //! * [`telemetry`] — sampling-gated observability riding the barrier
 //!   event bus: counters and histograms, one record per collector
 //!   activation, the fleet-wide merge of per-shard snapshots, and the
@@ -72,10 +71,7 @@ pub use durable::{outcome_digest, recover, verify, RecoveredRun};
 pub use experiment::{Comparison, Experiment, PolicyRow, RunTelemetry};
 pub use metrics::{RunTotals, SamplePoint, TimeSeries};
 pub use run::{RunConfig, RunOutcome, Simulation, SimulationBuilder};
-pub use shadow::{
-    agreement_table, regret_table, run_race, run_race_with_telemetry, RaceOutcome, RaceRecord,
-    ShadowPick,
-};
+pub use shadow::{agreement_table, run_race, RaceOutcome, RaceRecord, ShadowPick};
 pub use shard::Shard;
 pub use summary::Summary;
 pub use telemetry::{TelemetryLevel, TelemetrySnapshot};

@@ -6,7 +6,7 @@
 //! binaries can be eyeballed against the original side by side.
 
 use crate::experiment::Comparison;
-use crate::shadow::{agreement_table, regret_table, RaceOutcome};
+use crate::shadow::{agreement_table, RaceOutcome};
 use crate::summary::Summary;
 use std::fmt::Write as _;
 
@@ -185,51 +185,6 @@ pub fn format_policy_race(races: &[RaceOutcome]) -> String {
             pct.std_dev,
             div.mean,
             div.std_dev,
-        );
-    }
-    out
-}
-
-/// Renders the cumulative-regret accounting of a set of shadow-scoreboard
-/// races (typically one per seed, same driver): for each shadow policy,
-/// the garbage its would-be picks earned under the race's credit-once rule
-/// ([`RaceOutcome::shadow_credit`]: full credit to every pending
-/// nominator, picks never expire — unlike `AdaptiveMeta`, which halves a
-/// late nominator's credit and expires picks after `2·window`
-/// activations), and its regret relative to the driver's realized
-/// reclamation (positive = the driver out-earned it).
-pub fn format_regret(races: &[RaceOutcome]) -> String {
-    let mut out = String::new();
-    let Some(first) = races.first() else {
-        return out;
-    };
-    let driver_kib = Summary::of(
-        &races
-            .iter()
-            .map(|r| r.driver_credit() as f64 / 1024.0)
-            .collect::<Vec<_>>(),
-    );
-    let _ = writeln!(
-        out,
-        "Driver: {}   (realized {:.0} KB reclaimed/run over {} race(s))",
-        first.driver.name(),
-        driver_kib.mean,
-        races.len(),
-    );
-    let _ = writeln!(
-        out,
-        "{:<18} {:>12} {:>9} {:>12} {:>9}",
-        "Shadow Policy", "Credit (KB)", "(sd)", "Regret (KB)", "(sd)"
-    );
-    for (shadow, credit, regret) in regret_table(races) {
-        let _ = writeln!(
-            out,
-            "{:<18} {:>12.0} {:>9.0} {:>12.0} {:>9.0}",
-            shadow.name(),
-            credit.mean,
-            credit.std_dev,
-            regret.mean,
-            regret.std_dev,
         );
     }
     out
@@ -415,35 +370,6 @@ mod tests {
             .expect("self row");
         assert!(self_row.contains("100.0"), "{self_row}");
         assert!(format_policy_race(&[]).is_empty());
-    }
-
-    #[test]
-    fn regret_table_renders() {
-        use crate::shadow::run_race;
-        let shadows = [PolicyKind::UpdatedPointer, PolicyKind::Random];
-        let races: Vec<_> = (1..3u64)
-            .map(|seed| {
-                run_race(
-                    &RunConfig::small()
-                        .with_policy(PolicyKind::UpdatedPointer)
-                        .with_seed(seed),
-                    &shadows,
-                )
-                .unwrap()
-            })
-            .collect();
-        let t = format_regret(&races);
-        assert!(t.contains("Driver: UpdatedPointer"));
-        assert!(t.contains("Credit (KB)"));
-        assert!(t.contains("Regret (KB)"));
-        // The driver shadowing itself has zero regret in every race.
-        let self_row = t
-            .lines()
-            .find(|l| l.starts_with("UpdatedPointer"))
-            .expect("self row");
-        let cols: Vec<&str> = self_row.split_whitespace().collect();
-        assert_eq!(cols[3], "0", "{self_row}");
-        assert!(format_regret(&[]).is_empty());
     }
 
     #[test]

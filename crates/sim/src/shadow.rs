@@ -20,9 +20,8 @@
 
 use crate::run::{RunConfig, RunOutcome, Simulation};
 use crate::summary::Summary;
-use crate::telemetry::{ShadowPickNote, TelemetryLevel};
 use pgc_odb::{build_policy, BarrierEvent, BarrierObserver, Database, PolicyKind, SelectionPolicy};
-use pgc_types::{Bytes, PartitionId, Result};
+use pgc_types::{PartitionId, Result};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -43,10 +42,6 @@ pub struct RaceRecord {
     /// The partition the driver actually collected at this activation
     /// (`None` = the driver declined, e.g. `NoCollection`).
     pub driver_victim: Option<PartitionId>,
-    /// Garbage bytes that collection reclaimed (zero when the driver
-    /// declined) — the realized outcome that regret accounting scores
-    /// picks against.
-    pub driver_reclaimed: Bytes,
     /// Each shadow's counterfactual pick, in registration order.
     pub picks: Vec<ShadowPick>,
 }
@@ -85,16 +80,14 @@ impl BarrierObserver for ShadowObserver {
                 log.push(RaceRecord {
                     activation,
                     driver_victim: None,
-                    driver_reclaimed: Bytes::ZERO,
                     picks: Vec::new(),
                 });
             }
             // An activation completes at most one collection, and every
-            // shadow sees it: they all write the same two values.
+            // shadow sees it: they all write the same victim.
             BarrierEvent::CollectionCompleted(outcome) => {
                 if let Some(rec) = log.last_mut() {
                     rec.driver_victim = Some(outcome.victim);
-                    rec.driver_reclaimed = outcome.garbage_bytes;
                 }
             }
             _ => {}
@@ -172,54 +165,6 @@ impl RaceOutcome {
                 .unwrap_or(false)
         })
     }
-
-    /// Garbage bytes the driver actually reclaimed over the run. Every
-    /// collection realizes one of the driver's own picks, so this is the
-    /// driver's cumulative credit under the same credit-once rule
-    /// [`RaceOutcome::shadow_credit`] applies to shadows.
-    pub fn driver_credit(&self) -> u64 {
-        self.records.iter().map(|r| r.driver_reclaimed.get()).sum()
-    }
-
-    /// Cumulative credit a shadow's would-be picks earned against the
-    /// driver's realized collections.
-    ///
-    /// Each activation the shadow's pick (recorded at trigger time, before
-    /// any collection settles) joins its pending set; whenever the driver
-    /// collects a partition with a pending pick, the shadow is credited
-    /// that collection's garbage bytes once and all pending picks of that
-    /// partition clear. Nominating a partition every activation earns no
-    /// more than nominating it once.
-    ///
-    /// This is not the rule `AdaptiveMeta` scores its candidates with. The
-    /// race credits every pending nominator the full garbage bytes, where
-    /// `AdaptiveMeta` gives a nominator whose pick is not the oldest half;
-    /// and a pick here stays pending until its partition is collected,
-    /// where `AdaptiveMeta` drops picks older than `2·window` activations.
-    pub fn shadow_credit(&self, shadow: PolicyKind) -> u64 {
-        let mut pending: Vec<PartitionId> = Vec::new();
-        let mut credit = 0;
-        for rec in &self.records {
-            if let Some(victim) = rec.pick_for(shadow).and_then(|p| p.victim) {
-                pending.push(victim);
-            }
-            if let Some(partition) = rec.driver_victim {
-                if pending.contains(&partition) {
-                    credit += rec.driver_reclaimed.get();
-                    pending.retain(|&p| p != partition);
-                }
-            }
-        }
-        credit
-    }
-
-    /// The driver's credit minus the shadow's: positive when the driver's
-    /// realized picks out-earned the shadow's counterfactual ones,
-    /// negative when the shadow kept nominating the partitions that turned
-    /// out to hold the garbage before the driver got to them.
-    pub fn regret(&self, shadow: PolicyKind) -> i64 {
-        self.driver_credit() as i64 - self.shadow_credit(shadow) as i64
-    }
 }
 
 /// Aggregates agreement across several races (typically one per seed):
@@ -249,31 +194,6 @@ pub fn agreement_table(races: &[RaceOutcome]) -> Vec<(PolicyKind, Summary, Summa
         .collect()
 }
 
-/// Aggregates regret accounting across several races (typically one per
-/// seed): `(shadow, credit-KiB summary, regret-KiB summary)`. Shadow order
-/// follows the first race. The driver's own credit rides along as the
-/// baseline the regret column is measured against.
-pub fn regret_table(races: &[RaceOutcome]) -> Vec<(PolicyKind, Summary, Summary)> {
-    let Some(first) = races.first() else {
-        return Vec::new();
-    };
-    first
-        .shadows
-        .iter()
-        .map(|&shadow| {
-            let credit: Vec<f64> = races
-                .iter()
-                .map(|r| r.shadow_credit(shadow) as f64 / 1024.0)
-                .collect();
-            let regret: Vec<f64> = races
-                .iter()
-                .map(|r| r.regret(shadow) as f64 / 1024.0)
-                .collect();
-            (shadow, Summary::of(&credit), Summary::of(&regret))
-        })
-        .collect()
-}
-
 /// Runs the synthetic workload described by `cfg` once, with `cfg.policy`
 /// driving collections and every policy in `shadows` racing as a shadow
 /// scoreboard on the same event stream.
@@ -284,48 +204,20 @@ pub fn regret_table(races: &[RaceOutcome]) -> Vec<(PolicyKind, Summary, Summary)
 /// [`RunConfig::policy_seed`], so each replays exactly the stream its
 /// independent run would draw.
 pub fn run_race(cfg: &RunConfig, shadows: &[PolicyKind]) -> Result<RaceOutcome> {
-    run_race_with_telemetry(cfg, shadows, TelemetryLevel::Off)
-}
-
-/// [`run_race`] with a telemetry tap on the same bus. Beyond the ordinary
-/// [`RunOutcome::telemetry`] capture, each per-activation telemetry record
-/// is annotated with every shadow's counterfactual pick
-/// ([`crate::telemetry::ActivationRecord::shadow_picks`]), so a JSONL export
-/// carries the full race, not just the driver's decisions.
-pub fn run_race_with_telemetry(
-    cfg: &RunConfig,
-    shadows: &[PolicyKind],
-    level: TelemetryLevel,
-) -> Result<RaceOutcome> {
     let log = Rc::new(RefCell::new(Vec::new()));
-    let mut builder = Simulation::builder(cfg).telemetry(level);
+    let mut builder = Simulation::builder(cfg);
     for &kind in shadows {
         builder = builder.observer(Box::new(ShadowObserver {
             policy: build_policy(kind, cfg.policy_seed(), cfg.db.max_weight),
             log: Rc::clone(&log),
         }));
     }
-    let mut outcome = builder.run()?;
+    let outcome = builder.run()?;
     // The run consumed the replayer (and with it the collector + shadow
     // observers), so the log has exactly one strong reference left.
     let records = Rc::try_unwrap(log)
         .map(RefCell::into_inner)
         .unwrap_or_else(|rc| rc.borrow().clone());
-    if let Some(snap) = outcome.telemetry.as_mut() {
-        for rec in &mut snap.records {
-            let Some(race_rec) = records.iter().find(|r| r.activation == rec.activation) else {
-                continue;
-            };
-            rec.shadow_picks = race_rec
-                .picks
-                .iter()
-                .map(|p| ShadowPickNote {
-                    policy: p.policy.name().to_string(),
-                    victim: p.victim,
-                })
-                .collect();
-        }
-    }
     Ok(RaceOutcome {
         driver: cfg.policy,
         seed: cfg.workload.seed,
@@ -375,6 +267,22 @@ mod tests {
     }
 
     #[test]
+    fn driver_collections_sum_to_run_totals() {
+        // Five shadows write each record; the driver's victims in the log
+        // are still the run's collections, once each and in order.
+        let cfg = RunConfig::small().with_seed(19);
+        let race = run_race(&cfg, &PAPER_SHADOWS).unwrap();
+        let recorded: Vec<_> = race
+            .records
+            .iter()
+            .filter_map(|r| r.driver_victim)
+            .collect();
+        let collected: Vec<_> = race.outcome.collections.iter().map(|c| c.victim).collect();
+        assert_eq!(recorded, collected);
+        assert_eq!(recorded.len() as u64, race.outcome.totals.collections);
+    }
+
+    #[test]
     fn driver_shadowing_itself_always_agrees() {
         // A deterministic policy racing against itself sees the same
         // events and the same database, so it must agree at every single
@@ -420,105 +328,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn self_shadow_has_zero_regret() {
-        // Every collection realizes the driver's pick, and a deterministic
-        // policy shadowing itself picks the same victims — so its credit
-        // equals the driver's exactly.
-        let cfg = RunConfig::small()
-            .with_policy(PolicyKind::UpdatedPointer)
-            .with_seed(18);
-        let race = run_race(&cfg, &[PolicyKind::UpdatedPointer]).unwrap();
-        assert!(race.driver_credit() > 0, "driver reclaimed something");
-        assert_eq!(
-            race.shadow_credit(PolicyKind::UpdatedPointer),
-            race.driver_credit()
-        );
-        assert_eq!(race.regret(PolicyKind::UpdatedPointer), 0);
-    }
-
-    #[test]
-    fn driver_collections_sum_to_run_totals() {
-        let cfg = RunConfig::small().with_seed(19);
-        let race = run_race(&cfg, &PAPER_SHADOWS).unwrap();
-        assert_eq!(
-            race.driver_credit(),
-            race.outcome.totals.reclaimed_bytes.get(),
-            "five shadows writing each record still count it once"
-        );
-    }
-
-    #[test]
-    fn shadow_credit_is_bounded_by_driver_credit() {
-        let cfg = RunConfig::small()
-            .with_policy(PolicyKind::MostGarbage)
-            .with_seed(20);
-        let race = run_race(&cfg, &PAPER_SHADOWS).unwrap();
-        for &shadow in &PAPER_SHADOWS {
-            assert!(
-                race.shadow_credit(shadow) <= race.driver_credit(),
-                "{shadow:?} cannot out-earn the realized total"
-            );
-        }
-        let table = regret_table(std::slice::from_ref(&race));
-        assert_eq!(table.len(), PAPER_SHADOWS.len());
-        assert!(regret_table(&[]).is_empty());
-    }
-
-    #[test]
-    fn shadow_credit_is_full_for_late_nominators_and_never_expires() {
-        // Hand-built: shadow A nominates partition 1 at activation 1 and
-        // partition 2 at activation 2; shadow B nominates partition 1 only
-        // at activation 3, where the driver collects it. The driver then
-        // collects partition 3 at activations 4..=103 and partition 2 at
-        // activation 104.
-        let (a, b) = (PolicyKind::UpdatedPointer, PolicyKind::MutatedPartition);
-        let record = |activation, victim, picks: &[(PolicyKind, u32)]| RaceRecord {
-            activation,
-            driver_victim: Some(PartitionId(victim)),
-            driver_reclaimed: Bytes(1000 * u64::from(victim)),
-            picks: picks
-                .iter()
-                .map(|&(policy, p)| ShadowPick {
-                    policy,
-                    victim: Some(PartitionId(p)),
-                })
-                .collect(),
-        };
-        let mut records = vec![
-            record(1, 3, &[(a, 1)]),
-            record(2, 3, &[(a, 2)]),
-            record(3, 1, &[(b, 1)]),
-        ];
-        records.extend((4..=103).map(|act| record(act, 3, &[])));
-        records.push(record(104, 2, &[]));
-        let race = RaceOutcome {
-            driver: PolicyKind::Occupancy,
-            seed: 0,
-            shadows: vec![a, b],
-            records,
-            outcome: RunOutcome {
-                policy: PolicyKind::Occupancy,
-                seed: 0,
-                totals: Default::default(),
-                series: Default::default(),
-                db_stats: Default::default(),
-                gen_stats: Default::default(),
-                collections: Vec::new(),
-                telemetry: None,
-                derive: None,
-                storage: None,
-            },
-        };
-        // B nominated partition 1 two activations after A did, and still
-        // earns its full 1000 bytes: `AdaptiveMeta` would give it 500.
-        assert_eq!(race.shadow_credit(b), 1000);
-        // A's pick of partition 2 is 102 activations old when the driver
-        // collects it, far past `AdaptiveMeta`'s 2·window horizon (16 at
-        // the default window), and still earns 2000 bytes.
-        assert_eq!(race.shadow_credit(a), 1000 + 2000);
     }
 
     #[test]

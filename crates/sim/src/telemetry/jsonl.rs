@@ -6,23 +6,22 @@
 //! seed), and trigger configuration ride on each record — so files from
 //! different runs can be concatenated and still consumed line by line.
 //!
-//! Schema `pgc-telemetry/v1`, keys in fixed order:
+//! Schema `pgc-telemetry/v2`, keys in fixed order:
 //!
 //! ```json
-//! {"schema":"pgc-telemetry/v1","policy":"UpdatedPointer","seed":3,
+//! {"schema":"pgc-telemetry/v2","policy":"UpdatedPointer","seed":3,
 //!  "trigger":"overwrites:200","activation":1,"clock":5321,"gap":5321,
 //!  "victim":4,"victim_score":12.0,"victim_score_bits":4622945017495814144,
 //!  "collections":1,"live_objects":10,"live_bytes":1000,
 //!  "garbage_objects":5,"garbage_bytes":500,"forwarded_pointers":2,
-//!  "gc_reads":3,"gc_writes":4,"app_ios_before":100,"app_ios_delta":42,
-//!  "policy_switches":[{"activation":1,"from":"UpdatedPointer","to":"Occupancy"}],
-//!  "shadow_picks":[{"policy":"Random","victim":2}]}
+//!  "gc_reads":3,"gc_writes":4,"app_ios_before":100,"app_ios_delta":42}
 //! ```
 //!
 //! `victim`, `victim_score`, and `victim_score_bits` are `null` when
 //! absent. `victim_score` is human-readable only (and `null` for a
 //! non-finite score); `victim_score_bits` (`f64::to_bits`) is the exact
-//! value.
+//! value. Version 2 dropped v1's `policy_switches` and `shadow_picks`
+//! arrays with the meta-policy and the race annotation that filled them.
 
 use super::record::{ActivationRecord, TriggerReason};
 use super::snapshot::TelemetrySnapshot;
@@ -30,7 +29,7 @@ use std::fmt::Write as _;
 use std::io;
 
 /// The schema tag written on every line.
-pub const SCHEMA: &str = "pgc-telemetry/v1";
+pub const SCHEMA: &str = "pgc-telemetry/v2";
 
 fn push_opt_u64(out: &mut String, key: &str, v: Option<u64>) {
     match v {
@@ -84,8 +83,7 @@ pub fn record_line(
         out,
         "\"collections\":{},\"live_objects\":{},\"live_bytes\":{},\
          \"garbage_objects\":{},\"garbage_bytes\":{},\"forwarded_pointers\":{},\
-         \"gc_reads\":{},\"gc_writes\":{},\"app_ios_before\":{},\"app_ios_delta\":{},\
-         \"policy_switches\":[",
+         \"gc_reads\":{},\"gc_writes\":{},\"app_ios_before\":{},\"app_ios_delta\":{}}}",
         rec.collections,
         rec.live_objects,
         rec.live_bytes.get(),
@@ -97,31 +95,6 @@ pub fn record_line(
         rec.app_ios_before,
         rec.app_ios_delta,
     );
-    for (i, sw) in rec.policy_switches.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"activation\":{},\"from\":\"{}\",\"to\":\"{}\"}}",
-            sw.activation, sw.from, sw.to
-        );
-    }
-    out.push_str("],\"shadow_picks\":[");
-    for (i, pick) in rec.shadow_picks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"policy\":\"{}\",\"victim\":", pick.policy);
-        match pick.victim {
-            Some(p) => {
-                let _ = write!(out, "{}", p.0);
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
     out
 }
 
@@ -143,12 +116,10 @@ pub fn write_snapshot<W: io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::record::{PolicySwitchNote, ShadowPickNote};
     use pgc_types::{Bytes, PartitionId};
 
     /// The writer's pin: every key in schema order, a distinct value under
-    /// each (so two swapped fields cannot cancel), one switch, two picks
-    /// with one of them declined.
+    /// each (so two swapped fields cannot cancel).
     #[test]
     fn a_full_record_renders_the_golden_line() {
         let mut rec = ActivationRecord::open(7, 12_345, 900);
@@ -164,33 +135,19 @@ mod tests {
         rec.gc_writes = 8;
         rec.app_ios_before = 100;
         rec.app_ios_delta = 42;
-        rec.policy_switches = vec![PolicySwitchNote {
-            activation: 11,
-            from: "UpdatedPointer".to_string(),
-            to: "Occupancy".to_string(),
-        }];
-        rec.shadow_picks = vec![
-            ShadowPickNote {
-                policy: "Random".to_string(),
-                victim: Some(PartitionId(13)),
-            },
-            ShadowPickNote {
-                policy: "MostGarbage".to_string(),
-                victim: None,
-            },
-        ];
         assert_eq!(
-            record_line("AdaptiveMeta", 3, TriggerReason::OverwriteCount(200), &rec),
-            "{\"schema\":\"pgc-telemetry/v1\",\"policy\":\"AdaptiveMeta\",\"seed\":3,\
+            record_line(
+                "UpdatedPointer",
+                3,
+                TriggerReason::OverwriteCount(200),
+                &rec
+            ),
+            "{\"schema\":\"pgc-telemetry/v2\",\"policy\":\"UpdatedPointer\",\"seed\":3,\
              \"trigger\":\"overwrites:200\",\"activation\":7,\"clock\":12345,\"gap\":900,\
              \"victim\":4,\"victim_score\":12.5,\"victim_score_bits\":4623226492472524800,\
              \"collections\":1,\"live_objects\":10,\"live_bytes\":1000,\
              \"garbage_objects\":5,\"garbage_bytes\":512,\"forwarded_pointers\":2,\
-             \"gc_reads\":6,\"gc_writes\":8,\"app_ios_before\":100,\"app_ios_delta\":42,\
-             \"policy_switches\":[{\"activation\":11,\"from\":\"UpdatedPointer\",\
-             \"to\":\"Occupancy\"}],\
-             \"shadow_picks\":[{\"policy\":\"Random\",\"victim\":13},\
-             {\"policy\":\"MostGarbage\",\"victim\":null}]}"
+             \"gc_reads\":6,\"gc_writes\":8,\"app_ios_before\":100,\"app_ios_delta\":42}"
         );
     }
 
@@ -200,13 +157,12 @@ mod tests {
         let declined = record_line("NoCollection", 1, TriggerReason::PartitionGrowth, &rec);
         assert_eq!(
             declined,
-            "{\"schema\":\"pgc-telemetry/v1\",\"policy\":\"NoCollection\",\"seed\":1,\
+            "{\"schema\":\"pgc-telemetry/v2\",\"policy\":\"NoCollection\",\"seed\":1,\
              \"trigger\":\"partition-growth\",\"activation\":1,\"clock\":10,\"gap\":10,\
              \"victim\":null,\"victim_score\":null,\"victim_score_bits\":null,\
              \"collections\":0,\"live_objects\":0,\"live_bytes\":0,\
              \"garbage_objects\":0,\"garbage_bytes\":0,\"forwarded_pointers\":0,\
-             \"gc_reads\":0,\"gc_writes\":0,\"app_ios_before\":0,\"app_ios_delta\":0,\
-             \"policy_switches\":[],\"shadow_picks\":[]}"
+             \"gc_reads\":0,\"gc_writes\":0,\"app_ios_before\":0,\"app_ios_delta\":0}"
         );
         // A non-finite score has no JSON number: the readable field goes
         // null, the bits keep the value.

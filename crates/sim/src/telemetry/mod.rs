@@ -34,7 +34,7 @@ pub use fleet::{FleetSnapshot, ShardTelemetry};
 pub use histogram::Histogram;
 pub use jsonl::{record_line, write_snapshot, SCHEMA};
 pub(crate) use observer::{TelemetryHandle, TelemetryObserver};
-pub use record::{ActivationRecord, PolicySwitchNote, ShadowPickNote, TriggerReason};
+pub use record::{ActivationRecord, TriggerReason};
 pub use snapshot::{CounterSnapshot, TelemetrySnapshot};
 
 /// How much the telemetry layer records.

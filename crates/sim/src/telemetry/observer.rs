@@ -11,7 +11,7 @@
 //! with telemetry off and on).
 
 use super::histogram::Histogram;
-use super::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
+use super::record::{ActivationRecord, TriggerReason};
 use super::snapshot::{CounterSnapshot, TelemetrySnapshot};
 use super::TelemetryLevel;
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
@@ -145,22 +145,6 @@ impl BarrierObserver for TelemetryObserver {
                 ));
                 s.last_tick_clock = clock;
             }
-            BarrierEvent::PolicySwitched {
-                activation,
-                from,
-                to,
-            } => {
-                c.policy_switches += 1;
-                let note = PolicySwitchNote {
-                    activation,
-                    from: from.to_string(),
-                    to: to.to_string(),
-                };
-                if let Some(open) = s.open.as_mut() {
-                    open.policy_switches.push(note.clone());
-                }
-                s.snapshot.switches.push(note);
-            }
         }
     }
 
@@ -180,7 +164,7 @@ impl BarrierObserver for TelemetryObserver {
 
 impl TelemetryHandle {
     /// Appends what the recorder has accumulated — counters, histograms,
-    /// closed records and switches, the open record, and the two clocks —
+    /// closed records, the open record, and the two clocks —
     /// for a snapshot's run image. Level and trigger are configuration.
     pub(crate) fn save(&self, out: &mut Vec<u64>) {
         let s = self.state.borrow();
@@ -196,10 +180,6 @@ impl TelemetryHandle {
         out.push(snap.records.len() as u64);
         for rec in &snap.records {
             rec.save(out);
-        }
-        out.push(snap.switches.len() as u64);
-        for note in &snap.switches {
-            note.save(out);
         }
         out.push(u64::from(s.open.is_some()));
         if let Some(open) = &s.open {
@@ -221,9 +201,6 @@ impl TelemetryHandle {
         snap.activation_gap_events = Histogram::load(words, events)?;
         snap.records = (0..words.count()?)
             .map(|_| ActivationRecord::load(words))
-            .collect::<Result<_>>()?;
-        snap.switches = (0..words.count()?)
-            .map(|_| PolicySwitchNote::load(words))
             .collect::<Result<_>>()?;
         s.open = if words.flag()? {
             Some(ActivationRecord::load(words)?)
@@ -330,11 +307,6 @@ mod tests {
         let first = [
             tick(1),
             completed(500),
-            BarrierEvent::PolicySwitched {
-                activation: 1,
-                from: "UpdatedPointer",
-                to: "Occupancy",
-            },
             tick(2),
             BarrierEvent::VictimSelected {
                 victim: PartitionId(3),
@@ -390,29 +362,5 @@ mod tests {
         assert_eq!(snap.counters.activations, 1);
         assert!(snap.records.is_empty());
         assert_eq!(snap.reclaimed_per_activation.count, 1);
-    }
-
-    #[test]
-    fn policy_switches_land_on_the_open_record_and_the_run_trace() {
-        let (mut obs, handle) =
-            TelemetryObserver::new(TelemetryLevel::Full, TriggerReason::OverwriteCount(50));
-        obs.on_event(&tick(1));
-        obs.on_event(&completed(100));
-        obs.on_event(&BarrierEvent::PolicySwitched {
-            activation: 1,
-            from: "UpdatedPointer",
-            to: "Occupancy",
-        });
-        obs.on_event(&tick(2));
-        obs.on_event(&completed(200));
-        drop(obs);
-        let snap = handle.finish();
-        assert_eq!(snap.counters.policy_switches, 1);
-        assert_eq!(snap.switches.len(), 1);
-        assert_eq!(snap.switches[0].activation, 1);
-        assert_eq!(snap.switches[0].from, "UpdatedPointer");
-        assert_eq!(snap.switches[0].to, "Occupancy");
-        assert_eq!(snap.records[0].policy_switches.len(), 1);
-        assert!(snap.records[1].policy_switches.is_empty());
     }
 }

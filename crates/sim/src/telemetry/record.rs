@@ -4,7 +4,7 @@
 //! trigger fired, what the collection accomplished, and what it cost in
 //! page I/O — attributed to that activation.
 
-use pgc_types::{put_opt, put_str, Bytes, PartitionId, PgcError, Result, Words};
+use pgc_types::{put_opt, Bytes, PartitionId, PgcError, Result, Words};
 
 /// Why the GC trigger fires for a run — the telemetry-side mirror of the
 /// scheduler's trigger configuration, carried so every JSONL line is
@@ -29,29 +29,6 @@ impl TriggerReason {
             TriggerReason::PartitionGrowth => "partition-growth".to_string(),
         }
     }
-}
-
-/// One driving-policy switch observed on the bus
-/// ([`pgc_odb::BarrierEvent::PolicySwitched`]): a meta-policy handed the
-/// driver's seat to a different candidate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicySwitchNote {
-    /// The activation whose collection outcome triggered the switch.
-    pub activation: u64,
-    /// Display name of the policy that was driving.
-    pub from: String,
-    /// Display name of the policy now driving.
-    pub to: String,
-}
-
-/// A shadow scoreboard's counterfactual pick, attached to an activation
-/// record by the simulator's shadow-race harness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShadowPickNote {
-    /// Display name of the shadow policy.
-    pub policy: String,
-    /// The partition it would have collected (`None` = it declined).
-    pub victim: Option<PartitionId>,
 }
 
 /// Everything telemetry knows about one collector activation.
@@ -96,12 +73,6 @@ pub struct ActivationRecord {
     /// Application page I/O in the mutator window leading up to this
     /// activation (since the previous trigger).
     pub app_ios_delta: u64,
-    /// Driving-policy switches announced during this activation (empty
-    /// unless a meta-policy drives the run and decided to switch here).
-    pub policy_switches: Vec<PolicySwitchNote>,
-    /// Shadow scoreboards' counterfactual picks (empty unless a shadow
-    /// race annotated this run).
-    pub shadow_picks: Vec<ShadowPickNote>,
 }
 
 impl ActivationRecord {
@@ -124,8 +95,6 @@ impl ActivationRecord {
             gc_writes: 0,
             app_ios_before: 0,
             app_ios_delta: 0,
-            policy_switches: Vec::new(),
-            shadow_picks: Vec::new(),
         }
     }
 
@@ -151,15 +120,6 @@ impl ActivationRecord {
             self.app_ios_before,
             self.app_ios_delta,
         ]);
-        out.push(self.policy_switches.len() as u64);
-        for note in &self.policy_switches {
-            note.save(out);
-        }
-        out.push(self.shadow_picks.len() as u64);
-        for pick in &self.shadow_picks {
-            put_str(out, &pick.policy);
-            put_opt(out, pick.victim.map(|p| u64::from(p.index())));
-        }
     }
 
     /// What [`ActivationRecord::save`] wrote.
@@ -182,34 +142,7 @@ impl ActivationRecord {
         rec.gc_writes = words.word()?;
         rec.app_ios_before = words.word()?;
         rec.app_ios_delta = words.word()?;
-        for _ in 0..words.count()? {
-            rec.policy_switches.push(PolicySwitchNote::load(words)?);
-        }
-        for _ in 0..words.count()? {
-            rec.shadow_picks.push(ShadowPickNote {
-                policy: words.string()?,
-                victim: partition(words.opt()?)?,
-            });
-        }
         Ok(rec)
-    }
-}
-
-impl PolicySwitchNote {
-    /// Appends the activation and both names.
-    pub(crate) fn save(&self, out: &mut Vec<u64>) {
-        out.push(self.activation);
-        put_str(out, &self.from);
-        put_str(out, &self.to);
-    }
-
-    /// What [`PolicySwitchNote::save`] wrote.
-    pub(crate) fn load(words: &mut Words<'_>) -> Result<Self> {
-        Ok(Self {
-            activation: words.word()?,
-            from: words.string()?,
-            to: words.string()?,
-        })
     }
 }
 
@@ -235,7 +168,5 @@ mod tests {
         assert_eq!(r.gap_events, 400);
         assert_eq!(r.victim, None);
         assert_eq!(r.gc_ios(), 0);
-        assert!(r.policy_switches.is_empty());
-        assert!(r.shadow_picks.is_empty());
     }
 }

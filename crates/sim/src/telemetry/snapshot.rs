@@ -3,7 +3,7 @@
 //! seeds, or serialize to JSONL.
 
 use super::histogram::Histogram;
-use super::record::{ActivationRecord, PolicySwitchNote, TriggerReason};
+use super::record::{ActivationRecord, TriggerReason};
 use super::TelemetryLevel;
 use pgc_types::{Result, Words};
 
@@ -37,8 +37,6 @@ pub struct CounterSnapshot {
     pub collections: u64,
     /// Trigger activations.
     pub activations: u64,
-    /// Driving-policy switches announced by a meta-policy.
-    pub policy_switches: u64,
     /// Largest partition count observed at any activation.
     pub max_partitions: u64,
 }
@@ -48,7 +46,7 @@ impl CounterSnapshot {
     /// reads — each with whether one event adds at most one to it. The bus
     /// clock, the byte sums, copies and reclaims have no such bound and
     /// saturate as they are counted.
-    fn fields(&mut self) -> [(&mut u64, bool); 15] {
+    fn fields(&mut self) -> [(&mut u64, bool); 14] {
         [
             (&mut self.events, false),
             (&mut self.pointer_writes, true),
@@ -63,7 +61,6 @@ impl CounterSnapshot {
             (&mut self.reclaimed_bytes, false),
             (&mut self.collections, true),
             (&mut self.activations, true),
-            (&mut self.policy_switches, true),
             (&mut self.max_partitions, false),
         ]
     }
@@ -103,7 +100,6 @@ impl CounterSnapshot {
         self.reclaimed_bytes += other.reclaimed_bytes;
         self.collections += other.collections;
         self.activations += other.activations;
-        self.policy_switches += other.policy_switches;
         self.max_partitions = self.max_partitions.max(other.max_partitions);
     }
 }
@@ -131,9 +127,6 @@ pub struct TelemetrySnapshot {
     /// One record per activation, in order ([`TelemetryLevel::Full`] only;
     /// empty at `Metrics` level and after a merge).
     pub records: Vec<ActivationRecord>,
-    /// Every driving-policy switch observed, in order (recorded at all
-    /// levels; dropped on merge like `records`).
-    pub switches: Vec<PolicySwitchNote>,
 }
 
 impl TelemetrySnapshot {
@@ -148,7 +141,6 @@ impl TelemetrySnapshot {
             gc_io_per_activation: Histogram::default(),
             activation_gap_events: Histogram::default(),
             records: Vec::new(),
-            switches: Vec::new(),
         }
     }
 
@@ -165,7 +157,6 @@ impl TelemetrySnapshot {
         self.activation_gap_events
             .merge(&other.activation_gap_events);
         self.records.clear();
-        self.switches.clear();
     }
 
     /// Mean activations per merged run.
@@ -199,11 +190,6 @@ mod tests {
         let mut a = sample(3);
         a.records
             .push(crate::telemetry::record::ActivationRecord::open(1, 10, 10));
-        a.switches.push(PolicySwitchNote {
-            activation: 2,
-            from: "UpdatedPointer".to_string(),
-            to: "Occupancy".to_string(),
-        });
         let b = sample(5);
         a.merge(&b);
         assert_eq!(a.runs, 2);
@@ -211,7 +197,6 @@ mod tests {
         assert_eq!(a.counters.events, 800);
         assert_eq!(a.reclaimed_per_activation.count, 8);
         assert!(a.records.is_empty(), "records drop on merge");
-        assert!(a.switches.is_empty(), "switch traces drop on merge");
         assert!((a.activations_per_run() - 4.0).abs() < 1e-12);
     }
 }

@@ -34,14 +34,6 @@ impl DenseBitSet {
         Self::default()
     }
 
-    /// Creates an empty set with room for indices `0..bits` preallocated.
-    pub fn with_capacity(bits: usize) -> Self {
-        Self {
-            words: vec![0; bits.div_ceil(64)],
-            len: 0,
-        }
-    }
-
     /// Number of members.
     #[inline]
     pub fn len(&self) -> usize {
@@ -155,19 +147,17 @@ impl Iterator for BitIter {
     }
 }
 
-impl FromIterator<u64> for DenseBitSet {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for bit in iter {
-            s.insert(bit);
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn set_of(members: &[u64]) -> DenseBitSet {
+        let mut s = DenseBitSet::default();
+        for &m in members {
+            s.insert(m);
+        }
+        s
+    }
 
     #[test]
     fn insert_contains_remove() {
@@ -189,11 +179,11 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity() {
-        let mut s = DenseBitSet::with_capacity(512);
-        let words_before = s.words.len();
+        let mut s = DenseBitSet::default();
         for i in 0..512 {
             s.insert(i);
         }
+        let words_before = s.words.len();
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.words.len(), words_before);
@@ -203,7 +193,7 @@ mod tests {
     #[test]
     fn iter_is_ascending_and_complete() {
         let members = [0u64, 1, 63, 64, 65, 127, 128, 500];
-        let s: DenseBitSet = members.iter().copied().collect();
+        let s = set_of(&members);
         let got: Vec<u64> = s.iter().collect();
         assert_eq!(got, members);
     }
@@ -211,7 +201,7 @@ mod tests {
     #[test]
     fn words_and_first_from_agree_with_membership() {
         let members = [0u64, 5, 63, 64, 130];
-        let s: DenseBitSet = members.iter().copied().collect();
+        let s = set_of(&members);
         assert_eq!(s.word(0), 1 | 1 << 5 | 1 << 63);
         assert_eq!((s.word(1), s.word(2), s.word(3)), (1, 1 << 2, 0));
         for from in 0..200 {

@@ -30,4 +30,4 @@ pub use fast_hash::{fast_hash_u64, FastHashMap, FastHashSet, FxBuildHasher, FxHa
 pub use ids::{Oid, PageId, PartitionId, PointerLoc, SlotId};
 pub use rng::SimRng;
 pub use units::{Bytes, PageCount, DEFAULT_PAGE_SIZE};
-pub use words::{put_opt, put_str, Words};
+pub use words::{put_opt, Words};

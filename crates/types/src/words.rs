@@ -2,8 +2,8 @@
 //!
 //! Every layer that holds state a snapshot generation must carry (the
 //! database's bookkeeping, a policy's score tables, the telemetry
-//! accumulators) appends it to a `Vec<u64>` with plain `push`es and the
-//! two helpers here, and reads it back through [`Words`]. The words come
+//! accumulators) appends it to a `Vec<u64>` with plain `push`es and
+//! [`put_opt`], and reads it back through [`Words`]. The words come
 //! from a file, so every read is bounds-checked and every count is held
 //! against the words left before anything is sized by it: a lie is an
 //! `Err`, never a panic or an allocation.
@@ -16,16 +16,6 @@ pub fn put_opt(out: &mut Vec<u64>, value: Option<u64>) {
         Some(v) => out.extend([1, v]),
         None => out.push(0),
     }
-}
-
-/// Appends `s` as its byte length and its bytes, eight to a word.
-pub fn put_str(out: &mut Vec<u64>, s: &str) {
-    out.push(s.len() as u64);
-    out.extend(s.as_bytes().chunks(8).map(|chunk| {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        u64::from_le_bytes(word)
-    }));
 }
 
 /// A bounds-checked cursor over saved words.
@@ -104,18 +94,6 @@ impl<'a> Words<'a> {
         })
     }
 
-    /// What [`put_str`] wrote.
-    pub fn string(&mut self) -> Result<String> {
-        let len = self.word()?;
-        let words = self.take(len.div_ceil(8).try_into().map_err(|_| bad("truncated"))?)?;
-        let bytes: Vec<u8> = words
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .take(len as usize)
-            .collect();
-        String::from_utf8(bytes).map_err(|_| bad("a name is not UTF-8"))
-    }
-
     /// Succeeds only when every word has been read: state that outlasts
     /// its reader was written by some other layout.
     pub fn finish(self) -> Result<()> {
@@ -136,14 +114,10 @@ mod tests {
         let mut out = vec![7];
         put_opt(&mut out, Some(9));
         put_opt(&mut out, None);
-        put_str(&mut out, "UpdatedPointer");
-        put_str(&mut out, "");
         let mut words = Words::new(&out);
         assert_eq!(words.word().unwrap(), 7);
         assert_eq!(words.opt().unwrap(), Some(9));
         assert_eq!(words.opt().unwrap(), None);
-        assert_eq!(words.string().unwrap(), "UpdatedPointer");
-        assert_eq!(words.string().unwrap(), "");
         words.clone().finish().unwrap();
         assert!(words.word().is_err());
     }
@@ -153,13 +127,9 @@ mod tests {
         assert!(Words::new(&[u64::MAX]).count().is_err());
         assert!(Words::new(&[2, 0]).count().is_err());
         assert_eq!(Words::new(&[1, 0]).count().unwrap(), 1);
-        assert!(Words::new(&[u64::MAX]).string().is_err());
         assert!(Words::new(&[2]).flag().is_err());
         assert!(Words::new(&[1 << 32]).word_u32().is_err());
         assert!(Words::new(&[1]).take(2).is_err());
         assert!(Words::new(&[1]).finish().is_err());
-        let mut bad_utf8 = Vec::new();
-        bad_utf8.extend([1, 0xFF]);
-        assert!(Words::new(&bad_utf8).string().is_err());
     }
 }

@@ -38,7 +38,7 @@ panics:
     @./scripts/panics.sh
 
 # Tap the headline comparison for telemetry: writes one JSONL line per
-# collector activation (schema pgc-telemetry/v1) to telemetry.jsonl and
+# collector activation (schema pgc-telemetry/v2) to telemetry.jsonl and
 # prints the per-policy telemetry summary table. Scaled down by default;
 # pass scale=100 for the full paper workload.
 telemetry out="telemetry.jsonl" scale="25" seeds="3":
@@ -106,16 +106,14 @@ examples:
         echo "$name: $(( ($(date +%s%N) - start) / 1000000 )) ms"; \
     done
 
-# Regenerate the three committed experiment reports (full scale ≈ 27 s,
-# ablations ≈ 4 s, meta-policy < 1 s on 2 cores). Everything is
-# deterministic in seeds, so `git diff` afterwards must be empty unless the
-# change meant to move a number; CI runs exactly this and fails on a diff.
+# Regenerate the two committed experiment reports (full scale ≈ 27 s,
+# ablations ≈ 4 s on 2 cores). Everything is deterministic in seeds, so
+# `git diff` afterwards must be empty unless the change meant to move a
+# number; CI runs exactly this and fails on a diff.
 reports:
     cargo run --release -p pgc-bench --bin all_experiments -- --out full_report.txt
     cargo run --release -p pgc-bench --bin ablation_sweeps -- \
         --seeds 3 --scale 50 --out ablation_report.txt
-    cargo run --release -p pgc-bench --bin meta_policy -- \
-        --seeds 2 --scale 25 --out meta_report.txt
 
 # The benchmark package's own tests (it is a separate workspace, so
 # `cargo test` at the root does not run them): smoke-sized runs of both

@@ -9,12 +9,13 @@
 //! policy stores its counters is never a selection decision. (The two
 //! oldest tests keep the names the tier-1 floor list knows them by.)
 //!
-//! The `Composite` and `AdaptiveMeta` rows, the non-default-trigger
-//! digests and the shadow-pick digests were captured on the commit before
-//! the score tables replaced a memoised ranking engine: the triggers are
-//! the configurations where that engine answered from a partly
-//! invalidated memo, the shadows the one place a memo outlived a
-//! collection.
+//! The non-default-trigger digests were captured on the commit before the
+//! score tables replaced a memoised ranking engine: the triggers are the
+//! configurations where that engine answered from a partly invalidated
+//! memo. The shadow-pick digests were first taken there too, the shadows
+//! being the one place a memo outlived a collection; they were re-pinned
+//! over the five score-table policies, on the commit that still had the
+//! blend and the meta-policy, when those two left the slate.
 //!
 //! Style and digest follow `tests/bus_equivalence.rs`.
 
@@ -167,26 +168,6 @@ const GOLDEN_SMALL: &[Golden] = &[
     (PolicyKind::UpdatedDecay, 7, RunTotals { app_ios: 2228, gc_ios: 376, max_footprint: Bytes(507904), partitions: 31, collections: 11, reclaimed_bytes: Bytes(60106), reclaimed_objects: 523, final_live_bytes: Bytes(226453), final_garbage_bytes: Bytes(253879), final_nepotism_bytes: Bytes(60257), events: 8627 }, 11, 0xbb6d0e64148e75ebu64),
     (PolicyKind::UpdatedDecay, 8, RunTotals { app_ios: 2477, gc_ios: 358, max_footprint: Bytes(475136), partitions: 29, collections: 12, reclaimed_bytes: Bytes(80029), reclaimed_objects: 812, final_live_bytes: Bytes(216487), final_garbage_bytes: Bytes(227894), final_nepotism_bytes: Bytes(33195), events: 10960 }, 12, 0x85acda1b8771b5b4u64),
     (PolicyKind::UpdatedDecay, 9, RunTotals { app_ios: 2337, gc_ios: 427, max_footprint: Bytes(491520), partitions: 30, collections: 11, reclaimed_bytes: Bytes(70019), reclaimed_objects: 693, final_live_bytes: Bytes(207270), final_garbage_bytes: Bytes(257158), final_nepotism_bytes: Bytes(54244), events: 10423 }, 11, 0x8fbdeebdb8c139bbu64),
-    (PolicyKind::Composite, 0, RunTotals { app_ios: 2614, gc_ios: 381, max_footprint: Bytes(458752), partitions: 28, collections: 12, reclaimed_bytes: Bytes(100215), reclaimed_objects: 1003, final_live_bytes: Bytes(216484), final_garbage_bytes: Bytes(213657), final_nepotism_bytes: Bytes(64411), events: 11630 }, 12, 0xd84c765fba0df51au64),
-    (PolicyKind::Composite, 1, RunTotals { app_ios: 2347, gc_ios: 297, max_footprint: Bytes(458752), partitions: 28, collections: 11, reclaimed_bytes: Bytes(100854), reclaimed_objects: 999, final_live_bytes: Bytes(196570), final_garbage_bytes: Bytes(230980), final_nepotism_bytes: Bytes(65833), events: 9423 }, 11, 0xe4a2854aedce941du64),
-    (PolicyKind::Composite, 2, RunTotals { app_ios: 2548, gc_ios: 370, max_footprint: Bytes(458752), partitions: 28, collections: 12, reclaimed_bytes: Bytes(113332), reclaimed_objects: 1142, final_live_bytes: Bytes(170153), final_garbage_bytes: Bytes(252560), final_nepotism_bytes: Bytes(74922), events: 10074 }, 12, 0x3dbbbdd3ecea04c9u64),
-    (PolicyKind::Composite, 3, RunTotals { app_ios: 2652, gc_ios: 329, max_footprint: Bytes(458752), partitions: 28, collections: 12, reclaimed_bytes: Bytes(107712), reclaimed_objects: 1004, final_live_bytes: Bytes(235558), final_garbage_bytes: Bytes(186065), final_nepotism_bytes: Bytes(37660), events: 10160 }, 12, 0xf5e8edb87898ab89u64),
-    (PolicyKind::Composite, 4, RunTotals { app_ios: 2178, gc_ios: 264, max_footprint: Bytes(475136), partitions: 29, collections: 9, reclaimed_bytes: Bytes(85954), reclaimed_objects: 867, final_live_bytes: Bytes(233786), final_garbage_bytes: Bytes(210989), final_nepotism_bytes: Bytes(63895), events: 9024 }, 9, 0x3a77e8acb041496bu64),
-    (PolicyKind::Composite, 5, RunTotals { app_ios: 2678, gc_ios: 291, max_footprint: Bytes(442368), partitions: 27, collections: 12, reclaimed_bytes: Bytes(121932), reclaimed_objects: 1200, final_live_bytes: Bytes(247830), final_garbage_bytes: Bytes(171217), final_nepotism_bytes: Bytes(40015), events: 11220 }, 12, 0x7a706a54cc7ed4bau64),
-    (PolicyKind::Composite, 6, RunTotals { app_ios: 2530, gc_ios: 307, max_footprint: Bytes(458752), partitions: 28, collections: 10, reclaimed_bytes: Bytes(93043), reclaimed_objects: 937, final_live_bytes: Bytes(230989), final_garbage_bytes: Bytes(204368), final_nepotism_bytes: Bytes(63701), events: 10553 }, 10, 0xdc0317ebc598be2cu64),
-    (PolicyKind::Composite, 7, RunTotals { app_ios: 2189, gc_ios: 300, max_footprint: Bytes(458752), partitions: 28, collections: 11, reclaimed_bytes: Bytes(106752), reclaimed_objects: 979, final_live_bytes: Bytes(226453), final_garbage_bytes: Bytes(207233), final_nepotism_bytes: Bytes(49965), events: 8627 }, 11, 0x600816c2ab040c94u64),
-    (PolicyKind::Composite, 8, RunTotals { app_ios: 2459, gc_ios: 274, max_footprint: Bytes(442368), partitions: 27, collections: 12, reclaimed_bytes: Bytes(120320), reclaimed_objects: 1194, final_live_bytes: Bytes(216487), final_garbage_bytes: Bytes(187603), final_nepotism_bytes: Bytes(33277), events: 10960 }, 12, 0x5e3e12975c200eadu64),
-    (PolicyKind::Composite, 9, RunTotals { app_ios: 2326, gc_ios: 368, max_footprint: Bytes(458752), partitions: 28, collections: 11, reclaimed_bytes: Bytes(100468), reclaimed_objects: 914, final_live_bytes: Bytes(207270), final_garbage_bytes: Bytes(226709), final_nepotism_bytes: Bytes(38104), events: 10423 }, 11, 0xcbecd7ecd78a94cbu64),
-    (PolicyKind::AdaptiveMeta, 0, RunTotals { app_ios: 2639, gc_ios: 368, max_footprint: Bytes(458752), partitions: 28, collections: 12, reclaimed_bytes: Bytes(106848), reclaimed_objects: 1058, final_live_bytes: Bytes(216484), final_garbage_bytes: Bytes(207024), final_nepotism_bytes: Bytes(48641), events: 11630 }, 12, 0x93a231df09e46e48u64),
-    (PolicyKind::AdaptiveMeta, 1, RunTotals { app_ios: 2339, gc_ios: 279, max_footprint: Bytes(442368), partitions: 27, collections: 11, reclaimed_bytes: Bytes(105870), reclaimed_objects: 1047, final_live_bytes: Bytes(196570), final_garbage_bytes: Bytes(225964), final_nepotism_bytes: Bytes(67415), events: 9423 }, 11, 0x7a30cde8df5b3077u64),
-    (PolicyKind::AdaptiveMeta, 2, RunTotals { app_ios: 2548, gc_ios: 370, max_footprint: Bytes(458752), partitions: 28, collections: 12, reclaimed_bytes: Bytes(113332), reclaimed_objects: 1142, final_live_bytes: Bytes(170153), final_garbage_bytes: Bytes(252560), final_nepotism_bytes: Bytes(74922), events: 10074 }, 12, 0x3dbbbdd3ecea04c9u64),
-    (PolicyKind::AdaptiveMeta, 3, RunTotals { app_ios: 2652, gc_ios: 329, max_footprint: Bytes(458752), partitions: 28, collections: 12, reclaimed_bytes: Bytes(107712), reclaimed_objects: 1004, final_live_bytes: Bytes(235558), final_garbage_bytes: Bytes(186065), final_nepotism_bytes: Bytes(37660), events: 10160 }, 12, 0xf5e8edb87898ab89u64),
-    (PolicyKind::AdaptiveMeta, 4, RunTotals { app_ios: 2178, gc_ios: 264, max_footprint: Bytes(475136), partitions: 29, collections: 9, reclaimed_bytes: Bytes(85954), reclaimed_objects: 867, final_live_bytes: Bytes(233786), final_garbage_bytes: Bytes(210989), final_nepotism_bytes: Bytes(63895), events: 9024 }, 9, 0x3a77e8acb041496bu64),
-    (PolicyKind::AdaptiveMeta, 5, RunTotals { app_ios: 2678, gc_ios: 291, max_footprint: Bytes(442368), partitions: 27, collections: 12, reclaimed_bytes: Bytes(121932), reclaimed_objects: 1200, final_live_bytes: Bytes(247830), final_garbage_bytes: Bytes(171217), final_nepotism_bytes: Bytes(40015), events: 11220 }, 12, 0x7a706a54cc7ed4bau64),
-    (PolicyKind::AdaptiveMeta, 6, RunTotals { app_ios: 2530, gc_ios: 307, max_footprint: Bytes(458752), partitions: 28, collections: 10, reclaimed_bytes: Bytes(93043), reclaimed_objects: 937, final_live_bytes: Bytes(230989), final_garbage_bytes: Bytes(204368), final_nepotism_bytes: Bytes(63701), events: 10553 }, 10, 0xdc0317ebc598be2cu64),
-    (PolicyKind::AdaptiveMeta, 7, RunTotals { app_ios: 2193, gc_ios: 299, max_footprint: Bytes(458752), partitions: 28, collections: 11, reclaimed_bytes: Bytes(107170), reclaimed_objects: 983, final_live_bytes: Bytes(226453), final_garbage_bytes: Bytes(206815), final_nepotism_bytes: Bytes(49195), events: 8627 }, 11, 0x645cb02f1de1b584u64),
-    (PolicyKind::AdaptiveMeta, 8, RunTotals { app_ios: 2459, gc_ios: 285, max_footprint: Bytes(442368), partitions: 27, collections: 12, reclaimed_bytes: Bytes(121407), reclaimed_objects: 1206, final_live_bytes: Bytes(216487), final_garbage_bytes: Bytes(186516), final_nepotism_bytes: Bytes(23850), events: 10960 }, 12, 0x93c10dd8209056bdu64),
-    (PolicyKind::AdaptiveMeta, 9, RunTotals { app_ios: 2326, gc_ios: 368, max_footprint: Bytes(458752), partitions: 28, collections: 11, reclaimed_bytes: Bytes(100468), reclaimed_objects: 914, final_live_bytes: Bytes(207270), final_garbage_bytes: Bytes(226709), final_nepotism_bytes: Bytes(38104), events: 10423 }, 11, 0xcbecd7ecd78a94cbu64),
 ];
 
 #[rustfmt::skip]
@@ -224,12 +205,6 @@ const GOLDEN_PAPER_10PCT: &[Golden] = &[
     (PolicyKind::UpdatedDecay, 0, RunTotals { app_ios: 387, gc_ios: 188, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(514275), reclaimed_objects: 4474, final_live_bytes: Bytes(571457), final_garbage_bytes: Bytes(128810), final_nepotism_bytes: Bytes(23466), events: 52654 }, 3, 0xff1ed9421877e875u64),
     (PolicyKind::UpdatedDecay, 1, RunTotals { app_ios: 341, gc_ios: 208, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(577957), reclaimed_objects: 4422, final_live_bytes: Bytes(448877), final_garbage_bytes: Bytes(173984), final_nepotism_bytes: Bytes(66609), events: 57618 }, 3, 0x9f19854a6eada506u64),
     (PolicyKind::UpdatedDecay, 2, RunTotals { app_ios: 465, gc_ios: 214, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(508914), reclaimed_objects: 4458, final_live_bytes: Bytes(487149), final_garbage_bytes: Bytes(229652), final_nepotism_bytes: Bytes(9237), events: 69313 }, 3, 0xff1ed9421877e875u64),
-    (PolicyKind::Composite, 0, RunTotals { app_ios: 387, gc_ios: 188, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(514275), reclaimed_objects: 4474, final_live_bytes: Bytes(571457), final_garbage_bytes: Bytes(128810), final_nepotism_bytes: Bytes(23466), events: 52654 }, 3, 0xff1ed9421877e875u64),
-    (PolicyKind::Composite, 1, RunTotals { app_ios: 341, gc_ios: 208, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(577957), reclaimed_objects: 4422, final_live_bytes: Bytes(448877), final_garbage_bytes: Bytes(173984), final_nepotism_bytes: Bytes(66609), events: 57618 }, 3, 0x9f19854a6eada506u64),
-    (PolicyKind::Composite, 2, RunTotals { app_ios: 465, gc_ios: 214, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(508914), reclaimed_objects: 4458, final_live_bytes: Bytes(487149), final_garbage_bytes: Bytes(229652), final_nepotism_bytes: Bytes(9237), events: 69313 }, 3, 0xff1ed9421877e875u64),
-    (PolicyKind::AdaptiveMeta, 0, RunTotals { app_ios: 387, gc_ios: 188, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(514275), reclaimed_objects: 4474, final_live_bytes: Bytes(571457), final_garbage_bytes: Bytes(128810), final_nepotism_bytes: Bytes(23466), events: 52654 }, 3, 0xff1ed9421877e875u64),
-    (PolicyKind::AdaptiveMeta, 1, RunTotals { app_ios: 341, gc_ios: 208, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(577957), reclaimed_objects: 4422, final_live_bytes: Bytes(448877), final_garbage_bytes: Bytes(173984), final_nepotism_bytes: Bytes(66609), events: 57618 }, 3, 0x9f19854a6eada506u64),
-    (PolicyKind::AdaptiveMeta, 2, RunTotals { app_ios: 465, gc_ios: 214, max_footprint: Bytes(1179648), partitions: 3, collections: 3, reclaimed_bytes: Bytes(508914), reclaimed_objects: 4458, final_live_bytes: Bytes(487149), final_garbage_bytes: Bytes(229652), final_nepotism_bytes: Bytes(9237), events: 69313 }, 3, 0xff1ed9421877e875u64),
 ];
 
 #[test]
@@ -254,24 +229,20 @@ fn fold_digests(digests: impl Iterator<Item = u64>) -> u64 {
     })
 }
 
-/// The policies that rank by per-partition score tables, plus the
-/// meta-policy that races them.
-const SCORED: [PolicyKind; 7] = [
+/// The policies that rank by a per-partition score table.
+const SCORED: [PolicyKind; 5] = [
     PolicyKind::MutatedPartition,
     PolicyKind::WeightedPointer,
     PolicyKind::UpdatedPointer,
     PolicyKind::YnyMutated,
     PolicyKind::UpdatedDecay,
-    PolicyKind::Composite,
-    PolicyKind::AdaptiveMeta,
 ];
 
 /// `(policy, AllocationBytes(4 KiB), PartitionGrowth)`:
 /// `RunConfig::small`, each an `outcome_digest` folded over seeds 0-3.
 /// Three `AllocationBytes` cells moved when pointer forwarding began to
 /// charge its page writes in `(owner, slot)` order rather than the remembered
-/// set's hash order (PR 25): `UpdatedPointer`, `YNY-Mutated` and
-/// `AdaptiveMeta`, whose incumbent is `UpdatedPointer` throughout.
+/// set's hash order: `UpdatedPointer` and `YNY-Mutated`.
 #[rustfmt::skip]
 const GOLDEN_TRIGGERS: &[(PolicyKind, u64, u64)] = &[
     (PolicyKind::MutatedPartition, 0x275bad2c73974902, 0xef2cc5f027d27af9),
@@ -279,8 +250,6 @@ const GOLDEN_TRIGGERS: &[(PolicyKind, u64, u64)] = &[
     (PolicyKind::UpdatedPointer, 0x3501f9f1d929ed17, 0x0b8b21feec0153a8),
     (PolicyKind::YnyMutated, 0x044ca15a41e702ec, 0xef2cc5f027d27af9),
     (PolicyKind::UpdatedDecay, 0x8ce79f430a00af0e, 0x82e756db3599f734),
-    (PolicyKind::Composite, 0x925c87117a9f572d, 0x7ff2992175ae6218),
-    (PolicyKind::AdaptiveMeta, 0x3501f9f1d929ed17, 0x0b8b21feec0153a8),
 ];
 
 #[test]
@@ -318,10 +287,10 @@ fn non_default_triggers_select_the_same_victims() {
 /// `(activation, shadow index, pick)`.
 #[rustfmt::skip]
 const GOLDEN_SHADOW_PICKS: [u64; 4] = [
-    0x3e9411c7cb49fc5b, // seed 0: 84 picks over 12 activations
-    0xdfcd32f290263b32, // seed 1: 77 picks over 11 activations
-    0xac9bc474c447174b, // seed 2: 84 picks over 12 activations
-    0x25ba339020264217, // seed 3: 84 picks over 12 activations
+    0x1d6045ff96c8283f, // seed 0: 60 picks over 12 activations
+    0x03b12472d307c484, // seed 1: 55 picks over 11 activations
+    0xdb2d07e224ab9c3c, // seed 2: 60 picks over 12 activations
+    0xb99cb21b9a7eb59a, // seed 3: 60 picks over 12 activations
 ];
 
 #[test]

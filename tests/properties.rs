@@ -450,8 +450,6 @@ fn scoreboard_selections_maximize_victim_score() {
         PolicyKind::WeightedPointer,
         PolicyKind::YnyMutated,
         PolicyKind::UpdatedDecay,
-        PolicyKind::Composite,
-        PolicyKind::AdaptiveMeta,
     ];
 
     for seed in 0..48u64 {
@@ -553,13 +551,6 @@ fn scoreboard_selections_maximize_victim_score() {
                     });
                     db.collect_partition(victim).expect("collect");
                     pump(&mut db, policy.as_mut());
-                    for s in policy.take_switches() {
-                        policy.on_event(&BarrierEvent::PolicySwitched {
-                            activation: s.activation,
-                            from: s.from.name(),
-                            to: s.to.name(),
-                        });
-                    }
                 }
             }
             db.check_invariants();

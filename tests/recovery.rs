@@ -308,6 +308,31 @@ fn a_manifest_with_the_retired_parallelism_key_still_recovers() {
 }
 
 #[test]
+fn a_manifest_naming_a_retired_policy_is_an_error_that_names_it() {
+    // The `Composite` blend and the adaptive meta-policy are gone, so a
+    // directory either one wrote has no replay here. The reader parses a
+    // name as the command line does: `adaptive-meta` is the same token as
+    // the display name such a build wrote.
+    let dir = ScratchDir::new("retired-policy");
+    run_durable(PolicyKind::UpdatedPointer, 1, &dir);
+    let cfg = RunConfig::small()
+        .with_policy(PolicyKind::UpdatedPointer)
+        .with_seed(1);
+    for retired in ["Composite", "adaptive-meta"] {
+        let mut old = manifest_for(&cfg, TelemetryLevel::Full);
+        old.set("policy", retired);
+        old.write_to(dir.path()).expect("rewrite the manifest");
+        for (what, err) in [
+            ("recover", recover(dir.path()).err()),
+            ("verify", verify(dir.path()).err()),
+        ] {
+            let err = err.unwrap_or_else(|| panic!("{what} accepted {retired}"));
+            assert!(err.to_string().contains(retired), "{what}: {err}");
+        }
+    }
+}
+
+#[test]
 fn retired_model_keys_recover_at_their_kept_value_and_are_refused_otherwise() {
     // Data directories written while the client/server page model and
     // batched activations existed carry `db.client_cache_pages` and
@@ -724,12 +749,12 @@ fn verify_refuses_an_older_run_image_that_no_run_wrote() {
         .windows(policy.len())
         .position(|w| w == policy)
         .expect("the policy's words are in the run image");
-    // The allocation clock, then the overwrite table's length and scores.
-    assert!(words[at + 1] > 0, "a score to edit");
+    // The overwrite table's length, then its scores.
+    assert!(words[at] > 0, "a score to edit");
     let mut bytes = fs::read(&older.path).expect("read");
     let footer = bytes.len() - 4;
     let run_words = footer - 8 * words.len();
-    bytes[run_words + 8 * (at + 2)] ^= 1;
+    bytes[run_words + 8 * (at + 1)] ^= 1;
     let run_image = partition_images(&bytes).last().expect("images").end;
     let crc = crc32(&bytes[run_image..footer]);
     bytes[footer..].copy_from_slice(&crc.to_le_bytes());
@@ -803,14 +828,16 @@ fn with_no_usable_generation_recovery_starts_fresh() {
     }
     fresh("both generations damaged", 2);
 
-    // A directory a version-1 or version-2 build wrote: its images are
-    // refused on the version word, before any walk, so a version-3 body
-    // can stand in for the old layout behind it (version 2's fixed-width
-    // records; version 1's, and no run image, which version 1 lacks).
-    for version in [1u32, 2] {
+    // A directory a version-1, -2 or -3 build wrote: its images are
+    // refused on the version word, before any walk, so a version-4 body
+    // can stand in for the old layout behind it (version 3's run image,
+    // which also held the allocation clock and the switch words; version
+    // 2's fixed-width records; version 1's, and no run image, which
+    // version 1 lacks).
+    for version in [1u32, 2, 3] {
         for (file, bytes) in files.iter().zip(&landed) {
             let mut images = partition_images(bytes);
-            if version == 2 {
+            if version >= 2 {
                 images.push(images.last().expect("images").end..bytes.len());
             }
             let mut old = Vec::new();

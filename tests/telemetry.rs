@@ -162,26 +162,3 @@ fn builder_sources_are_exact_equivalents() {
     assert_eq!(synthetic.totals, encoded.totals);
     assert_eq!(synthetic.collections, encoded.collections);
 }
-
-#[test]
-fn shadow_race_annotates_telemetry_records() {
-    let cfg = RunConfig::small()
-        .with_policy(PolicyKind::MostGarbage)
-        .with_seed(2);
-    let shadows = [PolicyKind::Random, PolicyKind::UpdatedPointer];
-    let race =
-        pgc::sim::run_race_with_telemetry(&cfg, &shadows, TelemetryLevel::Full).expect("race run");
-    let snap = race.outcome.telemetry.as_ref().expect("snapshot");
-    assert_eq!(snap.records.len(), race.records.len());
-    for rec in &snap.records {
-        assert_eq!(
-            rec.shadow_picks.len(),
-            shadows.len(),
-            "every record carries one pick per shadow"
-        );
-    }
-    // And registering shadows + telemetry together still perturbs nothing.
-    let plain = Simulation::builder(&cfg).run().expect("plain");
-    assert_eq!(plain.totals, race.outcome.totals);
-    assert_eq!(plain.collections, race.outcome.collections);
-}
