@@ -2,7 +2,7 @@
 //!
 //! [`Collector`] is what a simulation (or an embedding application) holds:
 //! it drains the [`Database`]'s event log and broadcasts every
-//! [`BarrierEvent`] to the selection policy, to any registered shadow
+//! [`BarrierEvent`] to the selection policy, to any registered bystander
 //! observers, and to the trigger scheduler. When the trigger fires it asks
 //! the policy for a victim, runs the copying collection, and pumps the
 //! resulting collection events back through the same bus so every listener
@@ -37,7 +37,7 @@ use pgc_types::{Result, Words};
 pub struct Collector {
     policy: Box<dyn SelectionPolicy>,
     scheduler: GcScheduler,
-    /// Bystanders on the bus: shadow scoreboards, tracers, metrics taps.
+    /// Bystanders on the bus: the telemetry tap, tracers, invariant checks.
     /// They see the same stream as the policy but never pick the victim.
     observers: ObserverRegistry,
 }
@@ -151,9 +151,8 @@ impl Collector {
     ///
     /// Activation order on the bus: any pending events are drained first;
     /// then a [`BarrierEvent::TriggerTick`] marks the activation; then
-    /// every observer's `on_trigger` sees the *pre-collection* database —
-    /// this is where shadow scoreboards record the victim they would have
-    /// picked — and only then does the driving policy select and collect.
+    /// every observer's `on_trigger` sees the *pre-collection* database,
+    /// and only then does the driving policy select and collect.
     pub fn force_collect(&mut self, db: &mut Database) -> Result<Option<CollectionOutcome>> {
         self.sync(db);
         self.scheduler.collection_done();

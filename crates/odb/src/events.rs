@@ -8,10 +8,8 @@
 //! collector ([`crate::collect`]) log [`BarrierEvent`]s into the database's
 //! internal `EventLog`; the pump ([`crate::Collector`], which a
 //! `pgc_sim` shard drives) drains the log and broadcasts each event to
-//! every registered [`BarrierObserver`]. Comparing N policies no longer
-//! requires N replays — N scoreboards can ride one event stream — and
-//! metrics, tracing, or clustering subsystems can tap the same bus without
-//! touching the engine.
+//! every registered [`BarrierObserver`]. Metrics, tracing or invariant
+//! checks tap the same bus without touching the engine.
 //!
 //! Ordering guarantees: events are logged in mutation order. An object
 //! creation that also stores a parent pointer logs its
@@ -108,16 +106,15 @@ pub enum BarrierEvent {
 /// An observer of the barrier event stream.
 ///
 /// Implemented by every honest selection policy (scoreboard maintenance is
-/// event handling) and by diagnostic taps such as the shadow scoreboards
-/// in `pgc_sim`.
+/// event handling) and by bystander taps such as `pgc_sim`'s telemetry
+/// recorder.
 pub trait BarrierObserver {
     /// Receives one event, in stream order.
     fn on_event(&mut self, event: &BarrierEvent);
 
     /// Called when the GC trigger fires, after all pending events have
     /// been delivered and *before* the driving policy selects a victim.
-    /// The database reference is the pre-collection state — this is where
-    /// a shadow scoreboard records the partition it *would* have picked.
+    /// The database reference is the pre-collection state.
     fn on_trigger(&mut self, db: &Database) {
         let _ = db;
     }

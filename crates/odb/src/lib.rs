@@ -51,7 +51,7 @@
 //!   policy performs the same number of collections.
 //! * [`collector`] — [`Collector`], the pump that drains the event log to
 //!   the policy, the scheduler, and any registered bystander observers
-//!   (shadow scoreboards), and drives [`Database::collect_partition`] when
+//!   (the telemetry tap), and drives [`Database::collect_partition`] when
 //!   the trigger fires: the policy decides **which** partition the copying
 //!   mechanism of [`collect`] runs on, the scheduler **when**.
 //! * [`oracle`] — exact reachability analysis over the whole database,

@@ -20,9 +20,6 @@ impl NoCollection {
 }
 
 impl BarrierObserver for NoCollection {
-    // Ignores everything — including `CollectionCompleted` events, which
-    // it can legitimately receive as a *shadow* scoreboard riding a
-    // collecting driver policy's event stream.
     fn on_event(&mut self, _event: &BarrierEvent) {}
 }
 

@@ -148,11 +148,6 @@ impl FromStr for PolicyKind {
 /// [`crate::BarrierEvent::CollectionCompleted`] resets the victim's
 /// per-partition state. When the scheduler triggers a collection,
 /// [`SelectionPolicy::select`] names the victim.
-///
-/// A policy must tolerate `CollectionCompleted` events for collections it
-/// did not request: in shadow-scoreboard mode (see `pgc_sim`), shadow
-/// policies ride a driver policy's event stream and observe the driver's
-/// collections.
 pub trait SelectionPolicy: BarrierObserver {
     /// Which policy this is.
     fn kind(&self) -> PolicyKind;

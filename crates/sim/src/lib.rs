@@ -8,7 +8,7 @@
 //!   Figures 4–5).
 //! * [`run`] — [`run::RunConfig`] + [`run::Simulation::builder`]: one
 //!   complete simulation from a parameter set or a shared encoded trace,
-//!   with optional bus observers and telemetry.
+//!   with optional telemetry.
 //! * [`shard`] — [`shard::Shard`]: the self-contained unit a run drives
 //!   and the one thing that applies workload events — one
 //!   [`pgc_odb::Database`] under a [`pgc_odb::Collector`] (policy +
@@ -25,11 +25,6 @@
 //!   prefix; [`durable::verify`] replays from event 0, holds every usable
 //!   generation's file to the replay's capture byte for byte, and returns
 //!   the recovery from the newest, held to the replay's digest.
-//! * [`shadow`] — shadow-scoreboard policy races: one driver policy makes
-//!   the collection decisions while every other honest policy's scoreboard
-//!   rides the same barrier event bus and records the victim it *would*
-//!   have picked, yielding a per-collection agreement matrix from a single
-//!   replay.
 //! * [`telemetry`] — sampling-gated observability riding the barrier
 //!   event bus: counters and histograms, one record per collector
 //!   activation, the fleet-wide merge of per-shard snapshots, and the
@@ -61,7 +56,6 @@ pub mod metrics;
 pub mod paper;
 pub mod report;
 pub mod run;
-pub mod shadow;
 pub mod shard;
 pub mod summary;
 pub mod telemetry;
@@ -71,7 +65,6 @@ pub use durable::{outcome_digest, recover, verify, RecoveredRun};
 pub use experiment::{Comparison, Experiment, PolicyRow, RunTelemetry};
 pub use metrics::{RunTotals, SamplePoint, TimeSeries};
 pub use run::{RunConfig, RunOutcome, Simulation, SimulationBuilder};
-pub use shadow::{agreement_table, run_race, RaceOutcome, RaceRecord, ShadowPick};
 pub use shard::Shard;
 pub use summary::Summary;
 pub use telemetry::{TelemetryLevel, TelemetrySnapshot};

@@ -6,7 +6,6 @@
 //! binaries can be eyeballed against the original side by side.
 
 use crate::experiment::Comparison;
-use crate::shadow::{agreement_table, RaceOutcome};
 use crate::summary::Summary;
 use std::fmt::Write as _;
 
@@ -150,42 +149,6 @@ pub fn format_figure6(results: &[(u64, Comparison)]) -> String {
             }
             let _ = writeln!(out);
         }
-    }
-    out
-}
-
-/// Renders the policy-agreement matrix of a set of shadow-scoreboard races
-/// (typically one per seed, same driver): for each shadow policy, how often
-/// it would have picked the very partition the driver collected, and how
-/// many activations passed before its first divergence from the driver.
-pub fn format_policy_race(races: &[RaceOutcome]) -> String {
-    let mut out = String::new();
-    let Some(first) = races.first() else {
-        return out;
-    };
-    let activations = Summary::of_u64(races.iter().map(|r| r.records.len() as u64));
-    let _ = writeln!(
-        out,
-        "Driver: {}   ({} race(s), {:.1} activations each)",
-        first.driver.name(),
-        races.len(),
-        activations.mean,
-    );
-    let _ = writeln!(
-        out,
-        "{:<18} {:>10} {:>8} {:>14} {:>8}",
-        "Shadow Policy", "Agree (%)", "(sd)", "First Diverge", "(sd)"
-    );
-    for (shadow, pct, div) in agreement_table(races) {
-        let _ = writeln!(
-            out,
-            "{:<18} {:>10.1} {:>8.1} {:>14.1} {:>8.1}",
-            shadow.name(),
-            pct.mean,
-            pct.std_dev,
-            div.mean,
-            div.std_dev,
-        );
     }
     out
 }
@@ -342,34 +305,6 @@ mod tests {
         let report = pgc_odb::oracle::analyze_with(&db, &mut scratch);
         let txt = format_partition_profile(&db.partition_profile(), Some(&report));
         assert!(!txt.contains(" -"), "oracle column filled in: {txt}");
-    }
-
-    #[test]
-    fn policy_race_matrix_renders() {
-        use crate::shadow::run_race;
-        let shadows = [PolicyKind::MostGarbage, PolicyKind::Random];
-        let races: Vec<_> = (1..3u64)
-            .map(|seed| {
-                run_race(
-                    &RunConfig::small()
-                        .with_policy(PolicyKind::MostGarbage)
-                        .with_seed(seed),
-                    &shadows,
-                )
-                .unwrap()
-            })
-            .collect();
-        let t = format_policy_race(&races);
-        assert!(t.contains("Driver: MostGarbage"));
-        assert!(t.contains("Random"));
-        assert!(t.contains("Agree (%)"));
-        // The driver shadowing itself agrees 100.0% with zero deviation.
-        let self_row = t
-            .lines()
-            .find(|l| l.starts_with("MostGarbage"))
-            .expect("self row");
-        assert!(self_row.contains("100.0"), "{self_row}");
-        assert!(format_policy_race(&[]).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::durable::{DurabilityConfig, StorageStats};
 use crate::metrics::{RunTotals, TimeSeries};
 use crate::shard::Shard;
 use crate::telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
-use pgc_odb::{BarrierObserver, CollectionOutcome, DbStats, PolicyKind, Trigger};
+use pgc_odb::{CollectionOutcome, DbStats, PolicyKind, Trigger};
 use pgc_types::{Bytes, DbConfig, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{EncodedTrace, EventBlock, SyntheticWorkload, WorkloadParams, BLOCK_EVENTS};
@@ -194,8 +194,6 @@ impl RunConfig {
     /// The seed every policy instance for this run derives from. The
     /// Random policy's stream is decorrelated from the workload's by
     /// hashing, but still derived from the run seed for reproducibility.
-    /// Shadow scoreboards use the same derivation so a shadow `Random`
-    /// replays the exact choices its independent run would make.
     pub fn policy_seed(&self) -> u64 {
         self.workload.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5A5
     }
@@ -244,7 +242,7 @@ pub struct RunOutcome {
     /// `derive`, `.hits` and `.selections()` to print
     /// `core.derive_hit_ratio` (a constant 0), and `benchmark/` changes
     /// only in a PR of its own. That PR drops the metric; this stub goes
-    /// with it (ROADMAP item 1(a)).
+    /// with it (ROADMAP item 4).
     pub derive: Option<DeriveStats>,
     /// Durable-storage counters (`None` unless the run persisted).
     pub storage: Option<StorageStats>,
@@ -282,7 +280,6 @@ impl Simulation {
         SimulationBuilder {
             cfg,
             source: Source::Synthetic,
-            observers: Vec::new(),
             telemetry: TelemetryLevel::Off,
         }
     }
@@ -293,12 +290,11 @@ enum Source<'a> {
     Encoded(&'a EncodedTrace),
 }
 
-/// A configured-but-not-yet-run simulation: pick an event source, attach
-/// bus observers and telemetry, then [`SimulationBuilder::run`].
+/// A configured-but-not-yet-run simulation: pick an event source and a
+/// telemetry level, then [`SimulationBuilder::run`].
 pub struct SimulationBuilder<'a> {
     cfg: &'a RunConfig,
     source: Source<'a>,
-    observers: Vec<Box<dyn BarrierObserver>>,
     telemetry: TelemetryLevel,
 }
 
@@ -313,15 +309,6 @@ impl<'a> SimulationBuilder<'a> {
     #[must_use]
     pub fn trace(mut self, trace: &'a EncodedTrace) -> Self {
         self.source = Source::Encoded(trace);
-        self
-    }
-
-    /// Registers a bystander observer on the collector's barrier bus. It
-    /// sees every event the driving policy sees plus the per-activation
-    /// `on_trigger` callback, and cannot perturb the run.
-    #[must_use]
-    pub fn observer(mut self, observer: Box<dyn BarrierObserver>) -> Self {
-        self.observers.push(observer);
         self
     }
 
@@ -341,12 +328,6 @@ impl<'a> SimulationBuilder<'a> {
     pub fn run(self) -> Result<RunOutcome> {
         let cfg = self.cfg;
         let mut shard = Shard::new(cfg)?;
-        // User observers register before the telemetry tap, so the bus
-        // order (and thus every observer's view) matches the pre-shard
-        // builder exactly.
-        for obs in self.observers {
-            shard.add_observer(obs);
-        }
         shard.enable_telemetry(self.telemetry);
         // Either source fills one reused block, in stream order.
         let mut block = EventBlock::with_capacity(BLOCK_EVENTS);

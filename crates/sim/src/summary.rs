@@ -39,12 +39,6 @@ impl Summary {
         Self { mean, std_dev, n }
     }
 
-    /// Summarizes unsigned integer samples.
-    pub fn of_u64(samples: impl IntoIterator<Item = u64>) -> Self {
-        let v: Vec<f64> = samples.into_iter().map(|x| x as f64).collect();
-        Self::of(&v)
-    }
-
     /// This summary's mean divided by `baseline`'s mean (the paper's
     /// "Relative" columns, MostGarbage = 1). Returns 0 for a zero baseline.
     pub fn relative_to(&self, baseline: &Summary) -> f64 {
@@ -86,9 +80,9 @@ mod tests {
     }
 
     #[test]
-    fn of_u64_and_relative() {
-        let a = Summary::of_u64([10, 20, 30]);
-        let b = Summary::of_u64([10, 10, 10]);
+    fn relative_to_baseline() {
+        let a = Summary::of(&[10.0, 20.0, 30.0]);
+        let b = Summary::of(&[10.0, 10.0, 10.0]);
         assert!((a.mean - 20.0).abs() < 1e-12);
         assert!((a.relative_to(&b) - 2.0).abs() < 1e-12);
         assert_eq!(a.relative_to(&Summary::of(&[])), 0.0);

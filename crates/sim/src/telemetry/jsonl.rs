@@ -152,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn absent_values_render_as_null_and_empty_arrays() {
+    fn absent_values_render_as_null() {
         let mut rec = ActivationRecord::open(1, 10, 10);
         let declined = record_line("NoCollection", 1, TriggerReason::PartitionGrowth, &rec);
         assert_eq!(

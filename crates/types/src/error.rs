@@ -49,7 +49,9 @@ pub enum PgcError {
     TooManyObjects,
     /// The collector was asked to collect the designated empty partition.
     CollectEmptyPartition(PartitionId),
-    /// A trace byte stream was malformed or truncated.
+    /// A byte format read back was malformed, truncated or of an
+    /// unsupported version: a trace file or buffer, a change-log segment,
+    /// a snapshot generation or a manifest. The message names which.
     TraceFormat(String),
     /// An I/O error from reading or writing a trace file.
     TraceIo(String),
@@ -86,7 +88,7 @@ impl fmt::Display for PgcError {
                     "cannot collect {p}: it is the designated empty partition"
                 )
             }
-            PgcError::TraceFormat(msg) => write!(f, "malformed trace: {msg}"),
+            PgcError::TraceFormat(msg) => write!(f, "malformed bytes: {msg}"),
             PgcError::TraceIo(msg) => write!(f, "trace I/O error: {msg}"),
             PgcError::Session(msg) => write!(f, "session error: {msg}"),
         }

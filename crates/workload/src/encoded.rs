@@ -148,14 +148,14 @@ impl EncodedTrace {
         let mut magic = [0u8; 4];
         source.read_exact(&mut magic).map_err(io_err)?;
         if &magic != MAGIC {
-            return Err(PgcError::TraceFormat("bad magic".into()));
+            return Err(PgcError::TraceFormat("trace file: bad magic".into()));
         }
         let mut version = [0u8; 4];
         source.read_exact(&mut version).map_err(io_err)?;
         let version = u32::from_le_bytes(version);
         if version != VERSION {
             return Err(PgcError::TraceFormat(format!(
-                "unsupported version {version} (expected {VERSION})"
+                "trace file: unsupported version {version} (expected {VERSION})"
             )));
         }
         let mut body = Vec::new();

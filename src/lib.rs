@@ -100,9 +100,9 @@ pub mod prelude {
     pub use pgc_sim::durable::{DurabilityConfig, DurabilityMode};
     pub use pgc_sim::report;
     pub use pgc_sim::{
-        outcome_digest, recover, run_race, Comparison, Experiment, PolicyRow, RaceOutcome,
-        RecoveredRun, RunConfig, RunOutcome, RunTelemetry, RunTotals, Shard, Simulation,
-        SimulationBuilder, Summary, TelemetryLevel, TelemetrySnapshot,
+        outcome_digest, recover, Comparison, Experiment, PolicyRow, RecoveredRun, RunConfig,
+        RunOutcome, RunTelemetry, RunTotals, Shard, Simulation, SimulationBuilder, Summary,
+        TelemetryLevel, TelemetrySnapshot,
     };
     pub use pgc_types::{Bytes, DbConfig, PlacementPolicy};
     pub use pgc_workload::{EncodedTrace, TraceCache, TraceSegment, WorkloadParams};

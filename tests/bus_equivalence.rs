@@ -7,13 +7,8 @@
 //! the exact victim sequence (FNV-1a digest) bit for bit: the typed event
 //! stream is a refactor of the delivery mechanism, not of the simulated
 //! semantics.
-//!
-//! Shadow scoreboards ride the same bus as bystanders; the second test
-//! checks at integration level that registering every honest policy as a
-//! shadow perturbs nothing about the driver's run.
 
 use pgc::odb::PolicyKind;
-use pgc::sim::shadow::run_race;
 use pgc::sim::{RunConfig, RunTotals, Simulation};
 use pgc::types::Bytes;
 
@@ -120,29 +115,4 @@ fn bus_replay_is_bit_identical_to_pre_refactor_paper_config() {
     let mut cfg = RunConfig::paper(PolicyKind::MostGarbage, 0);
     cfg.workload.target_allocated = Bytes(cfg.workload.target_allocated.0 / 10);
     check(&cfg, GOLDEN_PAPER_10PCT);
-}
-
-#[test]
-fn shadow_scoreboards_do_not_perturb_the_driver() {
-    let shadows = [
-        PolicyKind::MutatedPartition,
-        PolicyKind::Random,
-        PolicyKind::WeightedPointer,
-        PolicyKind::UpdatedPointer,
-        PolicyKind::MostGarbage,
-    ];
-    for seed in [0u64, 5, 9] {
-        let cfg = RunConfig::small()
-            .with_policy(PolicyKind::MostGarbage)
-            .with_seed(seed);
-        let plain = Simulation::builder(&cfg).run().expect("plain run");
-        let race = run_race(&cfg, &shadows).expect("race run");
-        assert_eq!(plain.totals, race.outcome.totals, "seed {seed}");
-        assert_eq!(plain.collections, race.outcome.collections, "seed {seed}");
-        assert_eq!(
-            race.records.len() as u64,
-            plain.totals.collections,
-            "seed {seed}: one race record per collection"
-        );
-    }
 }

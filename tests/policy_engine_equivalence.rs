@@ -12,15 +12,11 @@
 //! The non-default-trigger digests were captured on the commit before the
 //! score tables replaced a memoised ranking engine: the triggers are the
 //! configurations where that engine answered from a partly invalidated
-//! memo. The shadow-pick digests were first taken there too, the shadows
-//! being the one place a memo outlived a collection; they were re-pinned
-//! over the five score-table policies, on the commit that still had the
-//! blend and the meta-policy, when those two left the slate.
+//! memo.
 //!
 //! Style and digest follow `tests/bus_equivalence.rs`.
 
 use pgc::odb::{PolicyKind, Trigger};
-use pgc::sim::shadow::run_race;
 use pgc::sim::{outcome_digest, RunConfig, RunTotals, Simulation};
 use pgc::types::Bytes;
 
@@ -279,36 +275,5 @@ fn non_default_triggers_select_the_same_victims() {
             *growth,
             "{policy:?}: PartitionGrowth"
         );
-    }
-}
-
-/// `RunConfig::small` with `MostGarbage` driving and [`SCORED`] as
-/// shadows, seeds 0-3: one digest per seed over every
-/// `(activation, shadow index, pick)`.
-#[rustfmt::skip]
-const GOLDEN_SHADOW_PICKS: [u64; 4] = [
-    0x1d6045ff96c8283f, // seed 0: 60 picks over 12 activations
-    0x03b12472d307c484, // seed 1: 55 picks over 11 activations
-    0xdb2d07e224ab9c3c, // seed 2: 60 picks over 12 activations
-    0xb99cb21b9a7eb59a, // seed 3: 60 picks over 12 activations
-];
-
-#[test]
-fn shadow_picks_behind_an_oracle_driver_are_unchanged() {
-    for (seed, want) in GOLDEN_SHADOW_PICKS.iter().enumerate() {
-        let cfg = RunConfig::small()
-            .with_policy(PolicyKind::MostGarbage)
-            .with_seed(seed as u64);
-        let race = run_race(&cfg, &SCORED).expect("race");
-        let picks = race.records.iter().flat_map(|rec| {
-            rec.picks.iter().enumerate().flat_map(|(i, pick)| {
-                [
-                    rec.activation,
-                    i as u64,
-                    pick.victim.map_or(u64::MAX, |v| v.index() as u64),
-                ]
-            })
-        });
-        assert_eq!(fold_digests(picks), *want, "seed {seed}");
     }
 }

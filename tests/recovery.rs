@@ -851,7 +851,10 @@ fn with_no_usable_generation_recovery_starts_fresh() {
             }
             fs::write(&file.path, old).expect("downgrade");
             let err = read_generation(&file.path).expect_err("an older version");
-            assert!(err.to_string().contains("unsupported version"), "{err}");
+            let msg = err.to_string();
+            let want = format!("malformed bytes: snapshot: unsupported version {version}");
+            assert_eq!(msg, want);
+            assert!(!msg.contains("trace"), "{msg}");
         }
         fresh(&format!("a version-{version} directory"), 2);
     }
