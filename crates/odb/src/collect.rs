@@ -13,16 +13,17 @@
 //!    edges are traversed; pointers leaving the victim are not. Copying
 //!    compacts: internal fragmentation in the victim is eliminated.
 //! 3. Remembered pointers to each evacuated object are *forwarded*: the
-//!    remembered-set entries are re-keyed to the target partition and the
 //!    pages holding the source pointers are dirtied (collector I/O).
-//! 4. Whatever remains in the victim is garbage. For each dead object in
-//!    the victim's out-of-partition set, the locations of its pointers are
+//! 4. Whatever remains in the victim is garbage. Each dead object in the
+//!    victim's out-of-partition set has the locations of its pointers
 //!    removed from the remembered sets they point into — the cleanup rule
 //!    that stops dead pointers from unnecessarily preserving objects in
 //!    later collections of other partitions.
-//! 5. The victim's buffered pages are dropped without write-back (their
-//!    contents are dead), the victim is reset, and it becomes the next
-//!    designated empty partition.
+//! 5. The victim's remembered and out-of-partition sets become the
+//!    target's, whole: every remembered target survived, and every out-set
+//!    entry left is a survivor's, under the same oid. The victim's buffered
+//!    pages are dropped without write-back (their contents are dead), the
+//!    victim is reset, and it becomes the next designated empty partition.
 //!
 //! All page traffic in here is charged to [`IoContext::Collector`].
 //!
@@ -51,7 +52,7 @@ use crate::db::Database;
 use crate::events::BarrierEvent;
 use crate::oracle;
 use crate::remset::RemsetTable;
-use crate::storage::{page_span, ObjAddr, ObjectTable, Slot};
+use crate::storage::{page_span, ObjAddr, ObjectRecord, ObjectTable};
 use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId};
 use std::collections::VecDeque;
 
@@ -149,8 +150,7 @@ impl Database {
                 self.objects.relocate(oid, new_addr)?;
 
                 // ...and forward every remembered pointer at it.
-                forwarded.clear();
-                self.remsets.relocate_object(oid, victim, target, forwarded);
+                self.remsets.forwarded(victim, oid, forwarded);
                 for loc in forwarded.iter() {
                     // The source object's page holds the pointer; updating
                     // it is a read-modify-write of that page.
@@ -177,24 +177,27 @@ impl Database {
             }
         }
 
-        debug_assert_eq!(
-            self.remsets.remembered_target_count(victim),
-            0,
-            "all remembered targets must have been evacuated"
-        );
-
-        // --- 3. Reclaim the stragglers: everything left is garbage. ---
+        // --- 3. Forget the pointers the dead out-set members hold. ---
+        // Every member still in the victim is dead; survivors have moved.
         let objects = &self.objects;
-        residents.retain(|&oid| objects.get(oid).is_ok_and(|r| r.addr.partition == victim));
-        residents.sort_unstable();
+        let in_victim = |&oid: &Oid| objects.get(oid).is_ok_and(|r| r.addr.partition == victim);
+        oids.clear();
+        oids.extend(self.remsets.out_set(victim).filter(in_victim));
+        oids.sort_unstable();
+        for &oid in oids.iter() {
+            let rec = self.objects.get(oid)?;
+            forget_pointers(&mut self.remsets, &self.objects, target, oid, rec);
+        }
+
+        // --- 4. Sweep: every resident not copied out is garbage. ---
         let mut garbage_objects = 0u64;
         let mut garbage_bytes = Bytes::ZERO;
+        let departed = self.partitions.partition_mut(victim)?;
         for &oid in residents.iter() {
-            let rec = self.objects.remove(oid)?;
-            forget_pointers(&mut self.remsets, &self.objects, victim, oid, &rec.slots);
-            self.partitions
-                .partition_mut(victim)?
-                .note_departure(rec.size);
+            let Some(rec) = self.objects.remove(oid, victim) else {
+                continue;
+            };
+            departed.note_departure(rec.size);
             garbage_objects += 1;
             garbage_bytes += rec.size;
             self.events.push(BarrierEvent::ObjectReclaimed {
@@ -203,9 +206,11 @@ impl Database {
                 size: rec.size,
             });
         }
+        // Step 5 of the module docs: the target's own sets are empty.
+        self.remsets.hand_over(victim, target);
         self.scratch = scratch;
 
-        // --- 4. Retire the victim: its pages hold only dead data. ---
+        // --- 5. Retire the victim: its pages hold only dead data. ---
         self.buffer
             .invalidate(self.partitions.partition_pages_span(victim));
         self.partitions.rotate_empty(victim)?;
@@ -258,10 +263,10 @@ impl Database {
             .filter(|&oid| !self.objects.position(oid).is_some_and(marked_at))
             .collect();
         dead.sort_unstable();
+        let empty = self.partitions.empty_partition();
         for oid in dead {
             let rec = self.objects.get(oid)?;
-            let home = rec.addr.partition;
-            forget_pointers(&mut self.remsets, &self.objects, home, oid, &rec.slots);
+            forget_pointers(&mut self.remsets, &self.objects, empty, oid, rec);
         }
 
         // --- 3. Collect every partition against the global mark. ---
@@ -294,32 +299,26 @@ impl Database {
     }
 }
 
-/// Out-of-partition set cleanup for dead object `oid` in partition `home`
-/// with `slots`: drops each pointer it holds from the remembered set it
-/// points into, so no dead pointer preserves its target in a later
-/// collection. The auxiliary structures live in primary memory, so this
-/// costs no page I/O (Sec. 4.1 keeps them "explicitly in auxiliary data
-/// structures").
+/// Out-of-partition set cleanup for dead object `oid` with record `rec`:
+/// drops each pointer it holds from the remembered set it points into, so
+/// no dead pointer preserves its target in a later collection. Targets in
+/// its own partition or in `moved` (the designated empty partition,
+/// holding only the victim's survivors) were never remembered. The
+/// auxiliary structures live in primary memory, so this costs no page I/O
+/// (Sec. 4.1 keeps them "explicitly in auxiliary data structures").
 fn forget_pointers(
     remsets: &mut RemsetTable,
     objects: &ObjectTable,
-    home: PartitionId,
+    moved: PartitionId,
     oid: Oid,
-    slots: &[Slot],
+    rec: &ObjectRecord,
 ) {
-    if !remsets.in_out_set(home, oid) {
-        return;
-    }
-    for (i, slot) in slots.iter().enumerate() {
-        // A dangling target here can only be a fellow resident reclaimed
-        // earlier in the same sweep (or `oid` itself): cross-partition
-        // targets of any recorded pointer are remset-protected (they get
-        // evacuated, never dropped), so only intra-partition edges can
-        // dangle.
+    let home = rec.addr.partition;
+    for (i, slot) in rec.slots.iter().enumerate() {
         let Some(t) = slot.get() else { continue };
         let Ok(target) = objects.get(t) else { continue };
         let tp = target.addr.partition;
-        if tp != home {
+        if tp != home && tp != moved {
             remsets.remove_edge(PointerLoc::new(oid, SlotId(i as u16)), home, t, tp);
         }
     }
@@ -351,9 +350,9 @@ pub struct FullCollectionOutcome {
 pub(crate) struct CollectScratch {
     /// The breadth-first frontier.
     queue: VecDeque<Oid>,
-    /// The victim's roots.
+    /// The victim's roots; then its dead out-set members.
     oids: Vec<Oid>,
-    /// The victim's member list, taken whole; then its dead residents.
+    /// The victim's member list, taken whole.
     residents: Vec<Oid>,
     /// Remembered locations forwarded to the object just moved.
     forwarded: Vec<PointerLoc>,
@@ -466,53 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn forwarding_rewrites_remembered_entries() {
-        let mut d = db();
-        let root = d.create_root(Bytes(100), 3).unwrap();
-        let home = d.objects().get(root).unwrap().addr.partition;
-        let (spill, _) = d.create_object(Bytes(8100), 2, root, SlotId(0)).unwrap();
-        let foreign = d.objects().get(spill).unwrap().addr.partition;
-        let (small, _) = d.create_object(Bytes(100), 2, root, SlotId(1)).unwrap();
-        d.write_slot(spill, SlotId(0), Some(small)).unwrap();
-        // Collect home: `small` moves; spill's pointer must follow it.
-        let out = d.collect_partition(home).unwrap();
-        assert!(out.forwarded_pointers >= 1);
-        let new_home = d.objects().get(small).unwrap().addr.partition;
-        assert_ne!(new_home, home);
-        assert!(d.remsets().remembered_targets(new_home).any(|t| t == small));
-        assert_eq!(d.remsets().remembered_target_count(home), 0);
-        assert!(d.remsets().in_out_set(foreign, spill));
-        d.check_invariants();
-    }
-
-    #[test]
-    fn dead_out_pointers_are_cleaned_from_remote_remsets() {
-        let mut d = db();
-        let root = d.create_root(Bytes(100), 3).unwrap();
-        let home = d.objects().get(root).unwrap().addr.partition;
-        let (spill, _) = d.create_object(Bytes(8100), 2, root, SlotId(0)).unwrap();
-        let foreign = d.objects().get(spill).unwrap().addr.partition;
-        // An object in home that points into foreign, then dies.
-        let (pointer_holder, _) = d.create_object(Bytes(100), 2, root, SlotId(1)).unwrap();
-        d.write_slot(pointer_holder, SlotId(0), Some(spill))
-            .unwrap();
-        assert!(d.remsets().remembered_targets(foreign).any(|t| t == spill));
-        d.write_slot(root, SlotId(1), None).unwrap(); // pointer_holder dies
-        d.collect_partition(home).unwrap();
-        assert!(!d.objects().contains(pointer_holder));
-        // The dead holder's pointer into foreign must be gone from
-        // foreign's remset; the root's own (live) cross-partition pointer
-        // to spill must remain.
-        let locs: Vec<_> = d.remsets().locations_of(foreign, spill).collect();
-        assert!(
-            locs.iter().all(|l| l.owner != pointer_holder),
-            "dead holder's entry lingers"
-        );
-        assert!(locs.iter().any(|l| l.owner == root));
-        d.check_invariants();
-    }
-
-    #[test]
     fn collection_compacts_fragmentation() {
         let mut d = db();
         let (root, _) = chain(&mut d, 10);
@@ -578,9 +530,20 @@ mod tests {
     #[test]
     fn collection_emits_copy_reclaim_and_completion_events() {
         let mut d = db();
-        let (root, _) = chain(&mut d, 4);
-        let victim = d.objects().get(root).unwrap().addr.partition;
+        // Created root, a, a1, b; a first collection copies them breadth
+        // first, so the new partition lists root, a, b, a1: not oid order.
+        let root = d.create_root(Bytes(100), 2).unwrap();
+        let (a, _) = d.create_object(Bytes(100), 1, root, SlotId(0)).unwrap();
+        let (a1, _) = d.create_object(Bytes(100), 0, a, SlotId(0)).unwrap();
+        let (b, _) = d.create_object(Bytes(100), 0, root, SlotId(1)).unwrap();
+        let first = d.objects().get(root).unwrap().addr.partition;
+        let victim = d.collect_partition(first).unwrap().target;
+        assert_eq!(
+            d.objects().members(victim).collect::<Vec<_>>(),
+            [root, a, b, a1]
+        );
         d.write_slot(root, SlotId(0), None).unwrap();
+        d.write_slot(root, SlotId(1), None).unwrap();
         d.clear_events();
         let out = d.collect_partition(victim).unwrap();
         let events = d.events().events();
@@ -591,20 +554,75 @@ mod tests {
                 if *from == victim && *to == out.target)
             })
             .count() as u64;
-        let reclaimed = events
-            .iter()
-            .filter(|e| {
-                matches!(e, BarrierEvent::ObjectReclaimed { partition, .. }
-                if *partition == victim)
-            })
-            .count() as u64;
+        let mut reclaimed = Vec::new();
+        for e in events {
+            if let BarrierEvent::ObjectReclaimed { oid, partition, .. } = *e {
+                reclaimed.push((oid, partition));
+            }
+        }
         assert_eq!(copied, out.live_objects);
-        assert_eq!(reclaimed, out.garbage_objects);
+        // The dead, in the victim's member-list order.
+        assert_eq!(reclaimed, [a, b, a1].map(|oid| (oid, victim)));
+        assert_eq!(reclaimed.len() as u64, out.garbage_objects);
         assert_eq!(
             events.last(),
             Some(&BarrierEvent::CollectionCompleted(out)),
             "completion event is logged last"
         );
+    }
+
+    #[test]
+    fn the_victims_sets_are_handed_to_the_target_whole() {
+        // In the victim: root r, whose trace reaches x (remembered from a) and
+        // y (from a and b) before their own root turns, l (live, into b's
+        // partition) and g (dead, into a's and b's, and at y).
+        let mut d = db();
+        let r = d.create_root(Bytes(100), 4).unwrap();
+        let (a, _) = d.create_object(Bytes(8100), 2, r, SlotId(0)).unwrap();
+        let (b, _) = d.create_object(Bytes(8100), 2, r, SlotId(1)).unwrap();
+        let (x, _) = d.create_object(Bytes(100), 2, r, SlotId(2)).unwrap();
+        let (y, _) = d.create_object(Bytes(100), 0, x, SlotId(0)).unwrap();
+        let (l, _) = d.create_object(Bytes(100), 1, x, SlotId(1)).unwrap();
+        let (g, _) = d.create_object(Bytes(100), 3, r, SlotId(3)).unwrap();
+        let live = [(a, 0, x), (a, 1, y), (b, 0, y), (l, 0, b)];
+        let dead = [(g, 0, a), (g, 1, b), (g, 2, y)];
+        for (from, slot, to) in live.into_iter().chain(dead) {
+            d.write_slot(from, SlotId(slot), Some(to)).unwrap();
+        }
+        d.write_slot(r, SlotId(3), None).unwrap();
+        let part = |d: &Database, o| d.objects().get(o).unwrap().addr.partition;
+        let (victim, p_a, p_b) = (part(&d, r), part(&d, a), part(&d, b));
+        assert_eq!([x, y, l, g].map(|o| part(&d, o)), [victim; 4]);
+        assert!(p_a != p_b && ![p_a, p_b].contains(&victim));
+
+        let (empty, out) = (d.empty_partition(), d.collect_partition(victim).unwrap());
+        assert_eq!((out.live_objects, out.garbage_objects), (4, 1));
+        assert_eq!(out.target, empty);
+        assert_eq!(out.forwarded_pointers, 3, "x's 1 and y's 2");
+        fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+            let mut items: Vec<T> = items.collect();
+            items.sort();
+            items
+        }
+        let sets = d.remsets();
+        assert_eq!(sets.remembered_targets(victim).count(), 0);
+        assert_eq!(sets.out_set(victim).count(), 0);
+        assert_eq!(sorted(sets.remembered_targets(empty)), [x, y]);
+        assert_eq!(sorted(sets.out_set(empty)), [r, l]);
+        let at = |o, s| PointerLoc::new(o, SlotId(s));
+        let mut forwarded = Vec::new();
+        sets.forwarded(empty, x, &mut forwarded);
+        assert_eq!(forwarded, [at(a, 0)]);
+        sets.forwarded(empty, y, &mut forwarded);
+        assert_eq!(forwarded, [at(a, 1), at(b, 0)]);
+        // The dead holder's locations are gone from every partition.
+        for p in (0..d.partition_count() as u32).map(PartitionId) {
+            for t in sets.remembered_targets(p) {
+                assert!(sets.locations_of(p, t).all(|loc| loc.owner != g));
+            }
+        }
+        assert_eq!(sorted(sets.locations_of(p_b, b)), [at(r, 1), at(l, 0)]);
+        d.check_invariants();
     }
 
     #[test]

@@ -353,7 +353,7 @@ mod tests {
         assert_ne!(rp, fp);
         // r.slot1 -> filler crosses partitions: remset must know.
         assert!(d.remsets().remembered_targets(fp).any(|t| t == filler));
-        assert!(d.remsets().in_out_set(rp, r));
+        assert!(d.remsets().out_set(rp).any(|o| o == r));
         d.check_invariants();
         // Clearing the slot removes the entry.
         d.write_slot(r, SlotId(1), None).unwrap();

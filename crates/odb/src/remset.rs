@@ -20,7 +20,7 @@
 //! The remembered set is keyed by *target object* within each partition:
 //! `into[T] : Oid -> {PointerLoc}`. The extra level (compared to a flat set
 //! of locations) is what lets the collector (a) seed its trace with the
-//! remembered targets and (b) re-key entries when it relocates a target,
+//! remembered targets and (b) find the pointers to forward at each one,
 //! both in O(entries touched).
 
 use pgc_types::{FastHashMap, FastHashSet, Oid, PartitionId, PointerLoc};
@@ -124,24 +124,11 @@ impl RemsetTable {
             .flat_map(|s| s.iter().copied())
     }
 
-    /// Number of remembered (pointed-into) objects in partition `t`.
-    pub(crate) fn remembered_target_count(&self, t: PartitionId) -> usize {
-        self.into.get(t.as_usize()).map_or(0, |m| m.len())
-    }
-
     /// Total number of remembered pointer locations into partition `t`.
     pub(crate) fn remembered_pointer_count(&self, t: PartitionId) -> usize {
         self.into
             .get(t.as_usize())
             .map_or(0, |m| m.values().map(|s| s.len()).sum())
-    }
-
-    /// True if object `oid` in partition `f` holds any cross-partition
-    /// pointers (is in the out-of-partition set of `f`).
-    pub(crate) fn in_out_set(&self, f: PartitionId, oid: Oid) -> bool {
-        self.out
-            .get(f.as_usize())
-            .is_some_and(|m| m.contains_key(&oid))
     }
 
     /// The out-of-partition set of `f`.
@@ -152,32 +139,25 @@ impl RemsetTable {
             .flat_map(|m| m.keys().copied())
     }
 
-    /// Re-keys all bookkeeping for `oid` after the collector moves it from
-    /// partition `from` to partition `to`:
-    ///
-    /// * entries in `into[from]` targeting `oid` move to `into[to]`
-    ///   (appending the affected source locations to `forwarded`, sorted
-    ///   by owner and slot, so the collector can charge pointer-forwarding
-    ///   I/O in an order that does not depend on the hash set's history);
-    /// * `oid`'s out-count moves from `out[from]` to `out[to]`.
-    pub(crate) fn relocate_object(
-        &mut self,
-        oid: Oid,
-        from: PartitionId,
-        to: PartitionId,
-        forwarded: &mut Vec<PointerLoc>,
-    ) {
+    /// Replaces `out` with the locations of the remembered pointers at
+    /// `target` (in partition `t`), sorted by owner and slot, so the
+    /// collector charges pointer-forwarding I/O in an order that does not
+    /// depend on the hash set's history.
+    pub(crate) fn forwarded(&self, t: PartitionId, target: Oid, out: &mut Vec<PointerLoc>) {
+        out.clear();
+        out.extend(self.locations_of(t, target));
+        out.sort_unstable();
+    }
+
+    /// Hands partition `from`'s remembered and out-of-partition sets to
+    /// `to`, whose sets must be empty, in one swap: the collector moves a
+    /// victim's survivors into the designated empty partition under their
+    /// own oids, so every entry is already keyed right.
+    pub(crate) fn hand_over(&mut self, from: PartitionId, to: PartitionId) {
         self.ensure(from);
         self.ensure(to);
-        if let Some(locs) = self.into[from.as_usize()].remove(&oid) {
-            let start = forwarded.len();
-            forwarded.extend(locs.iter().copied());
-            forwarded[start..].sort_unstable();
-            self.into[to.as_usize()].insert(oid, locs);
-        }
-        if let Some(count) = self.out[from.as_usize()].remove(&oid) {
-            self.out[to.as_usize()].insert(oid, count);
-        }
+        self.into.swap(from.as_usize(), to.as_usize());
+        self.out.swap(from.as_usize(), to.as_usize());
     }
 
     /// Forgets the out-count of dead object `oid` in partition `f`.
@@ -225,6 +205,7 @@ mod tests {
     const P0: PartitionId = PartitionId(0);
     const P1: PartitionId = PartitionId(1);
     const P2: PartitionId = PartitionId(2);
+    const P3: PartitionId = PartitionId(3);
 
     #[test]
     fn add_then_query() {
@@ -232,14 +213,14 @@ mod tests {
         r.add_edge(loc(1, 0), P0, Oid(10), P1);
         r.add_edge(loc(1, 1), P0, Oid(11), P1);
         r.add_edge(loc(2, 0), P2, Oid(10), P1);
-        assert_eq!(r.remembered_target_count(P1), 2);
+        assert_eq!(r.remembered_targets(P1).count(), 2);
         assert_eq!(r.remembered_pointer_count(P1), 3);
         let mut targets: Vec<Oid> = r.remembered_targets(P1).collect();
         targets.sort();
         assert_eq!(targets, vec![Oid(10), Oid(11)]);
-        assert!(r.in_out_set(P0, Oid(1)));
-        assert!(r.in_out_set(P2, Oid(2)));
-        assert!(!r.in_out_set(P1, Oid(10)));
+        assert!(r.out_set(P0).any(|o| o == Oid(1)));
+        assert!(r.out_set(P2).any(|o| o == Oid(2)));
+        assert!(!r.out_set(P1).any(|o| o == Oid(10)));
         r.check_invariants();
     }
 
@@ -248,8 +229,8 @@ mod tests {
         let mut r = RemsetTable::new();
         r.add_edge(loc(1, 0), P0, Oid(10), P1);
         r.remove_edge(loc(1, 0), P0, Oid(10), P1);
-        assert_eq!(r.remembered_target_count(P1), 0);
-        assert!(!r.in_out_set(P0, Oid(1)));
+        assert_eq!(r.remembered_targets(P1).count(), 0);
+        assert!(!r.out_set(P0).any(|o| o == Oid(1)));
         r.check_invariants();
     }
 
@@ -258,29 +239,28 @@ mod tests {
         let mut r = RemsetTable::new();
         r.add_edge(loc(1, 0), P0, Oid(10), P1);
         r.add_edge(loc(1, 1), P0, Oid(20), P2);
-        assert!(r.in_out_set(P0, Oid(1)));
+        assert!(r.out_set(P0).any(|o| o == Oid(1)));
         r.remove_edge(loc(1, 0), P0, Oid(10), P1);
-        assert!(r.in_out_set(P0, Oid(1)), "one pointer still out");
+        assert!(r.out_set(P0).any(|o| o == Oid(1)), "one pointer still out");
         r.remove_edge(loc(1, 1), P0, Oid(20), P2);
-        assert!(!r.in_out_set(P0, Oid(1)));
+        assert!(!r.out_set(P0).any(|o| o == Oid(1)));
         r.check_invariants();
     }
 
     #[test]
-    fn relocate_moves_into_entries_and_out_counts() {
+    fn hand_over_moves_both_sets_whole() {
         let mut r = RemsetTable::new();
         // Oid(10) lives in P1, pointed at from P0 twice; it also points out
-        // to P2.
+        // to P2. P3 is the empty partition it moves into.
         r.add_edge(loc(1, 0), P0, Oid(10), P1);
         r.add_edge(loc(2, 0), P0, Oid(10), P1);
         r.add_edge(loc(10, 0), P1, Oid(30), P2);
-        let mut forwarded = Vec::new();
-        r.relocate_object(Oid(10), P1, P2, &mut forwarded);
-        assert_eq!(forwarded.len(), 2);
-        assert_eq!(r.remembered_target_count(P1), 0);
-        assert_eq!(r.remembered_pointer_count(P2), 3); // 2 moved + Oid(30)'s
-        assert!(r.in_out_set(P2, Oid(10)), "out-count moved with the object");
-        assert!(!r.in_out_set(P1, Oid(10)));
+        r.hand_over(P1, P3);
+        assert_eq!(r.remembered_targets(P1).chain(r.out_set(P1)).count(), 0);
+        assert_eq!(r.remembered_pointer_count(P3), 2);
+        let moved: Vec<Oid> = r.out_set(P3).collect();
+        assert_eq!(moved, [Oid(10)], "out-count moved with the object");
+        assert_eq!(r.remembered_pointer_count(P2), 1, "P2's set is untouched");
         r.check_invariants();
     }
 
@@ -290,9 +270,9 @@ mod tests {
         // orders; the second set also grew to 200 entries and shrank back,
         // so its buckets are laid out for a table ten times the size.
         let locs: Vec<PointerLoc> = (0..8).map(|i| loc(100 - 7 * i, (i % 3) as u16)).collect();
-        let forwarded = |r: &mut RemsetTable| {
+        let forwarded = |r: &RemsetTable| {
             let mut out = vec![loc(1, 1)]; // what an earlier object forwarded
-            r.relocate_object(Oid(10), P1, P2, &mut out);
+            r.forwarded(P1, Oid(10), &mut out);
             out
         };
         let mut straight = RemsetTable::new();
@@ -309,25 +289,11 @@ mod tests {
         for i in 0..200 {
             churned.remove_edge(loc(1_000 + i, 0), P0, Oid(10), P1);
         }
-        let expected: Vec<PointerLoc> = std::iter::once(loc(1, 1))
-            .chain({
-                let mut sorted = locs.clone();
-                sorted.sort();
-                sorted
-            })
-            .collect();
-        assert_eq!(forwarded(&mut straight), expected);
-        assert_eq!(forwarded(&mut churned), expected);
+        let mut expected = locs.clone();
+        expected.sort();
+        assert_eq!(forwarded(&straight), expected);
+        assert_eq!(forwarded(&churned), expected);
         churned.check_invariants();
-    }
-
-    #[test]
-    fn relocate_object_with_no_entries_is_a_noop() {
-        let mut r = RemsetTable::new();
-        let mut forwarded = Vec::new();
-        r.relocate_object(Oid(5), P0, P1, &mut forwarded);
-        assert!(forwarded.is_empty());
-        r.check_invariants();
     }
 
     #[test]
@@ -337,12 +303,12 @@ mod tests {
         r.add_edge(loc(1, 1), P0, Oid(20), P2);
         // A dead source's pointers leave their targets' sets one by one...
         r.remove_edge(loc(1, 0), P0, Oid(10), P1);
-        assert_eq!(r.remembered_target_count(P1), 0);
-        assert!(r.in_out_set(P0, Oid(1)), "one pointer still out");
+        assert_eq!(r.remembered_targets(P1).count(), 0);
+        assert!(r.out_set(P0).any(|o| o == Oid(1)), "one pointer still out");
         // ...and purging the source forgets whatever out-count is left.
         r.purge_source(P0, Oid(1));
-        assert!(!r.in_out_set(P0, Oid(1)));
-        assert_eq!(r.remembered_target_count(P2), 1);
+        assert!(!r.out_set(P0).any(|o| o == Oid(1)));
+        assert_eq!(r.remembered_targets(P2).count(), 1);
     }
 
     #[test]

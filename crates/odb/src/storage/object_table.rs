@@ -38,8 +38,7 @@
 //! and it empties the partition whole: it takes the victim's list with
 //! [`ObjectTable::take_members`] first, so relocating or removing an
 //! object leaves its old list alone. Membership order is a deterministic
-//! function of the operation history; callers that need a canonical order
-//! (the collector's garbage sweep) sort.
+//! function of the operation history.
 
 use super::addr::ObjAddr;
 use super::slots::Slots;
@@ -275,22 +274,20 @@ impl ObjectTable {
         self.get(oid).is_ok()
     }
 
-    /// Removes an object (it has been reclaimed), returning its record and
-    /// freeing its position. Its partition's member list is left alone:
-    /// the collector, the one caller, has taken it with
-    /// [`ObjectTable::take_members`].
-    pub(crate) fn remove(&mut self, oid: Oid) -> Result<ObjectRecord> {
-        let pos = self.position(oid).ok_or(PgcError::UnknownObject(oid))?;
-        let record = self
-            .records
-            .get_mut(pos)
-            .and_then(Option::take)
-            .ok_or(PgcError::UnknownObject(oid))?;
+    /// Removes `oid` if it still resides in `partition` (it has been
+    /// reclaimed), returning its record and freeing its position; `None`
+    /// if it is not registered or lives elsewhere (it was copied out). Its
+    /// partition's member list is left alone: the collector, the one
+    /// caller, has taken it with [`ObjectTable::take_members`].
+    pub(crate) fn remove(&mut self, oid: Oid, partition: PartitionId) -> Option<ObjectRecord> {
+        let pos = self.position(oid)?;
+        let slot = self.records.get_mut(pos)?;
+        let record = slot.take_if(|r| r.addr.partition == partition)?;
         self.index[oid.index() as usize] = 0;
         self.free.insert(pos as u64);
         self.free_floor = self.free_floor.min(pos as u64);
         self.total_bytes -= record.size;
-        Ok(record)
+        Some(record)
     }
 
     /// Moves an object to a new physical address (collector evacuation).
@@ -439,7 +436,7 @@ mod tests {
         let mut t = ObjectTable::new();
         let a = t.reserve_oid();
         t.register(a, rec(1, 0, 10, 0)).unwrap();
-        t.remove(a).unwrap();
+        t.remove(a, PartitionId(1)).unwrap();
         let b = t.reserve_oid();
         assert_ne!(a, b);
     }
@@ -453,11 +450,13 @@ mod tests {
         let mut taken = Vec::new();
         t.take_members(PartitionId(2), &mut taken);
         assert_eq!(taken, vec![a]);
-        let removed = t.remove(a).unwrap();
+        // Under another partition (copied out of the victim) it stays.
+        assert!(t.remove(a, PartitionId(3)).is_none());
+        let removed = t.remove(a, PartitionId(2)).unwrap();
         assert_eq!(removed.size, Bytes(64));
         assert_eq!(t.member_count(PartitionId(2)), 0);
         assert_eq!(t.total_bytes(), Bytes::ZERO);
-        assert!(t.remove(a).is_err());
+        assert!(t.remove(a, PartitionId(2)).is_none());
         t.check_invariants();
     }
 
@@ -525,7 +524,7 @@ mod tests {
             t.register(o, rec(1, i * 10, 10, 0)).unwrap();
             oids.push(o);
         }
-        t.remove(oids[2]).unwrap();
+        t.remove(oids[2], PartitionId(1)).unwrap();
         let visited: Vec<Oid> = t.iter().map(|(o, _)| o).collect();
         assert_eq!(visited, vec![oids[0], oids[1], oids[3], oids[4]]);
     }
@@ -539,7 +538,7 @@ mod tests {
         }
         t.take_members(PartitionId(1), &mut Vec::new());
         for oid in [Oid(0), Oid(3), Oid(1)] {
-            t.remove(oid).unwrap();
+            t.remove(oid, PartitionId(1)).unwrap();
         }
         let positions: Vec<u32> = (0..3)
             .map(|_| {
@@ -568,7 +567,7 @@ mod tests {
                 t.register(o, rec(1, i * 10, 10, 0)).unwrap();
             }
             t.take_members(PartitionId(1), &mut Vec::new());
-            t.remove(Oid(1)).unwrap();
+            t.remove(Oid(1), PartitionId(1)).unwrap();
             t.members[1] = vec![Oid(0), Oid(2)];
             assert_eq!(t.first_violation(), None);
             t
@@ -653,25 +652,32 @@ mod tests {
 
         /// Collects a random partition the way the collector does: takes
         /// its list, then relocates into partition 5 or removes each taken
-        /// object in shuffled order, registering new objects in between.
+        /// object in shuffled order, registering new objects in between;
+        /// removing any of them again under the victim is then `None`.
         /// Partition 5's residents then move back under the victim's id,
         /// so the next collection finds it empty again.
         fn collect(&mut self, t: &mut ObjectTable, rng: &mut SimRng) {
             let victim = rng.below(5) as u32;
             let mut taken = self.take(t, victim);
             shuffle(&mut taken, rng);
-            for oid in taken {
+            for &oid in &taken {
                 if rng.chance(0.2) {
                     self.register(t, rng);
                 }
                 if rng.chance(0.5) {
                     let (_, _, size) = self.objects.remove(&oid).unwrap();
                     self.free.insert(t.position(oid).unwrap());
-                    assert_eq!(t.remove(oid).unwrap().size, Bytes(size));
+                    assert_eq!(
+                        t.remove(oid, PartitionId(victim)).unwrap().size,
+                        Bytes(size)
+                    );
                 } else {
                     self.relocate(t, oid, 5, rng.below(1000));
                 }
             }
+            assert!(taken
+                .iter()
+                .all(|&oid| t.remove(oid, PartitionId(victim)).is_none()));
             for oid in self.take(t, 5) {
                 let off = self.objects[&oid].1;
                 self.relocate(t, oid, victim, off);
@@ -771,7 +777,7 @@ mod tests {
             t.take_members(PartitionId(1), &mut dead);
             if generation < 9 {
                 for oid in dead {
-                    t.remove(oid).unwrap();
+                    t.remove(oid, PartitionId(1)).unwrap();
                 }
             } else {
                 t.members[1] = dead;

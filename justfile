@@ -27,7 +27,8 @@ unused-deps:
 check: fmt-check unused-deps clippy verify
 
 # Lines of product source: `crates/*/src` outside `crates/bench` — the
-# figure ROADMAP tracks — with its product / unit-test split.
+# figure ROADMAP tracks — with its product / unit-test split, then the
+# lines of `tests/`, `examples/` and `crates/bench` (printed, not gated).
 loc:
     @./scripts/loc.sh
 

@@ -3,6 +3,8 @@
 # outside `crates/bench`, the figure ROADMAP tracks. Prints the total, then
 # the split: a file's lines from its first top-level `#[cfg(test)]` that is
 # followed by a `mod` line to its end are unit tests, the rest is product.
+# Last, for the ledger only (never a gate): the lines of every `.rs` file
+# under `tests/`, `examples/` and `crates/bench`, which the total leaves out.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -22,3 +24,5 @@ find crates -path crates/bench -prune -o -path '*/src/*' -name '*.rs' -print | s
         printf "%d lines (crates/*/src outside crates/bench)\n", product + tests
         printf "%d product\n%d unit tests\n", product, tests
     }'
+find tests examples crates/bench -name '*.rs' -print0 | sort -z | xargs -0 cat |
+    awk 'END { printf "%d outside the count (tests/, examples/, crates/bench)\n", NR }'

@@ -10,7 +10,7 @@
 # to make room for new ones.
 set -euo pipefail
 
-CEILING=54
+CEILING=53
 
 cd "$(git rev-parse --show-toplevel)"
 find crates -path crates/bench -prune -o -path '*/src/*' -name '*.rs' -print | sort |
